@@ -2,12 +2,12 @@
 
 The performance subsystem of the operator stack: a scratch-buffer arena
 (:class:`Workspace`), allocation-free slab shifts (:func:`shift_into`),
-the fused spin-projected hopping kernel (:class:`FusedHopping`), the
-Numba-jitted cache-blocked site-loop kernel (:class:`CompiledHopping`),
-and a registry of named kernels (``reference`` / ``fused`` /
-``compiled`` / ``fused-matmul`` / ``naive`` / ``compiled-python``)
-selectable per operator or via the ``REPRO_KERNEL`` environment
-variable.
+the fused site-minor split-complex hopping kernel
+(:class:`FusedHopping`), the Numba-jitted cache-blocked site-loop kernel
+(:class:`CompiledHopping`), and a registry of named kernels
+(``reference`` / ``fused`` / ``compiled`` / ``naive`` /
+``compiled-python``) selectable per operator or via the ``REPRO_KERNEL``
+environment variable.
 
 Design rule — *N Dslash paths, one truth*: the roll-based
 ``reference`` kernel in :mod:`repro.dirac.hopping` stays the executable
@@ -18,7 +18,7 @@ by tier-1 property tests).
 
 from repro.kernels.workspace import Workspace
 from repro.kernels.shifts import shift_into, site_neighbor_tables
-from repro.kernels.color import color_mul_into, COLOR_BACKENDS
+from repro.kernels.color import color_mul_into
 from repro.kernels.spin import project_into, reconstruct_accumulate
 from repro.kernels.fused import FusedHopping
 from repro.kernels.halo import HaloStencil, dagger_halo_links, split_boxes, full_box
@@ -37,7 +37,6 @@ __all__ = [
     "shift_into",
     "site_neighbor_tables",
     "color_mul_into",
-    "COLOR_BACKENDS",
     "project_into",
     "reconstruct_accumulate",
     "FusedHopping",

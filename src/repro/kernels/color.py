@@ -1,66 +1,60 @@
-"""The SU(3) color multiply shared by the reference and fused kernels.
+"""The SU(3) colour multiply, in the two layouts the kernels use.
 
-``(U h)_{s a} = U_{a b} h_{s b}`` on half spinors of shape (..., 2, 3)
-against links of shape (..., 3, 3).  Both Dslash paths route through
-this one primitive so they stay bit-for-bit identical ("two Dslash
-paths, one truth"): einsum and BLAS order the 3-term dot products
-differently, so mixing backends across paths would break exact
-agreement.
-
-Backends
---------
-``einsum``
-    ``np.einsum("...ab,...sb->...sa", ...)`` with an ``out=`` buffer.
-    The default: numpy's specialised sum-of-products loops beat batched
-    tiny-matrix BLAS dispatch on every host we measured (a stacked
-    (V,3,3)@(V,3,2) ``np.matmul`` pays per-slice GEMM setup for a
-    3-element dot product; ~2x slower at 8^4 on this numpy build).
-``matmul``
-    The reshaped ``(..., 3, 3) @ (..., 3, 2)`` BLAS form, kept
-    selectable for A/B benchmarking on BLAS builds with fast batched
-    small-matrix paths.  Numerically equivalent but *not* bit-identical
-    to the einsum backend.
+``(U h)_{s a} = U_{a b} h_{s b}`` on half spinors against links.  The
+reference kernel and the halo stencil work on interleaved complex arrays
+((..., 2, 3) against (..., 3, 3)) through :func:`color_mul_into`; the
+fused kernel works on site-minor real planes through
+:func:`color_mul_planes_into`.  Both evaluate every output element as the
+same left-to-right three-term sum ``t_0 + t_1 + t_2`` with
+``Re t_b = Ur hr - Ui hi`` and ``Im t_b = Ur hi + Ui hr``, each product
+rounded once, so they agree bit for bit: einsum's complex sum-of-products
+loop is written that way, and the plane form spells it out with real
+ufuncs (a complex ``np.multiply`` would not do: its SIMD loop contracts
+the products into fused multiply-adds).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["COLOR_BACKENDS", "color_mul_into", "color_mul_batch_into"]
-
-COLOR_BACKENDS = ("einsum", "matmul")
+__all__ = ["color_mul_into", "color_mul_planes_into"]
 
 
-def color_mul_into(
-    out: np.ndarray, u: np.ndarray, h: np.ndarray, backend: str = "einsum"
-) -> np.ndarray:
+def color_mul_into(out: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """``out[..., s, a] = sum_b u[..., a, b] h[..., s, b]`` (gauge x half spinor).
 
     ``u`` broadcasts over leading axes of ``h`` (the 5-D domain-wall
     field shares one 4-D gauge field across all s-slices).
     """
-    if backend == "einsum":
-        np.einsum("...ab,...sb->...sa", u, h, out=out)
-    elif backend == "matmul":
-        # (..., 3, 3) @ (..., 3, 2) on colour-major views of the spin-major
-        # buffers; the swapaxes views are handled by the gufunc machinery.
-        np.matmul(u, h.swapaxes(-1, -2), out=out.swapaxes(-1, -2))
-    else:
-        raise ValueError(f"unknown color backend {backend!r}; use {COLOR_BACKENDS}")
+    np.einsum("...ab,...sb->...sa", u, h, out=out)
     return out
 
 
-def color_mul_batch_into(out: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Multi-RHS colour multiply on flattened colour-major half-spinor blocks.
+def color_mul_planes_into(
+    out: np.ndarray, u: np.ndarray, h: np.ndarray, dagger: bool, prod: np.ndarray
+) -> np.ndarray:
+    """Site-minor split-complex ``out = U h`` (``U^dag h`` when ``dagger``).
 
-    ``u`` is (V, 3, 3); ``h`` and ``out`` are (V, 3, S) with the spin and
-    RHS axes folded into one minor axis ``S = 2 * nrhs`` so each link is
-    streamed once against a long contiguous operand.  einsum lowers this
-    to the same 3-term sum-of-products dot as the single-RHS
-    ``"...ab,...sb->...sa"`` spelling, evaluated per output element in
-    the same order — so each RHS column agrees bit-for-bit with a
-    single-RHS :func:`color_mul_into` on that column (asserted by the
-    batch parity suite).
+    ``u`` is the (G, 2, 3, 3, V) plane stack (direction, re|im, a, b,
+    site) of the links of ``G`` directions; ``h`` and ``out`` are
+    (G, 2, 2, B, 3, V) half-spinor stacks (direction, re|im, spin, rhs,
+    colour, site), one half spinor per direction, and ``u`` broadcasts
+    over spin and rhs.  ``prod`` (G, 2, 2, 2, B, 3, V) is scratch.
+    Every ufunc runs V-long contiguous rows.
+
+    With ``dagger`` the link index is transposed and ``Ui`` enters with
+    the opposite sign, which is the reference's multiply by ``conj(U)``
+    exactly (negation commutes with rounding).
     """
-    np.einsum("xab,xbs->xas", u, h, out=out)
+    re_op, im_op = (np.add, np.subtract) if dagger else (np.subtract, np.add)
+    for b in range(3):
+        ub = u[:, :, b, :] if dagger else u[:, :, :, b]
+        # prod[g, cu, ch, s, rhs, a, site] = u[g, cu, a, b] * h[g, ch, s, rhs, b]
+        np.multiply(ub[:, :, None, None, None], h[:, None, :, :, :, b, None], out=prod)
+        # t_b = (Ur hr -+ Ui hi, Ur hi +- Ui hr) lands in prod[:, 0]; out = t_0 + t_1 + t_2.
+        t = prod[:, 0] if b else out
+        re_op(prod[:, 0, 0], prod[:, 1, 1], out=t[:, 0])
+        im_op(prod[:, 0, 1], prod[:, 1, 0], out=t[:, 1])
+        if b:
+            out += t
     return out

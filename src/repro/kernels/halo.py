@@ -1,10 +1,10 @@
 """The fused Wilson stencil on halo-extended blocks, with interior/boundary split.
 
-This is the per-rank kernel of the domain-decomposed Dslash: the same
-sparse spin projection, SU(3) colour multiply and in-place reconstruction
-as :class:`repro.kernels.fused.FusedHopping`, but neighbour gathers are
-plain displaced slices into the ghost-extended block — a rank never wraps,
-it reads the ghost shells its communicator filled.
+This is the per-rank kernel of the domain-decomposed Dslash: sparse spin
+projection, SU(3) colour multiply and in-place reconstruction on the
+interleaved complex layout, with neighbour gathers as plain displaced
+slices into the ghost-extended block — a rank never wraps, it reads the
+ghost shells its communicator filled.
 
 Two structural additions over the single-domain kernel:
 
@@ -25,9 +25,8 @@ Two structural additions over the single-domain kernel:
   flight.
 
 The backward links are pre-daggered once per gauge field
-(:func:`dagger_halo_links`) into a table indexed at the *site* — the halo
-analogue of the fused kernel's cached ``udag`` — so the per-apply
-conj-transpose of the gauge block disappears from the hot loop.
+(:func:`dagger_halo_links`) into a table indexed at the *site*, so the
+per-apply conj-transpose of the gauge block disappears from the hot loop.
 """
 
 from __future__ import annotations
@@ -128,9 +127,8 @@ class HaloStencil:
 
     name = "fused-halo"
 
-    def __init__(self, color_backend: str = "einsum") -> None:
+    def __init__(self) -> None:
         self.workspace = Workspace()
-        self.color_backend = color_backend
 
     def hop_box_into(
         self,
@@ -156,11 +154,11 @@ class HaloStencil:
         for mu in range(4):
             # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
             project_into(half, _box_view(psi_halo, width, box, mu, +1), mu, -1)
-            color_mul_into(uh, _box_view(u_halo[mu], width, box), half, self.color_backend)
+            color_mul_into(uh, _box_view(u_halo[mu], width, box), half)
             reconstruct_accumulate(acc, uh, mu, -1, scratch)
             # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu).
             project_into(half, _box_view(psi_halo, width, box, mu, -1), mu, +1)
-            color_mul_into(uh, _box_view(udag_halo[mu], width, box), half, self.color_backend)
+            color_mul_into(uh, _box_view(udag_halo[mu], width, box), half)
             reconstruct_accumulate(acc, uh, mu, +1, scratch)
         return acc
 

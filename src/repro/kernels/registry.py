@@ -7,8 +7,8 @@ Three first-class tiers, one truth:
     executable specification, kept allocation-heavy and obvious.
 ``fused``
     The workspace-backed :class:`repro.kernels.fused.FusedHopping` —
-    bit-for-bit identical output, ~20 fewer temporaries per apply.
-    Always available; the default.
+    site-minor real planes, real ufuncs only, bit-for-bit identical
+    output.  Always available; the default.
 ``compiled``
     The Numba-jitted :class:`repro.kernels.compiled.CompiledHopping` —
     a threaded, cache-blocked site-loop kernel, bit-for-bit identical
@@ -19,11 +19,6 @@ Three first-class tiers, one truth:
 
 Plus ablation/experiment backends:
 
-``fused-matmul``
-    The fused kernel with the BLAS ``np.matmul`` colour backend
-    (numerically equivalent, not bit-identical; slower on numpy builds
-    without batched small-GEMM fast paths — see
-    :mod:`repro.kernels.color`).
 ``naive``
     The full-spinor :func:`repro.dirac.hopping.hopping_term_naive`
     (the E10 spin-projection ablation; 4-D fields only).
@@ -145,7 +140,6 @@ def _make_compiled_python():
 _FACTORIES: dict[str, Callable[[], object]] = {
     "reference": ReferenceHopping,
     "fused": FusedHopping,
-    "fused-matmul": lambda: FusedHopping(color_backend="matmul"),
     "naive": NaiveHopping,
     "compiled": _make_compiled,
     "compiled-python": _make_compiled_python,

@@ -1,11 +1,14 @@
-"""Allocation-free periodic shifts via precomputed slice-pair copy plans.
+"""Allocation-free periodic shifts on contiguous arrays.
 
 ``np.roll`` allocates its output and resolves the wrap-around with
-general index arithmetic on every call.  A nearest-neighbour stencil
-only ever needs two slab copies per shift — the interior block and the
-wrapped boundary slab — so the slice pairs are computed once per
-``(ndim, axis, dist, extent)`` and cached, and :func:`shift_into` writes
-straight into a caller-provided output buffer.
+general index arithmetic on every call.  On a C-contiguous array a
+nearest-neighbour shift along any axis is one flat offset copy — every
+site whose neighbour lies in the same outer block reads the element
+``dist * inner`` further on, whatever the axis — plus one slab copy that
+overwrites the sites that wrapped.  :func:`shift_into` writes both
+straight into a caller-provided buffer; the rows it moves are as long as
+the array allows even for the minor-most axis, where a slice-pair copy
+would move ``extent - 1`` elements at a time.
 
 Semantics match :func:`repro.lattice.shift_with_phase` exactly
 (gather convention, phase on the wrapped slab):
@@ -23,27 +26,6 @@ import numpy as np
 __all__ = ["shift_into", "site_neighbor_tables"]
 
 
-@lru_cache(maxsize=None)
-def _shift_plan(
-    ndim: int, axis: int, dist: int, n: int
-) -> tuple[tuple, tuple, tuple, tuple]:
-    """(dst_main, src_main, dst_wrap, src_wrap) index tuples for a shift."""
-    d = abs(dist)
-    if d > n:
-        raise ValueError(f"|dist|={d} exceeds extent {n} along axis {axis}")
-
-    def at(sl: slice) -> tuple:
-        idx = [slice(None)] * ndim
-        idx[axis] = sl
-        return tuple(idx)
-
-    if dist > 0:
-        # out[0 : n-d] = a[d : n]; sites x >= n-d wrap to a[0 : d].
-        return at(slice(0, n - d)), at(slice(d, n)), at(slice(n - d, n)), at(slice(0, d))
-    # dist < 0: out[d : n] = a[0 : n-d]; sites x < d wrap to a[n-d : n].
-    return at(slice(d, n)), at(slice(0, n - d)), at(slice(0, d)), at(slice(n - d, n))
-
-
 def shift_into(
     out: np.ndarray,
     a: np.ndarray,
@@ -54,21 +36,38 @@ def shift_into(
     """Gather ``a`` from ``dist`` sites ahead along ``axis`` into ``out``.
 
     Bitwise-identical to ``shift_with_phase(a, axis, dist, phase)`` but
-    with zero allocations: two slab copies plus an in-place phase
-    multiply of the wrapped slab.  ``out`` must not alias ``a``.
+    with zero allocations.  ``out`` and ``a`` must be distinct
+    C-contiguous arrays of one shape.
     """
     if out is a:
         raise ValueError("shift_into requires out and a to be distinct arrays")
+    if out.shape != a.shape or not (out.flags.c_contiguous and a.flags.c_contiguous):
+        raise ValueError("shift_into requires C-contiguous arrays of one shape")
     if dist == 0:
         np.copyto(out, a)
         return out
-    dst_main, src_main, dst_wrap, src_wrap = _shift_plan(
-        a.ndim, axis, dist, a.shape[axis]
-    )
-    out[dst_main] = a[src_main]
-    out[dst_wrap] = a[src_wrap]
-    if phase != 1.0:
-        out[dst_wrap] *= phase
+    n = a.shape[axis]
+    d = abs(dist)
+    if d > n:
+        raise ValueError(f"|dist|={d} exceeds extent {n} along axis {axis}")
+    inner = 1
+    for extent in a.shape[axis + 1 :]:
+        inner *= extent
+    step = d * inner
+    out_flat, a_flat = out.reshape(-1), a.reshape(-1)
+    out_slabs, a_slabs = out.reshape(-1, n, inner), a.reshape(-1, n, inner)
+    if dist > 0:
+        # out[i] = a[i + d]; sites i >= n-d wrap to a[0 : d].
+        out_flat[: a.size - step] = a_flat[step:]
+        dst, src = out_slabs[:, n - d :], a_slabs[:, :d]
+    else:
+        # out[i] = a[i - d]; sites i < d wrap to a[n-d : n].
+        out_flat[step:] = a_flat[: a.size - step]
+        dst, src = out_slabs[:, :d], a_slabs[:, n - d :]
+    if phase == 1.0:
+        dst[...] = src
+    else:
+        np.multiply(src, phase, out=dst)
     return out
 
 
@@ -78,7 +77,7 @@ def site_neighbor_tables(
 ) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """SoA nearest-neighbour tables over the flattened 4-D site index.
 
-    The compiled Dslash tier trades the slab copy plans above for a
+    The compiled Dslash tier trades the flat copies above for a
     gather formulation: sites are enumerated in C order over ``dims``
     and each of the 8 direction terms (``t = 2*mu + d`` with ``d=0``
     forward, ``d=1`` backward) reads its neighbour through one

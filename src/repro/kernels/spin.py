@@ -1,4 +1,10 @@
-"""Sparse half-spinor projection/reconstruction for the fused kernel.
+"""Sparse half-spinor projection/reconstruction for the fused kernels.
+
+Two layouts: interleaved complex ``(..., spin, colour)`` fields for the
+halo stencil (:func:`project_into`, :func:`reconstruct_accumulate`) and
+site-minor real planes for the single-domain fused kernel
+(:func:`project_planes_into`, :func:`reconstruct_planes_accumulate`,
+described where they are defined).
 
 In the DeGrand-Rossi chiral basis every 2x2 gamma block ``A_mu`` has
 exactly one non-zero entry per row (a unit or ``+-i``), so the
@@ -37,8 +43,8 @@ __all__ = [
     "RECON_ROWS",
     "project_into",
     "reconstruct_accumulate",
-    "project_batch_into",
-    "reconstruct_batch_accumulate",
+    "project_planes_into",
+    "reconstruct_planes_accumulate",
 ]
 
 
@@ -132,55 +138,78 @@ def reconstruct_accumulate(
     return out
 
 
-# -- colour-major batched forms ------------------------------------------------
+# -- site-minor split-complex forms ----------------------------------------------
 #
-# The multi-RHS kernel keeps fields in the colour-major layout
-# (..., 3, spin, nrhs) so the SU(3) multiply runs as one long-inner-loop
-# einsum (see :func:`repro.kernels.color.color_mul_batch_into`).  In that
-# layout the spin axis sits at -2 exactly as in the single-RHS layout, so
-# the same swap-view/coefficient-column machinery applies verbatim: the
-# (2, 1) coefficient column aligns with (spin, rhs) here instead of
-# (spin, colour), broadcasting over the RHS minor axis and the colour
-# axis at -3.  Every coefficient is 0, +-1 or +-i and ufunc multiplies
-# are elementwise regardless of loop structure, so the batched forms
-# agree bit-for-bit with their single-RHS counterparts per column.
+# The fused kernel keeps fields as real planes (re|im, spin, ..., site):
+# the real/imaginary index and the spin index are the two leading axes
+# and the site index is minor.  There a coefficient of +-1 is an add or a
+# subtract of whole planes and +-i is the same on the swapped (re|im)
+# plane with one sign flipped — ``i (a + ib) = -b + ia`` — so projection
+# and reconstruction need no multiply at all, and ``a - b`` equals the
+# reference's ``a + (-1) b`` exactly.
 
 
-def project_batch_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.ndarray:
-    """Colour-major batched :func:`project_into`.
+def _plane_ops(rows, s: int) -> tuple:
+    """``(ufunc, dst, src)`` steps of ``dst (+|-)= s * block @ src`` on planes.
 
-    ``psi`` has shape (..., 3, 4, nrhs); ``h`` has shape (..., 3, 2, nrhs).
+    ``dst`` and ``src`` index the leading (re|im, spin) axes of a
+    half-spinor plane stack.  One step per (re|im, spin) plane, fused
+    along either axis wherever two steps share a ufunc and differ only
+    in their index along that axis (the two planes are then one basic
+    slice, forwards or reversed): 1, 4, 2 and 2 steps for mu = T, Z, Y, X.
     """
-    swap, col = _PROJECT_FORM[mu]
-    upper = psi[..., :, 0:2, :]
-    lower = psi[..., :, 3:1:-1, :] if swap else psi[..., :, 2:4, :]
-    if _is_identity(swap, col):
-        op = np.add if s > 0 else np.subtract
-        op(upper, lower, out=h)
-        return h
-    np.multiply(lower, _coeff(col, s, psi.dtype), out=h)
-    h += upper
+    steps = []
+    for p, (q, coeff) in enumerate(rows):
+        k = s * coeff
+        for c in range(2):
+            # Real k: plane c of row q, sign k.  Imaginary k: the other
+            # plane, sign -Im k into the real part and +Im k into the imaginary.
+            src_c, sign = (c, k.real) if k.imag == 0 else (1 - c, k.imag * (2 * c - 1))
+            steps.append((np.add if sign > 0 else np.subtract, ((c,), (p,)), ((src_c,), (q,))))
+    for axis in (0, 1):
+        fused: dict = {}
+        for ufunc, dst, src in sorted(steps, key=lambda step: step[1]):
+            along = fused.setdefault((ufunc, dst[1 - axis], src[1 - axis]), [(), ()])
+            along[0] += dst[axis]
+            along[1] += src[axis]
+        steps = [
+            (ufunc, (d, dst_other) if axis == 0 else (dst_other, d),
+             (q, src_other) if axis == 0 else (src_other, q))
+            for (ufunc, dst_other, src_other), (d, q) in fused.items()
+        ]
+
+    def index(entries):
+        return tuple(
+            e[0] if len(e) == 1 else slice(None, None, 1 if e == (0, 1) else -1) for e in entries
+        )
+
+    return tuple((ufunc, index(dst), index(src)) for ufunc, dst, src in steps)
+
+
+_PROJECT_PLANES = {
+    (mu, s): _plane_ops(PROJECT_ROWS[mu], s) for mu in range(4) for s in (+1, -1)
+}
+_RECON_PLANES = {
+    (mu, s): _plane_ops(RECON_ROWS[mu], s) for mu in range(4) for s in (+1, -1)
+}
+
+
+def project_planes_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.ndarray:
+    """Site-minor :func:`project_into`.
+
+    ``psi`` is the (2, 4, ...) plane stack of a spinor field (re|im,
+    spin, then any axes with the site index minor); ``h`` is (2, 2, ...).
+    """
+    upper, lower = psi[:, 0:2], psi[:, 2:4]
+    for ufunc, dst, src in _PROJECT_PLANES[mu, s]:
+        ufunc(upper[dst], lower[src], out=h[dst])
     return h
 
 
-def reconstruct_batch_accumulate(
-    out: np.ndarray, h: np.ndarray, mu: int, s: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Colour-major batched :func:`reconstruct_accumulate`.
-
-    ``out`` has shape (..., 3, 4, nrhs), ``h`` (..., 3, 2, nrhs);
-    ``scratch`` matches ``h``.
-    """
-    out[..., :, 0:2, :] += h
-    swap, col = _RECON_FORM[mu]
-    lower_out = out[..., :, 2:4, :]
-    if _is_identity(swap, col):
-        if s > 0:
-            lower_out += h
-        else:
-            lower_out -= h
-        return out
-    hq = h[..., :, ::-1, :] if swap else h
-    np.multiply(hq, _coeff(col, s, h.dtype), out=scratch)
-    lower_out += scratch
+def reconstruct_planes_accumulate(out: np.ndarray, h: np.ndarray, mu: int, s: int) -> np.ndarray:
+    """Site-minor :func:`reconstruct_accumulate`: ``out`` (2, 4, ...) += ``(h, s A^dag h)``."""
+    upper, lower = out[:, 0:2], out[:, 2:4]
+    upper += h
+    for ufunc, dst, src in _RECON_PLANES[mu, s]:
+        ufunc(lower[dst], h[src], out=lower[dst])
     return out

@@ -38,6 +38,7 @@ from repro.solvers import EigenPairs, block_cg, cg, deflated_cg, lanczos, solve_
 # compiled tier gets a 16-site lattice to keep the matrix fast.
 FUSED_DIMS = (2, 3, 4, 5)
 COMPILED_DIMS = (2, 2, 2, 2)
+TWISTED_PHASES = (np.exp(0.3j), 1.0, np.exp(-0.2j), 1.0)
 
 _GAUGE_CACHE: dict[tuple, GaugeField] = {}
 
@@ -66,10 +67,10 @@ class TestKernelBatchParity:
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
     @pytest.mark.parametrize(
         "phases",
-        [PERIODIC_PHASES, DEFAULT_FERMION_PHASES],
-        ids=["periodic", "antiperiodic"],
+        [PERIODIC_PHASES, DEFAULT_FERMION_PHASES, TWISTED_PHASES],
+        ids=["periodic", "antiperiodic", "twisted"],
     )
-    @pytest.mark.parametrize("nrhs", [1, 2, 12])
+    @pytest.mark.parametrize("nrhs", [1, 2, 5, 12])
     def test_batched_matches_looped(self, kernel_name, dtype, phases, nrhs):
         dims = FUSED_DIMS if kernel_name == "fused" else COMPILED_DIMS
         # fp32 casts links and fermions together, the mixed-precision
@@ -83,6 +84,11 @@ class TestKernelBatchParity:
         for i in range(nrhs):
             kernel(u, X[i], phases, out=out_looped[i])
         assert _bit_equal(out_batched, out_looped)
+        # A sub-block view (what block_cg's compaction passes) into a view.
+        if nrhs > 2:
+            out_view = np.empty_like(X)
+            kernel.apply_batch_into(u, X[1:-1], phases, out=out_view[1:-1])
+            assert _bit_equal(out_view[1:-1], out_looped[1:-1])
 
     def test_loop_fallback_tiers(self):
         """Reference/naive tiers get the generic loop delegate."""
