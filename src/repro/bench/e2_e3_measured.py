@@ -9,13 +9,18 @@ by side with the machine-model prediction for a host-calibrated spec — the
 zero-distance validation of the model that E9 performs at one rank,
 extended to real rank-parallel execution.
 
-On a single-core container the measured columns will show no speedup (all
-ranks share one core) while the model assumes one core per rank; the table
-makes that gap explicit rather than hiding it.
+Where the host has fewer cores than ranks the measured columns show no
+speedup while the model assumes one core per rank.  Every row therefore
+archives how many cores the run could see (``os.cpu_count()``) and use
+(``len(os.sched_getaffinity(0))``), so a gap between the two efficiency
+columns can be held against the host that produced it; the archived
+2-rank efficiencies of 0.33-0.52 were taken with 2 cores visible and
+their cause is unverified.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -52,6 +57,8 @@ class MeasuredPoint:
     efficiency: float  # measured parallel efficiency
     modeled_efficiency: float  # machine-model prediction, same spec family
     iterations: int  # timed repeats behind ``time_dslash``
+    cpus: int = os.cpu_count() or 1  # cores the host reports
+    affinity: int = len(os.sched_getaffinity(0))  # cores this process may run on
 
     def row(self) -> list:
         return [
@@ -64,6 +71,8 @@ class MeasuredPoint:
             self.speedup,
             self.efficiency,
             self.modeled_efficiency,
+            self.cpus,
+            self.affinity,
         ]
 
     @staticmethod
@@ -78,6 +87,8 @@ class MeasuredPoint:
             "speedup",
             "eff (meas)",
             "eff (model)",
+            "cpus",
+            "affinity",
         ]
 
 

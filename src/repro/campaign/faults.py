@@ -9,9 +9,9 @@ are exact rather than probabilistic:
   ledger/checkpoint fsync discipline), SIGKILL one ShmComm rank (node
   failure), or corrupt a checkpoint on disk.
 * **Comm faults** (:class:`FaultInjector`): consumed by the hooks inside
-  :meth:`repro.comm.shm.ShmComm._command` — kill a rank just before a
-  command is sent, delay an ack, or drop an ack so the master sees a lost
-  message.
+  :meth:`repro.comm.pool.RankPoolComm._command` (every process backend's
+  command sweep) — kill a rank just before a command is sent, delay an
+  ack, or drop an ack so the master sees a lost message.
 * **Storage faults** (:func:`corrupt_checkpoint`): truncate a checkpoint,
   flip payload bytes (CRC mismatch), or stamp a wrong version/magic, to
   prove the store falls back to the previous good checkpoint.
@@ -241,7 +241,7 @@ class FaultInjector:
         )
         return self
 
-    # -- hooks called from repro.comm.shm.ShmComm._command --------------------
+    # -- hooks called from repro.comm.pool.RankPoolComm._command --------------
 
     def fire_pre_send(self, comm, command_index: int, rank: int) -> None:
         for f in self._faults:

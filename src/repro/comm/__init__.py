@@ -9,18 +9,15 @@ over the interior — behind one communicator protocol with several backends:
     executes all ranks sequentially inside one process, recording every
     message in a :class:`CommTrace` that the machine model converts into
     time at scale;
-``ShmComm``
-    runs each rank as a real OS process with rank-local fields in shared
-    memory, so halo exchange and the interior/boundary-split Dslash
-    execute genuinely in parallel on the host's cores;
-``TcpComm``
-    runs each rank as an OS process reachable only over TCP sockets with
-    CRC-framed messages, so ranks may live on *different hosts* — the
-    cross-machine measured mode (``python -m repro.comm.tcp --connect``
-    joins ranks from elsewhere);
-``MpiComm``
-    the same master-driven interface over ``mpi4py`` when it is
-    importable (a tuned-fabric fast path; absent otherwise).
+``ShmComm``, ``TcpComm``, ``MpiComm``
+    run each rank as a real OS process, so halo exchange and the
+    interior/boundary-split Dslash execute genuinely in parallel.  One
+    master class (:class:`~repro.comm.pool.RankPoolComm`) and one rank
+    program (:mod:`repro.comm.executor`) serve all three; a transport only
+    moves bytes — shared-memory segments on one node's cores, CRC-framed
+    TCP sockets so ranks may live on *different hosts*
+    (``python -m repro.comm.tcp --connect`` joins ranks from elsewhere),
+    or ``mpi4py`` when it is importable (a tuned-fabric fast path).
 
 Select with :func:`make_comm` / the ``REPRO_COMM`` environment variable.
 The substitution is validated by the backend-parametrised parity suite

@@ -1,55 +1,43 @@
-"""Transport-agnostic rank-process command executor.
+"""The rank program: one command executor and one serve loop for every transport.
 
-A distributed backend's rank process is a loop: receive a command from the
-master, act on rank-local blocks (allocate, fill, exchange ghosts with
-peers, stencil), acknowledge.  Everything about that loop except *how
-bytes move* is identical whether the peers talk over TCP sockets
-(:mod:`repro.comm.tcp`) or an MPI communicator (:mod:`repro.comm.mpi`), so
-it lives here once: :class:`RankExecutor` holds the block table and the
-command semantics, and a small :class:`PeerTransport` object supplies
-``begin_sends``/``recv``.
+A rank process is a loop: receive a command from the master, act on
+rank-local blocks (allocate, exchange ghosts with neighbours, stencil),
+acknowledge.  Nothing in that loop depends on *how bytes move*, so it
+lives here once — :class:`RankExecutor` holds the block table and the
+command semantics, :func:`serve` is the loop — and ``shm``, ``tcp`` and
+``mpi`` differ only in the :class:`PeerTransport` they hand it ("back
+this block", "give me the neighbour's face") and in the control link
+:func:`serve` reads commands from.
 
-The halo exchange is the pull-free *push* formulation of the same data
-motion as :func:`repro.comm.halo.halo_exchange`: along each decomposed
-axis the rank sends its ``src_hi`` interior slab to the ``+mu`` neighbour
-(who stores it as ``ghost_lo``) and its ``src_lo`` slab to the ``-mu``
-neighbour (``ghost_hi``); undecomposed axes are local copies.  Slab
-indices come from :func:`~repro.comm.halo.face_index` — the single source
-of truth shared with the sequential and shm backends — and boundary
-phases are applied by the *receiver* after the copy, in the same order as
-``halo_exchange``, so the filled arrays are bit-identical across every
-backend.
+The halo exchange is the same data motion as
+:func:`repro.comm.halo.halo_exchange`: along each decomposed axis the
+``+mu`` neighbour's ``src_lo`` slab becomes this rank's ``ghost_hi`` and
+the ``-mu`` neighbour's ``src_hi`` slab its ``ghost_lo``; undecomposed
+axes are local copies.  Slab indices come from
+:func:`~repro.comm.halo.face_index` — the single source of truth shared
+with the sequential backend — and boundary phases are applied by the
+*receiver* after the copy, in the same order as ``halo_exchange``, so the
+filled arrays are bit-identical across every backend.  Only ghost shells
+are written and only interior slabs are read (and those carry interior
+extents on the orthogonal axes), so ranks that map each other's memory
+need no synchronisation inside a command.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 import traceback
 
 import numpy as np
 
+from repro.comm.errors import CommError
 from repro.comm.frame import face_tag
 from repro.comm.halo import face_index
 from repro.comm.rankgrid import RankGrid
+from repro.telemetry import registry as _tm_registry
 
-__all__ = ["PeerTransport", "RankExecutor"]
-
-
-class PeerTransport:
-    """Duck-typed peer data mover (see :class:`repro.comm.tcp._SocketPeers`).
-
-    ``send_one(peer_rank, tag, bytes)`` pushes one tagged message (run on
-    a helper thread by the executor so sends and receives overlap);
-    ``recv(peer_rank, tag)`` blocks for one tagged message from a peer,
-    raising a typed :class:`~repro.comm.errors.CommError` on timeout,
-    peer death, or a torn frame.
-    """
-
-    def send_one(self, peer: int, tag: int, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def recv(self, peer: int, tag: int) -> bytes:
-        raise NotImplementedError
+__all__ = ["PeerTransport", "RankExecutor", "serve"]
 
 
 class _ThreadedSends:
@@ -79,6 +67,52 @@ class _ThreadedSends:
             raise self._error
 
 
+class PeerTransport:
+    """What a rank needs from its transport, with message-passing defaults.
+
+    A message transport (:class:`repro.comm.tcp._SocketPeers`,
+    :class:`repro.comm.mpi._MpiPeers`) supplies ``send_one(peer, tag,
+    bytes)`` and ``recv(peer, tag)`` — the latter blocks for one tagged
+    message and raises a typed :class:`~repro.comm.errors.CommError` on
+    timeout, peer death, or a torn frame — and inherits the rest.  A
+    transport whose ranks map each other's memory
+    (:class:`repro.comm.shm._SegmentPeers`) overrides :meth:`block`,
+    :meth:`send_faces` and :meth:`face` instead and moves no message.
+    """
+
+    def send_one(self, peer: int, tag: int, payload: bytes) -> None:
+        raise NotImplementedError
+
+    def recv(self, peer: int, tag: int) -> bytes:
+        raise NotImplementedError
+
+    def block(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """Zero-filled storage backing this rank's block ``key``."""
+        return np.zeros(shape, dtype=dtype)
+
+    def send_faces(self, faces: list[tuple[int, int, np.ndarray]]):
+        """Make ``(peer, tag, slab)`` source faces reachable by the peers.
+
+        Returns an object to ``join()`` once this rank's own ghosts are
+        filled (sends run on a helper thread so they overlap the
+        receives), or ``None`` when there is nothing to wait for.
+        """
+        if not faces:
+            return None
+        return _ThreadedSends(
+            self.send_one,
+            [(peer, tag, np.ascontiguousarray(slab).tobytes()) for peer, tag, slab in faces],
+        )
+
+    def face(self, key: str, peer: int, tag: int, slab: tuple, like: np.ndarray) -> np.ndarray:
+        """``peer``'s source face ``slab`` of block ``key``, shaped like ``like``.
+
+        Receives are matched by ``(peer, tag)`` so the two faces a width-2
+        grid axis routes over one link cannot be confused.
+        """
+        return np.frombuffer(self.recv(peer, tag), like.dtype).reshape(like.shape)
+
+
 class RankExecutor:
     """One rank's block table + command semantics, independent of transport."""
 
@@ -94,18 +128,14 @@ class RankExecutor:
     # -- block lifecycle ------------------------------------------------------
 
     def declare(self, specs: list[tuple[str, tuple[int, ...], str]]) -> None:
-        """Allocate one zero-filled rank-local block per ``(key, shape, dtype)``."""
+        """Back one zero-filled rank-local block per ``(key, shape, dtype)``."""
         for key, shape, dtype in specs:
-            self.blocks[key] = np.zeros(tuple(shape), dtype=np.dtype(dtype))
+            self.blocks[key] = self.peers.block(key, tuple(shape), np.dtype(dtype))
 
-    def upload(self, key: str, raw: bytes) -> None:
-        """Replace a block's bytes with the master's mirror (full array)."""
+    def _load(self, key: str, raw: bytes) -> None:
+        """Replace a block's bytes with the master's copy (full array)."""
         arr = self.blocks[key]
         arr[...] = np.frombuffer(raw, dtype=arr.dtype).reshape(arr.shape)
-
-    def download(self, key: str) -> bytes:
-        """The block's current bytes, for the master's mirror."""
-        return self.blocks[key].tobytes()
 
     # -- halo exchange --------------------------------------------------------
 
@@ -116,50 +146,39 @@ class RankExecutor:
         site_axis_start: int,
         phases: tuple[complex, complex, complex, complex] | None,
     ) -> None:
-        """Fill this rank's ghost shells: peer messages + local wraps.
-
-        Sends run on a helper thread while this thread receives, so every
-        rank makes progress regardless of face size; receives are matched
-        by ``(peer, tag)`` so the two faces a width-2 grid axis routes over
-        one link cannot be confused.
-        """
+        """Fill this rank's ghost shells from neighbour faces + local wraps."""
         arr = self.blocks[key]
-        ndim, s0, w, rank, grid = arr.ndim, site_axis_start, width, self.rank, self.grid
+        rank, grid, peers = self.rank, self.grid, self.peers
 
-        sends: list[tuple[int, int, bytes]] = []
+        def slab(mu: int, role: str) -> tuple:
+            return face_index(arr.ndim, site_axis_start, width, mu, role)
+
+        faces = []
         for mu in range(4):
             nb_hi = grid.neighbor(rank, mu, +1)
-            if nb_hi == rank:
-                continue
-            nb_lo = grid.neighbor(rank, mu, -1)
-            src_hi = arr[face_index(ndim, s0, w, mu, "src_hi")]
-            src_lo = arr[face_index(ndim, s0, w, mu, "src_lo")]
-            sends.append((nb_hi, face_tag(mu, True), np.ascontiguousarray(src_hi).tobytes()))
-            sends.append((nb_lo, face_tag(mu, False), np.ascontiguousarray(src_lo).tobytes()))
-        pending = _ThreadedSends(self.peers.send_one, sends) if sends else None
-
+            if nb_hi != rank:
+                nb_lo = grid.neighbor(rank, mu, -1)
+                faces.append((nb_hi, face_tag(mu, True), arr[slab(mu, "src_hi")]))
+                faces.append((nb_lo, face_tag(mu, False), arr[slab(mu, "src_lo")]))
+        pending = peers.send_faces(faces)
         try:
             for mu in range(4):
-                nb_hi = grid.neighbor(rank, mu, +1)
-                nb_lo = grid.neighbor(rank, mu, -1)
-                ghost_hi = arr[face_index(ndim, s0, w, mu, "ghost_hi")]
-                ghost_lo = arr[face_index(ndim, s0, w, mu, "ghost_lo")]
-                if nb_hi == rank:
-                    # Undecomposed axis: the wrap is a local copy, exactly as
-                    # the sequential exchange performs it.
-                    ghost_hi[...] = arr[face_index(ndim, s0, w, mu, "src_lo")]
-                else:
-                    buf = self.peers.recv(nb_hi, face_tag(mu, False))
-                    ghost_hi[...] = np.frombuffer(buf, arr.dtype).reshape(ghost_hi.shape)
-                if phases is not None and grid.crosses_boundary(rank, mu, +1):
-                    ghost_hi *= phases[mu]
-                if nb_lo == rank:
-                    ghost_lo[...] = arr[face_index(ndim, s0, w, mu, "src_hi")]
-                else:
-                    buf = self.peers.recv(nb_lo, face_tag(mu, True))
-                    ghost_lo[...] = np.frombuffer(buf, arr.dtype).reshape(ghost_lo.shape)
-                if phases is not None and grid.crosses_boundary(rank, mu, -1):
-                    ghost_lo *= np.conj(phases[mu])
+                for sign, ghost_role, src_role in (
+                    (+1, "ghost_hi", "src_lo"),
+                    (-1, "ghost_lo", "src_hi"),
+                ):
+                    nb = grid.neighbor(rank, mu, sign)
+                    ghost = arr[slab(mu, ghost_role)]
+                    src = slab(mu, src_role)
+                    if nb == rank:
+                        # Undecomposed axis: the wrap is a local copy, exactly
+                        # as the sequential exchange performs it.
+                        ghost[...] = arr[src]
+                    else:
+                        tag = face_tag(mu, src_role == "src_hi")
+                        ghost[...] = peers.face(key, nb, tag, src, ghost)
+                    if phases is not None and grid.crosses_boundary(rank, mu, sign):
+                        ghost *= phases[mu] if sign > 0 else np.conj(phases[mu])
         finally:
             if pending is not None:
                 pending.join()
@@ -209,47 +228,69 @@ class RankExecutor:
 
     # -- command dispatch -----------------------------------------------------
 
-    def execute(self, cmd: tuple, raw: bytes | None):
-        """Run one command; return ``(meta, raw_reply)`` for the ack."""
+    def execute(self, cmd: tuple, payload: bytes | None):
+        """Run one command; return ``(meta, payload)`` for the ack.
+
+        ``exchange`` and ``dslash`` take an optional payload: a master that
+        cannot see rank memory ships the input block's bytes with the
+        command and gets the output block's bytes back in the ack; a master
+        that maps it sends none and gets none.
+        """
         op = cmd[0]
+        if op == "telemetry":
+            return _tm_registry.snapshot(), None
+        _tm_registry.add(f"commands/{op}", 1)
         if op == "declare":
             self.declare(cmd[1])
-        elif op == "upload":
-            self.upload(cmd[1], raw)
-        elif op == "download":
-            return None, self.download(cmd[1])
         elif op == "exchange":
             _, key, width, s0, phases = cmd
+            if payload is not None:
+                self._load(key, payload)
             self.exchange(key, width, s0, phases)
-        elif op == "exchange_frame":
-            _, key, width, s0, phases = cmd
-            self.upload(key, raw)
-            self.exchange(key, width, s0, phases)
-            return None, self.download(key)
+            if payload is not None:
+                return None, self.blocks[key].tobytes()
         elif op == "dagger":
             self.dagger(cmd[1], cmd[2])
-        elif op == "dslash_frame":
+        elif op == "dslash":
             _, psi_key, out_key, u_key, udag_key, width, phases, diag, overlap = cmd
-            self.upload(psi_key, raw)
+            if payload is not None:
+                self._load(psi_key, payload)
             self.dslash(psi_key, out_key, u_key, udag_key, width, phases, diag, overlap)
-            return None, self.download(out_key)
+            if payload is not None:
+                return None, self.blocks[out_key].tobytes()
         elif op == "reduce":
-            return None, raw  # gather-at-root echo: the master sums in rank order
+            return None, payload  # gather-at-root echo: the master sums in rank order
         elif op == "sleep":
             # Fault-drill hook: wedge this rank so the master's recv deadline
             # (not a deadlock) decides the outcome.
-            import time
-
             time.sleep(float(cmd[1]))
-        elif op == "telemetry":
-            from repro.telemetry import registry as _tm_registry
-
-            return _tm_registry.snapshot(), None
         else:
             raise ValueError(f"unknown rank command {op!r}")
         return None, None
 
 
-def format_rank_error() -> str:
-    """The traceback string a rank ships back in an ``error`` ack."""
-    return traceback.format_exc()
+def serve(executor: RankExecutor, control) -> int:
+    """Execute the master's commands until ``stop``; the body of every rank.
+
+    ``control.recv()`` yields ``(cmd, payload)`` and ``control.send``
+    takes the ``(status, meta, payload)`` ack — a pipe end, a framed
+    socket and an MPI intercommunicator all fit.  A command that raises is
+    acknowledged as ``("error", traceback, None)`` and the loop goes on.
+    Returns 0 after a clean ``stop`` and 1 when the master went away.
+    """
+    while True:
+        try:
+            cmd, payload = control.recv()
+        except (EOFError, OSError, CommError):
+            return 1  # master died; nothing to ack
+        stop = cmd[0] == "stop"
+        try:
+            reply = ("ok", None, None) if stop else ("ok", *executor.execute(cmd, payload))
+        except Exception:
+            reply = ("error", traceback.format_exc(), None)
+        try:
+            control.send(reply)
+        except (OSError, CommError):
+            return 1
+        if stop:
+            return 0

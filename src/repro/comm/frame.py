@@ -38,6 +38,8 @@ __all__ = [
     "recv_frame",
     "send_obj",
     "recv_obj",
+    "send_msg",
+    "recv_msg",
 ]
 
 FRAME_MAGIC = b"RPF1"
@@ -115,8 +117,36 @@ def send_obj(sock: socket.socket, obj) -> None:
 
 
 def recv_obj(sock: socket.socket):
-    """Receive one :data:`TAG_OBJ` frame and unpickle it."""
+    """Receive one :data:`TAG_OBJ` frame and unpickle it.
+
+    A frame with a good CRC whose payload is not a pickle is as torn as a
+    short one: it raises :class:`TornFrameError`, never a bare pickle error.
+    """
     tag, payload = recv_frame(sock)
     if tag != TAG_OBJ:
         raise TornFrameError(f"expected control frame, got tag {tag}")
-    return pickle.loads(payload)
+    try:
+        return pickle.loads(payload)
+    except Exception as e:
+        raise TornFrameError(f"control frame payload is not a pickle ({e!r})") from e
+
+
+def send_msg(sock: socket.socket, head, raw: bytes | None = None) -> None:
+    """Send a control object and, when given, the raw bytes that go with it."""
+    send_obj(sock, (head, raw is not None))
+    if raw is not None:
+        send_frame(sock, raw, TAG_RAW)
+
+
+def recv_msg(sock: socket.socket) -> tuple:
+    """Receive one :func:`send_msg` pair as ``(head, raw_or_None)``."""
+    obj = recv_obj(sock)
+    if not (isinstance(obj, tuple) and len(obj) == 2):
+        raise TornFrameError(f"expected a (head, has_raw) control pair, got {type(obj).__name__}")
+    head, has_raw = obj
+    if not has_raw:
+        return head, None
+    tag, raw = recv_frame(sock)
+    if tag != TAG_RAW:
+        raise TornFrameError(f"expected raw frame, got tag {tag}")
+    return head, raw

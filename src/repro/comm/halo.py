@@ -15,7 +15,7 @@ arrays deterministic and bit-comparable across communicator backends.
 
 The face-slab index helpers here are the single source of truth for both
 the sequential exchange below and the process-parallel pull-style exchange
-in :mod:`repro.comm.shm` — the two backends copy exactly the same slabs.
+in :mod:`repro.comm.executor` — every backend copies exactly the same slabs.
 """
 
 from __future__ import annotations

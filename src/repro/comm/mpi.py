@@ -1,42 +1,41 @@
-"""Optional ``mpi4py`` fast path behind the same master-driven interface.
+"""Optional ``mpi4py`` transport behind the same master-driven interface.
 
-When ``mpi4py`` is importable, :class:`MpiComm` offers the ``tcp``
-backend's exact interface — master-driven commands, worker-resident
-blocks, mirror synchronisation, in-order ``allreduce_sum`` — but moves
-every byte through MPI instead of raw sockets, so a site with a tuned MPI
-stack (InfiniBand, slingshot, vendor collectives under ``MPI_Send``)
-gets that fabric for free.  The rank processes are spawned dynamically
-with ``MPI.COMM_SELF.Spawn`` and the reused
-:class:`~repro.comm.executor.RankExecutor` supplies identical command
-semantics, so results are bit-identical to every other backend.
+When ``mpi4py`` is importable, :class:`MpiComm` is the ``tcp`` backend
+with every byte moved through MPI instead of raw sockets — the same
+:class:`~repro.comm.pool.RankPoolComm` master, the same
+:func:`repro.comm.executor.serve` rank program, commands that carry block
+payloads, in-order ``allreduce_sum`` — so a site with a tuned MPI stack
+(InfiniBand, slingshot, vendor collectives under ``MPI_Send``) gets that
+fabric for free and results stay bit-identical to every other backend.
+The rank processes are spawned dynamically with ``MPI.COMM_SELF.Spawn``.
 
 The backend registers itself in :func:`repro.comm.registry.available_comms`
 only when the import succeeds; requesting ``mpi`` explicitly without
 ``mpi4py`` raises the typed
 :class:`~repro.comm.errors.CommUnavailableError` (the same degrade-loudly
 pattern the kernel registry uses for ``numba``).  This container ships no
-MPI, so only the degradation branch is exercised by the test suite; the
-happy path mirrors ``tcp`` one-for-one by construction.
+MPI, so the test suite exercises the degradation branch and the class
+contract (``tests/test_comm_backends.py``: nothing public is defined
+here, only transport hooks).
 """
 
 from __future__ import annotations
 
+import sys
+import time
+
 import numpy as np
 
-from repro.comm.decomposition import Decomposition
-from repro.comm.errors import CommError, CommUnavailableError
-from repro.comm.executor import RankExecutor, format_rank_error
-from repro.comm.halo import HaloField, face_bytes_of_shape, halo_exchange, record_exchange_trace
-from repro.comm.lifecycle import discard_live_comm, register_live_comm
+from repro.comm.errors import CommTimeoutError, CommUnavailableError
+from repro.comm.executor import PeerTransport, RankExecutor, serve
+from repro.comm.pool import RankPoolComm
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
-from repro.lattice import Lattice4D
 
 __all__ = ["MpiComm", "mpi_available", "require_mpi"]
 
-#: Message-tag bases on the spawned intercommunicator.
+#: Message tags on the spawned intercommunicator.
 _TAG_CMD = 1
-_TAG_RAW = 2
 _TAG_ACK = 3
 
 
@@ -62,11 +61,10 @@ def require_mpi():
     return MPI  # pragma: no cover - depends on site install
 
 
-class _MpiPeers:
+class _MpiPeers(PeerTransport):
     """Rank↔rank face transport over an MPI intracommunicator.
 
-    Matches the :class:`~repro.comm.executor.PeerTransport` duck type:
-    frame tags map onto MPI message tags directly, so the same
+    Frame tags map onto MPI message tags directly, so the same
     ``(peer, tag)`` matching that the socket transport implements with a
     stash is done by the MPI matching engine.
     """
@@ -85,40 +83,40 @@ class _MpiPeers:
         return buf.tobytes()
 
 
-def _mpi_worker_main() -> None:  # pragma: no cover - runs inside mpiexec-spawned ranks
+class _MpiControl:
+    """A rank's control link to the master: the intercommunicator pipe end."""
+
+    def __init__(self, parent) -> None:  # pragma: no cover - needs mpi4py
+        self._parent = parent
+
+    def recv(self) -> tuple:  # pragma: no cover - needs mpi4py
+        return self._parent.recv(source=0, tag=_TAG_CMD)
+
+    def send(self, reply: tuple) -> None:  # pragma: no cover - needs mpi4py
+        self._parent.send(reply, dest=0, tag=_TAG_ACK)
+
+
+def _mpi_rank_main() -> None:  # pragma: no cover - runs inside mpiexec-spawned ranks
     """Entry point of a spawned MPI rank (see ``MpiComm.__init__``)."""
     MPI = require_mpi()
     parent = MPI.Comm.Get_parent()
     world = MPI.COMM_WORLD
-    rank = world.Get_rank()
     cfg = parent.bcast(None, root=0)
-    executor = RankExecutor(rank, RankGrid(tuple(cfg["dims"])), _MpiPeers(world))
-    while True:
-        cmd = parent.bcast(None, root=0)
-        if cmd[0] == "stop":
-            break
-        raw = None
-        if cmd[0] in ("upload", "exchange_frame", "dslash_frame", "reduce"):
-            raw = parent.recv(source=0, tag=_TAG_RAW)
-        try:
-            meta, reply_raw = executor.execute(cmd, raw)
-            parent.send(("ok", meta, reply_raw), dest=0, tag=_TAG_ACK)
-        except BaseException:
-            parent.send(("error", format_rank_error(), None), dest=0, tag=_TAG_ACK)
+    grid = RankGrid(tuple(cfg["dims"]))
+    serve(RankExecutor(world.Get_rank(), grid, _MpiPeers(world)), _MpiControl(parent))
     parent.Disconnect()
 
 
-class MpiComm:
+class MpiComm(RankPoolComm):
     """Master-driven communicator over dynamically spawned MPI ranks.
 
-    Interface-identical to :class:`~repro.comm.tcp.TcpComm` (same
-    capability flags, same command set, same in-rank-order reductions);
-    only the transport differs.  Constructing it without ``mpi4py``
-    raises :class:`~repro.comm.errors.CommUnavailableError`.
+    Same block semantics as :class:`~repro.comm.tcp.TcpComm` (rank-resident
+    blocks, master copies synchronised by command payloads); only the
+    transport differs.  Constructing it without ``mpi4py`` raises
+    :class:`~repro.comm.errors.CommUnavailableError`.
     """
 
-    supports_remote_blocks = True
-    supports_shared_blocks = False
+    name = "mpi"
 
     def __init__(
         self,
@@ -129,178 +127,31 @@ class MpiComm:
     ) -> None:
         MPI = require_mpi()  # raises CommUnavailableError when absent
         # pragma: no cover start - everything below needs a live MPI runtime
-        if not isinstance(grid, RankGrid):
-            grid = RankGrid(tuple(grid))
-        self.grid = grid
-        self.trace = trace if trace is not None else CommTrace()
-        self.timeout = float(timeout)
-        self._faults = fault_injector
-        self._mirrors: dict[str, tuple[tuple[int, ...], str, list[np.ndarray]]] = {}
-        self._key_counter = 0
-        self._ncommands = 0
-        self._closed = False
-        import sys
-
-        self._inter = MPI.COMM_SELF.Spawn(
-            sys.executable,
-            args=["-c", "import repro.comm.mpi as m; m._mpi_worker_main()"],
-            maxprocs=grid.nranks,
-        )
-        self._inter.bcast({"dims": grid.dims, "timeout": self.timeout}, root=MPI.ROOT)
-        register_live_comm(self)
-
-    # -- comm protocol --------------------------------------------------------
-
-    @property
-    def nranks(self) -> int:
-        return self.grid.nranks
-
-    def decompose(self, lattice: Lattice4D) -> Decomposition:
-        return Decomposition(lattice, self.grid)
-
-    def exchange(
-        self,
-        halos: list[HaloField],
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        halo_exchange(halos, self.grid, trace=self.trace, phases=phases)
-
-    def allreduce_sum(self, partials) -> complex | float:
-        if len(partials) != self.nranks:
-            raise ValueError(f"expected {self.nranks} partials, got {len(partials)}")
-        payloads = [np.asarray(p, dtype=np.complex128).tobytes() for p in partials]
-        echoes = self._command(("reduce",), payloads=payloads, want_raw=True)
-        total = np.frombuffer(echoes[0], dtype=np.complex128)[0]
-        for r in range(1, self.nranks):
-            total = total + np.frombuffer(echoes[r], dtype=np.complex128)[0]
-        self.trace.record_collective(
-            "allreduce_sum", np.asarray(partials[0]).nbytes, self.nranks
-        )
-        if np.iscomplexobj(np.asarray(partials[0])):
-            return complex(total)
-        return float(total.real)
-
-    def record_compute(self, kernel: str, flops_per_rank: int) -> None:
-        self.trace.record_compute(kernel, flops_per_rank, self.nranks)
-
-    # -- remote-block API (same mirror semantics as TcpComm) ------------------
-
-    def new_key(self, tag: str) -> str:
-        self._key_counter += 1
-        return f"{tag}{self._key_counter}"
-
-    def alloc_blocks(self, key: str, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
-        if key in self._mirrors:
-            raise ValueError(f"block key {key!r} already allocated")
-        dt = np.dtype(dtype)
-        mirrors = [np.zeros(tuple(shape), dtype=dt) for _ in self.grid.all_ranks()]
-        self._mirrors[key] = (tuple(shape), dt.str, mirrors)
-        self._command(("declare", [(key, tuple(shape), dt.str)]))
-        return mirrors
-
-    def blocks(self, key: str) -> list[np.ndarray]:
-        return self._mirrors[key][2]
-
-    def block_checksums(self, key: str) -> list[int]:
-        import zlib
-
-        return [zlib.crc32(np.ascontiguousarray(v)) for v in self._mirrors[key][2]]
-
-    def exchange_shared(self, key, width=1, site_axis_start=0, phases=None) -> None:
-        self._record_exchange(key, width)
-        mirrors = self._mirrors[key][2]
-        replies = self._command(
-            ("exchange_frame", key, width, site_axis_start, phases),
-            payloads=[m.tobytes() for m in mirrors],
-            want_raw=True,
-        )
-        for m, raw in zip(mirrors, replies):
-            m[...] = np.frombuffer(raw, dtype=m.dtype).reshape(m.shape)
-
-    def dagger_shared(self, u_key: str, udag_key: str) -> None:
-        self._command(("dagger", u_key, udag_key))
-
-    def run_dslash(
-        self, psi_key, out_key, u_key, udag_key, phases, diag, width=1, overlap=True
-    ) -> None:
-        self._record_exchange(psi_key, width)
-        psi_mirrors = self._mirrors[psi_key][2]
-        out_mirrors = self._mirrors[out_key][2]
-        replies = self._command(
-            ("dslash_frame", psi_key, out_key, u_key, udag_key, width, phases, diag, overlap),
-            payloads=[m.tobytes() for m in psi_mirrors],
-            want_raw=True,
-        )
-        for m, raw in zip(out_mirrors, replies):
-            m[...] = np.frombuffer(raw, dtype=m.dtype).reshape(m.shape)
-
-    # -- internals ------------------------------------------------------------
-
-    def _record_exchange(self, key: str, width: int = 1) -> None:
-        shape, dtype, _ = self._mirrors[key]
-        s0 = len(shape) - 6
-        itemsize = np.dtype(dtype).itemsize
-        nbytes = [face_bytes_of_shape(shape, s0, width, mu, itemsize) for mu in range(4)]
-        record_exchange_trace(self.trace, self.grid, nbytes)
-
-    def _command(self, cmd, payloads=None, want_raw=False):
-        self._ncommands += 1
-        idx = self._ncommands
-        if self._faults is not None:
-            for r in self.grid.all_ranks():
-                self._faults.fire_pre_send(self, idx, r)
-        self._inter.bcast(cmd, root=require_mpi().ROOT)
-        if payloads is not None:
-            for r in self.grid.all_ranks():
-                self._inter.send(payloads[r], dest=r, tag=_TAG_RAW)
-        replies = [None] * self.nranks
-        errors = []
-        for r in self.grid.all_ranks():
-            status, meta, raw = self._inter.recv(source=r, tag=_TAG_ACK)
-            if status != "ok":
-                errors.append((r, meta))
-            else:
-                replies[r] = raw if want_raw else meta
-        if errors:
-            detail = "\n".join(f"rank {r}: {m}" for r, m in errors)
-            raise CommError(
-                f"mpi command {cmd[0]!r} failed on {len(errors)} rank(s):\n{detail}"
+        super().__init__(grid, trace, timeout, fault_injector)
+        self._inter = None
+        try:
+            self._inter = MPI.COMM_SELF.Spawn(
+                sys.executable,
+                args=["-c", "import repro.comm.mpi as m; m._mpi_rank_main()"],
+                maxprocs=self.nranks,
             )
-        return replies
-
-    def ping(self) -> bool:
-        self._command(("declare", []))
-        return True
-
-    def workers_alive(self) -> list[bool]:
-        return [not self._closed] * self.nranks
-
-    @property
-    def healthy(self) -> bool:
-        return not self._closed
-
-    # -- teardown -------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        discard_live_comm(self)
-        try:
-            self._inter.bcast(("stop",), root=require_mpi().ROOT)
-            self._inter.Disconnect()
-        except Exception:
-            pass
-        self._mirrors.clear()
-
-    def __enter__(self) -> "MpiComm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
+            self._inter.bcast({"dims": self.grid.dims}, root=MPI.ROOT)
+        except BaseException:
             self.close()
+            raise
+
+    def _send(self, rank: int, cmd: tuple, payload: bytes | None) -> None:  # pragma: no cover
+        self._inter.send((cmd, payload), dest=rank, tag=_TAG_CMD)
+
+    def _recv(self, rank: int, timeout: float) -> tuple:  # pragma: no cover - needs mpi4py
+        deadline = time.monotonic() + timeout
+        while not self._inter.Iprobe(source=rank, tag=_TAG_ACK):
+            if time.monotonic() > deadline:  # busy-poll, as a blocking MPI recv does
+                raise CommTimeoutError(f"no reply within {timeout}s")
+        return self._inter.recv(source=rank, tag=_TAG_ACK)
+
+    def _release(self) -> None:  # pragma: no cover - needs mpi4py
+        try:
+            self._inter.Disconnect()
         except Exception:
             pass

@@ -6,20 +6,17 @@ One data path, several transports:
     :class:`~repro.comm.VirtualComm` — all ranks sequential in one
     process.  Exact, dependency-free, works at any rank count; scaling
     curves come from the machine model replaying its trace.
-``shm``
-    :class:`~repro.comm.shm.ShmComm` — one OS process per rank over
-    POSIX shared memory, real parallel halo exchange and overlapped
-    Dslash.  Turns the E2/E3 scaling benchmarks from modelled into
-    measured on the host's cores; bit-for-bit identical results.
-``tcp``
-    :class:`~repro.comm.tcp.TcpComm` — one OS process per rank over TCP
-    sockets with CRC-framed messages; ranks may join from *other hosts*
-    via ``python -m repro.comm.tcp --connect host:port``.  Bit-for-bit
-    identical results, hard timeouts, typed faults.
-``mpi``
-    :class:`~repro.comm.mpi.MpiComm` — same interface over ``mpi4py``
-    when it is importable (listed only then); requesting it without
-    ``mpi4py`` raises :class:`~repro.comm.errors.CommUnavailableError`.
+``shm``, ``tcp``, ``mpi``
+    One OS process per rank behind one master class
+    (:class:`~repro.comm.pool.RankPoolComm`): real parallel halo exchange
+    and overlapped Dslash, hard timeouts, typed faults, bit-for-bit
+    identical results.  :class:`~repro.comm.shm.ShmComm` moves bytes
+    through POSIX shared memory (E2/E3 measured on the host's cores),
+    :class:`~repro.comm.tcp.TcpComm` through CRC-framed sockets (ranks may
+    join from *other hosts* via ``python -m repro.comm.tcp --connect
+    host:port``), :class:`~repro.comm.mpi.MpiComm` through ``mpi4py``
+    (listed only when importable; requesting it otherwise raises
+    :class:`~repro.comm.errors.CommUnavailableError`).
 
 Selection precedence mirrors the kernel registry: explicit ``comm=``
 argument > ``REPRO_COMM`` environment variable > the ``virtual`` default.

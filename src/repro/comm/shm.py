@@ -1,72 +1,44 @@
-"""Process-parallel SPMD backend: one OS process per rank over shared memory.
+"""Shared-memory transport: one OS process per rank on the cores of one node.
 
 Where :class:`~repro.comm.VirtualComm` executes all ranks sequentially in
 one process, :class:`ShmComm` runs each rank as a real worker process (the
-paper's SPMD model on the cores of one node).  Rank-local fields live in
-named ``multiprocessing.shared_memory`` segments, so a halo exchange is a
-real face-slab copy from a neighbour's segment into the rank's own ghost
-shell, and the interior/boundary-split Dslash stencils the deep interior
-while face traffic is outstanding.
+paper's SPMD model on the cores of one node).  The master side is
+:class:`~repro.comm.pool.RankPoolComm` and the rank side
+:func:`repro.comm.executor.serve`; this module supplies only what moves
+the bytes:
 
-Execution model
----------------
-* The master (driver) process scatters global fields into the per-rank
-  shared blocks, broadcasts one command over per-worker pipes, and waits
-  for every rank's acknowledgement — the ack sweep is the inter-command
-  barrier.
-* Within a command no barrier is needed: the exchange is *pull*-style
-  (each rank writes only its own ghost shells and reads only neighbour
-  interiors, which are stable for the duration of the command), and the
-  face slabs carry interior extents on orthogonal axes
-  (:func:`~repro.comm.halo.face_index`), so concurrent writes never
-  overlap concurrent reads.
-* ``allreduce_sum`` runs through a shared reduction buffer summed in rank
-  order — the same in-order sum as ``VirtualComm``, hence bit-identical.
-
-Every command carries a hard timeout: a deadlocked or dead worker turns
-into a ``RuntimeError`` instead of a hang, and :meth:`ShmComm.close`
-(also run by ``__exit__``/``__del__``) joins the workers and unlinks every
-segment even when a rank body raised.
+* Every block lives in a named ``multiprocessing.shared_memory`` segment
+  that master and ranks map, so commands carry no payload — the master
+  reads and writes rank memory directly — and ``allreduce_sum`` is summed
+  on the master without a worker round trip.
+* A halo face is a zero-copy view into the neighbour's segment
+  (:class:`_SegmentPeers`): the exchange is *pull*-style, each rank writes
+  only its own ghost shells and reads only neighbour interiors, which are
+  stable for the duration of the command, so no barrier is needed inside
+  one.
+* Commands and acks travel over one pipe per rank; ``poll`` gives the
+  hard per-command deadline.
 
 The master owns segment lifetime: workers attach by name and deregister
-from the ``resource_tracker`` so only :meth:`close` unlinks (the
-documented double-unlink workaround for Python < 3.13).
+from the ``resource_tracker`` so only :meth:`ShmComm.close` unlinks (the
+documented double-unlink workaround for Python < 3.13) — it joins the
+workers and unlinks every segment even when a rank body raised.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
-import traceback
-import uuid
 import multiprocessing as mp
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.comm.decomposition import Decomposition
-from repro.comm.halo import (
-    HaloField,
-    face_bytes_of_shape,
-    face_index,
-    halo_exchange,
-    record_exchange_trace,
-)
+from repro.comm.errors import CommPeerError, CommTimeoutError
+from repro.comm.executor import PeerTransport, RankExecutor, serve
+from repro.comm.pool import RankPoolComm
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
-from repro.lattice import Lattice4D
-from repro.telemetry import registry as _tm_registry
-from repro.telemetry.state import STATE
 
-from repro.comm.lifecycle import (
-    LIVE_COMMS as _LIVE_COMMS,  # re-export: pre-lifecycle callers import from here
-    close_live_comms,
-    discard_live_comm,
-    register_live_comm,
-)
-
-__all__ = ["ShmComm", "close_live_comms"]
+__all__ = ["ShmComm"]
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -88,142 +60,67 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = orig_register
 
 
-def _fill_own_ghosts(
-    rank: int,
-    grid: RankGrid,
-    get,
-    key: str,
-    width: int,
-    site_axis_start: int,
-    phases: tuple[complex, complex, complex, complex] | None,
-) -> None:
-    """Pull all ghost shells of ``rank``'s block from neighbour interiors.
+class _SegmentPeers(PeerTransport):
+    """Rank-side transport: blocks and neighbour faces are segment views."""
 
-    Writes only this rank's ghosts and reads only interior slabs, so all
-    ranks can run concurrently with no intra-command synchronisation.
-    The copy-then-scale order matches :func:`~repro.comm.halo.halo_exchange`
-    exactly, including the boundary-phase application.
-    """
-    mine = get(key, rank)
-    ndim, s0, w = mine.ndim, site_axis_start, width
-    for mu in range(4):
-        nb_hi = grid.neighbor(rank, mu, +1)
-        ghost = mine[face_index(ndim, s0, w, mu, "ghost_hi")]
-        ghost[...] = get(key, nb_hi)[face_index(ndim, s0, w, mu, "src_lo")]
-        if phases is not None and grid.crosses_boundary(rank, mu, +1):
-            ghost *= phases[mu]
+    def __init__(self, rank: int, prefix: str) -> None:
+        self._rank = rank
+        self._prefix = prefix
+        self._shapes: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
+        self._segments: dict[tuple[str, int], shared_memory.SharedMemory] = {}
+        self._arrays: dict[tuple[str, int], np.ndarray] = {}
 
-        nb_lo = grid.neighbor(rank, mu, -1)
-        ghost = mine[face_index(ndim, s0, w, mu, "ghost_lo")]
-        ghost[...] = get(key, nb_lo)[face_index(ndim, s0, w, mu, "src_hi")]
-        if phases is not None and grid.crosses_boundary(rank, mu, -1):
-            ghost *= np.conj(phases[mu])
-
-
-def _worker_main(rank: int, grid: RankGrid, conn, prefix: str) -> None:
-    """Rank body: attach segments lazily, execute commands until ``stop``."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles ^C
-    from repro.kernels.halo import HaloStencil, dagger_halo_links, full_box, split_boxes
-
-    # A forked worker inherits the master's registry contents; reset so the
-    # teardown gather returns clean per-rank counts (spawn starts clean and
-    # re-resolves REPRO_TELEMETRY from the environment).
-    _tm_registry.reset()
-
-    segments: dict[tuple[str, int], shared_memory.SharedMemory] = {}
-    arrays: dict[tuple[str, int], np.ndarray] = {}
-    shapes: dict[str, tuple[tuple[int, ...], str]] = {}
-    stencil = HaloStencil()
-
-    def get(key: str, r: int) -> np.ndarray:
-        arr = arrays.get((key, r))
+    def _view(self, key: str, r: int) -> np.ndarray:
+        """Rank ``r``'s block ``key``, attached on first use."""
+        arr = self._arrays.get((key, r))
         if arr is None:
-            shape, dtype = shapes[key]
-            seg = _attach_segment(f"{prefix}-{key}-{r}")
-            segments[(key, r)] = seg
-            arr = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-            arrays[(key, r)] = arr
+            shape, dtype = self._shapes[key]
+            seg = _attach_segment(f"{self._prefix}-{key}-{r}")
+            self._segments[(key, r)] = seg
+            arr = self._arrays[(key, r)] = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
         return arr
 
-    running = True
-    while running:
-        try:
-            cmd = conn.recv()
-        except (EOFError, OSError):
-            break
-        try:
-            op = cmd[0]
-            reply = None
-            if op not in ("stop", "telemetry"):
-                _tm_registry.add(f"commands/{op}", 1)
-            if op == "stop":
-                running = False
-            elif op == "telemetry":
-                reply = _tm_registry.snapshot()
-            elif op == "declare":
-                # (key, shape, dtype) triples for later lazy attachment.
-                for key, shape, dtype in cmd[1]:
-                    shapes[key] = (tuple(shape), dtype)
-            elif op == "exchange":
-                _, key, width, s0, phases = cmd
-                _fill_own_ghosts(rank, grid, get, key, width, s0, phases)
-            elif op == "dagger":
-                _, u_key, udag_key = cmd
-                dagger_halo_links(get(u_key, rank), out=get(udag_key, rank))
-            elif op == "dslash":
-                _, psi_key, out_key, u_key, udag_key, width, phases, diag, overlap = cmd
-                psi = get(psi_key, rank)
-                out = get(out_key, rank)
-                u = get(u_key, rank)
-                udag = get(udag_key, rank)
-                local = out.shape[:4]
-                if overlap:
-                    deep, boundary = split_boxes(local, width)
-                    if deep is not None:
-                        stencil.wilson_box_into(out, u, udag, psi, width, deep, diag)
-                    _fill_own_ghosts(rank, grid, get, psi_key, width, 0, phases)
-                    for box in boundary:
-                        stencil.wilson_box_into(out, u, udag, psi, width, box, diag)
-                else:
-                    _fill_own_ghosts(rank, grid, get, psi_key, width, 0, phases)
-                    stencil.wilson_box_into(
-                        out, u, udag, psi, width, full_box(local), diag
-                    )
-            else:
-                raise ValueError(f"unknown shm command {op!r}")
-            conn.send(("ok", reply))
-        except BaseException:
+    def block(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        self._shapes[key] = (shape, dtype)
+        return self._view(key, self._rank)  # created and zero-filled by the master
+
+    def send_faces(self, faces):
+        return None  # neighbours read this rank's segment themselves
+
+    def face(self, key: str, peer: int, tag: int, slab: tuple, like: np.ndarray) -> np.ndarray:
+        return self._view(key, peer)[slab]
+
+    def close(self) -> None:
+        for seg in self._segments.values():
             try:
-                conn.send(("error", traceback.format_exc()))
-            except (BrokenPipeError, OSError):
-                break
-    for seg in segments.values():
+                seg.close()
+            except Exception:
+                pass
+
+
+def _rank_main(rank: int, grid: RankGrid, conn, prefix: str) -> int:
+    """Body of one rank process: serve commands from the pipe until ``stop``."""
+    peers = _SegmentPeers(rank, prefix)
+    try:
+        return serve(RankExecutor(rank, grid, peers), conn)
+    finally:
+        peers.close()
         try:
-            seg.close()
+            conn.close()
         except Exception:
             pass
-    try:
-        conn.close()
-    except Exception:
-        pass
 
 
-class ShmComm:
+class ShmComm(RankPoolComm):
     """A communicator whose ranks are real processes over shared memory.
 
-    Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol
-    (``decompose`` / ``exchange`` / ``allreduce_sum`` / ``record_compute``
-    / ``trace``), plus the shared-block API the decomposed operator uses
-    to run halo exchange and the Dslash stencil rank-parallel:
-    :meth:`alloc_blocks`, :meth:`exchange_shared`, :meth:`dagger_shared`,
-    :meth:`run_dslash`.
-
-    Use as a context manager, or call :meth:`close` — teardown stops the
-    workers and unlinks every shared segment even after a rank failure.
+    The arrays :meth:`alloc_blocks` returns are views of the rank
+    processes' own memory.  Teardown stops the workers and unlinks every
+    shared segment even after a rank failure.
     """
 
-    #: Capability flag the decomposed operator keys the parallel path on.
-    supports_shared_blocks = True
+    name = "shm"
+    ships_payloads = False
 
     def __init__(
         self,
@@ -233,338 +130,48 @@ class ShmComm:
         start_method: str | None = None,
         fault_injector=None,
     ) -> None:
-        self.grid = grid
-        self.trace = trace if trace is not None else CommTrace()
-        self.timeout = float(timeout)
-        self._prefix = f"repro-{os.getpid()}-{uuid.uuid4().hex[:8]}"
+        super().__init__(grid, trace, timeout, fault_injector)
         self._segments: dict[tuple[str, int], shared_memory.SharedMemory] = {}
-        self._blocks: dict[str, tuple[tuple[int, ...], str, list[np.ndarray]]] = {}
-        self._key_counter = 0
-        self._closed = False
-        self._workers: list = []
-        self._pipes: list = []
-        # Duck-typed hook (see repro.campaign.faults.FaultInjector): consulted
-        # around every command send/ack so tests and the campaign harness can
-        # kill a rank, delay an ack, or drop an ack at a chosen point.
-        self._faults = fault_injector
-        self._ncommands = 0
-        register_live_comm(self)
-        if start_method is None:
-            start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        ctx = mp.get_context(start_method)
+        self._pipes: list = [None] * self.nranks
         try:
-            for r in grid.all_ranks():
-                parent, child = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(r, grid, child, self._prefix),
-                    daemon=True,
-                    name=f"shm-rank-{r}",
-                )
-                proc.start()
+            for r in self.grid.all_ranks():
+                self._pipes[r], child = mp.Pipe()
+                self._start_rank(start_method, r, _rank_main, r, self.grid, child, self._prefix)
                 child.close()
-                self._workers.append(proc)
-                self._pipes.append(parent)
         except BaseException:
             self.close()
             raise
 
-    # -- comm protocol (drop-in for VirtualComm) ------------------------------
+    def _send(self, rank: int, cmd: tuple, payload: bytes | None) -> None:
+        pipe = self._pipes[rank]
+        if pipe is None:
+            raise CommPeerError("no control pipe")
+        try:
+            pipe.send((cmd, payload))
+        except OSError as e:
+            raise CommPeerError(f"send failed ({e})") from e
 
-    @property
-    def nranks(self) -> int:
-        return self.grid.nranks
+    def _recv(self, rank: int, timeout: float) -> tuple:
+        pipe = self._pipes[rank]
+        try:
+            if not pipe.poll(timeout):
+                raise CommTimeoutError(f"no reply within {timeout}s")
+            return pipe.recv()
+        except (EOFError, OSError) as e:
+            raise CommPeerError(f"worker died ({e})") from e
 
-    def decompose(self, lattice: Lattice4D) -> Decomposition:
-        return Decomposition(lattice, self.grid)
-
-    def exchange(
-        self,
-        halos: list[HaloField],
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Fill ghost shells of master-resident halo fields.
-
-        Arbitrary (non-shared) arrays cannot be touched by the workers, so
-        this runs the sequential exchange — identical data motion and
-        trace.  Shared blocks go through :meth:`exchange_shared`.
-        """
-        halo_exchange(halos, self.grid, trace=self.trace, phases=phases)
-
-    def allreduce_sum(self, partials) -> complex | float:
-        """Global sum through the shared reduction buffer, in rank order.
-
-        The in-order sum is the same arithmetic as ``VirtualComm``, so the
-        result is bit-identical regardless of backend.
-        """
-        if len(partials) != self.nranks:
-            raise ValueError(f"expected {self.nranks} partials, got {len(partials)}")
-        buf = self._reduction_buffer()
-        for r, p in enumerate(partials):
-            buf[r] = p
-        total = buf[0]
-        for r in range(1, self.nranks):
-            total = total + buf[r]
-        self.trace.record_collective(
-            "allreduce_sum", np.asarray(partials[0]).nbytes, self.nranks
-        )
-        if np.iscomplexobj(np.asarray(partials[0])):
-            return complex(total)
-        return float(total.real)
-
-    def record_compute(self, kernel: str, flops_per_rank: int) -> None:
-        self.trace.record_compute(kernel, flops_per_rank, self.nranks)
-
-    # -- health & fault injection ---------------------------------------------
-
-    def workers_alive(self) -> list[bool]:
-        """Per-rank liveness of the worker processes (cheap, no round trip)."""
-        return [bool(w.is_alive()) for w in self._workers]
-
-    @property
-    def healthy(self) -> bool:
-        """True while the comm is open and every rank process is alive."""
-        return not self._closed and all(self.workers_alive())
-
-    def ping(self) -> bool:
-        """Full command/ack round trip through every rank (the watchdog probe).
-
-        An empty ``declare`` is a no-op on the workers but still traverses
-        the pipes, so a dead, wedged, or deadlocked rank surfaces as the
-        usual ``RuntimeError`` instead of a later mid-physics hang.
-        """
-        self._command(("declare", []))
-        return True
-
-    def kill_rank(self, rank: int, sig: int = signal.SIGKILL) -> None:
-        """Fault-injection hook: deliver ``sig`` to one worker process.
-
-        SIGKILL models node failure — the worker gets no chance to clean
-        up, exactly like a production rank loss.  Master-owned segments are
-        unaffected; :meth:`close` still unlinks everything.
-        """
-        proc = self._workers[rank]
-        if proc.is_alive() and proc.pid is not None:
-            os.kill(proc.pid, sig)
-        proc.join(timeout=5.0)
-
-    # -- shared-block API -----------------------------------------------------
-
-    def new_key(self, tag: str) -> str:
-        """A fresh segment-name-safe key (operators may share one comm)."""
-        self._key_counter += 1
-        return f"{tag}{self._key_counter}"
-
-    def alloc_blocks(self, key: str, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
-        """Allocate one zero-filled shared block per rank; return master views."""
-        self._check_open()
-        if key in self._blocks:
-            raise ValueError(f"shared block key {key!r} already allocated")
-        dt = np.dtype(dtype)
+    def _new_block(self, key: str, rank: int, shape: tuple[int, ...], dt: np.dtype) -> np.ndarray:
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
-        views: list[np.ndarray] = []
-        for r in self.grid.all_ranks():
-            seg = shared_memory.SharedMemory(
-                create=True, size=nbytes, name=f"{self._prefix}-{key}-{r}"
-            )
-            self._segments[(key, r)] = seg
-            arr = np.ndarray(shape, dtype=dt, buffer=seg.buf)
-            arr[...] = 0
-            views.append(arr)
-        self._blocks[key] = (tuple(shape), dt.str, views)
-        self._command(("declare", [(key, tuple(shape), dt.str)]))
-        return views
-
-    def blocks(self, key: str) -> list[np.ndarray]:
-        """Master-side views of an allocated shared block set."""
-        return self._blocks[key][2]
-
-    def block_checksums(self, key: str) -> list[int]:
-        """Per-rank CRC32 of a shared block set's current bytes.
-
-        The ABFT guard layer (:mod:`repro.guard.abft`) compares these
-        against encode-time values to localise silent corruption of the
-        shared link halos to a rank.  Master-side read only; the workers
-        are not involved, so this is safe to call between commands.
-        """
-        import zlib
-
-        self._check_open()
-        return [
-            zlib.crc32(np.ascontiguousarray(view)) for view in self._blocks[key][2]
-        ]
-
-    def exchange_shared(
-        self,
-        key: str,
-        width: int = 1,
-        site_axis_start: int = 0,
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Rank-parallel halo exchange of a shared block set, with trace."""
-        self._check_open()
-        self._record_exchange(key, width)
-        self._command(("exchange", key, width, site_axis_start, phases))
-
-    def dagger_shared(self, u_key: str, udag_key: str) -> None:
-        """Each rank daggers its own gauge halo block into ``udag_key``."""
-        self._command(("dagger", u_key, udag_key))
-
-    def run_dslash(
-        self,
-        psi_key: str,
-        out_key: str,
-        u_key: str,
-        udag_key: str,
-        phases: tuple[complex, complex, complex, complex],
-        diag: float,
-        width: int = 1,
-        overlap: bool = True,
-    ) -> None:
-        """One rank-parallel Wilson apply: exchange + stencil per worker.
-
-        With ``overlap`` the workers stencil the deep interior before
-        touching ghosts (the interior/boundary split); the result is
-        bit-identical either way.  Halo traffic is recorded exactly as the
-        sequential backend records it.
-        """
-        self._check_open()
-        self._record_exchange(psi_key, width)
-        self._command(
-            ("dslash", psi_key, out_key, u_key, udag_key, width, phases, diag, overlap)
+        seg = shared_memory.SharedMemory(
+            create=True, size=nbytes, name=f"{self._prefix}-{key}-{rank}"
         )
+        self._segments[(key, rank)] = seg
+        arr = np.ndarray(shape, dtype=dt, buffer=seg.buf)
+        arr[...] = 0
+        return arr
 
-    # -- internals ------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("ShmComm is closed")
-
-    def _reduction_buffer(self) -> np.ndarray:
-        views = self._blocks.get("_reduce")
-        if views is None:
-            return self.alloc_blocks("_reduce", (self.nranks,), np.complex128)[0]
-        return views[2][0]
-
-    def _record_exchange(self, key: str, width: int = 1) -> None:
-        shape, dtype, _ = self._blocks[key]
-        s0 = len(shape) - 6  # site axes end 6 before the (spin|dir, color) tail
-        # Fermion blocks are (t,z,y,x,4,3) -> s0=0; gauge (4,t,z,y,x,3,3) -> s0=1.
-        itemsize = np.dtype(dtype).itemsize
-        nbytes = [
-            face_bytes_of_shape(shape, s0, width, mu, itemsize) for mu in range(4)
-        ]
-        record_exchange_trace(self.trace, self.grid, nbytes)
-
-    def _command(self, cmd: tuple) -> None:
-        """Broadcast ``cmd`` and collect every rank's ack (the barrier)."""
-        self._check_open()
-        self._ncommands += 1
-        idx = self._ncommands
-        errors: list[str] = []
-        for r, pipe in enumerate(self._pipes):
-            if self._faults is not None:
-                self._faults.fire_pre_send(self, idx, r)
-            try:
-                pipe.send(cmd)
-            except (BrokenPipeError, OSError) as e:
-                errors.append(f"rank {r}: send failed ({e})")
-        for r, pipe in enumerate(self._pipes):
-            drop_ack = False
-            if self._faults is not None:
-                delay, drop_ack = self._faults.fire_pre_recv(self, idx, r)
-                if delay > 0.0:
-                    time.sleep(delay)
-            try:
-                if not pipe.poll(self.timeout):
-                    errors.append(f"rank {r}: no reply within {self.timeout}s")
-                    continue
-                status, payload = pipe.recv()
-            except (EOFError, OSError) as e:
-                errors.append(f"rank {r}: worker died ({e})")
-                continue
-            if drop_ack:
-                # Consume the ack (keeping the pipe in sync) but treat it as
-                # lost — the injected-network-fault path.
-                errors.append(f"rank {r}: ack dropped (injected fault)")
-                continue
-            if status != "ok":
-                errors.append(f"rank {r}:\n{payload}")
-        if errors:
-            raise RuntimeError(
-                f"shm command {cmd[0]!r} failed on {len(errors)} rank(s):\n"
-                + "\n".join(errors)
-            )
-
-    # -- telemetry aggregation ------------------------------------------------
-
-    def gather_worker_metrics(self, timeout: float = 5.0) -> dict[int, dict]:
-        """Pull each worker's telemetry registry snapshot into the master's.
-
-        Worker counters land in the master registry under a ``rank<r>/``
-        prefix (e.g. ``rank2/commands/dslash``).  Returns the raw per-rank
-        snapshots.  Best-effort: a dead or slow rank is skipped, never
-        raised on — this runs inside :meth:`close`.
-        """
-        snaps: dict[int, dict] = {}
-        live: list[int] = []
-        for r, pipe in enumerate(self._pipes):
-            try:
-                pipe.send(("telemetry",))
-                live.append(r)
-            except Exception:
-                pass
-        for r in live:
-            pipe = self._pipes[r]
-            try:
-                if not pipe.poll(timeout):
-                    continue
-                status, payload = pipe.recv()
-            except Exception:
-                continue
-            if status == "ok" and isinstance(payload, dict):
-                snaps[r] = payload
-        reg = _tm_registry.get_registry()
-        for r, snap in snaps.items():
-            reg.merge(snap, prefix=f"rank{r}/")
-        return snaps
-
-    # -- teardown -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop workers and unlink all segments.  Idempotent; never raises."""
-        if self._closed:
-            return
-        if STATE.counting:
-            try:
-                self.gather_worker_metrics()
-            except Exception:
-                pass
-        self._closed = True
-        discard_live_comm(self)
-        for pipe in self._pipes:
-            try:
-                pipe.send(("stop",))
-            except Exception:
-                pass
-        for pipe in self._pipes:
-            try:
-                if pipe.poll(2.0):
-                    pipe.recv()
-            except Exception:
-                pass
-        for proc in self._workers:
-            try:
-                proc.join(timeout=2.0)
-            except Exception:
-                pass
-        for proc in self._workers:
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-            except Exception:
-                pass
+    def _release(self) -> None:
+        self._reap_workers()
         for pipe in self._pipes:
             try:
                 pipe.close()
@@ -580,16 +187,3 @@ class ShmComm:
             except Exception:
                 pass
         self._segments.clear()
-        self._blocks.clear()
-
-    def __enter__(self) -> "ShmComm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort safety net; tests close explicitly
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -1,63 +1,51 @@
-"""Cross-host SPMD backend: one OS process per rank over TCP sockets.
+"""Socket transport: one OS process per rank over TCP, on any hosts.
 
 :class:`TcpComm` is the third communicator backend: where ``shm`` proves
 real rank-parallelism on one node's cores, ``tcp`` removes the one-host
 restriction — each rank is an OS process reachable only through sockets,
 so rank processes may live on *different hosts*, which is the paper's
 production deployment shape (and exactly the commodity-Ethernet regime the
-DESY cluster papers measured).
+DESY cluster papers measured).  The master side is
+:class:`~repro.comm.pool.RankPoolComm` and the rank side
+:func:`repro.comm.executor.serve`; this module supplies only what moves
+the bytes:
 
-Execution model
----------------
-* The master (driver) process owns a listening *rendezvous* socket.  By
-  default it spawns one local worker process per rank; with
-  ``n_external > 0`` it leaves that many ranks for workers started
-  elsewhere via ``python -m repro.comm.tcp --connect host:port`` — the
-  cross-host mode.  Every worker dials the rendezvous address, handshakes,
-  and receives its rank, the grid, and the peer address book.
+* The master owns a listening *rendezvous* socket.  By default it spawns
+  one local worker process per rank; with ``n_external > 0`` it leaves
+  that many ranks for workers started elsewhere via
+  ``python -m repro.comm.tcp --connect host:port`` — the cross-host mode.
+  Every worker dials the rendezvous address, handshakes, and receives its
+  rank, the grid, and the peer address book.
 * Workers open their own peer listeners and build a neighbour mesh
   (higher rank dials lower), so halo faces travel rank-to-rank without
-  passing through the master.
-* Commands are broadcast master→ranks over the control sockets and
-  acknowledged per rank — the ack sweep is the inter-command barrier, as
-  in ``shm``.  Rank-local blocks live in *worker* memory; the master keeps
-  mirror arrays that commands synchronise: ``run_dslash`` ships the source
-  fermion with the command frame and returns the result block in the ack,
-  ``exchange_shared`` round-trips the named block set.
+  passing through the master (:class:`_SocketPeers`).
+* Blocks live in *worker* memory and the master holds copies, so commands
+  carry payloads: ``run_dslash`` ships the source fermion with the
+  command and gets the result block back in the ack, ``exchange_shared``
+  round-trips the named block set, and each ``allreduce_sum`` partial
+  makes a real round trip through its rank's socket (gather-at-root).
 * Every message is a length-prefixed CRC-stamped frame
   (:mod:`repro.comm.frame`): a rank killed mid-send produces a typed
   :class:`~repro.comm.errors.TornFrameError`, never silently truncated
   halo data.
-* ``allreduce_sum`` is gather-at-root: each rank's partial makes a real
-  round trip through its socket and the master sums the echoes in rank
-  order — the same in-order arithmetic as ``virtual``/``shm``, hence
-  bit-identical results.
 
 Hard deadlines everywhere: connect, send, and recv all carry timeouts, so
 a dead, wedged, or partitioned rank surfaces as a typed
 :class:`~repro.comm.errors.CommError` (which ``run_resilient`` retries)
-instead of a hang.  Teardown is registered with the shared atexit sweep
-(:mod:`repro.comm.lifecycle`) and is leak-proof: sockets closed, local
-workers joined or killed, nothing orphaned.
+instead of a hang.  Teardown is leak-proof: sockets closed, local workers
+joined or killed, nothing orphaned.
 
-An optional ``mpi4py`` fast path with the same master-driven interface
-lives in :mod:`repro.comm.mpi` (registered as backend ``mpi`` only when
-importable); ``tcp`` itself is dependency-free.
+An optional ``mpi4py`` fast path lives in :mod:`repro.comm.mpi`
+(registered as backend ``mpi`` only when importable); ``tcp`` itself is
+dependency-free.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import socket
 import time
-import uuid
-import multiprocessing as mp
 
-import numpy as np
-
-from repro.comm.decomposition import Decomposition
 from repro.comm.errors import (
     CommConnectError,
     CommError,
@@ -65,20 +53,11 @@ from repro.comm.errors import (
     CommTimeoutError,
     TornFrameError,
 )
-from repro.comm.executor import RankExecutor, format_rank_error
-from repro.comm.frame import TAG_OBJ, TAG_RAW, recv_frame, recv_obj, send_frame, send_obj
-from repro.comm.halo import (
-    HaloField,
-    face_bytes_of_shape,
-    halo_exchange,
-    record_exchange_trace,
-)
-from repro.comm.lifecycle import discard_live_comm, register_live_comm
+from repro.comm.executor import PeerTransport, RankExecutor, serve
+from repro.comm.frame import recv_frame, recv_msg, recv_obj, send_frame, send_msg, send_obj
+from repro.comm.pool import RankPoolComm
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
-from repro.lattice import Lattice4D
-from repro.telemetry import registry as _tm_registry
-from repro.telemetry.state import STATE
 
 __all__ = ["TcpComm", "run_worker", "main"]
 
@@ -121,7 +100,7 @@ def _close_quietly(sock) -> None:
         pass
 
 
-class _SocketPeers:
+class _SocketPeers(PeerTransport):
     """Rank↔rank face transport over one socket per neighbour pair.
 
     ``recv`` matches frames by ``(peer, tag)``: a frame that arrives for a
@@ -203,6 +182,20 @@ def _build_peer_mesh(
 # ---------------------------------------------------------------------------
 
 
+class _SocketControl:
+    """A rank's control link to the master: the framed-socket pipe end."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def recv(self) -> tuple:
+        return recv_msg(self._sock)
+
+    def send(self, reply: tuple) -> None:
+        status, meta, raw = reply
+        send_msg(self._sock, (status, meta), raw)
+
+
 def run_worker(
     master_addr: tuple[str, int],
     rank: int | None = None,
@@ -252,37 +245,7 @@ def run_worker(
         _close_quietly(listener)
         listener = None
         send_obj(control, ("ready", my_rank))
-
-        executor = RankExecutor(my_rank, grid, peers)
-        while True:
-            try:
-                cmd = recv_obj(control)
-            except (CommPeerError, TornFrameError):
-                return 1  # master died; nothing to ack
-            op = cmd[0]
-            if op == "stop":
-                try:
-                    send_obj(control, ("ok", None))
-                except CommError:
-                    pass
-                return 0
-            raw = None
-            if op in ("upload", "exchange_frame", "dslash_frame", "reduce"):
-                tag, raw = recv_frame(control)
-                if tag != TAG_RAW:
-                    raise TornFrameError(f"command {op!r}: expected raw frame, got tag {tag}")
-            try:
-                if op != "telemetry":
-                    _tm_registry.add(f"commands/{op}", 1)
-                meta, reply_raw = executor.execute(cmd, raw)
-                send_obj(control, ("ok", meta, reply_raw is not None))
-                if reply_raw is not None:
-                    send_frame(control, reply_raw, TAG_RAW)
-            except BaseException:
-                try:
-                    send_obj(control, ("error", format_rank_error(), False))
-                except CommError:
-                    return 1
+        return serve(RankExecutor(my_rank, grid, peers), _SocketControl(control))
     finally:
         if peers is not None:
             peers.close()
@@ -290,45 +253,21 @@ def run_worker(
         _close_quietly(control)
 
 
-def _spawned_entry(master_addr: tuple[str, int], rank: int) -> None:
-    """Entry point of a locally spawned rank process."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles ^C
-    # A forked worker inherits the master's registry contents; reset so the
-    # teardown gather returns clean per-rank counts.
-    _tm_registry.reset()
-    try:
-        raise SystemExit(run_worker(master_addr, rank=rank))
-    except CommError:
-        raise SystemExit(1)
-
-
 # ---------------------------------------------------------------------------
 # master side
 # ---------------------------------------------------------------------------
 
 
-class TcpComm:
+class TcpComm(RankPoolComm):
     """A communicator whose ranks are processes reachable only over TCP.
 
-    Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol
-    (``decompose`` / ``exchange`` / ``allreduce_sum`` / ``record_compute``
-    / ``trace``) plus the remote-block API the decomposed operator uses
-    (:meth:`alloc_blocks`, :meth:`exchange_shared`, :meth:`dagger_shared`,
-    :meth:`run_dslash`).  Block storage is authoritative in the workers;
-    the master-side arrays returned by :meth:`alloc_blocks` are mirrors
-    that commands synchronise, which is what the ``supports_remote_blocks``
-    capability flag announces.
-
-    Use as a context manager, or call :meth:`close` — teardown stops the
-    workers, closes every socket, and joins or kills local rank processes
-    even after a rank failure.
+    Block storage is authoritative in the workers; the arrays
+    :meth:`alloc_blocks` returns are the master's copies, which commands
+    synchronise.  Teardown stops the workers, closes every socket, and
+    joins or kills local rank processes even after a rank failure.
     """
 
-    #: Blocks are worker-resident; master arrays are command-synchronised
-    #: mirrors.  The decomposed operator and the ABFT guard accept either
-    #: this or ``supports_shared_blocks``.
-    supports_remote_blocks = True
-    supports_shared_blocks = False
+    name = "tcp"
 
     def __init__(
         self,
@@ -342,44 +281,21 @@ class TcpComm:
         start_method: str | None = None,
         fault_injector=None,
     ) -> None:
-        if not isinstance(grid, RankGrid):
-            grid = RankGrid(tuple(grid))
-        self.grid = grid
-        self.trace = trace if trace is not None else CommTrace()
-        self.timeout = float(timeout)
+        super().__init__(grid, trace, timeout, fault_injector)
         self.connect_timeout = float(connect_timeout)
-        self._prefix = f"tcp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        self._mirrors: dict[str, tuple[tuple[int, ...], str, list[np.ndarray]]] = {}
-        self._key_counter = 0
-        self._closed = False
         self._listener = None
-        self._procs: list = [None] * grid.nranks
-        self._socks: list = [None] * grid.nranks
-        self._pids: list[int | None] = [None] * grid.nranks
-        self._dead: set[int] = set()
-        self._faults = fault_injector
-        self._ncommands = 0
-        register_live_comm(self)
+        self._socks: list = [None] * self.nranks
+        self._pids: list[int | None] = [None] * self.nranks
         try:
-            self._listener = _listen(host, port, backlog=max(16, grid.nranks))
+            self._listener = _listen(host, port, backlog=max(16, self.nranks))
             self.address = self._listener.getsockname()[:2]
-            n_local = grid.nranks - int(n_external)
+            n_local = self.nranks - int(n_external)
             if n_local < 0:
                 raise ValueError(
-                    f"n_external={n_external} exceeds {grid.nranks} ranks"
+                    f"n_external={n_external} exceeds {self.nranks} ranks"
                 )
-            if start_method is None:
-                start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            ctx = mp.get_context(start_method)
             for r in range(n_local):
-                proc = ctx.Process(
-                    target=_spawned_entry,
-                    args=(self.address, r),
-                    daemon=True,
-                    name=f"tcp-rank-{r}",
-                )
-                proc.start()
-                self._procs[r] = proc
+                self._start_rank(start_method, r, run_worker, self.address, r)
             self._rendezvous()
         except BaseException:
             self.close()
@@ -438,381 +354,40 @@ class TcpComm:
             if reply != ("ready", r):
                 raise CommConnectError(f"rank {r}: bad ready handshake {reply!r}")
 
-    # -- comm protocol (drop-in for VirtualComm) ------------------------------
+    # -- transport hooks ------------------------------------------------------
 
-    @property
-    def nranks(self) -> int:
-        return self.grid.nranks
+    def _send(self, rank: int, cmd: tuple, payload: bytes | None) -> None:
+        sock = self._socks[rank]
+        if sock is None:
+            raise CommPeerError("no control socket")
+        sock.settimeout(self.timeout)
+        send_msg(sock, cmd, payload)
 
-    def decompose(self, lattice: Lattice4D) -> Decomposition:
-        return Decomposition(lattice, self.grid)
+    def _recv(self, rank: int, timeout: float) -> tuple:
+        sock = self._socks[rank]
+        sock.settimeout(timeout)
+        head, raw = recv_msg(sock)
+        if not (isinstance(head, tuple) and len(head) == 2):
+            raise TornFrameError(f"ack is not a (status, meta) pair: {type(head).__name__}")
+        return (*head, raw)
 
-    def exchange(
-        self,
-        halos: list[HaloField],
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Fill ghost shells of master-resident halo fields.
+    def _sever(self, rank: int) -> None:
+        _close_quietly(self._socks[rank])
 
-        Arbitrary (non-block) arrays live only in the master, so this runs
-        the sequential exchange — identical data motion and trace.  Blocks
-        go through :meth:`exchange_shared`.
-        """
-        halo_exchange(halos, self.grid, trace=self.trace, phases=phases)
-
-    def allreduce_sum(self, partials) -> complex | float:
-        """Gather-at-root global sum, reduced in rank order.
-
-        Each partial makes a real round trip through its rank's socket;
-        the master sums the echoed values in rank order — the same
-        arithmetic as ``virtual``/``shm``, so the result is bit-identical
-        regardless of backend.
-        """
-        if len(partials) != self.nranks:
-            raise ValueError(f"expected {self.nranks} partials, got {len(partials)}")
-        payloads = [
-            np.asarray(p, dtype=np.complex128).tobytes() for p in partials
-        ]
-        echoes = self._command(("reduce",), payloads=payloads, want_raw=True)
-        buf = np.empty(self.nranks, dtype=np.complex128)
-        for r, raw in enumerate(echoes):
-            buf[r] = np.frombuffer(raw, dtype=np.complex128)[0]
-        total = buf[0]
-        for r in range(1, self.nranks):
-            total = total + buf[r]
-        self.trace.record_collective(
-            "allreduce_sum", np.asarray(partials[0]).nbytes, self.nranks
-        )
-        if np.iscomplexobj(np.asarray(partials[0])):
-            return complex(total)
-        return float(total.real)
-
-    def record_compute(self, kernel: str, flops_per_rank: int) -> None:
-        self.trace.record_compute(kernel, flops_per_rank, self.nranks)
-
-    # -- health & fault injection ---------------------------------------------
-
-    def workers_alive(self) -> list[bool]:
-        """Per-rank liveness (local: process state; external: socket state)."""
-        alive = []
-        for r in self.grid.all_ranks():
-            proc = self._procs[r]
-            if proc is not None:
-                alive.append(bool(proc.is_alive()))
-            else:
-                alive.append(r not in self._dead and self._socks[r] is not None)
-        return alive
-
-    @property
-    def healthy(self) -> bool:
-        """True while the comm is open and every rank is alive."""
-        return not self._closed and all(self.workers_alive())
-
-    def ping(self) -> bool:
-        """Full command/ack round trip through every rank (the watchdog probe)."""
-        self._command(("declare", []))
-        return True
-
-    def kill_rank(self, rank: int, sig: int = signal.SIGKILL) -> None:
-        """Fault-injection hook: take one rank down hard.
-
-        A local rank gets ``sig`` (SIGKILL models node failure — no
-        cleanup, exactly like a production rank loss); an external rank's
-        control socket is severed, the strongest action the master has
-        across hosts.
-        """
-        proc = self._procs[rank]
-        if proc is not None:
-            if proc.is_alive() and proc.pid is not None:
-                os.kill(proc.pid, sig)
-            proc.join(timeout=5.0)
-        else:
-            _close_quietly(self._socks[rank])
-        self._dead.add(rank)
-
-    # -- remote-block API -----------------------------------------------------
-
-    def new_key(self, tag: str) -> str:
-        """A fresh block key (operators may share one comm)."""
-        self._key_counter += 1
-        return f"{tag}{self._key_counter}"
-
-    def alloc_blocks(self, key: str, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
-        """Allocate one zero-filled worker block per rank; return mirrors."""
-        self._check_open()
-        if key in self._mirrors:
-            raise ValueError(f"block key {key!r} already allocated")
-        dt = np.dtype(dtype)
-        mirrors = [np.zeros(tuple(shape), dtype=dt) for _ in self.grid.all_ranks()]
-        self._mirrors[key] = (tuple(shape), dt.str, mirrors)
-        self._command(("declare", [(key, tuple(shape), dt.str)]))
-        return mirrors
-
-    def blocks(self, key: str) -> list[np.ndarray]:
-        """Master-side mirror views of an allocated block set."""
-        return self._mirrors[key][2]
-
-    def block_checksums(self, key: str) -> list[int]:
-        """Per-rank CRC32 of a block set's mirror bytes (ABFT guard hook).
-
-        Mirrors are synchronised at every command boundary that touches
-        the key, so between commands they are exact copies of the worker
-        blocks — the same guarantee the shm checksums give.
-        """
-        import zlib
-
-        self._check_open()
-        return [
-            zlib.crc32(np.ascontiguousarray(view)) for view in self._mirrors[key][2]
-        ]
-
-    def exchange_shared(
-        self,
-        key: str,
-        width: int = 1,
-        site_axis_start: int = 0,
-        phases: tuple[complex, complex, complex, complex] | None = None,
-    ) -> None:
-        """Rank-parallel halo exchange of a block set, with trace.
-
-        Ships each rank's mirror with the command, lets the workers
-        exchange ghosts peer-to-peer, and reads the filled blocks back
-        into the mirrors — one command round trip.
-        """
-        self._check_open()
-        self._record_exchange(key, width)
-        mirrors = self._mirrors[key][2]
-        payloads = [m.tobytes() for m in mirrors]
-        replies = self._command(
-            ("exchange_frame", key, width, site_axis_start, phases),
-            payloads=payloads,
-            want_raw=True,
-        )
-        for m, raw in zip(mirrors, replies):
-            m[...] = np.frombuffer(raw, dtype=m.dtype).reshape(m.shape)
-
-    def dagger_shared(self, u_key: str, udag_key: str) -> None:
-        """Each rank daggers its own gauge halo block into ``udag_key``."""
-        self._command(("dagger", u_key, udag_key))
-
-    def run_dslash(
-        self,
-        psi_key: str,
-        out_key: str,
-        u_key: str,
-        udag_key: str,
-        phases: tuple[complex, complex, complex, complex],
-        diag: float,
-        width: int = 1,
-        overlap: bool = True,
-    ) -> None:
-        """One rank-parallel Wilson apply: ship psi, exchange + stencil, return out.
-
-        The links stay worker-resident from construction; only the source
-        fermion travels with the command and only the result block comes
-        back, so steady-state solver traffic is two block transfers per
-        apply plus the peer-to-peer faces.
-        """
-        self._check_open()
-        self._record_exchange(psi_key, width)
-        psi_mirrors = self._mirrors[psi_key][2]
-        out_mirrors = self._mirrors[out_key][2]
-        payloads = [m.tobytes() for m in psi_mirrors]
-        replies = self._command(
-            ("dslash_frame", psi_key, out_key, u_key, udag_key, width, phases, diag, overlap),
-            payloads=payloads,
-            want_raw=True,
-        )
-        for m, raw in zip(out_mirrors, replies):
-            m[...] = np.frombuffer(raw, dtype=m.dtype).reshape(m.shape)
-
-    # -- internals ------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("TcpComm is closed")
-
-    def _record_exchange(self, key: str, width: int = 1) -> None:
-        shape, dtype, _ = self._mirrors[key]
-        s0 = len(shape) - 6  # site axes end 6 before the (spin|dir, color) tail
-        itemsize = np.dtype(dtype).itemsize
-        nbytes = [
-            face_bytes_of_shape(shape, s0, width, mu, itemsize) for mu in range(4)
-        ]
-        record_exchange_trace(self.trace, self.grid, nbytes)
-
-    def _command(
-        self,
-        cmd: tuple,
-        payloads: list[bytes] | None = None,
-        want_raw: bool = False,
-    ) -> list[bytes | None]:
-        """Broadcast ``cmd`` (+ optional per-rank raw payload), sweep acks.
-
-        Returns the per-rank raw replies when ``want_raw``.  Any rank
-        failing — timeout, death, torn frame, or an error ack — aborts the
-        command with a typed :class:`CommError` naming every failed rank;
-        if *every* failure was a deadline, the more specific
-        :class:`CommTimeoutError` is raised so callers can distinguish a
-        wedged fleet from a dead one.
-        """
-        self._check_open()
-        self._ncommands += 1
-        idx = self._ncommands
-        blob = pickle.dumps(cmd, protocol=pickle.HIGHEST_PROTOCOL)
-        errors: list[tuple[int, Exception]] = []
-        sent: set[int] = set()
-        for r in self.grid.all_ranks():
-            if self._faults is not None:
-                self._faults.fire_pre_send(self, idx, r)
-            sock = self._socks[r]
-            try:
-                if sock is None:
-                    raise CommPeerError("no control socket")
-                send_frame(sock, blob, TAG_OBJ)
-                if payloads is not None:
-                    send_frame(sock, payloads[r], TAG_RAW)
-                sent.add(r)
-            except CommError as e:
-                self._dead.add(r)
-                errors.append((r, e))
-        replies: list[bytes | None] = [None] * self.nranks
-        for r in self.grid.all_ranks():
-            if r not in sent:
-                continue
-            drop_ack = False
-            if self._faults is not None:
-                delay, drop_ack = self._faults.fire_pre_recv(self, idx, r)
-                if delay > 0.0:
-                    time.sleep(delay)
-            sock = self._socks[r]
-            try:
-                ack = pickle.loads(recv_frame(sock)[1])
-                status, meta, has_raw = (*ack, False)[:3]
-                if has_raw:
-                    _, replies[r] = recv_frame(sock)
-            except CommError as e:
-                self._dead.add(r)
-                errors.append((r, e))
-                continue
-            if drop_ack:
-                # Consume the ack (keeping the stream in sync) but treat it
-                # as lost — the injected-network-fault path.
-                errors.append((r, CommPeerError("ack dropped (injected fault)")))
-                continue
-            if status != "ok":
-                errors.append((r, CommError(str(meta))))
-            elif cmd[0] == "telemetry":
-                replies[r] = meta
-        if errors:
-            detail = "\n".join(f"rank {r}: {e}" for r, e in errors)
-            cls = (
-                CommTimeoutError
-                if all(isinstance(e, CommTimeoutError) for _, e in errors)
-                else CommError
-            )
-            raise cls(
-                f"tcp command {cmd[0]!r} failed on {len(errors)} rank(s):\n{detail}"
-            )
-        return replies
-
-    # -- telemetry aggregation ------------------------------------------------
-
-    def gather_worker_metrics(self, timeout: float = 5.0) -> dict[int, dict]:
-        """Pull each worker's telemetry snapshot into the master's registry.
-
-        Worker counters land under a ``rank<r>/`` prefix.  Best-effort: a
-        dead or slow rank is skipped, never raised on — this runs inside
-        :meth:`close`.
-        """
-        snaps: dict[int, dict] = {}
-        for r in self.grid.all_ranks():
-            sock = self._socks[r]
-            if sock is None or r in self._dead:
-                continue
-            old = sock.gettimeout()
-            try:
-                sock.settimeout(timeout)
-                send_obj(sock, ("telemetry",))
-                ack = pickle.loads(recv_frame(sock)[1])
-                if ack[0] == "ok" and isinstance(ack[1], dict):
-                    snaps[r] = ack[1]
-            except Exception:
-                continue
-            finally:
-                try:
-                    sock.settimeout(old)
-                except Exception:
-                    pass
-        reg = _tm_registry.get_registry()
-        for r, snap in snaps.items():
-            reg.merge(snap, prefix=f"rank{r}/")
-        return snaps
-
-    # -- teardown -------------------------------------------------------------
-
-    def close(self) -> None:
-        """Stop workers, close every socket, reap processes.  Idempotent;
-        never raises."""
-        if self._closed:
-            return
-        if STATE.counting and any(s is not None for s in self._socks):
-            try:
-                self.gather_worker_metrics()
-            except Exception:
-                pass
-        self._closed = True
-        discard_live_comm(self)
-        for r, sock in enumerate(self._socks):
-            if sock is None or r in self._dead:
-                continue
-            try:
-                sock.settimeout(2.0)
-                send_obj(sock, ("stop",))
-            except Exception:
-                pass
-        for r, sock in enumerate(self._socks):
-            if sock is None or r in self._dead:
-                continue
-            try:
-                recv_frame(sock)
-            except Exception:
-                pass
+    def _release(self) -> None:
         for sock in self._socks:
             _close_quietly(sock)
-        for proc in self._procs:
-            if proc is None:
-                continue
-            try:
-                proc.join(timeout=2.0)
-            except Exception:
-                pass
-            try:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-            except Exception:
-                pass
-            try:
-                proc.close()  # release the sentinel fd
-            except Exception:
-                pass
+        self._reap_workers()
+        for proc in self._workers:
+            if proc is not None:
+                try:
+                    proc.close()  # release the sentinel fd
+                except Exception:
+                    pass
+        self._workers = [None] * self.nranks
         _close_quietly(self._listener)
         self._listener = None
-        self._socks = [None] * self.grid.nranks
-        self._mirrors.clear()
-
-    def __enter__(self) -> "TcpComm":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort safety net; tests close explicitly
-        try:
-            self.close()
-        except Exception:
-            pass
+        self._socks = [None] * self.nranks
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ Two executors behind one operator:
   ranks itself, stenciling each halo block with the fused
   :class:`~repro.kernels.HaloStencil` into preallocated per-rank buffers
   (no allocation in the solver hot loop).
-* With a shared-block communicator (:class:`~repro.comm.ShmComm`) the
-  fermion, gauge and result blocks live in shared memory and one
-  ``run_dslash`` command makes every rank process exchange + stencil its
-  own block in parallel, overlapping the deep-interior stencil with the
-  face traffic (``overlap``, on by default there).
+* With a process backend (:class:`~repro.comm.pool.RankPoolComm`: ``shm``,
+  ``tcp``, ``mpi``) the fermion, gauge and result blocks are rank-resident
+  and one ``run_dslash`` command makes every rank process exchange +
+  stencil its own block in parallel, overlapping the deep-interior stencil
+  with the face traffic (``overlap``, on by default there).
 
 Both executors run the same face copies and the same box-wise stencil
 arithmetic, so their results — overlapped or not — are bit-for-bit
@@ -85,10 +85,9 @@ class DecomposedWilsonDirac(LinearOperator):
     """Wilson operator evaluated SPMD over a rank grid.
 
     ``comm`` may be any communicator backend; the operator keys the
-    rank-parallel block path on the ``supports_shared_blocks`` (shm: the
-    master sees worker memory directly) or ``supports_remote_blocks``
-    (tcp/mpi: master-side mirrors synchronised at command boundaries)
-    capability flags — the block API is identical either way.
+    rank-parallel block path on the ``supports_rank_blocks`` capability
+    flag — the block API is identical whether the master maps rank memory
+    (shm) or holds copies synchronised at command boundaries (tcp/mpi).
     ``overlap`` selects the interior/boundary-split schedule (stencil the
     deep interior while the exchange is in flight); it defaults to on for
     block backends and off for the sequential one, and is bit-exact
@@ -111,10 +110,7 @@ class DecomposedWilsonDirac(LinearOperator):
         self.comm = comm
         self.phases = tuple(phases)
         self.decomp: Decomposition = comm.decompose(gauge.lattice)
-        self._shared = bool(
-            getattr(comm, "supports_shared_blocks", False)
-            or getattr(comm, "supports_remote_blocks", False)
-        )
+        self._shared = bool(getattr(comm, "supports_rank_blocks", False))
         self.overlap = self._shared if overlap is None else bool(overlap)
         self.flops_per_apply = (
             WILSON_DSLASH_FLOPS_PER_SITE + 8 * 12

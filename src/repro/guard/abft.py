@@ -18,10 +18,11 @@ low single-digit percent range:
 with both probes.  It is transparent when the policy is ``off`` and
 bit-for-bit transparent at every level (probing uses separate buffers and
 ``op.apply``, which does not disturb the wrapped operator's counters).
-For the ShmComm-backed :class:`~repro.dirac.decomposed.DecomposedWilsonDirac`
-the gauge links also live in shared halo blocks; the wrapper checksums
-those through :meth:`repro.comm.shm.ShmComm.block_checksums` and re-scatters
-healed links back into shared memory.
+For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` on a process
+backend the gauge links also live in rank-resident halo blocks; the wrapper
+checksums those through
+:meth:`repro.comm.pool.RankPoolComm.block_checksums` and re-scatters healed
+links back into the blocks.
 """
 
 from __future__ import annotations
@@ -157,15 +158,11 @@ class GuardedOperator(LinearOperator):
         )
         comm = getattr(op, "comm", None)
         # Block-level guarding works on any backend exposing per-rank block
-        # storage with checksums: shm (master views worker memory directly)
-        # or a remote-block backend like tcp (command-synchronised mirrors).
+        # storage with checksums: shm (master maps rank memory) or tcp/mpi
+        # (master copies synchronised at command boundaries).
         self._shm = (
             comm is not None
-            and (
-                getattr(comm, "supports_shared_blocks", False)
-                or getattr(comm, "supports_remote_blocks", False)
-            )
-            and hasattr(comm, "block_checksums")
+            and getattr(comm, "supports_rank_blocks", False)
             and hasattr(op, "_u_key")
         )
         self._shared_crcs = (

@@ -26,8 +26,9 @@ Quickstart::
     print(telemetry.report())
     telemetry.save_snapshot("metrics.json")
 
-Per-rank aggregation: a closing :class:`~repro.comm.shm.ShmComm` gathers
-every worker's registry into the master's as ``rank<r>/...`` counters.
+Per-rank aggregation: a closing process communicator
+(:class:`~repro.comm.pool.RankPoolComm`) gathers every rank's registry
+into the master's as ``rank<r>/...`` counters.
 The ``repro.tools.perf_report`` CLI diffs saved snapshots against a
 baseline, which is how CI holds perf PRs to these numbers.
 """

@@ -9,9 +9,8 @@ two branches.
 
 In ``counters`` mode a closing span accumulates ``time/<name>`` (seconds)
 and ``calls/<name>`` in the global registry — the data behind the
-:func:`repro.telemetry.report` breakdown table, the role
-``util.timing.StopWatch`` used to play.  In ``trace`` mode it additionally
-appends one complete ("X") event to the process trace buffer, which
+:func:`repro.telemetry.report` breakdown table.  In ``trace`` mode it
+additionally appends one complete ("X") event to the process trace buffer, which
 :func:`export_chrome_trace` serialises in the Chrome trace-event JSON
 format (the ``{"traceEvents": [...]}`` envelope with ``ph``/``ts``/``dur``
 in microseconds) that ``chrome://tracing`` and Perfetto load directly.
@@ -152,8 +151,8 @@ class span:
 
     Usable at any telemetry mode; at ``off`` it records nothing and skips
     the clock reads.  The measured duration is exposed as ``elapsed``
-    (seconds) for callers that want the number regardless of mode (the
-    StopWatch shim), via ``always_time=True``.
+    (seconds) for callers that want the number regardless of mode, via
+    ``always_time=True``.
     """
 
     __slots__ = ("name", "cat", "args", "elapsed", "always_time", "_t0", "_recording")

@@ -1,17 +1,10 @@
-"""Wall-clock timing helpers used by the benchmark harness.
-
-:class:`StopWatch` now lives in :mod:`repro.telemetry.compat` as a
-deprecated shim over telemetry spans; it is re-exported here so existing
-imports keep working.
-"""
+"""Wall-clock timing helpers used by the benchmark harness."""
 
 from __future__ import annotations
 
 import time
 
-from repro.telemetry.compat import StopWatch
-
-__all__ = ["Timer", "StopWatch"]
+__all__ = ["Timer"]
 
 
 class Timer:

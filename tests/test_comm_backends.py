@@ -27,6 +27,8 @@ from repro.comm import (
     make_comm,
     resolve_comm_name,
 )
+from repro.comm.mpi import MpiComm
+from repro.comm.pool import RankPoolComm
 from repro.comm.registry import _COMM_NAMES
 from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.fields import GaugeField, random_fermion
@@ -212,6 +214,30 @@ class TestContextProtocol:
             assert comm.allreduce_sum([1.0]) == 1.0
         comm.close()
         comm.close()
+
+
+class TestOneMasterClass:
+    #: What a transport may define: byte moving, spawn/rendezvous, teardown.
+    HOOKS = {
+        "name", "ships_payloads", "__init__", "_rendezvous",
+        "_send", "_recv", "_new_block", "_sever", "_release",
+    }
+
+    def test_transports_define_only_hooks(self):
+        # Needs no mpi4py: the only coverage ``repro.comm.mpi`` gets here.
+        def public(cls):
+            return {n for n in dir(cls) if not n.startswith("_")}
+
+        for cls in (ShmComm, TcpComm, MpiComm):
+            assert issubclass(cls, RankPoolComm)
+            assert public(cls) == public(RankPoolComm), cls.__name__
+            own = set(vars(cls)) - {"__module__", "__doc__"}
+            assert own <= self.HOOKS, (cls.__name__, own - self.HOOKS)
+            assert {"_send", "_recv", "_release"} <= own, cls.__name__
+
+    def test_tuple_grid_is_coerced_by_the_base(self):
+        with ShmComm((1, 1, 1, 1), **COMM_KW) as comm:
+            assert comm.grid == RankGrid((1, 1, 1, 1))
 
 
 class TestRegistry:

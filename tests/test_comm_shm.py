@@ -115,14 +115,12 @@ class TestFaultTolerance:
             assert comm.ping() is True
 
     def test_atexit_registry_closes_stragglers(self):
-        # _LIVE_COMMS / close_live_comms moved to repro.comm.lifecycle; the
-        # shm module re-exports both for pre-lifecycle callers.
-        from repro.comm.shm import _LIVE_COMMS, close_live_comms
+        from repro.comm.lifecycle import LIVE_COMMS, close_live_comms
 
         comm = ShmComm(RankGrid((1, 1, 1, 1)))
         prefix = comm._prefix
         comm.alloc_blocks(comm.new_key("y"), (2, 2, 2, 2, 4, 3), np.complex128)
-        assert comm in _LIVE_COMMS
+        assert comm in LIVE_COMMS
         close_live_comms()  # what atexit runs if the driver dies with comms open
         assert comm._closed
         assert not _segment_names(prefix)

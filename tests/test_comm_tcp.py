@@ -20,6 +20,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import (
     CommConnectError,
@@ -30,12 +32,16 @@ from repro.comm import (
     TcpComm,
     TornFrameError,
     VirtualComm,
+    make_comm,
 )
 from repro.comm.frame import (
     FRAME_MAGIC,
+    TAG_OBJ,
     TAG_RAW,
     recv_frame,
+    recv_msg,
     send_frame,
+    send_msg,
 )
 from repro.comm.tcp import run_worker
 
@@ -124,6 +130,40 @@ class TestFraming:
             recv_frame(b)
         a.close(), b.close()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_adversarial_stream_raises_only_typed_faults(self, data):
+        # A valid control stream (what master and ranks exchange), then
+        # CRC-valid frames with arbitrary payloads spliced in, then one
+        # truncation / bit flip / splice of the byte stream.  The reader
+        # may decode some messages; it must end in a CommError subclass —
+        # never a pickle error, a struct error, or a hang.
+        a, b = self._pair()
+        send_msg(a, ("dslash", "psi1", 1, (1.0, -1.0)), b"\x01" * 64)
+        send_msg(a, ("ok", None))
+        junk = st.tuples(st.sampled_from([TAG_OBJ, TAG_RAW, 9]), st.binary(max_size=48))
+        for tag, payload in data.draw(st.lists(junk, max_size=3)):
+            send_frame(a, payload, tag)
+        stream = bytearray(b.recv(1 << 16))  # the wire bytes, to damage and replay
+        mutation = data.draw(st.sampled_from(["none", "truncate", "flip", "splice"]))
+        at = data.draw(st.integers(0, len(stream) - 1))
+        if mutation == "truncate":
+            del stream[at:]
+        elif mutation == "flip":
+            stream[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif mutation == "splice":
+            lo = data.draw(st.integers(0, len(stream) - 1))
+            stream[at:at] = stream[lo : lo + data.draw(st.integers(1, 32))]
+        b.settimeout(0.2)
+        a.sendall(bytes(stream))
+        a.close()
+        t0 = time.monotonic()
+        with pytest.raises(CommError):
+            while True:
+                recv_msg(b)
+        assert time.monotonic() - t0 < 2.0
+        b.close()
+
 
 # -- connect / rendezvous faults ----------------------------------------------
 
@@ -170,9 +210,12 @@ class TestRuntimeFaults:
         assert not any(_proc_alive(p) for p in pids), "orphan rank process"
 
     def test_recv_timeout_via_wedged_rank(self):
-        with TcpComm(GRID2, timeout=1.0, connect_timeout=20.0) as comm:
-            with pytest.raises(CommTimeoutError, match="rank"):
-                comm._command(("sleep", 5.0))
+        # Same drill on both process transports: the deadline lives in the
+        # shared command sweep, the ``sleep`` op in the shared executor.
+        for backend, kw in (("tcp", {"connect_timeout": 20.0}), ("shm", {})):
+            with make_comm(GRID2, backend, timeout=1.0, **kw) as comm:
+                with pytest.raises(CommTimeoutError, match="rank"):
+                    comm._command(("sleep", 5.0))
 
     def test_fault_injector_kill_hook(self):
         from repro.campaign.faults import FaultInjector

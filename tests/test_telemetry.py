@@ -551,56 +551,6 @@ class TestBitParity:
         assert not (base_dir / "metrics.jsonl").exists()  # off journals nothing
 
 
-# -- StopWatch compatibility shim ---------------------------------------------
-
-
-class TestStopWatchShim:
-    def _make(self):
-        from repro.util.timing import StopWatch
-
-        with pytest.warns(DeprecationWarning, match="StopWatch is deprecated"):
-            return StopWatch()
-
-    def test_alias_identity(self):
-        from repro.telemetry.compat import StopWatch as CompatWatch
-        from repro.util.timing import StopWatch as TimingWatch
-
-        assert TimingWatch is CompatWatch
-
-    def test_laps_accumulate_regardless_of_mode(self):
-        watch = self._make()
-        watch.start("a")
-        watch.stop("a")
-        watch.start("a")
-        watch.stop("a")
-        watch.start("b")
-        watch.stop("b")
-        assert watch.counts == {"a": 2, "b": 1}
-        assert watch.total() == pytest.approx(sum(watch.laps.values()))
-        assert sum(watch.breakdown().values()) == pytest.approx(1.0)
-        assert _nonzero_counters() == {}  # off mode: no registry feed
-
-    def test_feeds_registry_when_counting(self):
-        watch = self._make()
-        with telemetry_mode("counters"):
-            watch.start("phase")
-            watch.stop("phase")
-        reg = get_registry()
-        assert reg.get("calls/phase") == 1
-        assert reg.get("time/phase") == pytest.approx(watch.laps["phase"])
-
-    def test_feeds_trace_buffer_in_trace_mode(self):
-        watch = self._make()
-        with telemetry_mode("trace"):
-            watch.start("x")
-            watch.start("y")  # interleaved, non-LIFO: the old contract
-            watch.stop("x")
-            watch.stop("y")
-        events = get_trace_buffer().events
-        assert [e["name"] for e in events] == ["x", "y"]
-        assert all(e["ph"] == "X" and e["cat"] == "stopwatch" for e in events)
-
-
 # -- per-rank aggregation over ShmComm ----------------------------------------
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.util import (
     FlopCounter,
-    StopWatch,
     Table,
     Timer,
     WILSON_DSLASH_FLOPS_PER_SITE,
@@ -77,28 +76,6 @@ class TestTimers:
         with Timer() as t:
             sum(range(1000))
         assert t.elapsed >= 0.0
-
-    def test_stopwatch_accumulates_and_counts(self):
-        sw = StopWatch()
-        for _ in range(3):
-            sw.start("phase")
-            sw.stop("phase")
-        assert sw.counts["phase"] == 3
-        assert sw.laps["phase"] >= 0.0
-
-    def test_stopwatch_breakdown_sums_to_one(self):
-        sw = StopWatch()
-        sw.start("a")
-        sum(range(10000))
-        sw.stop("a")
-        sw.start("b")
-        sum(range(10000))
-        sw.stop("b")
-        frac = sw.breakdown()
-        assert frac["a"] + frac["b"] == pytest.approx(1.0)
-
-    def test_stopwatch_empty_breakdown(self):
-        assert StopWatch().breakdown() == {}
 
 
 class TestFlops:
