@@ -9,13 +9,19 @@ by side with the machine-model prediction for a host-calibrated spec — the
 zero-distance validation of the model that E9 performs at one rank,
 extended to real rank-parallel execution.
 
+Efficiency against a 1-rank decomposed run says how well the ranks
+scale, not whether decomposing pays: every row therefore also times the
+single-domain ``fused`` operator on the same global lattice
+(``t_fused``) and reports ``vs fused = t_fused / t_dslash``, the
+speed-up over the best serial code.  The ranks run that same core on
+their blocks, so at one rank the ratio is what scatter, gather, the
+command round trip and the ghost slabs cost.
+
 Where the host has fewer cores than ranks the measured columns show no
 speedup while the model assumes one core per rank.  Every row therefore
 archives how many cores the run could see (``os.cpu_count()``) and use
 (``len(os.sched_getaffinity(0))``), so a gap between the two efficiency
-columns can be held against the host that produced it; the archived
-2-rank efficiencies of 0.33-0.52 were taken with 2 cores visible and
-their cause is unverified.
+columns can be held against the host that produced it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 from repro.comm import make_comm, resolve_comm_name
 from repro.dirac.decomposed import DecomposedWilsonDirac
+from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
 from repro.machine.calibrate import host_comm_spec, measured_memcpy_bandwidth
@@ -57,6 +64,7 @@ class MeasuredPoint:
     efficiency: float  # measured parallel efficiency
     modeled_efficiency: float  # machine-model prediction, same spec family
     iterations: int  # timed repeats behind ``time_dslash``
+    time_fused: float  # single-domain ``fused`` apply on the same global lattice [s]
     cpus: int = os.cpu_count() or 1  # cores the host reports
     affinity: int = len(os.sched_getaffinity(0))  # cores this process may run on
 
@@ -71,6 +79,8 @@ class MeasuredPoint:
             self.speedup,
             self.efficiency,
             self.modeled_efficiency,
+            self.time_fused,
+            self.time_fused / self.time_dslash,
             self.cpus,
             self.affinity,
         ]
@@ -87,6 +97,8 @@ class MeasuredPoint:
             "speedup",
             "eff (meas)",
             "eff (model)",
+            "t_fused [s]",
+            "vs fused",
             "cpus",
             "affinity",
         ]
@@ -109,13 +121,14 @@ def host_shm_spec(
     return host_comm_spec("shm", lattice=lattice, repeats=repeats)
 
 
-def _time_apply(op: DecomposedWilsonDirac, psi: np.ndarray, repeats: int) -> float:
+def _time_apply(op, psi: np.ndarray, repeats: int) -> float:
     """Best-of-``repeats`` wall time of one operator application."""
-    op.apply(psi)  # warm-up: workspace buffers, worker attach, caches
+    out = np.empty_like(psi)
+    op.apply_into(psi, out)  # warm-up: workspace buffers, worker attach, caches
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        op.apply(psi)
+        op.apply_into(psi, out)
         best = min(best, time.perf_counter() - t0)
     return best
 
@@ -144,13 +157,15 @@ def _measure_points(
     mass: float,
     repeats: int,
     rng: int,
-) -> list[tuple[int, tuple, tuple, tuple, float]]:
-    """Time one Dslash apply for each ``(ranks, grid_dims, global_shape)``."""
+) -> list[tuple[int, tuple, tuple, tuple, float, float]]:
+    """Time one Dslash apply, decomposed and single-domain ``fused``, for
+    each ``(ranks, grid_dims, global_shape)``."""
     rows = []
     for nranks, dims, global_shape in configs:
         lattice = Lattice4D(global_shape)
         gauge = GaugeField.hot(lattice, rng=rng)
         psi = random_fermion(lattice, rng=rng + 1)
+        t_fused = _time_apply(WilsonDirac(gauge, mass, kernel="fused"), psi, repeats)
         comm = make_comm(dims, comm_name)
         try:
             op = DecomposedWilsonDirac(gauge, mass, comm)
@@ -158,7 +173,7 @@ def _measure_points(
         finally:
             comm.close()
         local = tuple(g // d for g, d in zip(global_shape, dims))
-        rows.append((nranks, dims, global_shape, local, t))
+        rows.append((nranks, dims, global_shape, local, t, t_fused))
     return rows
 
 
@@ -198,7 +213,7 @@ def e2_weak_scaling_measured(
 
     base_rate = None
     points = []
-    for nranks, dims, global_shape, local, t in measured:
+    for nranks, dims, global_shape, local, t, t_fused in measured:
         volume = int(np.prod(global_shape))
         rate_per_rank = volume / t / nranks
         if base_rate is None:
@@ -215,6 +230,7 @@ def e2_weak_scaling_measured(
                 efficiency=rate_per_rank / base_rate,
                 modeled_efficiency=modeled[nranks],
                 iterations=repeats,
+                time_fused=t_fused,
             )
         )
     title = (
@@ -257,7 +273,7 @@ def e3_strong_scaling_measured(
     base_ranks = None
     points = []
     volume = int(np.prod(global_shape))
-    for nranks, dims, gshape, local, t in measured:
+    for nranks, dims, gshape, local, t, t_fused in measured:
         if base_time is None:
             base_time, base_ranks = t, nranks
         speedup = base_time / t
@@ -273,6 +289,7 @@ def e3_strong_scaling_measured(
                 efficiency=speedup / (nranks / base_ranks),
                 modeled_efficiency=modeled[nranks],
                 iterations=repeats,
+                time_fused=t_fused,
             )
         )
     title = (

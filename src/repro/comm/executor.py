@@ -147,20 +147,26 @@ class RankExecutor:
         phases: tuple[complex, complex, complex, complex] | None,
     ) -> None:
         """Fill this rank's ghost shells from neighbour faces + local wraps."""
+        pending = self._post_faces(key, width, site_axis_start)
+        self._fill_ghosts(key, width, site_axis_start, phases, pending)
+
+    def _post_faces(self, key: str, width: int, site_axis_start: int):
+        """Start sending this rank's source faces; what :meth:`_fill_ghosts` joins."""
         arr = self.blocks[key]
-        rank, grid, peers = self.rank, self.grid, self.peers
-
-        def slab(mu: int, role: str) -> tuple:
-            return face_index(arr.ndim, site_axis_start, width, mu, role)
-
+        rank, grid = self.rank, self.grid
         faces = []
         for mu in range(4):
             nb_hi = grid.neighbor(rank, mu, +1)
             if nb_hi != rank:
                 nb_lo = grid.neighbor(rank, mu, -1)
-                faces.append((nb_hi, face_tag(mu, True), arr[slab(mu, "src_hi")]))
-                faces.append((nb_lo, face_tag(mu, False), arr[slab(mu, "src_lo")]))
-        pending = peers.send_faces(faces)
+                for nb, role in ((nb_hi, "src_hi"), (nb_lo, "src_lo")):
+                    slab = face_index(arr.ndim, site_axis_start, width, mu, role)
+                    faces.append((nb, face_tag(mu, role == "src_hi"), arr[slab]))
+        return self.peers.send_faces(faces)
+
+    def _fill_ghosts(self, key: str, width: int, site_axis_start: int, phases, pending) -> None:
+        arr = self.blocks[key]
+        rank, grid, peers = self.rank, self.grid, self.peers
         try:
             for mu in range(4):
                 for sign, ghost_role, src_role in (
@@ -168,8 +174,8 @@ class RankExecutor:
                     (-1, "ghost_lo", "src_hi"),
                 ):
                     nb = grid.neighbor(rank, mu, sign)
-                    ghost = arr[slab(mu, ghost_role)]
-                    src = slab(mu, src_role)
+                    ghost = arr[face_index(arr.ndim, site_axis_start, width, mu, ghost_role)]
+                    src = face_index(arr.ndim, site_axis_start, width, mu, src_role)
                     if nb == rank:
                         # Undecomposed axis: the wrap is a local copy, exactly
                         # as the sequential exchange performs it.
@@ -185,17 +191,11 @@ class RankExecutor:
 
     # -- compute --------------------------------------------------------------
 
-    def dagger(self, u_key: str, udag_key: str) -> None:
-        from repro.kernels.halo import dagger_halo_links
-
-        dagger_halo_links(self.blocks[u_key], out=self.blocks[udag_key])
-
     def dslash(
         self,
         psi_key: str,
         out_key: str,
         u_key: str,
-        udag_key: str,
         width: int,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
@@ -204,27 +204,29 @@ class RankExecutor:
         """One Wilson apply on this rank: exchange + box stencil.
 
         With ``overlap`` the deep interior (which reads no ghosts) is
-        stenciled *before* the exchange, hiding face traffic behind
-        compute; the result is bit-identical either way because the boxes
-        partition the interior.
+        stenciled while this rank's faces are on their way, hiding face
+        traffic behind compute; a transport with nothing in flight (ranks
+        that map each other's memory) stencils the whole block in one
+        box after the copies.  The result is bit-identical either way
+        because the boxes partition the interior.
         """
         from repro.kernels.halo import full_box, split_boxes
 
         psi = self.blocks[psi_key]
         out = self.blocks[out_key]
         u = self.blocks[u_key]
-        udag = self.blocks[udag_key]
         local = out.shape[:4]
-        if overlap:
-            deep, boundary = split_boxes(local, width)
+        pending = self._post_faces(psi_key, width, 0)
+        deep, boxes = None, [full_box(local)]
+        if overlap and pending is not None:
+            deep, boxes = split_boxes(local, width)
+        try:
             if deep is not None:
-                self._stencil.wilson_box_into(out, u, udag, psi, width, deep, diag)
-            self.exchange(psi_key, width, 0, phases)
-            for box in boundary:
-                self._stencil.wilson_box_into(out, u, udag, psi, width, box, diag)
-        else:
-            self.exchange(psi_key, width, 0, phases)
-            self._stencil.wilson_box_into(out, u, udag, psi, width, full_box(local), diag)
+                self._stencil.wilson_box_into(out, u, None, psi, width, deep, diag)
+        finally:
+            self._fill_ghosts(psi_key, width, 0, phases, pending)
+        for box in boxes:
+            self._stencil.wilson_box_into(out, u, None, psi, width, box, diag)
 
     # -- command dispatch -----------------------------------------------------
 
@@ -247,15 +249,15 @@ class RankExecutor:
             if payload is not None:
                 self._load(key, payload)
             self.exchange(key, width, s0, phases)
+            # A link block whose bytes or ghosts were rewritten: its planes are stale.
+            self._stencil.invalidate(self.blocks[key])
             if payload is not None:
                 return None, self.blocks[key].tobytes()
-        elif op == "dagger":
-            self.dagger(cmd[1], cmd[2])
         elif op == "dslash":
-            _, psi_key, out_key, u_key, udag_key, width, phases, diag, overlap = cmd
+            _, psi_key, out_key, *args = cmd
             if payload is not None:
                 self._load(psi_key, payload)
-            self.dslash(psi_key, out_key, u_key, udag_key, width, phases, diag, overlap)
+            self.dslash(psi_key, out_key, *args)
             if payload is not None:
                 return None, self.blocks[out_key].tobytes()
         elif op == "reduce":

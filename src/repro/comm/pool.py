@@ -70,7 +70,7 @@ class RankPoolComm:
     Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol,
     plus the rank-block API the decomposed operator uses to run halo
     exchange and the Dslash stencil rank-parallel: :meth:`alloc_blocks`,
-    :meth:`exchange_shared`, :meth:`dagger_shared`, :meth:`run_dslash`.
+    :meth:`exchange_shared`, :meth:`run_dslash`.
     The arrays :meth:`alloc_blocks` returns are the master's side of each
     rank's block: the rank's own memory where the transport maps it, else
     a copy that commands synchronise (shipped in with the command, read
@@ -305,16 +305,11 @@ class RankPoolComm:
         self._record_exchange(key, width)
         self._run(("exchange", key, width, site_axis_start, phases), key, key)
 
-    def dagger_shared(self, u_key: str, udag_key: str) -> None:
-        """Each rank daggers its own gauge halo block into ``udag_key``."""
-        self._command(("dagger", u_key, udag_key))
-
     def run_dslash(
         self,
         psi_key: str,
         out_key: str,
         u_key: str,
-        udag_key: str,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
         width: int = 1,
@@ -322,8 +317,8 @@ class RankPoolComm:
     ) -> None:
         """One rank-parallel Wilson apply: exchange + stencil per rank.
 
-        With ``overlap`` the ranks stencil the deep interior before
-        touching ghosts (the interior/boundary split); the result is
+        With ``overlap`` the ranks stencil the deep interior while their
+        faces travel (the interior/boundary split); the result is
         bit-identical either way.  Halo traffic is recorded exactly as the
         sequential backend records it.  The links stay rank-resident from
         construction; where commands carry payloads only the source
@@ -332,7 +327,7 @@ class RankPoolComm:
         self._check_open()
         self._record_exchange(psi_key, width)
         self._run(
-            ("dslash", psi_key, out_key, u_key, udag_key, width, phases, diag, overlap),
+            ("dslash", psi_key, out_key, u_key, width, phases, diag, overlap),
             psi_key,
             out_key,
         )

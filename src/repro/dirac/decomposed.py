@@ -20,9 +20,11 @@ Two executors behind one operator:
   stencil its own block in parallel, overlapping the deep-interior stencil
   with the face traffic (``overlap``, on by default there).
 
-Both executors run the same face copies and the same box-wise stencil
-arithmetic, so their results — overlapped or not — are bit-for-bit
-identical to each other and to the ``hopping_term_halo`` reference below.
+Both executors run the same face copies and the same box-wise stencil —
+the single-domain ``fused`` plane core on each box, its wrapped slabs
+read from the ghosts — so their results, overlapped or not, are
+bit-for-bit identical to each other, to :class:`~repro.dirac.WilsonDirac`
+and to the ``hopping_term_halo`` reference below.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import LinearOperator
 from repro.fields import GaugeField
 from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
-from repro.kernels import HaloStencil, dagger_halo_links, full_box, split_boxes
+from repro.kernels import HaloStencil, full_box, split_boxes
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
 __all__ = ["DecomposedWilsonDirac", "hopping_term_halo"]
@@ -121,44 +123,47 @@ class DecomposedWilsonDirac(LinearOperator):
         w = self._WIDTH
         local = self.decomp.local_shape
         self._interior_idx = tuple(slice(w, -w) for _ in range(4))
+        self._block_idx = [self.decomp.block_slices(r) for r in comm.grid.all_ranks()]
         self._deep, self._boundary = split_boxes(local, w)
         self._full = [full_box(local)]
         self._stencil = HaloStencil()
 
-        # Gauge halos are filled once: links are constant during a solve and
-        # strictly periodic (no fermion phases).
-        u_blocks = self.decomp.scatter(gauge.u, site_axis_start=1)
         fermion_halo_shape = tuple(n + 2 * w for n in local) + (4, 3)
         gauge_halo_shape = (4,) + tuple(n + 2 * w for n in local) + (3, 3)
         if self._shared:
             self._u_key = comm.new_key("u")
             u_views = comm.alloc_blocks(self._u_key, gauge_halo_shape, np.complex128)
-            for r, b in enumerate(u_blocks):
-                u_views[r][(slice(None),) + self._interior_idx] = b
-            comm.exchange_shared(self._u_key, width=w, site_axis_start=1, phases=None)
-            self._u_halos = [HaloField(v, w, 1) for v in u_views]
-            self._udag_key = comm.new_key("udag")
-            comm.alloc_blocks(self._udag_key, gauge_halo_shape, np.complex128)
-            comm.dagger_shared(self._u_key, self._udag_key)
             self._psi_key = comm.new_key("psi")
-            self._psi_views = comm.alloc_blocks(
-                self._psi_key, fermion_halo_shape, np.complex128
-            )
+            psi_views = comm.alloc_blocks(self._psi_key, fermion_halo_shape, np.complex128)
             self._out_key = comm.new_key("out")
-            self._out_views = comm.alloc_blocks(
-                self._out_key, local + (4, 3), np.complex128
+            self._out_blocks = comm.alloc_blocks(self._out_key, local + (4, 3), np.complex128)
+        else:
+            u_views = [np.zeros(gauge_halo_shape, np.complex128) for _ in self._block_idx]
+            psi_views = [np.zeros(fermion_halo_shape, np.complex128) for _ in self._block_idx]
+            self._out_blocks = [np.empty(local + (4, 3), np.complex128) for _ in self._block_idx]
+        self._u_halos = [HaloField(v, w, 1) for v in u_views]
+        self._psi_halos = [HaloField(v, w, 0) for v in psi_views]
+        self.invalidate_kernel_cache()
+
+    def invalidate_kernel_cache(self) -> None:
+        """(Re)build the rank link blocks from ``gauge.u``.
+
+        Gauge halos are filled once: links are constant during a solve and
+        strictly periodic (no fermion phases).  Call again after an
+        *in-place* link update (the guard's heal); the exchange rewrites
+        each block, which is what makes a rank drop the link planes it
+        cached from it.
+        """
+        interior = (slice(None),) + self._interior_idx
+        for halo, idx in zip(self._u_halos, self._block_idx):
+            halo.data[interior] = self.gauge.u[(slice(None),) + idx]
+        if self._shared:
+            self.comm.exchange_shared(
+                self._u_key, width=self._WIDTH, site_axis_start=1, phases=None
             )
         else:
-            self._u_halos = [add_halo(b, width=w, site_axis_start=1) for b in u_blocks]
-            comm.exchange(self._u_halos, phases=None)
-            self._udag = [dagger_halo_links(h.data) for h in self._u_halos]
-            self._psi_halos = [
-                HaloField(np.zeros(fermion_halo_shape, np.complex128), w, 0)
-                for _ in range(comm.nranks)
-            ]
-            self._out_blocks = [
-                np.empty(local + (4, 3), np.complex128) for _ in range(comm.nranks)
-            ]
+            self.comm.exchange(self._u_halos, phases=None)
+        self._stencil.invalidate()
 
     @property
     def lattice(self):
@@ -177,48 +182,62 @@ class DecomposedWilsonDirac(LinearOperator):
         """Full decomposed cycle: scatter, exchange, stencil, gather."""
         if psi.dtype != np.complex128:
             return self._apply_reference(psi)
+        return self.apply_into(psi, np.empty_like(psi))
+
+    def apply_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if psi.dtype != np.complex128:
+            return super().apply_into(psi, out)
+        return self._cycle(psi, out, np.copyto)
+
+    def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
+        if psi.dtype != np.complex128:
+            return apply_gamma5(self._apply_reference(apply_gamma5(psi)))
+        return self.apply_dagger_into(psi, np.empty_like(psi))
+
+    def apply_dagger_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``M^dag = gamma5 M gamma5``, gamma5 = diag(1, 1, -1, -1) riding on
+        the scatter and gather copies as a sign on spin rows 2:4."""
+        if psi.dtype != np.complex128:
+            return super().apply_dagger_into(psi, out)
+        return self._cycle(psi, out, _copy_gamma5)
+
+    def _cycle(self, psi: np.ndarray, out: np.ndarray, copy) -> np.ndarray:
+        """Scatter ``psi`` with ``copy``, exchange + stencil, gather into ``out`` with it."""
         self._check_fermion(psi)
+        for halo, idx in zip(self._psi_halos, self._block_idx):
+            copy(halo.data[self._interior_idx], psi[idx])
         flops_rank = self.flops_per_apply // self.comm.nranks
-        ranks = self.comm.grid.all_ranks()
         if self._shared:
-            for r in ranks:
-                self._psi_views[r][self._interior_idx] = psi[
-                    self.decomp.block_slices(r)
-                ]
             self.comm.run_dslash(
                 self._psi_key,
                 self._out_key,
                 self._u_key,
-                self._udag_key,
                 self.phases,
                 self.diag,
                 width=self._WIDTH,
                 overlap=self.overlap,
             )
             self.comm.record_compute("wilson_dslash", flops_rank)
-            return self.decomp.gather(self._out_views)
-
-        # Sequential executor: same schedule, master loops over the ranks.
-        for r in ranks:
-            self._psi_halos[r].data[self._interior_idx] = psi[
-                self.decomp.block_slices(r)
-            ]
-        if self.overlap and self._deep is not None:
+        else:
+            # Sequential executor: same schedule, master loops over the ranks.
+            ranks = self.comm.grid.all_ranks()
+            if self.overlap and self._deep is not None:
+                for r in ranks:
+                    self._wilson_box(r, self._deep)
+            self.comm.exchange(self._psi_halos, phases=self.phases)
+            self.comm.record_compute("wilson_dslash", flops_rank)
             for r in ranks:
-                self._wilson_box(r, self._deep)
-        self.comm.exchange(self._psi_halos, phases=self.phases)
-        self.comm.record_compute("wilson_dslash", flops_rank)
-        boxes = self._boundary if self.overlap else self._full
-        for r in ranks:
-            for box in boxes:
-                self._wilson_box(r, box)
-        return self.decomp.gather(self._out_blocks)
+                for box in self._boundary if self.overlap else self._full:
+                    self._wilson_box(r, box)
+        for block, idx in zip(self._out_blocks, self._block_idx):
+            copy(out[idx], block)
+        return out
 
     def _wilson_box(self, rank: int, box) -> None:
         self._stencil.wilson_box_into(
             self._out_blocks[rank],
             self._u_halos[rank].data,
-            self._udag[rank],
+            None,
             self._psi_halos[rank].data,
             self._WIDTH,
             box,
@@ -238,5 +257,8 @@ class DecomposedWilsonDirac(LinearOperator):
         ]
         return self.decomp.gather(out_blocks)
 
-    def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
-        return apply_gamma5(self.apply(apply_gamma5(psi)))
+
+def _copy_gamma5(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst = gamma5 src`` on (..., spin, colour) fields."""
+    np.copyto(dst[..., :2, :], src[..., :2, :])
+    np.negative(src[..., 2:, :], out=dst[..., 2:, :])

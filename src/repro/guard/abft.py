@@ -267,15 +267,8 @@ class GuardedOperator(LinearOperator):
         if invalidate is not None:
             invalidate()
         if self._shm:
-            # Re-scatter the healed links into the shared halo blocks and
-            # rebuild the ghost shells + pre-daggered tables.
-            op = self.op
-            w = op._WIDTH
-            interior = (slice(None),) + tuple(slice(w, -w) for _ in range(4))
-            for r, halo in enumerate(op._u_halos):
-                halo.data[interior] = self._u[(slice(None),) + op.decomp.block_slices(r)]
-            op.comm.exchange_shared(op._u_key, width=w, site_axis_start=1, phases=None)
-            op.comm.dagger_shared(op._u_key, op._udag_key)
-            self._shared_crcs = list(op.comm.block_checksums(op._u_key))
+            # The operator's invalidate re-scattered the healed links into
+            # the rank blocks and refilled their ghosts.
+            self._shared_crcs = list(self.op.comm.block_checksums(self.op._u_key))
         if self._checksum is not None:
             self._checksum = LinkChecksum.encode(self._u)

@@ -3,7 +3,8 @@
 The performance subsystem of the operator stack: a scratch-buffer arena
 (:class:`Workspace`), allocation-free slab shifts (:func:`shift_into`),
 the fused site-minor split-complex hopping kernel
-(:class:`FusedHopping`), the Numba-jitted cache-blocked site-loop kernel
+(:class:`FusedHopping`) and the same core on a rank's halo-extended
+block (:class:`HaloStencil`), the Numba-jitted cache-blocked site-loop kernel
 (:class:`CompiledHopping`), and a registry of named kernels
 (``reference`` / ``fused`` / ``compiled`` / ``naive`` /
 ``compiled-python``) selectable per operator or via the ``REPRO_KERNEL``
@@ -18,8 +19,6 @@ by tier-1 property tests).
 
 from repro.kernels.workspace import Workspace
 from repro.kernels.shifts import shift_into, site_neighbor_tables
-from repro.kernels.color import color_mul_into
-from repro.kernels.spin import project_into, reconstruct_accumulate
 from repro.kernels.fused import FusedHopping
 from repro.kernels.halo import HaloStencil, dagger_halo_links, split_boxes, full_box
 from repro.kernels.registry import (
@@ -36,9 +35,6 @@ __all__ = [
     "Workspace",
     "shift_into",
     "site_neighbor_tables",
-    "color_mul_into",
-    "project_into",
-    "reconstruct_accumulate",
     "FusedHopping",
     "HaloStencil",
     "dagger_halo_links",

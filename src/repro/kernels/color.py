@@ -1,33 +1,20 @@
-"""The SU(3) colour multiply, in the two layouts the kernels use.
+"""The SU(3) colour multiply on site-minor real planes.
 
-``(U h)_{s a} = U_{a b} h_{s b}`` on half spinors against links.  The
-reference kernel and the halo stencil work on interleaved complex arrays
-((..., 2, 3) against (..., 3, 3)) through :func:`color_mul_into`; the
-fused kernel works on site-minor real planes through
-:func:`color_mul_planes_into`.  Both evaluate every output element as the
-same left-to-right three-term sum ``t_0 + t_1 + t_2`` with
-``Re t_b = Ur hr - Ui hi`` and ``Im t_b = Ur hi + Ui hr``, each product
-rounded once, so they agree bit for bit: einsum's complex sum-of-products
-loop is written that way, and the plane form spells it out with real
-ufuncs (a complex ``np.multiply`` would not do: its SIMD loop contracts
-the products into fused multiply-adds).
+``(U h)_{s a} = U_{a b} h_{s b}`` on half spinors against links.  Every
+output element is the left-to-right three-term sum ``t_0 + t_1 + t_2``
+with ``Re t_b = Ur hr - Ui hi`` and ``Im t_b = Ur hi + Ui hr``, each
+product rounded once — the way einsum's complex sum-of-products loop in
+the reference kernel evaluates it, so the two agree bit for bit.  The
+plane form spells it out with real ufuncs (a complex ``np.multiply``
+would not do: its SIMD loop contracts the products into fused
+multiply-adds).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["color_mul_into", "color_mul_planes_into"]
-
-
-def color_mul_into(out: np.ndarray, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``out[..., s, a] = sum_b u[..., a, b] h[..., s, b]`` (gauge x half spinor).
-
-    ``u`` broadcasts over leading axes of ``h`` (the 5-D domain-wall
-    field shares one 4-D gauge field across all s-slices).
-    """
-    np.einsum("...ab,...sb->...sa", u, h, out=out)
-    return out
+__all__ = ["color_mul_planes_into"]
 
 
 def color_mul_planes_into(

@@ -20,6 +20,17 @@ operation is a real ufunc over V-long contiguous rows:
   serves both and no shifted, daggered copy of the gauge field exists;
 * the 8 direction terms accumulate in the reference's order.
 
+The wrapped slab of a shift has two sources, and that is all that
+separates a periodic lattice from a rank of a decomposed one
+(:class:`repro.kernels.halo.HaloStencil` runs :meth:`FusedHopping.hop_planes`
+on its box).  A boundary phase of +-1 takes the field's own far face
+times that sign, which commutes with everything downstream.  Anything
+else is a slab of full spinors read from a field — the far face times a
+general phase, multiplied the way the reference multiplies it because
+that rounding does not commute, or the sites just outside a rank's box —
+projected and, for the backward term, multiplied by the ``U^dag`` of
+those sites before it lands in the shifted stack.
+
 A single-RHS field, a 5-D domain-wall field and a multi-RHS block differ
 only in the extent of the ``rhs`` axis, which the links broadcast over;
 a width-1 block *is* a single apply.
@@ -35,10 +46,6 @@ three half-spinor stacks and a bounded block whatever the volume.
 Every arithmetic operation is value-identical to the reference path —
 signs and plane swaps are exact, and sums run in the reference's order —
 so the two kernels agree bit-for-bit (asserted by the tier-1 tests).
-Boundary phases of +-1 are a sign on the wrapped slab, which commutes
-with everything downstream.  Any other phase is applied the way the
-reference applies it, by NumPy's complex multiply on the source slab
-before projection, because that rounding does not commute.
 
 The link-table cache is keyed on the *identity* of the gauge array, the
 same freeze-at-construction contract the clover operator already uses
@@ -49,6 +56,8 @@ after any in-place link update.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -77,6 +86,16 @@ _BLOCK_BYTES = 3 << 17
 _UFUNC_BUFSIZE = 64
 
 
+@contextmanager
+def ufunc_rows():
+    """Run the enclosed plane arithmetic with the small ufunc buffer."""
+    bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
+
+
 def _site_minor(a: np.ndarray) -> np.ndarray:
     """(rhs, *sites, spin, colour) -> (spin, rhs, colour, *sites), as a view."""
     n = a.ndim
@@ -88,47 +107,69 @@ def _slab(mu: int, index) -> tuple:
     return (slice(None),) * (1 + mu) + (index,)
 
 
-def _wrap_sign(phase: complex) -> float | None:
-    """``+-1.0`` for a boundary phase that is exactly that, else None."""
-    return float(np.real(phase)) if phase == 1 or phase == -1 else None
+def load_planes(planes: np.ndarray, block: np.ndarray) -> None:
+    """``planes`` (re|im, spin, rhs, colour, *sites) = the complex ``block``, transposed."""
+    planes[0] = _site_minor(block.real)
+    planes[1] = _site_minor(block.imag)
 
 
-def _load_planes(planes: np.ndarray, X: np.ndarray, where: tuple, phase: complex = 1.0) -> None:
-    """``planes[where] = phase * X[where]``, transposed to site-minor planes.
+def store_planes(block: np.ndarray, planes: np.ndarray) -> None:
+    """The inverse of :func:`load_planes`: complex ``block`` = ``planes``."""
+    _site_minor(block.real)[...] = planes[0]
+    _site_minor(block.imag)[...] = planes[1]
 
-    ``where`` indexes ``X``; the same site selection sits three axes
-    further back in ``planes`` (re|im, spin, rhs, colour, *sites).
+
+def link_planes(u: np.ndarray) -> np.ndarray:
+    """``links[g, re|im, a, b, site]``, contiguous, of a (G, *sites, 3, 3) link array or view."""
+    volume = u[0].size // 9
+    links = np.empty((len(u), 2, 3, 3, volume), dtype=u.real.dtype)
+    for g in range(len(u)):
+        sites = u[g].reshape(volume, 3, 3).transpose(1, 2, 0)
+        links[g, 0] = sites.real
+        links[g, 1] = sites.imag
+    return links
+
+
+def plan(volume: int, nrhs: int, itemsize: int) -> tuple[int, int]:
+    """``(step, group)``: rhs columns per pass and directions per multiply call.
+
+    As many half-spinor pairs (one per direction and rhs: the colour
+    multiply's scratch, 24 reals a site) as meet the working-set target.
+    Columns beyond that go through in equal sub-blocks; when all fit
+    with room to spare, 2 or 4 directions share one multiply call.
     """
-    block = X[where]
-    if phase != 1.0:
-        block = block * phase
-    dst = (slice(None),) * 3 + where[1:]
-    planes[0][dst] = _site_minor(block.real)
-    planes[1][dst] = _site_minor(block.imag)
-
-
-def _project(h: np.ndarray, planes: np.ndarray, X: np.ndarray, mu: int, s: int, phase) -> None:
-    """Project ``(1 + s gamma_mu)`` at the source, for the gather that follows.
-
-    The sources that will wrap (``x_mu = 0`` for the forward term
-    ``s = -1``, the last slab for the backward one) carry a general
-    ``phase`` already here: the slab of ``planes`` is reloaded from
-    ``phase * X`` for the projection and restored after it.  A phase of
-    +-1 is left to the shift.
-    """
-    if _wrap_sign(phase) is not None:
-        project_planes_into(h, planes, mu, s)
-        return
-    where = _slab(mu, 0 if s < 0 else X.shape[1 + mu] - 1)
-    _load_planes(planes, X, where, phase)
-    project_planes_into(h, planes, mu, s)
-    _load_planes(planes, X, where)
+    pairs = _BLOCK_BYTES // (24 * volume * itemsize)
+    step = _equal_parts(nrhs, pairs)
+    return step, 4 if pairs >= 4 * step else 2 if pairs >= 2 * step else 1
 
 
 def _equal_parts(n: int, limit: int) -> int:
     """Part size that splits ``n`` into the fewest equal parts of at most ``limit``."""
     count = -(-n // max(1, limit))
     return -(-n // count)
+
+
+def _periodic_wrap(X: np.ndarray, phases, links: np.ndarray):
+    """Wrapped-slab sources of a periodic lattice (see :meth:`FusedHopping.hop_planes`).
+
+    The sources that wrap are ``x_mu = 0`` for the forward term
+    (``s = -1``) and the last slab for the backward one, which carries
+    the conjugate phase and the links of that slab.
+    """
+    dims = X.shape[1:5]
+
+    def wrap(mu: int, s: int):
+        phase = phases[mu]
+        if phase == 1 or phase == -1:
+            return float(phase.real)
+        far = _slab(mu, slice(0, 1) if s < 0 else slice(dims[mu] - 1, None))
+        spinors = (X[far] * (phase if s < 0 else np.conj(phase))).astype(X.dtype, copy=False)
+        if s < 0:
+            return spinors, None
+        u_far = links[mu : mu + 1].reshape((1, 2, 3, 3) + dims)[(slice(None),) * 3 + far]
+        return spinors, u_far.reshape(1, 2, 3, 3, -1)
+
+    return wrap
 
 
 class FusedHopping:
@@ -151,15 +192,9 @@ class FusedHopping:
         self._links = None
 
     def _link_planes(self, u: np.ndarray) -> np.ndarray:
-        """``links[mu, re|im, a, b, site]``, contiguous, cached per gauge array."""
+        """:func:`link_planes` of the four directions, cached per gauge array."""
         if self._u_ref is not u:
-            volume = u[0].size // 9
-            links = np.empty((4, 2, 3, 3, volume), dtype=u.real.dtype)
-            for mu in range(4):
-                sites = u[mu].reshape(volume, 3, 3).transpose(1, 2, 0)
-                links[mu, 0] = sites.real
-                links[mu, 1] = sites.imag
-            self._links = links
+            self._links = link_planes(u)
             self._u_ref = u
         return self._links
 
@@ -219,25 +254,29 @@ class FusedHopping:
         nrhs, dims = X.shape[0], X.shape[1:5]
         if dims != u.shape[1:5]:
             raise ValueError(f"field sites {dims} do not match the gauge field {u.shape[1:5]}")
-        # How many half-spinor pairs (one per direction and rhs: the colour
-        # multiply's scratch, 24 reals a site) meet the working-set target.
-        # Columns beyond that go through in equal sub-blocks; when all fit
-        # with room to spare, 2 or 4 directions share one multiply call.
-        pairs = _BLOCK_BYTES // (24 * (u[0].size // 9) * X.real.itemsize)
-        step = _equal_parts(nrhs, pairs)
-        group = 4 if pairs >= 4 * step else 2 if pairs >= 2 * step else 1
-        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-        try:
+        links = self._link_planes(u)
+        step, group = plan(links.shape[-1], nrhs, X.real.itemsize)
+        with ufunc_rows():
             for r in range(0, nrhs, step):
-                self._hop_planes(u, X[r : r + step], phases, out[r : r + step], group)
-        finally:
-            np.setbufsize(bufsize)
+                block = X[r : r + step]
+                _, acc = self.hop_planes(links, block, _periodic_wrap(block, phases, links), group)
+                store_planes(out[r : r + step], acc)
         return out
 
-    def _hop_planes(self, u, X, phases, out, group: int) -> None:
-        """:meth:`_hop` on one sub-block: load planes, 8 direction terms, store."""
+    def hop_planes(self, links: np.ndarray, X: np.ndarray, wrap, group: int):
+        """Field and hopping-term planes of one (rhs, T, Z, Y, X, 4, 3) block.
+
+        The core every fused stencil runs, on a lattice or on a rank's
+        box: load planes, 8 direction terms in the reference's order.
+        ``links`` are the :func:`link_planes` of the block's sites and
+        ``wrap(mu, s)`` names the source of the slab that term
+        ``(1 + s gamma_mu)`` gathers from outside the block: a sign, for
+        the block's own far face times it, or ``(spinors, links)`` — the
+        full spinors of those sites, one slab thick along ``mu``, and for
+        the backward term the planes of their ``U_mu``.  Returns workspace
+        buffers ``(psi, acc)``, the caller's to overwrite.
+        """
         nrhs, dims = X.shape[0], X.shape[1:5]
-        links = self._link_planes(u)
         ws = self.workspace
         rdtype = links.dtype
 
@@ -251,28 +290,44 @@ class FusedHopping:
         # Time blocks keep the strided side of the transposing copy in cache.
         t_block = max(1, _BLOCK_BYTES // (X[:, 0].size * X.itemsize))
         for t0 in range(0, dims[0], t_block):
-            _load_planes(psi, X, _slab(0, slice(t0, t0 + t_block)))
+            t = slice(t0, t0 + t_block)
+            load_planes(psi[:, :, :, :, t], X[:, t])
 
         for g0 in range(0, 4, group):
             mus = range(g0, g0 + group)
-            sign = [_wrap_sign(phases[mu]) or 1.0 for mu in mus]
             # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
             for g, mu in enumerate(mus):
-                _project(tmp[g], psi, X, mu, -1, phases[mu])
-                shift_into(bwd[g], tmp[g], 4 + mu, +1, sign[g])
+                project_planes_into(tmp[g], psi, mu, -1)
+                shift_into(bwd[g], tmp[g], 4 + mu, +1, *self._wrapped(wrap(mu, -1), mu, -1))
             self._color_mul(fwd, links[g0 : g0 + group], bwd, False)
             # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu), multiplied
             # at the source x - mu and gathered after.
             for g, mu in enumerate(mus):
-                _project(bwd[g], psi, X, mu, +1, np.conj(phases[mu]))
+                project_planes_into(bwd[g], psi, mu, +1)
             self._color_mul(tmp, links[g0 : g0 + group], bwd, True)
             for g, mu in enumerate(mus):
-                shift_into(bwd[g], tmp[g], 4 + mu, -1, sign[g])
+                shift_into(bwd[g], tmp[g], 4 + mu, -1, *self._wrapped(wrap(mu, +1), mu, +1))
                 reconstruct_planes_accumulate(acc, fwd[g], mu, -1)
                 reconstruct_planes_accumulate(acc, bwd[g], mu, +1)
+        return psi, acc
 
-        _site_minor(out.real)[...] = acc[0]
-        _site_minor(out.imag)[...] = acc[1]
+    def _wrapped(self, source, mu: int, s: int) -> tuple:
+        """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source."""
+        if isinstance(source, float):
+            return source, None
+        spinors, u = source
+        ws = self.workspace
+        rdtype = spinors.real.dtype
+        sites = (spinors.shape[0], 3) + spinors.shape[1:5]
+        psi = ws.get((2, 4) + sites, rdtype, "hop.wrap.psi")
+        load_planes(psi, spinors)
+        h = ws.get((1, 2, 2) + sites, rdtype, "hop.wrap.h")
+        project_planes_into(h[0], psi, mu, s)
+        if u is None:
+            return 1.0, h
+        uh = ws.get(h.shape, rdtype, "hop.wrap.uh")
+        self._color_mul(uh, u, h, True)
+        return 1.0, uh
 
     def _color_mul(self, out: np.ndarray, u: np.ndarray, h: np.ndarray, dagger: bool) -> None:
         """:func:`color_mul_planes_into` over equal site blocks whose scratch meets the target."""

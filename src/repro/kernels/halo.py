@@ -1,41 +1,44 @@
 """The fused Wilson stencil on halo-extended blocks, with interior/boundary split.
 
-This is the per-rank kernel of the domain-decomposed Dslash: sparse spin
-projection, SU(3) colour multiply and in-place reconstruction on the
-interleaved complex layout, with neighbour gathers as plain displaced
-slices into the ghost-extended block — a rank never wraps, it reads the
-ghost shells its communicator filled.
+This is the per-rank kernel of the domain-decomposed Dslash, and it is
+the single-domain one: a box of a rank's block goes through
+:meth:`repro.kernels.fused.FusedHopping.hop_planes` — transposing load,
+plane projection, three-term real colour multiply against cached link
+planes, flat-copy shifts, the reference's accumulation order — as a
+small lattice of its own.  A rank never wraps.  The slab each shift
+would have wrapped is read from the sites just outside the box in the
+halo-extended block instead: ghosts its communicator filled and phased,
+or interior neighbours when the box is a sub-box.  The backward term's
+``U^dag`` at those sources comes from the links the ``u`` block holds
+there, so no shifted, daggered copy of the gauge block exists.
 
 Two structural additions over the single-domain kernel:
 
 * **Box stenciling.**  :meth:`HaloStencil.wilson_box_into` evaluates
   ``diag * psi - 0.5 * hop`` on an arbitrary sub-box of the interior.
-  Every operation is element-wise per site (the colour contraction runs
-  over a fixed 3-term index order regardless of the outer shape), so
-  evaluating the stencil box-by-box is bit-for-bit identical to one
-  full-interior sweep — the property that makes the overlapped schedule
-  exact, asserted by the tier-1 parity tests.
+  Every operation is element-wise per site and the eight terms
+  accumulate in one fixed order, so evaluating the stencil box-by-box is
+  bit-for-bit identical to one full-interior sweep — the property that
+  makes the overlapped schedule exact, asserted by the tier-1 tests.
 
 * **Interior/boundary split** (:func:`split_boxes`).  Sites at distance
   >= ``width`` from every block face never read a ghost, so their stencil
   can run *before* the halo exchange; the remaining onion-peel slabs run
   after.  This is the comm/compute-overlap schedule of Chroma and the
-  QCDOC software (Edwards & Joó; Boyle et al.), which the shared-memory
-  backend uses to stencil the deep interior while face traffic is in
+  QCDOC software (Edwards & Joó; Boyle et al.), which the process
+  backends use to stencil the deep interior while face traffic is in
   flight.
 
-The backward links are pre-daggered once per gauge field
-(:func:`dagger_halo_links`) into a table indexed at the *site*, so the
-per-apply conj-transpose of the gauge block disappears from the hot loop.
+Link planes are cached per ``(u block, box)`` on the identity of the
+block; :meth:`HaloStencil.invalidate` drops them after the block is
+rewritten in place (a healed link, refilled ghosts).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.color import color_mul_into
-from repro.kernels.spin import project_into, reconstruct_accumulate
-from repro.kernels.workspace import Workspace
+from repro.kernels.fused import FusedHopping, link_planes, plan, store_planes, ufunc_rows
 
 __all__ = ["HaloStencil", "dagger_halo_links", "split_boxes", "full_box"]
 
@@ -81,10 +84,11 @@ def split_boxes(
 def dagger_halo_links(u_halo: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``out[mu][x] = U_mu(x - e_mu)^dag`` on the halo-extended grid.
 
-    ``u_halo`` has shape ``(4,) + ext + (3, 3)`` with ghost-filled site
-    axes.  The first slab along each ``mu`` has no ``-mu`` neighbour in
-    the array and is left untouched (never read: the stencil only indexes
-    the table at interior sites, which start at ``width >= 1``).
+    The backward links as a table indexed at the *site*, for callers that
+    want one; :class:`HaloStencil` does not (it multiplies by ``U^dag``
+    at the source).  ``u_halo`` has shape ``(4,) + ext + (3, 3)`` with
+    ghost-filled site axes.  The first slab along each ``mu`` has no
+    ``-mu`` neighbour in the array and is left untouched.
     """
     if out is None:
         out = np.empty_like(u_halo)
@@ -99,22 +103,17 @@ def dagger_halo_links(u_halo: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _box_view(
-    arr: np.ndarray, width: int, box: Box, disp_mu: int | None = None, d: int = 0
-) -> np.ndarray:
-    """View of a halo-extended array over ``box``, optionally displaced.
+def _box_index(width: int, box: Box, mu: int | None = None, i: int = 0) -> tuple:
+    """Site slices of a halo-extended block over ``box``.
 
-    Site axes lead; interior coordinate ``i`` lives at array index
-    ``i + width``.
+    Interior coordinate ``x`` lives at array index ``x + width``.  With
+    ``mu``, the one slab at interior coordinate ``i`` along that axis
+    (``-1`` and the box's ``hi`` lie outside it) in place of the box's range.
     """
-    idx = [slice(None)] * arr.ndim
-    for nu in range(4):
-        lo, hi = box[nu]
-        idx[nu] = slice(width + lo, width + hi)
-    if disp_mu is not None and d != 0:
-        lo, hi = box[disp_mu]
-        idx[disp_mu] = slice(width + lo + d, width + hi + d)
-    return arr[tuple(idx)]
+    idx = [slice(width + lo, width + hi) for lo, hi in box]
+    if mu is not None:
+        idx[mu] = slice(width + i, width + i + 1)
+    return tuple(idx)
 
 
 class HaloStencil:
@@ -128,45 +127,39 @@ class HaloStencil:
     name = "fused-halo"
 
     def __init__(self) -> None:
-        self.workspace = Workspace()
+        self._core = FusedHopping()
+        self.workspace = self._core.workspace
+        self._links: dict[tuple, tuple] = {}
 
-    def hop_box_into(
-        self,
-        acc: np.ndarray,
-        u_halo: np.ndarray,
-        udag_halo: np.ndarray,
-        psi_halo: np.ndarray,
-        width: int,
-        box: Box,
-    ) -> np.ndarray:
-        """Accumulate the spin-projected hopping term of ``box`` onto ``acc``.
+    def invalidate(self, u_halo: np.ndarray | None = None) -> None:
+        """Drop the link planes cached from ``u_halo`` (from every block if None).
 
-        ``acc`` is box-shaped ``(... , 4, 3)`` and must be zeroed by the
-        caller; term order matches the reference ``hopping_term_halo``
-        (per ``mu``: forward then backward) so the sums are bit-identical.
+        Call after a link block is rewritten in place.
         """
-        ws = self.workspace
-        dtype = psi_halo.dtype
-        hshape = acc.shape[:-2] + (2, acc.shape[-1])
-        half = ws.get(hshape, dtype, "halo.half")
-        uh = ws.get(hshape, dtype, "halo.uh")
-        scratch = ws.get(hshape, dtype, "halo.scratch")
-        for mu in range(4):
-            # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
-            project_into(half, _box_view(psi_halo, width, box, mu, +1), mu, -1)
-            color_mul_into(uh, _box_view(u_halo[mu], width, box), half)
-            reconstruct_accumulate(acc, uh, mu, -1, scratch)
-            # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu).
-            project_into(half, _box_view(psi_halo, width, box, mu, -1), mu, +1)
-            color_mul_into(uh, _box_view(udag_halo[mu], width, box), half)
-            reconstruct_accumulate(acc, uh, mu, +1, scratch)
-        return acc
+        for key in [k for k, hit in self._links.items() if u_halo is None or hit[0] is u_halo]:
+            del self._links[key]
+
+    def _box_links(self, u_halo: np.ndarray, width: int, box: Box) -> tuple:
+        """``(links, behind)``: link planes of the box's sites, and per ``mu``
+        those of the slab one step behind its low face, where the backward
+        term's sources sit."""
+        key = (id(u_halo), width, box)
+        hit = self._links.get(key)
+        if hit is None or hit[0] is not u_halo:
+            every = (slice(None),)
+            links = link_planes(u_halo[every + _box_index(width, box)])
+            behind = tuple(
+                link_planes(u_halo[mu : mu + 1][every + _box_index(width, box, mu, box[mu][0] - 1)])
+                for mu in range(4)
+            )
+            hit = self._links[key] = (u_halo, links, behind)
+        return hit[1:]
 
     def wilson_box_into(
         self,
         out_block: np.ndarray,
         u_halo: np.ndarray,
-        udag_halo: np.ndarray,
+        udag_halo: np.ndarray | None,
         psi_halo: np.ndarray,
         width: int,
         box: Box,
@@ -174,16 +167,29 @@ class HaloStencil:
     ) -> np.ndarray:
         """``out[box] = diag * psi[box] - 0.5 * hop[box]`` on an interior box.
 
-        ``out_block`` is the ghost-free local block; the arithmetic is the
-        reference's ``diag * block - 0.5 * hop`` performed per box, which
-        is bit-identical because every step is element-wise per site.
+        ``out_block`` is the ghost-free local block.  ``udag_halo`` is not
+        read (the position is kept for callers that still build the
+        :func:`dagger_halo_links` table).  The combination runs on the
+        planes, where ``diag`` and ``0.5`` multiply real and imaginary
+        parts as the reference's complex-by-real products do.
         """
-        bshape = tuple(hi - lo for lo, hi in box)
-        acc = self.workspace.zeros(bshape + out_block.shape[4:], psi_halo.dtype, "halo.acc")
-        self.hop_box_into(acc, u_halo, udag_halo, psi_halo, width, box)
-        out_idx = tuple(slice(lo, hi) for lo, hi in box)
-        out_view = out_block[out_idx]
-        np.multiply(_box_view(psi_halo, width, box), diag, out=out_view)
-        acc *= 0.5
-        out_view -= acc
+        if not (u_halo.dtype == psi_halo.dtype == out_block.dtype):
+            raise TypeError("links, input and output blocks must share one precision")
+        links, behind = self._box_links(u_halo, width, box)
+        X = psi_halo[None]
+        every = (slice(None),)
+
+        def wrap(mu: int, s: int):
+            # The forward term gathers from x + mu: the slab past the high
+            # face.  The backward one from x - mu, behind the low face.
+            i = box[mu][1] if s < 0 else box[mu][0] - 1
+            return X[every + _box_index(width, box, mu, i)], None if s < 0 else behind[mu]
+
+        _, group = plan(links.shape[-1], 1, links.itemsize)
+        with ufunc_rows():
+            psi, acc = self._core.hop_planes(links, X[every + _box_index(width, box)], wrap, group)
+            np.multiply(psi, diag, out=psi)
+            acc *= 0.5
+            psi -= acc
+        store_planes(out_block[_box_index(0, box)][None], psi)
         return out_block

@@ -15,6 +15,10 @@ Semantics match :func:`repro.lattice.shift_with_phase` exactly
 
 ``out[..., i, ...] = a[..., (i + dist) % n, ...]`` on ``axis``,
 with the slab that crossed the boundary multiplied by ``phase``.
+
+That wrapped slab is the one place a rank of a decomposed lattice
+differs from a periodic one: its sources lie outside the array, so the
+caller passes them as ``wrapped`` and only the flat copy reads ``a``.
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ def shift_into(
     axis: int,
     dist: int,
     phase: complex = 1.0,
+    wrapped: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gather ``a`` from ``dist`` sites ahead along ``axis`` into ``out``.
 
     Bitwise-identical to ``shift_with_phase(a, axis, dist, phase)`` but
     with zero allocations.  ``out`` and ``a`` must be distinct
-    C-contiguous arrays of one shape.
+    C-contiguous arrays of one shape.  ``wrapped``, a C-contiguous array
+    with extent ``|dist|`` along ``axis``, replaces the far face of ``a``
+    as the source of the slab that crossed the boundary.
     """
     if out is a:
         raise ValueError("shift_into requires out and a to be distinct arrays")
@@ -64,6 +71,8 @@ def shift_into(
         # out[i] = a[i - d]; sites i < d wrap to a[n-d : n].
         out_flat[step:] = a_flat[: a.size - step]
         dst, src = out_slabs[:, :d], a_slabs[:, n - d :]
+    if wrapped is not None:
+        src = wrapped.reshape(-1, d, inner)
     if phase == 1.0:
         dst[...] = src
     else:

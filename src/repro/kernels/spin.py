@@ -1,10 +1,4 @@
-"""Sparse half-spinor projection/reconstruction for the fused kernels.
-
-Two layouts: interleaved complex ``(..., spin, colour)`` fields for the
-halo stencil (:func:`project_into`, :func:`reconstruct_accumulate`) and
-site-minor real planes for the single-domain fused kernel
-(:func:`project_planes_into`, :func:`reconstruct_planes_accumulate`,
-described where they are defined).
+"""Sparse half-spinor projection/reconstruction on site-minor real planes.
 
 In the DeGrand-Rossi chiral basis every 2x2 gamma block ``A_mu`` has
 exactly one non-zero entry per row (a unit or ``+-i``), so the
@@ -12,24 +6,20 @@ spin-projection ``h = u + s A_mu l`` and the reconstruction lower half
 ``l' = s A_mu^dag h`` are permute-and-scale operations — no 2x2 matrix
 multiply is needed.  The generic einsum formulation in
 :mod:`repro.gammas` spends more time in those tiny contractions than in
-the SU(3) color multiply; this module replaces them with block-wise
-multiply-adds.
+the SU(3) color multiply.
 
-Two structural facts make the blocks fully vectorisable:
-
-* the row permutation of every ``A_mu`` (and ``A_mu^dag``) is either the
-  identity or the two-row swap, both expressible as basic slices
-  (``2:4`` vs ``3:1:-1``), so the permuted operand is a *view*;
-* the per-row coefficients broadcast as a (2, 1) column, so each
-  projection is one multiply plus one add over the whole (..., 2, 3)
-  half-spinor block instead of four row-sliced ufunc calls with
-  3-element inner loops.
+The fused kernel keeps fields as real planes (re|im, spin, ..., site):
+the real/imaginary index and the spin index are the two leading axes
+and the site index is minor.  There a coefficient of +-1 is an add or a
+subtract of whole planes and +-i is the same on the swapped (re|im)
+plane with one sign flipped — ``i (a + ib) = -b + ia`` — so projection
+and reconstruction need no multiply at all.
 
 The tables are derived *from* ``repro.gammas._A_BLOCKS`` at import so
-the two formulations cannot drift apart, and the arithmetic
-(``(s*c) * l + u`` vs the reference's ``u + s * (c * l)``) is
-value-identical: negation and the one-non-zero contraction are exact in
-IEEE floating point, so fused and reference kernels agree bit-for-bit.
+the two formulations cannot drift apart, and the arithmetic (``a - b``
+for the reference's ``a + (-1) b``) is value-identical: negation and the
+one-non-zero contraction are exact in IEEE floating point, so fused and
+reference kernels agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,8 +31,6 @@ from repro.gammas.gamma import _A_BLOCKS
 __all__ = [
     "PROJECT_ROWS",
     "RECON_ROWS",
-    "project_into",
-    "reconstruct_accumulate",
     "project_planes_into",
     "reconstruct_planes_accumulate",
 ]
@@ -65,88 +53,6 @@ PROJECT_ROWS = tuple(_sparse_rows(_A_BLOCKS[mu]) for mu in range(4))
 
 #: ``psi_lower[p] = s * d * h[q]`` with ``(q, d) = RECON_ROWS[mu][p]`` (rows of A^dag).
 RECON_ROWS = tuple(_sparse_rows(_A_BLOCKS[mu].conj().T) for mu in range(4))
-
-
-def _block_form(rows) -> tuple[bool, np.ndarray]:
-    """(swap, coeff-column) vectorised form of a sparse 2x2 block.
-
-    ``swap`` is True when the block permutes the two rows; the (2, 1)
-    coefficient column multiplies the (possibly swapped) operand.
-    """
-    (q0, c0), (q1, c1) = rows
-    if (q0, q1) == (0, 1):
-        swap = False
-    elif (q0, q1) == (1, 0):
-        swap = True
-    else:  # pragma: no cover - impossible for a one-entry-per-row block
-        raise ValueError(f"unexpected permutation {(q0, q1)}")
-    return swap, np.array([[c0], [c1]], dtype=np.complex128)
-
-
-_PROJECT_FORM = tuple(_block_form(PROJECT_ROWS[mu]) for mu in range(4))
-_RECON_FORM = tuple(_block_form(RECON_ROWS[mu]) for mu in range(4))
-
-
-def _coeff(col: np.ndarray, s: int, dtype) -> np.ndarray:
-    """``s * col`` in the field dtype (exact: entries are 0, +-1, +-i)."""
-    return (s * col).astype(dtype, copy=False)
-
-
-def _is_identity(swap: bool, col: np.ndarray) -> bool:
-    return not swap and col[0, 0] == 1 and col[1, 0] == 1
-
-
-def project_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.ndarray:
-    """Write the half-spinor projection of ``(1 + s gamma_mu) psi`` into ``h``.
-
-    ``psi`` has shape (..., 4, 3); ``h`` has shape (..., 2, 3).
-    """
-    swap, col = _PROJECT_FORM[mu]
-    upper = psi[..., 0:2, :]
-    lower = psi[..., 3:1:-1, :] if swap else psi[..., 2:4, :]
-    if _is_identity(swap, col):
-        # A_mu = 1 (temporal direction): one pass.  a - b == a + (-1 * b)
-        # in IEEE arithmetic, so this matches the general path bit-for-bit.
-        op = np.add if s > 0 else np.subtract
-        op(upper, lower, out=h)
-        return h
-    np.multiply(lower, _coeff(col, s, psi.dtype), out=h)
-    h += upper
-    return h
-
-
-def reconstruct_accumulate(
-    out: np.ndarray, h: np.ndarray, mu: int, s: int, scratch: np.ndarray
-) -> np.ndarray:
-    """Accumulate the reconstructed full spinor ``(h, s A_mu^dag h)`` onto ``out``.
-
-    ``out`` has shape (..., 4, 3), ``h`` (..., 2, 3); ``scratch`` is a
-    (..., 2, 3) half-spinor buffer for the scaled lower block.
-    """
-    out[..., 0:2, :] += h
-    swap, col = _RECON_FORM[mu]
-    lower_out = out[..., 2:4, :]
-    if _is_identity(swap, col):
-        if s > 0:
-            lower_out += h
-        else:
-            lower_out -= h
-        return out
-    hq = h[..., ::-1, :] if swap else h
-    np.multiply(hq, _coeff(col, s, h.dtype), out=scratch)
-    lower_out += scratch
-    return out
-
-
-# -- site-minor split-complex forms ----------------------------------------------
-#
-# The fused kernel keeps fields as real planes (re|im, spin, ..., site):
-# the real/imaginary index and the spin index are the two leading axes
-# and the site index is minor.  There a coefficient of +-1 is an add or a
-# subtract of whole planes and +-i is the same on the swapped (re|im)
-# plane with one sign flipped — ``i (a + ib) = -b + ia`` — so projection
-# and reconstruction need no multiply at all, and ``a - b`` equals the
-# reference's ``a + (-1) b`` exactly.
 
 
 def _plane_ops(rows, s: int) -> tuple:
@@ -195,7 +101,7 @@ _RECON_PLANES = {
 
 
 def project_planes_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.ndarray:
-    """Site-minor :func:`project_into`.
+    """Write the half-spinor projection of ``(1 + s gamma_mu) psi`` into ``h``.
 
     ``psi`` is the (2, 4, ...) plane stack of a spinor field (re|im,
     spin, then any axes with the site index minor); ``h`` is (2, 2, ...).
@@ -207,7 +113,7 @@ def project_planes_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.n
 
 
 def reconstruct_planes_accumulate(out: np.ndarray, h: np.ndarray, mu: int, s: int) -> np.ndarray:
-    """Site-minor :func:`reconstruct_accumulate`: ``out`` (2, 4, ...) += ``(h, s A^dag h)``."""
+    """Accumulate the reconstructed spinor: ``out`` (2, 4, ...) += ``(h, s A_mu^dag h)``."""
     upper, lower = out[:, 0:2], out[:, 2:4]
     upper += h
     for ufunc, dst, src in _RECON_PLANES[mu, s]:

@@ -1,7 +1,8 @@
 """Calibration: build a machine spec for *this* host's Python kernels.
 
 E9 validates the time model against reality at the only scale we can
-measure — one Python process.  We time the actual numpy Dslash, convert to
+measure — one Python process.  We time the Dslash core every rank (and the
+default single-domain operator) executes, the ``fused`` kernel, convert to
 a sustained flop rate, and construct a single-node spec whose model
 predictions must then match further measurements within a stated tolerance.
 
@@ -19,8 +20,9 @@ import os
 import time
 from dataclasses import replace
 
-from repro.dirac.hopping import hopping_term
+from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
+from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
 from repro.machine.spec import MachineSpec
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
@@ -40,8 +42,11 @@ def measured_dslash_rate(
     rng: int = 12345,
     dtype=None,
 ) -> tuple[float, float]:
-    """(sites/s, nominal flop/s) of the numpy Dslash on ``lattice``.
+    """(sites/s, nominal flop/s) of the ``fused`` hopping kernel on ``lattice``.
 
+    The kernel the ranks run (:class:`repro.kernels.HaloStencil` evaluates
+    its boxes on the same core), not the ``hopping_term`` specification,
+    which is several times slower and which no rank executes.
     Best-of-``repeats`` timing to suppress scheduler noise, as the
     optimisation guide recommends for sub-second kernels.
     """
@@ -50,11 +55,13 @@ def measured_dslash_rate(
     dtype = dtype or np.complex128
     gauge = GaugeField.hot(lattice, rng=rng, dtype=dtype)
     psi = random_fermion(lattice, rng=rng + 1, dtype=dtype)
-    hopping_term(gauge.u, psi)  # warm-up (allocator, caches)
+    out = np.empty_like(psi)
+    kernel = make_kernel("fused")
+    kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)  # warm-up (link planes, arena)
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        hopping_term(gauge.u, psi)
+        kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)
         best = min(best, time.perf_counter() - t0)
     sites_per_s = lattice.volume / best
     return sites_per_s, sites_per_s * WILSON_DSLASH_FLOPS_PER_SITE
@@ -65,7 +72,7 @@ def calibrate_python_node(
     repeats: int = 3,
 ) -> MachineSpec:
     """A single-"node" spec whose sustained rate is this host's measured
-    numpy Dslash throughput.
+    ``fused`` Dslash throughput.
 
     Network parameters are placeholders (one Python process has no
     network); only the compute side of the model is calibrated — exactly
@@ -173,7 +180,7 @@ def host_comm_spec(
     """A spec for *this* host running one rank process per "node" of the
     named communicator backend.
 
-    Compute side: the measured numpy Dslash rate (as E9's calibration),
+    Compute side: the measured ``fused`` Dslash rate (as E9's calibration),
     identical across backends.  Network side, per backend:
 
     ``shm``

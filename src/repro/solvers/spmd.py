@@ -110,6 +110,7 @@ def _cg_spmd_core(
     r = rhs.copy()
     p = r.copy()
     scratch = np.empty_like(r)
+    ap = np.empty_like(r)
     r2 = reduce.vdot(r, r).real
     target2 = (tol * tol) * b_norm2
     history = [np.sqrt(r2 / b_norm2)]
@@ -148,7 +149,7 @@ def _cg_spmd_core(
     it = 0
     converged = r2 <= target2
     while not converged and it < max_iter:
-        ap = nop(p)
+        nop(p, out=ap)
         pap = reduce.vdot(p, ap).real
         if not math.isfinite(pap):
             if policy.heal:

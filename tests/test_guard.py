@@ -514,6 +514,33 @@ class TestABFT:
         assert np.array_equal(out, fresh(psi))
 
 
+    @pytest.mark.parametrize("backend", ["virtual", "shm"])
+    def test_heal_reaches_the_rank_link_planes(self, backend):
+        # The ranks cache link planes per ``u`` block; a heal rewrites the
+        # blocks in place.  A link flipped in rank 1's block before the
+        # first apply is what its planes get built from; after the probe
+        # heals (re-scatter + ghost refill) the stream must agree bit for
+        # bit with the single-domain operator.
+        from repro.comm import make_comm
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        gauge = GaugeField.hot(Lattice4D(SMALL), rng=4)
+        psi = random_fermion(gauge.lattice, rng=5)
+        with make_comm((2, 1, 1, 1), backend) as comm:
+            op = DecomposedWilsonDirac(gauge, 0.2, comm)
+            guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
+            if backend == "shm":
+                op._u_halos[1].data[2, 1, 2, 1, 3] *= -1.0  # rank memory, mapped
+            else:
+                flip_bit(gauge.u, 9)  # the master's links; blocks are scattered copies
+            outs = [guarded(psi) for _ in range(8)]
+            assert [e["action"] for e in guarded.guard_events] == ["heal"]
+        want = WilsonDirac(gauge, 0.2, kernel="fused").apply(psi)
+        assert np.array_equal(outs[-1], want)
+        if backend == "shm":
+            assert not np.array_equal(outs[0], want)  # the flip did reach the stencil
+
+
 # -- campaign fault matrix ----------------------------------------------------
 
 

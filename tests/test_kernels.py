@@ -8,6 +8,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm import HaloField, add_halo, make_comm
+from repro.comm.halo import halo_exchange
+from repro.dirac.decomposed import hopping_term_halo
 from repro.dirac.dwf import DomainWallDirac
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.clover import CloverDirac
@@ -19,16 +22,19 @@ from repro.gammas import spin_project, spin_reconstruct
 from repro.kernels import (
     DEFAULT_KERNEL,
     FusedHopping,
+    HaloStencil,
     KERNEL_ENV_VAR,
     Workspace,
     available_kernels,
-    color_mul_into,
+    full_box,
     make_kernel,
-    project_into,
-    reconstruct_accumulate,
     resolve_kernel_name,
     shift_into,
+    split_boxes,
 )
+from repro.kernels.color import color_mul_planes_into
+from repro.kernels.fused import link_planes, load_planes, store_planes
+from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
 from repro.lattice import Lattice4D, shift_with_phase
 
 TWISTED_PHASES = (np.exp(0.3j), 1.0, np.exp(-0.2j), 1.0)
@@ -93,6 +99,22 @@ def test_shift_into_rejects_aliasing():
 # -- spin / colour primitives --------------------------------------------------
 
 
+def _planes(field):
+    """Site-minor real planes of an (rhs, *sites, spin, colour) complex field."""
+    spin, colour = field.shape[-2:]
+    planes = np.empty((2, spin, field.shape[0], colour) + field.shape[1:-2], field.real.dtype)
+    load_planes(planes, field)
+    return planes
+
+
+def _field(planes, dtype):
+    """Inverse of :func:`_planes`."""
+    rhs, sites, spin, colour = planes.shape[2], planes.shape[4:], planes.shape[1], planes.shape[3]
+    field = np.empty((rhs,) + sites + (spin, colour), dtype)
+    store_planes(field, planes)
+    return field
+
+
 @pytest.mark.parametrize("mu", range(4))
 @pytest.mark.parametrize("s", [+1, -1])
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -100,25 +122,48 @@ def test_project_reconstruct_match_gammas(mu, s, dtype):
     rng = np.random.default_rng(6)
     psi = _rand_field(rng, (3, 4, 5, 2, 4, 3), dtype)
     ref_h = spin_project(psi, mu, s)
-    h = np.empty(psi.shape[:-2] + (2, 3), dtype=dtype)
-    project_into(h, psi, mu, s)
-    assert np.array_equal(ref_h, h)
+    h = np.empty((2, 2, 3, 3, 4, 5, 2), dtype=psi.real.dtype)
+    project_planes_into(h, _planes(psi), mu, s)
+    assert np.array_equal(ref_h, _field(h, dtype))
 
     out = _rand_field(rng, psi.shape, dtype)
-    expect = out + spin_reconstruct(h, mu, s)
-    scratch = np.empty_like(h)
-    reconstruct_accumulate(out, h, mu, s, scratch)
-    assert np.array_equal(expect, out)
+    expect = out + spin_reconstruct(ref_h, mu, s)
+    acc = _planes(out)
+    reconstruct_planes_accumulate(acc, h, mu, s)
+    assert np.array_equal(expect, _field(acc, dtype))
 
 
-def test_color_mul_into_matches_einsum():
+def test_color_mul_planes_matches_einsum():
     rng = np.random.default_rng(7)
-    u = _rand_field(rng, (4, 4, 4, 4, 3, 3), np.complex128)
-    h = _rand_field(rng, (4, 4, 4, 4, 2, 3), np.complex128)
-    ref = np.einsum("...ab,...sb->...sa", u, h)
-    out = np.empty_like(h)
-    color_mul_into(out, u, h)
-    assert np.array_equal(ref, out)
+    u = _rand_field(rng, (2, 4, 4, 4, 4, 3, 3), np.complex128)
+    h = _rand_field(rng, (2, 5, 4, 4, 4, 4, 2, 3), np.complex128)  # (direction, rhs, sites...)
+    h_planes = np.stack([_planes(h[g]) for g in range(2)]).reshape(2, 2, 2, 5, 3, -1)
+    out = np.empty_like(h_planes)
+    prod = np.empty((2, 2) + h_planes.shape[1:])
+    for dagger, link, spec in (
+        (False, u, "g...ab,gr...sb->gr...sa"),
+        (True, np.conj(u), "g...ba,gr...sb->gr...sa"),
+    ):
+        color_mul_planes_into(out, link_planes(u), h_planes, dagger, prod)
+        got = [_field(out[g].reshape((2, 2, 5, 3, 4, 4, 4, 4)), h.dtype) for g in range(2)]
+        assert np.array_equal(np.einsum(spec, link, h), np.stack(got))
+
+
+@pytest.mark.parametrize("axis,dist", [(0, +1), (2, -1), (3, +1)])
+def test_shift_into_takes_the_wrapped_slab_from_outside(axis, dist):
+    """With ``wrapped`` the slab that crossed comes from the caller, the
+    rest from ``a`` — the rank's shift (ghosts in place of the far face)."""
+    rng = np.random.default_rng(8)
+    a = _rand_field(rng, (3, 4, 5, 2, 3), np.complex128)
+    slab = list(a.shape)
+    slab[axis] = 1
+    ghost = _rand_field(rng, tuple(slab), np.complex128)
+    out = np.empty_like(a)
+    shift_into(out, a, axis, dist, wrapped=ghost)
+    parts = [a, ghost] if dist > 0 else [ghost, a]
+    lo = 1 if dist > 0 else 0
+    want = np.concatenate(parts, axis=axis).take(range(lo, lo + a.shape[axis]), axis)
+    assert np.array_equal(out, want)
 
 
 # -- fused kernel == reference, bit for bit ------------------------------------
@@ -258,6 +303,140 @@ def test_fused_scratch_bytes_per_site_at_16_4():
     kernel(u, psi, DEFAULT_FERMION_PHASES)
     assert kernel.workspace.nbytes / psi[..., 0, 0].size <= 720
     assert kernel._links.nbytes == u.nbytes
+
+
+# -- the rank stencil: the same core, wrapped slabs from the ghosts --------------
+
+DIAG = 4.3
+
+
+def _halo_block(rng, local):
+    """A rank's halo-extended link and fermion blocks, ghosts as random as the interior."""
+    ext = tuple(n + 2 for n in local)
+    return (
+        _rand_field(rng, (4,) + ext + (3, 3), np.complex128),
+        _rand_field(rng, ext + (4, 3), np.complex128),
+    )
+
+
+def _whole_lattice_halos(u, psi, phases):
+    """One rank holding the whole lattice: ghosts filled and phased by the exchange."""
+    grid = make_comm((1, 1, 1, 1), "virtual").grid
+    u_halo = add_halo(u, width=1, site_axis_start=1)
+    psi_halo = add_halo(psi, width=1)
+    halo_exchange([u_halo], grid, phases=None)
+    halo_exchange([psi_halo], grid, phases=phases)
+    return u_halo.data, psi_halo.data
+
+
+def _halo_reference(u, psi):
+    interior = (slice(1, -1),) * 4
+    return DIAG * psi[interior] - 0.5 * hopping_term_halo(HaloField(u, 1, 1), HaloField(psi, 1, 0))
+
+
+# Local extents 2 (forward and backward source coincide in a periodic
+# lattice, not on a rank), 3 (a one-site deep interior), odd, and 16.
+@pytest.mark.parametrize("local", [(2, 2, 2, 2), (3, 3, 3, 3), (5, 3, 7, 3), (16, 2, 3, 4)])
+def test_halo_stencil_bitwise_equals_halo_reference(local):
+    rng = np.random.default_rng(21)
+    u, psi = _halo_block(rng, local)
+    ref = _halo_reference(u, psi)
+    stencil = HaloStencil()
+    out = np.full(local + (4, 3), np.nan, np.complex128)
+    assert stencil.wilson_box_into(out, u, None, psi, 1, full_box(local), DIAG) is out
+    assert np.array_equal(ref, out)
+    # Warm arena and cached link planes: identical again.
+    stencil.wilson_box_into(out, u, None, psi, 1, full_box(local), DIAG)
+    assert np.array_equal(ref, out)
+
+    # Box by box: each box writes its own sites only, and together they
+    # give the full-box result (the overlapped schedule's exactness).
+    deep, boundary = split_boxes(local, 1)
+    boxes = boundary if deep is None else [deep] + boundary
+    parts = np.full_like(out, np.nan)
+    for box in boxes:
+        before = np.isnan(parts[..., 0, 0]).sum()
+        stencil.wilson_box_into(parts, u, None, psi, 1, box, DIAG)
+        volume = int(np.prod([hi - lo for lo, hi in box]))
+        assert before - np.isnan(parts[..., 0, 0]).sum() == volume
+    assert np.array_equal(ref, parts)
+
+
+@pytest.mark.parametrize(
+    "phases", [DEFAULT_FERMION_PHASES, PERIODIC_PHASES, TWISTED_PHASES],
+    ids=["antiperiodic", "periodic", "twisted"],
+)
+def test_halo_stencil_on_exchanged_ghosts_equals_single_domain(phases):
+    """One rank holding the whole lattice: ghosts filled and phased by the
+    exchange give the periodic lattice's own result, bit for bit."""
+    rng = np.random.default_rng(22)
+    dims = (4, 3, 2, 5)
+    u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
+    psi = _rand_field(rng, dims + (4, 3), np.complex128)
+    u_halo, psi_halo = _whole_lattice_halos(u, psi, phases)
+    out = np.empty_like(psi)
+    HaloStencil().wilson_box_into(out, u_halo, None, psi_halo, 1, full_box(dims), DIAG)
+    assert np.array_equal(out, _halo_reference(u_halo, psi_halo))
+    assert np.array_equal(out, DIAG * psi - 0.5 * hopping_term(u, psi, phases))
+
+
+def test_halo_stencil_strided_output_and_link_refresh():
+    rng = np.random.default_rng(23)
+    local = (4, 3, 5, 2)
+    u, psi = _halo_block(rng, local)
+    stencil = HaloStencil()
+    # Every other time slice of a wider buffer: the gaps stay untouched.
+    wide = np.full((8,) + local[1:] + (4, 3), np.nan, np.complex128)
+    out = wide[::2]
+    assert not out.flags.c_contiguous
+    stencil.wilson_box_into(out, u, None, psi, 1, full_box(local), DIAG)
+    assert np.array_equal(out, _halo_reference(u, psi))
+    assert np.all(np.isnan(wide[1::2]))
+    # A link rewritten in place (interior and ghost) reaches the result
+    # once the planes cached from that block are dropped.
+    u[1, 2, 2, 2, 1] *= -1.0
+    u[0, 0, 1, 3, 1] *= np.exp(0.4j)
+    stencil.invalidate(u)
+    stencil.wilson_box_into(out, u, None, psi, 1, full_box(local), DIAG)
+    assert np.array_equal(out, _halo_reference(u, psi))
+    with pytest.raises(TypeError, match="one precision"):
+        stencil.wilson_box_into(out, u, None, psi.astype(np.complex64), 1, full_box(local), DIAG)
+
+
+@pytest.mark.slow
+def test_rank_stencil_full_box_within_1p5x_of_fused():
+    """The CI gate of the ``comm`` job: on one 8^4 field the rank stencil
+    (ghost slabs and the ``diag`` combine included) costs at most 1.5x the
+    ``fused`` hopping apply.  Quads fused, halo, halo, fused back to back,
+    median of paired differences over the median baseline, as in E18."""
+    import time
+
+    lat = Lattice4D((8, 8, 8, 8))
+    u = GaugeField.hot(lat, rng=31).u
+    psi = random_fermion(lat, rng=32)
+    out = np.empty_like(psi)
+    u_halo, psi_halo = _whole_lattice_halos(u, psi, DEFAULT_FERMION_PHASES)
+    kernel, stencil, box = FusedHopping(), HaloStencil(), full_box(lat.shape)
+
+    def fused():
+        kernel(u, psi, DEFAULT_FERMION_PHASES, out=out)
+
+    def halo():
+        stencil.wilson_box_into(out, u_halo, None, psi_halo, 1, box, DIAG)
+
+    def seconds(f):
+        t0 = time.perf_counter()
+        f()
+        return time.perf_counter() - t0
+
+    fused(), halo()
+    bases, diffs = [], []
+    for _ in range(25):
+        f1, h1, h2, f2 = seconds(fused), seconds(halo), seconds(halo), seconds(fused)
+        bases.append(0.5 * (f1 + f2))
+        diffs.append(0.5 * (h1 + h2) - 0.5 * (f1 + f2))
+    ratio = 1.0 + np.median(diffs) / np.median(bases)
+    assert ratio <= 1.5, f"rank stencil / fused = {ratio:.2f} at 8^4"
 
 
 # -- registry ------------------------------------------------------------------
