@@ -20,6 +20,12 @@ so folding it into the steady-state timing would misstate both numbers.
 Kernels whose runtime dependency is missing are skipped, and the skip is
 recorded in the returned rows' ``skipped`` list so archived JSON never
 silently conflates "not measured" with "measured slow".
+
+Next to each ``fused`` row sits ``fused (Schur)``: one apply of the
+even-odd Schur operator on the same fields — two hops between half
+lattices, nominally one Dslash — so its ``vs fused`` column reads what
+even-odd preconditioning pays per apply for halving the iterations
+(1.0 is the point of the method; a masked implementation reads 0.5).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import time
 
 import numpy as np
 
+from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
 from repro.kernels import kernel_available, make_kernel
@@ -45,26 +52,38 @@ DEFAULT_VOLUMES = [(4, 4, 4, 4), (8, 4, 4, 4), (8, 8, 4, 4), (8, 8, 8, 4), (8, 8
 DEFAULT_KERNELS = ("reference", "fused", "compiled")
 
 
-def _time_kernel(
-    kernel, gauge: GaugeField, psi: np.ndarray, repeats: int
-) -> tuple[float, float]:
-    """(best-of-``repeats``, first-call) wall times of one apply (seconds).
+#: Label and mass of the Schur-apply row (the mass only sets two scalars).
+_SCHUR_ROW = "fused (Schur)"
+_SCHUR_MASS = 0.1
+
+
+def _time_apply(apply, psi: np.ndarray, repeats: int) -> tuple[float, float]:
+    """(best-of-``repeats``, first-call) wall times of ``apply(out)`` (seconds).
 
     The first call is timed separately because it is not steady state:
     it fills workspaces and link caches for every backend, and for the
     ``compiled`` backend it includes the Numba JIT compile.
     """
     out = np.empty_like(psi)
-    phases = DEFAULT_FERMION_PHASES
     t0 = time.perf_counter()
-    kernel(gauge.u, psi, phases, out=out)
+    apply(out)
     first = time.perf_counter() - t0
     best = float("inf")
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        kernel(gauge.u, psi, phases, out=out)
+        apply(out)
         best = min(best, time.perf_counter() - t0)
     return best, first
+
+
+def _cells(name: str, gauge: GaugeField, psi: np.ndarray) -> list:
+    """``(label, apply(out))`` rows of one kernel on one (volume, precision) cell."""
+    kernel = make_kernel(name)
+    cells = [(name, lambda out: kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out))]
+    if name == "fused":
+        schur = EvenOddWilson(gauge, _SCHUR_MASS, kernel=name).schur_operator()
+        cells.append((_SCHUR_ROW, lambda out: schur.apply_into(psi, out)))
+    return cells
 
 
 def e1_dslash_performance(
@@ -115,8 +134,8 @@ def e1_dslash_performance(
             psi = random_fermion(lat, rng=12, dtype=dtype)
             ref_sites_s = None
             fused_sites_s = None
-            for name in kernels:
-                t, first = _time_kernel(make_kernel(name), gauge, psi, repeats)
+            for name, apply in [c for k in kernels for c in _cells(k, gauge, psi)]:
+                t, first = _time_apply(apply, psi, repeats)
                 sites_s = lat.volume / t
                 if name == "reference":
                     ref_sites_s = sites_s

@@ -15,6 +15,15 @@ whose condition number is roughly the square root of M's — solving
 fewer Dslash applications than the unpreconditioned solve.  This is the
 standard trick of every production lattice solver and ablation E10
 quantifies it.
+
+Fields stay full-lattice arrays at this API (zeros on the odd sites of
+an even-site field).  Inside, a kernel with a parity-ordered entry
+(``fused``) works on half of them: the even sites are gathered into
+planes once, ``H_oe``, ``H_eo``, the scale and the diagonal term run on
+half-lattice planes, and the result is stored once — a Schur apply costs
+one Dslash.  Kernels without that entry, and boundary phases it does not
+take, run the full-volume stencil and zero the other parity; both paths
+give the same bits.
 """
 
 from __future__ import annotations
@@ -24,22 +33,22 @@ import numpy as np
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import LinearOperator
 from repro.fields import GaugeField
-from repro.gammas import apply_gamma5
+from repro.kernels.fused import plan, ufunc_rows
 from repro.kernels.registry import make_kernel, resolve_kernel_name
 from repro.telemetry.instruments import record_kernel_selection
-from repro.lattice import checkerboard_masks, mask_field
+from repro.lattice import checkerboard_masks
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
 __all__ = ["EvenOddWilson", "SchurOperator"]
+
+EVEN, ODD = 0, 1
 
 
 class EvenOddWilson:
     """Even-odd decomposition of a Wilson operator.
 
-    Fields remain full-lattice arrays for layout simplicity; parity
-    restriction is by masking.  Nominal flop accounting uses the half-volume
-    counts of a packed implementation, which is what the paper's numbers
-    assume.
+    Nominal flop accounting uses the half-volume counts of a packed
+    implementation, which is what the paper's numbers assume.
     """
 
     def __init__(
@@ -49,12 +58,16 @@ class EvenOddWilson:
         phases: tuple[complex, complex, complex, complex] = DEFAULT_FERMION_PHASES,
         kernel: str | None = None,
     ) -> None:
+        shape = gauge.lattice.shape
+        if any(n % 2 for n in shape):
+            raise ValueError(
+                f"even-odd preconditioning needs even extents, got {shape}: "
+                "the checkerboard does not close across an odd boundary"
+            )
         self.gauge = gauge
         self.mass = float(mass)
         self.phases = tuple(phases)
         self.even, self.odd = checkerboard_masks(gauge.lattice)
-        self._not_even = ~self.even
-        self._not_odd = ~self.odd
         self.kernel_name = resolve_kernel_name(kernel)
         self._kernel = make_kernel(self.kernel_name)
         self.telemetry_label = "dslash_eo"
@@ -68,41 +81,19 @@ class EvenOddWilson:
     def diag(self) -> float:
         return self.mass + 4.0
 
-    def hop_parity(self, psi: np.ndarray, to_parity_mask: np.ndarray) -> np.ndarray:
-        """Hopping term restricted to target sites ``to_parity_mask``.
+    def _half_lattice_kernel(self):
+        """The kernel, if it hops between parity-ordered half lattices under
+        these boundary phases; ``None`` selects the masked fallback."""
+        covers = getattr(self._kernel, "covers_parity_hop", None)
+        return self._kernel if covers is not None and covers(self.phases) else None
 
-        The stencil maps each parity onto the other, so masking the output
-        suffices when the input lives on the opposite parity.
-        """
-        return mask_field(self._kernel(self.gauge.u, psi, self.phases), to_parity_mask)
-
-    def _not_mask(self, to_parity_mask: np.ndarray) -> np.ndarray:
-        if to_parity_mask is self.even:
-            return self._not_even
-        if to_parity_mask is self.odd:
-            return self._not_odd
-        return ~to_parity_mask
-
-    def hop_parity_into(
-        self, psi: np.ndarray, to_parity_mask: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Allocation-free :meth:`hop_parity`: hop into ``out``, zero the
-        complement sites in place."""
-        self._kernel(self.gauge.u, psi, self.phases, out=out)
-        out[self._not_mask(to_parity_mask)] = 0
-        return out
-
-    def hop_parity_batch_into(
-        self, X: np.ndarray, to_parity_mask: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Multi-RHS :meth:`hop_parity_into` over an (nrhs, ...) block."""
-        batch = getattr(self._kernel, "apply_batch_into", None)
-        if batch is None:
-            for i in range(X.shape[0]):
-                self.hop_parity_into(X[i], to_parity_mask, out[i])
-            return out
-        batch(self.gauge.u, X, self.phases, out=out)
-        out[:, self._not_mask(to_parity_mask)] = 0
+    def _hop_masked(self, X: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
+        """Hopping term of an (nrhs, ...) block onto the sites of ``parity``,
+        for a kernel without a parity entry: the full-volume stencil, the
+        other parity zeroed.  The stencil maps each parity onto the other,
+        so whatever ``X`` holds on the target parity is not read."""
+        self._kernel.apply_batch_into(self.gauge.u, X, self.phases, out=out)
+        out[:, self.odd if parity == EVEN else self.even] = 0
         return out
 
     # -- Schur pieces ----------------------------------------------------------
@@ -112,25 +103,67 @@ class EvenOddWilson:
 
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """``b_hat = b_e - M_eo M_oo^{-1} b_o = b_e + H_eo b_o / (2 d)``."""
-        b_o = mask_field(b, self.odd)
-        return mask_field(b, self.even) + self.hop_parity(b_o, self.even) / (2.0 * self.diag)
+        out = np.empty_like(b)
+        kernel = self._half_lattice_kernel()
+        if kernel is None:
+            self._hop_masked(b[None], EVEN, out[None])
+            out /= 2.0 * self.diag
+            out[self.even] += b[self.even]
+            return out
+        with ufunc_rows():
+            b_o = kernel.parity_planes(b[None], ODD, "eo.source")
+            b_hat = kernel.hop_parity_planes(self.gauge.u, b_o, self.phases, EVEN, "eo.hop")
+            b_hat *= _reciprocal(b_hat, 2.0 * self.diag)
+            b_hat += kernel.parity_planes(b[None], EVEN, "eo.other")
+        kernel.store_parity_planes(out[None], (b_hat, None))
+        return out
 
     def reconstruct(self, x_e: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Back-substitute the odd solution:
         ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x."""
-        b_o = mask_field(b, self.odd)
-        x_o = (b_o + 0.5 * self.hop_parity(x_e, self.odd)) / self.diag
-        return mask_field(x_e, self.even) + x_o
+        out = np.empty_like(x_e)
+        kernel = self._half_lattice_kernel()
+        if kernel is None:
+            self._hop_masked(x_e[None], ODD, out[None])
+            out *= 0.5
+            out[self.odd] += b[self.odd]
+            out /= self.diag
+            out[self.even] = x_e[self.even]
+            return out
+        with ufunc_rows():
+            x_even = kernel.parity_planes(x_e[None], EVEN, "eo.source")
+            x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
+            x_odd *= 0.5
+            x_odd += kernel.parity_planes(b[None], ODD, "eo.other")
+            x_odd *= _reciprocal(x_odd, self.diag)
+        kernel.store_parity_planes(out[None], (x_even, x_odd))
+        return out
 
     def full_operator_apply(self, psi: np.ndarray) -> np.ndarray:
         """The unpreconditioned M (for residual verification in tests)."""
         return self.diag * psi - 0.5 * self._kernel(self.gauge.u, psi, self.phases)
 
 
+def _reciprocal(planes: np.ndarray, c: float):
+    """The factor that divides real ``planes`` by ``c`` the way NumPy divides
+    a complex array by a real scalar: by the reciprocal, rounded in the
+    array's precision."""
+    real = planes.dtype.type
+    return real(1.0) / real(c)
+
+
+def _gamma5_planes(planes: np.ndarray) -> None:
+    """``planes`` (re|im, spin, ...) = gamma5 ``planes``: the lower two spin rows change sign."""
+    np.negative(planes[:, 2:4], out=planes[:, 2:4])
+
+
 class SchurOperator(LinearOperator):
     """``M_hat = d - H_eo H_oe / (4 d)`` acting on even-site fields.
 
     gamma5-Hermitian on the even subspace, so its normal operator feeds CG.
+    Every form takes and returns full-lattice arrays, reads the even sites
+    of its input only and writes zeros on the odd sites of its output; all
+    of them go through :meth:`_apply_block`, so they agree bit for bit.
     """
 
     def __init__(self, eo: EvenOddWilson) -> None:
@@ -139,61 +172,67 @@ class SchurOperator(LinearOperator):
         # Two half-volume Dslash applications = one full-volume count.
         self.flops_per_apply = WILSON_DSLASH_FLOPS_PER_SITE * eo.lattice.volume
 
-    def apply(self, x_e: np.ndarray) -> np.ndarray:
+    def _apply_block(self, X: np.ndarray, out: np.ndarray, dagger: bool = False) -> np.ndarray:
+        """``out[i] = M_hat X[i]`` (``M_hat^dag = gamma5 M_hat gamma5`` when
+        ``dagger``: gamma5 is site-diagonal, hence parity-preserving)."""
         eo = self.eo
-        tmp_o = eo.hop_parity(x_e, eo.odd)
-        return eo.diag * mask_field(x_e, eo.even) - eo.hop_parity(tmp_o, eo.even) / (
-            4.0 * eo.diag
-        )
+        kernel = eo._half_lattice_kernel()
+        if kernel is None:
+            return self._apply_block_masked(X, out, dagger)
+        u, phases = eo.gauge.u, eo.phases
+        nrhs = X.shape[0]
+        step, _ = plan(eo.lattice.volume // 2, nrhs, X.real.itemsize)
+        with ufunc_rows():
+            for r in range(0, nrhs, step):
+                x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")
+                if dagger:
+                    _gamma5_planes(x)
+                h_oe = kernel.hop_parity_planes(u, x, phases, ODD, "eo.hop")
+                y = kernel.hop_parity_planes(u, h_oe, phases, EVEN, "eo.other")
+                y *= _reciprocal(y, -(4.0 * eo.diag))
+                x *= x.dtype.type(eo.diag)
+                y += x
+                if dagger:
+                    _gamma5_planes(y)
+                kernel.store_parity_planes(out[r : r + step], (y, None))
+        return out
 
-    def apply_into(self, x_e: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Allocation-free Schur apply, value-identical to :meth:`apply`
-        (``x / -c == -(x / c)`` and IEEE addition commute exactly)."""
+    def _apply_block_masked(self, X: np.ndarray, out: np.ndarray, dagger: bool) -> np.ndarray:
+        """:meth:`_apply_block` on full-lattice arrays, through :meth:`EvenOddWilson._hop_masked`."""
         eo = self.eo
         ws = self.workspace
-        tmp = ws.get(x_e.shape, x_e.dtype, "schur.tmp")
-        eo.hop_parity_into(x_e, eo.odd, tmp)
-        eo.hop_parity_into(tmp, eo.even, out)
+        tmp = ws.get(X.shape, X.dtype, "schur.tmp")
+        if dagger:
+            g5 = ws.get(X.shape, X.dtype, "schur.g5")
+            np.copyto(g5, X)
+            g5[..., 2:4, :] *= -1.0
+            X = g5
+        eo._hop_masked(X, ODD, tmp)
+        eo._hop_masked(tmp, EVEN, out)
         out /= -(4.0 * eo.diag)
-        diag = ws.get(x_e.shape, x_e.dtype, "schur.diag")
-        np.multiply(x_e, eo.diag, out=diag)
-        diag[eo._not_mask(eo.even)] = 0
-        out += diag
+        np.multiply(X, eo.diag, out=tmp)
+        tmp[:, eo.odd] = 0
+        out += tmp
+        if dagger:
+            out[..., 2:4, :] *= -1.0
+        return out
+
+    def apply(self, x_e: np.ndarray) -> np.ndarray:
+        return self.apply_into(x_e, np.empty_like(x_e))
+
+    def apply_dagger(self, x_e: np.ndarray) -> np.ndarray:
+        return self.apply_dagger_into(x_e, np.empty_like(x_e))
+
+    def apply_into(self, x_e: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self._apply_block(x_e[None], out[None])
+        return out
+
+    def apply_dagger_into(self, x_e: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self._apply_block(x_e[None], out[None], dagger=True)
         return out
 
     def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched Schur apply: both half-volume hops stream links once
-        per RHS block; the scalar scale/mask/add steps are elementwise,
-        so each column matches :meth:`apply_into` bit-for-bit."""
-        eo = self.eo
-        ws = self.workspace
-        tmp = ws.get(X.shape, X.dtype, "schur.batch.tmp")
-        eo.hop_parity_batch_into(X, eo.odd, tmp)
-        eo.hop_parity_batch_into(tmp, eo.even, out)
-        out /= -(4.0 * eo.diag)
-        diag = ws.get(X.shape, X.dtype, "schur.batch.diag")
-        np.multiply(X, eo.diag, out=diag)
-        diag[:, eo._not_mask(eo.even)] = 0
-        out += diag
-        return out
+        return self._apply_block(X, out)
 
     def apply_dagger_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        tmp = self.workspace.get(X.shape, X.dtype, "schur.batch.g5")
-        np.copyto(tmp, X)
-        tmp[..., 2:4, :] *= -1.0
-        self.apply_batch_into(tmp, out)
-        out[..., 2:4, :] *= -1.0
-        return out
-
-    def apply_dagger(self, x_e: np.ndarray) -> np.ndarray:
-        """gamma5-hermiticity survives Schur complementation (gamma5 is
-        site-diagonal, hence parity-preserving)."""
-        return apply_gamma5(self.apply(apply_gamma5(x_e)))
-
-    def apply_dagger_into(self, x_e: np.ndarray, out: np.ndarray) -> np.ndarray:
-        tmp = self.workspace.get(x_e.shape, x_e.dtype, "schur.g5")
-        np.copyto(tmp, x_e)
-        tmp[..., 2:4, :] *= -1.0
-        self.apply_into(tmp, out)
-        out[..., 2:4, :] *= -1.0
-        return out
+        return self._apply_block(X, out, dagger=True)

@@ -75,6 +75,14 @@ class TwoFlavorWilsonAction(GaugeAction):
     solver_tol:
         CG tolerance of the force/action solves; force accuracy feeds
         directly into HMC energy conservation.
+
+    A trajectory asks for the same ``X = (M^dag M)^{-1} phi`` more than
+    once: the initial action and the first kick see the same links, the
+    final action repeats the last kick's solve, and the reported action
+    repeats one of the two.  The last solve :meth:`action` ran and the
+    last :meth:`force` ran are therefore kept, each with a copy of its
+    links, and either serves a call whose links compare equal — by
+    content, so an in-place edit of ``gauge.u`` is seen.
     """
 
     def __init__(
@@ -89,6 +97,8 @@ class TwoFlavorWilsonAction(GaugeAction):
         self.solver_tol = float(solver_tol)
         self.max_iter = int(max_iter)
         self.phi: np.ndarray | None = None
+        #: caller ("action" | "force") -> (links, phi, X) of its last solve.
+        self._solved: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- pseudofermion heatbath -------------------------------------------------
 
@@ -98,29 +108,35 @@ class TwoFlavorWilsonAction(GaugeAction):
         eta = random_fermion(gauge.lattice, rng=rng)
         m = WilsonDirac(gauge, self.mass, self.phases)
         self.phi = m.apply_dagger(eta)
+        self._solved.clear()
 
     def set_phi(self, phi: np.ndarray) -> None:
         """Pin the pseudofermion field (tests/numerical-gradient checks)."""
         self.phi = phi.copy()
+        self._solved.clear()
 
-    def _solve_x(self, gauge: GaugeField) -> tuple[np.ndarray, WilsonDirac]:
+    def _solve_x(self, gauge: GaugeField, caller: str) -> tuple[np.ndarray, WilsonDirac]:
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
         m = WilsonDirac(gauge, self.mass, self.phases)
+        for links, phi, x in self._solved.values():
+            if phi is self.phi and np.array_equal(links, gauge.u):
+                return x, m
         res = cg(m.normal_op(), self.phi, tol=self.solver_tol, max_iter=self.max_iter,
                  record_history=False)
         if not res.converged:
             raise RuntimeError(f"pseudofermion solve failed: {res.summary()}")
+        self._solved[caller] = (gauge.u.copy(), self.phi, res.x)
         return res.x, m
 
     # -- action + force ----------------------------------------------------------
 
     def action(self, gauge: GaugeField) -> float:
-        x, _ = self._solve_x(gauge)
+        x, _ = self._solve_x(gauge, "action")
         return float(inner(self.phi, x).real)
 
     def force(self, gauge: GaugeField) -> np.ndarray:
-        x, m = self._solve_x(gauge)
+        x, m = self._solve_x(gauge, "force")
         y = m.apply(x)
         # dpi/dt contribution is wilson_bilinear_force; force = -that.
         return -wilson_bilinear_force(gauge, x, y, self.phases)

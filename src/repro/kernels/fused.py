@@ -35,6 +35,17 @@ A single-RHS field, a 5-D domain-wall field and a multi-RHS block differ
 only in the extent of the ``rhs`` axis, which the links broadcast over;
 a width-1 block *is* a single apply.
 
+The hopping term only connects opposite checkerboard parities, and the
+sites of one parity are a ``(T, Z, Y, X/2)`` lattice of their own
+(:func:`repro.kernels.shifts.parity_site_tables`).  The same 8 terms run
+on it (:meth:`FusedHopping.hop_parity_planes`) with link planes kept per
+parity — the forward term multiplies by the target parity's ``U_mu``,
+the backward one by the source parity's ``U_mu^dag`` at the source —
+the T, Z and Y shifts unchanged on the half extents, and the X shift a
+copy in every other row.  That is what even-odd preconditioning runs on:
+a hop from one parity to the other costs half a Dslash, and the planes
+never go back to the full lattice in between.
+
 Scratch is streamed.  The half spinors of 1, 2 or 4 directions go
 through the multiply in one call — few, large ufunc calls on a small
 lattice, one direction at a time on a large one — a wide block is taken
@@ -62,9 +73,9 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.kernels.color import color_mul_planes_into
-from repro.kernels.shifts import shift_into
+from repro.kernels.shifts import half_extents, parity_site_tables, shift_into
 from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
-from repro.kernels.workspace import Workspace
+from repro.kernels.workspace import Workspace, aligned_empty
 
 __all__ = ["FusedHopping"]
 
@@ -119,14 +130,25 @@ def store_planes(block: np.ndarray, planes: np.ndarray) -> None:
     _site_minor(block.imag)[...] = planes[1]
 
 
-def link_planes(u: np.ndarray) -> np.ndarray:
+def link_planes(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``links[g, re|im, a, b, site]``, contiguous, of a (G, *sites, 3, 3) link array or view."""
     volume = u[0].size // 9
-    links = np.empty((len(u), 2, 3, 3, volume), dtype=u.real.dtype)
+    links = aligned_empty((len(u), 2, 3, 3, volume), u.real.dtype) if out is None else out
     for g in range(len(u)):
         sites = u[g].reshape(volume, 3, 3).transpose(1, 2, 0)
         links[g, 0] = sites.real
         links[g, 1] = sites.imag
+    return links
+
+
+def parity_link_planes(u: np.ndarray) -> np.ndarray:
+    """``links[parity, g, re|im, a, b, site]``: :func:`link_planes` of each
+    parity's sites of a (4, T, Z, Y, X, 3, 3) link array, in parity order."""
+    sites, _ = parity_site_tables(u.shape[1:5])
+    flat = u.reshape(4, -1, 3, 3)
+    links = aligned_empty((2, 4, 2, 3, 3, sites.shape[1]), u.real.dtype)
+    for parity, of_parity in enumerate(sites):
+        link_planes(flat[:, of_parity], out=links[parity])
     return links
 
 
@@ -183,13 +205,14 @@ class FusedHopping:
 
     def __init__(self) -> None:
         self.workspace = Workspace()
-        self._u_ref: np.ndarray | None = None
-        self._links: np.ndarray | None = None
+        self.invalidate()
 
     def invalidate(self) -> None:
-        """Drop the cached link table (after an in-place gauge update)."""
-        self._u_ref = None
-        self._links = None
+        """Drop the cached link tables (after an in-place gauge update)."""
+        self._u_ref: np.ndarray | None = None
+        self._links: np.ndarray | None = None
+        self._parity_u_ref: np.ndarray | None = None
+        self._parity_links: np.ndarray | None = None
 
     def _link_planes(self, u: np.ndarray) -> np.ndarray:
         """:func:`link_planes` of the four directions, cached per gauge array."""
@@ -197,6 +220,13 @@ class FusedHopping:
             self._links = link_planes(u)
             self._u_ref = u
         return self._links
+
+    def _parity_link_planes(self, u: np.ndarray) -> np.ndarray:
+        """:func:`parity_link_planes`, cached per gauge array."""
+        if self._parity_u_ref is not u:
+            self._parity_links = parity_link_planes(u)
+            self._parity_u_ref = u
+        return self._parity_links
 
     def __call__(
         self,
@@ -276,40 +306,167 @@ class FusedHopping:
         the backward term the planes of their ``U_mu``.  Returns workspace
         buffers ``(psi, acc)``, the caller's to overwrite.
         """
+        psi = self._load(X, "hop.psi")
+        return psi, self._terms(psi, links, links, wrap, group, "hop.acc")
+
+    def _load(self, X: np.ndarray, slot: str) -> np.ndarray:
+        """Workspace planes ``slot`` of one (rhs, *sites, 4, 3) block."""
         nrhs, dims = X.shape[0], X.shape[1:5]
-        ws = self.workspace
-        rdtype = links.dtype
-
-        psi = ws.get((2, 4, nrhs, 3) + dims, rdtype, "hop.psi")
-        acc = ws.zeros((2, 4, nrhs, 3) + dims, rdtype, "hop.acc")
-        stack = (group, 2, 2, nrhs, 3)
-        fwd = ws.get(stack + dims, rdtype, "hop.fwd")
-        bwd = ws.get(stack + dims, rdtype, "hop.bwd")
-        tmp = ws.get(stack + dims, rdtype, "hop.tmp")
-
+        psi = self.workspace.get((2, 4, nrhs, 3) + dims, X.real.dtype, slot)
         # Time blocks keep the strided side of the transposing copy in cache.
         t_block = max(1, _BLOCK_BYTES // (X[:, 0].size * X.itemsize))
         for t0 in range(0, dims[0], t_block):
             t = slice(t0, t0 + t_block)
             load_planes(psi[:, :, :, :, t], X[:, t])
+        return psi
+
+    def _terms(
+        self,
+        psi: np.ndarray,
+        fwd_links: np.ndarray,
+        bwd_links: np.ndarray,
+        wrap,
+        group: int,
+        slot: str,
+        x_rows: tuple = (None, None),
+    ) -> np.ndarray:
+        """The 8 direction terms of the planes ``psi``, summed into workspace planes ``slot``.
+
+        The forward terms multiply by ``fwd_links`` at the target, the
+        backward ones by the dagger of ``bwd_links`` at the source: one
+        table on a lattice, the target's and the source's on a parity-
+        ordered half lattice, where ``x_rows`` holds the ``rows`` tables of
+        the forward and backward X shifts.
+        """
+        nrhs, dims = psi.shape[2], psi.shape[4:]
+        ws = self.workspace
+        rdtype = psi.dtype
+
+        acc = ws.zeros(psi.shape, rdtype, slot)
+        stack = (group, 2, 2, nrhs, 3)
+        fwd = ws.get(stack + dims, rdtype, "hop.fwd")
+        bwd = ws.get(stack + dims, rdtype, "hop.bwd")
+        tmp = ws.get(stack + dims, rdtype, "hop.tmp")
 
         for g0 in range(0, 4, group):
             mus = range(g0, g0 + group)
             # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu).
             for g, mu in enumerate(mus):
                 project_planes_into(tmp[g], psi, mu, -1)
-                shift_into(bwd[g], tmp[g], 4 + mu, +1, *self._wrapped(wrap(mu, -1), mu, -1))
-            self._color_mul(fwd, links[g0 : g0 + group], bwd, False)
+                shift_into(
+                    bwd[g],
+                    tmp[g],
+                    4 + mu,
+                    +1,
+                    *self._wrapped(wrap(mu, -1), mu, -1),
+                    rows=x_rows[0] if mu == 3 else None,
+                )
+            self._color_mul(fwd, fwd_links[g0 : g0 + group], bwd, False)
             # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu), multiplied
             # at the source x - mu and gathered after.
             for g, mu in enumerate(mus):
                 project_planes_into(bwd[g], psi, mu, +1)
-            self._color_mul(tmp, links[g0 : g0 + group], bwd, True)
+            self._color_mul(tmp, bwd_links[g0 : g0 + group], bwd, True)
             for g, mu in enumerate(mus):
-                shift_into(bwd[g], tmp[g], 4 + mu, -1, *self._wrapped(wrap(mu, +1), mu, +1))
+                shift_into(
+                    bwd[g],
+                    tmp[g],
+                    4 + mu,
+                    -1,
+                    *self._wrapped(wrap(mu, +1), mu, +1),
+                    rows=x_rows[1] if mu == 3 else None,
+                )
                 reconstruct_planes_accumulate(acc, fwd[g], mu, -1)
                 reconstruct_planes_accumulate(acc, bwd[g], mu, +1)
-        return psi, acc
+        return acc
+
+    # -- the parity-ordered entry: the same terms on the sites of one parity -------
+
+    @staticmethod
+    def covers_parity_hop(phases) -> bool:
+        """Whether :meth:`hop_parity_planes` takes these boundary phases.
+
+        It wraps by a sign.  Any other phase multiplies full spinors the
+        way the reference does, which the half lattice does not hold.
+        """
+        return all(phase == 1 or phase == -1 for phase in phases)
+
+    def parity_planes(self, X: np.ndarray, parity: int, slot: str) -> np.ndarray:
+        """Workspace planes ``slot`` of the sites of one parity of an (rhs, T, Z, Y, X, 4, 3) block."""
+        nrhs, dims = X.shape[0], X.shape[1:5]
+        sites, _ = parity_site_tables(dims)
+        gathered = self.workspace.get(
+            (nrhs,) + half_extents(dims) + (4, 3), X.dtype, "parity.sites"
+        )
+        # mode="clip": np.take buffers ``out`` under the default "raise".
+        np.take(
+            X.reshape(nrhs, -1, 4, 3),
+            sites[parity],
+            axis=1,
+            out=gathered.reshape(nrhs, -1, 4, 3),
+            mode="clip",
+        )
+        return self._load(gathered, slot)
+
+    def hop_parity_planes(
+        self, u: np.ndarray, psi: np.ndarray, phases, parity: int, slot: str
+    ) -> np.ndarray:
+        """Hopping term onto the sites of ``parity``, from the planes ``psi`` of the other one.
+
+        Half of :meth:`__call__` for half its cost, and value-identical
+        on those sites: the same terms in the same order.  ``psi`` and
+        the result (workspace planes ``slot``) are laid out as
+        :meth:`parity_planes` lays them out; call under :func:`ufunc_rows`.
+        """
+        if u.real.dtype != psi.dtype:
+            raise TypeError(
+                f"links ({u.dtype}) and field planes ({psi.dtype}) must share one "
+                "precision; cast the operator with astype() instead"
+            )
+        if not self.covers_parity_hop(phases):
+            raise ValueError(f"the parity-ordered hop wraps by a sign, not by {phases}")
+        links = self._parity_link_planes(u)
+        dims = u.shape[1:5]
+        _, x_rows = parity_site_tables(dims)
+        if psi.shape[4:] != half_extents(dims):
+            raise ValueError(
+                f"half-lattice planes {psi.shape[4:]} do not match the gauge field {u.shape[1:5]}"
+            )
+        _, group = plan(links.shape[-1], psi.shape[2], psi.itemsize)
+        return self._terms(
+            psi,
+            links[parity],
+            links[1 - parity],
+            lambda mu, s: float(phases[mu].real),
+            group,
+            slot,
+            x_rows[parity],
+        )
+
+    def store_parity_planes(self, out: np.ndarray, planes: tuple) -> np.ndarray:
+        """Complex (rhs, T, Z, Y, X, 4, 3) block ``out`` from the ``planes`` of its
+        (even, odd) sites; ``None`` in place of either stores zeros there."""
+        nrhs, dims = out.shape[0], out.shape[1:5]
+        sites, _ = parity_site_tables(dims)
+        ws = self.workspace
+        # Indexed stores need the flat site axis as a view.
+        dense = out if out.flags.c_contiguous else ws.get(out.shape, out.dtype, "parity.dense")
+        flat = dense.reshape(nrhs, -1, 4, 3)
+        for parity, of_parity in enumerate(planes):
+            if of_parity is None:
+                flat[:, sites[parity]] = 0
+                continue
+            if of_parity.dtype != out.real.dtype:
+                raise TypeError(
+                    f"field planes ({of_parity.dtype}) and output ({out.dtype}) must "
+                    "share one precision; cast the operator with astype() instead"
+                )
+            scattered = ws.get((nrhs,) + half_extents(dims) + (4, 3), out.dtype, "parity.sites")
+            store_planes(scattered, of_parity)
+            flat[:, sites[parity]] = scattered.reshape(nrhs, -1, 4, 3)
+        if dense is not out:
+            np.copyto(out, dense)
+        return out
 
     def _wrapped(self, source, mu: int, s: int) -> tuple:
         """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source."""

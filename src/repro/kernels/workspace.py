@@ -11,13 +11,33 @@ Buffers are returned *uninitialised* (``np.empty`` semantics on first
 use, stale contents on reuse) — callers must overwrite every element
 they read.  Use :meth:`Workspace.zeros` when a zero-filled buffer is
 required.
+
+Buffers start on a cache-line boundary.  ``np.empty`` promises 16 bytes,
+and where a buffer lands within a line then depends on everything the
+process allocated before it; a plane stack whose rows straddle lines
+costs the colour multiply up to 1.8x (measured on AVX-512: every vector
+store splits), which made the same solve 15-20 % faster or slower from
+one process to the next.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "aligned_empty"]
+
+_CACHE_LINE = 64
+
+
+def aligned_empty(shape, dtype) -> np.ndarray:
+    """``np.empty(shape, dtype)`` that starts on a cache-line boundary."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % _CACHE_LINE
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
 
 
 class Workspace:
@@ -36,8 +56,7 @@ class Workspace:
         key = (tuple(shape), np.dtype(dtype).str, slot)
         buf = self._arena.get(key)
         if buf is None:
-            buf = np.empty(key[0], dtype=np.dtype(dtype))
-            self._arena[key] = buf
+            buf = self._arena[key] = aligned_empty(key[0], dtype)
         return buf
 
     def zeros(self, shape, dtype, slot: str | int = 0) -> np.ndarray:

@@ -220,6 +220,112 @@ class TestEvenOdd:
         y = eo.schur_operator().apply(x)
         assert np.allclose(mask_field(y, eo.odd), 0.0, atol=1e-13)
 
+    def test_refuses_odd_extent(self):
+        """The checkerboard does not close across an odd boundary; the
+        solve used to run to max_iter and return unconverged."""
+        with pytest.raises(ValueError, match=r"even extents.*\(3, 4, 4, 4\)"):
+            EvenOddWilson(GaugeField.cold(Lattice4D((3, 4, 4, 4))), mass=0.3)
+
+    # The half-lattice path of ``fused`` against the masked path of
+    # ``reference``: X = 2 (a half lattice one site wide), extents mixing 2,
+    # 4, 6 and 16, every +-1 boundary including X, and phases the half
+    # lattice does not take.  Inputs carry junk on the odd sites throughout.
+    EO_DIMS = [(4, 2, 6, 2), (2, 6, 4, 4), (16, 2, 2, 4), (6, 4, 2, 16)]
+    EO_PHASES = {
+        "antiperiodic-t": (-1.0, 1.0, 1.0, 1.0),
+        "periodic": PERIODIC_PHASES,
+        "antiperiodic-all": (-1.0, -1.0, -1.0, -1.0),
+        "twisted": (np.exp(0.3j), 1.0, -1.0, np.exp(-0.2j)),
+    }
+
+    @staticmethod
+    def _eo_pair(dims, dtype, phases, mass=0.3):
+        gauge = GaugeField.hot(Lattice4D(dims), rng=41).astype(dtype)
+        return (
+            EvenOddWilson(gauge, mass, phases, kernel="fused"),
+            EvenOddWilson(gauge, mass, phases, kernel="reference"),
+        )
+
+    @staticmethod
+    def _fields(dims, dtype, n, seed=42):
+        rng = np.random.default_rng(seed)
+        shape = (n,) + dims + (4, 3)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
+
+    @pytest.mark.parametrize("phases", EO_PHASES.values(), ids=EO_PHASES.keys())
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("dims", EO_DIMS, ids=lambda d: "x".join(map(str, d)))
+    def test_schur_forms_match_masked_reference(self, dims, dtype, phases):
+        fused, reference = self._eo_pair(dims, dtype, phases)
+        schur, oracle = fused.schur_operator(), reference.schur_operator()
+        x, y = self._fields(dims, dtype, 2)
+        want, want_dagger = oracle.apply(x), oracle.apply_dagger(y)
+        assert not want[fused.odd].any()
+        assert np.array_equal(schur.apply(x), want)
+        assert np.array_equal(schur.apply_dagger(y), want_dagger)
+        out = np.empty_like(x)
+        # Twice: the second pass runs on a warm workspace.
+        for _ in range(2):
+            assert np.array_equal(schur.apply_into(x, out), want)
+            assert np.array_equal(schur.apply_dagger_into(y, out), want_dagger)
+        strided = np.full(dims + (2, 4, 3), np.nan, dtype=dtype)[..., 1, :, :]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(schur.apply_into(x, strided), want)
+
+    @pytest.mark.parametrize("phases", EO_PHASES.values(), ids=EO_PHASES.keys())
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
+    def test_rhs_and_reconstruction_match_masked_forms(self, dtype, phases):
+        dims, d = (4, 6, 2, 4), 4.3
+        fused, reference = self._eo_pair(dims, dtype, phases)
+        b, x_e, psi = self._fields(dims, dtype, 3)
+        u, even, odd = fused.gauge.u, fused.even, fused.odd
+
+        def hop(field, onto):
+            return mask_field(hopping_term(u, field, phases), onto)
+
+        b_hat = mask_field(b, even) + hop(mask_field(b, odd), even) / (2.0 * d)
+        x = mask_field(x_e, even) + (mask_field(b, odd) + 0.5 * hop(x_e, odd)) / d
+        for eo in (fused, reference):
+            assert np.array_equal(eo.prepare_rhs(b), b_hat)
+            assert np.array_equal(eo.reconstruct(x_e, b), x)
+            assert np.array_equal(
+                eo.full_operator_apply(psi), d * psi - 0.5 * hopping_term(u, psi, phases)
+            )
+
+    def test_masked_path_is_chosen_from_the_phases(self):
+        """A boundary phase other than +-1 multiplies full spinors, which the
+        half lattice does not hold: those operators never reach the parity
+        entry, the others always do."""
+        dims = (4, 4, 2, 4)
+        x = self._fields(dims, np.complex128, 1)[0]
+
+        def forbid(*args, **kwargs):
+            raise AssertionError("half-lattice hop reached")
+
+        twisted, _ = self._eo_pair(dims, np.complex128, self.EO_PHASES["twisted"])
+        twisted._kernel.hop_parity_planes = forbid
+        twisted.schur_operator().apply(x)
+        twisted.reconstruct(twisted.prepare_rhs(x), x)
+        signs, _ = self._eo_pair(dims, np.complex128, self.EO_PHASES["antiperiodic-all"])
+        signs._kernel.hop_parity_planes = forbid
+        for call in (signs.schur_operator().apply, signs.prepare_rhs):
+            with pytest.raises(AssertionError, match="half-lattice hop reached"):
+                call(x)
+
+    def test_solve_is_unchanged_bit_for_bit(self):
+        """Same Schur bits, same CG iterates: iteration count, residual
+        history and solution of the even-odd solve on a fixed 8x4^3 case."""
+        from repro.solvers import solve_wilson_eo
+
+        lat = Lattice4D((8, 4, 4, 4))
+        gauge = GaugeField.warm(lat, eps=0.35, rng=43)
+        b = random_fermion(lat, rng=44)
+        fused = solve_wilson_eo(EvenOddWilson(gauge, 0.08, kernel="fused"), b, tol=1e-8)
+        oracle = solve_wilson_eo(EvenOddWilson(gauge, 0.08, kernel="reference"), b, tol=1e-8)
+        assert fused.converged and fused.iterations == oracle.iterations > 10
+        assert fused.history == oracle.history
+        assert np.array_equal(fused.x, oracle.x)
+
 
 class TestDomainWall:
     def test_shape_validation(self, tiny_lattice):

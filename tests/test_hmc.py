@@ -242,6 +242,70 @@ class TestPseudofermion:
         assert abs(r.delta_h) < 0.5
 
 
+    # -- one solve per distinct (links, phi) ----------------------------------
+
+    @staticmethod
+    def _dynamical(term, step_size, seed=27):
+        gauge = GaugeField.warm(Lattice4D((2, 2, 2, 2)), eps=0.2, rng=seed)
+        hmc = HMC([WilsonGaugeAction(beta=5.5), term], step_size=step_size, n_steps=8,
+                  integrator="omelyan", rng=seed + 1)
+        return gauge, hmc
+
+    @pytest.mark.parametrize("step_size,accepted", [(0.02, True), (0.6, False)])
+    def test_trajectory_solves_each_system_once(self, monkeypatch, step_size, accepted):
+        """An Omelyan-8 trajectory evaluates 17 forces and 3 actions; the
+        initial action shares the first kick's system, the final action the
+        last kick's, and the reported action one of those two, accepted or
+        not: 17 solves, not 20."""
+        from repro.hmc import pseudofermion
+
+        solves, cg = [], pseudofermion.cg
+        monkeypatch.setattr(
+            pseudofermion, "cg", lambda *a, **k: solves.append(1) or cg(*a, **k)
+        )
+        gauge, hmc = self._dynamical(TwoFlavorWilsonAction(mass=1.0), step_size)
+        for _ in range(2):
+            del solves[:]
+            assert hmc.trajectory(gauge).accepted is accepted
+            assert len(solves) == 17
+
+    def test_memo_does_not_change_a_bit(self):
+        """Against an action that forgets before every call: same dH, same
+        acceptance, same reported action, same final links."""
+
+        class Forgetful(TwoFlavorWilsonAction):
+            solves = 0
+
+            def _solve_x(self, gauge, caller):
+                self._solved.clear()
+                self.solves += 1
+                return super()._solve_x(gauge, caller)
+
+        results = []
+        for term in (TwoFlavorWilsonAction(mass=1.0), Forgetful(mass=1.0)):
+            gauge, hmc = self._dynamical(term, 0.05)
+            results.append(([hmc.trajectory(gauge) for _ in range(2)], gauge.u))
+        assert term.solves == 2 * 20
+        (kept, u_kept), (forgot, u_forgot) = results
+        assert kept == forgot
+        assert np.array_equal(u_kept, u_forgot)
+
+    def test_memo_is_keyed_by_link_content(self):
+        gauge, pf = self._setup()
+        s0 = pf.action(gauge)
+        saved = gauge.u[1, 0, 1, 0, 1].copy()
+        gauge.u[1, 0, 1, 0, 1] = su3.expm_su3(0.05j * su3.gellmann_matrices()[2]) @ saved
+        s1 = pf.action(gauge)  # same array object, edited in place
+        assert s1 != s0
+        fresh = TwoFlavorWilsonAction(mass=pf.mass, solver_tol=pf.solver_tol)
+        fresh.set_phi(pf.phi)
+        assert s1 == fresh.action(gauge)
+        gauge.u[1, 0, 1, 0, 1] = saved
+        assert pf.action(gauge.copy()) == s0  # equal content, another array
+        pf.set_phi(2.0 * pf.phi)
+        assert pf.action(gauge) == pytest.approx(4.0 * s0, rel=1e-9)
+
+
 class TestHeatbath:
     def test_su2_heatbath_distribution_mean(self):
         """For weight ~ sqrt(1-w0^2) e^{a w0}, <w0> is known via Bessel

@@ -33,9 +33,11 @@ from repro.kernels import (
     split_boxes,
 )
 from repro.kernels.color import color_mul_planes_into
-from repro.kernels.fused import link_planes, load_planes, store_planes
+from repro.kernels.fused import link_planes, load_planes, store_planes, ufunc_rows
+from repro.kernels.shifts import parity_site_tables
 from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
 from repro.lattice import Lattice4D, shift_with_phase
+from repro.util import paired_ratio
 
 TWISTED_PHASES = (np.exp(0.3j), 1.0, np.exp(-0.2j), 1.0)
 
@@ -72,6 +74,21 @@ class TestWorkspace:
         assert ws.nbytes == 8 * 16
         ws.clear()
         assert len(ws) == 0 and ws.nbytes == 0
+
+    def test_buffers_start_on_a_cache_line(self):
+        """Where ``np.empty`` puts a buffer within a line depends on what
+        the process allocated before; plane rows that straddle lines cost
+        the colour multiply up to 1.8x."""
+        ws = Workspace()
+        pad = []
+        for i, (shape, dtype) in enumerate(
+            [((3, 5, 7), np.float64), ((2, 4, 1, 3, 511), np.float32), ((1,), np.complex128)] * 3
+        ):
+            pad.append(np.empty(17 * i + 1))  # walk the heap between requests
+            buf = ws.get(shape, dtype, i)
+            assert buf.ctypes.data % 64 == 0
+            assert buf.shape == shape and buf.dtype == dtype
+            assert buf.flags.c_contiguous and buf.flags.writeable
 
 
 # -- shift_into ----------------------------------------------------------------
@@ -164,6 +181,47 @@ def test_shift_into_takes_the_wrapped_slab_from_outside(axis, dist):
     lo = 1 if dist > 0 else 0
     want = np.concatenate(parts, axis=axis).take(range(lo, lo + a.shape[axis]), axis)
     assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (4, 2, 6, 2), (2, 4, 6, 16)])
+def test_parity_site_tables(dims):
+    """The two parities partition the lattice in C order of a (T, Z, Y, X/2)
+    lattice, and the ``rows`` tables of the X shift name the full lattice's
+    X neighbours."""
+    sites, x_rows = parity_site_tables(dims)
+    volume = int(np.prod(dims))
+    parity = np.indices(dims).sum(axis=0).reshape(-1) % 2
+    assert sorted(np.concatenate(sites)) == list(range(volume))
+    coords = np.array(np.unravel_index(np.arange(volume), dims))
+    for p in (0, 1):
+        assert np.all(parity[sites[p]] == p)
+        t, z, y, x = coords[:, sites[p]]
+        half = np.ravel_multi_index((t, z, y, x // 2), dims[:3] + (dims[3] // 2,))
+        assert np.array_equal(half, np.arange(volume // 2))
+        for (source, crossed), step in zip(x_rows[p], (+1, -1)):
+            neighbour = np.ravel_multi_index((t, z, y, (x + step) % dims[3]), dims)
+            assert np.array_equal(sites[1 - p][source], neighbour)
+            wrapped = (x + step) // dims[3] != 0
+            assert np.array_equal(np.flatnonzero(wrapped) // (dims[3] // 2),
+                                  np.flatnonzero(crossed.reshape(-1)))
+    with pytest.raises(ValueError, match="even extents"):
+        parity_site_tables((4, 4, 3, 4))
+
+
+@pytest.mark.parametrize("dist", [+1, -1])
+@pytest.mark.parametrize("phase", [1.0, -1.0])
+def test_shift_into_rows_shift_or_copy(dist, phase):
+    """With ``rows`` every other row shifts (wrapped, phased) and the rest
+    copy: the X shift between the half lattices of the two parities."""
+    rng = np.random.default_rng(9)
+    dims = (2, 4, 2, 6)
+    a = rng.standard_normal((5,) + dims[:3] + (dims[3] // 2,))
+    out = np.empty_like(a)
+    _, x_rows = parity_site_tables(dims)
+    shift_into(out, a, 4, dist, phase, rows=x_rows[0][0 if dist > 0 else 1])
+    moves = (np.indices(dims[:3]).sum(axis=0) % 2 == 1) == (dist > 0)
+    shifted = shift_with_phase(a, 4, dist, phase).real
+    assert np.array_equal(out, np.where(moves[..., None], shifted, a))
 
 
 # -- fused kernel == reference, bit for bit ------------------------------------
@@ -290,6 +348,70 @@ def test_fused_link_cache_invalidation():
     assert np.array_equal(got, hopping_term(u, psi, DEFAULT_FERMION_PHASES))
 
 
+@pytest.mark.parametrize("dims", [(4, 2, 6, 2), (2, 4, 4, 6)], ids=["X2", "X6"])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
+@pytest.mark.parametrize("nrhs", [1, 3])
+def test_parity_hop_is_the_hop_on_half_the_sites(dims, dtype, nrhs):
+    """The parity-ordered entry: planes of one parity in, the reference's
+    hopping term on the sites of the other out, bit for bit, whatever sits
+    on the sites it does not read."""
+    rng = np.random.default_rng(44)
+    u = _rand_field(rng, (4,) + dims + (3, 3), dtype)
+    X = _rand_field(rng, (nrhs,) + dims + (4, 3), dtype)
+    phases = (-1.0, 1.0, 1.0, -1.0)
+    want = np.stack([hopping_term(u, x, phases) for x in X])
+    odd = (np.indices(dims).sum(axis=0) % 2).astype(bool)
+    kernel = FusedHopping()
+    out = np.full_like(X, np.nan)
+    with ufunc_rows():
+        onto_odd = kernel.hop_parity_planes(u, kernel.parity_planes(X, 0, "in"), phases, 1, "odd")
+        onto_even = kernel.hop_parity_planes(u, kernel.parity_planes(X, 1, "in"), phases, 0, "even")
+    kernel.store_parity_planes(out, (onto_even, onto_odd))
+    assert np.array_equal(out, want)
+    kernel.store_parity_planes(out, (None, onto_odd))
+    assert not out[:, ~odd].any() and np.array_equal(out[:, odd], want[:, odd])
+
+
+def test_parity_hop_rejects_what_it_does_not_cover():
+    rng = np.random.default_rng(45)
+    dims = (4, 4, 4, 4)
+    u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
+    X = _rand_field(rng, (1,) + dims + (4, 3), np.complex128)
+    kernel = FusedHopping()
+    planes = kernel.parity_planes(X, 0, "in")
+    assert FusedHopping.covers_parity_hop((-1.0, 1, -1, 1.0 + 0j))
+    assert not FusedHopping.covers_parity_hop(TWISTED_PHASES)
+    with pytest.raises(ValueError, match="wraps by a sign"):
+        kernel.hop_parity_planes(u, planes, TWISTED_PHASES, 1, "out")
+    with pytest.raises(TypeError, match="one precision"):
+        kernel.hop_parity_planes(u.astype(np.complex64), planes, DEFAULT_FERMION_PHASES, 1, "out")
+    with pytest.raises(TypeError, match="one precision"):
+        kernel.store_parity_planes(np.empty_like(X, dtype=np.complex64), (planes, None))
+    with pytest.raises(ValueError, match="do not match"):
+        kernel.hop_parity_planes(u[:, :2], planes, DEFAULT_FERMION_PHASES, 1, "out")
+    with pytest.raises(ValueError, match="even extents"):
+        kernel.parity_planes(X[:, :3], 0, "in")
+
+
+def test_fused_parity_link_cache_invalidation():
+    """``invalidate`` drops the per-parity link planes with the full ones:
+    a link flipped in place reaches the Schur operator (the heal contract)."""
+    lat = Lattice4D((4, 4, 2, 4))
+    gauge = GaugeField.hot(lat, rng=46)
+    x = random_fermion(lat, rng=47)
+    eo = EvenOddWilson(gauge, 0.1, kernel="fused")
+    schur = eo.schur_operator()
+    before = schur.apply(x)
+    eo.full_operator_apply(x)  # the full-lattice table is cached too
+    gauge.u[1, 2, 1, 0, 3] *= -1.0
+    assert np.array_equal(schur.apply(x), before)  # stale by contract
+    eo._kernel.invalidate()
+    want = EvenOddWilson(gauge, 0.1, kernel="reference")
+    assert np.array_equal(schur.apply(x), want.schur_operator().apply(x))
+    assert not np.array_equal(schur.apply(x), before)
+    assert np.array_equal(eo.full_operator_apply(x), want.full_operator_apply(x))
+
+
 def test_fused_scratch_bytes_per_site_at_16_4():
     """The workspace streams per direction term at large volume: at 16^4
     it stays under 3.75 fields (720 B/site in fp64: field and accumulator
@@ -407,36 +529,36 @@ def test_halo_stencil_strided_output_and_link_refresh():
 def test_rank_stencil_full_box_within_1p5x_of_fused():
     """The CI gate of the ``comm`` job: on one 8^4 field the rank stencil
     (ghost slabs and the ``diag`` combine included) costs at most 1.5x the
-    ``fused`` hopping apply.  Quads fused, halo, halo, fused back to back,
-    median of paired differences over the median baseline, as in E18."""
-    import time
-
+    ``fused`` hopping apply (ABBA quads, median of paired differences)."""
     lat = Lattice4D((8, 8, 8, 8))
     u = GaugeField.hot(lat, rng=31).u
     psi = random_fermion(lat, rng=32)
     out = np.empty_like(psi)
     u_halo, psi_halo = _whole_lattice_halos(u, psi, DEFAULT_FERMION_PHASES)
     kernel, stencil, box = FusedHopping(), HaloStencil(), full_box(lat.shape)
-
-    def fused():
-        kernel(u, psi, DEFAULT_FERMION_PHASES, out=out)
-
-    def halo():
-        stencil.wilson_box_into(out, u_halo, None, psi_halo, 1, box, DIAG)
-
-    def seconds(f):
-        t0 = time.perf_counter()
-        f()
-        return time.perf_counter() - t0
-
-    fused(), halo()
-    bases, diffs = [], []
-    for _ in range(25):
-        f1, h1, h2, f2 = seconds(fused), seconds(halo), seconds(halo), seconds(fused)
-        bases.append(0.5 * (f1 + f2))
-        diffs.append(0.5 * (h1 + h2) - 0.5 * (f1 + f2))
-    ratio = 1.0 + np.median(diffs) / np.median(bases)
+    ratio = paired_ratio(
+        lambda: kernel(u, psi, DEFAULT_FERMION_PHASES, out=out),
+        lambda: stencil.wilson_box_into(out, u_halo, None, psi_halo, 1, box, DIAG),
+    )
     assert ratio <= 1.5, f"rank stencil / fused = {ratio:.2f} at 8^4"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims", [(16, 4, 4, 4), (8, 8, 8, 8)], ids=["16x4^3", "8^4"])
+def test_schur_apply_within_1p25x_of_wilson_apply(dims):
+    """The CI gate of even-odd on half the sites: a Schur apply (two half
+    hops on planes) costs at most 1.25x a Wilson apply on the same fields;
+    masked, it cost 2x."""
+    lat = Lattice4D(dims)
+    gauge = GaugeField.hot(lat, rng=33)
+    psi = random_fermion(lat, rng=34)
+    out = np.empty_like(psi)
+    wilson = WilsonDirac(gauge, 0.1, kernel="fused")
+    schur = EvenOddWilson(gauge, 0.1, kernel="fused").schur_operator()
+    ratio = paired_ratio(
+        lambda: wilson.apply_into(psi, out), lambda: schur.apply_into(psi, out), quads=100
+    )
+    assert ratio <= 1.25, f"Schur apply / Wilson apply = {ratio:.2f} at {dims}"
 
 
 # -- registry ------------------------------------------------------------------
