@@ -1,10 +1,10 @@
-"""E7 — Fig. 4: plaquette vs beta and dH vs step size."""
+"""E7 — Fig. 4: plaquette vs beta, dH vs step size, and the dynamical trajectory."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import e7_dh_scaling, e7_hmc_validation
+from repro.bench import e7_dh_scaling, e7_dynamical, e7_hmc_validation
 
 
 def test_e7_plaquette_vs_beta(benchmark, show):
@@ -31,3 +31,16 @@ def test_e7_dh_scaling(benchmark, show):
         assert 2.0 < a / b < 8.0
     # Omelyan's smaller coefficient at every step size.
     assert all(r["omelyan"] < r["leapfrog"] for r in rows)
+
+
+def test_e7_dynamical(benchmark, show):
+    table, (row,) = benchmark.pedantic(e7_dynamical, rounds=1, iterations=1)
+    show(table, "e7_dynamical.txt", extra=row)
+    # Omelyan-8: 17 distinct (links, phi) systems, each solved once.
+    assert set(row["solves"]) == {17}
+    # Even-odd pseudofermions: 1 003 iterations per trajectory before them.
+    assert max(row["cg_iters"]) < 500
+    # Exactness: <exp(-dH)> = 1 within three standard errors, small |dH|.
+    assert abs(row["exp_mdh"] - 1.0) < 3.0 * row["exp_mdh_err"]
+    assert row["mean_abs_dh"] < 0.2 and row["acceptance"] > 0.8
+    assert row["unitarity"] < 1e-10

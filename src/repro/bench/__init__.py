@@ -17,7 +17,7 @@ from repro.bench.e2_e3_measured import (
 from repro.bench.e4_solvers import e4_solver_comparison
 from repro.bench.e5_precision import e5_precision_history
 from repro.bench.e6_comm import e6_comm_fraction
-from repro.bench.e7_hmc import e7_hmc_validation, e7_dh_scaling
+from repro.bench.e7_hmc import e7_dh_scaling, e7_dynamical, e7_hmc_validation
 from repro.bench.e8_spectrum import e8_spectrum
 from repro.bench.e9_model import e9_model_validation
 from repro.bench.e10_ablations import e10_ablations
@@ -58,6 +58,7 @@ __all__ = [
     "e6_comm_fraction",
     "e7_hmc_validation",
     "e7_dh_scaling",
+    "e7_dynamical",
     "e8_spectrum",
     "e9_model_validation",
     "e10_ablations",

@@ -1,10 +1,12 @@
 """E7 — Figure 4: gauge-generation validation.
 
-Two series: (a) <plaquette> versus beta from our heatbath against the
+Three series: (a) <plaquette> versus beta from our heatbath against the
 strong-coupling expansion (beta/18 at small beta) and the weak-coupling
 behaviour (-> 1 at large beta); (b) |dH| versus step size for leapfrog and
 Omelyan at fixed trajectory length, exhibiting the eps^2 law and Omelyan's
-smaller coefficient.
+smaller coefficient; (c) a two-flavour dynamical stream — what a trajectory
+costs (solves, CG iterations, where the seconds go) and whether it is exact
+(<exp(-dH)> = 1 within error).
 """
 
 from __future__ import annotations
@@ -12,12 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fields import GaugeField
-from repro.hmc import WilsonGaugeAction, heatbath_sweep, kinetic_energy, leapfrog, omelyan, sample_momenta
+from repro.hmc import (
+    HMC,
+    TwoFlavorWilsonAction,
+    WilsonGaugeAction,
+    heatbath_sweep,
+    kinetic_energy,
+    leapfrog,
+    omelyan,
+    sample_momenta,
+)
 from repro.lattice import Lattice4D
 from repro.loops import average_plaquette
+from repro.telemetry import get_registry, span, telemetry_mode
 from repro.util import Table
 
-__all__ = ["e7_hmc_validation", "e7_dh_scaling"]
+__all__ = ["e7_hmc_validation", "e7_dh_scaling", "e7_dynamical"]
 
 
 def e7_hmc_validation(
@@ -85,3 +97,88 @@ def e7_dh_scaling(
             [eps, n_steps, dh["leapfrog"], dh["omelyan"], dh["leapfrog"] / dh["omelyan"]]
         )
     return table, rows
+
+
+def e7_dynamical(
+    shape: tuple[int, int, int, int] = (4, 4, 4, 4),
+    beta: float = 5.6,
+    mass: float = 0.5,
+    step_size: float = 0.0625,
+    n_steps: int = 8,
+    n_traj: int = 20,
+    n_warmup: int = 2,
+    seed: int = 77,
+) -> tuple[Table, list[dict]]:
+    """Gauge + two-flavour Omelyan stream: cost and exactness per trajectory.
+
+    The defaults are the end-to-end ``hmc_stream`` workload's dynamical
+    parameters.  Seconds come from the ``repro.telemetry`` spans of the run
+    itself (``hmc_trajectory``, and ``pf_solve`` / ``pf_bilinear`` inside the
+    pseudofermion action) in ``counters`` mode; the gauge term has no span
+    of its own, so its force is wrapped here; "rest" is the integrator's
+    link and momentum updates, the actions' reductions and the plaquette.
+    """
+    rng = np.random.default_rng(seed)
+    gauge = GaugeField.hot(Lattice4D(shape), rng=rng)
+    for _ in range(10):
+        heatbath_sweep(gauge, beta, rng)
+    gauge_term = WilsonGaugeAction(beta)
+    hmc = HMC(
+        [gauge_term, TwoFlavorWilsonAction(mass)],
+        step_size=step_size, n_steps=n_steps, integrator="omelyan", rng=rng,
+    )
+    gauge_force = gauge_term.force
+
+    def spanned_gauge_force(g):
+        with span("gauge_force", cat="hmc"):
+            return gauge_force(g)
+
+    gauge_term.force = spanned_gauge_force
+    hmc.run(gauge, n_warmup)
+
+    counters = get_registry().counters
+    names = ("calls/cg", "solver/cg/iterations", "time/hmc_trajectory",
+             "time/pf_solve", "time/pf_bilinear", "time/gauge_force")
+    trajectories = []
+    with telemetry_mode("counters"):
+        for _ in range(n_traj):
+            before = counters()
+            result = hmc.trajectory(gauge)
+            after = counters()
+            delta = {k: after.get(k, 0) - before.get(k, 0) for k in names}
+            trajectories.append({"result": result, **delta})
+
+    def mean(key: str) -> float:
+        return float(np.mean([t[key] for t in trajectories]))
+
+    dh = np.array([t["result"].delta_h for t in trajectories])
+    weights = np.exp(-dh)
+    row = {
+        "solves": [int(t["calls/cg"]) for t in trajectories],
+        "cg_iters": [int(t["solver/cg/iterations"]) for t in trajectories],
+        "delta_h": dh.tolist(),
+        "traj_s": mean("time/hmc_trajectory"),
+        "solve_s": mean("time/pf_solve"),
+        "bilinear_s": mean("time/pf_bilinear"),
+        "gauge_force_s": mean("time/gauge_force"),
+        "mean_abs_dh": float(np.abs(dh).mean()),
+        "exp_mdh": float(weights.mean()),
+        "exp_mdh_err": float(weights.std(ddof=1) / np.sqrt(n_traj)),
+        "acceptance": float(np.mean([t["result"].accepted for t in trajectories])),
+        "plaquette": float(np.mean([t["result"].plaquette for t in trajectories])),
+        "unitarity": float(gauge.unitarity_violation()),
+    }
+    row["rest_s"] = row["traj_s"] - row["solve_s"] - row["bilinear_s"] - row["gauge_force_s"]
+    table = Table(
+        f"E7c — dynamical trajectory ({'x'.join(map(str, shape))}, beta={beta}, m={mass}, "
+        f"Omelyan {n_steps} x {step_size}, {n_traj} trajectories)",
+        ["solves/traj", "CG iters/traj", "traj s", "solve s", "bilinear s",
+         "gauge force s", "rest s", "<|dH|>", "<exp(-dH)>", "+-", "acceptance", "<plaq>"],
+    )
+    table.add_row([
+        float(np.mean(row["solves"])), float(np.mean(row["cg_iters"])), row["traj_s"],
+        row["solve_s"], row["bilinear_s"], row["gauge_force_s"], row["rest_s"],
+        row["mean_abs_dh"], row["exp_mdh"], row["exp_mdh_err"], row["acceptance"],
+        row["plaquette"],
+    ])
+    return table, [row]

@@ -118,15 +118,17 @@ class EvenOddWilson:
         kernel.store_parity_planes(out[None], (b_hat, None))
         return out
 
-    def reconstruct(self, x_e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def reconstruct(self, x_e: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
         """Back-substitute the odd solution:
-        ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x."""
+        ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x
+        (``b=None``: no source, ``x_o = H_oe x_e / 2d``)."""
         out = np.empty_like(x_e)
         kernel = self._half_lattice_kernel()
         if kernel is None:
             self._hop_masked(x_e[None], ODD, out[None])
             out *= 0.5
-            out[self.odd] += b[self.odd]
+            if b is not None:
+                out[self.odd] += b[self.odd]
             out /= self.diag
             out[self.even] = x_e[self.even]
             return out
@@ -134,7 +136,8 @@ class EvenOddWilson:
             x_even = kernel.parity_planes(x_e[None], EVEN, "eo.source")
             x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
             x_odd *= 0.5
-            x_odd += kernel.parity_planes(b[None], ODD, "eo.other")
+            if b is not None:
+                x_odd += kernel.parity_planes(b[None], ODD, "eo.other")
             x_odd *= _reciprocal(x_odd, self.diag)
         kernel.store_parity_planes(out[None], (x_even, x_odd))
         return out

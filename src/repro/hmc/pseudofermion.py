@@ -1,17 +1,24 @@
-"""Two-flavour Wilson pseudofermion action.
+"""Two-flavour Wilson pseudofermion action, even-odd preconditioned.
 
-``det(M^dag M)`` (two degenerate flavours) is represented by a Gaussian
-integral over a pseudofermion field::
+In the parity-ordered basis ``M_oo = d 1`` with ``d = m + 4``, so
+``det(M^dag M) = d^(24 V/2) det(M_hat^dag M_hat)`` with the Schur complement
+``M_hat = d - H_eo H_oe / 4d`` (:mod:`repro.dirac.eo`): the constant drops
+out of the gauge distribution and the two degenerate flavours are a
+Gaussian integral over a pseudofermion field on the even sites alone::
 
-    S_pf = phi^dag (M^dag M)^{-1} phi
+    S_pf = phi_e^dag (M_hat^dag M_hat)^{-1} phi_e
 
 Heatbath at the start of a trajectory: draw ``eta ~ N(0,1)`` and set
-``phi = M^dag eta`` (then ``S_pf = |eta|^2`` exactly).  The force follows
-from differentiating M with respect to a link; with ``X = (M^dag M)^{-1}
-phi`` and ``Y = M X`` the contribution to ``dpi/dt`` is
-``(1/2) Ta[C1 - C2]`` where C1/C2 are the colour outer products built
-below — a sign and index structure that is *verified against the numerical
-gradient of S_pf* in the tests.
+``phi = M_hat^dag eta_e`` (then ``S_pf = |eta_e|^2`` exactly).  With
+``X = (M_hat^dag M_hat)^{-1} phi`` and ``Y = M_hat X`` the link variation is
+``-(Y^dag dM_hat X + h.c.)``, and because ``dM_hat = -(dH_eo H_oe + H_eo
+dH_oe) / 4d`` that is the full-lattice ``-(Y_f^dag dM X_f + h.c.)`` of the
+back-substituted fields ``X_f = (X, H_oe X / 2d)`` and ``Y_f = (Y, gamma5
+H_oe gamma5 Y / 2d)`` — the odd sites that solve ``(M X_f)_o = 0`` and
+``(M^dag Y_f)_o = 0``.  The force is therefore the same bilinear as for
+the full determinant, ``(1/2) Ta[C1 - C2]`` of the colour outer products
+below, *verified against the numerical gradient of S_pf* in the tests.
+Fields stay full-lattice arrays, zero on the odd sites; extents are even.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro import su3
+from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, inner, random_fermion
-from repro.gammas import spin_projector_matrix
+from repro.gammas import apply_gamma5, spin_projector_matrix
 from repro.hmc.action import GaugeAction
 from repro.lattice import shift_with_phase
 from repro.solvers.cg import cg
+from repro.telemetry.spans import span
 from repro.util.rng import ensure_rng
 
 __all__ = ["TwoFlavorWilsonAction", "wilson_bilinear_force"]
@@ -66,7 +74,8 @@ def wilson_bilinear_force(
 
 
 class TwoFlavorWilsonAction(GaugeAction):
-    """``S_pf = phi^dag (M^dag M)^{-1} phi`` for the Wilson operator.
+    """``S_pf = phi_e^dag (M_hat^dag M_hat)^{-1} phi_e`` for the Wilson operator's
+    even-odd Schur complement (odd extents raise ``ValueError``).
 
     Parameters
     ----------
@@ -76,7 +85,7 @@ class TwoFlavorWilsonAction(GaugeAction):
         CG tolerance of the force/action solves; force accuracy feeds
         directly into HMC energy conservation.
 
-    A trajectory asks for the same ``X = (M^dag M)^{-1} phi`` more than
+    A trajectory asks for the same ``X = (M_hat^dag M_hat)^{-1} phi`` more than
     once: the initial action and the first kick see the same links, the
     final action repeats the last kick's solve, and the reported action
     repeats one of the two.  The last solve :meth:`action` ran and the
@@ -103,31 +112,32 @@ class TwoFlavorWilsonAction(GaugeAction):
     # -- pseudofermion heatbath -------------------------------------------------
 
     def refresh(self, gauge: GaugeField, rng=None) -> None:
-        """Draw ``phi = M^dag eta`` with Gaussian eta (called by HMC)."""
+        """Draw ``phi = M_hat^dag eta`` with Gaussian eta (called by HMC); eta
+        is drawn on the full lattice and ``M_hat^dag`` reads its even sites."""
         rng = ensure_rng(rng)
-        eta = random_fermion(gauge.lattice, rng=rng)
-        m = WilsonDirac(gauge, self.mass, self.phases)
-        self.phi = m.apply_dagger(eta)
+        m_hat = EvenOddWilson(gauge, self.mass, self.phases).schur_operator()
+        self.phi = m_hat.apply_dagger(random_fermion(gauge.lattice, rng=rng))
         self._solved.clear()
 
     def set_phi(self, phi: np.ndarray) -> None:
-        """Pin the pseudofermion field (tests/numerical-gradient checks)."""
+        """Pin the pseudofermion field, zero on the odd sites (gradient checks)."""
         self.phi = phi.copy()
         self._solved.clear()
 
-    def _solve_x(self, gauge: GaugeField, caller: str) -> tuple[np.ndarray, WilsonDirac]:
+    def _solve_x(self, gauge: GaugeField, caller: str) -> tuple[np.ndarray, EvenOddWilson]:
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
-        m = WilsonDirac(gauge, self.mass, self.phases)
+        eo = EvenOddWilson(gauge, self.mass, self.phases)
         for links, phi, x in self._solved.values():
             if phi is self.phi and np.array_equal(links, gauge.u):
-                return x, m
-        res = cg(m.normal_op(), self.phi, tol=self.solver_tol, max_iter=self.max_iter,
-                 record_history=False)
+                return x, eo
+        with span("pf_solve", cat="hmc"):
+            res = cg(eo.schur_operator().normal_op(), self.phi, tol=self.solver_tol,
+                     max_iter=self.max_iter, record_history=False)
         if not res.converged:
             raise RuntimeError(f"pseudofermion solve failed: {res.summary()}")
         self._solved[caller] = (gauge.u.copy(), self.phi, res.x)
-        return res.x, m
+        return res.x, eo
 
     # -- action + force ----------------------------------------------------------
 
@@ -136,7 +146,10 @@ class TwoFlavorWilsonAction(GaugeAction):
         return float(inner(self.phi, x).real)
 
     def force(self, gauge: GaugeField) -> np.ndarray:
-        x, m = self._solve_x(gauge, "force")
-        y = m.apply(x)
-        # dpi/dt contribution is wilson_bilinear_force; force = -that.
-        return -wilson_bilinear_force(gauge, x, y, self.phases)
+        x, eo = self._solve_x(gauge, "force")
+        with span("pf_bilinear", cat="hmc"):
+            y = eo.schur_operator().apply(x)
+            x_full = eo.reconstruct(x)
+            y_full = apply_gamma5(eo.reconstruct(apply_gamma5(y)))
+            # dpi/dt contribution is wilson_bilinear_force; force = -that.
+            return -wilson_bilinear_force(gauge, x_full, y_full, self.phases)

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import su3
+from repro.dirac import EvenOddWilson, WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.hmc import (
     HMC,
@@ -20,7 +23,7 @@ from repro.hmc import (
     sample_momenta,
     su2_heatbath_pauli,
 )
-from repro.lattice import Lattice4D
+from repro.lattice import Lattice4D, checkerboard_masks, mask_field
 from repro.loops import average_plaquette
 
 RNG = np.random.default_rng(9001)
@@ -194,7 +197,8 @@ class TestPseudofermion:
         return gauge, pf
 
     def test_refresh_action_equals_eta_norm(self):
-        """At refresh, S_pf = |eta|^2; verify through the solve."""
+        """At refresh, S_pf = |eta_e|^2 (the even-site part of the draw);
+        verify through the solve."""
         lat = Lattice4D((2, 2, 2, 2))
         gauge = GaugeField.warm(lat, eps=0.2, rng=22)
         pf = TwoFlavorWilsonAction(mass=1.0, solver_tol=1e-13)
@@ -205,7 +209,8 @@ class TestPseudofermion:
         pf.refresh(gauge, rng=rng)
         from repro.fields import norm2
 
-        assert pf.action(gauge) == pytest.approx(norm2(eta), rel=1e-8)
+        eta_e = mask_field(eta, checkerboard_masks(lat)[0])
+        assert pf.action(gauge) == pytest.approx(norm2(eta_e), rel=1e-8)
 
     def test_force_matches_numerical_gradient(self):
         """Validates the whole C1/C2 outer-product construction."""
@@ -304,6 +309,117 @@ class TestPseudofermion:
         assert pf.action(gauge.copy()) == s0  # equal content, another array
         pf.set_phi(2.0 * pf.phi)
         assert pf.action(gauge) == pytest.approx(4.0 * s0, rel=1e-9)
+
+
+class TestEvenOddPseudofermion:
+    """The physics gates of the even-odd two-flavour action: it is the
+    default of every dynamical trajectory, so what it samples and how it is
+    integrated are pinned here rather than by a bit pattern."""
+
+    PHASES = {
+        "antiperiodic-t": (-1.0, 1.0, 1.0, 1.0),
+        "periodic": (1.0, 1.0, 1.0, 1.0),
+        "twisted": (np.exp(0.3j), 1.0, 1.0, -1.0),  # not +-1: the masked Schur path
+    }
+
+    @given(
+        st.sampled_from([(2, 2, 4, 2), (2, 4, 2, 2), (4, 2, 2, 2), (2, 2, 2, 4)]),
+        st.sampled_from(sorted(PHASES)),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_force_is_the_gradient_of_the_action(self, shape, boundary, seed):
+        rng = np.random.default_rng(seed)
+        gauge = GaugeField.hot(Lattice4D(shape), rng=rng)
+        pf = TwoFlavorWilsonAction(0.5, phases=self.PHASES[boundary], solver_tol=1e-12)
+        pf.refresh(gauge, rng=rng)
+        f = pf.force(gauge)
+        assert np.allclose(su3.project_algebra(f), f, atol=1e-12)
+        for _ in range(2):
+            mu, a = int(rng.integers(4)), int(rng.integers(8))
+            site = tuple(int(rng.integers(n)) for n in shape)
+            coeff = su3.algebra_to_coeffs(f[(mu,) + site])[a]
+            num = _numerical_action_gradient(pf, gauge, mu, site, a, eps=1e-4)
+            assert coeff == pytest.approx(num, rel=1e-6, abs=1e-8), (mu, site, a)
+
+    @pytest.mark.parametrize("mass", [0.1, 0.5])
+    def test_determinant_factorises(self, mass):
+        """``det M = d^(12 V/2) det M_hat`` from dense matrices at 2^4: the
+        action drops a constant, not a function of the links."""
+        lat = Lattice4D((2, 2, 2, 2))
+        even = np.repeat(checkerboard_masks(lat)[0].ravel(), 12)
+        basis = np.eye(12 * lat.volume, dtype=complex).reshape((-1,) + lat.shape + (4, 3))
+        for seed in (31, 32, 33):
+            gauge = GaugeField.hot(lat, rng=seed)
+            m_hat = EvenOddWilson(gauge, mass).schur_operator()
+            dense = [
+                np.array([op.apply(e).ravel() for e in basis]).T
+                for op in (WilsonDirac(gauge, mass), m_hat)
+            ]
+            assert not dense[1][~even].any() and not dense[1][:, ~even].any()
+            (s_full, log_full), (s_hat, log_hat) = (
+                np.linalg.slogdet(dense[0]),
+                np.linalg.slogdet(dense[1][np.ix_(even, even)]),
+            )
+            assert log_full - log_hat == pytest.approx(96 * np.log(mass + 4.0), abs=1e-11)
+            assert s_full == pytest.approx(s_hat, abs=1e-11)
+
+    @pytest.mark.parametrize("boundary", sorted(PHASES))
+    def test_force_fields_are_the_back_substitution(self, monkeypatch, boundary):
+        """``M X_f = (Y, 0)`` and ``M^dag Y_f = (phi, 0)``: the odd sites handed
+        to the bilinear are fixed by an identity, signs included."""
+        from repro.hmc import pseudofermion
+
+        seen = []
+        bilinear = pseudofermion.wilson_bilinear_force
+        monkeypatch.setattr(
+            pseudofermion, "wilson_bilinear_force",
+            lambda gauge, x, y, phases: seen.append((x, y)) or bilinear(gauge, x, y, phases),
+        )
+        lat = Lattice4D((2, 4, 2, 2))
+        gauge = GaugeField.hot(lat, rng=34)
+        pf = TwoFlavorWilsonAction(0.3, phases=self.PHASES[boundary], solver_tol=1e-13)
+        pf.refresh(gauge, rng=35)
+        pf.force(gauge)
+        (x_full, y_full), = seen
+        even = checkerboard_masks(lat)[0]
+        m = WilsonDirac(gauge, pf.mass, pf.phases)
+        assert np.allclose(m.apply(x_full), mask_field(y_full, even), atol=1e-12)
+        assert np.allclose(m.apply_dagger(y_full), pf.phi, atol=1e-10)
+        assert not pf.phi[~even].any()
+
+    def test_gauge_plus_fermion_trajectory_is_reversible(self):
+        gauge = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=36)
+        pf = TwoFlavorWilsonAction(0.5)
+        hmc = HMC([WilsonGaugeAction(5.6), pf])  # for its composite action
+        pf.refresh(gauge, rng=37)
+        pi = sample_momenta(gauge, rng=38)
+        u0 = gauge.u.copy()
+        omelyan(gauge, pi, hmc._action, eps=0.0625, n_steps=8)
+        assert np.abs(gauge.u - u0).max() > 0.1
+        pi *= -1.0
+        omelyan(gauge, pi, hmc._action, eps=0.0625, n_steps=8)
+        assert np.abs(gauge.u - u0).max() < 1e-11
+
+    def test_exp_minus_dh_averages_to_one(self):
+        """Creutz: ``<exp(-dH)> = 1`` when the force is the action's and the
+        heatbath samples its weight; 40 trajectories after 3 to settle."""
+        gauge = GaugeField.warm(Lattice4D((2, 2, 2, 2)), eps=0.4, rng=39)
+        hmc = HMC(
+            [WilsonGaugeAction(5.6), TwoFlavorWilsonAction(0.5)],
+            step_size=0.125, n_steps=4, integrator="omelyan", rng=40,
+        )
+        hmc.run(gauge, 3)
+        weights = np.exp([-r.delta_h for r in hmc.run(gauge, 40)])
+        sigma = weights.std(ddof=1) / np.sqrt(len(weights))
+        assert 1e-4 < sigma < 0.05  # the step is coarse enough to test something
+        assert abs(weights.mean() - 1.0) < 3.0 * sigma
+        assert hmc.acceptance_rate > 0.8
+
+    def test_odd_extent_is_refused(self):
+        gauge = GaugeField.cold(Lattice4D((3, 2, 2, 2)))
+        with pytest.raises(ValueError, match=r"\(3, 2, 2, 2\)"):
+            TwoFlavorWilsonAction(mass=1.0).refresh(gauge, rng=41)
 
 
 class TestHeatbath:

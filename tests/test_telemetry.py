@@ -550,6 +550,37 @@ class TestBitParity:
             assert all(r["counters"] for r in rows)  # non-empty deltas
         assert not (base_dir / "metrics.jsonl").exists()  # off journals nothing
 
+    def test_dynamical_trajectory_identical_across_modes(self):
+        """The spans inside the pseudofermion action observe, nothing more:
+        same dH, same links; one solve span and one bilinear span per force."""
+        from repro.hmc import HMC, TwoFlavorWilsonAction, WilsonGaugeAction
+
+        def run(mode: str):
+            gauge = GaugeField.warm(Lattice4D((2, 2, 2, 2)), eps=0.3, rng=43)
+            hmc = HMC(
+                [WilsonGaugeAction(5.6), TwoFlavorWilsonAction(0.5)],
+                step_size=0.0625, n_steps=8, integrator="omelyan", rng=44,
+            )
+            with telemetry_mode(mode):
+                result = hmc.trajectory(gauge)
+            counters = _nonzero_counters()
+            names = [e["name"] for e in get_trace_buffer().events]
+            full_reset()
+            return result, gauge.u, counters, names
+
+        base, u_base, counters, names = run("off")
+        assert not counters and not names
+        for mode in ("counters", "trace"):
+            result, u, counters, names = run(mode)
+            assert result == base, mode
+            assert np.array_equal(u, u_base), mode
+            assert counters["calls/pf_solve"] == counters["calls/cg"] == 17
+            assert counters["calls/pf_bilinear"] == 17
+            assert 0.0 < counters["time/cg"] <= counters["time/pf_solve"]
+            assert (names.count("pf_solve"), names.count("pf_bilinear")) == (
+                (17, 17) if mode == "trace" else (0, 0)
+            )
+
 
 # -- per-rank aggregation over ShmComm ----------------------------------------
 
