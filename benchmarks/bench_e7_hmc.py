@@ -34,12 +34,17 @@ def test_e7_dh_scaling(benchmark, show):
 
 
 def test_e7_dynamical(benchmark, show):
-    table, (row,) = benchmark.pedantic(e7_dynamical, rounds=1, iterations=1)
-    show(table, "e7_dynamical.txt", extra=row)
-    # Omelyan-8: 17 distinct (links, phi) systems, each solved once.
-    assert set(row["solves"]) == {17}
-    # Even-odd pseudofermions: 1 003 iterations per trajectory before them.
-    assert max(row["cg_iters"]) < 500
+    table, rows = benchmark.pedantic(e7_dynamical, rounds=1, iterations=1)
+    row, single = rows  # the default two grades, then force_tol = solver_tol
+    show(table, "e7_dynamical.txt", extra={"default": row, "force_tol_1e-10": single})
+    # Omelyan-8: 17 distinct (links, phi) systems, each solved once from a zero
+    # guess; the two energies continue the first and the last of them.
+    assert set(row["solves"]) == {17} and set(row["refines"]) == {2}
+    assert set(single["solves"]) == {17} and set(single["refines"]) == {0}
+    # 408 iterations per trajectory with every solve at 1e-10, 1 003 before even-odd.
+    assert max(row["cg_iters"]) < 330 < min(single["cg_iters"])
+    # Kicks at 1e-7 leave the energy violation where it was.
+    assert abs(row["mean_abs_dh"] - single["mean_abs_dh"]) < 1e-3
     # Exactness: <exp(-dH)> = 1 within three standard errors, small |dH|.
     assert abs(row["exp_mdh"] - 1.0) < 3.0 * row["exp_mdh_err"]
     assert row["mean_abs_dh"] < 0.2 and row["acceptance"] > 0.8

@@ -111,20 +111,50 @@ def e7_dynamical(
 ) -> tuple[Table, list[dict]]:
     """Gauge + two-flavour Omelyan stream: cost and exactness per trajectory.
 
-    The defaults are the end-to-end ``hmc_stream`` workload's dynamical
-    parameters.  Seconds come from the ``repro.telemetry`` spans of the run
-    itself (``hmc_trajectory``, and ``pf_solve`` / ``pf_bilinear`` inside the
-    pseudofermion action) in ``counters`` mode; the gauge term has no span
-    of its own, so its force is wrapped here; "rest" is the integrator's
-    link and momentum updates, the actions' reductions and the plaquette.
+    Two rows, each a stream from the same seed: the action's default (kicks
+    solved to ``force_tol`` 1e-7, energies continued to ``solver_tol``
+    1e-10), then ``force_tol = solver_tol``, the single-grade path it
+    replaced.  The defaults are the end-to-end ``hmc_stream`` workload's
+    dynamical parameters.  Seconds come from the ``repro.telemetry`` spans of the run
+    itself (``hmc_trajectory``, and ``pf_solve`` / ``pf_refine`` /
+    ``pf_bilinear`` inside the pseudofermion action) in ``counters`` mode;
+    the gauge term has no span of its own, so its force is wrapped here;
+    "rest" is the integrator's link and momentum updates, the actions'
+    reductions and the plaquette.
     """
+    table = Table(
+        f"E7c — dynamical trajectory ({'x'.join(map(str, shape))}, beta={beta}, m={mass}, "
+        f"Omelyan {n_steps} x {step_size}, {n_traj} trajectories)",
+        ["force tol", "force solves", "continuations", "CG iters/traj", "traj s", "solve s",
+         "refine s", "bilinear s", "gauge force s", "rest s", "<|dH|>", "<exp(-dH)>", "+-",
+         "acceptance", "<plaq>"],
+    )
+    rows = []
+    default = TwoFlavorWilsonAction(mass)
+    for fermion_term in (default, TwoFlavorWilsonAction(mass, force_tol=default.solver_tol)):
+        row = _dynamical_stream(
+            fermion_term, shape, beta, step_size, n_steps, n_traj, n_warmup, seed
+        )
+        rows.append(row)
+        table.add_row([
+            row["force_tol"], float(np.mean(row["solves"])), float(np.mean(row["refines"])),
+            float(np.mean(row["cg_iters"])), row["traj_s"], row["solve_s"], row["refine_s"],
+            row["bilinear_s"], row["gauge_force_s"], row["rest_s"], row["mean_abs_dh"],
+            row["exp_mdh"], row["exp_mdh_err"], row["acceptance"], row["plaquette"],
+        ])
+    return table, rows
+
+
+def _dynamical_stream(
+    fermion_term, shape, beta, step_size, n_steps, n_traj, n_warmup, seed
+) -> dict:
     rng = np.random.default_rng(seed)
     gauge = GaugeField.hot(Lattice4D(shape), rng=rng)
     for _ in range(10):
         heatbath_sweep(gauge, beta, rng)
     gauge_term = WilsonGaugeAction(beta)
     hmc = HMC(
-        [gauge_term, TwoFlavorWilsonAction(mass)],
+        [gauge_term, fermion_term],
         step_size=step_size, n_steps=n_steps, integrator="omelyan", rng=rng,
     )
     gauge_force = gauge_term.force
@@ -137,8 +167,9 @@ def e7_dynamical(
     hmc.run(gauge, n_warmup)
 
     counters = get_registry().counters
-    names = ("calls/cg", "solver/cg/iterations", "time/hmc_trajectory",
-             "time/pf_solve", "time/pf_bilinear", "time/gauge_force")
+    names = ("calls/pf_solve", "calls/pf_refine", "solver/cg/iterations",
+             "time/hmc_trajectory", "time/pf_solve", "time/pf_refine", "time/pf_bilinear",
+             "time/gauge_force")
     trajectories = []
     with telemetry_mode("counters"):
         for _ in range(n_traj):
@@ -154,11 +185,14 @@ def e7_dynamical(
     dh = np.array([t["result"].delta_h for t in trajectories])
     weights = np.exp(-dh)
     row = {
-        "solves": [int(t["calls/cg"]) for t in trajectories],
+        "force_tol": fermion_term.force_tol,
+        "solves": [int(t["calls/pf_solve"]) for t in trajectories],
+        "refines": [int(t["calls/pf_refine"]) for t in trajectories],
         "cg_iters": [int(t["solver/cg/iterations"]) for t in trajectories],
         "delta_h": dh.tolist(),
         "traj_s": mean("time/hmc_trajectory"),
         "solve_s": mean("time/pf_solve"),
+        "refine_s": mean("time/pf_refine"),
         "bilinear_s": mean("time/pf_bilinear"),
         "gauge_force_s": mean("time/gauge_force"),
         "mean_abs_dh": float(np.abs(dh).mean()),
@@ -168,17 +202,7 @@ def e7_dynamical(
         "plaquette": float(np.mean([t["result"].plaquette for t in trajectories])),
         "unitarity": float(gauge.unitarity_violation()),
     }
-    row["rest_s"] = row["traj_s"] - row["solve_s"] - row["bilinear_s"] - row["gauge_force_s"]
-    table = Table(
-        f"E7c — dynamical trajectory ({'x'.join(map(str, shape))}, beta={beta}, m={mass}, "
-        f"Omelyan {n_steps} x {step_size}, {n_traj} trajectories)",
-        ["solves/traj", "CG iters/traj", "traj s", "solve s", "bilinear s",
-         "gauge force s", "rest s", "<|dH|>", "<exp(-dH)>", "+-", "acceptance", "<plaq>"],
+    row["rest_s"] = row["traj_s"] - sum(
+        row[k] for k in ("solve_s", "refine_s", "bilinear_s", "gauge_force_s")
     )
-    table.add_row([
-        float(np.mean(row["solves"])), float(np.mean(row["cg_iters"])), row["traj_s"],
-        row["solve_s"], row["bilinear_s"], row["gauge_force_s"], row["rest_s"],
-        row["mean_abs_dh"], row["exp_mdh"], row["exp_mdh_err"], row["acceptance"],
-        row["plaquette"],
-    ])
-    return table, [row]
+    return row

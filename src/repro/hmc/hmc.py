@@ -117,14 +117,16 @@ class HMC:
                     t.refresh(gauge, self.rng)
 
             pi = sample_momenta(gauge, rng=self.rng)
-            h_old = kinetic_energy(pi) + self._action.action(gauge)
+            s_old = self._action.action(gauge)
+            h_old = kinetic_energy(pi) + s_old
 
             proposal = gauge.copy()
             with span("integrate", cat="hmc"):
                 INTEGRATORS[self.integrator](
                     proposal, pi, self._action, self.step_size, self.n_steps
                 )
-            h_new = kinetic_energy(pi) + self._action.action(proposal)
+            s_new = self._action.action(proposal)
+            h_new = kinetic_energy(pi) + s_new
             dh = h_new - h_old
 
             accepted = dh <= 0.0 or self.rng.random() < np.exp(-dh)
@@ -142,7 +144,7 @@ class HMC:
             return TrajectoryResult(
                 accepted=bool(accepted),
                 delta_h=float(dh),
-                action_value=float(self._action.action(gauge)),
+                action_value=float(s_new if accepted else s_old),
                 plaquette=float(average_plaquette(gauge.u)),
             )
 

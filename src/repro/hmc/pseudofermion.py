@@ -19,6 +19,14 @@ H_oe gamma5 Y / 2d)`` — the odd sites that solve ``(M X_f)_o = 0`` and
 the full determinant, ``(1/2) Ta[C1 - C2]`` of the colour outer products
 below, *verified against the numerical gradient of S_pf* in the tests.
 Fields stay full-lattice arrays, zero on the odd sites; extents are even.
+
+The one solve ``(M_hat^dag M_hat) X = phi`` comes in two grades.  The *force
+grade* is CG from a zero guess to ``force_tol``: a deterministic function
+of the links alone, so the kick is reversible and area-preserving whatever
+its residual and Metropolis stays exact — which a guess carried over from
+other links, or a solution of another accuracy, would break.  The *action
+grade* is the same CG continued from the force-grade solution on the same
+links to ``solver_tol``: an energy needs accuracy, not reversibility.
 """
 
 from __future__ import annotations
@@ -37,6 +45,10 @@ from repro.telemetry.spans import span
 from repro.util.rng import ensure_rng
 
 __all__ = ["TwoFlavorWilsonAction", "wilson_bilinear_force"]
+
+#: What ``optimize=True`` plans for the bilinear's two-operand contractions on
+#: each of its 16 calls per force; fixed here, so the same contraction order.
+_PAIR = ["einsum_path", (0, 1)]
 
 
 def wilson_bilinear_force(
@@ -60,13 +72,13 @@ def wilson_bilinear_force(
         p_minus = spin_projector_matrix(mu, -1)  # (1 - gamma_mu)
         p_plus = spin_projector_matrix(mu, +1)
         x_fwd = shift_with_phase(x, mu, +1, phases[mu])
-        w1 = np.einsum("st,...tc->...sc", p_minus, y, optimize=True)
-        outer1 = np.einsum("...tc,...ta->...ca", x_fwd, np.conj(w1), optimize=True)
+        w1 = np.einsum("st,...tc->...sc", p_minus, y, optimize=_PAIR)
+        outer1 = np.einsum("...tc,...ta->...ca", x_fwd, np.conj(w1), optimize=_PAIR)
         c1 = su3.mul(u[mu], outer1)
 
-        w2 = np.einsum("st,...tc->...sc", p_plus, y, optimize=True)
+        w2 = np.einsum("st,...tc->...sc", p_plus, y, optimize=_PAIR)
         w2_fwd = shift_with_phase(w2, mu, +1, phases[mu])
-        outer2 = np.einsum("...tc,...ta->...ca", x, np.conj(w2_fwd), optimize=True)
+        outer2 = np.einsum("...tc,...ta->...ca", x, np.conj(w2_fwd), optimize=_PAIR)
         c2 = su3.mul_dag(outer2, u[mu])
 
         out[mu] = 0.5 * su3.project_algebra(c1 - c2)
@@ -82,16 +94,23 @@ class TwoFlavorWilsonAction(GaugeAction):
     mass:
         Sea-quark mass of the degenerate doublet.
     solver_tol:
-        CG tolerance of the force/action solves; force accuracy feeds
-        directly into HMC energy conservation.
+        Residual of the action-grade solve behind the two energies of the
+        Metropolis test (tmLQCD's ``AcceptancePrecision``).
+    force_tol:
+        Residual of the force-grade solve behind every molecular-dynamics
+        kick (``ForcePrecision``); ``force_tol <= solver_tol`` is one grade:
+        the energies read the force-grade solution, no continuation runs.
 
-    A trajectory asks for the same ``X = (M_hat^dag M_hat)^{-1} phi`` more than
-    once: the initial action and the first kick see the same links, the
-    final action repeats the last kick's solve, and the reported action
-    repeats one of the two.  The last solve :meth:`action` ran and the
-    last :meth:`force` ran are therefore kept, each with a copy of its
-    links, and either serves a call whose links compare equal — by
-    content, so an in-place edit of ``gauge.u`` is seen.
+    :meth:`force` is always the zero-guess solve on the links it is given,
+    :meth:`action` always that solve continued to ``solver_tol``, whatever
+    was asked before.  A trajectory asks for the same system more than
+    once (the initial energy and the first kick share links, the final
+    energy and the last kick too), so the last solution of each grade is
+    kept with a copy of its links and serves a call of its own grade on
+    links that compare equal — by content, so an in-place edit of
+    ``gauge.u`` is seen; the kept force grade also seeds the continuation.
+    An action-grade solution never serves a kick: the forward and the
+    momentum-flipped trajectory would then differ at their end points.
     """
 
     def __init__(
@@ -100,13 +119,17 @@ class TwoFlavorWilsonAction(GaugeAction):
         phases: tuple[complex, complex, complex, complex] = DEFAULT_FERMION_PHASES,
         solver_tol: float = 1e-10,
         max_iter: int = 10000,
+        force_tol: float = 1e-7,
     ) -> None:
+        if force_tol <= 0.0:
+            raise ValueError(f"force_tol must be positive, got {force_tol!r}")
         self.mass = float(mass)
         self.phases = tuple(phases)
         self.solver_tol = float(solver_tol)
+        self.force_tol = float(force_tol)
         self.max_iter = int(max_iter)
         self.phi: np.ndarray | None = None
-        #: caller ("action" | "force") -> (links, phi, X) of its last solve.
+        #: grade ("action" | "force") -> (links, phi, X) of its last solve.
         self._solved: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- pseudofermion heatbath -------------------------------------------------
@@ -124,19 +147,24 @@ class TwoFlavorWilsonAction(GaugeAction):
         self.phi = phi.copy()
         self._solved.clear()
 
-    def _solve_x(self, gauge: GaugeField, caller: str) -> tuple[np.ndarray, EvenOddWilson]:
+    def _solve_x(self, gauge: GaugeField, grade: str) -> tuple[np.ndarray, EvenOddWilson]:
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
         eo = EvenOddWilson(gauge, self.mass, self.phases)
-        for links, phi, x in self._solved.values():
-            if phi is self.phi and np.array_equal(links, gauge.u):
-                return x, eo
-        with span("pf_solve", cat="hmc"):
-            res = cg(eo.schur_operator().normal_op(), self.phi, tol=self.solver_tol,
+        if self.force_tol <= self.solver_tol:
+            grade = "force"  # one grade: the energies read the kicks' solutions
+        links, phi, x = self._solved.get(grade, (None, None, None))
+        if phi is self.phi and np.array_equal(links, gauge.u):
+            return x, eo
+        refine = grade == "action"
+        x0 = self._solve_x(gauge, "force")[0] if refine else None
+        with span("pf_refine" if refine else "pf_solve", cat="hmc"):
+            res = cg(eo.schur_operator().normal_op(), self.phi, x0=x0,
+                     tol=self.solver_tol if refine else self.force_tol,
                      max_iter=self.max_iter, record_history=False)
         if not res.converged:
             raise RuntimeError(f"pseudofermion solve failed: {res.summary()}")
-        self._solved[caller] = (gauge.u.copy(), self.phi, res.x)
+        self._solved[grade] = (gauge.u.copy(), self.phi, res.x)
         return res.x, eo
 
     # -- action + force ----------------------------------------------------------

@@ -192,7 +192,7 @@ class TestPseudofermion:
     def _setup(self, mass=1.0, seed=21):
         lat = Lattice4D((2, 2, 2, 2))
         gauge = GaugeField.warm(lat, eps=0.2, rng=seed)
-        pf = TwoFlavorWilsonAction(mass=mass, solver_tol=1e-12)
+        pf = TwoFlavorWilsonAction(mass=mass, solver_tol=1e-12, force_tol=1e-12)
         pf.refresh(gauge, rng=seed + 1)
         return gauge, pf
 
@@ -258,21 +258,44 @@ class TestPseudofermion:
 
     @pytest.mark.parametrize("step_size,accepted", [(0.02, True), (0.6, False)])
     def test_trajectory_solves_each_system_once(self, monkeypatch, step_size, accepted):
-        """An Omelyan-8 trajectory evaluates 17 forces and 3 actions; the
-        initial action shares the first kick's system, the final action the
-        last kick's, and the reported action one of those two, accepted or
-        not: 17 solves, not 20."""
+        """An Omelyan-8 trajectory evaluates 17 forces and 2 energies on 17
+        distinct links: 17 zero-guess force-grade solves, accepted or not.
+        The initial energy continues the first kick's solution and the final
+        energy the last kick's — 2 more calls with a guess — unless the two
+        tolerances are equal, when the energies read the kicks' solutions.
+        No solution that started from a guess ever reaches a kick."""
         from repro.hmc import pseudofermion
 
-        solves, cg = [], pseudofermion.cg
-        monkeypatch.setattr(
-            pseudofermion, "cg", lambda *a, **k: solves.append(1) or cg(*a, **k)
-        )
-        gauge, hmc = self._dynamical(TwoFlavorWilsonAction(mass=1.0), step_size)
-        for _ in range(2):
-            del solves[:]
-            assert hmc.trajectory(gauge).accepted is accepted
-            assert len(solves) == 17
+        calls, cg = [], pseudofermion.cg
+
+        def spy(op, b, x0=None, **kwargs):
+            res = cg(op, b, x0=x0, **kwargs)
+            calls.append((x0, res.x))
+            return res
+
+        monkeypatch.setattr(pseudofermion, "cg", spy)
+        for force_tol in (1e-7, 1e-10):
+            term = TwoFlavorWilsonAction(mass=1.0, force_tol=force_tol)
+            solve_x = term._solve_x
+
+            def checked(gauge, grade):
+                x, eo = solve_x(gauge, grade)
+                if grade == "force":
+                    assert not any(x is y for x0, y in calls if x0 is not None)
+                return x, eo
+
+            term._solve_x = checked
+            gauge, hmc = self._dynamical(term, step_size)
+            for _ in range(2):
+                del calls[:]
+                assert hmc.trajectory(gauge).accepted is accepted
+                guesses = [x0 for x0, _ in calls]
+                if force_tol > term.solver_tol:
+                    # initial energy (solve + continuation), 16 kicks, final energy
+                    assert [g is None for g in guesses] == [True, False] + 16 * [True] + [False]
+                    assert guesses[1] is calls[0][1] and guesses[18] is calls[17][1]
+                else:
+                    assert guesses == 17 * [None]
 
     def test_memo_does_not_change_a_bit(self):
         """Against an action that forgets before every call: same dH, same
@@ -290,7 +313,8 @@ class TestPseudofermion:
         for term in (TwoFlavorWilsonAction(mass=1.0), Forgetful(mass=1.0)):
             gauge, hmc = self._dynamical(term, 0.05)
             results.append(([hmc.trajectory(gauge) for _ in range(2)], gauge.u))
-        assert term.solves == 2 * 20
+        # 17 kicks + 2 energies, each energy asking for its force-grade seed.
+        assert term.solves == 2 * 21
         (kept, u_kept), (forgot, u_forgot) = results
         assert kept == forgot
         assert np.array_equal(u_kept, u_forgot)
@@ -302,7 +326,9 @@ class TestPseudofermion:
         gauge.u[1, 0, 1, 0, 1] = su3.expm_su3(0.05j * su3.gellmann_matrices()[2]) @ saved
         s1 = pf.action(gauge)  # same array object, edited in place
         assert s1 != s0
-        fresh = TwoFlavorWilsonAction(mass=pf.mass, solver_tol=pf.solver_tol)
+        fresh = TwoFlavorWilsonAction(
+            mass=pf.mass, solver_tol=pf.solver_tol, force_tol=pf.force_tol
+        )
         fresh.set_phi(pf.phi)
         assert s1 == fresh.action(gauge)
         gauge.u[1, 0, 1, 0, 1] = saved
@@ -331,7 +357,9 @@ class TestEvenOddPseudofermion:
     def test_force_is_the_gradient_of_the_action(self, shape, boundary, seed):
         rng = np.random.default_rng(seed)
         gauge = GaugeField.hot(Lattice4D(shape), rng=rng)
-        pf = TwoFlavorWilsonAction(0.5, phases=self.PHASES[boundary], solver_tol=1e-12)
+        pf = TwoFlavorWilsonAction(
+            0.5, phases=self.PHASES[boundary], solver_tol=1e-12, force_tol=1e-12
+        )
         pf.refresh(gauge, rng=rng)
         f = pf.force(gauge)
         assert np.allclose(su3.project_algebra(f), f, atol=1e-12)
@@ -378,7 +406,9 @@ class TestEvenOddPseudofermion:
         )
         lat = Lattice4D((2, 4, 2, 2))
         gauge = GaugeField.hot(lat, rng=34)
-        pf = TwoFlavorWilsonAction(0.3, phases=self.PHASES[boundary], solver_tol=1e-13)
+        pf = TwoFlavorWilsonAction(
+            0.3, phases=self.PHASES[boundary], solver_tol=1e-13, force_tol=1e-13
+        )
         pf.refresh(gauge, rng=35)
         pf.force(gauge)
         (x_full, y_full), = seen
@@ -415,6 +445,77 @@ class TestEvenOddPseudofermion:
         assert 1e-4 < sigma < 0.05  # the step is coarse enough to test something
         assert abs(weights.mean() - 1.0) < 3.0 * sigma
         assert hmc.acceptance_rate > 0.8
+
+    # -- two grades of the one solve: kicks at force_tol, energies at solver_tol --
+
+    def test_force_and_action_are_functions_of_links_and_phi(self):
+        """Whatever was asked before: the kick is the zero-guess solve on its
+        links and the energy that solve continued, so both equal a fresh
+        instance's, bit for bit, at the default tolerances."""
+        g = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=42)
+        other = GaugeField.hot(g.lattice, rng=43)
+        pf = TwoFlavorWilsonAction(0.5)
+        pf.refresh(g, rng=44)
+
+        def fresh():
+            term = TwoFlavorWilsonAction(0.5)
+            term.set_phi(pf.phi)
+            return term
+
+        force, action = fresh().force(g), fresh().action(g)
+        assert np.array_equal(pf.force(g), force)  # first thing asked
+        assert pf.action(g) == action  # after a kick on the same links
+        assert np.array_equal(pf.force(g), force)  # after an energy on the same links
+        pf.force(other)
+        assert np.array_equal(pf.force(g), force)  # after a kick elsewhere
+        pf.action(other)
+        assert pf.action(g) == action and np.array_equal(pf.force(g), force)
+
+    def test_equal_tolerances_are_the_single_grade_trajectory(self):
+        """``force_tol = solver_tol`` against the action as it was with one
+        tolerance (its ``_solve_x`` kept here): same dH, acceptance, reported
+        action and links over a two-trajectory stream."""
+        from repro.hmc import pseudofermion
+
+        class SingleGrade(TwoFlavorWilsonAction):
+            def _solve_x(self, gauge, caller):
+                eo = EvenOddWilson(gauge, self.mass, self.phases)
+                for links, phi, x in self._solved.values():
+                    if phi is self.phi and np.array_equal(links, gauge.u):
+                        return x, eo
+                res = pseudofermion.cg(eo.schur_operator().normal_op(), self.phi,
+                                       tol=self.solver_tol, max_iter=self.max_iter,
+                                       record_history=False)
+                assert res.converged
+                self._solved[caller] = (gauge.u.copy(), self.phi, res.x)
+                return res.x, eo
+
+        streams = []
+        for term in (TwoFlavorWilsonAction(0.5, force_tol=1e-10), SingleGrade(0.5)):
+            gauge = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=45)
+            hmc = HMC([WilsonGaugeAction(5.6), term], step_size=0.0625, n_steps=8,
+                      integrator="omelyan", rng=46)
+            streams.append((hmc.run(gauge, 2), gauge.u))
+        (new, u_new), (old, u_old) = streams
+        assert new == old
+        assert np.array_equal(u_new, u_old)
+
+    def test_force_tol_barely_moves_delta_h(self):
+        """One Omelyan-8 trajectory from the same state with kicks solved to
+        1e-7 and to 1e-10: dH agrees to < 1e-5, far below its own size."""
+        dh = []
+        for force_tol in (1e-7, 1e-10):
+            gauge = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=47)
+            hmc = HMC([WilsonGaugeAction(5.6), TwoFlavorWilsonAction(0.5, force_tol=force_tol)],
+                      step_size=0.0625, n_steps=8, integrator="omelyan", rng=48)
+            dh.append(hmc.trajectory(gauge).delta_h)
+        assert 1e-4 < abs(dh[0]) < 1.0
+        assert abs(dh[0] - dh[1]) < 1e-5
+
+    @pytest.mark.parametrize("force_tol", [0.0, -1e-7])
+    def test_force_tol_must_be_positive(self, force_tol):
+        with pytest.raises(ValueError, match="force_tol"):
+            TwoFlavorWilsonAction(0.5, force_tol=force_tol)
 
     def test_odd_extent_is_refused(self):
         gauge = GaugeField.cold(Lattice4D((3, 2, 2, 2)))

@@ -552,7 +552,8 @@ class TestBitParity:
 
     def test_dynamical_trajectory_identical_across_modes(self):
         """The spans inside the pseudofermion action observe, nothing more:
-        same dH, same links; one solve span and one bilinear span per force."""
+        same dH, same links; one force-grade solve span and one bilinear span
+        per force, one continuation span per energy."""
         from repro.hmc import HMC, TwoFlavorWilsonAction, WilsonGaugeAction
 
         def run(mode: str):
@@ -574,11 +575,14 @@ class TestBitParity:
             result, u, counters, names = run(mode)
             assert result == base, mode
             assert np.array_equal(u, u_base), mode
-            assert counters["calls/pf_solve"] == counters["calls/cg"] == 17
-            assert counters["calls/pf_bilinear"] == 17
-            assert 0.0 < counters["time/cg"] <= counters["time/pf_solve"]
-            assert (names.count("pf_solve"), names.count("pf_bilinear")) == (
-                (17, 17) if mode == "trace" else (0, 0)
+            assert counters["calls/pf_solve"] == counters["calls/pf_bilinear"] == 17
+            assert counters["calls/pf_refine"] == 2
+            assert counters["calls/cg"] == 19
+            assert 0.0 < counters["time/cg"] <= (
+                counters["time/pf_solve"] + counters["time/pf_refine"]
+            )
+            assert [names.count(n) for n in ("pf_solve", "pf_refine", "pf_bilinear")] == (
+                [17, 2, 17] if mode == "trace" else [0, 0, 0]
             )
 
 
