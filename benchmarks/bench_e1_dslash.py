@@ -2,11 +2,8 @@
 
 Micro-benchmarks of the hopping kernel per volume/precision/backend
 (statistical, via pytest-benchmark) plus the paper-style table from the
-E1 driver, comparing the ``reference`` roll-based kernel, the ``fused``
-workspace-backed one, and — where numba is installed — the ``compiled``
-threaded site-loop tier.  Compiled rows exclude JIT compile time from
-the steady-state statistic (pytest-benchmark's warm-up handles the
-micro rows; the E1 driver times the first call separately).
+E1 driver, comparing the ``reference`` roll-based kernel and the
+``fused`` workspace-backed one.
 """
 
 from __future__ import annotations
@@ -17,20 +14,11 @@ import pytest
 from repro.bench import e1_dslash_performance
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
-from repro.kernels import kernel_available, make_kernel
+from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
-needs_numba = pytest.mark.skipif(
-    not kernel_available("compiled"),
-    reason="numba not installed (pip install repro[compiled])",
-)
-
-
-@pytest.mark.parametrize(
-    "kernel_name",
-    ["reference", "fused", pytest.param("compiled", marks=needs_numba)],
-)
+@pytest.mark.parametrize("kernel_name", ["reference", "fused"])
 @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (8, 8, 4, 4), (8, 8, 8, 8)])
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
 def test_dslash_kernel(benchmark, shape, dtype, kernel_name):
@@ -39,7 +27,7 @@ def test_dslash_kernel(benchmark, shape, dtype, kernel_name):
     psi = random_fermion(lat, rng=2, dtype=dtype)
     kernel = make_kernel(kernel_name)
     out = np.empty_like(psi)
-    kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)  # JIT/warm-up, untimed
+    kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)  # warm-up, untimed
     result = benchmark(kernel, gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)
     assert result.shape == psi.shape
     benchmark.extra_info["sites"] = lat.volume
@@ -68,19 +56,3 @@ def test_fused_speedup_8x8x8x8_fp64(show):
     ]
     assert fused["speedup"] >= 2.0, f"fused speedup {fused['speedup']:.2f}x < 2x"
 
-
-@needs_numba
-def test_compiled_speedup_8x8x8x8_fp64(show):
-    """The compiled-tier acceptance number: compiled >= 5x fused at 8^4 fp64.
-
-    Steady-state only — the E1 driver warms the JIT before timing and
-    archives the first-call (compile) time as a separate field.
-    """
-    table, rows = e1_dslash_performance(volumes=[(8, 8, 8, 8)], repeats=10)
-    show(table, "e1_dslash_8888_fp64_compiled.txt")
-    (compiled,) = [
-        r for r in rows if r["kernel"] == "compiled" and r["precision"] == "fp64"
-    ]
-    assert compiled["vs_fused"] >= 5.0, (
-        f"compiled speedup over fused {compiled['vs_fused']:.2f}x < 5x"
-    )

@@ -30,21 +30,14 @@ def _json_safe(value):
 def _run_config() -> dict:
     """The backend/kernel/comm configuration this benchmark run used."""
     from repro.comm import resolve_comm_name
-    from repro.kernels import kernel_available, resolve_kernel_name
+    from repro.kernels import resolve_kernel_name
 
-    config = {
+    return {
         "kernel": resolve_kernel_name(),
         "comm": resolve_comm_name(),
         "numpy": np.__version__,
         "python": platform.python_version(),
-        "numba": None,
-        "compiled_kernel_available": kernel_available("compiled"),
     }
-    if config["compiled_kernel_available"]:
-        import numba
-
-        config["numba"] = numba.__version__
-    return config
 
 
 @pytest.fixture(scope="session")

@@ -7,19 +7,15 @@ absolute numbers differ by the Python-vs-assembly gap, the volume and
 precision *trends* are the reproduced shape.
 
 Each (volume, precision) cell is measured for every requested kernel
-backend (``reference`` roll-based, ``fused`` workspace-backed, and the
-Numba ``compiled`` tier when numba is installed), with each row
-annotated by its speedup over the reference and over the fused default —
-the E1 analogue of the paper's hand-optimised-vs-baseline kernel
-comparison.  Timings are best-of-``repeats`` after a warm-up apply,
-which is the stable statistic on a noisy shared host.  The warm-up
-wall time is reported separately per row (``first_call_seconds``): for
-the ``compiled`` kernel the first apply includes the Numba JIT compile
-(amortised across a campaign, and across processes via ``cache=True``),
-so folding it into the steady-state timing would misstate both numbers.
-Kernels whose runtime dependency is missing are skipped, and the skip is
-recorded in the returned rows' ``skipped`` list so archived JSON never
-silently conflates "not measured" with "measured slow".
+backend (``reference`` roll-based, ``fused`` workspace-backed), with
+each row annotated by its speedup over the reference and over the fused
+default — the E1 analogue of the paper's hand-optimised-vs-baseline
+kernel comparison.  Timings are best-of-``repeats`` after a warm-up
+apply, which is the stable statistic on a noisy shared host.  The
+warm-up wall time is reported separately per row
+(``first_call_seconds``): the first apply fills workspaces and link
+caches, so folding it into the steady-state timing would misstate both
+numbers.
 
 Next to each ``fused`` row sits ``fused (Schur)``: one apply of the
 even-odd Schur operator on the same fields — two hops between half
@@ -37,7 +33,7 @@ import numpy as np
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
-from repro.kernels import kernel_available, make_kernel
+from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
 from repro.machine.roofline import dslash_arithmetic_intensity
 from repro.util import Table
@@ -47,9 +43,9 @@ __all__ = ["e1_dslash_performance", "DEFAULT_KERNELS"]
 
 DEFAULT_VOLUMES = [(4, 4, 4, 4), (8, 4, 4, 4), (8, 8, 4, 4), (8, 8, 8, 4), (8, 8, 8, 8)]
 
-#: Kernel backends compared by the default E1 sweep (unavailable ones —
-#: ``compiled`` without numba — are skipped and reported as skipped).
-DEFAULT_KERNELS = ("reference", "fused", "compiled")
+#: Kernel backends compared by the default E1 sweep (``reference`` first:
+#: the other rows' ``speedup`` is relative to it).
+DEFAULT_KERNELS = ("reference", "fused")
 
 
 #: Label and mass of the Schur-apply row (the mass only sets two scalars).
@@ -61,8 +57,7 @@ def _time_apply(apply, psi: np.ndarray, repeats: int) -> tuple[float, float]:
     """(best-of-``repeats``, first-call) wall times of ``apply(out)`` (seconds).
 
     The first call is timed separately because it is not steady state:
-    it fills workspaces and link caches for every backend, and for the
-    ``compiled`` backend it includes the Numba JIT compile.
+    it fills workspaces and link caches.
     """
     out = np.empty_like(psi)
     t0 = time.perf_counter()
@@ -95,20 +90,13 @@ def e1_dslash_performance(
 
     Rows carry ``kernel``, ``speedup`` (sites/s relative to the
     ``reference`` kernel of the same (volume, precision) cell),
-    ``vs_fused`` (ditto relative to ``fused`` — the number the compiled
-    tier's ≥5x target is stated against), and ``first_call_seconds``
-    (warm-up/JIT time, excluded from the steady-state timing).  Kernels
-    that cannot run in this environment are dropped from the sweep; the
-    table title records the skip.
+    ``vs_fused`` (ditto relative to ``fused`` — what the Schur row is
+    read against), and ``first_call_seconds`` (warm-up time, excluded
+    from the steady-state timing).
     """
     volumes = volumes or DEFAULT_VOLUMES
-    skipped = [k for k in kernels if not kernel_available(k)]
-    kernels = tuple(k for k in kernels if kernel_available(k))
-    title = "E1 / Table 1 — single-node Wilson Dslash performance (this host)"
-    if skipped:
-        title += f" [skipped unavailable: {', '.join(skipped)}]"
     table = Table(
-        title,
+        "E1 / Table 1 — single-node Wilson Dslash performance (this host)",
         [
             "local volume",
             "sites",
@@ -156,7 +144,6 @@ def e1_dslash_performance(
                     "speedup": speedup,
                     "vs_fused": vs_fused,
                     "arithmetic_intensity": dslash_arithmetic_intensity(prec_bytes),
-                    "skipped": skipped,
                 }
                 rows.append(row)
                 table.add_row(

@@ -9,15 +9,14 @@ over the interior — behind one communicator protocol with several backends:
     executes all ranks sequentially inside one process, recording every
     message in a :class:`CommTrace` that the machine model converts into
     time at scale;
-``ShmComm``, ``TcpComm``, ``MpiComm``
+``ShmComm``, ``TcpComm``
     run each rank as a real OS process, so halo exchange and the
     interior/boundary-split Dslash execute genuinely in parallel.  One
     master class (:class:`~repro.comm.pool.RankPoolComm`) and one rank
-    program (:mod:`repro.comm.executor`) serve all three; a transport only
-    moves bytes — shared-memory segments on one node's cores, CRC-framed
-    TCP sockets so ranks may live on *different hosts*
-    (``python -m repro.comm.tcp --connect`` joins ranks from elsewhere),
-    or ``mpi4py`` when it is importable (a tuned-fabric fast path).
+    program (:mod:`repro.comm.executor`) serve both; a transport only
+    moves bytes — shared-memory segments on one node's cores, or
+    CRC-framed TCP sockets so ranks may live on *different hosts*
+    (``python -m repro.comm.tcp --connect`` joins ranks from elsewhere).
 
 Select with :func:`make_comm` / the ``REPRO_COMM`` environment variable.
 The substitution is validated by the backend-parametrised parity suite
@@ -37,7 +36,6 @@ from repro.comm.errors import (
     CommConnectError,
     CommPeerError,
     CommTimeoutError,
-    CommUnavailableError,
     TornFrameError,
 )
 from repro.comm.halo import (
@@ -74,7 +72,6 @@ __all__ = [
     "CommConnectError",
     "CommPeerError",
     "CommTimeoutError",
-    "CommUnavailableError",
     "TornFrameError",
     "HaloField",
     "halo_exchange",

@@ -16,7 +16,6 @@ __all__ = [
     "CommConnectError",
     "CommPeerError",
     "CommTimeoutError",
-    "CommUnavailableError",
     "TornFrameError",
 ]
 
@@ -44,7 +43,3 @@ class TornFrameError(CommError):
     killed mid-send must surface as a typed fault, not as silently
     corrupted halo data.
     """
-
-
-class CommUnavailableError(CommError):
-    """An explicitly requested backend's dependency is not importable."""

@@ -4,9 +4,9 @@ A rank process is a loop: receive a command from the master, act on
 rank-local blocks (allocate, exchange ghosts with neighbours, stencil),
 acknowledge.  Nothing in that loop depends on *how bytes move*, so it
 lives here once — :class:`RankExecutor` holds the block table and the
-command semantics, :func:`serve` is the loop — and ``shm``, ``tcp`` and
-``mpi`` differ only in the :class:`PeerTransport` they hand it ("back
-this block", "give me the neighbour's face") and in the control link
+command semantics, :func:`serve` is the loop — and ``shm`` and ``tcp``
+differ only in the :class:`PeerTransport` they hand it ("back this
+block", "give me the neighbour's face") and in the control link
 :func:`serve` reads commands from.
 
 The halo exchange is the same data motion as
@@ -70,11 +70,11 @@ class _ThreadedSends:
 class PeerTransport:
     """What a rank needs from its transport, with message-passing defaults.
 
-    A message transport (:class:`repro.comm.tcp._SocketPeers`,
-    :class:`repro.comm.mpi._MpiPeers`) supplies ``send_one(peer, tag,
-    bytes)`` and ``recv(peer, tag)`` — the latter blocks for one tagged
-    message and raises a typed :class:`~repro.comm.errors.CommError` on
-    timeout, peer death, or a torn frame — and inherits the rest.  A
+    A message transport (:class:`repro.comm.tcp._SocketPeers`) supplies
+    ``send_one(peer, tag, bytes)`` and ``recv(peer, tag)`` — the latter
+    blocks for one tagged message and raises a typed
+    :class:`~repro.comm.errors.CommError` on timeout, peer death, or a
+    torn frame — and inherits the rest.  A
     transport whose ranks map each other's memory
     (:class:`repro.comm.shm._SegmentPeers`) overrides :meth:`block`,
     :meth:`send_faces` and :meth:`face` instead and moves no message.
@@ -275,9 +275,9 @@ def serve(executor: RankExecutor, control) -> int:
     """Execute the master's commands until ``stop``; the body of every rank.
 
     ``control.recv()`` yields ``(cmd, payload)`` and ``control.send``
-    takes the ``(status, meta, payload)`` ack — a pipe end, a framed
-    socket and an MPI intercommunicator all fit.  A command that raises is
-    acknowledged as ``("error", traceback, None)`` and the loop goes on.
+    takes the ``(status, meta, payload)`` ack — a pipe end and a framed
+    socket both fit.  A command that raises is acknowledged as
+    ``("error", traceback, None)`` and the loop goes on.
     Returns 0 after a clean ``stop`` and 1 when the master went away.
     """
     while True:

@@ -1,6 +1,6 @@
 """Backend-agnostic registry of open communicators + the atexit sweep.
 
-Every process-owning communicator (``shm``, ``tcp``, ``mpi``) registers
+Every process-owning communicator (``shm``, ``tcp``) registers
 itself here on construction and deregisters in ``close()``.  The single
 ``atexit`` sweep closes stragglers so a crashing driver (unhandled
 exception, ``sys.exit`` mid-campaign) cannot leak ``/dev/shm`` segments,

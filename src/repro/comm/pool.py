@@ -1,6 +1,6 @@
 """The master side of every process backend: one pool of rank processes.
 
-``shm``, ``tcp`` and ``mpi`` share one execution model.  The master
+``shm`` and ``tcp`` share one execution model.  The master
 (driver) process owns a pool of rank processes, each running
 :func:`repro.comm.executor.serve` over a
 :class:`~repro.comm.executor.RankExecutor`; it broadcasts one command to

@@ -6,7 +6,7 @@ One data path, several transports:
     :class:`~repro.comm.VirtualComm` — all ranks sequential in one
     process.  Exact, dependency-free, works at any rank count; scaling
     curves come from the machine model replaying its trace.
-``shm``, ``tcp``, ``mpi``
+``shm``, ``tcp``
     One OS process per rank behind one master class
     (:class:`~repro.comm.pool.RankPoolComm`): real parallel halo exchange
     and overlapped Dslash, hard timeouts, typed faults, bit-for-bit
@@ -14,21 +14,19 @@ One data path, several transports:
     through POSIX shared memory (E2/E3 measured on the host's cores),
     :class:`~repro.comm.tcp.TcpComm` through CRC-framed sockets (ranks may
     join from *other hosts* via ``python -m repro.comm.tcp --connect
-    host:port``), :class:`~repro.comm.mpi.MpiComm` through ``mpi4py``
-    (listed only when importable; requesting it otherwise raises
-    :class:`~repro.comm.errors.CommUnavailableError`).
+    host:port``).
+
+All three run on the standard library and NumPy alone, so every
+registered name can be constructed, tested and measured on every host.
 
 Selection precedence mirrors the kernel registry: explicit ``comm=``
 argument > ``REPRO_COMM`` environment variable > the ``virtual`` default.
-The docstrings and error messages here enumerate backends from one
-``_COMM_NAMES`` table so a new backend registers in exactly one place.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.comm.errors import CommUnavailableError
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
 from repro.comm.vcomm import VirtualComm
@@ -44,49 +42,21 @@ __all__ = [
 COMM_ENV_VAR = "REPRO_COMM"
 DEFAULT_COMM = "virtual"
 
-#: Every known backend name.  ``available_comms`` filters this by whether
-#: the backend's dependency imports (only ``mpi`` is conditional); error
-#: messages enumerate from here so they can never go stale.
-_COMM_NAMES = ("mpi", "shm", "tcp", "virtual")
-
-
-def _backend_importable(name: str) -> bool:
-    if name == "mpi":
-        from repro.comm.mpi import mpi_available
-
-        return mpi_available()
-    return True
+_COMM_NAMES = ("shm", "tcp", "virtual")
 
 
 def available_comms() -> tuple[str, ...]:
-    """Instantiable communicator backend names, sorted.
-
-    Enumerated dynamically from the known-backend table, keeping only
-    those whose dependencies import in this environment (``mpi`` needs
-    ``mpi4py``; everything else is dependency-free).
-    """
-    return tuple(n for n in _COMM_NAMES if _backend_importable(n))
+    """Registered communicator backend names, sorted."""
+    return _COMM_NAMES
 
 
 def resolve_comm_name(name: str | None = None) -> str:
-    """Resolve a comm backend name: argument > ``$REPRO_COMM`` > default.
-
-    Unknown names raise ``ValueError`` listing every known backend; a
-    known backend whose dependency is missing raises the typed
-    :class:`~repro.comm.errors.CommUnavailableError` instead, so callers
-    can distinguish a typo from a site-installation gap.
-    """
+    """Resolve a comm backend name: argument > ``$REPRO_COMM`` > default."""
     if name is None:
         name = os.environ.get(COMM_ENV_VAR, "").strip() or DEFAULT_COMM
     if name not in _COMM_NAMES:
         raise ValueError(
-            f"unknown comm backend {name!r}; known: {_COMM_NAMES}, "
-            f"available here: {available_comms()}"
-        )
-    if not _backend_importable(name):
-        raise CommUnavailableError(
-            f"comm backend {name!r} is registered but its dependency is not "
-            f"importable in this environment; available: {available_comms()}"
+            f"unknown comm backend {name!r}; available: {available_comms()}"
         )
     return name
 
@@ -99,10 +69,9 @@ def make_comm(
 ):
     """Instantiate a communicator over ``grid`` by backend name.
 
-    Backends are the entries of :func:`available_comms` (currently
-    enumerated from ``_COMM_NAMES``; see the module docstring for what
-    each one is).  Process-owning backends (every name except
-    ``virtual``) own worker processes plus OS resources — close them
+    Backends are the entries of :func:`available_comms` (see the module
+    docstring for what each one is).  Process-owning backends (every name
+    except ``virtual``) own worker processes plus OS resources — close them
     (``with make_comm(...) as comm:`` or ``comm.close()``) when done; a
     shared ``atexit`` sweep (:func:`repro.comm.lifecycle.close_live_comms`)
     backstops drivers that die with one open.  Backend-specific keyword
@@ -123,10 +92,6 @@ def make_comm(
         from repro.comm.tcp import TcpComm
 
         return TcpComm(grid, trace=trace, **kwargs)
-    if resolved == "mpi":
-        from repro.comm.mpi import MpiComm
-
-        return MpiComm(grid, trace=trace, **kwargs)
     if trace is not None:
         return VirtualComm(grid, trace=trace)
     return VirtualComm(grid)

@@ -34,10 +34,6 @@ a dead, wedged, or partitioned rank surfaces as a typed
 :class:`~repro.comm.errors.CommError` (which ``run_resilient`` retries)
 instead of a hang.  Teardown is leak-proof: sockets closed, local workers
 joined or killed, nothing orphaned.
-
-An optional ``mpi4py`` fast path lives in :mod:`repro.comm.mpi`
-(registered as backend ``mpi`` only when importable); ``tcp`` itself is
-dependency-free.
 """
 
 from __future__ import annotations

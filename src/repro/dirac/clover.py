@@ -53,10 +53,9 @@ class CloverDirac(WilsonDirac):
         mass: float,
         csw: float = 1.0,
         phases: tuple[complex, complex, complex, complex] = DEFAULT_FERMION_PHASES,
-        use_spin_projection: bool = True,
         kernel: str | None = None,
     ) -> None:
-        super().__init__(gauge, mass, phases, use_spin_projection, kernel)
+        super().__init__(gauge, mass, phases, kernel)
         self.csw = float(csw)
         self._terms: list[tuple[np.ndarray, np.ndarray]] = []
         for mu in range(4):
@@ -122,6 +121,5 @@ class CloverDirac(WilsonDirac):
             self.mass,
             self.csw,
             self.phases,
-            self.use_spin_projection,
             kernel=self.kernel_name,
         )

@@ -15,7 +15,7 @@ Two executors behind one operator:
   :class:`~repro.kernels.HaloStencil` into preallocated per-rank buffers
   (no allocation in the solver hot loop).
 * With a process backend (:class:`~repro.comm.pool.RankPoolComm`: ``shm``,
-  ``tcp``, ``mpi``) the fermion, gauge and result blocks are rank-resident
+  ``tcp``) the fermion, gauge and result blocks are rank-resident
   and one ``run_dslash`` command makes every rank process exchange +
   stencil its own block in parallel, overlapping the deep-interior stencil
   with the face traffic (``overlap``, on by default there).
@@ -89,7 +89,7 @@ class DecomposedWilsonDirac(LinearOperator):
     ``comm`` may be any communicator backend; the operator keys the
     rank-parallel block path on the ``supports_rank_blocks`` capability
     flag — the block API is identical whether the master maps rank memory
-    (shm) or holds copies synchronised at command boundaries (tcp/mpi).
+    (shm) or holds copies synchronised at command boundaries (tcp).
     ``overlap`` selects the interior/boundary-split schedule (stencil the
     deep interior while the exchange is in flight); it defaults to on for
     block backends and off for the sequential one, and is bit-exact

@@ -46,9 +46,6 @@ class WilsonDirac(LinearOperator):
     phases:
         Fermion boundary phases per direction; defaults to antiperiodic
         time.
-    use_spin_projection:
-        Select a half-spinor kernel (default) or the naive full-spinor
-        reference (the E10 ablation) — equivalent to ``kernel="naive"``.
     kernel:
         Hopping-kernel name (see :func:`repro.kernels.available_kernels`);
         ``None`` defers to ``$REPRO_KERNEL`` and then the ``fused``
@@ -60,15 +57,13 @@ class WilsonDirac(LinearOperator):
         gauge: GaugeField,
         mass: float,
         phases: tuple[complex, complex, complex, complex] = DEFAULT_FERMION_PHASES,
-        use_spin_projection: bool = True,
         kernel: str | None = None,
     ) -> None:
         super().__init__()
         self.gauge = gauge
         self.mass = float(mass)
         self.phases = tuple(phases)
-        self.use_spin_projection = bool(use_spin_projection)
-        self.kernel_name = "naive" if not self.use_spin_projection else resolve_kernel_name(kernel)
+        self.kernel_name = resolve_kernel_name(kernel)
         self._kernel = make_kernel(self.kernel_name)
         self.flops_per_apply = (
             WILSON_DSLASH_FLOPS_PER_SITE + 8 * 12  # hop + axpy with the mass term
@@ -163,9 +158,5 @@ class WilsonDirac(LinearOperator):
         """Precision-cast clone (fp32 operator for the mixed-precision inner
         solve)."""
         return WilsonDirac(
-            self.gauge.astype(dtype),
-            self.mass,
-            self.phases,
-            self.use_spin_projection,
-            kernel=self.kernel_name,
+            self.gauge.astype(dtype), self.mass, self.phases, kernel=self.kernel_name
         )

@@ -158,7 +158,7 @@ class GuardedOperator(LinearOperator):
         )
         comm = getattr(op, "comm", None)
         # Block-level guarding works on any backend exposing per-rank block
-        # storage with checksums: shm (master maps rank memory) or tcp/mpi
+        # storage with checksums: shm (master maps rank memory) or tcp
         # (master copies synchronised at command boundaries).
         self._shm = (
             comm is not None

@@ -68,7 +68,6 @@ def fit_rational_power(
     hi: float,
     n_poles: int = 12,
     n_grid: int = 400,
-    rng: int | None = 0,
 ) -> RationalApprox:
     """Fit ``x**power`` (power in (-1, 1), nonzero) on ``[lo, hi]``.
 
@@ -103,6 +102,14 @@ def fit_rational_power(
     def residual(theta):
         return (model(theta) - target) / target
 
+    def jacobian(theta):
+        _, res, shifts = unpack(theta)
+        denom = xs[None, :] + shifts[:, None]
+        pole = 1.0 / (denom * target)  # d/d r_i
+        # d/d log b_i = -r_i b_i / ((x + b_i)^2 target)
+        dlog = -(res * shifts)[:, None] * pole / denom
+        return np.concatenate([1.0 / target[None, :], pole, dlog], axis=0).T
+
     # Initial residues from a linear solve at fixed shifts.
     basis = np.concatenate(
         [np.ones((1, n_grid)), 1.0 / (xs[None, :] + b0[:, None])], axis=0
@@ -110,7 +117,7 @@ def fit_rational_power(
     coef, *_ = np.linalg.lstsq((basis / target).T, np.ones(n_grid), rcond=None)
     theta0 = np.concatenate([[coef[0]], coef[1:], np.log(b0)])
 
-    sol = least_squares(residual, theta0, method="lm", max_nfev=20000)
+    sol = least_squares(residual, theta0, jac=jacobian, method="lm", max_nfev=20000)
     a0, res, shifts = unpack(sol.x)
     err = float(np.max(np.abs(residual(sol.x))))
     order = np.argsort(shifts)

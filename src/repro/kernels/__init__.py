@@ -4,29 +4,25 @@ The performance subsystem of the operator stack: a scratch-buffer arena
 (:class:`Workspace`), allocation-free slab shifts (:func:`shift_into`),
 the fused site-minor split-complex hopping kernel
 (:class:`FusedHopping`) and the same core on a rank's halo-extended
-block (:class:`HaloStencil`), the Numba-jitted cache-blocked site-loop kernel
-(:class:`CompiledHopping`), and a registry of named kernels
-(``reference`` / ``fused`` / ``compiled`` / ``naive`` /
-``compiled-python``) selectable per operator or via the ``REPRO_KERNEL``
-environment variable.
+block (:class:`HaloStencil`), and a registry of the two named kernels
+(``reference`` / ``fused``) selectable per operator or via the
+``REPRO_KERNEL`` environment variable.
 
-Design rule — *N Dslash paths, one truth*: the roll-based
+Design rule — *two Dslash paths, one truth*: the roll-based
 ``reference`` kernel in :mod:`repro.dirac.hopping` stays the executable
-specification; the ``fused`` and ``compiled`` kernels reorganise memory
-traffic and execution only and must agree with it bit-for-bit (enforced
-by tier-1 property tests).
+specification; the ``fused`` kernel reorganises memory traffic and
+execution only and must agree with it bit-for-bit (enforced by tier-1
+property tests).
 """
 
 from repro.kernels.workspace import Workspace
-from repro.kernels.shifts import shift_into, site_neighbor_tables
+from repro.kernels.shifts import shift_into
 from repro.kernels.fused import FusedHopping
 from repro.kernels.halo import HaloStencil, dagger_halo_links, split_boxes, full_box
 from repro.kernels.registry import (
     KERNEL_ENV_VAR,
     DEFAULT_KERNEL,
-    KernelUnavailableError,
     available_kernels,
-    kernel_available,
     resolve_kernel_name,
     make_kernel,
 )
@@ -34,7 +30,6 @@ from repro.kernels.registry import (
 __all__ = [
     "Workspace",
     "shift_into",
-    "site_neighbor_tables",
     "FusedHopping",
     "HaloStencil",
     "dagger_halo_links",
@@ -42,9 +37,7 @@ __all__ = [
     "full_box",
     "KERNEL_ENV_VAR",
     "DEFAULT_KERNEL",
-    "KernelUnavailableError",
     "available_kernels",
-    "kernel_available",
     "resolve_kernel_name",
     "make_kernel",
 ]

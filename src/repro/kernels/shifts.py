@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["shift_into", "half_extents", "parity_site_tables", "site_neighbor_tables"]
+__all__ = ["shift_into", "half_extents", "parity_site_tables"]
 
 
 def shift_into(
@@ -153,49 +153,3 @@ def parity_site_tables(dims: tuple[int, int, int, int]) -> tuple[np.ndarray, tup
 
     return sites, tuple((rows(offset[p]), rows(offset[p] - 1)) for p in (0, 1))
 
-
-@lru_cache(maxsize=None)
-def site_neighbor_tables(
-    dims: tuple[int, int, int, int],
-) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """SoA nearest-neighbour tables over the flattened 4-D site index.
-
-    The compiled Dslash tier trades the flat copies above for a
-    gather formulation: sites are enumerated in C order over ``dims``
-    and each of the 8 direction terms (``t = 2*mu + d`` with ``d=0``
-    forward, ``d=1`` backward) reads its neighbour through one
-    precomputed index table.
-
-    Returns ``(neigh, wraps)``:
-
-    ``neigh``
-        int64 array of shape (8, volume); ``neigh[t, x]`` is the flat
-        index of the site the term gathers from (``x + mu`` for forward
-        terms, ``x - mu`` for backward — the same gather convention as
-        :func:`shift_into`).
-    ``wraps``
-        per-term ``(dst_rows, src_rows)`` pairs: the flat indices of the
-        sites whose gather crossed the lattice boundary and of the
-        sources they read, in matching order.  These are the sites whose
-        neighbour value picks up the fermion boundary phase.
-
-    All arrays are cached per ``dims`` and marked read-only — callers
-    share them and must not mutate.
-    """
-    volume = int(np.prod(dims))
-    idx = np.arange(volume, dtype=np.int64).reshape(dims)
-    coords = np.indices(dims)
-    neigh = np.empty((8, volume), dtype=np.int64)
-    wraps = []
-    for mu in range(4):
-        n = dims[mu]
-        for d, (roll, edge) in enumerate([(-1, n - 1), (+1, 0)]):
-            t = 2 * mu + d
-            neigh[t] = np.roll(idx, roll, axis=mu).reshape(-1)
-            dst_rows = idx[coords[mu] == edge].astype(np.int64, copy=True)
-            src_rows = neigh[t, dst_rows]
-            dst_rows.flags.writeable = False
-            src_rows.flags.writeable = False
-            wraps.append((dst_rows, src_rows))
-    neigh.flags.writeable = False
-    return neigh, tuple(wraps)

@@ -191,7 +191,7 @@ def host_comm_spec(
         a halo message is a CRC-framed loopback socket transfer — link
         bandwidth and per-message latency are both measured through a
         real socket (:func:`measured_tcp_link`);
-    anything else (``virtual``, ``mpi`` without a fabric to measure)
+    ``virtual``
         falls back to the shm parameters, the host's only other real
         transport.
 

@@ -122,21 +122,13 @@ def record_kernel_selection(op) -> None:
 
     ``kernel/<label>/backend/<kernel_name>``
         1.0 for the backend the operator constructed.
-    ``kernel/<label>/threads``
-        The kernel's thread count (1 for the NumPy single-threaded
-        tiers; the resolved ``REPRO_KERNEL_THREADS`` value for
-        ``compiled``).
     """
     if not STATE.counting:
         return
     name = getattr(op, "kernel_name", None)
     if not name:
         return
-    label = operator_label(op)
-    threads = getattr(getattr(op, "_kernel", None), "threads", 1)
-    reg = get_registry()
-    reg.set_gauge(f"kernel/{label}/backend/{name}", 1.0)
-    reg.set_gauge(f"kernel/{label}/threads", float(threads))
+    get_registry().set_gauge(f"kernel/{operator_label(op)}/backend/{name}", 1.0)
 
 
 def record_solve(

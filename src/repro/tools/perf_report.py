@@ -108,10 +108,9 @@ def capture_snapshot() -> dict:
         if not (k.startswith("time/") or k.startswith("calls/"))
     }
     snap["histograms"] = {}
-    # Keep the kernel-selection gauges (``kernel/<label>/backend/<name>``,
-    # ``kernel/<label>/threads``): ``diff`` only compares counters, but
-    # ``show`` needs them to attribute counter movement to the Dslash
-    # backend the snapshot was captured with.
+    # Keep the kernel-selection gauges (``kernel/<label>/backend/<name>``):
+    # ``diff`` only compares counters, but ``show`` needs them to attribute
+    # counter movement to the Dslash backend the snapshot was captured with.
     snap["gauges"] = {
         k: v for k, v in snap["gauges"].items() if k.startswith("kernel/")
     }

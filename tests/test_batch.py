@@ -34,10 +34,10 @@ from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
 from repro.solvers import EigenPairs, block_cg, cg, deflated_cg, lanczos, solve_wilson_batch
 
-# Asymmetric extents so axis-ordering bugs cannot cancel; the pure-python
-# compiled tier gets a 16-site lattice to keep the matrix fast.
+# Asymmetric extents so axis-ordering bugs cannot cancel; a 16-site
+# lattice where only the protocol, not the stencil, is under test.
 FUSED_DIMS = (2, 3, 4, 5)
-COMPILED_DIMS = (2, 2, 2, 2)
+SMALL_DIMS = (2, 2, 2, 2)
 TWISTED_PHASES = (np.exp(0.3j), 1.0, np.exp(-0.2j), 1.0)
 
 _GAUGE_CACHE: dict[tuple, GaugeField] = {}
@@ -63,7 +63,7 @@ def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 class TestKernelBatchParity:
-    @pytest.mark.parametrize("kernel_name", ["fused", "compiled-python"])
+    @pytest.mark.parametrize("kernel_name", ["fused", "reference"])
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
     @pytest.mark.parametrize(
         "phases",
@@ -72,12 +72,11 @@ class TestKernelBatchParity:
     )
     @pytest.mark.parametrize("nrhs", [1, 2, 5, 12])
     def test_batched_matches_looped(self, kernel_name, dtype, phases, nrhs):
-        dims = FUSED_DIMS if kernel_name == "fused" else COMPILED_DIMS
         # fp32 casts links and fermions together, the mixed-precision
         # solver's convention (GaugeField.astype / WilsonDirac.astype).
-        u = _gauge(dims).u.astype(dtype)
+        u = _gauge(FUSED_DIMS).u.astype(dtype)
         kernel = make_kernel(kernel_name)
-        X = _rand_block(dims, nrhs, dtype=dtype)
+        X = _rand_block(FUSED_DIMS, nrhs, dtype=dtype)
         out_batched = np.empty_like(X)
         kernel.apply_batch_into(u, X, phases, out=out_batched)
         out_looped = np.empty_like(X)
@@ -91,17 +90,16 @@ class TestKernelBatchParity:
             assert _bit_equal(out_view[1:-1], out_looped[1:-1])
 
     def test_loop_fallback_tiers(self):
-        """Reference/naive tiers get the generic loop delegate."""
-        gauge = _gauge(COMPILED_DIMS)
-        X = _rand_block(COMPILED_DIMS, 3)
-        for name in ("reference", "naive"):
-            kernel = make_kernel(name)
-            out = np.empty_like(X)
-            kernel.apply_batch_into(gauge.u, X, PERIODIC_PHASES, out=out)
-            want = np.stack(
-                [kernel(gauge.u, X[i], PERIODIC_PHASES) for i in range(X.shape[0])]
-            )
-            assert _bit_equal(out, want)
+        """The reference tier gets the generic loop delegate."""
+        gauge = _gauge(SMALL_DIMS)
+        X = _rand_block(SMALL_DIMS, 3)
+        kernel = make_kernel("reference")
+        out = np.empty_like(X)
+        kernel.apply_batch_into(gauge.u, X, PERIODIC_PHASES, out=out)
+        want = np.stack(
+            [kernel(gauge.u, X[i], PERIODIC_PHASES) for i in range(X.shape[0])]
+        )
+        assert _bit_equal(out, want)
 
     def test_batch_allocates_output(self):
         gauge = _gauge(FUSED_DIMS)
@@ -121,9 +119,9 @@ def _operator_cases():
     """(label, factory) pairs covering every batched operator path."""
     return [
         ("wilson_fused", lambda g: WilsonDirac(g, 0.3, kernel="fused")),
-        # 'naive' has no native batch: exercises the LinearOperator loop
+        # 'reference' has no native batch: exercises the column-loop
         # fallback through the same public batch API.
-        ("wilson_naive", lambda g: WilsonDirac(g, 0.3, kernel="naive")),
+        ("wilson_reference", lambda g: WilsonDirac(g, 0.3, kernel="reference")),
         ("clover", lambda g: CloverDirac(g, 0.3, csw=1.2)),
         ("schur", lambda g: EvenOddWilson(g, 0.3).schur_operator()),
         ("normal", lambda g: WilsonDirac(g, 0.3).normal_op()),
@@ -144,7 +142,7 @@ class TestOperatorBatchParity:
     )
     @pytest.mark.parametrize("nrhs", [1, 3])
     def test_apply_batch_matches_loop(self, label, factory, nrhs):
-        dims = (4, 2, 2, 2) if label == "decomposed_vcomm" else COMPILED_DIMS
+        dims = (4, 2, 2, 2) if label == "decomposed_vcomm" else SMALL_DIMS
         op = factory(_gauge(dims))
         X = _rand_block(dims, nrhs, seed=17)
         got = op.apply_batch(X)
@@ -157,7 +155,7 @@ class TestOperatorBatchParity:
         "label,factory", _operator_cases(), ids=[c[0] for c in _operator_cases()]
     )
     def test_apply_dagger_batch_matches_loop(self, label, factory):
-        dims = (4, 2, 2, 2) if label == "decomposed_vcomm" else COMPILED_DIMS
+        dims = (4, 2, 2, 2) if label == "decomposed_vcomm" else SMALL_DIMS
         op = factory(_gauge(dims))
         X = _rand_block(dims, 2, seed=23)
         got = op.apply_dagger_batch(X)
@@ -188,8 +186,8 @@ class TestOperatorBatchParity:
                 assert np.array_equal(got[i], single(X[i]))
 
     def test_apply_batch_counts_applies(self):
-        op = WilsonDirac(_gauge(COMPILED_DIMS), 0.3)
-        X = _rand_block(COMPILED_DIMS, 3)
+        op = WilsonDirac(_gauge(SMALL_DIMS), 0.3)
+        X = _rand_block(SMALL_DIMS, 3)
         before = op.n_applies
         op.apply_batch(X)
         assert op.n_applies == before + 3
@@ -275,9 +273,9 @@ class TestBlockCG:
 
 class TestSolveWilsonBatch:
     def test_true_residuals_verified(self):
-        gauge = _gauge(COMPILED_DIMS)
+        gauge = _gauge(SMALL_DIMS)
         dirac = WilsonDirac(gauge, 0.3)
-        B = _rand_block(COMPILED_DIMS, 3, seed=43)
+        B = _rand_block(SMALL_DIMS, 3, seed=43)
         tol = 1e-8
         results = solve_wilson_batch(dirac, B, tol=tol, max_iter=2000)
         assert len(results) == 3

@@ -17,7 +17,6 @@ import pytest
 
 from repro.comm import (
     COMM_ENV_VAR,
-    CommUnavailableError,
     RankGrid,
     ShmComm,
     TcpComm,
@@ -27,9 +26,7 @@ from repro.comm import (
     make_comm,
     resolve_comm_name,
 )
-from repro.comm.mpi import MpiComm
 from repro.comm.pool import RankPoolComm
-from repro.comm.registry import _COMM_NAMES
 from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
@@ -37,7 +34,7 @@ from repro.solvers import cg_spmd
 
 #: Every backend the matrix runs against.  ``virtual`` is the reference
 #: and also runs through the matrix so the harness itself is symmetric.
-BACKENDS = [n for n in available_comms() if n != "mpi"]
+BACKENDS = list(available_comms())
 
 #: Backends whose ranks are real processes with per-rank block storage.
 BLOCK_BACKENDS = [n for n in BACKENDS if n != "virtual"]
@@ -224,11 +221,10 @@ class TestOneMasterClass:
     }
 
     def test_transports_define_only_hooks(self):
-        # Needs no mpi4py: the only coverage ``repro.comm.mpi`` gets here.
         def public(cls):
             return {n for n in dir(cls) if not n.startswith("_")}
 
-        for cls in (ShmComm, TcpComm, MpiComm):
+        for cls in (ShmComm, TcpComm):
             assert issubclass(cls, RankPoolComm)
             assert public(cls) == public(RankPoolComm), cls.__name__
             own = set(vars(cls)) - {"__module__", "__doc__"}
@@ -242,9 +238,8 @@ class TestOneMasterClass:
 
 class TestRegistry:
     def test_always_available_backends_present(self):
-        names = available_comms()
-        assert {"shm", "tcp", "virtual"} <= set(names)
-        assert names == tuple(sorted(names))
+        # A closed set: every registered transport runs in tier-1.
+        assert available_comms() == ("shm", "tcp", "virtual")
 
     def test_default_is_virtual(self, monkeypatch):
         monkeypatch.delenv(COMM_ENV_VAR, raising=False)
@@ -267,19 +262,14 @@ class TestRegistry:
     def test_unknown_name_lists_known_backends(self):
         with pytest.raises(ValueError, match="nosuchcomm") as err:
             resolve_comm_name("nosuchcomm")
-        # Satellite guarantee: the message enumerates from _COMM_NAMES, so
-        # it can never go stale when a backend is added.
-        for known in _COMM_NAMES:
+        for known in available_comms():
             assert known in str(err.value)
 
-    def test_registered_but_unavailable_raises_typed(self):
-        try:
-            import mpi4py  # noqa: F401
-
-            pytest.skip("mpi4py installed; degradation branch not testable")
-        except ImportError:
-            pass
-        assert "mpi" in _COMM_NAMES
-        assert "mpi" not in available_comms()
-        with pytest.raises(CommUnavailableError, match="mpi"):
-            resolve_comm_name("mpi")
+    def test_removed_backend_is_unknown(self, monkeypatch):
+        """``mpi`` left the registry: a ``ValueError`` naming the choices,
+        as an argument and through the environment."""
+        with pytest.raises(ValueError, match="'mpi'.*shm.*tcp.*virtual"):
+            make_comm((1, 1, 1, 1), "mpi")
+        monkeypatch.setenv(COMM_ENV_VAR, "mpi")
+        with pytest.raises(ValueError, match="'mpi'.*shm.*tcp.*virtual"):
+            make_comm((1, 1, 1, 1))

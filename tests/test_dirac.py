@@ -132,12 +132,6 @@ class TestWilsonDirac:
         assert out32.dtype == np.complex64
         assert np.allclose(out32, out64, atol=1e-4)
 
-    def test_naive_kernel_flag(self, hot_gauge):
-        psi = random_fermion(hot_gauge.lattice, rng=15)
-        fast = WilsonDirac(hot_gauge, 0.1).apply(psi)
-        slow = WilsonDirac(hot_gauge, 0.1, use_spin_projection=False).apply(psi)
-        assert np.allclose(fast, slow, atol=1e-12)
-
 
 class TestCloverDirac:
     def test_reduces_to_wilson_at_csw_zero(self, hot_gauge):

@@ -117,7 +117,7 @@ class TestKeys:
         assert request_key("cfg", "spectrum", {"m": 0.1}, {"kernel": "fused"}) == key
         assert request_key("cfg", "spectrum", {"m": 0.2}, {"kernel": "fused"}) != key
         assert request_key("cfg", "plaquette", {"m": 0.1}, {"kernel": "fused"}) != key
-        assert request_key("cfg", "spectrum", {"m": 0.1}, {"kernel": "naive"}) != key
+        assert request_key("cfg", "spectrum", {"m": 0.1}, {"kernel": "reference"}) != key
         assert request_key("other", "spectrum", {"m": 0.1}, {"kernel": "fused"}) != key
 
 

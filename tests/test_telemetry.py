@@ -23,7 +23,7 @@ import pytest
 
 from repro import telemetry
 from repro.comm import RankGrid, ShmComm, VirtualComm
-from repro.dirac import DomainWallDirac, WilsonDirac
+from repro.dirac import DomainWallDirac, EvenOddWilson, WilsonDirac
 from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.dirac.operator import MatrixOperator
 from repro.fields import GaugeField, random_fermion
@@ -211,6 +211,28 @@ class TestRegistry:
         assert reg.get("flops/w") == 150
         assert reg.gauge("rank1/res") == 0.5
         assert reg.histogram("it").count == 1
+
+
+# -- kernel-selection gauges --------------------------------------------------
+
+
+def test_kernel_selection_gauges(gauge44):
+    with telemetry_mode("counters"):
+        WilsonDirac(gauge44, 0.1, kernel="reference")
+        DomainWallDirac(gauge44, mf=0.04, ls=4, kernel="reference")
+        EvenOddWilson(gauge44, 0.1, kernel="fused")
+        gauges = telemetry.snapshot()["gauges"]
+    assert gauges == {
+        "kernel/dslash_wilson/backend/reference": 1.0,
+        "kernel/dslash_dwf/backend/reference": 1.0,
+        "kernel/dslash_eo/backend/fused": 1.0,
+    }
+
+
+def test_kernel_selection_gauges_off_by_default(gauge44):
+    """No telemetry mode active -> construction records nothing."""
+    WilsonDirac(gauge44, 0.1)
+    assert telemetry.snapshot()["gauges"] == {}
 
 
 # -- golden counter exactness -------------------------------------------------
