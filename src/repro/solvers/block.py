@@ -21,14 +21,10 @@ smaller batch, so late iterations on a nearly-done block don't pay full
 block bandwidth.  Compaction cannot change any bit of the surviving
 columns — batched applies are column-independent.
 
-``eigen`` reuses a deflation basis across the whole block (the E12
-economics: the Lanczos setup amortises over ``nrhs`` solves), projecting
-the low modes out of every column exactly as :func:`repro.solvers.
-deflation.deflated_cg` does per column.
-
-``solve_wilson_batch`` is the propagator front end: normal equations,
-one batched ``M^dag`` for the right-hand sides, block CG, per-column
-true-residual verification with up to three refinement rounds.
+``solve_wilson_batch`` is the propagator front end: the verify-and-refine
+driver of :mod:`repro.solvers.wilson_solve` on the *batched* normal
+system (one ``apply_dagger_batch`` prepares every right-hand side, one
+``apply_batch_into`` verifies every column) with ``block_cg`` as its step.
 """
 
 from __future__ import annotations
@@ -39,15 +35,12 @@ import time
 import numpy as np
 
 from repro.dirac.operator import LinearOperator
-from repro.fields import norm, norm2
+from repro.fields import norm2
 from repro.guard.errors import NumericalFault
 from repro.solvers.base import SolveResult
-from repro.solvers.deflation import _DeflatedOperator, _project_out
-from repro.solvers.lanczos import EigenPairs
-from repro.telemetry.instruments import record_solve
+from repro.solvers.cg import _record
+from repro.solvers.wilson_solve import _System, _verify_and_refine
 from repro.telemetry.spans import span
-from repro.telemetry.state import STATE
-from repro.util.flops import cg_linalg_flops_per_iter
 
 __all__ = ["block_cg", "solve_wilson_batch"]
 
@@ -59,33 +52,21 @@ def block_cg(
     tol: float = 1e-8,
     max_iter: int = 2000,
     record_history: bool = True,
-    eigen: EigenPairs | None = None,
 ) -> list[SolveResult]:
     """Solve ``op X[i] = B[i]`` for every column of an (nrhs, ...) block.
 
     ``op`` must be Hermitian positive definite.  Returns one
     :class:`SolveResult` per column, each bit-identical (iterates,
     residual history, iteration count) to a guard-off :func:`~repro.
-    solvers.cg.cg` on that column.  ``eigen`` deflates the known low
-    modes out of every column (basis reuse across the block).
+    solvers.cg.cg` on that column.
     """
     B = np.asarray(B)
     if B.ndim < 2:
         raise ValueError(f"block_cg needs an (nrhs, ...) block, got shape {B.shape}")
-    if eigen is not None and len(eigen) > 0:
-        return _deflated_block_cg(op, B, x0, tol, max_iter, record_history, eigen)
     with span("block_cg", cat="solver"):
         results = _block_cg_core(op, B, x0, tol, max_iter, record_history)
-    if STATE.counting:
-        for res in results:
-            record_solve(
-                res.label,
-                res.iterations,
-                res.converged,
-                res.residual,
-                linalg_flops=res.iterations
-                * cg_linalg_flops_per_iter(2 * B[0].size),
-            )
+    for res in results:
+        _record(res, B[0])
     return results
 
 
@@ -96,8 +77,8 @@ def _block_cg_core(
     tol: float,
     max_iter: int,
     record_history: bool,
-    label: str = "block_cg",
 ) -> list[SolveResult]:
+    label = "block_cg"
     t0 = time.perf_counter()
     nrhs = B.shape[0]
     applies0 = op.n_applies
@@ -227,107 +208,33 @@ def _block_cg_core(
     return results
 
 
-def _deflated_block_cg(
-    op: LinearOperator,
-    B: np.ndarray,
-    x0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    record_history: bool,
-    eigen: EigenPairs,
-) -> list[SolveResult]:
-    """Block CG in the deflated complement, low modes solved spectrally.
-
-    Column-for-column the same split as :func:`repro.solvers.deflation.
-    deflated_cg`: ``x = x_low + x_perp`` with the basis shared across the
-    whole block — the Lanczos setup cost amortises over ``nrhs`` solves.
-    """
-    from repro.fields import inner
-
-    if np.any(eigen.values <= 0):
-        raise ValueError(
-            "deflation requires positive eigenvalues (Hermitian PD operator)"
-        )
-    nrhs = B.shape[0]
-    X_low = np.zeros_like(B)
-    B_perp = np.empty_like(B)
-    for i in range(nrhs):
-        for lam, v in zip(eigen.values, eigen.vectors):
-            X_low[i] += (inner(v, B[i]) / lam) * v
-        B_perp[i] = _project_out(B[i], eigen)
-
-    dop = _DeflatedOperator(op, eigen)
-    label = f"block_cg[k={len(eigen)}]"
-    with span("block_cg", cat="solver"):
-        results = _block_cg_core(
-            dop, B_perp, x0, tol, max_iter, record_history, label=label
-        )
-    setup_flops = 2 * 16 * B[0].size * len(eigen)
-    for i, res in enumerate(results):
-        res.x = res.x + X_low[i]
-        res.flops += setup_flops
-        if STATE.counting:
-            record_solve(
-                res.label,
-                res.iterations,
-                res.converged,
-                res.residual,
-                linalg_flops=res.iterations
-                * cg_linalg_flops_per_iter(2 * B[0].size),
-            )
-    return results
-
-
 def solve_wilson_batch(
     dirac,
     B: np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 5000,
-    eigen: EigenPairs | None = None,
 ) -> list[SolveResult]:
     """Solve ``M X[i] = B[i]`` for a block of sources (propagator columns).
 
     Normal equations driven by :func:`block_cg`: one batched ``M^dag``
     prepares every right-hand side, the block solve shares link traffic
     across columns, and each column's true residual against ``M`` itself
-    is verified (with up to three tightened refinement rounds, exactly
-    the :func:`~repro.solvers.wilson_solve.solve_wilson` policy).
+    is verified by one batched ``M`` — the verify-and-refine policy of
+    :mod:`repro.solvers.wilson_solve` on the batched normal system.
     """
     B = np.asarray(B)
-    nrhs = B.shape[0]
-    nop = dirac.normal_op()
-    RHS = dirac.apply_dagger_batch(B)
-    b_norm = np.array([norm(B[i]) for i in range(nrhs)])
-
-    X: np.ndarray | None = None
-    results: list[SolveResult] | None = None
     verify = np.empty_like(B)
-    true_res = np.empty(nrhs)
-    tol_n = tol
-    for _ in range(3):
-        steps = block_cg(
-            nop, RHS, x0=X, tol=tol_n, max_iter=max_iter, eigen=eigen
-        )
-        if results is None:
-            results = steps
-        else:
-            for res, step in zip(results, steps):
-                res.iterations += step.iterations
-                res.operator_applies += step.operator_applies
-                res.flops += step.flops
-                res.wall_time += step.wall_time
-                res.history.extend(step.history[1:])
-                res.x = step.x
-        X = np.stack([res.x for res in results])
-        dirac.apply_batch_into(X, verify)
-        for i in range(nrhs):
-            true_res[i] = norm(B[i] - verify[i]) / b_norm[i] if b_norm[i] else 0.0
-        if np.all(true_res <= tol):
-            break
-        tol_n *= 0.01
-    for i, res in enumerate(results):
-        res.x = X[i]
-        res.residual = float(true_res[i])
-        res.converged = bool(true_res[i] <= 10 * tol)
+    system = _System(
+        op=dirac.normal_op(),
+        prepare=dirac.apply_dagger_batch,
+        reconstruct=lambda X, B: X,
+        apply=lambda X: dirac.apply_batch_into(X, verify),
+    )
+
+    def step(rhs, x0, inner_tol):
+        return block_cg(system.op, rhs, x0=x0, tol=inner_tol, max_iter=max_iter)
+
+    results = _verify_and_refine(system, step, B, tol)
+    for res in results:
         res.label = f"wilson_{res.label}"
     return results

@@ -32,7 +32,6 @@ import time
 import numpy as np
 
 from repro.dirac.operator import LinearOperator
-from repro.fields import norm2
 from repro.guard.errors import NumericalFault, SDCDetected, SolverStagnation
 from repro.guard.policy import GuardPolicy, resolve_policy
 from repro.guard.solver import StagnationDetector
@@ -64,16 +63,21 @@ def cg(
     """
     with span("cg", cat="solver"):
         result = _cg_core(op, b, x0, tol, max_iter, record_history, guard)
+    _record(result, b)
+    return result
+
+
+def _record(result: SolveResult, b: np.ndarray) -> None:
+    """Per-solve counters of a CG-family solve on vectors shaped like ``b``."""
     if STATE.counting:
         record_solve(
-            "cg",
+            result.label,
             result.iterations,
             result.converged,
             result.residual,
             linalg_flops=result.iterations * cg_linalg_flops_per_iter(2 * b.size),
             restarts=len(result.guard_events),
         )
-    return result
 
 
 def _cg_core(
@@ -84,19 +88,27 @@ def _cg_core(
     max_iter: int,
     record_history: bool,
     guard: GuardPolicy | str | None,
+    vdot=np.vdot,
+    label: str = "cg",
 ) -> SolveResult:
+    """The one guarded CG recurrence.  ``vdot`` is the inner product every
+    reduction goes through (:func:`repro.solvers.spmd.cg_spmd` passes its
+    rank-ordered allreduce); ``label`` tags the result, faults and events."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
     policy = resolve_policy(guard)
+
+    def norm2(a: np.ndarray) -> float:
+        return float(vdot(a, a).real)
 
     b_norm2 = norm2(b)
     if b_norm2 == 0.0:
         return SolveResult(
             x=np.zeros_like(b), converged=True, iterations=0, residual=0.0,
-            history=[0.0], label="cg",
+            history=[0.0], label=label,
         )
     if not math.isfinite(b_norm2):
-        raise NumericalFault("non-finite |b|^2", solver="cg", iteration=0)
+        raise NumericalFault("non-finite |b|^2", solver=label, iteration=0)
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -110,7 +122,7 @@ def _cg_core(
     tmp = np.empty_like(b)
     r2 = norm2(r)
     if not math.isfinite(r2):
-        raise NumericalFault("non-finite initial residual", solver="cg", iteration=0)
+        raise NumericalFault("non-finite initial residual", solver=label, iteration=0)
     target2 = (tol * tol) * b_norm2
     history = [math.sqrt(r2 / b_norm2)] if record_history else []
     guard_events: list[dict] = []
@@ -135,7 +147,7 @@ def _cg_core(
             if x_good is None:
                 raise NumericalFault(
                     "iterate corrupt and no verified rollback point",
-                    solver="cg", iteration=it, last_residual=last_finite,
+                    solver=label, iteration=it, last_residual=last_finite,
                 )
             np.copyto(x, x_good)
             rt2 = true_r2()
@@ -143,7 +155,7 @@ def _cg_core(
                 raise NumericalFault(
                     "true residual non-finite even at the verified iterate "
                     "(operator output corrupt)",
-                    solver="cg", iteration=it, last_residual=last_finite,
+                    solver=label, iteration=it, last_residual=last_finite,
                 )
         np.copyto(r, tmp)
         np.copyto(p, r)
@@ -152,24 +164,23 @@ def _cg_core(
             stagnation.reset()
         return rt2
 
+    def heal_nonfinite(what: str, at: int) -> None:
+        """A non-finite reduction: reliable update under ``heal``, else fail fast."""
+        if not policy.heal:
+            raise NumericalFault(what, solver=label, iteration=at, last_residual=last_finite)
+        guard_events.append({"kind": "nonfinite", "iteration": it, "action": "reliable_update"})
+        reliable_update()
+
     it = 0
     converged = r2 <= target2
     while not converged and it < max_iter:
         op(p, out=ap)
-        pap = np.vdot(p, ap).real
+        pap = vdot(p, ap).real
         if not math.isfinite(pap):
-            if policy.heal:
-                guard_events.append(
-                    {"kind": "nonfinite", "iteration": it, "action": "reliable_update"}
-                )
-                reliable_update()
-                it += 1  # the corrupted apply consumed this iteration
-                converged = r2 <= target2
-                continue
-            raise NumericalFault(
-                "non-finite <p, A p>", solver="cg",
-                iteration=it, last_residual=last_finite,
-            )
+            heal_nonfinite("non-finite <p, A p>", it)
+            it += 1  # the corrupted apply consumed this iteration
+            converged = r2 <= target2
+            continue
         if pap <= 0.0:
             # Operator is not positive definite (or roundoff at the limit).
             break
@@ -180,18 +191,10 @@ def _cg_core(
         r -= tmp
         r2_new = norm2(r)
         if not math.isfinite(r2_new):
-            if policy.heal:
-                guard_events.append(
-                    {"kind": "nonfinite", "iteration": it, "action": "reliable_update"}
-                )
-                reliable_update()
-                it += 1
-                converged = r2 <= target2
-                continue
-            raise NumericalFault(
-                "non-finite residual norm", solver="cg",
-                iteration=it + 1, last_residual=last_finite,
-            )
+            heal_nonfinite("non-finite residual norm", it + 1)
+            it += 1
+            converged = r2 <= target2
+            continue
         beta = r2_new / r2
         p *= beta
         p += r
@@ -201,7 +204,7 @@ def _cg_core(
         if record_history:
             history.append(last_finite)
         if STATE.tracing:
-            counter_event("cg/residual", residual=last_finite)
+            counter_event(f"{label}/residual", residual=last_finite)
         converged = r2 <= target2
 
         if policy.enabled and (
@@ -218,7 +221,7 @@ def _cg_core(
                     raise SDCDetected(
                         f"true residual {math.sqrt(rt2 / b_norm2) if math.isfinite(rt2) else rt2!r} "
                         f"drifted from recurrence residual {last_finite:.3e}",
-                        solver="cg", iteration=it, last_residual=last_finite,
+                        solver=label, iteration=it, last_residual=last_finite,
                     )
                 guard_events.append(
                     {"kind": "residual_drift", "iteration": it,
@@ -247,7 +250,7 @@ def _cg_core(
                 continue
             raise SolverStagnation(
                 f"no progress in {policy.stagnation_window} iterations",
-                solver="cg", iteration=it, last_residual=last_finite,
+                solver=label, iteration=it, last_residual=last_finite,
             )
 
     applies = op.n_applies - applies0
@@ -260,6 +263,6 @@ def _cg_core(
         operator_applies=applies,
         flops=applies * op.flops_per_apply,
         wall_time=time.perf_counter() - t0,
-        label="cg",
+        label=label,
         guard_events=guard_events,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.operator import LinearOperator
-from repro.fields import inner
+from repro.fields import inner, norm
 from repro.solvers.base import SolveResult
 from repro.solvers.cg import cg
 from repro.solvers.lanczos import EigenPairs
@@ -59,20 +59,6 @@ class _DeflatedOperator(LinearOperator):
     def apply_dagger(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
 
-    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched ``P A``: the inner apply streams links once per block;
-        the projector runs per column with the exact :func:`_project_out`
-        update order, so each column matches :meth:`apply` bit-for-bit."""
-        self.inner_op.apply_batch(X, out)
-        for i in range(out.shape[0]):
-            col = out[i]
-            for v in self.eigen.vectors:
-                col -= inner(v, col) * v
-        return out
-
-    def apply_dagger_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.apply_batch_into(X, out)
-
 
 def deflated_cg(
     op: LinearOperator,
@@ -86,7 +72,9 @@ def deflated_cg(
     The exact low-mode component comes from the spectral decomposition;
     CG runs on the deflated remainder.  Eigenvector inexactness limits the
     final accuracy to roughly the eigenpair residuals — pass well-converged
-    pairs for tight tolerances.
+    pairs for tight tolerances.  The result says so: ``residual`` is the
+    true ``|b - op x| / |b|`` (one more apply) and ``converged`` means it
+    reached ``10 * tol``, whatever the deflated recurrence believed.
     """
     if len(eigen) == 0:
         return cg(op, b, tol=tol, max_iter=max_iter)
@@ -106,5 +94,9 @@ def deflated_cg(
     # products + k axpys each for x_low and b_perp — is added here.
     res.x = res.x + x_low
     res.flops += 2 * PROJECTOR_FLOPS_PER_ELEMENT * b.size * len(eigen)
+    res.residual = norm(b - op(res.x)) / norm(b)
+    res.operator_applies += 1
+    res.flops += op.flops_per_apply
+    res.converged = bool(res.residual <= 10 * tol)
     res.label = f"deflated_cg[k={len(eigen)}]"
     return res

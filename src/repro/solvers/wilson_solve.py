@@ -1,16 +1,30 @@
 """High-level Dirac-equation drivers: ``M x = b`` for propagators.
 
-These wrap the algorithmic choices (normal equations, even-odd
-preconditioning, mixed precision) behind one call, returning full-lattice
-solutions with verified residuals — the entry point the measurement code
-uses.
+One policy, stated once in :func:`_verify_and_refine`: solve an inner
+Hermitian positive-definite system to ``tol``, verify against ``M``
+itself, tighten by x0.01 for up to three rounds.  It runs on
+``(nrhs, ...)`` blocks (nrhs = 1 is the single solve) and has two seams:
+
+* a :class:`_System` — how ``M X = B`` maps onto the inner system: plain
+  normal equations (:func:`_normal_system`, and the batched one in
+  :mod:`repro.solvers.block`) or the even-odd Schur system
+  (:func:`_even_odd_system`).  A new preconditioner is a new system.
+* a *step* ``(rhs, x0, tol) -> [SolveResult per column]`` on ``system.op``:
+  ``cg``, ``mixed_precision_cg`` or ``block_cg``.  A new inner precision
+  or width is a new step.
+
+The front ends pick one of each and return full-lattice solutions with
+verified residuals — the entry point the measurement code uses.
 """
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.dirac.eo import EvenOddWilson
+from repro.dirac.operator import LinearOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import norm
 from repro.solvers.base import SolveResult
@@ -18,6 +32,97 @@ from repro.solvers.cg import cg
 from repro.solvers.mixed import mixed_precision_cg
 
 __all__ = ["solve_wilson", "solve_wilson_eo"]
+
+
+class _System(NamedTuple):
+    """How ``M X = B`` maps onto the inner system a step solves; the
+    callables take and return ``(nrhs, ...)`` blocks."""
+
+    op: LinearOperator  # the Hermitian positive-definite inner operator
+    prepare: Callable  # B -> right-hand sides of the inner system
+    reconstruct: Callable  # (inner solutions, B) -> full-lattice X
+    apply: Callable  # X -> M X, what the result is verified against
+
+
+def _single(f: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """Lift a one-field map to width-1 blocks (views, no copy)."""
+    return lambda *blocks: f(*(block[0] for block in blocks))[None]
+
+
+def _normal_system(dirac: WilsonDirac) -> _System:
+    """Normal equations ``M^dag M x = M^dag b``, one field at a time."""
+    return _System(
+        dirac.normal_op(), _single(dirac.apply_dagger), lambda X, B: X, _single(dirac.apply)
+    )
+
+
+def _even_odd_system(eo: EvenOddWilson) -> _System:
+    """Schur system on the even sites, odd sites by back-substitution."""
+    schur = eo.schur_operator()
+    return _System(
+        schur.normal_op(),
+        _single(lambda b: schur.apply_dagger(eo.prepare_rhs(b))),
+        _single(eo.reconstruct),
+        _single(eo.full_operator_apply),
+    )
+
+
+def _verify_and_refine(
+    system: _System,
+    step: Callable[[np.ndarray, np.ndarray | None, float], list[SolveResult]],
+    B: np.ndarray,
+    tol: float,
+) -> list[SolveResult]:
+    """Solve ``M X[i] = B[i]`` to a *verified* relative residual ``tol``.
+
+    Each round runs ``step`` at the current inner tolerance, continuing
+    from the previous round's inner solutions, and recomputes every
+    column's residual against ``M`` itself.  Rounds merge per column:
+    counts, flops and wall time add, histories join without repeating the
+    joint point, ``residual`` is the true one and ``converged`` means it
+    reached ``10 * tol``.
+    """
+    rhs = system.prepare(B)
+    b_norm = [norm(b) for b in B]
+    results: list[SolveResult] = []
+    x0 = None
+    tol_n = tol
+    for _ in range(3):
+        steps = step(rhs, x0, tol_n)
+        if not results:
+            results = steps
+        else:
+            for res, part in zip(results, steps):
+                res.iterations += part.iterations
+                res.operator_applies += part.operator_applies
+                res.flops += part.flops
+                res.wall_time += part.wall_time
+                res.inner_iterations += part.inner_iterations
+                res.history.extend(part.history[1:])
+                res.guard_events.extend(part.guard_events)
+        x0 = np.stack([part.x for part in steps])
+        X = system.reconstruct(x0, B)
+        true_res = np.array(
+            [norm(b - mx) / bn if bn else 0.0 for b, mx, bn in zip(B, system.apply(X), b_norm)]
+        )
+        if np.all(true_res <= tol):
+            break
+        tol_n *= 0.01
+    for res, x, r in zip(results, X, true_res):
+        res.x = x
+        res.residual = float(r)
+        res.converged = bool(r <= 10 * tol)
+    return results
+
+
+def _cg_step(op: LinearOperator, max_iter: int):
+    """The fp64 single-column step: CG on ``op``, continued from ``x0``."""
+
+    def step(rhs, x0, inner_tol):
+        x = None if x0 is None else x0[0]
+        return [cg(op, rhs[0], x0=x, tol=inner_tol, max_iter=max_iter)]
+
+    return step
 
 
 def solve_wilson(
@@ -30,40 +135,19 @@ def solve_wilson(
     """Solve ``M x = b`` via the normal equations ``M^dag M x = M^dag b``.
 
     With ``mixed=True`` the inner iteration runs in fp32 (the production
-    configuration).  The returned residual is recomputed for ``M`` itself.
+    configuration; each refinement round restarts from zero, as
+    :func:`mixed_precision_cg` takes no initial guess).  The returned
+    residual is recomputed for ``M`` itself.
     """
-    nop = dirac.normal_op()
-    rhs = dirac.apply_dagger(b)
-    nop32 = dirac.astype(np.complex64).normal_op() if mixed else None
+    system = _normal_system(dirac)
+    if mixed:
+        nop32 = dirac.astype(np.complex64).normal_op()
 
-    # Target tol on the normal system, then verify against M itself and
-    # refine if conditioning ate accuracy (rare on realistic backgrounds).
-    b_norm = norm(b)
-    x = None
-    res = None
-    tol_n = tol
-    for _ in range(3):
-        if mixed:
-            step = mixed_precision_cg(nop, nop32, rhs, tol=tol_n, max_inner=max_iter)
-        else:
-            step = cg(nop, rhs, x0=x, tol=tol_n, max_iter=max_iter)
-        if res is None:
-            res = step
-        else:
-            res.iterations += step.iterations
-            res.operator_applies += step.operator_applies
-            res.flops += step.flops
-            res.wall_time += step.wall_time
-            res.inner_iterations += step.inner_iterations
-            res.history.extend(step.history[1:])
-        x = step.x
-        true_res = norm(b - dirac.apply(x)) / b_norm
-        if true_res <= tol:
-            break
-        tol_n *= 0.01
-    res.x = x
-    res.residual = true_res
-    res.converged = bool(true_res <= 10 * tol)
+        def step(rhs, x0, inner_tol):
+            return [mixed_precision_cg(system.op, nop32, rhs[0], tol=inner_tol, max_inner=max_iter)]
+    else:
+        step = _cg_step(system.op, max_iter)
+    (res,) = _verify_and_refine(system, step, b[None], tol)
     res.label = f"wilson_{res.label}"
     return res
 
@@ -76,32 +160,7 @@ def solve_wilson_eo(
 ) -> SolveResult:
     """Even-odd preconditioned solve: Schur system on even sites via CG on
     its normal equations, then odd-site reconstruction."""
-    schur = eo.schur_operator()
-    b_hat = eo.prepare_rhs(b)
-    rhs = schur.apply_dagger(b_hat)
-    b_norm = norm(b)
-
-    x_e = None
-    res = None
-    tol_n = tol
-    for _ in range(3):
-        step = cg(schur.normal_op(), rhs, x0=x_e, tol=tol_n, max_iter=max_iter)
-        if res is None:
-            res = step
-        else:
-            res.iterations += step.iterations
-            res.operator_applies += step.operator_applies
-            res.flops += step.flops
-            res.wall_time += step.wall_time
-            res.history.extend(step.history[1:])
-        x_e = step.x
-        x = eo.reconstruct(x_e, b)
-        true_res = norm(b - eo.full_operator_apply(x)) / b_norm
-        if true_res <= tol:
-            break
-        tol_n *= 0.01
-    res.x = x
-    res.residual = true_res
-    res.converged = bool(true_res <= 10 * tol)
+    system = _even_odd_system(eo)
+    (res,) = _verify_and_refine(system, _cg_step(system.op, max_iter), b[None], tol)
     res.label = "wilson_eo_cg"
     return res

@@ -12,9 +12,8 @@ Three layers, all held to the same standard as the single-RHS kernels:
   daggered included;
 * solver-level: each ``block_cg`` column is bit-identical (iterates,
   residual history, iteration count) to a guard-off sequential
-  :func:`~repro.solvers.cg.cg` on that column alone, with and without a
-  shared deflation basis, and ``solve_wilson_batch`` delivers verified
-  true residuals.
+  :func:`~repro.solvers.cg.cg` on that column alone, and
+  ``solve_wilson_batch`` delivers verified true residuals.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField
 from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
-from repro.solvers import EigenPairs, block_cg, cg, deflated_cg, lanczos, solve_wilson_batch
+from repro.solvers import block_cg, cg, solve_wilson_batch
 
 # Asymmetric extents so axis-ordering bugs cannot cancel; a 16-site
 # lattice where only the protocol, not the stencil, is under test.
@@ -243,32 +242,6 @@ class TestBlockCG:
         assert block[1].converged
         with pytest.raises(ValueError, match="nrhs"):
             block_cg(op, np.zeros(96, dtype=complex))
-
-    def test_deflated_block_matches_deflated_cg(self):
-        op, _ = _model_operator()
-        pairs = lanczos(op, 6, (96,), krylov_dim=96, rng=7)
-        rng = np.random.default_rng(37)
-        B = rng.normal(size=(2, 96)) + 1j * rng.normal(size=(2, 96))
-        block = block_cg(op, B, tol=1e-8, max_iter=2000, eigen=pairs)
-        for i in range(2):
-            seq = deflated_cg(op, B[i], pairs, tol=1e-8, max_iter=2000)
-            assert block[i].iterations == seq.iterations
-            assert _bit_equal(block[i].x, seq.x)
-            assert block[i].label == f"block_cg[k={len(pairs)}]"
-        # Deflation cuts iterations vs the undeflated block on this spectrum.
-        plain = block_cg(op, B, tol=1e-8, max_iter=2000)
-        assert all(d.iterations < p.iterations for d, p in zip(block, plain))
-
-    def test_empty_eigen_routes_to_plain_block(self):
-        op, _ = _model_operator()
-        rng = np.random.default_rng(41)
-        B = rng.normal(size=(2, 96)) + 1j * rng.normal(size=(2, 96))
-        empty = EigenPairs(np.empty(0), [], np.empty(0))
-        got = block_cg(op, B, tol=1e-8, eigen=empty)
-        want = block_cg(op, B, tol=1e-8)
-        for g, w in zip(got, want):
-            assert g.label == "block_cg"
-            assert _bit_equal(g.x, w.x)
 
 
 class TestSolveWilsonBatch:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.comm import (
     COMM_ENV_VAR,
+    CollectiveEvent,
     RankGrid,
     ShmComm,
     TcpComm,
@@ -28,9 +29,10 @@ from repro.comm import (
 )
 from repro.comm.pool import RankPoolComm
 from repro.dirac.decomposed import DecomposedWilsonDirac
+from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
-from repro.solvers import cg_spmd
+from repro.solvers import cg, cg_spmd
 
 #: Every backend the matrix runs against.  ``virtual`` is the reference
 #: and also runs through the matrix so the harness itself is symmetric.
@@ -202,6 +204,55 @@ class TestSolverParity:
         assert want.iterations == got.iterations
         assert want.history == got.history
         assert np.array_equal(want.x, got.x)
+
+
+@pytest.mark.parametrize("phases", PHASES)
+class TestSpmdIsTheOneRecurrence:
+    """``cg_spmd`` is ``cg``'s guarded core with the rank-ordered inner
+    product swapped in: same iterates where the reduction order is the
+    same, same counts everywhere, and the core's apply accounting."""
+
+    def _single_domain(self, gauge, b, phases):
+        dirac = WilsonDirac(gauge, 0.3, phases=phases)
+        return dirac, cg(
+            dirac.normal_op(), dirac.apply_dagger(b), tol=1e-6, max_iter=100, guard="off"
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_single_rank_grid_equals_cg_on_the_normal_operator(self, backend, phases, gauge):
+        b = random_fermion(LATTICE, rng=17)
+        _, want = self._single_domain(gauge, b, phases)
+        with make_comm((1, 1, 1, 1), backend, **COMM_KW) as comm:
+            op = DecomposedWilsonDirac(gauge, 0.3, comm, phases=phases)
+            got = cg_spmd(op, b, tol=1e-6, max_iter=100, guard="off")
+        assert got.converged and got.label == "cg_spmd"
+        assert got.iterations == want.iterations
+        assert got.history == want.history
+        assert np.array_equal(got.x, want.x)
+
+    @pytest.mark.parametrize("backend, dims", [
+        ("virtual", (1, 1, 1, 1)), ("virtual", (2, 1, 1, 1)), ("virtual", (1, 2, 1, 1)),
+        ("virtual", (2, 2, 1, 1)), ("virtual", (4, 1, 1, 1)), ("shm", (2, 1, 1, 1)),
+    ])
+    def test_counts_and_accounting_on_every_grid(self, backend, dims, phases, gauge):
+        b = random_fermion(LATTICE, rng=17)
+        dirac, want = self._single_domain(gauge, b, phases)
+        with make_comm(dims, backend, **COMM_KW) as comm:
+            op = DecomposedWilsonDirac(gauge, 0.3, comm, phases=phases)
+            comm.trace.clear()
+            got = cg_spmd(op, b, tol=1e-6, max_iter=100, guard="off")
+            collectives = sum(isinstance(e, CollectiveEvent) for e in comm.trace.events)
+        assert got.iterations == want.iterations
+        # |M^dag b|^2, |r0|^2 and the closing |b|^2; pAp and the new r2 per iteration.
+        assert collectives == 2 * got.iterations + 3
+        # The normal operator the core was handed is what is counted
+        # (it read 0 applies / 0 flops while the loop was a private copy).
+        assert got.operator_applies == got.iterations == want.operator_applies
+        assert got.flops == got.operator_applies * 2 * op.flops_per_apply == want.flops
+        assert f"{got.operator_applies} op applies" in got.summary()
+        assert got.residual == pytest.approx(
+            np.linalg.norm(b - dirac.apply(got.x)) / np.linalg.norm(b), rel=1e-6
+        )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

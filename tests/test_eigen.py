@@ -106,6 +106,27 @@ class TestDeflatedCG:
         with pytest.raises(ValueError):
             deflated_cg(op, np.ones(5, dtype=complex), bad)
 
+    def test_unconverged_pairs_do_not_report_convergence(self):
+        """Ritz pairs from a shallow Krylov space are not eigenpairs: the
+        deflated recurrence converges on a system that is no longer the
+        caller's, and the result must say what ``op`` itself says."""
+        eigs = np.concatenate([np.geomspace(1e-3, 1e-2, 6), np.linspace(0.5, 4, 54)])
+        op, _, _ = _hpd(60, eigs, seed=21)
+        b = RNG.normal(size=60) + 1j * RNG.normal(size=60)
+        pairs = lanczos(op, 6, (60,), krylov_dim=12, rng=22)
+        assert pairs.residuals.max() > 1e-2  # deliberately unconverged
+        tol = 1e-8
+        res = deflated_cg(op, b, pairs, tol=tol, max_iter=2000)
+        true_res = norm(b - op.apply(res.x)) / norm(b)
+        assert true_res > 1e3 * tol  # the pairs' inexactness caps the accuracy
+        assert res.residual == pytest.approx(true_res, rel=1e-6)
+        assert not res.converged
+        # Converged pairs on the same system: the verdict flips with the truth.
+        good = lanczos(op, 6, (60,), krylov_dim=60, rng=22)
+        res = deflated_cg(op, b, good, tol=tol, max_iter=2000)
+        assert res.converged and res.residual <= 10 * tol
+        assert res.residual == pytest.approx(norm(b - op.apply(res.x)) / norm(b), rel=1e-6)
+
     def test_wilson_end_to_end_deflation(self):
         """Deflated CG on M^dag M reproduces the plain-CG solution.
 

@@ -3,6 +3,9 @@ and the mixed-precision scheme's accuracy beyond fp32."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from repro.solvers import (
     mixed_precision_cg,
     multishift_cg,
     solve_wilson,
+    solve_wilson_batch,
     solve_wilson_eo,
 )
 
@@ -322,3 +326,101 @@ class TestWilsonDrivers:
         res_eo = solve_wilson_eo(eo, b, tol=1e-8, max_iter=20000)
         assert res_full.converged and res_eo.converged
         assert res_eo.flops < res_full.flops
+
+
+class _UnderDeliver:
+    """Stand in for an inner solver: run the real one at ``loose`` instead
+    of the requested tolerance for the first ``rounds`` calls, and keep a
+    snapshot of what every call was asked and what it returned."""
+
+    def __init__(self, real, loose: float, rounds: int) -> None:
+        self.real, self.loose, self.rounds = real, loose, rounds
+        self.calls: list[dict] = []
+
+    def __call__(self, *args, **kwargs):
+        asked = kwargs["tol"]
+        if len(self.calls) < self.rounds:
+            kwargs["tol"] = self.loose
+        out = self.real(*args, **kwargs)
+        steps = out if isinstance(out, list) else [out]
+        self.calls.append(
+            {
+                "tol": asked,
+                "continued": kwargs.get("x0") is not None,
+                # The driver merges into the first round's objects in place.
+                "steps": [dataclasses.replace(s, history=list(s.history)) for s in steps],
+            }
+        )
+        return out
+
+
+#: front end -> (the inner solver name it looks up, its label, how to call it on a block).
+_FRONT_ENDS = {
+    "cg": ("repro.solvers.wilson_solve.cg", "wilson_cg",
+           lambda m, eo, B, tol: [solve_wilson(m, B[0], tol=tol)]),
+    "mixed": ("repro.solvers.wilson_solve.mixed_precision_cg", "wilson_mixed_cg",
+              lambda m, eo, B, tol: [solve_wilson(m, B[0], tol=tol, mixed=True)]),
+    "eo": ("repro.solvers.wilson_solve.cg", "wilson_eo_cg",
+           lambda m, eo, B, tol: [solve_wilson_eo(eo, B[0], tol=tol)]),
+    "batch": ("repro.solvers.block.block_cg", "wilson_block_cg",
+              lambda m, eo, B, tol: solve_wilson_batch(m, B, tol=tol)),
+}
+
+
+@pytest.mark.parametrize("front_end", list(_FRONT_ENDS))
+class TestVerifyAndRefine:
+    """The one verify-and-refine driver behind ``solve_wilson`` (cg and
+    mixed), ``solve_wilson_eo`` and ``solve_wilson_batch``, past round 1."""
+
+    TOL = 1e-8
+
+    def _run(self, monkeypatch, front_end, rounds):
+        from repro.dirac import EvenOddWilson
+
+        lat = Lattice4D((4, 4, 2, 2))
+        gauge = GaugeField.hot(lat, rng=41)
+        m, eo = WilsonDirac(gauge, mass=0.4), EvenOddWilson(gauge, mass=0.4)
+        B = np.stack([random_fermion(lat, rng=42 + i) for i in range(2)])
+        target, _, solve = _FRONT_ENDS[front_end]
+        module, name = target.rsplit(".", 1)
+        spy = _UnderDeliver(getattr(importlib.import_module(module), name), 1e-3, rounds)
+        monkeypatch.setattr(target, spy)
+        results = solve(m, eo, B, self.TOL)
+        true = [norm(b - m.apply(res.x)) / norm(b) for b, res in zip(B, results)]
+        return spy, results, true
+
+    def test_rounds_merge_into_one_result(self, monkeypatch, front_end):
+        spy, results, true = self._run(monkeypatch, front_end, rounds=1)
+        # Round 1 under-delivered, round 2 at tol x 0.01 passed the check.
+        assert [c["tol"] for c in spy.calls] == pytest.approx([self.TOL, self.TOL * 1e-2])
+        # Round 2 continues from round 1, except mixed (no initial guess).
+        assert [c["continued"] for c in spy.calls] == [False, front_end != "mixed"]
+        for i, (res, true_res) in enumerate(zip(results, true)):
+            first, second = (c["steps"][i] for c in spy.calls)
+            for field in ("iterations", "operator_applies", "flops", "inner_iterations"):
+                assert getattr(res, field) == getattr(first, field) + getattr(second, field)
+            assert second.iterations > 0 and res.operator_applies > 0 and res.flops > 0
+            assert (res.inner_iterations > 0) == (front_end == "mixed")
+            assert res.wall_time == pytest.approx(first.wall_time + second.wall_time)
+            # Histories join without repeating the joint point.
+            assert res.history == first.history + second.history[1:]
+            assert res.label == _FRONT_ENDS[front_end][1]
+            assert res.residual == pytest.approx(true_res, rel=1e-6)
+            assert res.converged and true_res <= self.TOL
+
+    def test_stops_after_three_rounds_and_reports_the_true_residual(
+        self, monkeypatch, front_end
+    ):
+        spy, results, true = self._run(monkeypatch, front_end, rounds=99)
+        assert [c["tol"] for c in spy.calls] == pytest.approx(
+            [self.TOL, self.TOL * 1e-2, self.TOL * 1e-4]
+        )
+        for i, (res, true_res) in enumerate(zip(results, true)):
+            steps = [c["steps"][i] for c in spy.calls]
+            # Every step believed it converged; M itself says otherwise.
+            assert all(s.converged for s in steps)
+            assert true_res > 10 * self.TOL
+            assert not res.converged
+            assert res.residual == pytest.approx(true_res, rel=1e-6)
+            assert res.iterations == sum(s.iterations for s in steps)
+            assert len(res.history) == sum(len(s.history) for s in steps) - 2
