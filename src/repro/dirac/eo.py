@@ -21,9 +21,14 @@ an even-site field).  Inside, a kernel with a parity-ordered entry
 (``fused``) works on half of them: the even sites are gathered into
 planes once, ``H_oe``, ``H_eo``, the scale and the diagonal term run on
 half-lattice planes, and the result is stored once — a Schur apply costs
-one Dslash.  Kernels without that entry, and boundary phases it does not
-take, run the full-volume stencil and zero the other parity; both paths
-give the same bits.
+one Dslash.  The normal operator ``M_hat^dag M_hat`` that CG solves
+(:meth:`SchurOperator.normal_op`) stays on those planes from ``M_hat`` to
+``M_hat^dag``: one gather, four half hops, one store, where wrapping the
+Schur operator in :class:`~repro.dirac.operator.NormalOperator` stores to
+a full-lattice temporary and gathers it again in between.  Kernels
+without that entry, and boundary phases it does not take, run the
+full-volume stencil and zero the other parity; all paths give the same
+bits.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.dirac.operator import LinearOperator
+from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.kernels.fused import plan, ufunc_rows
 from repro.kernels.registry import make_kernel, resolve_kernel_name
@@ -175,14 +180,25 @@ class SchurOperator(LinearOperator):
         # Two half-volume Dslash applications = one full-volume count.
         self.flops_per_apply = WILSON_DSLASH_FLOPS_PER_SITE * eo.lattice.volume
 
-    def _apply_block(self, X: np.ndarray, out: np.ndarray, dagger: bool = False) -> np.ndarray:
+    def normal_op(self) -> "NormalOperator":
+        """``M_hat^dag M_hat``, run on half-lattice planes: gathered once, four
+        half hops, stored once — bit for bit ``NormalOperator(self)``."""
+        return _SchurNormalOperator(self)
+
+    def _apply_block(
+        self, X: np.ndarray, out: np.ndarray, dagger: bool = False, normal: bool = False
+    ) -> np.ndarray:
         """``out[i] = M_hat X[i]`` (``M_hat^dag = gamma5 M_hat gamma5`` when
-        ``dagger``: gamma5 is site-diagonal, hence parity-preserving)."""
+        ``dagger``: gamma5 is site-diagonal, hence parity-preserving;
+        ``M_hat^dag M_hat`` when ``normal``)."""
         eo = self.eo
         kernel = eo._half_lattice_kernel()
         if kernel is None:
-            return self._apply_block_masked(X, out, dagger)
-        u, phases = eo.gauge.u, eo.phases
+            if not normal:
+                return self._apply_block_masked(X, out, dagger)
+            tmp = self.workspace.get(X.shape, X.dtype, "schur.normal")
+            self._apply_block_masked(X, tmp, False)
+            return self._apply_block_masked(tmp, out, True)
         nrhs = X.shape[0]
         step, _ = plan(eo.lattice.volume // 2, nrhs, X.real.itemsize)
         with ufunc_rows():
@@ -190,15 +206,27 @@ class SchurOperator(LinearOperator):
                 x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")
                 if dagger:
                     _gamma5_planes(x)
-                h_oe = kernel.hop_parity_planes(u, x, phases, ODD, "eo.hop")
-                y = kernel.hop_parity_planes(u, h_oe, phases, EVEN, "eo.other")
-                y *= _reciprocal(y, -(4.0 * eo.diag))
-                x *= x.dtype.type(eo.diag)
-                y += x
-                if dagger:
+                y = self._schur_planes(kernel, x, "eo.other")
+                if normal:
+                    # M_hat^dag y = gamma5 M_hat gamma5 y, into x's planes (free now).
+                    _gamma5_planes(y)
+                    y = self._schur_planes(kernel, y, "eo.source")
+                if dagger or normal:
                     _gamma5_planes(y)
                 kernel.store_parity_planes(out[r : r + step], (y, None))
         return out
+
+    def _schur_planes(self, kernel, x: np.ndarray, slot: str) -> np.ndarray:
+        """``M_hat x`` on even-site planes, into workspace planes ``slot``; ``x`` is
+        scaled in place on the way."""
+        eo = self.eo
+        u, phases = eo.gauge.u, eo.phases
+        h_oe = kernel.hop_parity_planes(u, x, phases, ODD, "eo.hop")
+        y = kernel.hop_parity_planes(u, h_oe, phases, EVEN, slot)
+        y *= _reciprocal(y, -(4.0 * eo.diag))
+        x *= x.dtype.type(eo.diag)
+        y += x
+        return y
 
     def _apply_block_masked(self, X: np.ndarray, out: np.ndarray, dagger: bool) -> np.ndarray:
         """:meth:`_apply_block` on full-lattice arrays, through :meth:`EvenOddWilson._hop_masked`."""
@@ -239,3 +267,19 @@ class SchurOperator(LinearOperator):
 
     def apply_dagger_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self._apply_block(X, out, dagger=True)
+
+
+class _SchurNormalOperator(NormalOperator):
+    """:class:`NormalOperator` of a :class:`SchurOperator` whose every form is one
+    :meth:`SchurOperator._apply_block` call; label, flops and counters are the
+    wrapper's own."""
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.apply_into(x, np.empty_like(x))
+
+    def apply_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.inner._apply_block(x[None], out[None], normal=True)
+        return out
+
+    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.inner._apply_block(X, out, normal=True)

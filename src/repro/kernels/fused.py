@@ -46,13 +46,24 @@ copy in every other row.  That is what even-odd preconditioning runs on:
 a hop from one parity to the other costs half a Dslash, and the planes
 never go back to the full lattice in between.
 
-Scratch is streamed.  The half spinors of 1, 2 or 4 directions go
-through the multiply in one call — few, large ufunc calls on a small
-lattice, one direction at a time on a large one — a wide block is taken
-in equal sub-blocks of columns, and at large volume the multiply's own
-scratch is cut into site blocks, all sized from one working-set constant
-(``_BLOCK_BYTES``), so the arena holds the field and accumulator planes,
-three half-spinor stacks and a bounded block whatever the volume.
+Scratch is streamed, and the 8 terms take one of two passes, chosen in
+:func:`plan` from the hop's volume x rhs x itemsize against one
+working-set constant (``_BLOCK_BYTES``).  A hop whose eight half-spinor
+pairs fit it — up to 256 sites in fp64, 512 in fp32, a single rhs — is
+call-bound, and takes the *stacked* pass: the eight terms on one axis of
+one stack, projected by one gather, moved to their neighbours by two
+site gathers (the forward terms before the multiply, the backward ones
+after), multiplied in one broadcast product against an 8-term link
+stack (``U`` and ``U^dag`` planes side by side, the wrap's signs folded
+in, built only for such hops), reconstructed and summed by two ordered
+reductions over the term axis — 13 array calls where the other pass
+makes 81 on a half lattice.  A
+larger hop streams about a third of those bytes through the
+*per-direction* pass: the half spinors of 1, 2 or 4 terms go through
+the multiply in one call, a wide block is taken in equal sub-blocks of
+columns, and at large volume the multiply's own scratch is cut into
+site blocks, so the arena holds the field and accumulator planes, three
+half-spinor stacks and a bounded block whatever the volume.
 
 Every arithmetic operation is value-identical to the reference path —
 signs and plane swaps are exact, and sums run in the reference's order —
@@ -69,12 +80,18 @@ after any in-place link update.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
 from repro.kernels.color import color_mul_planes_into
-from repro.kernels.shifts import half_extents, parity_site_tables, shift_into
-from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
+from repro.kernels.shifts import half_extents, parity_site_tables, shift_into, term_site_tables
+from repro.kernels.spin import (
+    PROJECT_STACK,
+    RECON_STACK,
+    project_planes_into,
+    reconstruct_planes_accumulate,
+)
 from repro.kernels.workspace import Workspace, aligned_empty
 
 __all__ = ["FusedHopping"]
@@ -152,17 +169,81 @@ def parity_link_planes(u: np.ndarray) -> np.ndarray:
     return links
 
 
-def plan(volume: int, nrhs: int, itemsize: int) -> tuple[int, int]:
-    """``(step, group)``: rhs columns per pass and directions per multiply call.
+def link_stack(
+    fwd: np.ndarray, bwd: np.ndarray, signs: tuple = (1.0,) * 8, sites: tuple | None = None
+) -> np.ndarray:
+    """``stack[k, re|im, a, b, site]``: the links of the stacked pass's eight terms.
 
-    As many half-spinor pairs (one per direction and rhs: the colour
-    multiply's scratch, 24 reals a site) as meet the working-set target.
-    Columns beyond that go through in equal sub-blocks; when all fit
-    with room to spare, 2 or 4 directions share one multiply call.
+    In the reference's order f0, b0, ..., f3, b3: the forward terms'
+    ``U_mu`` (from ``fwd``) and the backward terms' ``U_mu^dag`` (from
+    ``bwd``), :func:`link_planes` of both, the daggered ones transposed
+    with the imaginary plane negated, which is exact.
+
+    ``signs[k]``, term ``k``'s boundary phase when it is +-1, multiplies
+    the links of the sites whose neighbour gather (``sites``,
+    :func:`repro.kernels.shifts.term_site_tables`) crossed the boundary —
+    at the target for a forward term, at the source for a backward one,
+    where its product is formed.  A sign commutes exactly with every
+    product and sum after it, so the stacked pass needs no multiply for it.
+    """
+    stack = aligned_empty((8,) + fwd.shape[1:], fwd.dtype)
+    stack[0::2] = fwd
+    stack[1::2] = bwd.swapaxes(2, 3)
+    np.negative(stack[1::2, 1], out=stack[1::2, 1])
+    for k, sign in enumerate(signs):
+        if sign != 1.0:
+            source, crossed = sites
+            stack[k][..., crossed[k] if k % 2 == 0 else source[k][crossed[k]]] *= sign
+    return stack
+
+
+def plan(volume: int, nrhs: int, itemsize: int) -> tuple[int, int]:
+    """``(step, group)``: rhs columns per pass and direction terms per multiply call.
+
+    As many half-spinor pairs (one per term and rhs: the per-direction
+    colour multiply's scratch, 24 reals a site) as meet the working-set
+    target.  Columns beyond that go through in equal sub-blocks; when
+    all fit with room to spare, 2 or 4 terms share one multiply call.
+    When the pairs of all eight terms fit, ``group`` is 8: the stacked
+    pass, which runs the eight terms in a fixed number of calls and
+    streams about three times the bytes — faster while a hop is
+    call-bound (up to 256 sites in fp64, 512 in fp32), slower beyond.
     """
     pairs = _BLOCK_BYTES // (24 * volume * itemsize)
     step = _equal_parts(nrhs, pairs)
-    return step, 4 if pairs >= 4 * step else 2 if pairs >= 2 * step else 1
+    return step, next(g for g in (8, 4, 2, 1) if g == 1 or pairs >= g * step)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: a cached table every caller shares."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _stack_signs(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The +-1 tables of :data:`PROJECT_STACK` and :data:`RECON_STACK` in ``dtype``."""
+    return _frozen(PROJECT_STACK[1].astype(dtype)), _frozen(RECON_STACK[1].astype(dtype))
+
+
+@lru_cache(maxsize=None)
+def _stack_gathers(dims: tuple, parity: int | None, rows: int) -> tuple:
+    """The stacked pass's two neighbour gathers over (term, row, site) stacks.
+
+    ``(before, after)``, one per side of the colour multiply: the forward
+    terms gather before it, the backward ones after, and the other terms
+    keep their sites.  Each is the flat ``take`` index over ``rows`` rows
+    of :func:`term_site_tables` sites per term.
+    """
+    source, _ = term_site_tables(dims, parity)
+    volume = source.shape[1]
+    base = np.arange(8 * rows).reshape(8, rows, 1) * volume
+    gathers = []
+    for side in (0, 1):
+        # Term k reads its neighbours on side k % 2 and keeps its sites on the other.
+        sites = np.where((np.arange(8) % 2 == side)[:, None], source, np.arange(volume))
+        gathers.append(_frozen((base + sites[:, None]).reshape(-1)))
+    return tuple(gathers)
 
 
 def _equal_parts(n: int, limit: int) -> int:
@@ -213,6 +294,7 @@ class FusedHopping:
         self._links: np.ndarray | None = None
         self._parity_u_ref: np.ndarray | None = None
         self._parity_links: np.ndarray | None = None
+        self._stacks: dict[tuple, tuple] = {}
 
     def _link_planes(self, u: np.ndarray) -> np.ndarray:
         """:func:`link_planes` of the four directions, cached per gauge array."""
@@ -227,6 +309,30 @@ class FusedHopping:
             self._parity_links = parity_link_planes(u)
             self._parity_u_ref = u
         return self._parity_links
+
+    def _link_stacks(self, u: np.ndarray, phases, parity: bool) -> np.ndarray:
+        """:func:`link_stack` of the lattice, or per target parity of the half
+        lattices, with the signs among ``phases`` folded in; cached per gauge
+        array and phases, built by the first stacked hop."""
+        key = (parity, tuple(phases))
+        hit = self._stacks.get(key)
+        if hit is None or hit[0] is not u:
+            signs = tuple(
+                float(phase.real) if phase == 1 or phase == -1 else 1.0
+                for phase in phases
+                for _ in (0, 1)
+            )
+            dims = u.shape[1:5]
+            if parity:
+                links = self._parity_link_planes(u)
+                stack = aligned_empty((2, 8) + links.shape[2:], links.dtype)
+                for p in (0, 1):
+                    stack[p] = link_stack(links[p], links[1 - p], signs, term_site_tables(dims, p))
+            else:
+                links = self._link_planes(u)
+                stack = link_stack(links, links, signs, term_site_tables(dims))
+            hit = self._stacks[key] = (u, stack)
+        return hit[1]
 
     def __call__(
         self,
@@ -286,10 +392,11 @@ class FusedHopping:
             raise ValueError(f"field sites {dims} do not match the gauge field {u.shape[1:5]}")
         links = self._link_planes(u)
         step, group = plan(links.shape[-1], nrhs, X.real.itemsize)
+        table = self._link_stacks(u, phases, False) if group == 8 else links
         with ufunc_rows():
             for r in range(0, nrhs, step):
                 block = X[r : r + step]
-                _, acc = self.hop_planes(links, block, _periodic_wrap(block, phases, links), group)
+                _, acc = self.hop_planes(table, block, _periodic_wrap(block, phases, links), group)
                 store_planes(out[r : r + step], acc)
         return out
 
@@ -298,7 +405,9 @@ class FusedHopping:
 
         The core every fused stencil runs, on a lattice or on a rank's
         box: load planes, 8 direction terms in the reference's order.
-        ``links`` are the :func:`link_planes` of the block's sites and
+        ``links`` are the :func:`link_planes` of the block's sites — for
+        ``group`` 8, the stacked pass :func:`plan` picks for a small hop,
+        their :func:`link_stack` with the wrap's signs folded in — and
         ``wrap(mu, s)`` names the source of the slab that term
         ``(1 + s gamma_mu)`` gathers from outside the block: a sign, for
         the block's own far face times it, or ``(spinors, links)`` — the
@@ -307,6 +416,8 @@ class FusedHopping:
         buffers ``(psi, acc)``, the caller's to overwrite.
         """
         psi = self._load(X, "hop.psi")
+        if group == 8:
+            return psi, self._stacked_terms(psi, links, wrap, "hop.acc")
         return psi, self._terms(psi, links, links, wrap, group, "hop.acc")
 
     def _load(self, X: np.ndarray, slot: str) -> np.ndarray:
@@ -380,6 +491,69 @@ class FusedHopping:
                 reconstruct_planes_accumulate(acc, bwd[g], mu, +1)
         return acc
 
+    def _stacked_terms(
+        self, psi: np.ndarray, stack: np.ndarray, wrap, slot: str, parity: int | None = None,
+        dims: tuple | None = None,
+    ) -> np.ndarray:
+        """:meth:`_terms` in a fixed number of calls: the stacked pass.
+
+        The eight terms, in the reference's order f0, b0, ..., f3, b3, sit
+        on one axis of (re|im, spin, term, rhs x colour, site) stacks.  One
+        gather projects them, one site gather takes the forward ones to
+        ``x + mu``, one colour multiply against the :func:`link_stack`
+        ``stack`` covers all eight, one site gather takes the backward
+        products (formed at the source ``x - mu``) home, and two
+        reductions over the term axis reconstruct and sum.  A wrap by a
+        sign is already in ``stack``; a slab from outside the block
+        replaces what the gather read across the boundary.  The
+        arithmetic is :meth:`_terms`' own — a sign is a multiply by +-1,
+        ``a - b`` is ``a + (-b)``, each reduction runs along the term axis
+        in order — so the two passes agree bit for bit.  ``parity`` and
+        ``dims`` (the full lattice's) name a half lattice, as in
+        :meth:`hop_parity_planes`.
+        """
+        nrhs = psi.shape[2]
+        rows, volume = 3 * nrhs, psi[0, 0, 0, 0].size
+        ws = self.workspace
+        rdtype = psi.dtype
+        terms = (2, 2, 8, rows, volume)
+        project_sign, recon_sign = _stack_signs(rdtype)
+        sources = [wrap(k // 2, 2 * (k % 2) - 1) for k in range(8)]
+        gathers = _stack_gathers(dims or psi.shape[4:], parity, rows)
+
+        def gather(out: np.ndarray, src: np.ndarray, side: int) -> None:
+            """``out`` = ``src`` with the terms of ``side`` at their neighbours."""
+            src.reshape(4, -1).take(gathers[side], axis=1, out=out.reshape(4, -1), mode="clip")
+            for k in range(side, 8, 2):
+                if isinstance(sources[k], float):
+                    continue
+                # A slab from outside the block: the sites that wrapped read it.
+                mu, s = k // 2, 2 * (k % 2) - 1
+                term = out.reshape((2, 2, 8, nrhs, 3) + psi.shape[4:])[:, :, k]
+                edge = (slice(None),) * (4 + mu) + (slice(-1, None) if s < 0 else slice(0, 1),)
+                term[edge] = self._wrapped(sources[k], mu, s)[1][0]
+
+        # h[c, p, k] = upper[c, p] + sign * lower: all eight projections.
+        psi_rows = psi.reshape(8, rows, volume)
+        h = ws.get(terms, rdtype, "hop.stack.h")
+        psi_rows.take(PROJECT_STACK[0], axis=0, out=h, mode="clip")
+        h *= project_sign
+        h += psi_rows.reshape(2, 4, 1, rows, volume)[:, 0:2]
+        # Forward: (1 - gamma_mu) U_mu(x) psi(x + mu), gathered before the multiply.
+        g = ws.get(terms, rdtype, "hop.stack.g")
+        gather(g, h, 0)
+        self._stacked_color_mul(h, stack, g)
+        # Backward: (1 + gamma_mu) U_mu(x - mu)^dag psi(x - mu), multiplied at the
+        # source x - mu and gathered after.
+        gather(g, h, 1)
+        acc = ws.get(psi.shape, rdtype, slot).reshape(2, 4, rows, volume)
+        # Summed from +0.0, as into a zeroed accumulator.
+        np.add.reduce(g, axis=2, out=acc[:, 0:2], initial=0.0)
+        g.reshape(32, -1).take(RECON_STACK[0], axis=0, out=h.reshape(2, 2, 8, -1), mode="clip")
+        h *= recon_sign
+        np.add.reduce(h, axis=2, out=acc[:, 2:4], initial=0.0)
+        return acc.reshape(psi.shape)
+
     # -- the parity-ordered entry: the same terms on the sites of one parity -------
 
     @staticmethod
@@ -433,14 +607,15 @@ class FusedHopping:
                 f"half-lattice planes {psi.shape[4:]} do not match the gauge field {u.shape[1:5]}"
             )
         _, group = plan(links.shape[-1], psi.shape[2], psi.itemsize)
+
+        def wrap(mu: int, s: int) -> float:
+            return float(phases[mu].real)
+
+        if group == 8:
+            stack = self._link_stacks(u, phases, True)[parity]
+            return self._stacked_terms(psi, stack, wrap, slot, parity, dims)
         return self._terms(
-            psi,
-            links[parity],
-            links[1 - parity],
-            lambda mu, s: float(phases[mu].real),
-            group,
-            slot,
-            x_rows[parity],
+            psi, links[parity], links[1 - parity], wrap, group, slot, x_rows[parity]
         )
 
     def store_parity_planes(self, out: np.ndarray, planes: tuple) -> np.ndarray:
@@ -452,9 +627,10 @@ class FusedHopping:
         # Indexed stores need the flat site axis as a view.
         dense = out if out.flags.c_contiguous else ws.get(out.shape, out.dtype, "parity.dense")
         flat = dense.reshape(nrhs, -1, 4, 3)
+        if any(of_parity is None for of_parity in planes):
+            dense.fill(0)  # one pass, cheaper than an indexed store of zeros
         for parity, of_parity in enumerate(planes):
             if of_parity is None:
-                flat[:, sites[parity]] = 0
                 continue
             if of_parity.dtype != out.real.dtype:
                 raise TypeError(
@@ -485,6 +661,25 @@ class FusedHopping:
         uh = ws.get(h.shape, rdtype, "hop.wrap.uh")
         self._color_mul(uh, u, h, True)
         return 1.0, uh
+
+    def _stacked_color_mul(self, out: np.ndarray, stack: np.ndarray, h: np.ndarray) -> None:
+        """``out[:, :, k] = stack[k] h[:, :, k]`` for (2, 2, 8, rhs x 3, site) stacks, the
+        three colour columns in one product: :func:`color_mul_planes_into`'s arithmetic."""
+        terms = (2, 2, 8, -1, 3, h.shape[-1])
+        # (term, re|im, spin, rhs, colour, site) views.
+        out = out.reshape(terms).transpose(2, 0, 1, 3, 4, 5)
+        h = h.reshape(terms).transpose(2, 0, 1, 3, 4, 5)
+        # prod[k, cu, ch, s, rhs, a, b, site] = stack[k, cu, a, b] * h[k, ch, s, rhs, b]:
+        # the colour column next to the sites, so every operand runs rows of 3 V.
+        prod = self.workspace.get(
+            (8, 2) + h.shape[1:4] + (3,) + h.shape[4:], h.dtype, "hop.stack.prod"
+        )
+        np.multiply(stack[:, :, None, None, None], h[:, None, :, :, :, None], out=prod)
+        # t_b = (Ur hr - Ui hi, Ur hi + Ui hr) lands in prod[:, 0]; out = t_0 + t_1 + t_2,
+        # from -0.0, which leaves t_0 as it is.
+        np.subtract(prod[:, 0, 0], prod[:, 1, 1], out=prod[:, 0, 0])
+        np.add(prod[:, 0, 1], prod[:, 1, 0], out=prod[:, 0, 1])
+        np.add.reduce(prod[:, 0], axis=5, out=out, initial=-0.0)
 
     def _color_mul(self, out: np.ndarray, u: np.ndarray, h: np.ndarray, dagger: bool) -> None:
         """:func:`color_mul_planes_into` over equal site blocks whose scratch meets the target."""

@@ -38,7 +38,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.fused import FusedHopping, link_planes, plan, store_planes, ufunc_rows
+from repro.kernels.fused import (
+    FusedHopping,
+    link_planes,
+    link_stack,
+    plan,
+    store_planes,
+    ufunc_rows,
+)
 
 __all__ = ["HaloStencil", "dagger_halo_links", "split_boxes", "full_box"]
 
@@ -140,9 +147,10 @@ class HaloStencil:
             del self._links[key]
 
     def _box_links(self, u_halo: np.ndarray, width: int, box: Box) -> tuple:
-        """``(links, behind)``: link planes of the box's sites, and per ``mu``
-        those of the slab one step behind its low face, where the backward
-        term's sources sit."""
+        """``(links, behind, group)``: link planes of the box's sites (their
+        :func:`link_stack` when :func:`plan` picks the stacked pass for
+        the box), per ``mu`` those of the slab one step behind its low face,
+        where the backward term's sources sit, and the plan's ``group``."""
         key = (id(u_halo), width, box)
         hit = self._links.get(key)
         if hit is None or hit[0] is not u_halo:
@@ -152,7 +160,10 @@ class HaloStencil:
                 link_planes(u_halo[mu : mu + 1][every + _box_index(width, box, mu, box[mu][0] - 1)])
                 for mu in range(4)
             )
-            hit = self._links[key] = (u_halo, links, behind)
+            _, group = plan(links.shape[-1], 1, links.itemsize)
+            if group == 8:
+                links = link_stack(links, links)
+            hit = self._links[key] = (u_halo, links, behind, group)
         return hit[1:]
 
     def wilson_box_into(
@@ -175,7 +186,7 @@ class HaloStencil:
         """
         if not (u_halo.dtype == psi_halo.dtype == out_block.dtype):
             raise TypeError("links, input and output blocks must share one precision")
-        links, behind = self._box_links(u_halo, width, box)
+        links, behind, group = self._box_links(u_halo, width, box)
         X = psi_halo[None]
         every = (slice(None),)
 
@@ -185,7 +196,6 @@ class HaloStencil:
             i = box[mu][1] if s < 0 else box[mu][0] - 1
             return X[every + _box_index(width, box, mu, i)], None if s < 0 else behind[mu]
 
-        _, group = plan(links.shape[-1], 1, links.itemsize)
         with ufunc_rows():
             psi, acc = self._core.hop_planes(links, X[every + _box_index(width, box)], wrap, group)
             np.multiply(psi, diag, out=psi)

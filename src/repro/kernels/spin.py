@@ -15,6 +15,11 @@ subtract of whole planes and +-i is the same on the swapped (re|im)
 plane with one sign flipped — ``i (a + ib) = -b + ia`` — so projection
 and reconstruction need no multiply at all.
 
+For a hop small enough to be call-bound the same rows also come as
+gather-and-sign tables over all eight direction terms at once
+(:data:`PROJECT_STACK`, :data:`RECON_STACK`): a (re|im, spin, term)
+table of the plane each output plane reads and an exact ±1 per plane.
+
 The tables are derived *from* ``repro.gammas._A_BLOCKS`` at import so
 the two formulations cannot drift apart, and the arithmetic (``a - b``
 for the reference's ``a + (-1) b``) is value-identical: negation and the
@@ -55,6 +60,15 @@ PROJECT_ROWS = tuple(_sparse_rows(_A_BLOCKS[mu]) for mu in range(4))
 RECON_ROWS = tuple(_sparse_rows(_A_BLOCKS[mu].conj().T) for mu in range(4))
 
 
+def _plane_source(k: complex, c: int) -> tuple[int, float]:
+    """``(plane, sign)``: plane ``c`` of ``k z`` is ``sign`` times that plane of ``z``.
+
+    Real ``k``: plane ``c``, sign ``k``.  Imaginary ``k``: the other plane,
+    sign ``-Im k`` into the real part and ``+Im k`` into the imaginary.
+    """
+    return (c, k.real) if k.imag == 0 else (1 - c, k.imag * (2 * c - 1))
+
+
 def _plane_ops(rows, s: int) -> tuple:
     """``(ufunc, dst, src)`` steps of ``dst (+|-)= s * block @ src`` on planes.
 
@@ -66,11 +80,8 @@ def _plane_ops(rows, s: int) -> tuple:
     """
     steps = []
     for p, (q, coeff) in enumerate(rows):
-        k = s * coeff
         for c in range(2):
-            # Real k: plane c of row q, sign k.  Imaginary k: the other
-            # plane, sign -Im k into the real part and +Im k into the imaginary.
-            src_c, sign = (c, k.real) if k.imag == 0 else (1 - c, k.imag * (2 * c - 1))
+            src_c, sign = _plane_source(s * coeff, c)
             steps.append((np.add if sign > 0 else np.subtract, ((c,), (p,)), ((src_c,), (q,))))
     for axis in (0, 1):
         fused: dict = {}
@@ -98,6 +109,36 @@ _PROJECT_PLANES = {
 _RECON_PLANES = {
     (mu, s): _plane_ops(RECON_ROWS[mu], s) for mu in range(4) for s in (+1, -1)
 }
+
+
+def _stacked_rows(rows_of, index) -> tuple[np.ndarray, np.ndarray]:
+    """``(source, sign)`` tables, (2, 2, 8) and (2, 2, 8, 1, 1), of the eight
+    terms in the reference's order f0, b0, ..., f3, b3 (term ``k = 2 mu +
+    (s > 0)``, ``s = -1`` forward): plane (re|im c, spin p) of term ``k``
+    is ``sign[c, p, k]`` times the plane ``source[c, p, k] = index(k, c', q)``
+    it reads, ``(q, coeff) = rows_of[mu][p]``."""
+    source = np.empty((2, 2, 8), np.intp)
+    sign = np.empty((2, 2, 8, 1, 1))
+    for k in range(8):
+        mu, s = k // 2, 2 * (k % 2) - 1
+        for p, (q, coeff) in enumerate(rows_of[mu]):
+            for c in range(2):
+                src_c, sign[c, p, k] = _plane_source(s * coeff, c)
+                source[c, p, k] = index(k, src_c, q)
+    source.flags.writeable = False
+    sign.flags.writeable = False
+    return source, sign
+
+
+#: The eight projections at once: ``h[c, p, k] = upper[c, p] + sign[c, p, k]
+#: * psi[source[c, p, k]]``, ``source`` indexing the (re|im, spin) planes of
+#: a full spinor.
+PROJECT_STACK = _stacked_rows(PROJECT_ROWS, lambda k, c, q: 4 * c + 2 + q)
+
+#: The lower halves of the eight reconstructions at once: ``lower[c, p, k]
+#: = sign[c, p, k] * h[source[c, p, k]]``, ``source`` indexing the
+#: (re|im, spin, term) planes of a stack of eight half spinors.
+RECON_STACK = _stacked_rows(RECON_ROWS, lambda k, c, q: 8 * (2 * c + q) + k)
 
 
 def project_planes_into(h: np.ndarray, psi: np.ndarray, mu: int, s: int) -> np.ndarray:

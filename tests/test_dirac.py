@@ -286,6 +286,48 @@ class TestEvenOdd:
                 eo.full_operator_apply(psi), d * psi - 0.5 * hopping_term(u, psi, phases)
             )
 
+    @pytest.mark.parametrize("phases", ["antiperiodic-t", "twisted"])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("kernel", ["fused", "reference"])
+    def test_schur_normal_op_is_the_normal_operator(self, kernel, dtype, phases):
+        """``normal_op()`` keeps M_hat^dag M_hat on half-lattice planes (gathered
+        once, stored once); every form is ``NormalOperator(schur)`` byte for
+        byte — half lattice, masked fallback and twisted phases alike — with
+        the same label, apply count and ``applies``/``flops`` counters."""
+        from repro.telemetry import full_reset, get_registry, telemetry_mode
+
+        dims = (4, 4, 2, 4)
+        gauge = GaugeField.hot(Lattice4D(dims), rng=41).astype(dtype)
+        schur = EvenOddWilson(gauge, 0.3, self.EO_PHASES[phases], kernel=kernel).schur_operator()
+        planes, wrapper = schur.normal_op(), NormalOperator(schur)
+        X = self._fields(dims, dtype, 3)
+
+        def forms(op):
+            out = np.full_like(X, np.nan)
+            yield op.apply(X[0])
+            yield op.apply_dagger(X[1])
+            yield op.apply_into(X[2], out[0])
+            yield op.apply_dagger_into(X[0], out[1])
+            yield op.apply_batch_into(X, np.empty_like(X))
+            yield op.apply_dagger_batch_into(X[1:], np.empty_like(X[1:]))
+
+        for got, want in zip(forms(planes), forms(wrapper), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert planes.telemetry_label == wrapper.telemetry_label
+        assert planes.flops_per_apply == wrapper.flops_per_apply
+        counted = []
+        for op in (planes, wrapper):
+            op.reset_counters()
+            full_reset()
+            with telemetry_mode("counters"):
+                op(X[0])
+                op.apply_batch(X)
+                counters = get_registry().counters()
+            label = op.telemetry_label
+            counted.append((op.n_applies, counters[f"applies/{label}"], counters[f"flops/{label}"]))
+            full_reset()
+        assert counted[0] == counted[1] == (4, 4, 4 * wrapper.flops_per_apply)
+
     def test_masked_path_is_chosen_from_the_phases(self):
         """A boundary phase other than +-1 multiplies full spinors, which the
         half lattice does not hold: those operators never reach the parity

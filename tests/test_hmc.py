@@ -500,6 +500,26 @@ class TestEvenOddPseudofermion:
         assert new == old
         assert np.array_equal(u_new, u_old)
 
+    def test_schur_normal_on_planes_is_the_wrapper_trajectory(self, monkeypatch):
+        """The pseudofermion solves on ``normal_op()`` (half-lattice planes from
+        M_hat to M_hat^dag) against ``NormalOperator`` of the Schur operator
+        (stored and re-gathered in between): a two-trajectory stream at 4^4
+        gives the same dH, acceptance and link bytes."""
+        from repro.dirac.eo import SchurOperator
+        from repro.dirac.operator import NormalOperator
+
+        streams = []
+        for wrapped in (False, True):
+            if wrapped:
+                monkeypatch.setattr(SchurOperator, "normal_op", lambda self: NormalOperator(self))
+            gauge = GaugeField.hot(Lattice4D((4, 4, 4, 4)), rng=49)
+            hmc = HMC([WilsonGaugeAction(5.6), TwoFlavorWilsonAction(0.5)], step_size=0.0625,
+                      n_steps=8, integrator="omelyan", rng=50)
+            streams.append((hmc.run(gauge, 2), gauge.u.tobytes()))
+        (planes, u_planes), (wrapper, u_wrapper) = streams
+        assert planes == wrapper
+        assert u_planes == u_wrapper
+
     def test_force_tol_barely_moves_delta_h(self):
         """One Omelyan-8 trajectory from the same state with kicks solved to
         1e-7 and to 1e-10: dH agrees to < 1e-5, far below its own size."""
