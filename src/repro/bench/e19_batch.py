@@ -104,8 +104,10 @@ def e19_batch(
                     "solves_per_s": nrhs / t_block,
                     "solve_speedup": t_seq / t_block,
                     "iterations": [r.iterations for r in block],
-                    "solve_parity": [r.iterations for r in block]
-                    == [r.iterations for r in seq],
+                    "solve_parity": all(
+                        a.iterations == b.iterations and a.x.tobytes() == b.x.tobytes()
+                        for a, b in zip(block, seq)
+                    ),
                     "converged": bool(all(r.converged for r in block)),
                 }
             )

@@ -1,25 +1,21 @@
-"""Multi-RHS CG: one batched operator apply drives every column's recurrence.
+"""Multi-RHS CG: one batched operator apply serves every column's recurrence.
 
 ``block_cg`` solves ``op X[i] = B[i]`` for an ``(nrhs, ...)`` block of
-right-hand sides.  Each column keeps its *own* scalar CG recurrence
-(``alpha_i``, ``beta_i``, per-column residual), but the one expensive
-step per iteration — the operator application — goes through
-:meth:`~repro.dirac.operator.LinearOperator.apply_batch`, so links and
-gather tables are streamed once per iteration instead of once per RHS.
-Because the recurrences are per-column and the batched apply is
-bit-identical per column to the single-RHS apply, every column's iterate
-sequence is **bit-for-bit identical** to running plain :func:`repro.
-solvers.cg.cg` (guards off) on that column alone — asserted by the
-tier-1 parity tests.  This is the "multiple independent systems, shared
-operator traffic" scheme production multi-RHS solvers use for
-propagator workloads (Chroma/tmLQCD class), as opposed to a
-shared-search-space block-Krylov method that would change the iterates.
+right-hand sides.  Each column runs the one guarded recurrence of
+:mod:`repro.solvers.cg` at the ``REPRO_GUARD`` level, and every round one
+:meth:`~repro.dirac.operator.LinearOperator.apply_batch` serves all
+pending requests, so links and gather tables stream once per round
+instead of once per RHS.  The batched apply is bit-identical per column
+to the single-RHS apply, so every column is **bit for bit**
+:func:`repro.solvers.cg.cg` on that column alone (tier-1 parity tests,
+every guard level): the "independent systems, shared operator traffic"
+scheme of production multi-RHS propagator solvers (Chroma/tmLQCD class),
+not a shared-search-space block-Krylov method that changes the iterates.
 
-Convergence is masked per column: a converged (or breakdown-stalled)
-column freezes and the remaining active columns are *compacted* into a
-smaller batch, so late iterations on a nearly-done block don't pay full
-block bandwidth.  Compaction cannot change any bit of the surviving
-columns — batched applies are column-independent.
+While every column asks for its own search direction the apply runs in
+place on one ``P``/``AP`` block pair; requests are packed into a smaller
+batch only when a column has finished or asks for another vector (the
+``x0`` seed, a guard's true-residual replay).
 
 ``solve_wilson_batch`` is the propagator front end: the verify-and-refine
 driver of :mod:`repro.solvers.wilson_solve` on the *batched* normal
@@ -29,16 +25,14 @@ system (one ``apply_dagger_batch`` prepares every right-hand side, one
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
 from repro.dirac.operator import LinearOperator
-from repro.fields import norm2
-from repro.guard.errors import NumericalFault
+from repro.guard.policy import resolve_policy
 from repro.solvers.base import SolveResult
-from repro.solvers.cg import _record
+from repro.solvers.cg import _record, _recurrence
 from repro.solvers.wilson_solve import _System, _verify_and_refine
 from repro.telemetry.spans import span
 
@@ -57,154 +51,63 @@ def block_cg(
 
     ``op`` must be Hermitian positive definite.  Returns one
     :class:`SolveResult` per column, each bit-identical (iterates,
-    residual history, iteration count) to a guard-off :func:`~repro.
-    solvers.cg.cg` on that column.
+    residual history, counts, guard events) to :func:`~repro.solvers.cg.
+    cg` on that column at the ``REPRO_GUARD`` level; ``wall_time`` is the
+    block's share, elapsed / nrhs.
     """
     B = np.asarray(B)
     if B.ndim < 2:
         raise ValueError(f"block_cg needs an (nrhs, ...) block, got shape {B.shape}")
-    with span("block_cg", cat="solver"):
-        results = _block_cg_core(op, B, x0, tol, max_iter, record_history)
-    for res in results:
-        _record(res, B[0])
-    return results
-
-
-def _block_cg_core(
-    op: LinearOperator,
-    B: np.ndarray,
-    x0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    record_history: bool,
-) -> list[SolveResult]:
-    label = "block_cg"
     t0 = time.perf_counter()
     nrhs = B.shape[0]
-    applies0 = op.n_applies
+    P, AP = np.empty_like(B), np.empty_like(B)
+    p_cols = list(P)  # the views each recurrence keeps as its search direction
+    policy = resolve_policy(None)
+    recs = [
+        _recurrence(
+            B[i], None if x0 is None else x0[i], tol, max_iter, record_history,
+            policy, p_cols[i], np.vdot, "block_cg",
+        )
+        for i in range(nrhs)
+    ]
+    results: list[SolveResult] = [None] * nrhs
+    applies = [0] * nrhs
+    pending: dict[int, np.ndarray] = {}  # column -> the vector it asks A of
 
-    b_norm2 = np.empty(nrhs)
-    for i in range(nrhs):
-        b_norm2[i] = norm2(B[i])
-        if not math.isfinite(b_norm2[i]):
-            raise NumericalFault(
-                f"non-finite |b|^2 in column {i}", solver=label, iteration=0
-            )
+    def advance(i: int, av: np.ndarray | None = None) -> None:
+        try:
+            pending[i] = recs[i].send(av)
+        except StopIteration as done:
+            results[i] = done.value
+            pending.pop(i, None)
 
-    if x0 is None:
-        X = np.zeros_like(B)
-        R = B.copy()
-    else:
-        X = x0.astype(B.dtype, copy=True)
-        R = np.empty_like(B)
-        op.apply_batch(X, R)
-        np.subtract(B, R, out=R)
-
-    P = R.copy()
-    AP = np.empty_like(B)
-    tmp = np.empty_like(B[0])
-
-    r2 = np.empty(nrhs)
-    for i in range(nrhs):
-        r2[i] = norm2(R[i])
-        if not math.isfinite(r2[i]):
-            raise NumericalFault(
-                f"non-finite initial residual in column {i}", solver=label, iteration=0
-            )
-    target2 = (tol * tol) * b_norm2
-
-    histories: list[list[float]] = [[] for _ in range(nrhs)]
-    if record_history:
+    # Packing scratch, grown on the first round that cannot run in place.
+    pack_v = pack_av = None
+    with span("block_cg", cat="solver"):
         for i in range(nrhs):
-            if b_norm2[i] > 0.0:
-                histories[i].append(math.sqrt(r2[i] / b_norm2[i]))
+            advance(i)
+        while pending:
+            cols = list(pending)  # ascending: columns only ever leave
+            if len(cols) == nrhs and all(pending[i] is p_cols[i] for i in cols):
+                op.apply_batch(P, AP)
+                served = AP
             else:
-                histories[i].append(0.0)
+                if pack_v is None:
+                    pack_v, pack_av = np.empty_like(B), np.empty_like(B)
+                for j, i in enumerate(cols):
+                    np.copyto(pack_v[j], pending[i])
+                served = pack_av
+                op.apply_batch(pack_v[: len(cols)], served[: len(cols)])
+            for j, i in enumerate(cols):
+                applies[i] += 1
+                advance(i, served[j])
 
-    iters = [0] * nrhs
-    converged = [bool(b_norm2[i] == 0.0 or r2[i] <= target2[i]) for i in range(nrhs)]
-    active = [i for i in range(nrhs) if not converged[i]]
-    # Compaction scratch, grown lazily when the active set first shrinks.
-    pack_p: np.ndarray | None = None
-    pack_ap: np.ndarray | None = None
-
-    it = 0
-    while active and it < max_iter:
-        k = len(active)
-        if k == nrhs:
-            pa_block, ap_block = P, AP
-            op.apply_batch(P, AP)
-        else:
-            if pack_p is None:
-                pack_p = np.empty_like(P)
-                pack_ap = np.empty_like(P)
-            pa_block, ap_block = pack_p[:k], pack_ap[:k]
-            for j, i in enumerate(active):
-                np.copyto(pa_block[j], P[i])
-            op.apply_batch(pa_block, ap_block)
-
-        still_active = []
-        for j, i in enumerate(active):
-            pap = np.vdot(pa_block[j], ap_block[j]).real
-            if not math.isfinite(pap):
-                raise NumericalFault(
-                    f"non-finite <p, A p> in column {i}",
-                    solver=label, iteration=it,
-                )
-            if pap <= 0.0:
-                # Loss of positive definiteness (roundoff at the limit):
-                # freeze this column exactly where sequential CG breaks.
-                continue
-            alpha = r2[i] / pap
-            np.multiply(pa_block[j], alpha, out=tmp)
-            X[i] += tmp
-            np.multiply(ap_block[j], alpha, out=tmp)
-            R[i] -= tmp
-            r2_new = norm2(R[i])
-            if not math.isfinite(r2_new):
-                raise NumericalFault(
-                    f"non-finite residual norm in column {i}",
-                    solver=label, iteration=it + 1,
-                )
-            beta = r2_new / r2[i]
-            P[i] *= beta
-            P[i] += R[i]
-            r2[i] = r2_new
-            iters[i] = it + 1
-            if record_history:
-                histories[i].append(math.sqrt(r2[i] / b_norm2[i]))
-            if r2[i] <= target2[i]:
-                converged[i] = True
-            else:
-                still_active.append(i)
-        active = still_active
-        it += 1
-
-    elapsed = time.perf_counter() - t0
-    total_applies = op.n_applies - applies0
-    # Attribute shared-batch applies to the columns that consumed them;
-    # the residue (columns riding a batch past their own convergence is
-    # impossible here — compaction drops them) is the x0 seed apply.
-    seed = 1 if x0 is not None else 0
-    results = []
-    for i in range(nrhs):
-        applies = iters[i] + seed if total_applies else 0
-        residual = (
-            math.sqrt(r2[i] / b_norm2[i]) if b_norm2[i] > 0.0 else 0.0
-        )
-        results.append(
-            SolveResult(
-                x=X[i].copy(),
-                converged=bool(converged[i]),
-                iterations=iters[i],
-                residual=residual,
-                history=histories[i],
-                operator_applies=applies,
-                flops=applies * op.flops_per_apply,
-                wall_time=elapsed / nrhs,
-                label=label,
-            )
-        )
+    wall_time = (time.perf_counter() - t0) / nrhs
+    for res, n in zip(results, applies):
+        res.operator_applies = n
+        res.flops = n * op.flops_per_apply
+        res.wall_time = wall_time
+        _record(res, B[0])
     return results
 
 

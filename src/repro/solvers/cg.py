@@ -1,12 +1,13 @@
 """Conjugate gradients for Hermitian positive-definite operators.
 
 The workhorse of lattice QCD: applied to the normal equations
-``M^dag M x = M^dag b`` (or the even-odd Schur system).  The hot loop is
+``M^dag M x = M^dag b`` (or the even-odd Schur system).  The one
+recurrence, :func:`_recurrence`, is a generator that yields each vector
+it needs ``A`` applied to: :func:`cg` (and ``cg_spmd``) serve it one
+:meth:`LinearOperator.apply_into` at a time, :func:`repro.solvers.block.
+block_cg` serves one per column with a batched apply.  The hot loop is
 allocation-free: the operator output and the axpy scratch are allocated
-once up front, the operator writes through :meth:`LinearOperator.
-apply_into`, and every vector update is an in-place ufunc.  Scalar
-reductions use :func:`math.sqrt`; the residual-norm square root is only
-taken when a history is requested.
+once up front and every vector update is an in-place ufunc.
 
 Defense layers (see :mod:`repro.guard`):
 
@@ -91,12 +92,46 @@ def _cg_core(
     vdot=np.vdot,
     label: str = "cg",
 ) -> SolveResult:
-    """The one guarded CG recurrence.  ``vdot`` is the inner product every
-    reduction goes through (:func:`repro.solvers.spmd.cg_spmd` passes its
+    """Serve :func:`_recurrence` one ``op(v, out=ap)`` at a time.  ``vdot``
+    is the inner product of every reduction (``cg_spmd`` passes its
     rank-ordered allreduce); ``label`` tags the result, faults and events."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
-    policy = resolve_policy(guard)
+    ap = np.empty_like(b)
+    rec = _recurrence(
+        b, x0, tol, max_iter, record_history, resolve_policy(guard),
+        np.empty_like(b), vdot, label,
+    )
+    try:
+        v = next(rec)
+        while True:
+            op(v, out=ap)
+            v = rec.send(ap)
+    except StopIteration as done:
+        result = done.value
+    applies = op.n_applies - applies0
+    result.operator_applies = applies
+    result.flops = applies * op.flops_per_apply
+    result.wall_time = time.perf_counter() - t0
+    return result
+
+
+def _recurrence(
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+    record_history: bool,
+    policy: GuardPolicy,
+    p: np.ndarray,
+    vdot,
+    label: str,
+):
+    """The one guarded CG recurrence.  Yields each vector it needs ``A``
+    applied to, is sent ``A v`` back (read before its next yield) and
+    returns the :class:`SolveResult`; the apply count, flops and wall time
+    are the driver's.  ``p`` is the search-direction storage, so a batched
+    driver can hand out views of one block."""
 
     def norm2(a: np.ndarray) -> float:
         return float(vdot(a, a).real)
@@ -115,10 +150,9 @@ def _cg_core(
         r = b.copy()
     else:
         x = x0.astype(b.dtype, copy=True)
-        r = b - op(x)
+        r = b - (yield x)
 
-    p = r.copy()
-    ap = np.empty_like(b)
+    np.copyto(p, r)
     tmp = np.empty_like(b)
     r2 = norm2(r)
     if not math.isfinite(r2):
@@ -132,17 +166,16 @@ def _cg_core(
     restarts_left = 1
     last_finite = math.sqrt(r2 / b_norm2)
 
-    def true_r2() -> float:
-        op(x, out=ap)
-        np.subtract(b, ap, out=tmp)
+    def true_r2():
+        np.subtract(b, (yield x), out=tmp)
         return norm2(tmp)
 
-    def reliable_update() -> float:
+    def reliable_update():
         """Replace the recurrence residual by the true one; restart the
         search direction.  Restores the last verified iterate first when
         the current one is corrupt."""
         nonlocal r2
-        rt2 = true_r2()
+        rt2 = yield from true_r2()
         if not math.isfinite(rt2):
             if x_good is None:
                 raise NumericalFault(
@@ -150,7 +183,7 @@ def _cg_core(
                     solver=label, iteration=it, last_residual=last_finite,
                 )
             np.copyto(x, x_good)
-            rt2 = true_r2()
+            rt2 = yield from true_r2()
             if not math.isfinite(rt2):
                 raise NumericalFault(
                     "true residual non-finite even at the verified iterate "
@@ -164,20 +197,20 @@ def _cg_core(
             stagnation.reset()
         return rt2
 
-    def heal_nonfinite(what: str, at: int) -> None:
+    def heal_nonfinite(what: str, at: int):
         """A non-finite reduction: reliable update under ``heal``, else fail fast."""
         if not policy.heal:
             raise NumericalFault(what, solver=label, iteration=at, last_residual=last_finite)
         guard_events.append({"kind": "nonfinite", "iteration": it, "action": "reliable_update"})
-        reliable_update()
+        yield from reliable_update()
 
     it = 0
     converged = r2 <= target2
     while not converged and it < max_iter:
-        op(p, out=ap)
+        ap = yield p
         pap = vdot(p, ap).real
         if not math.isfinite(pap):
-            heal_nonfinite("non-finite <p, A p>", it)
+            yield from heal_nonfinite("non-finite <p, A p>", it)
             it += 1  # the corrupted apply consumed this iteration
             converged = r2 <= target2
             continue
@@ -191,7 +224,7 @@ def _cg_core(
         r -= tmp
         r2_new = norm2(r)
         if not math.isfinite(r2_new):
-            heal_nonfinite("non-finite residual norm", it + 1)
+            yield from heal_nonfinite("non-finite residual norm", it + 1)
             it += 1
             converged = r2 <= target2
             continue
@@ -212,7 +245,7 @@ def _cg_core(
             or (policy.true_residual_interval > 0
                 and it % policy.true_residual_interval == 0)
         ):
-            rt2 = true_r2()
+            rt2 = yield from true_r2()
             drifted = (not math.isfinite(rt2)) or rt2 > (
                 policy.residual_drift_tol ** 2
             ) * max(r2, target2)
@@ -227,7 +260,7 @@ def _cg_core(
                     {"kind": "residual_drift", "iteration": it,
                      "action": "reliable_update"}
                 )
-                reliable_update()
+                yield from reliable_update()
                 last_finite = math.sqrt(r2 / b_norm2)
                 converged = r2 <= target2
             else:
@@ -245,7 +278,7 @@ def _cg_core(
                 guard_events.append(
                     {"kind": "stagnation", "iteration": it, "action": "restart"}
                 )
-                reliable_update()
+                yield from reliable_update()
                 converged = r2 <= target2
                 continue
             raise SolverStagnation(
@@ -253,16 +286,12 @@ def _cg_core(
                 solver=label, iteration=it, last_residual=last_finite,
             )
 
-    applies = op.n_applies - applies0
     return SolveResult(
         x=x,
         converged=bool(converged),
         iterations=it,
         residual=math.sqrt(r2 / b_norm2),
         history=history,
-        operator_applies=applies,
-        flops=applies * op.flops_per_apply,
-        wall_time=time.perf_counter() - t0,
         label=label,
         guard_events=guard_events,
     )

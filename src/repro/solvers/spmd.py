@@ -75,5 +75,3 @@ def cg_spmd(
         result.wall_time = time.perf_counter() - t0
     _record(result, b)
     return result
-
-

@@ -11,8 +11,9 @@ Three layers, all held to the same standard as the single-RHS kernels:
   operator riding the loop fallback) matches its ``apply_into`` loop,
   daggered included;
 * solver-level: each ``block_cg`` column is bit-identical (iterates,
-  residual history, iteration count) to a guard-off sequential
-  :func:`~repro.solvers.cg.cg` on that column alone, and
+  residual history, counts, guard events) to sequential
+  :func:`~repro.solvers.cg.cg` on that column alone at every
+  ``REPRO_GUARD`` level, and
   ``solve_wilson_batch`` delivers verified true residuals.
 """
 
@@ -203,22 +204,40 @@ def _model_operator(n: int = 96, seed: int = 3) -> tuple[MatrixOperator, np.ndar
     return MatrixOperator((q * eigs) @ q.conj().T), q
 
 
+def _same_as_cg(op, B, block, x0=None):
+    """Each block column against ``cg`` on that column alone, resolved the
+    same way (``REPRO_GUARD``): bytes, history and every count."""
+    for i, res in enumerate(block):
+        seq = cg(op, B[i], x0=None if x0 is None else x0[i], tol=1e-8, max_iter=2000)
+        assert _bit_equal(res.x, seq.x)
+        assert res.history == seq.history
+        assert (res.iterations, res.operator_applies) == (seq.iterations, seq.operator_applies)
+        assert res.guard_events == seq.guard_events
+        assert res.converged and seq.converged
+
+
+GUARD_LEVELS = pytest.mark.parametrize("level", ["off", "detect", "heal"])
+X0_GIVEN = pytest.mark.parametrize("with_x0", [False, True], ids=["x0=None", "x0=given"])
+
+
 class TestBlockCG:
-    def test_per_column_bit_parity_vs_sequential_cg(self):
+    @GUARD_LEVELS
+    @X0_GIVEN
+    def test_per_column_bit_parity_vs_sequential_cg(self, monkeypatch, level, with_x0):
+        monkeypatch.setenv("REPRO_GUARD", level)
         op, _ = _model_operator()
         rng = np.random.default_rng(29)
         B = rng.normal(size=(3, 96)) + 1j * rng.normal(size=(3, 96))
-        block = block_cg(op, B, tol=1e-8, max_iter=2000)
-        for i in range(B.shape[0]):
-            seq = cg(op, B[i], tol=1e-8, max_iter=2000, guard="off")
-            assert block[i].iterations == seq.iterations
-            assert _bit_equal(block[i].x, seq.x)
-            assert block[i].history == seq.history
-            assert block[i].converged and seq.converged
+        x0 = 0.1 * B[::-1] if with_x0 else None
+        block = block_cg(op, B, x0=x0, tol=1e-8, max_iter=2000)
+        _same_as_cg(op, B, block, x0)
 
-    def test_masking_with_unequal_convergence(self):
+    @GUARD_LEVELS
+    @X0_GIVEN
+    def test_masking_with_unequal_convergence(self, monkeypatch, level, with_x0):
         """Columns converging at different iterations: the compacted batch
         must not perturb the surviving columns."""
+        monkeypatch.setenv("REPRO_GUARD", level)
         op, q = _model_operator()
         rng = np.random.default_rng(31)
         # Column 0: a single (well-conditioned) eigendirection -> converges
@@ -226,12 +245,34 @@ class TestBlockCG:
         B = np.stack(
             [q[:, -1].copy(), rng.normal(size=96) + 1j * rng.normal(size=96)]
         )
-        block = block_cg(op, B, tol=1e-8, max_iter=2000)
+        x0 = 0.5 * B if with_x0 else None
+        block = block_cg(op, B, x0=x0, tol=1e-8, max_iter=2000)
         assert block[0].iterations < block[1].iterations
-        for i in range(2):
-            seq = cg(op, B[i], tol=1e-8, max_iter=2000, guard="off")
-            assert block[i].iterations == seq.iterations
-            assert _bit_equal(block[i].x, seq.x)
+        _same_as_cg(op, B, block, x0)
+
+    def test_full_width_applies_in_place(self):
+        """While every column asks for its own search direction, the batch
+        is applied to one block in place: the same array every round."""
+        op, _ = _model_operator()
+        seen = []
+        apply_batch_into = op.apply_batch_into
+        op.apply_batch_into = lambda X, out: seen.append(X) or apply_batch_into(X, out)
+        B = np.random.default_rng(37).normal(size=(2, 96)) + 0j
+        block = block_cg(op, B, tol=1e-8, max_iter=2000)
+        assert block[0].iterations == block[1].iterations == len(seen)
+        assert all(X is seen[0] for X in seen)
+
+    def test_zero_column_with_initial_guess(self):
+        """A zero right-hand side solves to zero whatever the guess, as in cg."""
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        op = MatrixOperator(a @ a.conj().T + 8 * np.eye(8))
+        B = np.stack([np.zeros(8, dtype=complex), rng.normal(size=8) + 0j])
+        X0 = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        block = block_cg(op, B, x0=X0, tol=1e-8, max_iter=200)
+        assert not block[0].x.any()
+        assert (block[0].iterations, block[0].operator_applies) == (0, 0)
+        _same_as_cg(op, B, block, X0)
 
     def test_zero_column_and_bad_shape(self):
         op, _ = _model_operator()

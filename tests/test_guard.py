@@ -43,7 +43,16 @@ from repro.guard import (
 )
 from repro.io import load_gauge, save_gauge
 from repro.lattice import Lattice4D
-from repro.solvers import bicgstab, cg, cg_spmd, gcr, mixed_precision_cg, multishift_cg
+from repro.solvers import (
+    bicgstab,
+    block_cg,
+    cg,
+    cg_spmd,
+    gcr,
+    mixed_precision_cg,
+    multishift_cg,
+    solve_wilson_batch,
+)
 
 TINY = (2, 2, 2, 2)
 SMALL = (4, 4, 4, 4)
@@ -351,6 +360,47 @@ class TestDefensiveCG:
             assert res.iterations == base.iterations
             assert np.array_equal(res.x, base.x)
             assert res.guard_events == []
+
+
+class TestBatchedGuard:
+    """``REPRO_GUARD`` reaches the batched solves: every column runs cg's
+    guarded recurrence, so a flip in one column is caught (detect) or
+    repaired (heal) there and the other column keeps its clean bytes."""
+
+    def _block(self):
+        nop, rhs, dirac = small_system()
+        other = dirac.apply_dagger(random_fermion(dirac.lattice, rng=11))
+        return nop, np.stack([rhs, other]), dirac
+
+    def test_block_cg_detect_raises(self, monkeypatch):
+        monkeypatch.setenv(GUARD_ENV_VAR, "detect")
+        nop, B, _ = self._block()
+        with pytest.raises(SDCDetected):
+            block_cg(FaultedOperator(nop, at_apply=15, bit=52), B, tol=1e-8)
+
+    def test_block_cg_heal(self, monkeypatch):
+        monkeypatch.setenv(GUARD_ENV_VAR, "heal")
+        nop, B, _ = self._block()
+        clean = block_cg(nop, B, tol=1e-8)
+        res = block_cg(FaultedOperator(nop, at_apply=15, bit=52), B, tol=1e-8)
+        assert res[0].converged
+        assert norm(B[0] - nop(res[0].x)) / norm(B[0]) < 1e-8
+        assert [e["kind"] for e in res[0].guard_events] == ["residual_drift"]
+        assert res[1].x.tobytes() == clean[1].x.tobytes()
+        assert res[1].guard_events == []
+
+    def test_solve_wilson_batch(self, monkeypatch):
+        _, _, dirac = self._block()
+        S = np.stack([random_fermion(dirac.lattice, rng=20 + i) for i in range(2)])
+        monkeypatch.setenv(GUARD_ENV_VAR, "detect")
+        with pytest.raises(SDCDetected):
+            solve_wilson_batch(FaultedOperator(dirac, at_apply=21, bit=52), S, tol=1e-8)
+        monkeypatch.setenv(GUARD_ENV_VAR, "heal")
+        clean = solve_wilson_batch(dirac, S, tol=1e-8)
+        res = solve_wilson_batch(FaultedOperator(dirac, at_apply=21, bit=52), S, tol=1e-8)
+        assert res[0].converged and res[0].residual <= 1e-8
+        assert [e["kind"] for e in res[0].guard_events] == ["residual_drift"]
+        assert res[1].x.tobytes() == clean[1].x.tobytes()
 
 
 class TestStagnationDetector:

@@ -552,7 +552,7 @@ def test_halo_stencil_strided_output_and_link_refresh():
 
 @pytest.mark.slow
 def test_rank_stencil_full_box_within_1p5x_of_fused():
-    """The CI gate of the ``comm`` job: on one 8^4 field the rank stencil
+    """A CI gate of the ``tests`` job: on one 8^4 field the rank stencil
     (ghost slabs and the ``diag`` combine included) costs at most 1.5x the
     ``fused`` hopping apply (ABBA quads, median of paired differences)."""
     lat = Lattice4D((8, 8, 8, 8))
