@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.bench import e1_dslash_performance
+from repro.bench.e1_dslash import e1_tile_sweep
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
 from repro.kernels import make_kernel
@@ -56,3 +57,19 @@ def test_fused_speedup_8x8x8x8_fp64(show):
     ]
     assert fused["speedup"] >= 2.0, f"fused speedup {fused['speedup']:.2f}x < 2x"
 
+
+
+def test_e1_tiles(show):
+    """The large end: the fused hop per T-slab tile at 8^4, 8x16^3, 16^4.
+
+    Shape assertions: the rule keeps 8^4 one tile; past it a tile's arena
+    is a fraction of the volume's."""
+    table, rows = e1_tile_sweep()
+    show(table, "e1_tiles.txt")
+    picked = {(r["volume"], r["precision"]): r for r in rows if r["rule"]}
+    assert picked[((8, 8, 8, 8), "fp64")]["tile_slabs"] == 8
+    for (volume, prec), row in picked.items():
+        whole = next(r for r in rows if (r["volume"], r["precision"]) == (volume, prec)
+                     and r["tile_slabs"] == volume[0])
+        if row is not whole:
+            assert row["scratch_bytes"] < whole["scratch_bytes"] / 2

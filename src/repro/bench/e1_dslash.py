@@ -22,6 +22,11 @@ even-odd Schur operator on the same fields — two hops between half
 lattices, nominally one Dslash — so its ``vs fused`` column reads what
 even-odd preconditioning pays per apply for halving the iterations
 (1.0 is the point of the method; a masked implementation reads 0.5).
+
+:func:`e1_tile_sweep` adds the large end: the ``fused`` hop at 8^4,
+8x16^3 (one rank of ``spmd_dslash``) and 16^4 run in tiles of 1, 2 and
+4 T slabs and as one tile, with each arena's scratch bytes — the sweep
+behind :func:`repro.kernels.fused.plan`'s tile rule, whose pick is marked.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ import numpy as np
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
-from repro.kernels import make_kernel
+from repro.kernels import FusedHopping, full_box, make_kernel
+from repro.kernels.fused import link_planes, plan, store_planes, ufunc_rows
 from repro.lattice import Lattice4D
 from repro.machine.roofline import dslash_arithmetic_intensity
 from repro.util import Table
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
-__all__ = ["e1_dslash_performance", "DEFAULT_KERNELS"]
+__all__ = ["e1_dslash_performance", "e1_tile_sweep", "DEFAULT_KERNELS"]
 
 DEFAULT_VOLUMES = [(4, 4, 4, 4), (8, 4, 4, 4), (8, 8, 4, 4), (8, 8, 8, 4), (8, 8, 8, 8)]
 
@@ -161,4 +167,70 @@ def e1_dslash_performance(
                         row["arithmetic_intensity"],
                     ]
                 )
+    return table, rows
+
+
+TILE_VOLUMES = [(8, 8, 8, 8), (8, 16, 16, 16), (16, 16, 16, 16)]
+
+
+def e1_tile_sweep(
+    volumes: list[tuple[int, int, int, int]] | None = None,
+    slabs: tuple[int, ...] = (1, 2, 4),
+    rounds: int = 7,
+) -> tuple[Table, list[dict]]:
+    """The fused hop per T tile size; returns (table, raw rows).
+
+    Each (volume, precision) cell runs its tile sizes interleaved, round by
+    round, through :meth:`FusedHopping.hop_tiles` on one set of link
+    planes, each tile size with its own arena; the median of ``rounds``
+    after one warm-up apply.  ``rule`` marks the tile :func:`plan` picks.
+    """
+    table = Table(
+        "E1 tiles — fused hop per T-slab tile (this host)",
+        ["local volume", "sites", "prec", "tile [slabs]", "tile sites", "rule",
+         "us/site", "vs one tile", "scratch [MB]"],
+    )
+    rows = []
+    for shape in volumes or TILE_VOLUMES:
+        lat = Lattice4D(shape)
+        slab = lat.volume // shape[0]
+        for dtype, prec in [(np.complex128, "fp64"), (np.complex64, "fp32")]:
+            u = GaugeField.hot(lat, rng=11, dtype=dtype).u
+            X = random_fermion(lat, rng=12, dtype=dtype)[None]
+            out = np.empty_like(X)
+            links = link_planes(u)
+            _, group, picked = plan(shape, 1, X.real.itemsize)
+            tiles = sorted({t for t in slabs if t < shape[0]} | {picked, shape[0]})
+            kernels = {t: FusedHopping() for t in tiles}
+
+            def apply(tile: int) -> None:
+                hops = kernels[tile].hop_tiles(
+                    X, 0, full_box(shape), links, (None,) * 4, DEFAULT_FERMION_PHASES, group, tile
+                )
+                with ufunc_rows():
+                    for box, _, acc in hops:
+                        store_planes(out[(slice(None),) + tuple(slice(*b) for b in box)], acc)
+
+            samples = {t: [] for t in tiles}
+            for r in range(rounds + 1):
+                for t in tiles:
+                    t0 = time.perf_counter()
+                    apply(t)
+                    if r:
+                        samples[t].append(time.perf_counter() - t0)
+            whole = float(np.median(samples[shape[0]]))
+            for t in tiles:
+                seconds = float(np.median(samples[t]))
+                row = {
+                    "volume": shape, "sites": lat.volume, "precision": prec, "tile_slabs": t,
+                    "tile_sites": t * slab, "rule": t == picked, "seconds": seconds,
+                    "us_per_site": seconds / lat.volume * 1e6, "vs_one_tile": seconds / whole,
+                    "scratch_bytes": kernels[t].workspace.nbytes,
+                }
+                rows.append(row)
+                table.add_row([
+                    "x".join(map(str, shape)), lat.volume, prec, t, t * slab,
+                    "<-" if t == picked else "", row["us_per_site"], row["vs_one_tile"],
+                    row["scratch_bytes"] / 1e6,
+                ])
     return table, rows

@@ -164,7 +164,10 @@ class RankExecutor:
                     faces.append((nb, face_tag(mu, role == "src_hi"), arr[slab]))
         return self.peers.send_faces(faces)
 
-    def _fill_ghosts(self, key: str, width: int, site_axis_start: int, phases, pending) -> None:
+    def _fill_ghosts(
+        self, key: str, width: int, site_axis_start: int, phases, pending, wraps: bool = True
+    ) -> None:
+        """Fill the ghosts of block ``key``; along an undecomposed axis only with ``wraps``."""
         arr = self.blocks[key]
         rank, grid, peers = self.rank, self.grid, self.peers
         try:
@@ -174,6 +177,8 @@ class RankExecutor:
                     (-1, "ghost_lo", "src_hi"),
                 ):
                     nb = grid.neighbor(rank, mu, sign)
+                    if nb == rank and not wraps:
+                        continue
                     ghost = arr[face_index(arr.ndim, site_axis_start, width, mu, ghost_role)]
                     src = face_index(arr.ndim, site_axis_start, width, mu, src_role)
                     if nb == rank:
@@ -203,30 +208,39 @@ class RankExecutor:
     ) -> None:
         """One Wilson apply on this rank: exchange + box stencil.
 
-        With ``overlap`` the deep interior (which reads no ghosts) is
+        The stencil multiplies by the link planes of block ``u_key``
+        (:func:`~repro.kernels.halo.rank_links`) in place.  Only the split
+        axes' ghosts are filled: along an axis the rank spans, the stencil
+        wraps by the boundary phase, as the lattice kernel does.  With
+        ``overlap`` the deep interior (which reads no ghosts) is
         stenciled while this rank's faces are on their way, hiding face
         traffic behind compute; a transport with nothing in flight (ranks
         that map each other's memory) stencils the whole block in one
         box after the copies.  The result is bit-identical either way
         because the boxes partition the interior.
         """
-        from repro.kernels.halo import full_box, split_boxes
+        from repro.kernels.halo import full_box, rank_links, split_boxes
 
         psi = self.blocks[psi_key]
         out = self.blocks[out_key]
-        u = self.blocks[u_key]
         local = out.shape[:4]
+        split = self.grid.decomposed_axes()
+        links, behind = rank_links(self.blocks[u_key], local, split)
+
+        def stencil(box) -> None:
+            self._stencil.rank_box_into(out, links, behind, psi, width, box, diag, phases)
+
         pending = self._post_faces(psi_key, width, 0)
         deep, boxes = None, [full_box(local)]
         if overlap and pending is not None:
-            deep, boxes = split_boxes(local, width)
+            deep, boxes = split_boxes(local, width, split)
         try:
             if deep is not None:
-                self._stencil.wilson_box_into(out, u, None, psi, width, deep, diag)
+                stencil(deep)
         finally:
-            self._fill_ghosts(psi_key, width, 0, phases, pending)
+            self._fill_ghosts(psi_key, width, 0, phases, pending, wraps=False)
         for box in boxes:
-            self._stencil.wilson_box_into(out, u, None, psi, width, box, diag)
+            stencil(box)
 
     # -- command dispatch -----------------------------------------------------
 
@@ -236,7 +250,8 @@ class RankExecutor:
         ``exchange`` and ``dslash`` take an optional payload: a master that
         cannot see rank memory ships the input block's bytes with the
         command and gets the output block's bytes back in the ack; a master
-        that maps it sends none and gets none.
+        that maps it sends none and gets none.  ``load`` (sent only by such
+        a master) replaces a block's bytes with the payload.
         """
         op = cmd[0]
         if op == "telemetry":
@@ -244,13 +259,13 @@ class RankExecutor:
         _tm_registry.add(f"commands/{op}", 1)
         if op == "declare":
             self.declare(cmd[1])
+        elif op == "load":
+            self._load(cmd[1], payload)
         elif op == "exchange":
             _, key, width, s0, phases = cmd
             if payload is not None:
                 self._load(key, payload)
             self.exchange(key, width, s0, phases)
-            # A link block whose bytes or ghosts were rewritten: its planes are stale.
-            self._stencil.invalidate(self.blocks[key])
             if payload is not None:
                 return None, self.blocks[key].tobytes()
         elif op == "dslash":

@@ -70,7 +70,7 @@ class RankPoolComm:
     Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol,
     plus the rank-block API the decomposed operator uses to run halo
     exchange and the Dslash stencil rank-parallel: :meth:`alloc_blocks`,
-    :meth:`exchange_shared`, :meth:`run_dslash`.
+    :meth:`push_blocks`, :meth:`exchange_shared`, :meth:`run_dslash`.
     The arrays :meth:`alloc_blocks` returns are the master's side of each
     rank's block: the rank's own memory where the transport maps it, else
     a copy that commands synchronise (shipped in with the command, read
@@ -286,12 +286,22 @@ class RankPoolComm:
 
         The ABFT guard layer (:mod:`repro.guard.abft`) compares these
         against encode-time values to localise silent corruption of the
-        link halos to a rank.  Master-side read only — between commands
+        link-plane blocks to a rank.  Master-side read only — between commands
         the master's arrays are the rank blocks (mapped) or exact copies
         of them (synchronised at every command that touches the key).
         """
         self._check_open()
         return [zlib.crc32(np.ascontiguousarray(view)) for view in self._blocks[key][2]]
+
+    def push_blocks(self, key: str) -> None:
+        """Make the ranks' blocks ``key`` what the master wrote into its arrays.
+
+        A mapped block already is; otherwise one ``load`` command carries
+        each rank its bytes.
+        """
+        self._check_open()
+        if self.ships_payloads:
+            self._command(("load", key), [m.tobytes() for m in self._blocks[key][2]])
 
     def exchange_shared(
         self,

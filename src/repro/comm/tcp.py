@@ -21,8 +21,9 @@ the bytes:
   passing through the master (:class:`_SocketPeers`).
 * Blocks live in *worker* memory and the master holds copies, so commands
   carry payloads: ``run_dslash`` ships the source fermion with the
-  command and gets the result block back in the ack, ``exchange_shared``
-  round-trips the named block set, and each ``allreduce_sum`` partial
+  command and gets the result block back in the ack, ``push_blocks``
+  ships the master's copies, ``exchange_shared`` round-trips the named
+  block set, and each ``allreduce_sum`` partial
   makes a real round trip through its rank's socket (gather-at-root).
 * Every message is a length-prefixed CRC-stamped frame
   (:mod:`repro.comm.frame`): a rank killed mid-send produces a typed

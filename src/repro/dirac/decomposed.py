@@ -15,14 +15,15 @@ Two executors behind one operator:
   :class:`~repro.kernels.HaloStencil` into preallocated per-rank buffers
   (no allocation in the solver hot loop).
 * With a process backend (:class:`~repro.comm.pool.RankPoolComm`: ``shm``,
-  ``tcp``) the fermion, gauge and result blocks are rank-resident
+  ``tcp``) the fermion, link-plane and result blocks are rank-resident
   and one ``run_dslash`` command makes every rank process exchange +
   stencil its own block in parallel, overlapping the deep-interior stencil
   with the face traffic (``overlap``, on by default there).
 
 Both executors run the same face copies and the same box-wise stencil —
-the single-domain ``fused`` plane core on each box, its wrapped slabs
-read from the ghosts — so their results, overlapped or not, are
+the single-domain ``fused`` tile loop on each box, its slabs read from
+the ghosts along split axes and wrapped by the boundary phase along the
+axes a rank spans — so their results, overlapped or not, are
 bit-for-bit identical to each other, to :class:`~repro.dirac.WilsonDirac`
 and to the ``hopping_term_halo`` reference below.
 """
@@ -31,12 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm import Decomposition, HaloField, add_halo
+from repro.comm import Decomposition, HaloField, add_halo, halo_exchange
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import LinearOperator
 from repro.fields import GaugeField
 from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
 from repro.kernels import HaloStencil, full_box, split_boxes
+from repro.kernels.halo import rank_link_reals, rank_links, write_rank_links
+from repro.kernels.workspace import aligned_empty
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
 __all__ = ["DecomposedWilsonDirac", "hopping_term_halo"]
@@ -122,48 +125,44 @@ class DecomposedWilsonDirac(LinearOperator):
 
         w = self._WIDTH
         local = self.decomp.local_shape
+        self._split = comm.grid.decomposed_axes()
         self._interior_idx = tuple(slice(w, -w) for _ in range(4))
         self._block_idx = [self.decomp.block_slices(r) for r in comm.grid.all_ranks()]
-        self._deep, self._boundary = split_boxes(local, w)
+        self._deep, self._boundary = split_boxes(local, w, self._split)
         self._full = [full_box(local)]
         self._stencil = HaloStencil()
 
         fermion_halo_shape = tuple(n + 2 * w for n in local) + (4, 3)
-        gauge_halo_shape = (4,) + tuple(n + 2 * w for n in local) + (3, 3)
+        link_reals = rank_link_reals(local, self._split)
         if self._shared:
             self._u_key = comm.new_key("u")
-            u_views = comm.alloc_blocks(self._u_key, gauge_halo_shape, np.complex128)
+            self._link_blocks = comm.alloc_blocks(self._u_key, (link_reals,), np.float64)
             self._psi_key = comm.new_key("psi")
             psi_views = comm.alloc_blocks(self._psi_key, fermion_halo_shape, np.complex128)
             self._out_key = comm.new_key("out")
             self._out_blocks = comm.alloc_blocks(self._out_key, local + (4, 3), np.complex128)
         else:
-            u_views = [np.zeros(gauge_halo_shape, np.complex128) for _ in self._block_idx]
+            self._link_blocks = [aligned_empty((link_reals,), np.float64) for _ in self._block_idx]
             psi_views = [np.zeros(fermion_halo_shape, np.complex128) for _ in self._block_idx]
             self._out_blocks = [np.empty(local + (4, 3), np.complex128) for _ in self._block_idx]
-        self._u_halos = [HaloField(v, w, 1) for v in u_views]
         self._psi_halos = [HaloField(v, w, 0) for v in psi_views]
         self.invalidate_kernel_cache()
 
     def invalidate_kernel_cache(self) -> None:
-        """(Re)build the rank link blocks from ``gauge.u``.
+        """(Re)write the rank link blocks from ``gauge.u``.
 
-        Gauge halos are filled once: links are constant during a solve and
-        strictly periodic (no fermion phases).  Call again after an
-        *in-place* link update (the guard's heal); the exchange rewrites
-        each block, which is what makes a rank drop the link planes it
-        cached from it.
+        A rank's block holds the link planes its stencil multiplies by
+        (:func:`~repro.kernels.halo.rank_links`): those of its sites and,
+        per split axis, of the slab behind its low face.  Links are
+        constant during a solve, so they are written once; call again
+        after an *in-place* link update (the guard's heal).  Where the
+        master maps rank memory it writes the blocks in place; elsewhere
+        the ranks take its copies.
         """
-        interior = (slice(None),) + self._interior_idx
-        for halo, idx in zip(self._u_halos, self._block_idx):
-            halo.data[interior] = self.gauge.u[(slice(None),) + idx]
+        for block, idx in zip(self._link_blocks, self._block_idx):
+            write_rank_links(block, self.gauge.u, idx, self._split)
         if self._shared:
-            self.comm.exchange_shared(
-                self._u_key, width=self._WIDTH, site_axis_start=1, phases=None
-            )
-        else:
-            self.comm.exchange(self._u_halos, phases=None)
-        self._stencil.invalidate()
+            self.comm.push_blocks(self._u_key)
 
     @property
     def lattice(self):
@@ -234,14 +233,14 @@ class DecomposedWilsonDirac(LinearOperator):
         return out
 
     def _wilson_box(self, rank: int, box) -> None:
-        self._stencil.wilson_box_into(
+        self._stencil.rank_box_into(
             self._out_blocks[rank],
-            self._u_halos[rank].data,
-            None,
+            *rank_links(self._link_blocks[rank], self.decomp.local_shape, self._split),
             self._psi_halos[rank].data,
             self._WIDTH,
             box,
             self.diag,
+            self.phases,
         )
 
     def _apply_reference(self, psi: np.ndarray) -> np.ndarray:
@@ -251,8 +250,13 @@ class DecomposedWilsonDirac(LinearOperator):
         self.comm.exchange(halos, phases=self.phases)
         flops_rank = self.flops_per_apply // self.comm.nranks
         self.comm.record_compute("wilson_dslash", flops_rank)
+        u_halos = [
+            add_halo(b, width=self._WIDTH, site_axis_start=1)
+            for b in self.decomp.scatter(self.gauge.u, site_axis_start=1)
+        ]
+        halo_exchange(u_halos, self.comm.grid)
         out_blocks = [
-            self.diag * blocks[r] - 0.5 * hopping_term_halo(self._u_halos[r], halos[r])
+            self.diag * blocks[r] - 0.5 * hopping_term_halo(u_halos[r], halos[r])
             for r in self.comm.grid.all_ranks()
         ]
         return self.decomp.gather(out_blocks)

@@ -39,6 +39,7 @@ from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.kernels.fused import plan, ufunc_rows
+from repro.kernels.shifts import half_extents
 from repro.kernels.registry import make_kernel, resolve_kernel_name
 from repro.telemetry.instruments import record_kernel_selection
 from repro.lattice import checkerboard_masks
@@ -200,7 +201,7 @@ class SchurOperator(LinearOperator):
             self._apply_block_masked(X, tmp, False)
             return self._apply_block_masked(tmp, out, True)
         nrhs = X.shape[0]
-        step, _ = plan(eo.lattice.volume // 2, nrhs, X.real.itemsize)
+        step, _, _ = plan(half_extents(eo.lattice.shape), nrhs, X.real.itemsize)
         with ufunc_rows():
             for r in range(0, nrhs, step):
                 x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")

@@ -19,10 +19,10 @@ with both probes.  It is transparent when the policy is ``off`` and
 bit-for-bit transparent at every level (probing uses separate buffers and
 ``op.apply``, which does not disturb the wrapped operator's counters).
 For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` on a process
-backend the gauge links also live in rank-resident halo blocks; the wrapper
-checksums those through
-:meth:`repro.comm.pool.RankPoolComm.block_checksums` and re-scatters healed
-links back into the blocks.
+backend the gauge links also live in rank-resident blocks of the link
+planes each rank's stencil reads in place; the wrapper checksums those
+through :meth:`repro.comm.pool.RankPoolComm.block_checksums` and rewrites
+them from the healed links.
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ class GuardedOperator(LinearOperator):
         if invalidate is not None:
             invalidate()
         if self._shm:
-            # The operator's invalidate re-scattered the healed links into
-            # the rank blocks and refilled their ghosts.
+            # The operator's invalidate rewrote the rank link-plane blocks
+            # from the healed links.
             self._shared_crcs = list(self.op.comm.block_checksums(self.op._u_key))
         if self._checksum is not None:
             self._checksum = LinkChecksum.encode(self._u)

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-
 
 __all__ = ["RationalApprox", "fit_rational_power"]
 
@@ -81,6 +79,7 @@ def fit_rational_power(
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if n_poles < 1:
         raise ValueError(f"n_poles must be >= 1, got {n_poles}")
+    from scipy.optimize import least_squares  # scipy costs 40 MB and 0.7 s at import
 
     xs = np.geomspace(lo, hi, n_grid)
     target = xs**power

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["effective_mass", "cosh_effective_mass"]
 
@@ -29,6 +28,8 @@ def cosh_effective_mass(corr: np.ndarray, m_max: float = 10.0) -> np.ndarray:
     timeslice, which removes the backward-propagating contamination that
     biases the naive log mass near the lattice midpoint.
     """
+    from scipy.optimize import brentq  # scipy costs 40 MB and 0.7 s at import
+
     c = np.asarray(corr, dtype=np.float64)
     nt = len(c)
     half = nt / 2.0

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 __all__ = ["FitResult", "fit_cosh", "fit_exp"]
 
@@ -29,6 +28,8 @@ class FitResult:
 
 
 def _do_fit(model, tvals, cvals, p0, window) -> FitResult:
+    from scipy.optimize import curve_fit  # scipy costs 40 MB and 0.7 s at import
+
     sigma = np.abs(cvals) * 0.01 + 1e-30  # uniform 1% weights (no ensemble errors)
     popt, pcov = curve_fit(model, tvals, cvals, p0=p0, sigma=sigma, maxfev=20000)
     resid = (model(tvals, *popt) - cvals) / sigma

@@ -566,11 +566,11 @@ class TestABFT:
 
     @pytest.mark.parametrize("backend", ["virtual", "shm"])
     def test_heal_reaches_the_rank_link_planes(self, backend):
-        # The ranks cache link planes per ``u`` block; a heal rewrites the
-        # blocks in place.  A link flipped in rank 1's block before the
-        # first apply is what its planes get built from; after the probe
-        # heals (re-scatter + ghost refill) the stream must agree bit for
-        # bit with the single-domain operator.
+        # A rank's stencil multiplies by the link planes of its block, in
+        # place, and the guard checksums that block.  A plane element
+        # flipped in rank 1's block before the first apply changes the
+        # output; after the probe heals (planes rewritten from the master's
+        # links) the stream agrees bit for bit with the single-domain operator.
         from repro.comm import make_comm
         from repro.dirac.decomposed import DecomposedWilsonDirac
 
@@ -580,15 +580,35 @@ class TestABFT:
             op = DecomposedWilsonDirac(gauge, 0.2, comm)
             guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
             if backend == "shm":
-                op._u_halos[1].data[2, 1, 2, 1, 3] *= -1.0  # rank memory, mapped
+                op._link_blocks[1][1234] *= -1.0  # rank memory, mapped
             else:
-                flip_bit(gauge.u, 9)  # the master's links; blocks are scattered copies
+                flip_bit(gauge.u, 9)  # the master's links; blocks are written from them
             outs = [guarded(psi) for _ in range(8)]
             assert [e["action"] for e in guarded.guard_events] == ["heal"]
         want = WilsonDirac(gauge, 0.2, kernel="fused").apply(psi)
         assert np.array_equal(outs[-1], want)
         if backend == "shm":
             assert not np.array_equal(outs[0], want)  # the flip did reach the stencil
+
+    def test_heal_reaches_a_rank_link_plane_flipped_after_the_first_apply(self):
+        # The bytes the guard checksums are the bytes the stencil reads, so a
+        # flip after the first apply (no cached copy shields it) changes the
+        # next output, is caught by the next probe and healed.
+        from repro.comm import make_comm
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        gauge = GaugeField.hot(Lattice4D(SMALL), rng=4)
+        psi = random_fermion(gauge.lattice, rng=5)
+        want = WilsonDirac(gauge, 0.2, kernel="fused").apply(psi)
+        with make_comm((2, 1, 1, 1), "shm") as comm:
+            op = DecomposedWilsonDirac(gauge, 0.2, comm)
+            guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
+            assert np.array_equal(guarded(psi), want)
+            op._link_blocks[1][1234] *= -1.0
+            outs = [guarded(psi) for _ in range(7)]
+            assert [e["action"] for e in guarded.guard_events] == ["heal"]
+        assert not np.array_equal(outs[0], want)
+        assert np.array_equal(outs[-1], want)
 
 
 # -- campaign fault matrix ----------------------------------------------------

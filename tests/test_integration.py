@@ -6,9 +6,15 @@ consistency-level property of the combined result.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.comm import RankGrid, VirtualComm
 from repro.dirac import (
     DecomposedWilsonDirac,
@@ -150,3 +156,15 @@ class TestHMCThenSpectrum:
         b = random_fermion(lat, rng=68)
         res = solve_wilson(dirac, b, tol=1e-8)
         assert res.converged
+
+
+def test_import_leaves_scipy_unloaded():
+    """``import repro`` costs no scipy: the three fits that use it import it
+    when called (40 MB of resident memory a process, forked ranks included)."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,12 +5,14 @@ roll-based reference bit-for-bit ("two Dslash paths, one truth"), and the
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro.comm import HaloField, add_halo, make_comm
 from repro.comm.halo import halo_exchange
-from repro.dirac.decomposed import hopping_term_halo
+from repro.dirac.decomposed import DecomposedWilsonDirac, hopping_term_halo
 from repro.dirac.dwf import DomainWallDirac
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.clover import CloverDirac
@@ -33,7 +35,9 @@ from repro.kernels import (
     split_boxes,
 )
 from repro.kernels.color import color_mul_planes_into
-from repro.kernels.fused import link_planes, load_planes, store_planes, ufunc_rows
+from repro.kernels import fused
+from repro.kernels.fused import link_planes, load_planes, plan, store_planes, ufunc_rows
+from repro.kernels.halo import rank_link_reals, rank_links
 from repro.kernels.shifts import parity_site_tables
 from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
 from repro.lattice import Lattice4D, shift_with_phase
@@ -450,6 +454,124 @@ def test_fused_scratch_bytes_per_site_at_16_4():
     kernel(u, psi, DEFAULT_FERMION_PHASES)
     assert kernel.workspace.nbytes / psi[..., 0, 0].size <= 720
     assert kernel._links.nbytes == u.nbytes
+    # The eight terms run one 4096-site T tile at a time: a tile's planes, its
+    # wrapped slab's and a bounded multiply block, where the untiled hop held 44 MB.
+    assert plan(dims, 1, 8)[2] == 1
+    assert kernel.workspace.nbytes < 5 << 20
+
+
+# -- T-slab tiles: one loop, bytes of the untiled hop ----------------------------
+
+
+def test_plan_tiles_only_hops_past_the_working_set():
+    # Every hop of the serving, ladder and HMC workloads is one tile.
+    for dims, nrhs in [((8, 4, 4, 4), 12), ((16, 4, 4, 4), 1), ((4, 4, 4, 4), 1)]:
+        assert plan(dims, nrhs, 8)[2] == dims[0]
+    assert plan((4, 4, 4, 2), 1, 8)[2] == 4  # a 4^4 half lattice
+    # 4096 sites a tile in fp64, 8192 in fp32; a rank box of spmd_dslash tiles too.
+    assert plan((16, 16, 16, 16), 1, 8)[2] == 1
+    assert plan((16, 16, 16, 16), 1, 4)[2] == 2
+    assert plan((8, 16, 16, 16), 1, 8)[2] == 1
+    assert plan((16, 8, 8, 8), 1, 8)[2] == 8
+
+
+@pytest.mark.parametrize(
+    "phases", [DEFAULT_FERMION_PHASES, TWISTED_PHASES], ids=["antiperiodic", "twisted"]
+)
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
+@pytest.mark.parametrize("dims", [(3, 16, 16, 16), (18, 8, 8, 8)], ids=["3x16^3", "18x8^3"])
+def test_tiled_hop_bitwise_equals_untiled(dims, dtype, phases, monkeypatch):
+    """Tile by tile — the last one ragged in 3x16^3 fp32 and 18x8^3 — the
+    hop is the untiled hop byte for byte, on a random and an all-zero source."""
+    itemsize = np.dtype(dtype).itemsize // 2
+    assert plan(dims, 1, itemsize)[2] < dims[0]
+    rng = np.random.default_rng(12)
+    u = _rand_field(rng, (4,) + dims + (3, 3), dtype)
+    sources = [_rand_field(rng, dims + (4, 3), dtype), np.zeros(dims + (4, 3), dtype)]
+    tiled = [FusedHopping()(u, psi, phases) for psi in sources]
+    # The same per-direction pass over the whole volume as one tile.
+    monkeypatch.setattr(fused, "_BLOCK_BYTES", 12 * itemsize * int(np.prod(dims)))
+    assert plan(dims, 1, itemsize)[1:] == (1, dims[0])
+    for psi, got in zip(sources, tiled):
+        assert got.tobytes() == FusedHopping()(u, psi, phases).tobytes()
+    if dtype == np.complex128 and phases is DEFAULT_FERMION_PHASES:
+        assert tiled[0].tobytes() == hopping_term(u, sources[0], phases).tobytes()
+
+
+_RANK_TILE_LATTICE = (6, 16, 16, 16)
+
+
+@lru_cache(maxsize=None)
+def _rank_tile_case():
+    """Fields on a lattice whose rank boxes run in several T tiles, and the
+    reference Wilson apply on it."""
+    lat = Lattice4D(_RANK_TILE_LATTICE)
+    gauge = GaugeField.hot(lat, rng=41)
+    psi = random_fermion(lat, rng=42)
+    want = (0.3 + 4.0) * psi - 0.5 * hopping_term(gauge.u, psi, DEFAULT_FERMION_PHASES)
+    return gauge, psi, want
+
+
+@pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
+@pytest.mark.parametrize(
+    "grid", [(1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1)], ids=["1x1x1x1", "2x1x1x1", "2x2x1x1"]
+)
+def test_decomposed_rank_tiles_bitwise_equal_the_reference(grid, backend):
+    """Each rank box runs in T tiles (ragged on 2x2x1x1), wraps the axes it
+    spans by sign and reads ghosts along the split ones; with and without
+    the overlapped schedule the apply is the reference's bytes."""
+    gauge, psi, want = _rank_tile_case()
+    with make_comm(grid, backend) as comm:
+        local = comm.decompose(gauge.lattice).local_shape
+        assert plan(local, 1, 8)[2] < local[0]
+        for overlap in (False, True):
+            op = DecomposedWilsonDirac(gauge, 0.3, comm, overlap=overlap)
+            assert op.apply(psi).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("backend", ["virtual", "shm"])
+def test_rank_link_block_holds_the_planes_its_stencil_reads(backend):
+    """``4 * 2 * 9`` reals a site plus one behind-slab per split axis, written
+    from the links without any gauge exchange."""
+    lat = Lattice4D((4, 4, 6, 2))
+    gauge = GaugeField.hot(lat, rng=43)
+    with make_comm((2, 2, 1, 1), backend) as comm:
+        op = DecomposedWilsonDirac(gauge, 0.1, comm)
+        assert comm.trace.message_count() == 0 and comm.trace.total_halo_bytes() == 0
+        local, volume = (2, 2, 6, 2), 48
+        reals = 72 * volume + 18 * volume // 2 + 18 * volume // 2
+        assert rank_link_reals(local, (0, 1)) == reals
+        for r, block in enumerate(op._link_blocks):
+            assert block.shape == (reals,) and block.dtype == np.float64
+            links, behind = rank_links(block, local, (0, 1))
+            idx = op.decomp.block_slices(r)
+            assert np.array_equal(links, link_planes(gauge.u[(slice(None),) + idx]))
+            assert behind[2] is None and behind[3] is None
+            t0 = (idx[0].start - 1) % 4
+            slab = (slice(0, 1), slice(t0, t0 + 1)) + idx[1:]
+            assert np.array_equal(behind[0], link_planes(gauge.u[slab]))
+        if backend == "shm":
+            assert [b.shape for b in comm.blocks(op._u_key)] == [(reals,)] * 4
+
+
+def test_split_boxes_peels_only_split_axes():
+    # No ``split``: every axis, as a rank that reads ghosts all round.
+    deep, boundary = split_boxes((4, 3, 5, 3), 1)
+    assert deep == ((1, 3), (1, 2), (1, 4), (1, 2))
+    assert boundary == [
+        ((0, 1), (0, 3), (0, 5), (0, 3)), ((3, 4), (0, 3), (0, 5), (0, 3)),
+        ((1, 3), (0, 1), (0, 5), (0, 3)), ((1, 3), (2, 3), (0, 5), (0, 3)),
+        ((1, 3), (1, 2), (0, 1), (0, 3)), ((1, 3), (1, 2), (4, 5), (0, 3)),
+        ((1, 3), (1, 2), (1, 4), (0, 1)), ((1, 3), (1, 2), (1, 4), (2, 3)),
+    ]
+    assert split_boxes((4, 2, 5, 3), 1) == (None, [((0, 4), (0, 2), (0, 5), (0, 3))])
+    # Split along T and Y: the boxes span Z and X whole.
+    deep, boundary = split_boxes((4, 2, 5, 3), 1, (0, 2))
+    assert deep == ((1, 3), (0, 2), (1, 4), (0, 3))
+    assert boundary == [
+        ((0, 1), (0, 2), (0, 5), (0, 3)), ((3, 4), (0, 2), (0, 5), (0, 3)),
+        ((1, 3), (0, 2), (0, 1), (0, 3)), ((1, 3), (0, 2), (4, 5), (0, 3)),
+    ]
 
 
 # -- the rank stencil: the same core, wrapped slabs from the ghosts --------------
