@@ -5,8 +5,9 @@ measurements on hardware where rank death is routine; this package supplies
 the durability layer that makes long runs safe to start:
 
 :mod:`repro.campaign.checkpoint`
-    crash-consistent checkpoint store — atomic write-rename, CRC32-stamped
-    payloads, versioned headers, fallback past corrupt files;
+    crash-consistent checkpoint store — the :mod:`repro.io.container`
+    format (atomic write, versioned, every byte under a CRC), fallback past
+    corrupt files;
 :mod:`repro.campaign.ledger`
     fsynced JSON-lines journal of completed work, tolerant of exactly the
     torn tail a crash can produce;
@@ -26,7 +27,6 @@ run with the same seed.
 """
 
 from repro.campaign.checkpoint import (
-    CheckpointError,
     CheckpointStore,
     CorruptCheckpointError,
     read_checkpoint,
@@ -57,7 +57,6 @@ from repro.campaign.runner import (
 __all__ = [
     "CampaignConfig",
     "CampaignSummary",
-    "CheckpointError",
     "CheckpointStore",
     "CommFault",
     "ConfigMismatchError",

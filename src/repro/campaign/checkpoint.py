@@ -1,61 +1,40 @@
 """Crash-consistent checkpoint store for long-running campaigns.
 
-A checkpoint is a single self-verifying container file::
-
-    MAGIC (8 bytes)  |  header length (4-byte LE uint32)  |  header JSON  |  payload
-
-The header carries the format version, the CRC32 and byte count of the
-payload, and a free-form JSON ``meta`` dict (trajectory index, serialised
-RNG state, driver counters, plaquette stamp).  The payload is an ``npz``
-archive of the named arrays (gauge links).  Every write goes through
-:func:`repro.io.atomic.atomic_write_bytes`, so a crash mid-save leaves
-either the previous complete checkpoint or none — never a torn file.
+A checkpoint is one :mod:`repro.io.container` file: the named arrays (gauge
+links) plus a JSON ``meta`` dict (trajectory index, serialised RNG state,
+driver counters, plaquette stamp), every byte of it under a CRC — the same
+format, writer and reader as gauge configurations and store objects.
+Writes are atomic, so a crash mid-save leaves either the previous complete
+checkpoint or none — never a torn file.
 
 :class:`CheckpointStore` manages a directory of numbered checkpoints.
 ``latest()`` walks backwards over the stored steps and returns the newest
 checkpoint that validates, recording what it skipped — a truncated file,
-a flipped bit, or a foreign version header costs at most one checkpoint
+a flipped bit, or a foreign version costs at most one checkpoint
 interval, never a silent load of garbage (tmLQCD's resumable trajectory
 streams and Chroma's XML task chains follow the same discipline).
 """
 
 from __future__ import annotations
 
-import io
-import json
-import struct
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro.io.atomic import atomic_write_bytes
+from repro.io.container import CorruptFileError, read_container, write_container
 from repro.telemetry import registry as _tm_registry
 from repro.telemetry.spans import span
 from repro.telemetry.state import STATE
 
 __all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
     "CorruptCheckpointError",
     "write_checkpoint",
     "read_checkpoint",
     "CheckpointStore",
 ]
 
-CHECKPOINT_MAGIC = b"RPROCKPT"
-CHECKPOINT_VERSION = 1
-
-_LEN = struct.Struct("<I")
-
-
-class CheckpointError(RuntimeError):
-    """Base class for checkpoint-layer failures."""
-
-
-class CorruptCheckpointError(CheckpointError):
-    """A checkpoint file failed validation (magic, version, length, CRC)."""
+#: A checkpoint file failed validation (archive, version, dtype, shape, CRC32).
+CorruptCheckpointError = CorruptFileError
 
 
 def write_checkpoint(
@@ -63,74 +42,23 @@ def write_checkpoint(
 ) -> Path:
     """Serialise ``arrays`` + ``meta`` into one atomic, CRC-stamped file."""
     with span("checkpoint_write", cat="campaign"):
-        buf = io.BytesIO()
-        np.savez(buf, **arrays)
-        payload = buf.getvalue()
-        header = json.dumps(
-            {
-                "version": CHECKPOINT_VERSION,
-                "crc32": zlib.crc32(payload),
-                "payload_bytes": len(payload),
-                "meta": meta,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        blob = CHECKPOINT_MAGIC + _LEN.pack(len(header)) + header + payload
+        path = write_container(path, arrays, meta)
         if STATE.counting:
             reg = _tm_registry.get_registry()
             reg.add("campaign/checkpoints", 1)
-            reg.add("campaign/checkpoint_bytes", len(blob))
-        return atomic_write_bytes(path, blob)
+            reg.add("campaign/checkpoint_bytes", path.stat().st_size)
+        return path
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Load and validate one checkpoint; raise :class:`CorruptCheckpointError`.
 
-    Validation order: magic, header length/JSON, version, payload length
-    (truncation), CRC32, npz decode.  Only a file passing all five hands
-    data back.
+    A missing file is corrupt too: the store lists steps by file name.
     """
-    path = Path(path)
     try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise CorruptCheckpointError(f"unreadable checkpoint {path}: {e}") from e
-    if len(blob) < len(CHECKPOINT_MAGIC) + _LEN.size or not blob.startswith(
-        CHECKPOINT_MAGIC
-    ):
-        raise CorruptCheckpointError(f"{path}: bad magic (not a checkpoint file)")
-    off = len(CHECKPOINT_MAGIC)
-    (header_len,) = _LEN.unpack_from(blob, off)
-    off += _LEN.size
-    header_bytes = blob[off : off + header_len]
-    if len(header_bytes) != header_len:
-        raise CorruptCheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CorruptCheckpointError(f"{path}: unparseable header ({e})") from e
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CorruptCheckpointError(
-            f"{path}: version {version!r} != supported {CHECKPOINT_VERSION}"
-        )
-    payload = blob[off + header_len :]
-    if len(payload) != header["payload_bytes"]:
-        raise CorruptCheckpointError(
-            f"{path}: truncated payload "
-            f"({len(payload)} of {header['payload_bytes']} bytes)"
-        )
-    crc = zlib.crc32(payload)
-    if crc != header["crc32"]:
-        raise CorruptCheckpointError(
-            f"{path}: CRC mismatch (header {header['crc32']}, payload {crc})"
-        )
-    try:
-        with np.load(io.BytesIO(payload)) as data:
-            arrays = {k: data[k] for k in data.files}
-    except Exception as e:  # zip/npy decode failure after a passing CRC is a bug
-        raise CorruptCheckpointError(f"{path}: undecodable payload ({e})") from e
-    return arrays, header["meta"]
+        return read_container(path)
+    except FileNotFoundError as e:
+        raise CorruptCheckpointError(f"missing checkpoint {path}") from e
 
 
 class CheckpointStore:
@@ -165,9 +93,7 @@ class CheckpointStore:
 
     def save(self, step: int, arrays: dict[str, np.ndarray], meta: dict) -> Path:
         """Write checkpoint ``step`` atomically, then prune old ones."""
-        meta = dict(meta)
-        meta["step"] = int(step)
-        path = write_checkpoint(self.path_for(step), arrays, meta)
+        path = write_checkpoint(self.path_for(step), arrays, {**meta, "step": int(step)})
         self._prune()
         return path
 

@@ -13,8 +13,9 @@ are exact rather than probabilistic:
   command sweep) — kill a rank just before a command is sent, delay an
   ack, or drop an ack so the master sees a lost message.
 * **Storage faults** (:func:`corrupt_checkpoint`): truncate a checkpoint,
-  flip payload bytes (CRC mismatch), or stamp a wrong version/magic, to
-  prove the store falls back to the previous good checkpoint.
+  flip a payload byte (CRC mismatch), stamp a wrong version, or break the
+  zip signature, to prove the store falls back to the previous good
+  checkpoint.
 * **Silent data corruption** (:func:`flip_bit`, :meth:`FaultPlan.
   flip_gauge_bit_at`, :class:`FaultedOperator`): deterministic in-memory
   bit flips in gauge links, spinors, or a solver's operator stream — the
@@ -25,16 +26,17 @@ are exact rather than probabilistic:
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.campaign.checkpoint import CHECKPOINT_MAGIC
 from repro.dirac.operator import LinearOperator
+from repro.io.container import pack_members, unpack_members
 
 __all__ = [
     "InjectedCrash",
@@ -273,34 +275,30 @@ def corrupt_checkpoint(path: str | Path, mode: str = "flip-payload") -> None:
     """Damage a checkpoint file on disk in a controlled way.
 
     ``truncate``     keep only the first half of the file;
-    ``flip-payload`` XOR one payload byte (header intact → CRC mismatch);
-    ``bad-version``  rewrite the header with an unsupported version;
-    ``bad-magic``    overwrite the magic bytes.
+    ``flip-payload`` XOR one byte in the middle of the largest array member
+                     (archive intact → CRC mismatch);
+    ``bad-version``  rewrite the metadata member with an unsupported version;
+    ``bad-magic``    overwrite the zip signature of the first member.
     """
     path = Path(path)
     blob = bytearray(path.read_bytes())
-    n_magic = len(CHECKPOINT_MAGIC)
     if mode == "truncate":
-        blob = blob[: max(n_magic + 4, len(blob) // 2)]
+        blob = blob[: len(blob) // 2]
     elif mode == "flip-payload":
-        (header_len,) = struct.unpack_from("<I", blob, n_magic)
-        payload_start = n_magic + 4 + header_len
-        if payload_start >= len(blob):
-            raise ValueError(f"{path}: no payload to corrupt")
-        blob[payload_start + (len(blob) - payload_start) // 2] ^= 0xFF
+        with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+            info = max(zf.infolist(), key=lambda i: i.file_size)
+        head = info.header_offset
+        name_len = int.from_bytes(blob[head + 26 : head + 28], "little")
+        extra_len = int.from_bytes(blob[head + 28 : head + 30], "little")
+        blob[head + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
     elif mode == "bad-version":
-        (header_len,) = struct.unpack_from("<I", blob, n_magic)
-        header = json.loads(blob[n_magic + 4 : n_magic + 4 + header_len].decode())
+        members = unpack_members(bytes(blob))
+        header = json.loads(members["meta"].tobytes())
         header["version"] = -1
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        blob = (
-            bytes(blob[:n_magic])
-            + struct.pack("<I", len(new_header))
-            + new_header
-            + bytes(blob[n_magic + 4 + header_len :])
-        )
+        members["meta"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        blob = pack_members(members)
     elif mode == "bad-magic":
-        blob[:n_magic] = b"X" * n_magic
+        blob[:4] = b"XXXX"
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     path.write_bytes(bytes(blob))

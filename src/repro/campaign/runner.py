@@ -233,18 +233,16 @@ class HMCCampaign:
         """
         return Ledger(self.directory / "metrics.jsonl", durable=False)
 
-    def _truncate_metrics(self, step: int) -> None:
-        if (self.directory / "metrics.jsonl").exists():
-            self._metrics_ledger().truncate_to(step)
-
-    def _rollback(self, step: int) -> tuple[GaugeField, HMC, int]:
+    def _rollback(self) -> tuple[GaugeField, HMC, int]:
         """Restore the last good checkpoint (or the fresh start) and truncate
-        the ledger to it.  Returns the state to resume from.
+        the journals to it.  Returns the state to resume from.
 
-        This — not SU(3) reprojection — is the campaign-level heal:
-        reprojection restores validity but not the original bits, while the
-        exact-resume contract (gauge + RNG + counters) makes the replayed
-        stream bit-for-bit identical to an unfaulted one.
+        Work journaled after that point — even before the first checkpoint —
+        will be redone, so its records go and the replayed stream journals
+        identically.  This — not SU(3) reprojection — is also the
+        campaign-level heal: reprojection restores validity but not the
+        original bits, while the exact-resume contract (gauge + RNG +
+        counters) makes the replayed stream bit-for-bit an unfaulted one.
         """
         latest = self.store.latest()
         if latest is None:
@@ -254,9 +252,8 @@ class HMCCampaign:
             good, arrays, meta = latest
             gauge, hmc = self._restore(arrays, meta)
         self.ledger.truncate_to(good)
-        self._truncate_metrics(good)
-        if STATE.counting:
-            _tm_registry.get_registry().add("campaign/rollbacks", 1)
+        if (self.directory / "metrics.jsonl").exists():
+            self._metrics_ledger().truncate_to(good)
         return gauge, hmc, good
 
     def run(
@@ -283,24 +280,8 @@ class HMCCampaign:
         """
         cfg = self.config
         policy = resolve_policy(guard)
-        latest = self.store.latest()
-        if latest is None:
-            gauge, hmc = self._fresh()
-            start_step = 0
-            resumed_from = None
-            # A run that died before its first checkpoint may have journaled
-            # trajectories it cannot resume; clear them so the replayed
-            # stream journals identically.
-            self.ledger.truncate_to(0)
-            self._truncate_metrics(0)
-        else:
-            step0, arrays, meta = latest
-            gauge, hmc = self._restore(arrays, meta)
-            start_step = step0
-            resumed_from = step0
-            # Work journaled after the restart checkpoint will be redone.
-            self.ledger.truncate_to(start_step)
-            self._truncate_metrics(start_step)
+        gauge, hmc, start_step = self._rollback()
+        resumed_from = start_step or None  # checkpoints are at steps >= 1
 
         faults_detected = 0
         rollbacks = 0
@@ -340,7 +321,9 @@ class HMCCampaign:
                             f"corruption persists after {max_rollbacks} rollbacks "
                             f"(step {step})"
                         )
-                    gauge, hmc, step = self._rollback(step)
+                    gauge, hmc, step = self._rollback()
+                    if STATE.counting:
+                        _tm_registry.get_registry().add("campaign/rollbacks", 1)
                     continue
             result = hmc.trajectory(gauge)
             if (step + 1) % cfg.reunit_interval == 0:

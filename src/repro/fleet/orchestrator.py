@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.campaign.checkpoint import CheckpointStore
-from repro.campaign.ledger import Ledger
+from repro.campaign.ledger import Ledger, sum_counters
 from repro.campaign.runner import RetryPolicy
 from repro.fleet.design import DesignPoint
 from repro.fleet.plan import FleetFaultPlan
@@ -74,6 +74,9 @@ QUARANTINE_FILE = "quarantine.json"
 
 #: Worker-log lines preserved as quarantine evidence per reap.
 _LOG_TAIL_LINES = 20
+
+#: Journal record kind -> its event counter in ``fleet_metrics.json``.
+_EVENTS = {"spawn": "spawns", "reap": "reaps", "finish": "finishes", "quarantine": "quarantines"}
 
 
 class FleetError(RuntimeError):
@@ -218,7 +221,6 @@ class Fleet:
         self.retry = retry if retry is not None else RetryPolicy()
         self.poll_interval = float(poll_interval)
         self.journal = Ledger(self.directory / "fleet.jsonl")
-        self._seq = 0
         if store is not None and not hasattr(store, "ingest_campaign"):
             from repro.store import EnsembleStore
 
@@ -240,17 +242,12 @@ class Fleet:
 
     # -- journal ---------------------------------------------------------------
 
-    def _journal(self, record: dict) -> dict:
-        record = {"step": self._seq, "wall": time.time(), **record}
-        self.journal.append(record)
-        self._seq += 1
-        return record
-
     def replay(self) -> dict:
         """Fold ``fleet.jsonl`` into per-point state (crash-tolerant).
 
         Returns ``{"attempts", "done", "quarantined", "inflight",
-        "evidence"}`` keyed by point index.  A ``spawn`` not followed by a
+        "evidence"}`` keyed by point index, plus the journal's ``"events"``
+        counts by kind.  A ``spawn`` not followed by a
         ``reap``/``finish`` for its point is *in flight*: the orchestrator
         died while that worker ran, and the worker may still be alive.
         """
@@ -259,10 +256,12 @@ class Fleet:
         quarantined: dict[int, dict] = {}
         inflight: dict[int, dict] = {}
         evidence: dict[int, list] = {}
-        records = self.journal.records()
-        for rec in records:
+        events = dict.fromkeys(_EVENTS.values(), 0)
+        for rec in self.journal.records():
             kind = rec.get("kind")
             i = rec.get("point")
+            if kind in _EVENTS:
+                events[_EVENTS[kind]] += 1
             if kind == "spawn":
                 attempts[i] = attempts.get(i, 0) + 1
                 inflight[i] = rec
@@ -275,13 +274,13 @@ class Fleet:
             elif kind == "quarantine":
                 inflight.pop(i, None)
                 quarantined[i] = rec
-        self._seq = len(records)
         return {
             "attempts": attempts,
             "done": done,
             "quarantined": quarantined,
             "inflight": inflight,
             "evidence": evidence,
+            "events": events,
         }
 
     # -- completion / validation ----------------------------------------------
@@ -338,9 +337,8 @@ class Fleet:
         proc = subprocess.Popen(
             cmd, stdout=log_file, stderr=subprocess.STDOUT, env=self._worker_env()
         )
-        self._journal(
-            {"kind": "spawn", "point": point.index, "attempt": attempt, "pid": proc.pid}
-        )
+        spawn = {"kind": "spawn", "point": point.index, "attempt": attempt, "pid": proc.pid}
+        self.journal.append_next({"wall": time.time(), **spawn})
         _count("fleet/spawns")
         return _Running(
             point=point,
@@ -401,8 +399,9 @@ class Fleet:
             except subprocess.TimeoutExpired:
                 pass
         run.log_file.close()
-        record = self._journal(
+        record = self.journal.append_next(
             {
+                "wall": time.time(),
                 "kind": "reap",
                 "point": run.point.index,
                 "attempt": run.attempt,
@@ -438,8 +437,9 @@ class Fleet:
         # Journal the reap even when the pid is long gone: the dangling
         # ``spawn`` must be closed for replay/status to stop seeing the
         # point as in flight.
-        self._journal(
+        self.journal.append_next(
             {
+                "wall": time.time(),
                 "kind": "reap",
                 "point": point.index,
                 "attempt": spawn_record.get("attempt", 0),
@@ -489,8 +489,9 @@ class Fleet:
             for r in Ledger(pdir / "ledger.jsonl").records()
             if r.get("kind") == "trajectory"
         ]
-        record = self._journal(
+        record = self.journal.append_next(
             {
+                "wall": time.time(),
                 "kind": "finish",
                 "point": point.index,
                 "trajectories": len(trajectories),
@@ -503,8 +504,9 @@ class Fleet:
         return record
 
     def _quarantine(self, point: DesignPoint, state: _PointState, reason: str) -> dict:
-        record = self._journal(
+        record = self.journal.append_next(
             {
+                "wall": time.time(),
                 "kind": "quarantine",
                 "point": point.index,
                 "reason": reason,
@@ -703,34 +705,17 @@ class Fleet:
     def aggregate_metrics(self) -> dict:
         """Fold every point's ``metrics.jsonl`` plus the fleet's own event
         counts into one snapshot (``fleet_metrics.json``)."""
-        totals: dict[str, float] = {}
-        per_point: dict[str, dict] = {}
-        for point in self.points:
-            mpath = self.point_dir(point) / "metrics.jsonl"
-            if not mpath.exists():
-                continue
-            point_totals: dict[str, float] = {}
-            for row in Ledger(mpath).records():
-                for name, delta in row.get("counters", {}).items():
-                    point_totals[name] = point_totals.get(name, 0) + delta
-            per_point[point.name] = point_totals
-            for name, value in point_totals.items():
-                totals[name] = totals.get(name, 0) + value
+        paths = {p.name: self.point_dir(p) / "metrics.jsonl" for p in self.points}
+        per_point = {
+            name: sum_counters(Ledger(path).records())
+            for name, path in paths.items()
+            if path.exists()
+        }
+        totals = sum_counters([{"counters": c} for c in per_point.values()])
         replayed = self.replay()
-        events = {"spawns": 0, "reaps": 0, "finishes": 0, "quarantines": 0}
-        for rec in self.journal.records():
-            kind = rec.get("kind")
-            if kind == "spawn":
-                events["spawns"] += 1
-            elif kind == "reap":
-                events["reaps"] += 1
-            elif kind == "finish":
-                events["finishes"] += 1
-            elif kind == "quarantine":
-                events["quarantines"] += 1
         snapshot = {
             "schema": METRICS_SCHEMA,
-            "fleet": events,
+            "fleet": replayed["events"],
             "points_done": sorted(replayed["done"]),
             "points_quarantined": sorted(replayed["quarantined"]),
             "totals": totals,

@@ -1,4 +1,5 @@
-"""Configuration and ensemble I/O, plus crash-consistent write primitives."""
+"""Durable files: the one self-verifying :mod:`repro.io.container` (configurations,
+store objects and checkpoints), configuration and ensemble I/O, atomic writes."""
 
 from repro.io.atomic import atomic_write_bytes, fsync_directory
 from repro.io.config_io import (

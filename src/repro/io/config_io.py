@@ -1,25 +1,21 @@
-"""Gauge-configuration storage (npz with metadata).
+"""Gauge-configuration storage in the :mod:`repro.io.container` format.
 
-Configurations carry their lattice geometry, a CRC32 stamp of the link
-payload, and arbitrary provenance metadata (coupling, trajectory number,
-plaquette stamp) so ensembles are self-describing, mirroring the ILDG-style
-headers of production storage.  Writes are crash-consistent: the npz is
-serialised in memory and landed via :func:`repro.io.atomic.atomic_write_bytes`,
-so an interrupted save never leaves a truncated file under the final name.
+A configuration is one container with a single array ``u`` (the links,
+shape ``(4, T, Z, Y, X, 3, 3)``, so the file carries its own lattice
+geometry) and the caller's provenance metadata (coupling, trajectory
+number, plaquette stamp) as its ``meta``, mirroring the ILDG-style headers
+of production storage.  Writes are atomic and reads verify the archive,
+version, dtype, shape and CRC32 before a field is handed back.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import zipfile
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from repro.fields import GaugeField
-from repro.io.atomic import atomic_write_bytes
+from repro.io.container import CorruptFileError, read_container, write_container
 from repro.lattice import Lattice4D
 
 __all__ = [
@@ -30,13 +26,8 @@ __all__ = [
     "load_ensemble",
 ]
 
-
-class CorruptConfigError(ValueError):
-    """A stored configuration failed validation (checksum, shape, container).
-
-    Subclasses :class:`ValueError` so pre-existing callers that caught the
-    old bare ``ValueError`` keep working.
-    """
+#: A stored configuration failed validation; a :class:`ValueError`.
+CorruptConfigError = CorruptFileError
 
 
 def _npz_path(path: str | Path) -> Path:
@@ -45,26 +36,16 @@ def _npz_path(path: str | Path) -> Path:
 
 
 def save_gauge(path: str | Path, gauge: GaugeField, **metadata) -> Path:
-    """Write one configuration atomically, with a JSON metadata header.
-
-    The header records the lattice shape and a CRC32 of the raw link bytes;
-    :func:`load_gauge` verifies both before handing the field back.
-    """
-    path = _npz_path(path)
-    meta = dict(metadata)
-    meta["shape"] = list(gauge.lattice.shape)
-    meta["crc32"] = zlib.crc32(np.ascontiguousarray(gauge.u).tobytes())
-    buf = io.BytesIO()
-    np.savez_compressed(buf, u=gauge.u, meta=json.dumps(meta))
-    return atomic_write_bytes(path, buf.getvalue())
+    """Write one configuration atomically, with its metadata; returns the path."""
+    return write_container(_npz_path(path), {"u": gauge.u}, metadata)
 
 
 def load_gauge(path: str | Path, guard=None) -> tuple[GaugeField, dict]:
     """Read a configuration and its metadata.
 
-    Raises :class:`CorruptConfigError` when the container is truncated or
-    unreadable, when the stored links do not match the header shape, or
-    when the CRC32 stamp does not match the payload.
+    Raises :class:`CorruptConfigError` when the container fails any of its
+    checks (see :func:`repro.io.container.read_container`) or holds no
+    ``(4, T, Z, Y, X, 3, 3)`` link array.
 
     ``guard`` (a :class:`~repro.guard.GuardPolicy`, level name, or None for
     the ``REPRO_GUARD`` environment resolution) adds physics validation on
@@ -74,36 +55,19 @@ def load_gauge(path: str | Path, guard=None) -> tuple[GaugeField, dict]:
     ``meta["healed_links"]``.
     """
     path = _npz_path(path)
-    try:
-        with np.load(path) as data:
-            u = data["u"]
-            meta = json.loads(str(data["meta"]))
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, KeyError, EOFError, OSError, ValueError) as e:
-        raise CorruptConfigError(f"unreadable configuration {path}: {e}") from e
-    lattice = Lattice4D(tuple(meta.pop("shape")))
-    expected = (4,) + lattice.shape + (3, 3)
-    if u.shape != expected:
-        raise CorruptConfigError(
-            f"stored links {u.shape} do not match header {expected}"
-        )
-    crc = meta.pop("crc32", None)
-    if crc is not None:
-        actual = zlib.crc32(np.ascontiguousarray(u).tobytes())
-        if actual != crc:
-            raise CorruptConfigError(
-                f"checksum mismatch in {path}: header crc32={crc}, payload crc32={actual}"
-            )
+    arrays, meta = read_container(path)
+    u = arrays.get("u")
+    if u is None or u.ndim != 7 or u.shape[0] != 4 or u.shape[-2:] != (3, 3):
+        raise CorruptConfigError(f"{path}: no (4, T, Z, Y, X, 3, 3) link array 'u'")
     from repro.guard import check_gauge, resolve_policy
 
     policy = resolve_policy(guard)
     if policy.enabled:
-        u = np.ascontiguousarray(u)  # heal mutates in place; npz arrays may be lazy
+        u = np.ascontiguousarray(u)  # heal mutates in place
         report = check_gauge(u, policy, context=f"load_gauge:{path.name}")
         if report.healed_links:
             meta["healed_links"] = report.healed_links
-    return GaugeField(lattice, u), meta
+    return GaugeField(Lattice4D(u.shape[1:5]), u), meta
 
 
 def save_ensemble(directory: str | Path, configs: list[GaugeField], **metadata) -> list[Path]:

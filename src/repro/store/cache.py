@@ -77,7 +77,6 @@ class MeasurementCache:
         self.journal = Ledger(self.root / "cache.jsonl")
         self._entries: dict[str, dict] | None = None
         self._cursors: dict[str, int] = {}
-        self._seq = 0
 
     # -- journal replay --------------------------------------------------------
 
@@ -85,8 +84,7 @@ class MeasurementCache:
         if self._entries is None:
             entries: dict[str, dict] = {}
             cursors: dict[str, int] = {}
-            records = self.journal.records()
-            for rec in records:
+            for rec in self.journal.records():
                 kind = rec.get("kind")
                 if kind == "result":
                     entries[rec["key"]] = rec
@@ -97,15 +95,7 @@ class MeasurementCache:
                     cursors[rec["campaign"]] = rec["processed"]
             self._entries = entries
             self._cursors = cursors
-            self._seq = len(records)
         return self._entries
-
-    def _journal(self, record: dict) -> dict:
-        self._replay()
-        record = {"step": self._seq, **record}
-        self.journal.append(record)
-        self._seq += 1
-        return record
 
     def __len__(self) -> int:
         return len(self._replay())
@@ -128,7 +118,8 @@ class MeasurementCache:
     def put(self, request: MeasurementRequest, values: dict) -> str:
         """Journal one computed result; returns the request key."""
         key = request.key()
-        record = self._journal(
+        entries = self._replay()
+        record = self.journal.append_next(
             {
                 "kind": "result",
                 "key": key,
@@ -140,7 +131,7 @@ class MeasurementCache:
                 "values": values,
             }
         )
-        self._replay()[key] = record
+        entries[key] = record
         return key
 
     def get_or_compute(self, request: MeasurementRequest, compute):
@@ -161,7 +152,7 @@ class MeasurementCache:
     def _evict(self, keys: list[str], reason: str) -> int:
         if not keys:
             return 0
-        self._journal({"kind": "invalidate", "keys": keys, "reason": reason})
+        self.journal.append_next({"kind": "invalidate", "keys": keys, "reason": reason})
         entries = self._replay()
         for key in keys:
             entries.pop(key, None)
@@ -214,7 +205,7 @@ class MeasurementCache:
                 ),
                 reason=f"fault:{campaign}:{fault.get('kind', 'sdc')}@{step}",
             )
-        self._journal(
+        self.journal.append_next(
             {"kind": "fault_cursor", "campaign": campaign, "processed": len(faults)}
         )
         self._cursors[campaign] = len(faults)

@@ -4,16 +4,17 @@ Layout of a store root::
 
     <root>/store.json              schema stamp
     <root>/index.jsonl             append-only Ledger of put/remove records
-    <root>/objects/<k[:2]>/<k>.npz CRC-stamped configs (save_gauge format)
+    <root>/objects/<k[:2]>/<k>.npz configs (save_gauge format)
 
-Objects are written through the hardened :func:`repro.io.save_gauge` path
-(atomic rename, CRC32 payload stamp, JSON metadata header), named by their
-:func:`~repro.store.keys.config_key` — a canonical hash of (action,
-couplings, volume, trajectory, RNG lineage).  The index is a
-:class:`~repro.campaign.ledger.Ledger`, so a crash mid-ingest leaves at
-most one torn trailing line and never a dangling half-object under a final
-name.  Replaying the journal rebuilds the live entry map: ``put`` records
-add, ``remove`` records tombstone, last writer wins.
+Objects are written through :func:`repro.io.save_gauge` — the one
+self-verifying :mod:`repro.io.container` format, atomic and CRC-checked on
+every read — named by their :func:`~repro.store.keys.config_key`, a
+canonical hash of (action, couplings, volume, trajectory, RNG lineage).
+The index is a :class:`~repro.campaign.ledger.Ledger` that stamps each
+record's ``step``, so a crash mid-ingest leaves at most one torn trailing
+line (cut before the next append) and never a dangling half-object under
+a final name.  Replaying the journal rebuilds the live entry map: ``put``
+records add, ``remove`` records tombstone, last writer wins.
 
 Because the address is the *provenance* hash, a re-run of the same
 deterministic generation chain re-derives the same key — the store
@@ -77,7 +78,6 @@ class EnsembleStore:
             raise StoreError(f"{self.root} is not an ensemble store (no store.json)")
         self.index = Ledger(self.root / "index.jsonl")
         self._entries: dict[str, dict] | None = None
-        self._seq = 0
 
     @classmethod
     def is_store(cls, path: str | Path) -> bool:
@@ -89,23 +89,14 @@ class EnsembleStore:
     def _replay(self) -> dict[str, dict]:
         if self._entries is None:
             entries: dict[str, dict] = {}
-            records = self.index.records()
-            for rec in records:
+            for rec in self.index.records():
                 kind = rec.get("kind")
                 if kind == "put":
                     entries[rec["key"]] = rec
                 elif kind == "remove":
                     entries.pop(rec["key"], None)
             self._entries = entries
-            self._seq = len(records)
         return self._entries
-
-    def _journal(self, record: dict) -> dict:
-        self._replay()
-        record = {"step": self._seq, **record}
-        self.index.append(record)
-        self._seq += 1
-        return record
 
     def entries(self) -> dict[str, dict]:
         """Live index entries, key -> put record (replayed, tombstones applied)."""
@@ -176,7 +167,7 @@ class EnsembleStore:
             return key
         path.parent.mkdir(parents=True, exist_ok=True)
         save_gauge(path, gauge, key=key, provenance=provenance, **extra_meta)
-        record = self._journal(
+        record = self.index.append_next(
             {
                 "kind": "put",
                 "key": key,
@@ -205,7 +196,7 @@ class EnsembleStore:
         """Tombstone ``key`` in the index and delete its object file."""
         if key not in self._replay():
             raise KeyError(f"{key!r} is not in the store index")
-        self._journal({"kind": "remove", "key": key})
+        self.index.append_next({"kind": "remove", "key": key})
         self._replay().pop(key, None)
         path = self.path_for(key)
         if path.exists():

@@ -13,8 +13,9 @@ vanished from disk is a failure (rc 2), not a silent skip.
 
 For each configuration, three independent rings of validation:
 
-1. **Container + CRC32** — the byte-level check :func:`repro.io.load_gauge`
-   performs against the header stamp (catches on-disk rot and truncation);
+1. **Container** — the byte-level checks :func:`repro.io.load_gauge`
+   performs (archive, version, dtype, shape, CRC32; catches on-disk rot
+   and truncation);
 2. **SU(3) unitarity drift** — per-link ``max |u^dagger u - 1|`` against
    ``--unitarity-tol`` (catches corruption that preserved the container,
    e.g. a flipped bit *before* the file was written);

@@ -238,7 +238,7 @@ def _cmd_status(args) -> int:
 
 def _print_metrics(directory: Path) -> int:
     """Aggregate metrics.jsonl (per-trajectory counter deltas) into totals."""
-    from repro.campaign import Ledger
+    from repro.campaign.ledger import Ledger, sum_counters
     from repro.util.report import Table
 
     metrics_path = directory / "metrics.jsonl"
@@ -249,10 +249,7 @@ def _print_metrics(directory: Path) -> int:
         )
         return 0
     rows = Ledger(metrics_path).records()
-    totals: dict[str, float] = {}
-    for row in rows:
-        for name, delta in row.get("counters", {}).items():
-            totals[name] = totals.get(name, 0) + delta
+    totals = sum_counters(rows)
     print(f"metrics.jsonl: {len(rows)} trajectory row(s)")
     t = Table("campaign telemetry totals", ["counter", "total"])
     for name in sorted(totals):

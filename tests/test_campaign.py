@@ -64,6 +64,20 @@ def ledger_text(directory: Path) -> str:
 # -- checkpoint container -----------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def campaign_checkpoint(tmp_path_factory) -> Path:
+    """The final checkpoint of a real 2^4 campaign (RNG state, HMC counters)."""
+    camp = HMCCampaign(tmp_path_factory.mktemp("camp"), tiny_config(n_trajectories=2))
+    camp.run()
+    return camp.store.path_for(2)
+
+
+def _damage(path: Path, find: bytes, offset: int, mask: int) -> None:
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(find) + offset] ^= mask
+    path.write_bytes(bytes(blob))
+
+
 class TestCheckpointContainer:
     def test_roundtrip_bit_exact(self, tmp_path):
         u = np.random.default_rng(1).normal(size=(4, 2, 2, 2, 2, 3, 3)) + 1j
@@ -93,6 +107,26 @@ class TestCheckpointContainer:
         with pytest.raises(CorruptCheckpointError):
             read_checkpoint(tmp_path / "nope.rpckpt")
 
+    def test_flipped_meta_digit_is_not_loaded_silently(self, tmp_path, campaign_checkpoint):
+        path = tmp_path / "c.rpckpt"
+        path.write_bytes(campaign_checkpoint.read_bytes())
+        # "plaquette": 0.dddd... -> one digit of the stamp changes by one
+        _damage(path, b'"plaquette": ', len(b'"plaquette": 0.'), 0x01)
+        with pytest.raises(CorruptCheckpointError):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("stride", [97, pytest.param(1, marks=pytest.mark.slow)])
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # flipped npy dtype codes
+    def test_every_bit_flip_is_caught_or_harmless(
+        self, tmp_path, campaign_checkpoint, bit_flip_sweep, stride
+    ):
+        path = tmp_path / "c.rpckpt"
+        path.write_bytes(campaign_checkpoint.read_bytes())
+        meta = read_checkpoint(path)[1]
+        assert {"rng", "hmc", "plaquette", "step"} <= set(meta)
+        typed, same = bit_flip_sweep(path, read_checkpoint, CorruptCheckpointError, stride)
+        assert typed > same > 0
+
 
 class TestCheckpointStore:
     def _fill(self, store, steps):
@@ -117,6 +151,15 @@ class TestCheckpointStore:
         assert step == 4
         assert np.array_equal(arrays["x"], np.full(4, 4.0))
         assert len(store.skipped) == 1 and store.skipped[0][0].name == "ckpt_00000006.rpckpt"
+
+    def test_latest_skips_damaged_header_key(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        self._fill(store, [2, 4])
+        _damage(store.path_for(4), b'"crc32"', 3, 0x20)  # "crc32" -> "crC32"
+        step, arrays, _ = store.latest()
+        assert step == 2
+        assert np.array_equal(arrays["x"], np.full(4, 2.0))
+        assert [p.name for p, _ in store.skipped] == ["ckpt_00000004.rpckpt"]
 
     def test_all_corrupt_returns_none_not_garbage(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -173,6 +216,22 @@ class TestLedger:
         assert [r["step"] for r in led.records()] == [0, 1, 2]
         led.append({"step": 3})  # appends continue cleanly
         assert led.last_step() == 3
+
+    @pytest.mark.parametrize("tail", ['{"kind": "x", "st', '{"kind": "x", "step": 2}'])
+    def test_append_after_torn_tail_continues_the_sequence(self, tmp_path, tail):
+        path = tmp_path / "l.jsonl"
+        led = Ledger(path)
+        led.append_next({"kind": "x"})
+        led.append_next({"kind": "x"})
+        with open(path, "a") as fh:
+            fh.write(tail)  # crash mid-append: no newline
+        kept = len(Ledger(path).records())
+        reopened = Ledger(path)
+        assert reopened.append_next({"kind": "y"})["step"] == kept
+        reopened.append_next({"kind": "y"})
+        records = Ledger(path).records()
+        assert [r["step"] for r in records] == list(range(kept + 2))
+        assert [r["kind"] for r in records[-2:]] == ["y", "y"]
 
 
 # -- RNG round trip through an interrupted HMC stream -------------------------
@@ -261,6 +320,35 @@ class TestHMCCampaign:
         assert summary.resumed_from == 2
         assert summary.skipped_checkpoints == 1
         assert ledger_text(tmp_path / "ref") == ledger_text(tmp_path / "crash")
+
+    def test_every_crash_point_resumes_to_the_reference(self, tmp_path, crash_points):
+        """Crash at each fsync/replace boundary of a 4-trajectory campaign,
+        and with half a line written at each ledger append; the rerun must
+        end with the uninterrupted run's ledger and final checkpoint."""
+        cfg = tiny_config(n_trajectories=4)
+        final = Path("checkpoints") / "ckpt_00000004.rpckpt"
+
+        def job(directory):
+            return lambda: HMCCampaign(directory, cfg).run()
+
+        ref = tmp_path / "ref"
+        assert crash_points.run(job(ref)) == 16
+        want_arrays, want_meta = read_checkpoint(ref / final)
+        n_appends = crash_points.run_torn(job(tmp_path / "count"))
+        assert n_appends == 4
+        cases = [("boundary", k) for k in range(1, 17)]
+        cases += [("torn", k) for k in range(1, n_appends + 1)]
+        for kind, k in cases:
+            directory = tmp_path / f"{kind}{k}"
+            if kind == "boundary":
+                crash_points.run(job(directory), crash_at=k)
+            else:
+                crash_points.run_torn(job(directory), torn_at=k)
+            job(directory)()
+            assert ledger_text(directory) == ledger_text(ref), (kind, k)
+            arrays, meta = read_checkpoint(directory / final)
+            assert arrays["u"].tobytes() == want_arrays["u"].tobytes(), (kind, k)
+            assert meta == want_meta, (kind, k)
 
     def test_physics_mismatch_refused(self, tmp_path):
         HMCCampaign(tmp_path / "a", tiny_config())

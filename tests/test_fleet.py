@@ -355,7 +355,9 @@ class TestOrchestratorCrash:
         design = tiny_design(betas=(5.5,))
         fleet = Fleet(tmp_path / "fleet", design, max_workers=1, retry=FAST_RETRY)
         # hand-journal a spawn from a dead orchestrator (pid long gone)
-        fleet._journal({"kind": "spawn", "point": 0, "attempt": 0, "pid": 2**22 + 11})
+        fleet.journal.append_next(
+            {"kind": "spawn", "point": 0, "attempt": 0, "pid": 2**22 + 11}
+        )
         resumed = Fleet(tmp_path / "fleet", retry=FAST_RETRY)
         assert 0 in resumed.replay()["inflight"]
         summary = resumed.run()

@@ -33,14 +33,10 @@ class TestConfigIO:
         assert np.array_equal(loaded.u, g.u)
 
     def test_corrupt_shape_rejected(self, tmp_path, tiny_lattice):
-        import json
+        from repro.io.container import write_container
 
-        bad_meta = json.dumps({"shape": [8, 8, 8, 8]})
-        np.savez_compressed(
-            tmp_path / "bad.npz",
-            u=np.zeros((4, 2, 2, 2, 2, 3, 3), dtype=complex),
-            meta=bad_meta,
-        )
+        # A valid container whose array is not a (4, T, Z, Y, X, 3, 3) link field.
+        write_container(tmp_path / "bad.npz", {"u": np.zeros((4, 2, 2, 2, 2, 3))}, {})
         with pytest.raises(ValueError):
             load_gauge(tmp_path / "bad.npz")
 
@@ -77,29 +73,32 @@ class TestCrashConsistency:
             load_gauge(path)
 
     def test_bitflip_fails_checksum(self, tmp_path, tiny_lattice):
-        g = GaugeField.hot(tiny_lattice, rng=4)
         path = tmp_path / "cfg.npz"
-        # Store uncompressed so a payload flip cannot hide behind zlib errors.
-        import io as _io
-        import json as _json
-        import zlib as _zlib
-
-        meta = {
-            "shape": list(tiny_lattice.shape),
-            "crc32": _zlib.crc32(np.ascontiguousarray(g.u).tobytes()),
-        }
-        buf = _io.BytesIO()
-        np.savez(buf, u=g.u, meta=_json.dumps(meta))
-        blob = bytearray(buf.getvalue())
-        blob[len(blob) // 2] ^= 0x01  # one flipped bit somewhere in the payload
+        save_gauge(path, GaugeField.hot(tiny_lattice, rng=4))
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01  # one flipped bit in the link payload
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptConfigError):
             load_gauge(path)
 
+    @pytest.mark.parametrize("stride", [97, pytest.param(1, marks=pytest.mark.slow)])
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # flipped npy dtype codes
+    def test_every_bit_flip_is_caught_or_harmless(self, tmp_path, bit_flip_sweep, stride):
+        path = tmp_path / "cfg.npz"
+        g = GaugeField.hot(Lattice4D((2, 2, 2, 2)), rng=6)
+        save_gauge(path, g, beta=5.7, trajectory=12, plaquette=0.123456789)
+
+        def read(p):
+            gauge, meta = load_gauge(p)
+            return {"u": gauge.u}, meta
+
+        typed, same = bit_flip_sweep(path, read, CorruptConfigError, stride)
+        assert typed > same > 0
+
     def test_corrupt_error_is_a_value_error(self):
         assert issubclass(CorruptConfigError, ValueError)
 
-    def test_legacy_file_without_crc_still_loads(self, tmp_path, tiny_lattice):
+    def test_legacy_file_without_crc_is_rejected(self, tmp_path, tiny_lattice):
         import json as _json
 
         g = GaugeField.hot(tiny_lattice, rng=5)
@@ -108,6 +107,5 @@ class TestCrashConsistency:
             u=g.u,
             meta=_json.dumps({"shape": list(tiny_lattice.shape), "beta": 5.7}),
         )
-        loaded, meta = load_gauge(tmp_path / "old.npz")
-        assert np.array_equal(loaded.u, g.u)
-        assert meta == {"beta": 5.7}
+        with pytest.raises(CorruptConfigError):
+            load_gauge(tmp_path / "old.npz")

@@ -22,7 +22,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, FaultPlan, HMCCampaign
 from repro.fields import GaugeField
-from repro.io import load_gauge
+from repro.io import load_gauge, save_ensemble
 from repro.lattice import Lattice4D
 from repro.store import (
     EnsembleStore,
@@ -164,6 +164,18 @@ class TestEnsembleStore:
         gauge, _ = again.get(keys[2])
         assert np.array_equal(gauge.u, warm_gauges[2].u)
 
+    def test_torn_index_tail_then_puts_survive_reopen(self, store, warm_gauges, tmp_path):
+        store.put(warm_gauges[0], _provenance(trajectory=0))
+        index = tmp_path / "store" / "index.jsonl"
+        index.write_bytes(index.read_bytes()[:-7])  # crash mid-append
+        reopened = EnsembleStore(tmp_path / "store")
+        assert len(reopened) == 0
+        k1 = reopened.put(warm_gauges[1], _provenance(trajectory=1))
+        k2 = reopened.put(warm_gauges[2], _provenance(trajectory=2))
+        again = EnsembleStore(tmp_path / "store")
+        assert again.keys() == [k1, k2]
+        assert [e["step"] for e in again.entries().values()] == [0, 1]
+
     def test_open_non_store_refused(self, tmp_path):
         with pytest.raises(StoreError, match="not an ensemble store"):
             EnsembleStore(tmp_path / "nothing", create=False)
@@ -235,6 +247,51 @@ class TestIngest:
         gauge, meta = store.get(keys[-1])
         assert meta["provenance"]["source"] == "camp"
         assert gauge.lattice.shape == DIMS
+
+
+    def test_every_crash_point_of_ingest_and_serve(self, tmp_path, crash_points):
+        """Crash a 3-config ingest plus a cached plaquette pass at each
+        fsync/replace boundary, and with half a line written at each journal
+        append; the rerun (and gc) must end in the uninterrupted state."""
+        lat = Lattice4D((2, 2, 2, 2))
+        ens = tmp_path / "ens"
+        save_ensemble(ens, [GaugeField.warm(lat, rng=r) for r in range(3)], beta=5.6, seed=1)
+
+        def job(root):
+            def run():
+                store = EnsembleStore(root)
+                store.ingest_directory(ens)
+                MeasurementService(store).serve_ensemble("plaquette")
+
+            return run
+
+        def state(root):
+            store = EnsembleStore(root)
+            objects = sorted(p.name for p in store.objects_dir.glob("*/*.npz"))
+            return (
+                (root / "index.jsonl").read_bytes(),
+                (root / "cache" / "cache.jsonl").read_bytes(),
+                store.entries(),
+                objects,
+            )
+
+        ref = tmp_path / "ref"
+        assert crash_points.run(job(ref)) == 15 + 3  # ingest, then 3 cache appends
+        want = state(ref)
+        assert want[3] == sorted(f"{key}.npz" for key in want[2])
+        n_appends = crash_points.run_torn(job(tmp_path / "count"))
+        assert n_appends == 6
+        cases = [("boundary", k) for k in range(1, 19)]
+        cases += [("torn", k) for k in range(1, n_appends + 1)]
+        for kind, k in cases:
+            root = tmp_path / f"{kind}{k}"
+            if kind == "boundary":
+                crash_points.run(job(root), crash_at=k)
+            else:
+                crash_points.run_torn(job(root), torn_at=k)
+            job(root)()
+            EnsembleStore(root).gc()
+            assert state(root) == want, (kind, k)
 
 
 # -- the measurement cache ----------------------------------------------------

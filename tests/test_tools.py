@@ -160,6 +160,45 @@ class TestCheckConfigTool:
         assert rc == 2
         assert "corrupt container" in capsys.readouterr().out
 
+    def test_undecodable_compressed_config_is_rc2(self, tmp_path, capsys):
+        # A compressed npz whose deflate stream is damaged: decoding it
+        # raises zlib.error, which must still be an audit failure (rc 2).
+        import io
+        import json
+        import zipfile
+        import zlib
+
+        from repro.fields import GaugeField
+        from repro.lattice import Lattice4D
+
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf, u=GaugeField.hot(Lattice4D((2, 2, 2, 2)), rng=1).u, meta=json.dumps({})
+        )
+        blob = buf.getvalue()
+
+        def raises_zlib_error(data):
+            try:
+                with zipfile.ZipFile(io.BytesIO(data)) as zf:
+                    zf.read("u.npy")
+            except zlib.error:
+                return True
+            except Exception:
+                return False
+            return False
+
+        for i in range(len(blob) // 4, len(blob)):
+            bad = bytearray(blob)
+            bad[i] ^= 0x10
+            if raises_zlib_error(bytes(bad)):
+                break
+        else:
+            pytest.fail("no flip found that breaks the deflate stream")
+        path = tmp_path / "cfg_0000.npz"
+        path.write_bytes(bytes(bad))
+        assert check_config.main([str(path)]) == 2
+        assert "corrupt container" in capsys.readouterr().out
+
     def test_empty_directory_is_rc2(self, tmp_path):
         rc = check_config.main([str(tmp_path)])
         assert rc == 2
