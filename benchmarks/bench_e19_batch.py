@@ -14,6 +14,7 @@ def test_e19_batch(benchmark, show):
     )
     # The speedup is only meaningful against an identical computation.
     assert all(r["apply_parity"] for r in rows)
+    assert all(r["normal_parity"] for r in rows)
     assert all(r["solve_parity"] for r in rows)
     assert all(r["converged"] for r in rows)
     # No speed assertion: block and loop run the same site-minor core (at

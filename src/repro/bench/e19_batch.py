@@ -6,6 +6,8 @@ applies (same operator, same kernel — the loop is the bit-parity oracle,
 so the speedup is pure link/gather-traffic amortisation), and
 solve-level solves/s for :func:`~repro.solvers.block.block_cg` against
 sequential :func:`~repro.solvers.cg.cg`, as a function of batch width.
+A normal-apply column prices ``M^dag M`` as one kernel pass
+(``dirac.normal_op()``) against :class:`NormalOperator`'s two applies.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import time
 
 import numpy as np
 
+from repro.dirac.operator import NormalOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
@@ -38,7 +41,9 @@ def e19_batch(
 
     Every row also carries ``apply_parity``: whether the batched apply
     reproduced the looped applies bit-for-bit (it must — the speedup is
-    only meaningful against an identical computation).
+    only meaningful against an identical computation), and
+    ``normal_parity``: the same for the one-pass normal apply against the
+    two-apply wrapper.
     """
     lat = Lattice4D(tuple(dims))
     gauge = GaugeField.warm(lat, rng=seed)
@@ -80,6 +85,9 @@ def e19_batch(
             )
         )
         apply_speedup = t_looped / t_batched
+        one_pass, two_calls = dirac.normal_op(), NormalOperator(dirac)
+        t_normal = _best(lambda: one_pass.apply_batch_into(X, out_batched), apply_reps)
+        t_normal2 = _best(lambda: two_calls.apply_batch_into(X, out_looped), apply_reps)
         row = {
             "nrhs": nrhs,
             "apply_batched_ms": t_batched * 1e3,
@@ -87,6 +95,9 @@ def e19_batch(
             "apply_site_rhs_per_s": volume * nrhs / t_batched,
             "apply_speedup": apply_speedup,
             "apply_parity": parity,
+            "normal_one_pass_ms": t_normal * 1e3,
+            "normal_two_calls_ms": t_normal2 * 1e3,
+            "normal_parity": out_batched.tobytes() == out_looped.tobytes(),
         }
 
         if solve:
@@ -122,6 +133,8 @@ def e19_batch(
             "apply looped ms",
             "Msite*RHS/s",
             "apply speedup",
+            "normal 1-pass ms",
+            "normal 2-call ms",
         ]
         + (["block solve s", "seq solve s", "solves/s", "solve speedup"] if solve else []),
     )
@@ -132,6 +145,8 @@ def e19_batch(
             r["apply_looped_ms"],
             r["apply_site_rhs_per_s"] / 1e6,
             r["apply_speedup"],
+            r["normal_one_pass_ms"],
+            r["normal_two_calls_ms"],
         ]
         if solve:
             cells += [

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro import su3
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
+from repro.dirac.operator import NormalOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField
 from repro.gammas import sigma_munu
@@ -72,48 +73,35 @@ class CloverDirac(WilsonDirac):
             out += np.einsum("st,...ab,...tb->...sa", sig, f, psi, optimize=True)
         return -0.5 * self.csw * out
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return super().apply(psi) + self.clover_term(psi)
+    def _apply(
+        self, X: np.ndarray, out: np.ndarray | None, batch: bool = False, dagger: bool = False
+    ) -> np.ndarray:
+        """The Wilson form plus the clover term of each column.
 
-    def apply_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Wilson apply_into plus a workspace-buffered clover accumulation.
-
-        Mirrors :meth:`clover_term` op-for-op (zero, add each sigma x F
-        product, scale) so the result matches :meth:`apply` bit-for-bit.
+        The term is Hermitian and commutes with gamma5, so ``M^dag`` adds it
+        to the Wilson ``M^dag`` as ``M`` does to ``M``.  It mirrors
+        :meth:`clover_term` op-for-op (zero, add each sigma x F product,
+        scale), and stays a column loop: its 12-term ``sigma x F`` einsum
+        contraction has no exactness guarantee under re-folding, and it is
+        site-diagonal (no link streaming to amortise), so the loop keeps
+        bit-parity for free while the hopping term gets the batched kernel.
         """
-        super().apply_into(psi, out)
+        out = super()._apply(X, out, batch, dagger)
+        block, block_out = (X, out) if batch else (X[None], out[None])
         ws = self.workspace
-        acc = ws.zeros(psi.shape, psi.dtype, "clover.acc")
-        term = ws.get(psi.shape, psi.dtype, "clover.term")
-        for sig, f in self._terms:
-            np.einsum("st,...ab,...tb->...sa", sig, f, psi, optimize=True, out=term)
-            acc += term
-        acc *= -0.5 * self.csw
-        out += acc
-        return out
-
-    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Batched Wilson part plus a per-column clover accumulation.
-
-        The clover term stays a column loop: its 12-term ``sigma x F``
-        einsum contraction has no exactness guarantee under re-folding,
-        and it is site-diagonal (no link streaming to amortise), so the
-        loop keeps bit-parity for free while the hopping term gets the
-        batched kernel.
-        """
-        super().apply_batch_into(X, out)
-        ws = self.workspace
-        acc = ws.zeros(X.shape, X.dtype, "clover.batch.acc")
-        term = ws.get(X.shape[1:], X.dtype, "clover.batch.term")
-        for i in range(X.shape[0]):
+        acc = ws.zeros(block.shape, block.dtype, "clover.acc")
+        term = ws.get(block.shape[1:], block.dtype, "clover.term")
+        for i in range(block.shape[0]):
             for sig, f in self._terms:
-                np.einsum(
-                    "st,...ab,...tb->...sa", sig, f, X[i], optimize=True, out=term
-                )
+                np.einsum("st,...ab,...tb->...sa", sig, f, block[i], optimize=True, out=term)
                 acc[i] += term
         acc *= -0.5 * self.csw
-        out += acc
+        block_out += acc
         return out
+
+    def normal_op(self) -> NormalOperator:
+        """The generic wrapper: the clover term is not a kernel form."""
+        return NormalOperator(self)
 
     def astype(self, dtype) -> "CloverDirac":
         return CloverDirac(

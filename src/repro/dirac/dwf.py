@@ -93,6 +93,11 @@ class DomainWallDirac(LinearOperator):
     def lattice(self):
         return self.gauge.lattice
 
+    @property
+    def _diag(self) -> float:
+        """The site-diagonal coefficient of ``D_W(-M5) + 1``."""
+        return (4.0 - self.m5) + 1.0
+
     def field_shape(self) -> tuple[int, ...]:
         return (self.ls,) + self.lattice.shape + (4, 3)
 
@@ -112,10 +117,7 @@ class DomainWallDirac(LinearOperator):
 
     def _wilson_part(self, psi: np.ndarray) -> np.ndarray:
         """``(D_W(-M5) + 1) psi`` applied to every s-slice at once."""
-        diag = (4.0 - self.m5) + 1.0
-        return diag * psi - 0.5 * self._kernel(
-            self.gauge.u, psi, self.phases, site_axis_start=1
-        )
+        return self._kernel(self.gauge.u, psi, self.phases, site_axis_start=1, diag=self._diag)
 
     def _fifth_dim(self, psi: np.ndarray) -> np.ndarray:
         """``- P_- psi_{s+1} - P_+ psi_{s-1}`` with mass-coupled walls."""
@@ -131,20 +133,15 @@ class DomainWallDirac(LinearOperator):
         return self._wilson_part(psi) + self._fifth_dim(psi)
 
     def apply_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Allocation-free apply: the 4-D kernel sweeps all s-slices into
-        ``out`` and the 5th-dimension hops are pure slice arithmetic.
+        """Allocation-free apply: the 4-D kernel's Wilson form sweeps all
+        s-slices into ``out`` and the 5th-dimension hops are pure slice arithmetic.
 
         Value-identical to :meth:`apply`: each in-place subtraction equals
         the reference's add-of-negation in IEEE arithmetic.
         """
         self._check_shape(psi)
         ls, mf = self.ls, self.mf
-        self._kernel(self.gauge.u, psi, self.phases, site_axis_start=1, out=out)
-        out *= -0.5
-        diag = (4.0 - self.m5) + 1.0
-        tmp = self.workspace.get(psi.shape, psi.dtype, "dwf.diag")
-        np.multiply(psi, diag, out=tmp)
-        out += tmp
+        self._kernel(self.gauge.u, psi, self.phases, site_axis_start=1, out=out, diag=self._diag)
         # - P_- psi_{s+1}: lower spin components from the slice above ...
         out[0 : ls - 1, ..., 2:4, :] -= psi[1:ls, ..., 2:4, :]
         # ... - P_+ psi_{s-1}: upper components from the slice below ...

@@ -40,6 +40,7 @@ from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.kernels.fused import plan, ufunc_rows
 from repro.kernels.shifts import half_extents
+from repro.kernels.spin import gamma5_planes
 from repro.kernels.registry import make_kernel, resolve_kernel_name
 from repro.telemetry.instruments import record_kernel_selection
 from repro.lattice import checkerboard_masks
@@ -150,7 +151,7 @@ class EvenOddWilson:
 
     def full_operator_apply(self, psi: np.ndarray) -> np.ndarray:
         """The unpreconditioned M (for residual verification in tests)."""
-        return self.diag * psi - 0.5 * self._kernel(self.gauge.u, psi, self.phases)
+        return self._kernel(self.gauge.u, psi, self.phases, diag=self.diag)
 
 
 def _reciprocal(planes: np.ndarray, c: float):
@@ -159,11 +160,6 @@ def _reciprocal(planes: np.ndarray, c: float):
     array's precision."""
     real = planes.dtype.type
     return real(1.0) / real(c)
-
-
-def _gamma5_planes(planes: np.ndarray) -> None:
-    """``planes`` (re|im, spin, ...) = gamma5 ``planes``: the lower two spin rows change sign."""
-    np.negative(planes[:, 2:4], out=planes[:, 2:4])
 
 
 class SchurOperator(LinearOperator):
@@ -206,14 +202,14 @@ class SchurOperator(LinearOperator):
             for r in range(0, nrhs, step):
                 x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")
                 if dagger:
-                    _gamma5_planes(x)
+                    gamma5_planes(x)
                 y = self._schur_planes(kernel, x, "eo.other")
                 if normal:
                     # M_hat^dag y = gamma5 M_hat gamma5 y, into x's planes (free now).
-                    _gamma5_planes(y)
+                    gamma5_planes(y)
                     y = self._schur_planes(kernel, y, "eo.source")
                 if dagger or normal:
-                    _gamma5_planes(y)
+                    gamma5_planes(y)
                 kernel.store_parity_planes(out[r : r + step], (y, None))
         return out
 

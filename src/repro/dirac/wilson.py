@@ -14,7 +14,9 @@ The hopping term goes through a named kernel from
 ``reference`` (roll-based specification), selectable per operator via the
 ``kernel`` argument or globally via the ``REPRO_KERNEL`` environment
 variable.  The two are bit-for-bit identical, so the choice only affects
-speed and allocation behaviour.
+speed and allocation behaviour.  Every form — ``M``, ``M^dag`` and the
+batched ``M^dag M`` — is one kernel call; the kernel adds the diagonal
+and gamma5 to its hop (:func:`repro.kernels.fused.compose_form`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.dirac.operator import LinearOperator
+from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
-from repro.gammas import apply_gamma5
 from repro.kernels.registry import make_kernel, resolve_kernel_name
 from repro.telemetry.instruments import record_kernel_selection
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
@@ -96,67 +97,55 @@ class WilsonDirac(LinearOperator):
         if invalidate is not None:
             invalidate()
 
-    def _hop(self, psi: np.ndarray) -> np.ndarray:
-        return self._kernel(self.gauge.u, psi, self.phases)
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.diag * psi - 0.5 * self._hop(psi)
+        return self._apply(psi, None)
 
     def apply_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Allocation-free apply: ``out = diag * psi - 0.5 * hop(psi)``.
-
-        Bit-identical to :meth:`apply`: ``out *= -0.5`` equals the
-        negated halving exactly, and IEEE addition is commutative.
-        """
-        self._kernel(self.gauge.u, psi, self.phases, out=out)
-        out *= -0.5
-        tmp = self.workspace.get(psi.shape, psi.dtype, "wilson.diag")
-        np.multiply(psi, self.diag, out=tmp)
-        out += tmp
-        return out
-
-    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Multi-RHS apply over an (nrhs, T, Z, Y, X, 4, 3) block.
-
-        Routes through the kernel's ``apply_batch_into`` when the backend
-        has one (links streamed once per block) and mirrors
-        :meth:`apply_into` op-for-op afterwards, so each column is
-        bit-identical to a single-RHS apply; kernels without a batched
-        path fall back to the base column loop.
-        """
-        batch = getattr(self._kernel, "apply_batch_into", None)
-        if batch is None:
-            return super().apply_batch_into(X, out)
-        batch(self.gauge.u, X, self.phases, out=out)
-        out *= -0.5
-        tmp = self.workspace.get(X.shape, X.dtype, "wilson.batch.diag")
-        np.multiply(X, self.diag, out=tmp)
-        out += tmp
-        return out
-
-    def apply_dagger_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        tmp = self.workspace.get(X.shape, X.dtype, "wilson.batch.g5")
-        np.copyto(tmp, X)
-        tmp[..., 2:4, :] *= -1.0
-        self.apply_batch_into(tmp, out)
-        out[..., 2:4, :] *= -1.0
-        return out
+        """Allocation-free apply: ``out = diag * psi - 0.5 * hop(psi)``."""
+        return self._apply(psi, out)
 
     def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
         """``M^dag = gamma5 M gamma5`` (gamma5-hermiticity)."""
-        return apply_gamma5(self.apply(apply_gamma5(psi)))
+        return self._apply(psi, None, dagger=True)
 
     def apply_dagger_into(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
-        tmp = self.workspace.get(psi.shape, psi.dtype, "wilson.g5")
-        np.copyto(tmp, psi)
-        tmp[..., 2:4, :] *= -1.0
-        self.apply_into(tmp, out)
-        out[..., 2:4, :] *= -1.0
-        return out
+        return self._apply(psi, out, dagger=True)
+
+    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Multi-RHS apply over an (nrhs, T, Z, Y, X, 4, 3) block, links
+        streamed once per block; each column bit-identical to :meth:`apply_into`."""
+        return self._apply(X, out, batch=True)
+
+    def apply_dagger_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self._apply(X, out, batch=True, dagger=True)
+
+    def _apply(
+        self, X: np.ndarray, out: np.ndarray | None, batch: bool = False, dagger: bool = False
+    ) -> np.ndarray:
+        """Every form is one call of the kernel's single-field or block entry."""
+        entry = self._kernel.apply_batch_into if batch else self._kernel
+        return entry(self.gauge.u, X, self.phases, out=out, diag=self.diag, dagger=dagger)
+
+    def normal_op(self) -> NormalOperator:
+        """``M^dag M`` whose batched form is one kernel pass: ``M X`` stays in the
+        kernel's planes between the two hops — bit for bit ``NormalOperator(self)``."""
+        return _WilsonNormalOperator(self)
 
     def astype(self, dtype) -> "WilsonDirac":
         """Precision-cast clone (fp32 operator for the mixed-precision inner
         solve)."""
         return WilsonDirac(
             self.gauge.astype(dtype), self.mass, self.phases, kernel=self.kernel_name
+        )
+
+
+class _WilsonNormalOperator(NormalOperator):
+    """:class:`NormalOperator` of a :class:`WilsonDirac` whose batched form is one
+    kernel call.  The single-RHS forms stay the wrapper's two applies, one
+    pass each; label, flops and counters are the wrapper's own."""
+
+    def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        w = self.inner
+        return w._kernel.apply_batch_into(
+            w.gauge.u, X, w.phases, out=out, diag=w.diag, normal=True
         )

@@ -92,12 +92,13 @@ from repro.kernels.shifts import half_extents, parity_site_tables, shift_into, t
 from repro.kernels.spin import (
     PROJECT_STACK,
     RECON_STACK,
+    gamma5_planes,
     project_planes_into,
     reconstruct_planes_accumulate,
 )
 from repro.kernels.workspace import Workspace, aligned_empty
 
-__all__ = ["FusedHopping"]
+__all__ = ["FusedHopping", "compose_form"]
 
 #: Working-set target for the streamed stages, in bytes: the colour
 #: multiply's scratch and the block of the field a transposing copy
@@ -163,6 +164,48 @@ def store_planes(block: np.ndarray, planes: np.ndarray) -> None:
     """The inverse of :func:`load_planes`: complex ``block`` = ``planes``."""
     _site_minor(block.real)[...] = planes[0]
     _site_minor(block.imag)[...] = planes[1]
+
+
+def compose_form(
+    wilson, X: np.ndarray, out: np.ndarray, dagger: bool = False, normal: bool = False,
+    ws: Workspace | None = None,
+) -> np.ndarray:
+    """``M^dag X`` (``dagger``) or ``M^dag M X`` (``normal``) into ``out``, composed
+    through complex arrays around ``wilson(src, dst)``, which writes ``M src``.
+
+    One rule for every Wilson form ``M x = diag x - hop(x) / 2``, on the
+    fused kernel's planes (:func:`_wilson_planes`) and in the reference
+    kernel alike: the diagonal multiplies real and imaginary parts as
+    reals, and gamma5 (``M^dag = gamma5 M gamma5``) negates spins 2-3.  A
+    complex-by-real multiply forms ``a d - b 0`` and would turn some -0.0
+    into +0.0.  Scratch comes from ``ws`` (``None``: allocated).
+    """
+    ws = Workspace() if ws is None else ws
+    if dagger and not normal:
+        g5 = ws.get(X.shape, X.dtype, "form.g5")
+        np.copyto(g5, X)
+        X = _gamma5(g5)
+    y = ws.get(X.shape, X.dtype, "form.y") if normal else out
+    wilson(X, y)
+    if normal:
+        wilson(_gamma5(y), out)
+    if dagger or normal:
+        _gamma5(out)
+    return out
+
+
+def _gamma5(a: np.ndarray) -> np.ndarray:
+    """``a`` = gamma5 ``a``, in place on a complex (..., 4, 3) field."""
+    np.negative(a[..., 2:4, :], out=a[..., 2:4, :])
+    return a
+
+
+def _wilson_planes(acc: np.ndarray, psi: np.ndarray, diag: float) -> np.ndarray:
+    """``acc = -acc / 2 + diag psi`` on real planes, ``psi`` scaled in place."""
+    acc *= -0.5
+    psi *= psi.dtype.type(diag)
+    acc += psi
+    return acc
 
 
 def link_planes(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -404,12 +447,17 @@ class FusedHopping:
         phases: tuple[complex, complex, complex, complex],
         site_axis_start: int = 0,
         out: np.ndarray | None = None,
+        *,
+        diag: float | None = None,
+        dagger: bool = False,
     ) -> np.ndarray:
         """Spin-projected hopping term, written into ``out``.
 
         ``site_axis_start`` locates the (T, Z, Y, X) axes within ``psi``
         (1 for 5-D domain-wall fields; the gauge field broadcasts over
-        the leading s axis).  ``out`` must not be ``psi``.
+        the leading s axis).  ``out`` must not be ``psi``.  With ``diag``,
+        the Wilson form ``diag psi - hop / 2`` instead, gamma5-sandwiched
+        when ``dagger`` (:func:`compose_form`), in the same one pass.
         """
         if site_axis_start not in (0, 1):
             raise ValueError("the fused kernel takes at most one axis ahead of the sites")
@@ -417,10 +465,9 @@ class FusedHopping:
             out = np.empty_like(psi)
         elif out is psi:
             raise ValueError("hopping kernel output must not alias the input field")
-        if site_axis_start == 0:
-            self._hop(u, psi[None], phases, out[None])
-        else:
-            self._hop(u, psi, phases, out)
+        # A single field is a width-1 block; a 5-D one is a block of its s-slices.
+        block, block_out = (psi[None], out[None]) if site_axis_start == 0 else (psi, out)
+        self._hop(u, block, phases, block_out, diag, dagger)
         return out
 
     def apply_batch_into(
@@ -429,6 +476,10 @@ class FusedHopping:
         X: np.ndarray,
         phases: tuple[complex, complex, complex, complex],
         out: np.ndarray | None = None,
+        *,
+        diag: float | None = None,
+        dagger: bool = False,
+        normal: bool = False,
     ) -> np.ndarray:
         """Multi-RHS hopping term: ``out[i] = hop(X[i])`` for an RHS block.
 
@@ -436,15 +487,26 @@ class FusedHopping:
         more leading axis of the planes, so each column of the result is
         bit-for-bit what :meth:`__call__` gives on ``X[i]``; a block too
         wide for the working-set target goes through in equal sub-blocks.
+        ``diag`` and ``dagger`` select a Wilson form as in :meth:`__call__`,
+        and ``normal`` with ``diag`` selects ``M^dag M``, whose intermediate
+        ``M X`` stays in planes.
         """
         if out is None:
             out = np.empty_like(X)
         elif out is X:
             raise ValueError("hopping kernel output must not alias the input field")
-        return self._hop(u, X, phases, out)
+        return self._hop(u, X, phases, out, diag, dagger, normal)
 
-    def _hop(self, u: np.ndarray, X: np.ndarray, phases, out: np.ndarray) -> np.ndarray:
-        """``out[r] = hop(X[r])`` over (rhs, T, Z, Y, X, 4, 3) blocks."""
+    def _hop(
+        self, u: np.ndarray, X: np.ndarray, phases, out: np.ndarray,
+        diag: float | None = None, dagger: bool = False, normal: bool = False,
+    ) -> np.ndarray:
+        """``out[r] = hop(X[r])``, or a Wilson form of it, over (rhs, T, Z, Y, X, 4, 3) blocks.
+
+        ``M`` runs on the planes of each tile.  ``M^dag`` and ``M^dag M`` do
+        too when the hop is one tile with +-1 phases, and are composed around
+        ``M`` otherwise.
+        """
         if not (u.dtype == X.dtype == out.dtype):
             raise TypeError(
                 f"links ({u.dtype}), input ({X.dtype}) and output ({out.dtype}) must "
@@ -453,18 +515,63 @@ class FusedHopping:
         nrhs, dims = X.shape[0], X.shape[1:5]
         if dims != u.shape[1:5]:
             raise ValueError(f"field sites {dims} do not match the gauge field {u.shape[1:5]}")
-        links = self._link_planes(u)
         step, group, tile = plan(dims, nrhs, X.real.itemsize)
+        planar = tile == dims[0] and self.covers_parity_hop(phases)
+        if (dagger or normal) and not planar:
+            # A tile reads past its faces from the complex field, so gamma5 of
+            # the input, or M X, must be one: M tile by tile, gamma5 around it.
+            def wilson(src: np.ndarray, dst: np.ndarray) -> None:
+                self._hop(u, src, phases, dst, diag)
+
+            return compose_form(wilson, X, out, dagger, normal, self.workspace)
+        links = self._link_planes(u)
         stack = self._link_stacks(u, phases, False) if group == 8 else None
         # A lattice wraps every axis: no ghosts, nothing behind a face.
         whole, behind = full_box(dims), (None,) * 4
         with ufunc_rows():
             for r in range(0, nrhs, step):
                 block = X[r : r + step]
+                if diag is not None and planar:
+                    planes = self._form_planes(
+                        self._load(block, "hop.psi"), links, stack, phases, group,
+                        diag, dagger, normal,
+                    )
+                    store_planes(out[r : r + step], planes)
+                    continue
                 tiles = self.hop_tiles(block, 0, whole, links, behind, phases, group, tile, stack)
-                for ((t0, t1), *_), _, acc in tiles:
+                for ((t0, t1), *_), psi, acc in tiles:
+                    if diag is not None:
+                        _wilson_planes(acc, psi, diag)
                     store_planes(out[r : r + step, t0:t1], acc)
         return out
+
+    def _form_planes(
+        self, psi: np.ndarray, links: np.ndarray, stack: np.ndarray | None, phases,
+        group: int, diag: float, dagger: bool, normal: bool,
+    ) -> np.ndarray:
+        """A Wilson form of the field planes ``psi`` of a one-tile hop with +-1
+        phases, :func:`compose_form`'s rule on planes from load to store: no
+        slab comes from outside the planes, so ``M psi`` is hopped again
+        where it lies.  ``psi`` is scaled in place; returns workspace planes.
+        """
+
+        def wrap(mu: int, s: int) -> float:
+            return float(phases[mu].real)
+
+        def wilson(x: np.ndarray, slot: str) -> np.ndarray:
+            """``M x`` into workspace planes ``slot``; scales ``x``."""
+            if group == 8:
+                return _wilson_planes(self._stacked_terms(x, stack, wrap, slot), x, diag)
+            return _wilson_planes(self._terms(x, links, links, wrap, group, slot), x, diag)
+
+        if dagger and not normal:
+            gamma5_planes(psi)
+        y = wilson(psi, "hop.acc")
+        if normal:
+            y = wilson(gamma5_planes(y), "hop.psi")  # psi's planes are free by now
+        if dagger or normal:
+            gamma5_planes(y)
+        return y
 
     def hop_tiles(
         self, X: np.ndarray, width: int, box: Box, links: np.ndarray, behind, phases,

@@ -249,8 +249,8 @@ class HaloStencil:
         read in place: ghosts along the axes ``behind`` names, a wrap by
         ``phases`` along the others.  ``out_block`` is the ghost-free local
         block.  The combination runs on the planes, tile by tile, where
-        ``diag`` and ``0.5`` multiply real and imaginary parts as the
-        reference's complex-by-real products do.
+        ``diag`` and ``0.5`` multiply real and imaginary parts as reals,
+        the rule of every Wilson form (:func:`repro.kernels.fused.compose_form`).
         """
         if not (links.dtype == psi_halo.real.dtype and psi_halo.dtype == out_block.dtype):
             raise TypeError("links, input and output blocks must share one precision")

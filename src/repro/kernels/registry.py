@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels.fused import FusedHopping
+from repro.kernels.fused import FusedHopping, compose_form
 
 __all__ = [
     "KERNEL_ENV_VAR",
@@ -44,27 +44,51 @@ class ReferenceHopping:
 
     name = "reference"
 
-    def __call__(self, u, psi, phases, site_axis_start=0, out=None):
+    def __call__(self, u, psi, phases, site_axis_start=0, out=None, *, diag=None, dagger=False):
+        """The hopping term, or with ``diag`` a Wilson form composed around it
+        (:func:`repro.kernels.fused.compose_form`)."""
         from repro.dirac.hopping import hopping_term
 
+        if out is psi:
+            raise ValueError("hopping kernel output must not alias the input field")
+        if diag is not None:
+            def wilson(src, dst):
+                self(u, src, phases, site_axis_start, out=dst)
+                _add_diagonal(dst, src, diag)
+
+            out = np.empty_like(psi) if out is None else out
+            return compose_form(wilson, psi, out, dagger)
         result = hopping_term(u, psi, phases, site_axis_start)
         if out is None:
             return result
-        if out is psi:
-            raise ValueError("hopping kernel output must not alias the input field")
         np.copyto(out, result)
         return out
 
-    def apply_batch_into(self, u, X, phases, out=None):
+    def apply_batch_into(self, u, X, phases, out=None, *, diag=None, dagger=False, normal=False):
         """Column at a time: ``X`` is an (nrhs, T, Z, Y, X, 4, 3) RHS block
         and each column goes through the single-RHS path, so the result is
         *definitionally* bit-identical per column — the oracle the batched
-        implementation is parity-tested against."""
+        implementation is parity-tested against.  ``diag``, ``dagger`` and
+        ``normal`` compose a Wilson form around the block's hops."""
         if out is None:
             out = np.empty_like(X)
+        if diag is not None:
+            def wilson(src, dst):
+                self.apply_batch_into(u, src, phases, out=dst)
+                _add_diagonal(dst, src, diag)
+
+            return compose_form(wilson, X, out, dagger, normal)
         for i in range(X.shape[0]):
             self(u, X[i], phases, out=out[i])
         return out
+
+
+def _add_diagonal(y: np.ndarray, x: np.ndarray, diag: float) -> None:
+    """``y = -y / 2 + diag x``, the real and imaginary parts multiplied as reals."""
+    d = y.real.dtype.type(diag)
+    for y_part, x_part in ((y.real, x.real), (y.imag, x.imag)):
+        y_part *= -0.5
+        y_part += x_part * d
 
 
 _FACTORIES: dict[str, Callable[[], object]] = {

@@ -36,6 +36,7 @@ from repro.gammas.gamma import _A_BLOCKS
 __all__ = [
     "PROJECT_ROWS",
     "RECON_ROWS",
+    "gamma5_planes",
     "project_planes_into",
     "reconstruct_planes_accumulate",
 ]
@@ -160,3 +161,9 @@ def reconstruct_planes_accumulate(out: np.ndarray, h: np.ndarray, mu: int, s: in
     for ufunc, dst, src in _RECON_PLANES[mu, s]:
         ufunc(lower[dst], h[src], out=lower[dst])
     return out
+
+
+def gamma5_planes(planes: np.ndarray) -> np.ndarray:
+    """``planes`` (re|im, spin, ...) = gamma5 ``planes``, in place: a negation of spins 2-3."""
+    np.negative(planes[:, 2:4], out=planes[:, 2:4])
+    return planes

@@ -314,13 +314,16 @@ class EnsembleStore:
         """Delete object files no live index entry references; returns them.
 
         Strays appear when a ``remove`` tombstone landed but the unlink was
-        interrupted, or when an ingest crashed between object write and
+        interrupted, when an ingest crashed between object write and
         journal append (the journal-last ordering makes the object the
-        orphan, never the index entry).
+        orphan, never the index entry), or as the ``.*.tmp`` file of an
+        object write killed before its rename.  Assumes no concurrent
+        writer: an in-flight ingest's object is an orphan until its append.
         """
         live = {self.path_for(key) for key in self._replay()}
         removed = []
-        for path in sorted(self.objects_dir.glob("*/*.npz")):
+        strays = [*self.objects_dir.glob("*/*.npz"), *self.objects_dir.glob("*/.*.tmp")]
+        for path in sorted(strays):
             if path not in live:
                 path.unlink()
                 removed.append(path)

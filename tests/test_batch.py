@@ -27,7 +27,7 @@ from repro.dirac.clover import CloverDirac
 from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES, PERIODIC_PHASES
-from repro.dirac.operator import MatrixOperator
+from repro.dirac.operator import MatrixOperator, NormalOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField
 from repro.kernels import make_kernel
@@ -124,7 +124,13 @@ def _operator_cases():
         ("wilson_reference", lambda g: WilsonDirac(g, 0.3, kernel="reference")),
         ("clover", lambda g: CloverDirac(g, 0.3, csw=1.2)),
         ("schur", lambda g: EvenOddWilson(g, 0.3).schur_operator()),
+        # M^dag M in one kernel pass: on planes, composed around the hop
+        # (a twisted phase), and composed by the reference kernel; the
+        # clover operator keeps the generic wrapper.
         ("normal", lambda g: WilsonDirac(g, 0.3).normal_op()),
+        ("normal_twisted", lambda g: WilsonDirac(g, 0.3, TWISTED_PHASES).normal_op()),
+        ("normal_reference", lambda g: WilsonDirac(g, 0.3, kernel="reference").normal_op()),
+        ("normal_clover", lambda g: CloverDirac(g, 0.3, csw=1.2).normal_op()),
         # Virtual-comm SPMD operator: no kernel batch hook, rides the
         # base-class column loop — the batch API must still be exact.
         (
@@ -184,6 +190,14 @@ class TestOperatorBatchParity:
             assert got.dtype == X.dtype
             for i in range(nrhs):
                 assert np.array_equal(got[i], single(X[i]))
+
+    def test_clover_normal_op_is_the_generic_wrapper(self):
+        clover = CloverDirac(_gauge(FUSED_DIMS), 0.3, csw=1.2)
+        X = _rand_block(FUSED_DIMS, 3, seed=37)
+        got, want = clover.normal_op(), NormalOperator(clover)
+        assert type(got) is NormalOperator
+        assert _bit_equal(got.apply_batch(X), want.apply_batch(X))
+        assert _bit_equal(got.apply(X[0]), want.apply(X[0]))
 
     def test_apply_batch_counts_applies(self):
         op = WilsonDirac(_gauge(SMALL_DIMS), 0.3)

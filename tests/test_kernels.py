@@ -20,7 +20,7 @@ from repro.dirac.hopping import DEFAULT_FERMION_PHASES, PERIODIC_PHASES, hopping
 from repro.dirac.operator import MatrixOperator, NormalOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
-from repro.gammas import spin_project, spin_reconstruct
+from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
 from repro.kernels import (
     DEFAULT_KERNEL,
     FusedHopping,
@@ -44,6 +44,10 @@ from repro.lattice import Lattice4D, shift_with_phase
 from repro.util import paired_ratio
 
 TWISTED_PHASES = (np.exp(0.3j), 1.0, np.exp(-0.2j), 1.0)
+
+#: A Wilson diagonal ``m + 4`` (m = 0.1), and the kernel forms M, M^dag, M^dag M.
+WILSON_DIAG = 4.1
+WILSON_FORMS = ({}, {"dagger": True}, {"normal": True})
 
 
 def _rand_field(rng, shape, dtype):
@@ -254,11 +258,14 @@ def _passes(kernel: FusedHopping) -> set[str]:
         # multi-RHS blocks: every column against the reference
         pytest.param((2, 3, 4, 5), 0, 1, None, id="nrhs1"),
         pytest.param((2, 3, 4, 5), 0, 2, None, id="nrhs2"),
+        pytest.param((2, 3, 4, 5), 0, 3, None, id="nrhs3"),
         pytest.param((3, 2, 5, 2), 0, 5, None, id="nrhs5"),
         pytest.param((2, 3, 4, 5), 0, 12, None, id="nrhs12"),
         # Each side of plan's choice between the two passes, in both precisions.
         pytest.param((4, 2, 6, 4), 0, None, "stacked", id="stacked"),
         pytest.param((8, 4, 4, 4), 0, 4, "per-direction", id="per-direction"),
+        # Two T tiles in fp64: the Wilson forms compose around the complex hop.
+        pytest.param((9, 8, 8, 8), 0, 1, None, id="two-tiles"),
     ],
 )
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
@@ -268,31 +275,72 @@ def _passes(kernel: FusedHopping) -> set[str]:
 )
 def test_fused_bitwise_equals_reference(extents, site_axis_start, nrhs, expect, dtype, phases):
     """Bytes, not values: ``np.array_equal`` takes -0.0 for +0.0.  The
-    all-zero source makes every colour product a signed zero."""
+    all-zero source makes every colour product a signed zero, and a point
+    source leaves zeros on every other site.
+
+    The Wilson forms (M, M^dag, and M^dag M on the batched entry) equal the
+    reference kernel's on every input, and on the random one also the
+    complex-arithmetic composition ``diag x - hop(x) / 2``, gamma5 a
+    complex ``*= -1``, which differs only in the signs of zeros.
+    """
     rng = np.random.default_rng(42)
     dims4 = extents[site_axis_start : site_axis_start + 4]
     u = _rand_field(rng, (4,) + dims4 + (3, 3), dtype)
     kernel = FusedHopping()
+    reference = make_kernel("reference")
+
+    def textbook(x: np.ndarray, dagger: bool = False, normal: bool = False) -> np.ndarray:
+        def wilson(y):
+            return WILSON_DIAG * y - 0.5 * hopping_term(u, y, phases, site_axis_start)
+
+        if normal:
+            return apply_gamma5(wilson(apply_gamma5(wilson(x))))
+        return apply_gamma5(wilson(apply_gamma5(x))) if dagger else wilson(x)
+
     if nrhs is not None:
         X = _rand_field(rng, (nrhs,) + extents + (4, 3), dtype)
-        for block in (X, np.zeros_like(X)):
+        point = np.zeros_like(X)
+        for i in range(nrhs):
+            point[i, 0, 0, 0, 0, i % 4, i % 3] = 1
+        for block in (X, np.zeros_like(X), point):
             ref = np.stack([hopping_term(u, x, phases) for x in block])
             got = kernel.apply_batch_into(u, block, phases)
             assert got.dtype == ref.dtype
             assert ref.tobytes() == got.tobytes()
+            for form in WILSON_FORMS:
+                want = reference.apply_batch_into(u, block, phases, diag=WILSON_DIAG, **form)
+                got = kernel.apply_batch_into(u, block, phases, diag=WILSON_DIAG, **form)
+                assert want.tobytes() == got.tobytes(), form
+                if block is X:
+                    assert np.stack([textbook(x, **form) for x in X]).tobytes() == got.tobytes()
     else:
-        for psi in (_rand_field(rng, extents + (4, 3), dtype), np.zeros(extents + (4, 3), dtype)):
-            ref = hopping_term(u, psi, phases, site_axis_start)
-            got = kernel(u, psi, phases, site_axis_start)
+        psi = _rand_field(rng, extents + (4, 3), dtype)
+        point = np.zeros_like(psi)
+        point[(0,) * (len(extents) + 2)] = 1
+        for x in (psi, np.zeros_like(psi), point):
+            ref = hopping_term(u, x, phases, site_axis_start)
+            got = kernel(u, x, phases, site_axis_start)
             assert got.dtype == ref.dtype
             assert ref.tobytes() == got.tobytes()
 
             # Warm-workspace repeat into a caller buffer must be identical too.
-            out = np.empty_like(psi)
-            kernel(u, psi, phases, site_axis_start, out=out)
+            out = np.empty_like(x)
+            kernel(u, x, phases, site_axis_start, out=out)
             assert ref.tobytes() == out.tobytes()
+            for form in WILSON_FORMS[:2]:
+                want = reference(u, x, phases, site_axis_start, diag=WILSON_DIAG, **form)
+                got = kernel(u, x, phases, site_axis_start, out=out, diag=WILSON_DIAG, **form)
+                assert want.tobytes() == got.tobytes(), form
+                if x is psi:
+                    assert textbook(x, **form).tobytes() == got.tobytes()
     if expect is not None:
         assert _passes(kernel) == {expect}
+    # M^dag and M^dag M run on planes when the hop is one tile with +-1 phases,
+    # else composed around M through complex workspace arrays.
+    width = extents[0] if site_axis_start else nrhs or 1
+    one_tile = plan(dims4, width, np.dtype(dtype).itemsize // 2)[2] == dims4[0]
+    composed = not one_tile or phases == TWISTED_PHASES
+    assert any(key[2].startswith("form.") for key in kernel.workspace._arena) == composed
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])

@@ -193,8 +193,12 @@ class TestEnsembleStore:
         stray = store.objects_dir / "zz" / "deadbeef.npz"
         stray.parent.mkdir(parents=True)
         stray.write_bytes(b"not a config")
+        # What a SIGKILL inside atomic_write_bytes leaves beside the object.
+        live = store.path_for(key)
+        torn = live.parent / f".{live.name}.k3x9q_2a.tmp"
+        torn.write_bytes(b"half an obj")
         removed = store.gc()
-        assert removed == [stray]
+        assert removed == sorted([stray, torn])
         assert store.path_for(key).exists()
 
     def test_audit_flags_missing_and_clean(self, store, warm_gauges):
