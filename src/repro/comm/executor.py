@@ -35,6 +35,7 @@ from repro.comm.errors import CommError
 from repro.comm.frame import face_tag
 from repro.comm.halo import face_index
 from repro.comm.rankgrid import RankGrid
+from repro.guard.errors import NumericalFault
 from repro.telemetry import registry as _tm_registry
 
 __all__ = ["PeerTransport", "RankExecutor", "serve"]
@@ -112,6 +113,14 @@ class PeerTransport:
         """
         return np.frombuffer(self.recv(peer, tag), like.dtype).reshape(like.shape)
 
+    def barrier(self) -> None:
+        """Wait for every rank.  A message transport needs none: a face is
+        copied when it is sent and received only once it has been."""
+
+
+class _Stopped(Exception):
+    """The master sent ``stop`` while a command waited on it."""
+
 
 class RankExecutor:
     """One rank's block table + command semantics, independent of transport."""
@@ -123,6 +132,8 @@ class RankExecutor:
         self.grid = grid
         self.peers = peers
         self.blocks: dict[str, np.ndarray] = {}
+        #: The link to the master, set by :func:`serve`.
+        self.control = None
         self._stencil = HaloStencil()
 
     # -- block lifecycle ------------------------------------------------------
@@ -199,14 +210,15 @@ class RankExecutor:
     def dslash(
         self,
         psi_key: str,
-        out_key: str,
+        out: np.ndarray,
         u_key: str,
         width: int,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
         overlap: bool,
     ) -> None:
-        """One Wilson apply on this rank: exchange + box stencil.
+        """One Wilson apply on this rank: exchange + box stencil of block
+        ``psi_key`` into the local-shaped array ``out``.
 
         The stencil multiplies by the link planes of block ``u_key``
         (:func:`~repro.kernels.halo.rank_links`) in place.  Only the split
@@ -222,7 +234,6 @@ class RankExecutor:
         from repro.kernels.halo import full_box, rank_links, split_boxes
 
         psi = self.blocks[psi_key]
-        out = self.blocks[out_key]
         local = out.shape[:4]
         split = self.grid.decomposed_axes()
         links, behind = rank_links(self.blocks[u_key], local, split)
@@ -242,16 +253,30 @@ class RankExecutor:
         for box in boxes:
             stencil(box)
 
+    def allreduce(self, partial: complex, hops: int) -> complex:
+        """This rank's part of a global sum inside a command: ack the master
+        with ``partial`` (and the ``hops`` applies run since the last sum),
+        wait for the total."""
+        self.control.send(("reduce", (partial, hops), None))
+        cmd, _ = self.control.recv()
+        if cmd[0] == "stop":
+            raise _Stopped
+        if cmd[0] != "total":
+            raise CommError(f"expected a total, the master sent {cmd[0]!r}")
+        return cmd[1]
+
     # -- command dispatch -----------------------------------------------------
 
     def execute(self, cmd: tuple, payload: bytes | None):
         """Run one command; return ``(meta, payload)`` for the ack.
 
-        ``exchange`` and ``dslash`` take an optional payload: a master that
-        cannot see rank memory ships the input block's bytes with the
-        command and gets the output block's bytes back in the ack; a master
-        that maps it sends none and gets none.  ``load`` (sent only by such
-        a master) replaces a block's bytes with the payload.
+        ``exchange``, ``dslash`` and ``solve`` take an optional payload: a
+        master that cannot see rank memory ships the input block's bytes
+        with the command and gets the output blocks' bytes back in the ack;
+        a master that maps it sends none and gets none.  ``load`` (sent
+        only by such a master) replaces a block's bytes with the payload.
+        ``solve`` runs ``cg_spmd`` here (:func:`repro.solvers.spmd.rank_cg`),
+        its sums acked one by one through :meth:`allreduce`.
         """
         op = cmd[0]
         if op == "telemetry":
@@ -272,11 +297,19 @@ class RankExecutor:
             _, psi_key, out_key, *args = cmd
             if payload is not None:
                 self._load(psi_key, payload)
-            self.dslash(psi_key, out_key, *args)
+            self.dslash(psi_key, self.blocks[out_key], *args)
             if payload is not None:
                 return None, self.blocks[out_key].tobytes()
-        elif op == "reduce":
-            return None, payload  # gather-at-root echo: the master sums in rank order
+        elif op == "solve":
+            from repro.solvers.spmd import rank_cg
+
+            psi_key, out_key = cmd[1][:2]
+            if payload is not None:
+                self._load(psi_key, payload)
+            meta = rank_cg(self, *cmd[1:])
+            if payload is not None:
+                return meta, self.blocks[psi_key].tobytes() + self.blocks[out_key].tobytes()
+            return meta, None
         elif op == "sleep":
             # Fault-drill hook: wedge this rank so the master's recv deadline
             # (not a deadlock) decides the outcome.
@@ -292,9 +325,11 @@ def serve(executor: RankExecutor, control) -> int:
     ``control.recv()`` yields ``(cmd, payload)`` and ``control.send``
     takes the ``(status, meta, payload)`` ack — a pipe end and a framed
     socket both fit.  A command that raises is acknowledged as
-    ``("error", traceback, None)`` and the loop goes on.
+    ``("error", traceback, None)`` and the loop goes on; a guard fault of a
+    solve, which every rank raises alike, as ``("fault", (fault, 0), None)``.
     Returns 0 after a clean ``stop`` and 1 when the master went away.
     """
+    executor.control = control
     while True:
         try:
             cmd, payload = control.recv()
@@ -303,6 +338,10 @@ def serve(executor: RankExecutor, control) -> int:
         stop = cmd[0] == "stop"
         try:
             reply = ("ok", None, None) if stop else ("ok", *executor.execute(cmd, payload))
+        except _Stopped:
+            reply, stop = ("ok", None, None), True
+        except NumericalFault as fault:
+            reply = ("fault", (fault, 0), None)
         except Exception:
             reply = ("error", traceback.format_exc(), None)
         try:

@@ -86,7 +86,7 @@ class RankPoolComm:
     #: rank-parallel block path on.
     supports_rank_blocks = True
     #: True when the master cannot see rank memory, so ``exchange_shared``,
-    #: ``run_dslash`` and ``allreduce_sum`` carry their operands as command
+    #: ``run_dslash`` and ``run_cg`` carry their operands as command
     #: payloads and read results back from the acks.
     ships_payloads = True
 
@@ -110,6 +110,8 @@ class RankPoolComm:
         self._workers: list = [None] * grid.nranks
         #: Ranks a send or receive has failed on; teardown does not wait on them.
         self._dead: set[int] = set()
+        #: The ranks' barrier, where a transport's ranks wait on each other.
+        self._barrier = None
         # Duck-typed hook (see repro.campaign.faults.FaultInjector): consulted
         # around every command send/ack so tests and the campaign harness can
         # kill a rank, delay an ack, or drop an ack at a chosen point.
@@ -127,22 +129,37 @@ class RankPoolComm:
         """``rank``'s next ``(status, meta, payload)`` ack within ``timeout`` s."""
         raise NotImplementedError
 
-    def _new_block(self, key: str, rank: int, shape: tuple[int, ...], dt: np.dtype) -> np.ndarray:
-        """The zero-filled master-side array of ``rank``'s block ``key``."""
-        return np.zeros(shape, dtype=dt)
+    def _new_block(
+        self, key: str, rank: int, shape: tuple[int, ...], dt: np.dtype, mapped: bool
+    ) -> np.ndarray | None:
+        """The zero-filled master-side array of ``rank``'s block ``key``;
+        ``None``, and no master memory, for a block only the ranks use."""
+        return np.zeros(shape, dtype=dt) if mapped else None
 
     def _sever(self, rank: int) -> None:
         """Cut the link to a rank this master did not spawn (default: cannot)."""
+
+    def _lost(self, rank: int) -> None:
+        """Mark ``rank`` failed: teardown does not wait on it, and ranks
+        waiting for it at the barrier give up at once."""
+        self._dead.add(rank)
+        if self._barrier is not None:
+            self._barrier.abort()
 
     def _release(self) -> None:
         """Free the transport's own OS resources.  Must not raise."""
         raise NotImplementedError
 
-    def _start_rank(self, start_method: str | None, rank: int, target, *args) -> None:
-        """Spawn ``target(*args)`` as the daemonic local process of ``rank``."""
+    @staticmethod
+    def _context(start_method: str | None):
+        """The multiprocessing context rank processes start in."""
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        proc = mp.get_context(start_method).Process(
+        return mp.get_context(start_method)
+
+    def _start_rank(self, start_method: str | None, rank: int, target, *args) -> None:
+        """Spawn ``target(*args)`` as the daemonic local process of ``rank``."""
+        proc = self._context(start_method).Process(
             target=_rank_process,
             args=(target, *args),
             daemon=True,
@@ -190,9 +207,9 @@ class RankPoolComm:
         """Global sum of per-rank partials, widened to fp64 and summed in rank order.
 
         The in-order sum is the same arithmetic as ``VirtualComm``, so the
-        result is bit-identical regardless of backend.  Where commands
-        carry payloads each partial makes a real round trip through its
-        rank (gather-at-root) before the master sums the echoes.
+        result is bit-identical regardless of backend.  The partials of a
+        rank-resident solve (:meth:`run_cg`) arrive from the ranks in
+        their acks; the master sums them here and sends the total back.
         """
         self._check_open()
         if len(partials) != self.nranks:
@@ -200,10 +217,6 @@ class RankPoolComm:
         buf = np.empty(self.nranks, dtype=np.complex128)
         for r, p in enumerate(partials):
             buf[r] = p
-        if self.ships_payloads:
-            payloads = [buf[r : r + 1].tobytes() for r in range(self.nranks)]
-            for r, raw in enumerate(self._command(("reduce",), payloads)):
-                buf[r] = np.frombuffer(raw, dtype=np.complex128)[0]
         total = buf[0]
         for r in range(1, self.nranks):
             total = total + buf[r]
@@ -257,7 +270,7 @@ class RankPoolComm:
             proc.join(timeout=5.0)
         else:
             self._sever(rank)
-        self._dead.add(rank)
+        self._lost(rank)
 
     # -- rank-block API -------------------------------------------------------
 
@@ -268,14 +281,22 @@ class RankPoolComm:
 
     def alloc_blocks(self, key: str, shape: tuple[int, ...], dtype) -> list[np.ndarray]:
         """Allocate one zero-filled block per rank; return the master's arrays."""
+        return self._alloc(key, shape, dtype, True)
+
+    def alloc_rank_blocks(self, key: str, shape: tuple[int, ...], dtype) -> None:
+        """Allocate one zero-filled block per rank that only the ranks touch:
+        the master keeps no copy and faults in no page of it."""
+        self._alloc(key, shape, dtype, False)
+
+    def _alloc(self, key: str, shape: tuple[int, ...], dtype, mapped: bool):
         self._check_open()
         if key in self._blocks:
             raise ValueError(f"block key {key!r} already allocated")
         shape, dt = tuple(shape), np.dtype(dtype)
-        views = [self._new_block(key, r, shape, dt) for r in self.grid.all_ranks()]
+        views = [self._new_block(key, r, shape, dt, mapped) for r in self.grid.all_ranks()]
         self._blocks[key] = (shape, dt.str, views)
         self._command(("declare", [(key, shape, dt.str)]))
-        return views
+        return views if mapped else None
 
     def blocks(self, key: str) -> list[np.ndarray]:
         """Master-side arrays of an allocated block set."""
@@ -342,6 +363,63 @@ class RankPoolComm:
             out_key,
         )
 
+    def run_cg(
+        self,
+        keys: tuple[str, str, str, str],
+        phases: tuple[complex, complex, complex, complex],
+        diag: float,
+        width: int,
+        overlap: bool,
+        solve: tuple,
+        flops_per_rank: int,
+    ):
+        """CG on ``M^dag M`` run by the ranks on their own blocks.
+
+        ``keys`` name the blocks ``(psi, out, hop, links)``: ``b`` comes in
+        through the interior of ``psi``, which then holds the search
+        direction, ``hop`` (rank-only, like ``psi`` in shape) the first
+        hop's output, and ``out`` ``A p``; ``solve`` is ``(tol, max_iter,
+        policy)``.  Every inner product is one round: each rank acks with
+        its partial (and the applies it ran since the last round), the
+        master records those applies' halo and compute events, sums the
+        partials with :meth:`allreduce_sum` and sends the total back — so
+        the trace is event for event the one ``VirtualComm`` records.  A
+        guard fault the ranks raised alike is raised here as it was; any
+        other rank failure is a :class:`CommError`.
+
+        Returns the ranks' :class:`~repro.solvers.base.SolveResult` (no
+        ``x``) and ``|b|^2``; ``x`` is then in the interior of ``psi`` and,
+        when ``|b|^2 > 0``, ``M x`` in ``out``.
+        """
+        self._check_open()
+        psi_key, out_key = keys[:2]
+        payloads = None
+        if self.ships_payloads:
+            payloads = [m.tobytes() for m in self._blocks[psi_key][2]]
+        replies = self._acks(("solve", keys, width, phases, diag, overlap, solve), payloads)
+        b_norm2 = None
+        while True:
+            statuses = {status for status, _, _ in replies}
+            if len(statuses) != 1:
+                raise CommError(f"{self.name} solve: ranks out of step ({sorted(statuses)})")
+            status, (value, hops), _ = replies[0]
+            for _ in range(hops):
+                self._record_exchange(psi_key, width)
+                self.record_compute("wilson_dslash", flops_per_rank)
+            if status == "fault":
+                raise value
+            if status == "ok":
+                break
+            total = self.allreduce_sum([meta[0] for _, meta, _ in replies])
+            b_norm2 = total.real  # the last round sums |b|^2
+            replies = self._acks(("total", total))
+        if self.ships_payloads:
+            for r, (_, _, raw) in enumerate(replies):
+                psi, out = self._blocks[psi_key][2][r], self._blocks[out_key][2][r]
+                psi[...] = np.frombuffer(raw, psi.dtype, psi.size).reshape(psi.shape)
+                out[...] = np.frombuffer(raw, out.dtype, offset=psi.nbytes).reshape(out.shape)
+        return value, b_norm2
+
     # -- internals ------------------------------------------------------------
 
     def _check_open(self) -> None:
@@ -377,6 +455,14 @@ class RankPoolComm:
         :class:`CommTimeoutError` is raised so callers can distinguish a
         wedged fleet from a dead one.
         """
+        return [raw for _, _, raw in self._acks(cmd, payloads, ("ok",))]
+
+    def _acks(
+        self, cmd: tuple, payloads: list[bytes] | None = None,
+        statuses: tuple[str, ...] = ("ok", "reduce", "fault"),
+    ) -> list[tuple]:
+        """:meth:`_command`, returning each rank's ``(status, meta, payload)``
+        ack; a status outside ``statuses`` is a failure of that rank."""
         self._check_open()
         self._ncommands += 1
         idx = self._ncommands
@@ -389,7 +475,7 @@ class RankPoolComm:
                 self._send(r, cmd, None if payloads is None else payloads[r])
                 sent.append(r)
             except CommError as e:
-                self._dead.add(r)
+                self._lost(r)
                 errors.append((r, e))
         replies: list = [None] * self.nranks
         for r in sent:
@@ -399,16 +485,16 @@ class RankPoolComm:
                 if delay > 0.0:
                     time.sleep(delay)
             try:
-                status, meta, replies[r] = self._recv(r, self.timeout)
+                replies[r] = status, meta, _ = self._recv(r, self.timeout)
             except CommError as e:
-                self._dead.add(r)
+                self._lost(r)
                 errors.append((r, e))
                 continue
             if drop_ack:
                 # Consume the ack (keeping the link in sync) but treat it as
                 # lost — the injected-network-fault path.
                 errors.append((r, CommPeerError("ack dropped (injected fault)")))
-            elif status != "ok":
+            elif status not in statuses:
                 errors.append((r, CommError(str(meta))))
         if errors:
             detail = "\n".join(f"rank {r}: {e}" for r, e in errors)

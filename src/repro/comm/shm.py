@@ -9,13 +9,15 @@ the bytes:
 
 * Every block lives in a named ``multiprocessing.shared_memory`` segment
   that master and ranks map, so commands carry no payload — the master
-  reads and writes rank memory directly — and ``allreduce_sum`` is summed
-  on the master without a worker round trip.
+  reads and writes rank memory directly.  A block only the ranks use is
+  created by the master and left unmapped there; a new segment reads
+  zeros, so no block is filled on creation.
 * A halo face is a zero-copy view into the neighbour's segment
   (:class:`_SegmentPeers`): the exchange is *pull*-style, each rank writes
-  only its own ghost shells and reads only neighbour interiors, which are
-  stable for the duration of the command, so no barrier is needed inside
-  one.
+  only its own ghost shells and reads only neighbour interiors.  Between
+  commands the ack sweep keeps those interiors stable; a solve that runs
+  many applies in one command brackets each exchange with a barrier of
+  the ranks (:meth:`_SegmentPeers.barrier`).
 * Commands and acks travel over one pipe per rank; ``poll`` gives the
   hard per-command deadline.
 
@@ -28,6 +30,7 @@ workers and unlinks every segment even when a rank body raised.
 from __future__ import annotations
 
 import multiprocessing as mp
+import threading
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -63,9 +66,11 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 class _SegmentPeers(PeerTransport):
     """Rank-side transport: blocks and neighbour faces are segment views."""
 
-    def __init__(self, rank: int, prefix: str) -> None:
+    def __init__(self, rank: int, prefix: str, barrier, timeout: float) -> None:
         self._rank = rank
         self._prefix = prefix
+        self._barrier = barrier
+        self._timeout = timeout
         self._shapes: dict[str, tuple[tuple[int, ...], np.dtype]] = {}
         self._segments: dict[tuple[str, int], shared_memory.SharedMemory] = {}
         self._arrays: dict[tuple[str, int], np.ndarray] = {}
@@ -82,7 +87,13 @@ class _SegmentPeers(PeerTransport):
 
     def block(self, key: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         self._shapes[key] = (shape, dtype)
-        return self._view(key, self._rank)  # created and zero-filled by the master
+        return self._view(key, self._rank)  # created by the master; reads zeros
+
+    def barrier(self) -> None:
+        try:
+            self._barrier.wait(self._timeout)
+        except threading.BrokenBarrierError as e:
+            raise CommTimeoutError("rank barrier broken (a rank died or the master closed)") from e
 
     def send_faces(self, faces):
         return None  # neighbours read this rank's segment themselves
@@ -98,9 +109,9 @@ class _SegmentPeers(PeerTransport):
                 pass
 
 
-def _rank_main(rank: int, grid: RankGrid, conn, prefix: str) -> int:
+def _rank_main(rank: int, grid: RankGrid, conn, prefix: str, barrier, timeout: float) -> int:
     """Body of one rank process: serve commands from the pipe until ``stop``."""
-    peers = _SegmentPeers(rank, prefix)
+    peers = _SegmentPeers(rank, prefix, barrier, timeout)
     try:
         return serve(RankExecutor(rank, grid, peers), conn)
     finally:
@@ -134,9 +145,13 @@ class ShmComm(RankPoolComm):
         self._segments: dict[tuple[str, int], shared_memory.SharedMemory] = {}
         self._pipes: list = [None] * self.nranks
         try:
+            self._barrier = self._context(start_method).Barrier(self.nranks)
             for r in self.grid.all_ranks():
                 self._pipes[r], child = mp.Pipe()
-                self._start_rank(start_method, r, _rank_main, r, self.grid, child, self._prefix)
+                self._start_rank(
+                    start_method, r, _rank_main,
+                    r, self.grid, child, self._prefix, self._barrier, self.timeout,
+                )
                 child.close()
         except BaseException:
             self.close()
@@ -160,15 +175,20 @@ class ShmComm(RankPoolComm):
         except (EOFError, OSError) as e:
             raise CommPeerError(f"worker died ({e})") from e
 
-    def _new_block(self, key: str, rank: int, shape: tuple[int, ...], dt: np.dtype) -> np.ndarray:
+    def _new_block(
+        self, key: str, rank: int, shape: tuple[int, ...], dt: np.dtype, mapped: bool
+    ) -> np.ndarray | None:
         nbytes = max(1, int(np.prod(shape, dtype=np.int64)) * dt.itemsize)
         seg = shared_memory.SharedMemory(
             create=True, size=nbytes, name=f"{self._prefix}-{key}-{rank}"
         )
         self._segments[(key, rank)] = seg
-        arr = np.ndarray(shape, dtype=dt, buffer=seg.buf)
-        arr[...] = 0
-        return arr
+        if not mapped:
+            seg.close()  # the name stays until close() unlinks it
+            return None
+        # POSIX shared memory reads zeros when created: filling it would only
+        # fault every page of every rank's block into the master.
+        return np.ndarray(shape, dtype=dt, buffer=seg.buf)
 
     def _release(self) -> None:
         self._reap_workers()

@@ -19,12 +19,12 @@ the bytes:
 * Workers open their own peer listeners and build a neighbour mesh
   (higher rank dials lower), so halo faces travel rank-to-rank without
   passing through the master (:class:`_SocketPeers`).
-* Blocks live in *worker* memory and the master holds copies, so commands
-  carry payloads: ``run_dslash`` ships the source fermion with the
-  command and gets the result block back in the ack, ``push_blocks``
-  ships the master's copies, ``exchange_shared`` round-trips the named
-  block set, and each ``allreduce_sum`` partial
-  makes a real round trip through its rank's socket (gather-at-root).
+* Blocks live in *worker* memory and the master holds copies of those
+  it uses, so commands carry payloads: ``run_dslash`` ships the source
+  fermion with the command and gets the result block back in the ack,
+  ``push_blocks`` ships the master's copies, ``exchange_shared``
+  round-trips the named block set, and ``run_cg`` ships ``b`` in and
+  ``x`` and ``M x`` out, with each rank's partial sums in between.
 * Every message is a length-prefixed CRC-stamped frame
   (:mod:`repro.comm.frame`): a rank killed mid-send produces a typed
   :class:`~repro.comm.errors.TornFrameError`, never silently truncated

@@ -34,12 +34,14 @@ import numpy as np
 
 from repro.comm import Decomposition, HaloField, add_halo, halo_exchange
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.dirac.operator import LinearOperator
+from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
 from repro.kernels import HaloStencil, full_box, split_boxes
 from repro.kernels.halo import rank_link_reals, rank_links, write_rank_links
 from repro.kernels.workspace import aligned_empty
+from repro.telemetry.instruments import record_applies
+from repro.telemetry.state import STATE
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
 __all__ = ["DecomposedWilsonDirac", "hopping_term_halo"]
@@ -146,6 +148,7 @@ class DecomposedWilsonDirac(LinearOperator):
             psi_views = [np.zeros(fermion_halo_shape, np.complex128) for _ in self._block_idx]
             self._out_blocks = [np.empty(local + (4, 3), np.complex128) for _ in self._block_idx]
         self._psi_halos = [HaloField(v, w, 0) for v in psi_views]
+        self._hop_key: str | None = None
         self.invalidate_kernel_cache()
 
     def invalidate_kernel_cache(self) -> None:
@@ -167,6 +170,44 @@ class DecomposedWilsonDirac(LinearOperator):
     @property
     def lattice(self):
         return self.gauge.lattice
+
+    @property
+    def rank_resident(self) -> bool:
+        """Whether ``cg_spmd`` runs on the ranks (a process backend)."""
+        return self._shared
+
+    def cg_on_ranks(self, b: np.ndarray, tol: float, max_iter: int, policy) -> tuple:
+        """``cg_spmd``'s solve run by the ranks on their blocks
+        (:meth:`~repro.comm.pool.RankPoolComm.run_cg`).
+
+        ``b`` is scattered into the fermion blocks, ``x`` gathered from
+        them, ``M x`` from the output blocks.  The first solve allocates
+        the ranks' second halo block, which the master never maps.
+        Returns ``(result, |b|^2, M x)``, ``M x`` ``None`` when ``b`` is 0.
+        """
+        self._check_fermion(b)
+        comm = self.comm
+        if self._hop_key is None:
+            self._hop_key = comm.new_key("hop")
+            comm.alloc_rank_blocks(self._hop_key, self._psi_halos[0].data.shape, np.complex128)
+        for halo, idx in zip(self._psi_halos, self._block_idx):
+            np.copyto(halo.data[self._interior_idx], b[idx])
+        keys = (self._psi_key, self._out_key, self._hop_key, self._u_key)
+        result, b_norm2 = comm.run_cg(
+            keys, self.phases, self.diag, self._WIDTH, self.overlap,
+            (tol, max_iter, policy), self.flops_per_apply // comm.nranks,
+        )
+        normal = NormalOperator(self)
+        result.flops = result.operator_applies * normal.flops_per_apply
+        if STATE.counting:
+            record_applies(normal, result.operator_applies)  # as the virtual master counts
+        result.x = np.empty_like(b)
+        mx = np.empty_like(b) if b_norm2 > 0.0 else None
+        for halo, block, idx in zip(self._psi_halos, self._out_blocks, self._block_idx):
+            np.copyto(result.x[idx], halo.data[self._interior_idx])
+            if mx is not None:
+                np.copyto(mx[idx], block)
+        return result, b_norm2, mx
 
     @property
     def diag(self) -> float:

@@ -62,10 +62,11 @@ those bytes through the *per-direction* pass: the half spinors of 1, 2
 or 4 terms go through the multiply in one call, and a wide block is
 taken in equal sub-blocks of columns.  Either pass runs one tile of T
 slabs at a time (:meth:`FusedHopping.hop_tiles`; 4 096 sites in fp64),
-a tile's T neighbours being slabs from outside it like a rank's ghosts,
-so the arena holds the field and accumulator planes and three
-half-spinor stacks of one tile, not of the volume: 4.7 MB instead of
-44 MB at 16^4, and faster once the volume outgrows the caches.
+each tile handing the next the T slabs they share — the look-ahead of
+its planes, the backward product — so every slab is loaded once and the
+arena holds the planes and half-spinor stacks of a tile, not of the
+volume: under 5 MB instead of 44 MB at 16^4, and faster once the volume
+outgrows the caches.
 
 Every arithmetic operation is value-identical to the reference path —
 signs and plane swaps are exact, and sums run in the reference's order —
@@ -158,6 +159,14 @@ def load_planes(planes: np.ndarray, block: np.ndarray) -> None:
     """``planes`` (re|im, spin, rhs, colour, *sites) = the complex ``block``, transposed."""
     planes[0] = _site_minor(block.real)
     planes[1] = _site_minor(block.imag)
+
+
+def _plane_view(block: np.ndarray) -> np.ndarray:
+    """The (re|im, spin, rhs, colour, *sites) planes of a complex (rhs, *sites,
+    4, 3) block as a strided view: :func:`load_planes` without the copy."""
+    reals = block.view(block.real.dtype).reshape(block.shape + (2,))
+    n = reals.ndim
+    return reals.transpose(n - 1, n - 3, 0, n - 2, *range(1, n - 3))
 
 
 def store_planes(block: np.ndarray, planes: np.ndarray) -> None:
@@ -583,21 +592,69 @@ class FusedHopping:
         box.  ``X`` is an (rhs, T, Z, Y, X, 4, 3) block whose interior
         starts at ``width`` on every site axis; ``links``, ``behind`` and
         ``phases`` say where each tile's out-of-tile slabs come from
-        (:func:`_slab_sources`): a tile's T neighbours are interior slabs
-        like any other.  ``stack`` is the box's :func:`link_stack` when
-        ``group`` is 8, which :func:`plan` picks only for a hop of one
+        (:func:`_slab_sources`).  ``stack`` is the box's :func:`link_stack`
+        when ``group`` is 8, which :func:`plan` picks only for a hop of one
         tile.  Yields ``(tile_box, psi, acc)``, the planes being workspace
         buffers the caller's to overwrite before the next tile.
+
+        A tile's T neighbours inside the box are carried, not re-read: the
+        forward term's slab past the high face is projected from a one-slab
+        look-ahead into the next tile's planes, and the backward term's
+        slab behind the low face is the last slab of the product ``U^dag h``
+        the previous tile formed.  Each slab is loaded once, and the carried
+        slabs are the values :func:`_slab_sources` would have formed.
         """
         local = tuple(n - 2 * width for n in X.shape[1:5])
         every = (slice(None),)
         lo, hi = box[0]
-        for t0 in range(lo, hi, tile):
-            part = ((t0, min(t0 + tile, hi)),) + tuple(box[1:])
-            table = _box_links(links, local, part) if stack is None else stack
-            wrap = _slab_sources(X, width, links, behind, phases, part)
-            psi, acc = self.hop_planes(table, X[every + _box_index(width, part)], wrap, group)
+        if hi - lo <= tile:
+            table = _box_links(links, local, box) if stack is None else stack
+            wrap = _slab_sources(X, width, links, behind, phases, box)
+            psi, acc = self.hop_planes(table, X[every + _box_index(width, box)], wrap, group)
+            yield box, psi, acc
+            return
+        ws, rdtype = self.workspace, X.real.dtype
+        rest = (X.shape[0], 3) + tuple(b1 - b0 for b0, b1 in box[1:])
+        slab = (2, 2) + rest[:2] + (1,) + rest[2:]
+        # The slots of the wrapped slabs (:meth:`_wrapped`), which a carried
+        # slab replaces: the first tile's backward and the last tile's
+        # forward slab come from outside the box and are formed there.
+        ahead = ws.get((1,) + slab, rdtype, "hop.wrap.h")[0]
+        carry = ws.get((1,) + slab, rdtype, "hop.wrap.uh")[0]
+
+        def planes(t0: int, t1: int, k: int) -> np.ndarray:
+            return ws.get((2, 4) + rest[:2] + (t1 - t0,) + rest[2:], rdtype, f"hop.psi{k % 2}")
+
+        def block(t0: int, t1: int) -> np.ndarray:
+            return X[every + _box_index(width, ((t0, t1),) + tuple(box[1:]))]
+
+        psi = planes(lo, min(lo + tile, hi), 0)
+        self._load_into(psi[:, :, :, :, :1], block(lo, lo + 1))
+        for k, t0 in enumerate(range(lo, hi, tile)):
+            t1 = min(t0 + tile, hi)
+            part = ((t0, t1),) + tuple(box[1:])
+            # Slab t0 came with the previous tile (or just above).
+            self._load_into(psi[:, :, :, :, 1:], block(t0 + 1, t1))
+            nxt = None
+            if t1 < hi:
+                nxt = planes(t1, min(t1 + tile, hi), k + 1)
+                self._load_into(nxt[:, :, :, :, :1], block(t1, t1 + 1))
+                project_planes_into(ahead, nxt[:, :, :, :, :1], 0, -1)
+            sources = _slab_sources(X, width, links, behind, phases, part)
+
+            def wrap(mu: int, s: int):
+                # Carried across the tile's inner faces: ahead past the high
+                # face, carry behind the low one.
+                if mu == 0 and (nxt is not None if s < 0 else k > 0):
+                    return ahead if s < 0 else carry
+                return sources(mu, s)
+
+            table = _box_links(links, local, part)
+            acc = self._terms(
+                psi, table, table, wrap, group, "hop.acc", carry=None if nxt is None else carry
+            )
             yield part, psi, acc
+            psi = nxt
 
     def hop_planes(self, links: np.ndarray, X: np.ndarray, wrap, group: int):
         """Field and hopping-term planes of one (rhs, T, Z, Y, X, 4, 3) block.
@@ -611,7 +668,8 @@ class FusedHopping:
         the block's own far face times it, or ``(spinors, links, sign)`` —
         the full spinors of those sites, one slab thick along ``mu``, for
         the backward term the planes of their ``U_mu``, and a sign the
-        projected (and multiplied) slab takes.  Returns workspace buffers
+        projected (and multiplied) slab takes — or that slab itself, formed
+        already (:meth:`hop_tiles` carries it).  Returns workspace buffers
         ``(psi, acc)``, the caller's to overwrite.
         """
         psi = self._load(X, "hop.psi")
@@ -623,12 +681,17 @@ class FusedHopping:
         """Workspace planes ``slot`` of one (rhs, *sites, 4, 3) block."""
         nrhs, dims = X.shape[0], X.shape[1:5]
         psi = self.workspace.get((2, 4, nrhs, 3) + dims, X.real.dtype, slot)
+        self._load_into(psi, X)
+        return psi
+
+    @staticmethod
+    def _load_into(psi: np.ndarray, X: np.ndarray) -> None:
+        """:func:`load_planes` of the (rhs, *sites, 4, 3) block ``X`` into ``psi``."""
         # Time blocks keep the strided side of the transposing copy in cache.
-        t_block = max(1, _BLOCK_BYTES // (X[:, 0].size * X.itemsize))
-        for t0 in range(0, dims[0], t_block):
+        t_block = max(1, _BLOCK_BYTES // max(1, X[:, :1].size * X.itemsize))
+        for t0 in range(0, X.shape[1], t_block):
             t = slice(t0, t0 + t_block)
             load_planes(psi[:, :, :, :, t], X[:, t])
-        return psi
 
     def _terms(
         self,
@@ -639,6 +702,7 @@ class FusedHopping:
         group: int,
         slot: str,
         x_rows: tuple = (None, None),
+        carry: np.ndarray | None = None,
     ) -> np.ndarray:
         """The 8 direction terms of the planes ``psi``, summed into workspace planes ``slot``.
 
@@ -646,7 +710,8 @@ class FusedHopping:
         backward ones by the dagger of ``bwd_links`` at the source: one
         table on a lattice, the target's and the source's on a parity-
         ordered half lattice, where ``x_rows`` holds the ``rows`` tables of
-        the forward and backward X shifts.
+        the forward and backward X shifts.  ``carry`` receives the last T
+        slab of the backward T product, the next tile's slab behind its face.
         """
         nrhs, dims = psi.shape[2], psi.shape[4:]
         ws = self.workspace
@@ -688,6 +753,8 @@ class FusedHopping:
                 )
                 reconstruct_planes_accumulate(acc, fwd[g], mu, -1)
                 reconstruct_planes_accumulate(acc, bwd[g], mu, +1)
+            if carry is not None and g0 == 0:
+                np.copyto(carry, tmp[0][:, :, :, :, -1:])
         return acc
 
     def _stacked_terms(
@@ -848,14 +915,15 @@ class FusedHopping:
         """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source."""
         if isinstance(source, float):
             return source, None
+        if isinstance(source, np.ndarray):
+            return 1.0, source  # a slab the tile loop carried, formed already
         spinors, u, sign = source
         ws = self.workspace
         rdtype = spinors.real.dtype
         sites = (spinors.shape[0], 3) + spinors.shape[1:5]
-        psi = ws.get((2, 4) + sites, rdtype, "hop.wrap.psi")
-        load_planes(psi, spinors)
         h = ws.get((1, 2, 2) + sites, rdtype, "hop.wrap.h")
-        project_planes_into(h[0], psi, mu, s)
+        # Projected where the spinors lie: the same adds on the same values.
+        project_planes_into(h[0], _plane_view(spinors), mu, s)
         if u is None:
             return sign, h
         uh = ws.get(h.shape, rdtype, "hop.wrap.uh")

@@ -91,13 +91,15 @@ def _cg_core(
     guard: GuardPolicy | str | None,
     vdot=np.vdot,
     label: str = "cg",
+    ap: np.ndarray | None = None,
 ) -> SolveResult:
     """Serve :func:`_recurrence` one ``op(v, out=ap)`` at a time.  ``vdot``
     is the inner product of every reduction (``cg_spmd`` passes its
-    rank-ordered allreduce); ``label`` tags the result, faults and events."""
+    rank-ordered allreduce); ``label`` tags the result, faults and events;
+    ``ap`` is where ``A v`` lands (default: allocated)."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
-    ap = np.empty_like(b)
+    ap = np.empty_like(b) if ap is None else ap
     rec = _recurrence(
         b, x0, tol, max_iter, record_history, resolve_policy(guard),
         np.empty_like(b), vdot, label,

@@ -32,6 +32,7 @@ from repro.telemetry.state import STATE
 
 __all__ = [
     "operator_label",
+    "record_applies",
     "timed_apply",
     "timed_apply_batch",
     "record_kernel_selection",
@@ -51,6 +52,19 @@ def operator_label(op) -> str:
     return label
 
 
+def record_applies(op, n: int) -> str:
+    """Count ``n`` applications of ``op`` (caller checked ``STATE.counting``),
+    wherever they ran; returns the label."""
+    label = operator_label(op)
+    reg = get_registry()
+    reg.add(f"applies/{label}", n)
+    reg.add(f"flops/{label}", op.flops_per_apply * n)
+    sites = getattr(op, "telemetry_sites", 0)
+    if sites:
+        reg.add(f"sites/{label}", sites * n)
+    return label
+
+
 def timed_apply(op, x, out):
     """One instrumented operator application (caller checked ``STATE.active``).
 
@@ -63,13 +77,7 @@ def timed_apply(op, x, out):
         t0 = time.perf_counter_ns()
     result = op.apply(x) if out is None else op.apply_into(x, out)
     if STATE.counting:
-        label = operator_label(op)
-        reg = get_registry()
-        reg.add(f"applies/{label}", 1)
-        reg.add(f"flops/{label}", op.flops_per_apply)
-        sites = getattr(op, "telemetry_sites", 0)
-        if sites:
-            reg.add(f"sites/{label}", sites)
+        label = record_applies(op, 1)
         if tracing:
             get_trace_buffer().add_complete(
                 label, t0, time.perf_counter_ns(), cat="operator"
@@ -95,13 +103,8 @@ def timed_apply_batch(op, X, out, dagger=False):
         op.apply_dagger_batch_into(X, out) if dagger else op.apply_batch_into(X, out)
     )
     if STATE.counting:
-        label = operator_label(op)
+        label = record_applies(op, nrhs)
         reg = get_registry()
-        reg.add(f"applies/{label}", nrhs)
-        reg.add(f"flops/{label}", op.flops_per_apply * nrhs)
-        sites = getattr(op, "telemetry_sites", 0)
-        if sites:
-            reg.add(f"sites/{label}", sites * nrhs)
         reg.add(f"batch/{label}/applies", 1)
         reg.add(f"batch/{label}/rhs", nrhs)
         if tracing:

@@ -193,17 +193,26 @@ class TestOverlapExactness:
 @pytest.mark.parametrize("phases", PHASES)
 class TestSolverParity:
     def test_cg_spmd_bit_identical(self, backend, dims, phases, gauge):
+        """On the process backends the solve runs on the ranks; its result
+        and its trace, event for event, are the virtual backend's."""
         grid = RankGrid(dims)
         b = random_fermion(LATTICE, rng=17)
-        vop = DecomposedWilsonDirac(gauge, 0.3, VirtualComm(grid), phases=phases)
-        want = cg_spmd(vop, b, tol=1e-6, max_iter=100)
+        vcomm = VirtualComm(grid)
+        vop = DecomposedWilsonDirac(gauge, 0.3, vcomm, phases=phases)
         with make_comm(grid, backend, **COMM_KW) as comm:
             op = DecomposedWilsonDirac(gauge, 0.3, comm, phases=phases)
-            got = cg_spmd(op, b, tol=1e-6, max_iter=100)
-        assert want.converged and got.converged
-        assert want.iterations == got.iterations
-        assert want.history == got.history
-        assert np.array_equal(want.x, got.x)
+            for guard in ("off", "detect", "heal"):
+                vcomm.trace.clear()
+                want = cg_spmd(vop, b, tol=1e-6, max_iter=100, guard=guard)
+                comm.trace.clear()
+                got = cg_spmd(op, b, tol=1e-6, max_iter=100, guard=guard)
+                assert want.converged and got.converged
+                assert want.iterations == got.iterations
+                assert want.history == got.history
+                assert want.x.tobytes() == got.x.tobytes()
+                assert (want.operator_applies, want.flops, want.residual, want.guard_events) == (
+                    got.operator_applies, got.flops, got.residual, got.guard_events)
+                assert comm.trace.events == vcomm.trace.events
 
 
 @pytest.mark.parametrize("phases", PHASES)

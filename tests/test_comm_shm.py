@@ -27,6 +27,43 @@ def _segment_names(prefix: str) -> list[str]:
     return [n for n in os.listdir(shm_dir) if prefix in n]
 
 
+def _rss_shmem_kb() -> int:
+    """``RssShmem`` of this process: the shared pages it has faulted in."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssShmem:"):
+                    return int(line.split()[1])
+    except FileNotFoundError:
+        pass
+    pytest.skip("no RssShmem in /proc/self/status on this platform")
+
+
+class TestBlocks:
+    def test_new_blocks_read_zeros_and_are_not_faulted_into_the_master(self):
+        from repro.comm.shm import _attach_segment
+
+        shape = (16, 16, 16, 8, 4, 3)  # 12.6 MB a rank
+        nbytes = int(np.prod(shape)) * 16
+        with ShmComm(RankGrid((2, 1, 1, 1))) as comm:
+            before = _rss_shmem_kb()
+            key = comm.new_key("z")
+            views = comm.alloc_blocks(key, shape, np.complex128)
+            only_ranks = comm.new_key("r")
+            comm.alloc_rank_blocks(only_ranks, shape, np.complex128)
+            # Declared, and nothing faulted in: not even one block's pages.
+            assert (_rss_shmem_kb() - before) * 1024 < nbytes // 8
+            for r, view in enumerate(views):
+                assert not view.any()
+                for name in (key, only_ranks):
+                    # Attached by name the way a rank attaches its block.
+                    seg = _attach_segment(f"{comm._prefix}-{name}-{r}")
+                    try:
+                        assert not np.ndarray(shape, np.complex128, buffer=seg.buf).any()
+                    finally:
+                        seg.close()
+
+
 class TestTeardown:
     def test_close_unlinks_segments(self):
         comm = ShmComm(RankGrid((2, 1, 1, 1)))

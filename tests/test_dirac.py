@@ -443,32 +443,46 @@ class TestDecomposed:
         dec = DecomposedWilsonDirac(gauge, mass=0.15, comm=VirtualComm(RankGrid((2, 2, 1, 1))))
         assert np.allclose(dec.apply(psi), fused, atol=1e-12)
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_into_forms_write_caller_buffers_bit_for_bit(self, overlap):
+    @pytest.mark.parametrize(
+        "overlap, shape, grid_dims, backend",
+        [
+            pytest.param(overlap, (4, 4, 6, 4), (2, 1, 3, 1), "virtual", id=str(overlap))
+            for overlap in (False, True)
+        ] + [
+            # Rank boxes of several T tiles (3 x 16^3; 3 x 8 x 16^2, ragged 2 + 1).
+            pytest.param(overlap, (6, 16, 16, 16), grid, backend,
+                         id=f"tiles-{'x'.join(map(str, grid))}-{backend}-{overlap}")
+            for grid in ((2, 1, 1, 1), (2, 2, 1, 1))
+            for backend in ("virtual", "shm")
+            for overlap in (False, True)
+        ],
+    )
+    def test_into_forms_write_caller_buffers_bit_for_bit(self, overlap, shape, grid_dims, backend):
         """``apply_into`` / ``apply_dagger_into`` scatter from and gather into
         the caller's arrays (strided ones included), gamma5 riding on the
-        copies, and equal the single-domain operator exactly."""
-        lat = Lattice4D((4, 4, 6, 4))
+        copies, and equal the single-domain operator byte for byte."""
+        from repro.comm import make_comm
+
+        lat = Lattice4D(shape)
         gauge = GaugeField.hot(lat, rng=44)
         wide = np.stack([random_fermion(lat, rng=45), random_fermion(lat, rng=46)], axis=1)
         psi = wide[:, 0]
         assert not psi.flags.c_contiguous
         single = WilsonDirac(gauge, mass=0.15)
-        dec = DecomposedWilsonDirac(
-            gauge, 0.15, VirtualComm(RankGrid((2, 1, 3, 1))), overlap=overlap
-        )
-        out = np.full_like(wide, np.nan)
-        assert dec.apply_into(psi, out[:, 1]) is not None
-        assert np.array_equal(out[:, 1], single.apply(psi))
-        assert np.array_equal(dec.apply(psi), out[:, 1])
-        assert np.all(np.isnan(out[:, 0]))
-        dec.apply_dagger_into(psi, out[:, 0])
-        assert np.array_equal(out[:, 0], single.apply_dagger(psi))
-        assert np.array_equal(out[:, 0], apply_gamma5(dec.apply(apply_gamma5(psi))))
-        assert np.array_equal(dec.apply_dagger(psi), out[:, 0])
-        # Other precisions keep going through the reference cycle.
-        psi32 = psi.astype(np.complex64)
-        assert np.allclose(dec.apply_dagger(psi32), out[:, 0], atol=1e-5)
+        with make_comm(grid_dims, backend) as comm:
+            dec = DecomposedWilsonDirac(gauge, 0.15, comm, overlap=overlap)
+            out = np.full_like(wide, np.nan)
+            assert dec.apply_into(psi, out[:, 1]) is not None
+            assert out[:, 1].tobytes() == single.apply(psi).tobytes()
+            assert dec.apply(psi).tobytes() == out[:, 1].tobytes()
+            assert np.all(np.isnan(out[:, 0]))
+            dec.apply_dagger_into(psi, out[:, 0])
+            assert out[:, 0].tobytes() == single.apply_dagger(psi).tobytes()
+            assert out[:, 0].tobytes() == apply_gamma5(dec.apply(apply_gamma5(psi))).tobytes()
+            assert dec.apply_dagger(psi).tobytes() == out[:, 0].tobytes()
+            # Other precisions keep going through the reference cycle.
+            psi32 = psi.astype(np.complex64)
+            assert np.allclose(dec.apply_dagger(psi32), out[:, 0], atol=1e-5)
 
     def test_trace_is_populated(self):
         lat = Lattice4D((4, 4, 4, 4))

@@ -457,7 +457,25 @@ class TestMixedEscalation:
 
 
 class TestSpmdGuard:
+    """The guarded recurrence of ``cg_spmd`` where it runs: on the master
+    for ``virtual``, on the ranks for the process backends."""
+
     def test_clean_parity_and_detect_on_faulted_gauge(self):
+        self._clean_parity("virtual")
+
+    def test_nan_rhs_fails_fast(self):
+        self._nan_rhs("virtual")
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_clean_parity_on_the_ranks(self, backend):
+        self._clean_parity(backend)
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_nan_rhs_fails_fast_on_the_ranks(self, backend):
+        self._nan_rhs(backend)
+
+    @staticmethod
+    def _clean_parity(backend):
         from repro.comm import make_comm
         from repro.dirac.decomposed import DecomposedWilsonDirac
 
@@ -467,15 +485,18 @@ class TestSpmdGuard:
         with make_comm((2, 1, 1, 1), "virtual") as comm:
             op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
             base = cg_spmd(op, b, tol=1e-8, guard="off")
-        with make_comm((2, 1, 1, 1), "virtual") as comm:
+        with make_comm((2, 1, 1, 1), backend, timeout=60.0) as comm:
             op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
+            off = cg_spmd(op, b, tol=1e-8, guard="off")
             res = cg_spmd(op, b, tol=1e-8,
                           guard=GuardPolicy(level="heal",
                                             true_residual_interval=8))
-            assert np.array_equal(res.x, base.x)
-            assert res.guard_events == []
+        assert off.x.tobytes() == base.x.tobytes() and off.history == base.history
+        assert res.x.tobytes() == base.x.tobytes()
+        assert res.guard_events == []
 
-    def test_nan_rhs_fails_fast(self):
+    @staticmethod
+    def _nan_rhs(backend):
         from repro.comm import make_comm
         from repro.dirac.decomposed import DecomposedWilsonDirac
 
@@ -483,10 +504,45 @@ class TestSpmdGuard:
         gauge = GaugeField.warm(lat, eps=0.3, rng=6)
         b = random_fermion(lat, rng=7)
         b[0, 0, 0, 0, 0, 0] = np.nan
-        with make_comm((2, 1, 1, 1), "virtual") as comm:
+        psi = random_fermion(lat, rng=8)
+        with make_comm((2, 1, 1, 1), backend, timeout=60.0) as comm:
             op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
-            with pytest.raises(NumericalFault):
+            before = op.apply(psi)
+            with pytest.raises(NumericalFault) as raised:
                 cg_spmd(op, b, tol=1e-8)
+            assert raised.value.solver == "cg_spmd"
+            # A fault of the recurrence, not of the ranks: they serve on.
+            assert getattr(comm, "healthy", True)
+            assert op.apply(psi).tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_rank_killed_mid_solve_is_a_comm_error(self, backend):
+        import os
+        import time
+
+        from repro.campaign.faults import FaultInjector
+        from repro.comm import CommError, make_comm
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        lat = Lattice4D(SMALL)
+        gauge = GaugeField.warm(lat, eps=0.3, rng=6)
+        b = random_fermion(lat, rng=7)
+        inj = FaultInjector()
+        comm = make_comm((2, 1, 1, 1), backend, timeout=20.0, fault_injector=inj)
+        try:
+            op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
+            # Past the solve's ``declare`` and ``solve``: the third sum's total.
+            inj.kill_rank(rank=1, at_command=comm._ncommands + 4)
+            t0 = time.monotonic()
+            with pytest.raises(CommError):
+                cg_spmd(op, b, tol=1e-8)
+            assert time.monotonic() - t0 < comm.timeout
+        finally:
+            pids = [w.pid for w in comm._workers]
+            comm.close()
+        for pid in pids:  # joined: the pid is gone, not a zombie
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 # -- ABFT: checksums, linearity probes, GuardedOperator -----------------------

@@ -266,6 +266,13 @@ def _passes(kernel: FusedHopping) -> set[str]:
         pytest.param((8, 4, 4, 4), 0, 4, "per-direction", id="per-direction"),
         # Two T tiles in fp64: the Wilson forms compose around the complex hop.
         pytest.param((9, 8, 8, 8), 0, 1, None, id="two-tiles"),
+        # Tiles that carry slabs to each other: four one-slab tiles in fp64
+        # (two two-slab ones in fp32), five (2 + 2 + 1 in fp32), and in fp64
+        # 2 + 1 on each of three rhs and on each s-slice of a 5-D field.
+        pytest.param((4, 16, 16, 16), 0, None, None, id="four-tiles"),
+        pytest.param((5, 16, 16, 16), 0, None, None, id="ragged-tiles"),
+        pytest.param((3, 8, 16, 16), 0, 3, None, id="tiles-nrhs3"),
+        pytest.param((2, 3, 8, 16, 16), 1, None, None, id="tiles-5d"),
     ],
 )
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
@@ -736,6 +743,35 @@ def test_rank_stencil_full_box_within_1p5x_of_fused():
         lambda: stencil.wilson_box_into(out, u_halo, None, psi_halo, 1, box, DIAG),
     )
     assert ratio <= 1.5, f"rank stencil / fused = {ratio:.2f} at 8^4"
+
+
+@pytest.mark.slow
+def test_tiled_hop_per_site_within_1p1x_of_one_tile():
+    """A CI gate of the ``tests`` job: an 8x16^3 hop, eight one-slab tiles
+    whose T neighbours are carried from tile to tile, costs at most 1.1x the
+    same slabs hopped as eight 1x16^3 lattices of one tile each (ABBA quads,
+    median of paired differences).  Re-loading and re-projecting both
+    neighbour slabs in every tile read 1.04-1.45x."""
+    rng = np.random.default_rng(35)
+    dims = (8, 16, 16, 16)
+    u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
+    psi = _rand_field(rng, dims + (4, 3), np.complex128)
+    out = np.empty_like(psi)
+    assert plan(dims, 1, 8)[2] == 1
+    tiled = FusedHopping()
+    slabs = [
+        (FusedHopping(), np.ascontiguousarray(u[:, t : t + 1]), psi[t : t + 1], out[t : t + 1])
+        for t in range(dims[0])
+    ]
+
+    def one_tile_hops() -> None:
+        for kernel, u_t, psi_t, out_t in slabs:
+            kernel(u_t, psi_t, DEFAULT_FERMION_PHASES, out=out_t)
+
+    ratio = paired_ratio(
+        one_tile_hops, lambda: tiled(u, psi, DEFAULT_FERMION_PHASES, out=out), quads=15
+    )
+    assert ratio <= 1.1, f"8x16^3 hop / eight 1x16^3 hops = {ratio:.2f}"
 
 
 @pytest.mark.slow
