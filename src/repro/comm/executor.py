@@ -117,6 +117,10 @@ class PeerTransport:
         """Wait for every rank.  A message transport needs none: a face is
         copied when it is sent and received only once it has been."""
 
+    def abort_barrier(self) -> None:
+        """Release every rank waiting at :meth:`barrier`, now and until the
+        master resets it: this rank has left the command they wait in."""
+
 
 class _Stopped(Exception):
     """The master sent ``stop`` while a command waited on it."""
@@ -259,11 +263,11 @@ class RankExecutor:
         wait for the total."""
         self.control.send(("reduce", (partial, hops), None))
         cmd, _ = self.control.recv()
+        if cmd[0] == "total":
+            return cmd[1]
         if cmd[0] == "stop":
             raise _Stopped
-        if cmd[0] != "total":
-            raise CommError(f"expected a total, the master sent {cmd[0]!r}")
-        return cmd[1]
+        raise CommError(f"solve ended by the master ({cmd[0]!r})")
 
     # -- command dispatch -----------------------------------------------------
 
@@ -276,7 +280,9 @@ class RankExecutor:
         a master that maps it sends none and gets none.  ``load`` (sent
         only by such a master) replaces a block's bytes with the payload.
         ``solve`` runs ``cg_spmd`` here (:func:`repro.solvers.spmd.rank_cg`),
-        its sums acked one by one through :meth:`allreduce`.
+        its sums acked one by one through :meth:`allreduce`; after a solve
+        fails the master sends every rank ``abort``, which ends it where
+        it still waits for a sum.
         """
         op = cmd[0]
         if op == "telemetry":
@@ -306,10 +312,18 @@ class RankExecutor:
             psi_key, out_key = cmd[1][:2]
             if payload is not None:
                 self._load(psi_key, payload)
-            meta = rank_cg(self, *cmd[1:])
+            try:
+                meta = rank_cg(self, *cmd[1:])
+            except NumericalFault:
+                raise  # every rank raises it alike, after the same sum
+            except BaseException:
+                self.peers.abort_barrier()  # the other ranks stop waiting for this one
+                raise
             if payload is not None:
                 return meta, self.blocks[psi_key].tobytes() + self.blocks[out_key].tobytes()
             return meta, None
+        elif op == "abort":
+            pass  # a failed solve's reset, to a rank that had already left it
         elif op == "sleep":
             # Fault-drill hook: wedge this rank so the master's recv deadline
             # (not a deadlock) decides the outcome.

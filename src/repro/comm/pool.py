@@ -385,7 +385,8 @@ class RankPoolComm:
         partials with :meth:`allreduce_sum` and sends the total back — so
         the trace is event for event the one ``VirtualComm`` records.  A
         guard fault the ranks raised alike is raised here as it was; any
-        other rank failure is a :class:`CommError`.
+        other rank failure is a :class:`CommError`, raised once every live
+        rank has left the solve (:meth:`_abort_solve`).
 
         Returns the ranks' :class:`~repro.solvers.base.SolveResult` (no
         ``x``) and ``|b|^2``; ``x`` is then in the interior of ``psi`` and,
@@ -396,29 +397,54 @@ class RankPoolComm:
         payloads = None
         if self.ships_payloads:
             payloads = [m.tobytes() for m in self._blocks[psi_key][2]]
-        replies = self._acks(("solve", keys, width, phases, diag, overlap, solve), payloads)
         b_norm2 = None
-        while True:
-            statuses = {status for status, _, _ in replies}
-            if len(statuses) != 1:
-                raise CommError(f"{self.name} solve: ranks out of step ({sorted(statuses)})")
-            status, (value, hops), _ = replies[0]
-            for _ in range(hops):
-                self._record_exchange(psi_key, width)
-                self.record_compute("wilson_dslash", flops_per_rank)
-            if status == "fault":
-                raise value
-            if status == "ok":
-                break
-            total = self.allreduce_sum([meta[0] for _, meta, _ in replies])
-            b_norm2 = total.real  # the last round sums |b|^2
-            replies = self._acks(("total", total))
+        try:
+            replies = self._acks(("solve", keys, width, phases, diag, overlap, solve), payloads)
+            while True:
+                statuses = {status for status, _, _ in replies}
+                if len(statuses) != 1:
+                    raise CommError(f"{self.name} solve: ranks out of step ({sorted(statuses)})")
+                status, (value, hops), _ = replies[0]
+                for _ in range(hops):
+                    self._record_exchange(psi_key, width)
+                    self.record_compute("wilson_dslash", flops_per_rank)
+                if status == "fault":
+                    raise value
+                if status == "ok":
+                    break
+                total = self.allreduce_sum([meta[0] for _, meta, _ in replies])
+                b_norm2 = total.real  # the last round sums |b|^2
+                replies = self._acks(("total", total))
+        except CommError:
+            self._abort_solve()
+            raise
         if self.ships_payloads:
             for r, (_, _, raw) in enumerate(replies):
                 psi, out = self._blocks[psi_key][2][r], self._blocks[out_key][2][r]
                 psi[...] = np.frombuffer(raw, psi.dtype, psi.size).reshape(psi.shape)
                 out[...] = np.frombuffer(raw, out.dtype, offset=psi.nbytes).reshape(out.shape)
         return value, b_norm2
+
+    def _abort_solve(self) -> None:
+        """Bring every live rank of a failed :meth:`run_cg` back to its
+        command loop.  Each takes one ``abort`` and acks it: a rank still
+        waiting for a total ends its solve, one that already left it does
+        nothing.  The barrier the first rank to fail broke is then reset,
+        unless a rank is lost for good."""
+        live = [r for r in self.grid.all_ranks() if r not in self._dead]
+        for r in live:
+            try:
+                self._send(r, ("abort",), None)
+            except CommError:
+                self._lost(r)
+        for r in live:
+            if r not in self._dead:
+                try:
+                    self._recv(r, self.timeout)
+                except CommError:
+                    self._lost(r)
+        if self._barrier is not None and not self._dead:
+            self._barrier.reset()
 
     # -- internals ------------------------------------------------------------
 

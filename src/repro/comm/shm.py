@@ -93,7 +93,10 @@ class _SegmentPeers(PeerTransport):
         try:
             self._barrier.wait(self._timeout)
         except threading.BrokenBarrierError as e:
-            raise CommTimeoutError("rank barrier broken (a rank died or the master closed)") from e
+            raise CommTimeoutError("rank barrier broken (a rank failed or died)") from e
+
+    def abort_barrier(self) -> None:
+        self._barrier.abort()
 
     def send_faces(self, faces):
         return None  # neighbours read this rank's segment themselves

@@ -92,17 +92,19 @@ def _cg_core(
     vdot=np.vdot,
     label: str = "cg",
     ap: np.ndarray | None = None,
+    p: np.ndarray | None = None,
 ) -> SolveResult:
     """Serve :func:`_recurrence` one ``op(v, out=ap)`` at a time.  ``vdot``
     is the inner product of every reduction (``cg_spmd`` passes its
     rank-ordered allreduce); ``label`` tags the result, faults and events;
-    ``ap`` is where ``A v`` lands (default: allocated)."""
+    ``ap`` is where ``A v`` lands and ``p`` the search-direction storage,
+    the vector ``op`` is handed every iteration (both default: allocated)."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
     ap = np.empty_like(b) if ap is None else ap
     rec = _recurrence(
         b, x0, tol, max_iter, record_history, resolve_policy(guard),
-        np.empty_like(b), vdot, label,
+        np.empty_like(b) if p is None else p, vdot, label,
     )
     try:
         v = next(rec)

@@ -12,15 +12,16 @@ the iterates bit-identical across backends, and on a (1,1,1,1) grid to
 ``cg(WilsonDirac.normal_op())``.
 
 Where the vectors live depends on the backend.  On a process backend
-(``shm``, ``tcp``) the recurrence runs on the ranks (:func:`rank_cg`, one
-``solve`` command): each rank keeps its part of every vector — the search
-direction in the interior of its fermion halo block, the first hop's
-output in a second halo block, ``x``, ``r`` and the scratch in its own
-memory — and only ``b`` in, ``x`` and ``M x`` out and two scalars per
-iteration cross the control link.  With ``VirtualComm`` the same
-recurrence runs on the master over the full vectors, each reduction
-summing per-rank slices.  The closing true residual ``|b - M x| / |b|`` is
-formed on the master from the full ``M x`` either way.
+(``shm``, ``tcp``) a complex128 solve runs on the ranks (:func:`rank_cg`,
+one ``solve`` command): each rank keeps its part of every vector — the
+search direction in the interior of its fermion halo block, the first
+hop's output in a second halo block, ``x``, ``r`` and the scratch in its
+own memory — and only ``b`` in, ``x`` and ``M x`` out and two scalars per
+iteration cross the control link.  With ``VirtualComm``, or for another
+dtype, the same recurrence runs on the master over the full vectors,
+each reduction summing per-rank slices.  The closing true residual
+``|b - M x| / |b|`` is formed on the master from the full ``M x`` either
+way.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def cg_spmd(
     """
     t0 = time.perf_counter()
     with span("cg_spmd", cat="solver"):
-        if op.rank_resident:
+        if op.rank_resident and b.dtype == np.complex128:
             result, b_norm2, mx = op.cg_on_ranks(b, tol, max_iter, resolve_policy(guard))
         else:
             reduce = _SpmdReducer(op.comm, op.decomp)
@@ -95,11 +96,12 @@ def cg_spmd(
 class _RankNormal(LinearOperator):
     """``M^dag M`` on one rank's blocks: ``M`` then ``gamma5 M gamma5``.
 
-    The search direction ``p`` is read where it lives, in the interior of
-    the fermion halo block; any other vector is copied into the second
-    halo block first.  The first hop writes the interior of that block,
-    where gamma5 negates it in place for the second; the second writes the
-    output, negated in place too — the values of
+    The search direction ``p``, the vector of every iteration, is read
+    where it lives, in the interior of the fermion halo block; the iterate
+    ``x`` of a guard's true residual is copied into the second halo block
+    first.  The first hop writes the interior of that block, where gamma5
+    negates it in place for the second; the second writes the output,
+    negated in place too — the values of
     :meth:`DecomposedWilsonDirac.apply_into` and ``apply_dagger_into``.
     """
 
@@ -125,8 +127,9 @@ def rank_cg(ex, keys: tuple, width: int, phases, diag: float, overlap: bool, sol
     :class:`~repro.comm.executor.RankExecutor` ``ex``
     (:meth:`~repro.comm.pool.RankPoolComm.run_cg` is the master's side).
 
-    ``b`` is in the interior of the fermion halo block.  Runs ``M^dag b``,
-    the recurrence on ``M^dag M`` (every inner product one
+    ``b`` is in the interior of the fermion halo block, which then holds
+    the search direction.  Runs ``M^dag b``, the recurrence on
+    ``M^dag M`` (every inner product one
     :meth:`~repro.comm.executor.RankExecutor.allreduce`), the closing
     ``|b|^2`` and, when it is not zero, ``M x``; leaves ``x`` in the
     interior of the fermion block and ``M x`` in the output block.  Every
@@ -165,7 +168,7 @@ def rank_cg(ex, keys: tuple, width: int, phases, diag: float, overlap: bool, sol
     _copy_gamma5(rhs, out)
     result = _cg_core(
         _RankNormal(p, h, dslash, (psi_key, hop_key)), rhs, None, tol, max_iter, True,
-        policy, vdot=vdot, label="cg_spmd", ap=out,
+        policy, vdot=vdot, label="cg_spmd", ap=out, p=p,
     )
     b_norm2 = reduce(b_partial).real
     np.copyto(p, result.x)

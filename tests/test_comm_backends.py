@@ -12,6 +12,9 @@ backend joins the whole matrix by registering in the comm registry.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing as mp
+
 import numpy as np
 import pytest
 
@@ -193,15 +196,18 @@ class TestOverlapExactness:
 @pytest.mark.parametrize("phases", PHASES)
 class TestSolverParity:
     def test_cg_spmd_bit_identical(self, backend, dims, phases, gauge):
-        """On the process backends the solve runs on the ranks; its result
-        and its trace, event for event, are the virtual backend's."""
+        """On the process backends a complex128 solve runs on the ranks and a
+        complex64 one on the master; either way its result and its trace,
+        event for event, are the virtual backend's."""
         grid = RankGrid(dims)
-        b = random_fermion(LATTICE, rng=17)
         vcomm = VirtualComm(grid)
         vop = DecomposedWilsonDirac(gauge, 0.3, vcomm, phases=phases)
         with make_comm(grid, backend, **COMM_KW) as comm:
             op = DecomposedWilsonDirac(gauge, 0.3, comm, phases=phases)
-            for guard in ("off", "detect", "heal"):
+            for dtype, guard in itertools.product(
+                (np.complex128, np.complex64), ("off", "detect", "heal")
+            ):
+                b = random_fermion(LATTICE, rng=17).astype(dtype)
                 vcomm.trace.clear()
                 want = cg_spmd(vop, b, tol=1e-6, max_iter=100, guard=guard)
                 comm.trace.clear()
@@ -209,10 +215,42 @@ class TestSolverParity:
                 assert want.converged and got.converged
                 assert want.iterations == got.iterations
                 assert want.history == got.history
+                assert got.x.dtype == dtype
                 assert want.x.tobytes() == got.x.tobytes()
                 assert (want.operator_applies, want.flops, want.residual, want.guard_events) == (
                     got.operator_applies, got.flops, got.residual, got.guard_events)
                 assert comm.trace.events == vcomm.trace.events
+
+
+@pytest.mark.parametrize("backend", BLOCK_BACKENDS)
+def test_rank_solve_hops_the_search_direction_where_it_lives(backend, gauge, monkeypatch):
+    """Every iteration's apply on the ranks reads ``p`` in the interior of
+    the fermion halo block; only a guard's true residual copies ``x`` into
+    the second halo block.  The ranks fork after the count is patched in
+    and add to one shared array: [in place, copied]."""
+    from repro.guard.policy import GuardPolicy
+    from repro.solvers import spmd
+
+    paths = mp.get_context("fork").Array("i", 2)
+    apply_into = spmd._RankNormal.apply_into
+
+    def counted(self, v, out):
+        with paths.get_lock():
+            paths[0 if v is self._p else 1] += 1
+        return apply_into(self, v, out)
+
+    monkeypatch.setattr(spmd._RankNormal, "apply_into", counted)
+    b = random_fermion(LATTICE, rng=17)
+    with make_comm((2, 1, 1, 1), backend, start_method="fork", **COMM_KW) as comm:
+        op = DecomposedWilsonDirac(gauge, 0.3, comm)
+        off = cg_spmd(op, b, tol=1e-6, max_iter=100, guard="off")
+        assert paths[:] == [comm.nranks * off.iterations, 0]
+        paths[:] = [0, 0]
+        heal = GuardPolicy(level="heal", true_residual_interval=4)
+        res = cg_spmd(op, b, tol=1e-6, max_iter=100, guard=heal)
+    assert res.guard_events == [] and res.operator_applies > res.iterations
+    assert paths[:] == [comm.nranks * res.iterations,
+                        comm.nranks * (res.operator_applies - res.iterations)]
 
 
 @pytest.mark.parametrize("phases", PHASES)

@@ -515,6 +515,49 @@ class TestSpmdGuard:
             assert getattr(comm, "healthy", True)
             assert op.apply(psi).tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("where", ["dslash", "allreduce"])
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_rank_raising_mid_solve_leaves_the_pool_serving(self, backend, where, monkeypatch):
+        """Rank 1 raises in its third hop (the ranks' barrier breaks) or its
+        third sum (rank 0 waits for a total).  The solve is a prompt
+        ``CommError``; every rank is back at its command loop, so the next
+        apply and the next solve are those of a clean pool."""
+        import time
+
+        from repro.comm import CommError, make_comm
+        from repro.comm.executor import RankExecutor
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        lat = Lattice4D(SMALL)
+        gauge = GaugeField.warm(lat, eps=0.3, rng=6)
+        b, psi = random_fermion(lat, rng=7), random_fermion(lat, rng=8)
+        with make_comm((2, 1, 1, 1), "virtual") as comm:
+            op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
+            want, base = op.apply(psi), cg_spmd(op, b, tol=1e-8, guard="off")
+        original = getattr(RankExecutor, where)
+        calls = []  # each rank process counts its own, from the fork on
+
+        def fail_once(ex, *args):
+            if ex.rank == 1:
+                calls.append(where)
+                if len(calls) == 3:
+                    if where == "dslash":
+                        original(ex, *args)  # its faces are out; then it fails
+                    raise RuntimeError("injected rank failure")
+            return original(ex, *args)
+
+        monkeypatch.setattr(RankExecutor, where, fail_once)
+        with make_comm((2, 1, 1, 1), backend, timeout=20.0, start_method="fork") as comm:
+            op = DecomposedWilsonDirac(gauge, mass=0.3, comm=comm)
+            t0 = time.monotonic()
+            with pytest.raises(CommError, match="injected rank failure"):
+                cg_spmd(op, b, tol=1e-8, guard="off")
+            assert time.monotonic() - t0 < comm.timeout / 4
+            assert comm.healthy
+            assert op.apply(psi).tobytes() == want.tobytes()
+            again = cg_spmd(op, b, tol=1e-8, guard="off")
+        assert again.x.tobytes() == base.x.tobytes() and again.history == base.history
+
     @pytest.mark.parametrize("backend", ["shm", "tcp"])
     def test_rank_killed_mid_solve_is_a_comm_error(self, backend):
         import os

@@ -745,6 +745,28 @@ def test_rank_stencil_full_box_within_1p5x_of_fused():
     assert ratio <= 1.5, f"rank stencil / fused = {ratio:.2f} at 8^4"
 
 
+def test_tiled_hop_forms_t_slabs_only_at_its_outer_faces(monkeypatch):
+    """A 4x16^3 hop runs four one-slab tiles.  Only the first tile's
+    backward and the last tile's forward T slab are formed from spinors;
+    the six inner-face slabs are the ones the tile loop carried."""
+    rng = np.random.default_rng(36)
+    dims = (4, 16, 16, 16)
+    u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
+    psi = _rand_field(rng, dims + (4, 3), np.complex128)
+    assert plan(dims, 1, 16)[2] == 1
+    sources = []
+    wrapped = fused.FusedHopping._wrapped
+
+    def spy(self, source, mu, s):
+        if mu == 0:
+            sources.append("carried" if isinstance(source, np.ndarray) else "formed")
+        return wrapped(self, source, mu, s)
+
+    monkeypatch.setattr(fused.FusedHopping, "_wrapped", spy)
+    fused.FusedHopping()(u, psi, DEFAULT_FERMION_PHASES)
+    assert (sources.count("formed"), sources.count("carried")) == (2, 6)
+
+
 @pytest.mark.slow
 def test_tiled_hop_per_site_within_1p1x_of_one_tile():
     """A CI gate of the ``tests`` job: an 8x16^3 hop, eight one-slab tiles
