@@ -202,7 +202,7 @@ class HMCCampaign:
             {
                 "rng": rng_state(hmc.rng),
                 "hmc": hmc.state_dict(),
-                "plaquette": float(average_plaquette(gauge.u)),
+                "plaquette": hmc.plaquette(gauge),
             },
         )
 
@@ -358,7 +358,7 @@ class HMCCampaign:
             n_trajectories=cfg.n_trajectories,
             resumed_from=resumed_from,
             acceptance_rate=hmc.acceptance_rate,
-            final_plaquette=float(average_plaquette(gauge.u)),
+            final_plaquette=hmc.plaquette(gauge),
             skipped_checkpoints=len(self.store.skipped),
             faults_detected=faults_detected,
             rollbacks=rollbacks,

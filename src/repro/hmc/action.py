@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import su3
 from repro.fields import GaugeField
-from repro.loops import average_plaquette, staple_sum
+from repro.loops import PlaquetteMemo, staple_sum
 from repro.util.rng import ensure_rng
 
 __all__ = ["GaugeAction", "WilsonGaugeAction", "kinetic_energy", "sample_momenta"]
@@ -49,17 +49,22 @@ class GaugeAction:
 
 
 class WilsonGaugeAction(GaugeAction):
-    """The single-plaquette Wilson action ``S = beta sum (1 - Re tr P / 3)``."""
+    """The single-plaquette Wilson action ``S = beta sum (1 - Re tr P / 3)``.
+
+    ``plaquette`` is the memo its energies read; :class:`~repro.hmc.HMC`
+    reports and checkpoints the plaquette through the same one.
+    """
 
     def __init__(self, beta: float) -> None:
         if beta <= 0:
             raise ValueError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
+        self.plaquette = PlaquetteMemo()
 
     def action(self, gauge: GaugeField) -> float:
         lat = gauge.lattice
         nplanes = 6
-        mean_plaq = average_plaquette(gauge.u)  # already 1/3 Re tr
+        mean_plaq = self.plaquette(gauge.u)  # already 1/3 Re tr
         return self.beta * nplanes * lat.volume * (1.0 - mean_plaq)
 
     def force(self, gauge: GaugeField) -> np.ndarray:

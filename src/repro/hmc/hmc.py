@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fields import GaugeField
-from repro.hmc.action import GaugeAction, kinetic_energy, sample_momenta
+from repro.hmc.action import GaugeAction, WilsonGaugeAction, kinetic_energy, sample_momenta
 from repro.hmc.integrator import INTEGRATORS
+from repro.loops import PlaquetteMemo
 from repro.telemetry import registry as _tm_registry
 from repro.telemetry.spans import span
 from repro.telemetry.state import STATE
@@ -81,6 +82,12 @@ class HMC:
         else:
             self._terms = [self.action]
             self._action = self.action
+        # Share the gauge term's memo, so the reported plaquette of links
+        # an energy has just read costs nothing.
+        self._plaquette = next(
+            (t.plaquette for t in self._terms if isinstance(t, WilsonGaugeAction)),
+            PlaquetteMemo(),
+        )
         self.rng = ensure_rng(self.rng)
 
     def state_dict(self) -> dict:
@@ -107,10 +114,13 @@ class HMC:
             return 0.0
         return self.n_accepted / self.n_trajectories
 
+    def plaquette(self, gauge: GaugeField) -> float:
+        """The average plaquette of ``gauge``, through the memo the
+        trajectory's energies share."""
+        return self._plaquette(gauge.u)
+
     def trajectory(self, gauge: GaugeField) -> TrajectoryResult:
         """Evolve one trajectory in place (rejections restore the input)."""
-        from repro.loops import average_plaquette
-
         with span("hmc_trajectory", cat="hmc"):
             for t in self._terms:
                 if hasattr(t, "refresh"):
@@ -145,7 +155,7 @@ class HMC:
                 accepted=bool(accepted),
                 delta_h=float(dh),
                 action_value=float(s_new if accepted else s_old),
-                plaquette=float(average_plaquette(gauge.u)),
+                plaquette=self.plaquette(gauge),
             )
 
     def run(self, gauge: GaugeField, n_trajectories: int) -> list[TrajectoryResult]:

@@ -1,17 +1,10 @@
-"""Allocation-free periodic shifts on contiguous arrays.
+"""Shift tables for the kernels' hops.
 
-``np.roll`` allocates its output and resolves the wrap-around with
-general index arithmetic on every call.  On a C-contiguous array a
-nearest-neighbour shift along any axis is one flat offset copy — every
-site whose neighbour lies in the same outer block reads the element
-``dist * inner`` further on, whatever the axis — plus one slab copy that
-overwrites the sites that wrapped.  :func:`shift_into` writes both
-straight into a caller-provided buffer; the rows it moves are as long as
-the array allows even for the minor-most axis, where a slice-pair copy
-would move ``extent - 1`` elements at a time.
-
-Semantics match :func:`repro.lattice.shift_with_phase` exactly
-(gather convention, phase on the wrapped slab):
+The one shift, :func:`shift_into` (defined in :mod:`repro.lattice.shifts`
+and re-exported here), writes a periodic gather straight into a
+caller-provided buffer, with the semantics of
+:func:`repro.lattice.shift_with_phase` (gather convention, phase on the
+wrapped slab):
 
 ``out[..., i, ...] = a[..., (i + dist) % n, ...]`` on ``axis``,
 with the slab that crossed the boundary multiplied by ``phase``.
@@ -37,79 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.lattice.shifts import shift_into
+
 __all__ = ["shift_into", "half_extents", "parity_site_tables", "term_site_tables"]
-
-
-def shift_into(
-    out: np.ndarray,
-    a: np.ndarray,
-    axis: int,
-    dist: int,
-    phase: complex = 1.0,
-    wrapped: np.ndarray | None = None,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Gather ``a`` from ``dist`` sites ahead along ``axis`` into ``out``.
-
-    Bitwise-identical to ``shift_with_phase(a, axis, dist, phase)`` but
-    with zero allocations.  ``out`` and ``a`` must be distinct
-    C-contiguous arrays of one shape.  ``wrapped``, a C-contiguous array
-    with extent ``|dist|`` along ``axis``, replaces the far face of ``a``
-    as the source of the slab that crossed the boundary.
-
-    ``rows = (source, crossed)`` is for a last ``axis`` along which only
-    some rows shift and the rest copy: ``source`` holds, for every element
-    of the trailing axes it spans (flattened), the index there of the
-    element it reads, the wrap resolved, and the boolean ``crossed``, over
-    those axes less the last, marks the rows whose element did wrap and
-    takes ``phase``; there is no slab for ``wrapped`` to replace.
-    """
-    if out is a:
-        raise ValueError("shift_into requires out and a to be distinct arrays")
-    if out.shape != a.shape or not (out.flags.c_contiguous and a.flags.c_contiguous):
-        raise ValueError("shift_into requires C-contiguous arrays of one shape")
-    if dist == 0:
-        np.copyto(out, a)
-        return out
-    n = a.shape[axis]
-    d = abs(dist)
-    if d > n:
-        raise ValueError(f"|dist|={d} exceeds extent {n} along axis {axis}")
-    if rows is not None:
-        source, crossed = rows
-        # mode="clip": np.take buffers ``out`` under the default "raise".
-        np.take(
-            a.reshape(-1, source.size),
-            source,
-            axis=1,
-            out=out.reshape(-1, source.size),
-            mode="clip",
-        )
-        if phase != 1.0:
-            edge = out[..., n - 1 if dist > 0 else 0]
-            np.multiply(edge, phase, out=edge, where=crossed)
-        return out
-    inner = 1
-    for extent in a.shape[axis + 1 :]:
-        inner *= extent
-    step = d * inner
-    out_flat, a_flat = out.reshape(-1), a.reshape(-1)
-    out_slabs, a_slabs = out.reshape(-1, n, inner), a.reshape(-1, n, inner)
-    if dist > 0:
-        # out[i] = a[i + d]; sites i >= n-d wrap to a[0 : d].
-        out_flat[: a.size - step] = a_flat[step:]
-        dst, src = out_slabs[:, n - d :], a_slabs[:, :d]
-    else:
-        # out[i] = a[i - d]; sites i < d wrap to a[n-d : n].
-        out_flat[step:] = a_flat[: a.size - step]
-        dst, src = out_slabs[:, :d], a_slabs[:, n - d :]
-    if wrapped is not None:
-        src = wrapped.reshape(-1, d, inner)
-    if phase == 1.0:
-        dst[...] = src
-    else:
-        np.multiply(src, phase, out=dst)
-    return out
 
 
 def half_extents(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

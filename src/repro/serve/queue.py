@@ -95,7 +95,7 @@ class SolveRequest:
     """One pending solve: the payload plus its delivery future."""
 
     operator: object
-    b: np.ndarray
+    b: np.ndarray | None  # the submit copy, dropped once its batch is stacked
     tol: float
     max_iter: int
     future: Future
@@ -159,7 +159,8 @@ class SolveQueue:
         :class:`~repro.solvers.base.SolveResult`.
 
         The right-hand side is copied at submission, so callers may
-        reuse their buffer immediately.
+        reuse their buffer immediately; the copy is dropped as soon as
+        its batch's block is stacked.
         """
         future: Future = Future()
         with self._lock:
@@ -207,6 +208,8 @@ class SolveQueue:
     def _run_batch(self, batch: list[SolveRequest]) -> None:
         head = batch[0]
         B = np.stack([req.b for req in batch])
+        for req in batch:
+            req.b = None  # B holds the payload now; drop the submit copies
         if STATE.counting:
             reg = get_registry()
             reg.add("serve/batches", 1)

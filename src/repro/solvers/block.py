@@ -46,6 +46,7 @@ def block_cg(
     tol: float = 1e-8,
     max_iter: int = 2000,
     record_history: bool = True,
+    out: np.ndarray | None = None,
 ) -> list[SolveResult]:
     """Solve ``op X[i] = B[i]`` for every column of an (nrhs, ...) block.
 
@@ -53,20 +54,32 @@ def block_cg(
     :class:`SolveResult` per column, each bit-identical (iterates,
     residual history, counts, guard events) to :func:`~repro.solvers.cg.
     cg` on that column at the ``REPRO_GUARD`` level; ``wall_time`` is the
-    block's share, elapsed / nrhs.
+    block's share, elapsed / nrhs.  The solutions are the rows of ``out``
+    (default: a new block).  ``x0`` is copied into it and never written,
+    unless ``out`` is ``x0`` itself: then the solve continues ``x0`` in
+    place.
+
+    The block budget: ``B`` and the solutions, the residuals, the search
+    directions, their images, the pack block of rounds that cannot run in
+    place (allocated by the first of them) and one column of scratch that
+    every recurrence shares.
     """
     B = np.asarray(B)
     if B.ndim < 2:
         raise ValueError(f"block_cg needs an (nrhs, ...) block, got shape {B.shape}")
     t0 = time.perf_counter()
+    X = np.empty_like(B) if out is None else out
+    if x0 is not None and x0 is not X:
+        np.copyto(X, x0)
     nrhs = B.shape[0]
-    P, AP = np.empty_like(B), np.empty_like(B)
-    p_cols = list(P)  # the views each recurrence keeps as its search direction
+    R, P, AP = np.empty_like(B), np.empty_like(B), np.empty_like(B)
+    x_cols, p_cols = list(X), list(P)  # the views each recurrence keeps
+    tmp = np.empty_like(B[0])
     policy = resolve_policy(None)
     recs = [
         _recurrence(
-            B[i], None if x0 is None else x0[i], tol, max_iter, record_history,
-            policy, p_cols[i], np.vdot, "block_cg",
+            B[i], None if x0 is None else x_cols[i], tol, max_iter, record_history,
+            policy, np.vdot, "block_cg", x=x_cols[i], r=R[i], p=p_cols[i], tmp=tmp,
         )
         for i in range(nrhs)
     ]
@@ -81,8 +94,9 @@ def block_cg(
             results[i] = done.value
             pending.pop(i, None)
 
-    # Packing scratch, grown on the first round that cannot run in place.
-    pack_v = pack_av = None
+    # Every recurrence has read its ``A v`` by its next request, so AP is
+    # free by the time a round packs; only the requests need a block.
+    pack = None
     with span("block_cg", cat="solver"):
         for i in range(nrhs):
             advance(i)
@@ -90,17 +104,15 @@ def block_cg(
             cols = list(pending)  # ascending: columns only ever leave
             if len(cols) == nrhs and all(pending[i] is p_cols[i] for i in cols):
                 op.apply_batch(P, AP)
-                served = AP
             else:
-                if pack_v is None:
-                    pack_v, pack_av = np.empty_like(B), np.empty_like(B)
+                if pack is None:
+                    pack = np.empty_like(B)
                 for j, i in enumerate(cols):
-                    np.copyto(pack_v[j], pending[i])
-                served = pack_av
-                op.apply_batch(pack_v[: len(cols)], served[: len(cols)])
+                    np.copyto(pack[j], pending[i])
+                op.apply_batch(pack[: len(cols)], AP[: len(cols)])
             for j, i in enumerate(cols):
                 applies[i] += 1
-                advance(i, served[j])
+                advance(i, AP[j])
 
     wall_time = (time.perf_counter() - t0) / nrhs
     for res, n in zip(results, applies):
@@ -126,16 +138,16 @@ def solve_wilson_batch(
     :mod:`repro.solvers.wilson_solve` on the batched normal system.
     """
     B = np.asarray(B)
-    verify = np.empty_like(B)
     system = _System(
         op=dirac.normal_op(),
         prepare=dirac.apply_dagger_batch,
         reconstruct=lambda X, B: X,
-        apply=lambda X: dirac.apply_batch_into(X, verify),
+        apply=lambda X: dirac.apply_batch_into(X, np.empty_like(X)),
     )
 
-    def step(rhs, x0, inner_tol):
-        return block_cg(system.op, rhs, x0=x0, tol=inner_tol, max_iter=max_iter)
+    def step(rhs, X, inner_tol):
+        out = np.empty_like(rhs) if X is None else X  # round 2 continues X in place
+        return out, block_cg(system.op, rhs, x0=X, tol=inner_tol, max_iter=max_iter, out=out)
 
     results = _verify_and_refine(system, step, B, tol)
     for res in results:

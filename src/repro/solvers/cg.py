@@ -98,13 +98,15 @@ def _cg_core(
     is the inner product of every reduction (``cg_spmd`` passes its
     rank-ordered allreduce); ``label`` tags the result, faults and events;
     ``ap`` is where ``A v`` lands and ``p`` the search-direction storage,
-    the vector ``op`` is handed every iteration (both default: allocated)."""
+    the vector ``op`` is handed every iteration (both default: allocated).
+    The iterate starts as a copy of ``x0``, which is never written."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
     ap = np.empty_like(b) if ap is None else ap
     rec = _recurrence(
-        b, x0, tol, max_iter, record_history, resolve_policy(guard),
-        np.empty_like(b) if p is None else p, vdot, label,
+        b, x0, tol, max_iter, record_history, resolve_policy(guard), vdot, label,
+        x=np.empty_like(b), r=np.empty_like(b),
+        p=np.empty_like(b) if p is None else p, tmp=np.empty_like(b),
     )
     try:
         v = next(rec)
@@ -127,37 +129,48 @@ def _recurrence(
     max_iter: int,
     record_history: bool,
     policy: GuardPolicy,
-    p: np.ndarray,
     vdot,
     label: str,
+    *,
+    x: np.ndarray,
+    r: np.ndarray,
+    p: np.ndarray,
+    tmp: np.ndarray,
 ):
     """The one guarded CG recurrence.  Yields each vector it needs ``A``
     applied to, is sent ``A v`` back (read before its next yield) and
     returns the :class:`SolveResult`; the apply count, flops and wall time
-    are the driver's.  ``p`` is the search-direction storage, so a batched
-    driver can hand out views of one block."""
+    are the driver's.
+
+    Its vectors live in caller-owned storage shaped like ``b``, so a
+    batched driver can hand out views of one block per kind: the iterate
+    ``x`` (returned as ``result.x``; it starts as a copy of ``x0``, or is
+    ``x0`` itself when the driver continues a solution in place), the
+    residual ``r``, the search direction ``p`` and the scratch ``tmp``.
+    ``tmp`` is read only between two yields, so recurrences that are
+    advanced one at a time may share it."""
 
     def norm2(a: np.ndarray) -> float:
         return float(vdot(a, a).real)
 
     b_norm2 = norm2(b)
     if b_norm2 == 0.0:
+        x.fill(0)
         return SolveResult(
-            x=np.zeros_like(b), converged=True, iterations=0, residual=0.0,
-            history=[0.0], label=label,
+            x=x, converged=True, iterations=0, residual=0.0, history=[0.0], label=label,
         )
     if not math.isfinite(b_norm2):
         raise NumericalFault("non-finite |b|^2", solver=label, iteration=0)
 
     if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
+        x.fill(0)
+        np.copyto(r, b)
     else:
-        x = x0.astype(b.dtype, copy=True)
-        r = b - (yield x)
+        if x0 is not x:
+            np.copyto(x, x0)
+        np.subtract(b, (yield x), out=r)
 
     np.copyto(p, r)
-    tmp = np.empty_like(b)
     r2 = norm2(r)
     if not math.isfinite(r2):
         raise NumericalFault("non-finite initial residual", solver=label, iteration=0)

@@ -9,9 +9,11 @@ itself, tighten by x0.01 for up to three rounds.  It runs on
   normal equations (:func:`_normal_system`, and the batched one in
   :mod:`repro.solvers.block`) or the even-odd Schur system
   (:func:`_even_odd_system`).  A new preconditioner is a new system.
-* a *step* ``(rhs, x0, tol) -> [SolveResult per column]`` on ``system.op``:
-  ``cg``, ``mixed_precision_cg`` or ``block_cg``.  A new inner precision
-  or width is a new step.
+* a *step* ``(rhs, X, tol) -> (X, [SolveResult per column])`` on
+  ``system.op``: ``cg``, ``mixed_precision_cg`` or ``block_cg``.  ``X`` is
+  ``None`` in the first round and the previous round's inner solutions
+  after it; the step returns the new ones, which ``block_cg`` writes over
+  ``X`` in place.  A new inner precision or width is a new step.
 
 The front ends pick one of each and return full-lattice solutions with
 verified residuals — the entry point the measurement code uses.
@@ -69,7 +71,9 @@ def _even_odd_system(eo: EvenOddWilson) -> _System:
 
 def _verify_and_refine(
     system: _System,
-    step: Callable[[np.ndarray, np.ndarray | None, float], list[SolveResult]],
+    step: Callable[
+        [np.ndarray, np.ndarray | None, float], tuple[np.ndarray, list[SolveResult]]
+    ],
     B: np.ndarray,
     tol: float,
 ) -> list[SolveResult]:
@@ -85,10 +89,10 @@ def _verify_and_refine(
     rhs = system.prepare(B)
     b_norm = [norm(b) for b in B]
     results: list[SolveResult] = []
-    x0 = None
+    X = None
     tol_n = tol
     for _ in range(3):
-        steps = step(rhs, x0, tol_n)
+        X, steps = step(rhs, X, tol_n)
         if not results:
             results = steps
         else:
@@ -100,15 +104,14 @@ def _verify_and_refine(
                 res.inner_iterations += part.inner_iterations
                 res.history.extend(part.history[1:])
                 res.guard_events.extend(part.guard_events)
-        x0 = np.stack([part.x for part in steps])
-        X = system.reconstruct(x0, B)
+        full = system.reconstruct(X, B)
         true_res = np.array(
-            [norm(b - mx) / bn if bn else 0.0 for b, mx, bn in zip(B, system.apply(X), b_norm)]
+            [norm(b - mx) / bn if bn else 0.0 for b, mx, bn in zip(B, system.apply(full), b_norm)]
         )
         if np.all(true_res <= tol):
             break
         tol_n *= 0.01
-    for res, x, r in zip(results, X, true_res):
+    for res, x, r in zip(results, full, true_res):
         res.x = x
         res.residual = float(r)
         res.converged = bool(r <= 10 * tol)
@@ -116,11 +119,11 @@ def _verify_and_refine(
 
 
 def _cg_step(op: LinearOperator, max_iter: int):
-    """The fp64 single-column step: CG on ``op``, continued from ``x0``."""
+    """The fp64 single-column step: CG on ``op``, continued from ``X``."""
 
-    def step(rhs, x0, inner_tol):
-        x = None if x0 is None else x0[0]
-        return [cg(op, rhs[0], x0=x, tol=inner_tol, max_iter=max_iter)]
+    def step(rhs, X, inner_tol):
+        res = cg(op, rhs[0], x0=None if X is None else X[0], tol=inner_tol, max_iter=max_iter)
+        return res.x[None], [res]
 
     return step
 
@@ -143,8 +146,9 @@ def solve_wilson(
     if mixed:
         nop32 = dirac.astype(np.complex64).normal_op()
 
-        def step(rhs, x0, inner_tol):
-            return [mixed_precision_cg(system.op, nop32, rhs[0], tol=inner_tol, max_inner=max_iter)]
+        def step(rhs, X, inner_tol):
+            res = mixed_precision_cg(system.op, nop32, rhs[0], tol=inner_tol, max_inner=max_iter)
+            return res.x[None], [res]
     else:
         step = _cg_step(system.op, max_iter)
     (res,) = _verify_and_refine(system, step, b[None], tol)

@@ -32,7 +32,7 @@ from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField
 from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
-from repro.solvers import block_cg, cg, solve_wilson_batch
+from repro.solvers import block_cg, cg, solve_wilson, solve_wilson_batch
 
 # Asymmetric extents so axis-ordering bugs cannot cancel; a 16-site
 # lattice where only the protocol, not the stencil, is under test.
@@ -288,6 +288,32 @@ class TestBlockCG:
         assert (block[0].iterations, block[0].operator_applies) == (0, 0)
         _same_as_cg(op, B, block, X0)
 
+    @GUARD_LEVELS
+    def test_public_solvers_leave_x0_untouched(self, monkeypatch, level):
+        monkeypatch.setenv("REPRO_GUARD", level)
+        op, _ = _model_operator()
+        rng = np.random.default_rng(43)
+        B = rng.normal(size=(3, 96)) + 1j * rng.normal(size=(3, 96))
+        x0 = 0.1 * B[::-1]
+        kept = x0.tobytes()
+        block = block_cg(op, B, x0=x0, tol=1e-8, max_iter=2000)
+        single = cg(op, B[1], x0=x0[1], tol=1e-8, max_iter=2000)
+        assert x0.tobytes() == kept
+        assert not any(np.shares_memory(res.x, x0) for res in block + [single])
+
+    def test_out_x0_continues_in_place(self):
+        """``out=x0`` continues the guess in its own storage: the same
+        results as from a copy, the solutions rows of that block."""
+        op, _ = _model_operator()
+        rng = np.random.default_rng(47)
+        B = rng.normal(size=(3, 96)) + 1j * rng.normal(size=(3, 96))
+        X = 0.1 * B[::-1]
+        want = block_cg(op, B, x0=X.copy(), tol=1e-8, max_iter=2000)
+        got = block_cg(op, B, x0=X, tol=1e-8, max_iter=2000, out=X)
+        for i, (res, ref) in enumerate(zip(got, want)):
+            assert np.shares_memory(res.x, X[i]) and _bit_equal(X[i], ref.x)
+            assert (res.history, res.operator_applies) == (ref.history, ref.operator_applies)
+
     def test_zero_column_and_bad_shape(self):
         op, _ = _model_operator()
         B = np.zeros((2, 96), dtype=complex)
@@ -313,3 +339,64 @@ class TestSolveWilsonBatch:
             true_res = np.linalg.norm(B[i] - dirac.apply(res.x)) / np.linalg.norm(B[i])
             assert true_res <= 10 * tol
             assert res.residual == pytest.approx(true_res, rel=1e-6)
+
+    def _two_rounds(self, monkeypatch) -> list:
+        """Spy on the batched solve's step: the inner tolerance of each round."""
+        import repro.solvers.block as block
+
+        rounds, real = [], block.block_cg
+        monkeypatch.setattr(
+            block, "block_cg", lambda *a, **k: rounds.append(k["tol"]) or real(*a, **k)
+        )
+        return rounds
+
+    @pytest.mark.parametrize("level", ["off", "detect", "heal"])
+    def test_two_round_columns_equal_cg(self, monkeypatch, level):
+        """Every column of a solve that refines twice is ``solve_wilson``
+        (CG, continued from its own round-1 solution) on that column."""
+        monkeypatch.setenv("REPRO_GUARD", level)
+        dims = (4, 4, 4, 4)
+        dirac = WilsonDirac(_gauge(dims), 0.0)
+        B = _rand_block(dims, 3, seed=53)
+        rounds = self._two_rounds(monkeypatch)
+        results = solve_wilson_batch(dirac, B, tol=1e-8, max_iter=2000)
+        assert len(rounds) == 2
+        for b, res in zip(B, results):
+            seq = solve_wilson(dirac, b, tol=1e-8, max_iter=2000)
+            assert _bit_equal(res.x, seq.x)
+            assert res.history == seq.history
+            assert (res.iterations, res.operator_applies) == (seq.iterations, seq.operator_applies)
+            assert res.guard_events == seq.guard_events and res.residual == seq.residual
+
+    def test_two_round_solve_holds_at_most_eight_blocks(self, monkeypatch):
+        """A 12-column propagator solve that refines twice holds B, M^dag B,
+        X, R, P, AP and the pack block (plus one column of scratch and the
+        round's verify block, which never coexist with R, P, AP): <= 8
+        blocks, where a copy per round and per request kept about 12.  The first solve
+        sizes the kernel's arenas for every batch width; the second is
+        traced."""
+        import tracemalloc
+
+        from repro.fields import point_source
+
+        dims = (8, 4, 4, 4)
+        lat = Lattice4D(dims)
+        dirac = WilsonDirac(GaugeField.warm(lat, rng=3), 0.3)
+
+        def sources():
+            return np.stack(
+                [point_source(lat, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
+            )
+
+        solve_wilson_batch(dirac, sources(), tol=1e-6)
+        rounds = self._two_rounds(monkeypatch)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            B = sources()
+            solve_wilson_batch(dirac, B, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rounds) == 2
+        assert peak <= 8 * B.nbytes, f"{peak / B.nbytes:.2f} blocks"

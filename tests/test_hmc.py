@@ -188,6 +188,66 @@ class TestHMCDriver:
         assert 0.0 <= r.plaquette <= 1.0
 
 
+class TestPlaquetteMemo:
+    """The plaquette of one link state is computed once per trajectory and
+    served to the energies, the reported plaquette and the checkpoint."""
+
+    def test_memo_does_not_change_a_bit(self, tmp_path, monkeypatch):
+        """A quenched campaign (checkpoints and reunitarisation on the
+        way) against one whose memo forgets before every call: same ledger
+        bytes, checkpoint plaquettes and final links, in fewer plaquettes."""
+        import repro.hmc.action as action_module
+        from repro.campaign import CampaignConfig, HMCCampaign
+        from repro.loops import PlaquetteMemo
+
+        computed = []
+
+        class Counting(PlaquetteMemo):
+            def __call__(self, u):
+                key = self._key
+                value = super().__call__(u)
+                computed[-1] += self._key is not key
+                return value
+
+        class Forgetful(Counting):
+            def __call__(self, u):
+                self._key = None
+                return super().__call__(u)
+
+        cfg = CampaignConfig(
+            shape=(2, 2, 2, 4), beta=5.5, n_trajectories=6, n_steps=3,
+            checkpoint_interval=2, reunit_interval=3, seed=7,
+        )
+        runs = []
+        for memo in (Counting, Forgetful):
+            monkeypatch.setattr(action_module, "PlaquetteMemo", memo)
+            computed.append(0)
+            camp = HMCCampaign(tmp_path / memo.__name__, cfg)
+            summary = camp.run()
+            records = camp.ledger.records()
+            metas = [camp.store.load(step)[1]["plaquette"] for step in camp.store.steps()]
+            runs.append(((tmp_path / memo.__name__ / "ledger.jsonl").read_bytes(),
+                         metas, summary.final_plaquette,
+                         camp.store.load(camp.store.steps()[-1])[0]["u"].tobytes()))
+        assert runs[0] == runs[1]
+        assert len(records) == 6 and computed[0] < computed[1]
+
+    def test_in_place_edit_forces_a_recompute(self):
+        from repro.loops import PlaquetteMemo
+
+        gauge = GaugeField.hot(Lattice4D((2, 2, 2, 2)), rng=21)
+        memo = PlaquetteMemo()
+        p0 = memo(gauge.u)
+        assert memo(gauge.u.copy()) == p0  # equal content, another array
+        link = (2, 1, 0, 1, 0)
+        gauge.u[link] = su3.expm_su3(0.1j * su3.gellmann_matrices()[4]) @ gauge.u[link]
+        p1 = memo(gauge.u)  # same array object, edited in place
+        assert p1 != p0 and p1 == average_plaquette(gauge.u)
+        action = WilsonGaugeAction(5.5)
+        hmc = HMC(action, rng=1)
+        assert hmc.plaquette(gauge) == p1 and hmc._plaquette is action.plaquette
+
+
 class TestPseudofermion:
     def _setup(self, mass=1.0, seed=21):
         lat = Lattice4D((2, 2, 2, 2))

@@ -114,6 +114,31 @@ class TestShift:
         out = shift_with_phase(a, 0, 1, phase=1j)
         assert out[3] == 1j and np.all(out[:3] == 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("phase", [1.0, -1.0, np.exp(0.7j)], ids=["1", "-1", "twist"])
+    @pytest.mark.parametrize("dist", [1, -1, 2, -2])
+    def test_bytes_equal_np_roll(self, dist, phase, dtype):
+        """The flat-copy shift writes what ``np.roll`` plus a phase on the
+        wrapped slab writes, byte for byte, along every axis of a
+        fermion-shaped field, and a non-contiguous view takes ``np.roll``."""
+
+        def rolled(a, mu):
+            out = np.roll(a, -dist, axis=mu)
+            if phase != 1.0:
+                n, edge = a.shape[mu], [slice(None)] * a.ndim
+                edge[mu] = slice(n - dist, n) if dist > 0 else slice(0, -dist)
+                out[tuple(edge)] = out[tuple(edge)] * phase
+            return out
+
+        shape = (4, 3, 2, 5, 4, 3)
+        a = (RNG.normal(size=shape) + 1j * RNG.normal(size=shape)).astype(dtype)
+        for field in (a, a[:, ::-1]):
+            for mu in range(a.ndim):
+                want = rolled(field, mu).tobytes()
+                assert shift_with_phase(field, mu, dist, phase).tobytes() == want
+                if phase == 1.0:
+                    assert shift(field, mu, dist).tobytes() == want
+
 
 class TestCheckerboard:
     def test_parity_counts_balanced(self):

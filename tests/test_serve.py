@@ -154,6 +154,42 @@ class TestCoalescing:
         queue.flush()
         assert np.array_equal(record[0][1][0], want)
 
+    def test_reused_buffer_does_not_alter_the_queued_solve(self, lat, dirac):
+        """A real solve of a buffer the caller overwrote after ``submit`` is
+        the solve of what was submitted, byte for byte."""
+        srcs = _sources(lat, 3, seed=3)
+        buf = np.empty_like(srcs[0])
+        queue = SolveQueue(max_nrhs=12)
+        futures = []
+        for b in srcs:
+            buf[...] = b
+            futures.append(queue.submit(dirac, buf, tol=1e-8))
+        buf[...] = np.nan
+        queue.flush()
+        direct = solve_wilson_batch(dirac, np.stack(srcs), tol=1e-8)
+        for future, want in zip(futures, direct):
+            assert future.result(timeout=0).x.tobytes() == want.x.tobytes()
+
+    def test_queue_holds_no_payload_once_batched(self, lat, dirac):
+        """The submit copies are dropped as soon as the batch block is
+        stacked, before the solve runs, and nothing of them stays after."""
+        import weakref
+
+        copies, alive_during_solve = [], []
+
+        def solver(op, B, **kwargs):
+            alive_during_solve.extend(ref() is not None for ref in copies)
+            return solve_wilson_batch(op, B, **kwargs)
+
+        queue = SolveQueue(max_nrhs=12, solver=solver)
+        for b in _sources(lat, 4):
+            queue.submit(dirac, b)
+        copies.extend(weakref.ref(req.b) for req in queue._pending)
+        assert queue.flush() == 1
+        assert alive_during_solve == [False] * 4
+        assert all(ref() is None for ref in copies)
+        assert queue.pending_count() == 0
+
 
 # -- width-cap resolution -----------------------------------------------------
 
