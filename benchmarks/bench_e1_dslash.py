@@ -2,7 +2,7 @@
 
 Micro-benchmarks of the hopping kernel per volume/precision/backend
 (statistical, via pytest-benchmark) plus the paper-style table from the
-E1 driver, comparing the ``reference`` roll-based kernel and the
+E1 driver, comparing the ``reference`` shift-and-einsum kernel and the
 ``fused`` workspace-backed one.
 """
 

@@ -7,7 +7,7 @@ absolute numbers differ by the Python-vs-assembly gap, the volume and
 precision *trends* are the reproduced shape.
 
 Each (volume, precision) cell is measured for every requested kernel
-backend (``reference`` roll-based, ``fused`` workspace-backed), with
+backend (``reference`` shift-and-einsum, ``fused`` workspace-backed), with
 each row annotated by its speedup over the reference and over the fused
 default — the E1 analogue of the paper's hand-optimised-vs-baseline
 kernel comparison.  Timings are best-of-``repeats`` after a warm-up

@@ -11,7 +11,7 @@ the adjoint is implemented (no second stencil needed).
 
 The hopping term goes through a named kernel from
 :mod:`repro.kernels.registry` — ``fused`` (workspace-backed, default) or
-``reference`` (roll-based specification), selectable per operator via the
+``reference`` (shift-and-einsum specification), selectable per operator via the
 ``kernel`` argument or globally via the ``REPRO_KERNEL`` environment
 variable.  The two are bit-for-bit identical, so the choice only affects
 speed and allocation behaviour.  Every form — ``M``, ``M^dag`` and the

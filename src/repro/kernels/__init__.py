@@ -8,7 +8,7 @@ block (:class:`HaloStencil`), and a registry of the two named kernels
 (``reference`` / ``fused``) selectable per operator or via the
 ``REPRO_KERNEL`` environment variable.
 
-Design rule — *two Dslash paths, one truth*: the roll-based
+Design rule — *two Dslash paths, one truth*: the shift-and-einsum
 ``reference`` kernel in :mod:`repro.dirac.hopping` stays the executable
 specification; the ``fused`` kernel reorganises memory traffic and
 execution only and must agree with it bit-for-bit (enforced by tier-1

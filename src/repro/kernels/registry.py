@@ -3,8 +3,11 @@
 Two tiers, one truth:
 
 ``reference``
-    The roll-based :func:`repro.dirac.hopping.hopping_term` — the
-    executable specification, kept allocation-heavy and obvious.
+    :func:`repro.dirac.hopping.hopping_term`, one
+    :func:`repro.lattice.shift_with_phase` and one ``einsum`` per term —
+    the executable specification, kept allocation-heavy and obvious.  Its
+    shifts run the same ``shift_into`` as ``fused``; that shift is checked
+    on its own against ``np.roll`` in the lattice tests.
 ``fused``
     The workspace-backed :class:`repro.kernels.fused.FusedHopping` —
     site-minor real planes, real ufuncs only, bit-for-bit identical
@@ -40,7 +43,7 @@ DEFAULT_KERNEL = "fused"
 
 
 class ReferenceHopping:
-    """The roll-based specification kernel behind the registry protocol."""
+    """The shift-and-einsum specification kernel behind the registry protocol."""
 
     name = "reference"
 

@@ -15,8 +15,7 @@ C-contiguous array a nearest-neighbour shift along any axis is one flat
 offset copy — every site whose neighbour lies in the same outer block
 reads the element ``dist * inner`` further on, whatever the axis — plus
 one slab copy that overwrites the sites that wrapped; the rows it moves
-are as long as the array allows even for the minor-most axis.  Only a
-non-contiguous input still takes ``np.roll``.
+are as long as the array allows even for the minor-most axis.
 """
 
 from __future__ import annotations
@@ -37,30 +36,16 @@ def shift(a: np.ndarray, mu: int, dist: int) -> np.ndarray:
 def shift_with_phase(a: np.ndarray, mu: int, dist: int, phase: complex = 1.0) -> np.ndarray:
     """Like :func:`shift` but multiplies the wrapped-around slab by ``phase``.
 
-    A C-contiguous ``a`` goes through :func:`shift_into`; any other
-    takes ``np.roll``, with the same bytes.  With a phase other than 1,
-    only |dist| <= extent is supported (all stencils use dist = +-1).
+    With a phase other than 1, only |dist| <= extent is supported (all
+    stencils use dist = +-1).
     """
     mu = range(a.ndim)[mu]
     n = a.shape[mu]
-    if phase == 1.0 and n and abs(dist) > n:
+    if not a.size:
+        return a.copy()
+    if phase == 1.0 and abs(dist) > n:
         dist %= n
-    if a.flags.c_contiguous and a.size:
-        return shift_into(np.empty_like(a, order="C"), a, mu, dist, phase)
-    out = np.roll(a, -dist, axis=mu)
-    if phase == 1.0 or dist == 0:
-        return out
-    d = abs(dist)
-    if d > n:
-        raise ValueError(f"|dist|={d} exceeds extent {n} along axis {mu}")
-    idx = [slice(None)] * a.ndim
-    if dist > 0:
-        # Sites x >= N - dist read from x + dist - N: they crossed the boundary.
-        idx[mu] = slice(n - d, n)
-    else:
-        idx[mu] = slice(0, d)
-    out[tuple(idx)] = out[tuple(idx)] * phase
-    return out
+    return shift_into(np.empty(a.shape, a.dtype), np.ascontiguousarray(a), mu, dist, phase)
 
 
 def shift_into(

@@ -62,7 +62,8 @@ def block_cg(
     The block budget: ``B`` and the solutions, the residuals, the search
     directions, their images, the pack block of rounds that cannot run in
     place (allocated by the first of them) and one column of scratch that
-    every recurrence shares.
+    every recurrence shares.  Under ``REPRO_GUARD=heal`` each recurrence
+    also keeps its last verified iterate, one block more.
     """
     B = np.asarray(B)
     if B.ndim < 2:

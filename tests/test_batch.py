@@ -368,17 +368,20 @@ class TestSolveWilsonBatch:
             assert (res.iterations, res.operator_applies) == (seq.iterations, seq.operator_applies)
             assert res.guard_events == seq.guard_events and res.residual == seq.residual
 
-    def test_two_round_solve_holds_at_most_eight_blocks(self, monkeypatch):
+    @pytest.mark.parametrize("level,blocks", [("off", 8), ("detect", 8), ("heal", 9)])
+    def test_two_round_solve_holds_its_block_budget(self, monkeypatch, level, blocks):
         """A 12-column propagator solve that refines twice holds B, M^dag B,
         X, R, P, AP and the pack block (plus one column of scratch and the
         round's verify block, which never coexist with R, P, AP): <= 8
-        blocks, where a copy per round and per request kept about 12.  The first solve
-        sizes the kernel's arenas for every batch width; the second is
-        traced."""
+        blocks, where a copy per round and per request kept about 12.
+        Under ``heal`` every column also keeps its last verified iterate
+        (the rollback point), one block more.  The first solve sizes the
+        kernel's arenas for every batch width; the second is traced."""
         import tracemalloc
 
         from repro.fields import point_source
 
+        monkeypatch.setenv("REPRO_GUARD", level)
         dims = (8, 4, 4, 4)
         lat = Lattice4D(dims)
         dirac = WilsonDirac(GaugeField.warm(lat, rng=3), 0.3)
@@ -399,4 +402,4 @@ class TestSolveWilsonBatch:
         finally:
             tracemalloc.stop()
         assert len(rounds) == 2
-        assert peak <= 8 * B.nbytes, f"{peak / B.nbytes:.2f} blocks"
+        assert peak <= blocks * B.nbytes, f"{peak / B.nbytes:.2f} blocks"

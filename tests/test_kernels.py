@@ -1,5 +1,5 @@
 """Tier-1 tests for repro.kernels: the fused Dslash must match the
-roll-based reference bit-for-bit ("two Dslash paths, one truth"), and the
+shift-and-einsum reference bit-for-bit ("two Dslash paths, one truth"), and the
 ``apply_into`` protocol must be value-identical to ``apply`` everywhere.
 """
 
@@ -107,6 +107,9 @@ class TestWorkspace:
 @pytest.mark.parametrize("dist", [+1, -1])
 @pytest.mark.parametrize("phase", [1.0, -1.0, np.exp(0.3j)])
 def test_shift_into_matches_shift_with_phase(extents, axis, dist, phase):
+    """``shift_into`` writes into the caller's buffer what
+    ``shift_with_phase`` returns; both are checked against ``np.roll`` in
+    ``tests/test_lattice.py``."""
     rng = np.random.default_rng(5)
     a = _rand_field(rng, extents + (4, 3), np.complex128)
     ref = shift_with_phase(a, axis, dist, phase)

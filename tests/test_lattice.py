@@ -114,13 +114,24 @@ class TestShift:
         out = shift_with_phase(a, 0, 1, phase=1j)
         assert out[3] == 1j and np.all(out[:3] == 1.0)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 3, 2, 5, 4, 3), (2, 4, 3, 2, 5, 4, 3), (4, 4, 3, 2, 5, 3, 3)],
+        ids=["fermion", "domain-wall", "links"],
+    )
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("phase", [1.0, -1.0, np.exp(0.7j)], ids=["1", "-1", "twist"])
     @pytest.mark.parametrize("dist", [1, -1, 2, -2])
-    def test_bytes_equal_np_roll(self, dist, phase, dtype):
+    def test_bytes_equal_np_roll(self, shape, dist, phase, dtype):
         """The flat-copy shift writes what ``np.roll`` plus a phase on the
-        wrapped slab writes, byte for byte, along every axis of a
-        fermion-shaped field, and a non-contiguous view takes ``np.roll``."""
+        wrapped slab writes, byte for byte, along every axis of the fields
+        the kernels shift: a fermion (site axes from 0), a domain-wall
+        field and a link field (site axes from 1).  A non-contiguous view
+        gives the same bytes as its copy.
+
+        The ``reference`` Dslash kernel shifts through the same
+        ``shift_into`` as the ``fused`` one, so this ``np.roll`` oracle is
+        what keeps the shift itself checked on its own."""
 
         def rolled(a, mu):
             out = np.roll(a, -dist, axis=mu)
@@ -130,7 +141,6 @@ class TestShift:
                 out[tuple(edge)] = out[tuple(edge)] * phase
             return out
 
-        shape = (4, 3, 2, 5, 4, 3)
         a = (RNG.normal(size=shape) + 1j * RNG.normal(size=shape)).astype(dtype)
         for field in (a, a[:, ::-1]):
             for mu in range(a.ndim):
