@@ -46,7 +46,7 @@ from repro.guard import (
 from repro.hmc import HMC, WilsonGaugeAction
 from repro.io import atomic_write_bytes, load_gauge
 from repro.lattice import Lattice4D
-from repro.loops import average_plaquette
+from repro.measure.observables import gauge_record
 from repro.telemetry import registry as _tm_registry
 from repro.telemetry.spans import current_span_path
 from repro.telemetry.state import STATE
@@ -368,22 +368,6 @@ class HMCCampaign:
 # -- measurement sweeps -------------------------------------------------------
 
 
-def _measure_plaquette(gauge: GaugeField, meta: dict) -> dict:
-    return {"plaquette": float(average_plaquette(gauge.u))}
-
-
-def _measure_observables(gauge: GaugeField, meta: dict) -> dict:
-    from repro.measure.observables import gauge_observables
-
-    out: dict[str, float] = {}
-    for k, v in gauge_observables(gauge).items():
-        if isinstance(v, complex):
-            out[f"{k}_re"], out[f"{k}_im"] = float(v.real), float(v.imag)
-        else:
-            out[k] = float(v)
-    return out
-
-
 def _measure_spectrum(gauge: GaugeField, meta: dict) -> dict:
     from repro.measure.spectrum import measure_spectrum
 
@@ -395,8 +379,8 @@ def _measure_spectrum(gauge: GaugeField, meta: dict) -> dict:
 
 #: Named per-configuration measurement tasks for :class:`MeasurementCampaign`.
 MEASUREMENTS = {
-    "plaquette": _measure_plaquette,
-    "observables": _measure_observables,
+    "plaquette": lambda gauge, meta: gauge_record(gauge, "plaquette"),
+    "observables": lambda gauge, meta: gauge_record(gauge, "observables"),
     "spectrum": _measure_spectrum,
 }
 

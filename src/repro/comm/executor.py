@@ -219,7 +219,6 @@ class RankExecutor:
         width: int,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
-        overlap: bool,
     ) -> None:
         """One Wilson apply on this rank: exchange + box stencil of block
         ``psi_key`` into the local-shaped array ``out``.
@@ -227,13 +226,14 @@ class RankExecutor:
         The stencil multiplies by the link planes of block ``u_key``
         (:func:`~repro.kernels.halo.rank_links`) in place.  Only the split
         axes' ghosts are filled: along an axis the rank spans, the stencil
-        wraps by the boundary phase, as the lattice kernel does.  With
-        ``overlap`` the deep interior (which reads no ghosts) is
-        stenciled while this rank's faces are on their way, hiding face
-        traffic behind compute; a transport with nothing in flight (ranks
-        that map each other's memory) stencils the whole block in one
-        box after the copies.  The result is bit-identical either way
-        because the boxes partition the interior.
+        wraps by the boundary phase, as the lattice kernel does.  The
+        schedule follows what is in flight: while this rank's faces are
+        on their way (a message transport) the deep interior, which reads
+        no ghosts, is stenciled, hiding face traffic behind compute, and
+        the boundary slabs after; with nothing in flight (ranks that map
+        each other's memory) the whole block is one box after the copies.
+        The result is bit-identical either way because the boxes
+        partition the interior.
         """
         from repro.kernels.halo import full_box, rank_links, split_boxes
 
@@ -247,7 +247,7 @@ class RankExecutor:
 
         pending = self._post_faces(psi_key, width, 0)
         deep, boxes = None, [full_box(local)]
-        if overlap and pending is not None:
+        if pending is not None:
             deep, boxes = split_boxes(local, width, split)
         try:
             if deep is not None:

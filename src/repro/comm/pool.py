@@ -344,12 +344,11 @@ class RankPoolComm:
         phases: tuple[complex, complex, complex, complex],
         diag: float,
         width: int = 1,
-        overlap: bool = True,
     ) -> None:
         """One rank-parallel Wilson apply: exchange + stencil per rank.
 
-        With ``overlap`` the ranks stencil the deep interior while their
-        faces travel (the interior/boundary split); the result is
+        A rank whose faces travel stencils its deep interior meanwhile
+        (:meth:`~repro.comm.executor.RankExecutor.dslash`); the result is
         bit-identical either way.  Halo traffic is recorded exactly as the
         sequential backend records it.  The links stay rank-resident from
         construction; where commands carry payloads only the source
@@ -358,7 +357,7 @@ class RankPoolComm:
         self._check_open()
         self._record_exchange(psi_key, width)
         self._run(
-            ("dslash", psi_key, out_key, u_key, width, phases, diag, overlap),
+            ("dslash", psi_key, out_key, u_key, width, phases, diag),
             psi_key,
             out_key,
         )
@@ -369,7 +368,6 @@ class RankPoolComm:
         phases: tuple[complex, complex, complex, complex],
         diag: float,
         width: int,
-        overlap: bool,
         solve: tuple,
         flops_per_rank: int,
     ):
@@ -399,7 +397,7 @@ class RankPoolComm:
             payloads = [m.tobytes() for m in self._blocks[psi_key][2]]
         b_norm2 = None
         try:
-            replies = self._acks(("solve", keys, width, phases, diag, overlap, solve), payloads)
+            replies = self._acks(("solve", keys, width, phases, diag, solve), payloads)
             while True:
                 statuses = {status for status, _, _ in replies}
                 if len(statuses) != 1:

@@ -17,15 +17,17 @@ Two executors behind one operator:
 * With a process backend (:class:`~repro.comm.pool.RankPoolComm`: ``shm``,
   ``tcp``) the fermion, link-plane and result blocks are rank-resident
   and one ``run_dslash`` command makes every rank process exchange +
-  stencil its own block in parallel, overlapping the deep-interior stencil
-  with the face traffic (``overlap``, on by default there).
+  stencil its own block in parallel.  Where faces are in flight (``tcp``)
+  a rank stencils its deep interior while they travel and the boundary
+  slabs after; elsewhere it stencils its block in one box after the
+  exchange.
 
 Both executors run the same face copies and the same box-wise stencil —
 the single-domain ``fused`` tile loop on each box, its slabs read from
 the ghosts along split axes and wrapped by the boundary phase along the
-axes a rank spans — so their results, overlapped or not, are
-bit-for-bit identical to each other, to :class:`~repro.dirac.WilsonDirac`
-and to the ``hopping_term_halo`` reference below.
+axes a rank spans — so their results, split or not, are bit-for-bit
+identical to each other, to :class:`~repro.dirac.WilsonDirac` and to the
+``hopping_term_halo`` reference below.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
-from repro.kernels import HaloStencil, full_box, split_boxes
+from repro.kernels import HaloStencil, full_box
 from repro.kernels.halo import rank_link_reals, rank_links, write_rank_links
 from repro.kernels.workspace import aligned_empty
 from repro.telemetry.instruments import record_applies
@@ -95,10 +97,10 @@ class DecomposedWilsonDirac(LinearOperator):
     rank-parallel block path on the ``supports_rank_blocks`` capability
     flag — the block API is identical whether the master maps rank memory
     (shm) or holds copies synchronised at command boundaries (tcp).
-    ``overlap`` selects the interior/boundary-split schedule (stencil the
-    deep interior while the exchange is in flight); it defaults to on for
-    block backends and off for the sequential one, and is bit-exact
-    either way.
+    The schedule follows what is in flight: a rank whose faces travel
+    stencils the deep interior meanwhile
+    (:meth:`~repro.comm.executor.RankExecutor.dslash`); every other rank,
+    and the sequential executor, stencils one box after the exchange.
     """
 
     _WIDTH = 1
@@ -109,7 +111,6 @@ class DecomposedWilsonDirac(LinearOperator):
         mass: float,
         comm,
         phases: tuple[complex, complex, complex, complex] = DEFAULT_FERMION_PHASES,
-        overlap: bool | None = None,
     ) -> None:
         super().__init__()
         self.gauge = gauge
@@ -118,7 +119,6 @@ class DecomposedWilsonDirac(LinearOperator):
         self.phases = tuple(phases)
         self.decomp: Decomposition = comm.decompose(gauge.lattice)
         self._shared = bool(getattr(comm, "supports_rank_blocks", False))
-        self.overlap = self._shared if overlap is None else bool(overlap)
         self.flops_per_apply = (
             WILSON_DSLASH_FLOPS_PER_SITE + 8 * 12
         ) * gauge.lattice.volume
@@ -130,8 +130,7 @@ class DecomposedWilsonDirac(LinearOperator):
         self._split = comm.grid.decomposed_axes()
         self._interior_idx = tuple(slice(w, -w) for _ in range(4))
         self._block_idx = [self.decomp.block_slices(r) for r in comm.grid.all_ranks()]
-        self._deep, self._boundary = split_boxes(local, w, self._split)
-        self._full = [full_box(local)]
+        self._full = full_box(local)
         self._stencil = HaloStencil()
 
         fermion_halo_shape = tuple(n + 2 * w for n in local) + (4, 3)
@@ -194,7 +193,7 @@ class DecomposedWilsonDirac(LinearOperator):
             np.copyto(halo.data[self._interior_idx], b[idx])
         keys = (self._psi_key, self._out_key, self._hop_key, self._u_key)
         result, b_norm2 = comm.run_cg(
-            keys, self.phases, self.diag, self._WIDTH, self.overlap,
+            keys, self.phases, self.diag, self._WIDTH,
             (tol, max_iter, policy), self.flops_per_apply // comm.nranks,
         )
         normal = NormalOperator(self)
@@ -255,20 +254,15 @@ class DecomposedWilsonDirac(LinearOperator):
                 self.phases,
                 self.diag,
                 width=self._WIDTH,
-                overlap=self.overlap,
             )
             self.comm.record_compute("wilson_dslash", flops_rank)
         else:
-            # Sequential executor: same schedule, master loops over the ranks.
-            ranks = self.comm.grid.all_ranks()
-            if self.overlap and self._deep is not None:
-                for r in ranks:
-                    self._wilson_box(r, self._deep)
+            # Sequential executor: the exchange, then the master stencils
+            # every rank's block in one box.
             self.comm.exchange(self._psi_halos, phases=self.phases)
             self.comm.record_compute("wilson_dslash", flops_rank)
-            for r in ranks:
-                for box in self._boundary if self.overlap else self._full:
-                    self._wilson_box(r, box)
+            for r in self.comm.grid.all_ranks():
+                self._wilson_box(r, self._full)
         for block, idx in zip(self._out_blocks, self._block_idx):
             copy(out[idx], block)
         return out

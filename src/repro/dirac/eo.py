@@ -17,18 +17,19 @@ standard trick of every production lattice solver and ablation E10
 quantifies it.
 
 Fields stay full-lattice arrays at this API (zeros on the odd sites of
-an even-site field).  Inside, a kernel with a parity-ordered entry
-(``fused``) works on half of them: the even sites are gathered into
-planes once, ``H_oe``, ``H_eo``, the scale and the diagonal term run on
-half-lattice planes, and the result is stored once — a Schur apply costs
-one Dslash.  The normal operator ``M_hat^dag M_hat`` that CG solves
+an even-site field).  Inside, every form runs on the kernel's parity
+entry (:class:`~repro.kernels.fused.ParityEntry`): the even sites are
+gathered into planes once, ``H_oe``, ``H_eo``, the scale and the
+diagonal term run on half-lattice planes, and the result is stored once.
+The normal operator ``M_hat^dag M_hat`` that CG solves
 (:meth:`SchurOperator.normal_op`) stays on those planes from ``M_hat`` to
 ``M_hat^dag``: one gather, four half hops, one store, where wrapping the
 Schur operator in :class:`~repro.dirac.operator.NormalOperator` stores to
-a full-lattice temporary and gathers it again in between.  Kernels
-without that entry, and boundary phases it does not take, run the
-full-volume stencil and zero the other parity; all paths give the same
-bits.
+a full-lattice temporary and gathers it again in between.  The ``fused``
+kernel hops between half lattices under +-1 phases — a Schur apply costs
+one Dslash; the ``reference`` kernel, and ``fused`` under any other
+phase, hop through the full lattice with the other parity zeroed.  Both
+kernels run the same plane arithmetic here, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -88,21 +89,6 @@ class EvenOddWilson:
     def diag(self) -> float:
         return self.mass + 4.0
 
-    def _half_lattice_kernel(self):
-        """The kernel, if it hops between parity-ordered half lattices under
-        these boundary phases; ``None`` selects the masked fallback."""
-        covers = getattr(self._kernel, "covers_parity_hop", None)
-        return self._kernel if covers is not None and covers(self.phases) else None
-
-    def _hop_masked(self, X: np.ndarray, parity: int, out: np.ndarray) -> np.ndarray:
-        """Hopping term of an (nrhs, ...) block onto the sites of ``parity``,
-        for a kernel without a parity entry: the full-volume stencil, the
-        other parity zeroed.  The stencil maps each parity onto the other,
-        so whatever ``X`` holds on the target parity is not read."""
-        self._kernel.apply_batch_into(self.gauge.u, X, self.phases, out=out)
-        out[:, self.odd if parity == EVEN else self.even] = 0
-        return out
-
     # -- Schur pieces ----------------------------------------------------------
 
     def schur_operator(self) -> "SchurOperator":
@@ -111,12 +97,7 @@ class EvenOddWilson:
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """``b_hat = b_e - M_eo M_oo^{-1} b_o = b_e + H_eo b_o / (2 d)``."""
         out = np.empty_like(b)
-        kernel = self._half_lattice_kernel()
-        if kernel is None:
-            self._hop_masked(b[None], EVEN, out[None])
-            out /= 2.0 * self.diag
-            out[self.even] += b[self.even]
-            return out
+        kernel = self._kernel
         with ufunc_rows():
             b_o = kernel.parity_planes(b[None], ODD, "eo.source")
             b_hat = kernel.hop_parity_planes(self.gauge.u, b_o, self.phases, EVEN, "eo.hop")
@@ -130,15 +111,7 @@ class EvenOddWilson:
         ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x
         (``b=None``: no source, ``x_o = H_oe x_e / 2d``)."""
         out = np.empty_like(x_e)
-        kernel = self._half_lattice_kernel()
-        if kernel is None:
-            self._hop_masked(x_e[None], ODD, out[None])
-            out *= 0.5
-            if b is not None:
-                out[self.odd] += b[self.odd]
-            out /= self.diag
-            out[self.even] = x_e[self.even]
-            return out
+        kernel = self._kernel
         with ufunc_rows():
             x_even = kernel.parity_planes(x_e[None], EVEN, "eo.source")
             x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
@@ -189,13 +162,7 @@ class SchurOperator(LinearOperator):
         ``dagger``: gamma5 is site-diagonal, hence parity-preserving;
         ``M_hat^dag M_hat`` when ``normal``)."""
         eo = self.eo
-        kernel = eo._half_lattice_kernel()
-        if kernel is None:
-            if not normal:
-                return self._apply_block_masked(X, out, dagger)
-            tmp = self.workspace.get(X.shape, X.dtype, "schur.normal")
-            self._apply_block_masked(X, tmp, False)
-            return self._apply_block_masked(tmp, out, True)
+        kernel = eo._kernel
         nrhs = X.shape[0]
         step, _, _ = plan(half_extents(eo.lattice.shape), nrhs, X.real.itemsize)
         with ufunc_rows():
@@ -203,47 +170,27 @@ class SchurOperator(LinearOperator):
                 x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")
                 if dagger:
                     gamma5_planes(x)
-                y = self._schur_planes(kernel, x, "eo.other")
+                y = self._schur_planes(x, "eo.other")
                 if normal:
                     # M_hat^dag y = gamma5 M_hat gamma5 y, into x's planes (free now).
                     gamma5_planes(y)
-                    y = self._schur_planes(kernel, y, "eo.source")
+                    y = self._schur_planes(y, "eo.source")
                 if dagger or normal:
                     gamma5_planes(y)
                 kernel.store_parity_planes(out[r : r + step], (y, None))
         return out
 
-    def _schur_planes(self, kernel, x: np.ndarray, slot: str) -> np.ndarray:
+    def _schur_planes(self, x: np.ndarray, slot: str) -> np.ndarray:
         """``M_hat x`` on even-site planes, into workspace planes ``slot``; ``x`` is
         scaled in place on the way."""
         eo = self.eo
-        u, phases = eo.gauge.u, eo.phases
+        kernel, u, phases = eo._kernel, eo.gauge.u, eo.phases
         h_oe = kernel.hop_parity_planes(u, x, phases, ODD, "eo.hop")
         y = kernel.hop_parity_planes(u, h_oe, phases, EVEN, slot)
         y *= _reciprocal(y, -(4.0 * eo.diag))
         x *= x.dtype.type(eo.diag)
         y += x
         return y
-
-    def _apply_block_masked(self, X: np.ndarray, out: np.ndarray, dagger: bool) -> np.ndarray:
-        """:meth:`_apply_block` on full-lattice arrays, through :meth:`EvenOddWilson._hop_masked`."""
-        eo = self.eo
-        ws = self.workspace
-        tmp = ws.get(X.shape, X.dtype, "schur.tmp")
-        if dagger:
-            g5 = ws.get(X.shape, X.dtype, "schur.g5")
-            np.copyto(g5, X)
-            g5[..., 2:4, :] *= -1.0
-            X = g5
-        eo._hop_masked(X, ODD, tmp)
-        eo._hop_masked(tmp, EVEN, out)
-        out /= -(4.0 * eo.diag)
-        np.multiply(X, eo.diag, out=tmp)
-        tmp[:, eo.odd] = 0
-        out += tmp
-        if dagger:
-            out[..., 2:4, :] *= -1.0
-        return out
 
     def apply(self, x_e: np.ndarray) -> np.ndarray:
         return self.apply_into(x_e, np.empty_like(x_e))

@@ -93,9 +93,7 @@ class WilsonDirac(LinearOperator):
         Not needed when ``gauge.u`` is replaced wholesale (the caches key
         on array identity).
         """
-        invalidate = getattr(self._kernel, "invalidate", None)
-        if invalidate is not None:
-            invalidate()
+        self._kernel.invalidate()
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         return self._apply(psi, None)

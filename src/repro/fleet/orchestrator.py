@@ -455,10 +455,10 @@ class Fleet:
     # -- finish processing -----------------------------------------------------
 
     def _compute_plaquette(self, key: str) -> dict:
-        from repro.loops import average_plaquette
+        from repro.measure.observables import gauge_record
 
         gauge, _meta = self.store.get(key)
-        return {"plaquette": float(average_plaquette(gauge.u))}
+        return gauge_record(gauge, "plaquette")
 
     def _process_finish(self, point: DesignPoint, recovered: bool = False) -> dict:
         """Commit one completed point: store/cache side effects first (all

@@ -44,7 +44,9 @@ the backward one by the source parity's ``U_mu^dag`` at the source —
 the T, Z and Y shifts unchanged on the half extents, and the X shift a
 copy in every other row.  That is what even-odd preconditioning runs on:
 a hop from one parity to the other costs half a Dslash, and the planes
-never go back to the full lattice in between.
+never go back to the full lattice in between.  The half lattice wraps by
+a sign; under any other boundary phase the hop takes the lattice route
+every kernel's parity entry has (:class:`ParityEntry`).
 
 Scratch is streamed, and the 8 terms take one of two passes, chosen in
 :func:`plan` from the hop's volume x rhs x itemsize against one
@@ -99,7 +101,7 @@ from repro.kernels.spin import (
 )
 from repro.kernels.workspace import Workspace, aligned_empty
 
-__all__ = ["FusedHopping", "compose_form"]
+__all__ = ["FusedHopping", "ParityEntry", "compose_form"]
 
 #: Working-set target for the streamed stages, in bytes: the colour
 #: multiply's scratch and the block of the field a transposing copy
@@ -390,7 +392,122 @@ def _slab_sources(X: np.ndarray, width: int, links: np.ndarray, behind, phases, 
     return wrap
 
 
-class FusedHopping:
+class ParityEntry:
+    """The parity entry every registered kernel carries, and its workspace.
+
+    Even-odd preconditioning runs on the :func:`load_planes` planes of one
+    parity's sites: :meth:`parity_planes` gathers them, :meth:`store_parity_planes`
+    writes them back.  :meth:`hop_parity_planes` here is the *lattice
+    route* around the subclass's ``apply_batch_into`` — the definition of
+    a parity hop, which :class:`FusedHopping` replaces under +-1 phases.
+    """
+
+    def __init__(self) -> None:
+        self.workspace = Workspace()
+
+    def invalidate(self) -> None:
+        """Drop cached link tables after an in-place gauge update (none here)."""
+
+    def parity_planes(self, X: np.ndarray, parity: int, slot: str) -> np.ndarray:
+        """Workspace planes ``slot`` of the sites of one parity of an (rhs, T, Z, Y, X, 4, 3) block."""
+        nrhs, dims = X.shape[0], X.shape[1:5]
+        sites, _ = parity_site_tables(dims)
+        gathered = self.workspace.get(
+            (nrhs,) + half_extents(dims) + (4, 3), X.dtype, "parity.sites"
+        )
+        # mode="clip": np.take buffers ``out`` under the default "raise".
+        np.take(
+            X.reshape(nrhs, -1, 4, 3),
+            sites[parity],
+            axis=1,
+            out=gathered.reshape(nrhs, -1, 4, 3),
+            mode="clip",
+        )
+        return self._load(gathered, slot)
+
+    def hop_parity_planes(
+        self, u: np.ndarray, psi: np.ndarray, phases, parity: int, slot: str
+    ) -> np.ndarray:
+        """Hopping term onto the sites of ``parity``, from the planes ``psi`` of the other one.
+
+        ``psi`` and the result (workspace planes ``slot``) are laid out as
+        :meth:`parity_planes` lays them out; call under :func:`ufunc_rows`.
+        The lattice route: ``psi`` stored on a lattice zeroed elsewhere, the
+        kernel's own full hop, the sites of ``parity`` gathered.  The hop
+        onto them reads the other parity only, so the zeros change nothing.
+        """
+        _check_parity_planes(u, psi)
+        shape = (psi.shape[2],) + u.shape[1:5] + (4, 3)
+        lattice = self.workspace.get(shape, u.dtype, "parity.lattice")
+        self.store_parity_planes(lattice, (None, psi) if parity == 0 else (psi, None))
+        hop = self.workspace.get(shape, u.dtype, "parity.hop")
+        self.apply_batch_into(u, lattice, phases, out=hop)
+        return self.parity_planes(hop, parity, slot)
+
+    def store_parity_planes(self, out: np.ndarray, planes: tuple) -> np.ndarray:
+        """Complex (rhs, T, Z, Y, X, 4, 3) block ``out`` from the ``planes`` of its
+        (even, odd) sites; ``None`` in place of either stores zeros there."""
+        nrhs, dims = out.shape[0], out.shape[1:5]
+        sites, _ = parity_site_tables(dims)
+        ws = self.workspace
+        # Indexed stores need the flat site axis as a view.
+        dense = out if out.flags.c_contiguous else ws.get(out.shape, out.dtype, "parity.dense")
+        flat = dense.reshape(nrhs, -1, 4, 3)
+        if any(of_parity is None for of_parity in planes):
+            dense.fill(0)  # one pass, cheaper than an indexed store of zeros
+        for parity, of_parity in enumerate(planes):
+            if of_parity is None:
+                continue
+            if of_parity.dtype != out.real.dtype:
+                raise TypeError(
+                    f"field planes ({of_parity.dtype}) and output ({out.dtype}) must "
+                    "share one precision; cast the operator with astype() instead"
+                )
+            scattered = ws.get((nrhs,) + half_extents(dims) + (4, 3), out.dtype, "parity.sites")
+            store_planes(scattered, of_parity)
+            flat[:, sites[parity]] = scattered.reshape(nrhs, -1, 4, 3)
+        if dense is not out:
+            np.copyto(out, dense)
+        return out
+
+    def _load(self, X: np.ndarray, slot: str) -> np.ndarray:
+        """Workspace planes ``slot`` of one (rhs, *sites, 4, 3) block."""
+        nrhs, dims = X.shape[0], X.shape[1:5]
+        psi = self.workspace.get((2, 4, nrhs, 3) + dims, X.real.dtype, slot)
+        self._load_into(psi, X)
+        return psi
+
+    @staticmethod
+    def _load_into(psi: np.ndarray, X: np.ndarray) -> None:
+        """:func:`load_planes` of the (rhs, *sites, 4, 3) block ``X`` into ``psi``."""
+        # Time blocks keep the strided side of the transposing copy in cache.
+        t_block = max(1, _BLOCK_BYTES // max(1, X[:, :1].size * X.itemsize))
+        for t0 in range(0, X.shape[1], t_block):
+            t = slice(t0, t0 + t_block)
+            load_planes(psi[:, :, :, :, t], X[:, t])
+
+
+def _check_parity_planes(u: np.ndarray, psi: np.ndarray) -> None:
+    """Refuse half-lattice planes of another precision or lattice than the links."""
+    if u.real.dtype != psi.dtype:
+        raise TypeError(
+            f"links ({u.dtype}) and field planes ({psi.dtype}) must share one "
+            "precision; cast the operator with astype() instead"
+        )
+    if psi.shape[4:] != half_extents(u.shape[1:5]):
+        raise ValueError(
+            f"half-lattice planes {psi.shape[4:]} do not match the gauge field {u.shape[1:5]}"
+        )
+
+
+def _wraps_by_sign(phases) -> bool:
+    """Whether every boundary phase is +-1, which the half lattice and the
+    planes of a one-tile form take as a sign; any other phase multiplies
+    full spinors the way the reference does."""
+    return all(phase == 1 or phase == -1 for phase in phases)
+
+
+class FusedHopping(ParityEntry):
     """Stateful fused hopping kernel (workspace + cached link planes).
 
     Instances are cheap; each operator owns one so concurrent operators
@@ -400,7 +517,7 @@ class FusedHopping:
     name = "fused"
 
     def __init__(self) -> None:
-        self.workspace = Workspace()
+        super().__init__()
         self.invalidate()
 
     def invalidate(self) -> None:
@@ -525,7 +642,7 @@ class FusedHopping:
         if dims != u.shape[1:5]:
             raise ValueError(f"field sites {dims} do not match the gauge field {u.shape[1:5]}")
         step, group, tile = plan(dims, nrhs, X.real.itemsize)
-        planar = tile == dims[0] and self.covers_parity_hop(phases)
+        planar = tile == dims[0] and _wraps_by_sign(phases)
         if (dagger or normal) and not planar:
             # A tile reads past its faces from the complex field, so gamma5 of
             # the input, or M X, must be one: M tile by tile, gamma5 around it.
@@ -677,22 +794,6 @@ class FusedHopping:
             return psi, self._stacked_terms(psi, links, wrap, "hop.acc")
         return psi, self._terms(psi, links, links, wrap, group, "hop.acc")
 
-    def _load(self, X: np.ndarray, slot: str) -> np.ndarray:
-        """Workspace planes ``slot`` of one (rhs, *sites, 4, 3) block."""
-        nrhs, dims = X.shape[0], X.shape[1:5]
-        psi = self.workspace.get((2, 4, nrhs, 3) + dims, X.real.dtype, slot)
-        self._load_into(psi, X)
-        return psi
-
-    @staticmethod
-    def _load_into(psi: np.ndarray, X: np.ndarray) -> None:
-        """:func:`load_planes` of the (rhs, *sites, 4, 3) block ``X`` into ``psi``."""
-        # Time blocks keep the strided side of the transposing copy in cache.
-        t_block = max(1, _BLOCK_BYTES // max(1, X[:, :1].size * X.itemsize))
-        for t0 in range(0, X.shape[1], t_block):
-            t = slice(t0, t0 + t_block)
-            load_planes(psi[:, :, :, :, t], X[:, t])
-
     def _terms(
         self,
         psi: np.ndarray,
@@ -823,56 +924,22 @@ class FusedHopping:
 
     # -- the parity-ordered entry: the same terms on the sites of one parity -------
 
-    @staticmethod
-    def covers_parity_hop(phases) -> bool:
-        """Whether :meth:`hop_parity_planes` takes these boundary phases.
-
-        It wraps by a sign.  Any other phase multiplies full spinors the
-        way the reference does, which the half lattice does not hold.
-        """
-        return all(phase == 1 or phase == -1 for phase in phases)
-
-    def parity_planes(self, X: np.ndarray, parity: int, slot: str) -> np.ndarray:
-        """Workspace planes ``slot`` of the sites of one parity of an (rhs, T, Z, Y, X, 4, 3) block."""
-        nrhs, dims = X.shape[0], X.shape[1:5]
-        sites, _ = parity_site_tables(dims)
-        gathered = self.workspace.get(
-            (nrhs,) + half_extents(dims) + (4, 3), X.dtype, "parity.sites"
-        )
-        # mode="clip": np.take buffers ``out`` under the default "raise".
-        np.take(
-            X.reshape(nrhs, -1, 4, 3),
-            sites[parity],
-            axis=1,
-            out=gathered.reshape(nrhs, -1, 4, 3),
-            mode="clip",
-        )
-        return self._load(gathered, slot)
-
     def hop_parity_planes(
         self, u: np.ndarray, psi: np.ndarray, phases, parity: int, slot: str
     ) -> np.ndarray:
         """Hopping term onto the sites of ``parity``, from the planes ``psi`` of the other one.
 
-        Half of :meth:`__call__` for half its cost, and value-identical
-        on those sites: the same terms in the same order.  ``psi`` and
-        the result (workspace planes ``slot``) are laid out as
-        :meth:`parity_planes` lays them out; call under :func:`ufunc_rows`.
+        With +-1 phases, half of :meth:`__call__` for half its cost, and
+        value-identical on those sites: the same terms in the same order.
+        Any other phase takes the lattice route of
+        :meth:`ParityEntry.hop_parity_planes`.
         """
-        if u.real.dtype != psi.dtype:
-            raise TypeError(
-                f"links ({u.dtype}) and field planes ({psi.dtype}) must share one "
-                "precision; cast the operator with astype() instead"
-            )
-        if not self.covers_parity_hop(phases):
-            raise ValueError(f"the parity-ordered hop wraps by a sign, not by {phases}")
+        if not _wraps_by_sign(phases):
+            return super().hop_parity_planes(u, psi, phases, parity, slot)
+        _check_parity_planes(u, psi)
         links = self._parity_link_planes(u)
         dims = u.shape[1:5]
         _, x_rows = parity_site_tables(dims)
-        if psi.shape[4:] != half_extents(dims):
-            raise ValueError(
-                f"half-lattice planes {psi.shape[4:]} do not match the gauge field {u.shape[1:5]}"
-            )
         _, group, _ = plan(psi.shape[4:], psi.shape[2], psi.itemsize)
 
         def wrap(mu: int, s: int) -> float:
@@ -884,32 +951,6 @@ class FusedHopping:
         return self._terms(
             psi, links[parity], links[1 - parity], wrap, group, slot, x_rows[parity]
         )
-
-    def store_parity_planes(self, out: np.ndarray, planes: tuple) -> np.ndarray:
-        """Complex (rhs, T, Z, Y, X, 4, 3) block ``out`` from the ``planes`` of its
-        (even, odd) sites; ``None`` in place of either stores zeros there."""
-        nrhs, dims = out.shape[0], out.shape[1:5]
-        sites, _ = parity_site_tables(dims)
-        ws = self.workspace
-        # Indexed stores need the flat site axis as a view.
-        dense = out if out.flags.c_contiguous else ws.get(out.shape, out.dtype, "parity.dense")
-        flat = dense.reshape(nrhs, -1, 4, 3)
-        if any(of_parity is None for of_parity in planes):
-            dense.fill(0)  # one pass, cheaper than an indexed store of zeros
-        for parity, of_parity in enumerate(planes):
-            if of_parity is None:
-                continue
-            if of_parity.dtype != out.real.dtype:
-                raise TypeError(
-                    f"field planes ({of_parity.dtype}) and output ({out.dtype}) must "
-                    "share one precision; cast the operator with astype() instead"
-                )
-            scattered = ws.get((nrhs,) + half_extents(dims) + (4, 3), out.dtype, "parity.sites")
-            store_planes(scattered, of_parity)
-            flat[:, sites[parity]] = scattered.reshape(nrhs, -1, 4, 3)
-        if dense is not out:
-            np.copyto(out, dense)
-        return out
 
     def _wrapped(self, source, mu: int, s: int) -> tuple:
         """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source."""

@@ -15,7 +15,11 @@ Two tiers, one truth:
 
 Both run on NumPy alone, so every registered name can be constructed,
 tested and measured on every host; any other name is a ``ValueError``
-that lists these two.
+that lists these two.  Both implement one protocol: ``__call__`` and
+``apply_batch_into`` (the hop, or a Wilson form of it), the parity entry
+``parity_planes`` / ``hop_parity_planes`` / ``store_parity_planes`` of
+:class:`~repro.kernels.fused.ParityEntry` that even-odd preconditioning
+runs on, and ``invalidate``.
 
 Selection precedence: explicit ``kernel=`` argument on the operator >
 ``REPRO_KERNEL`` environment variable > the ``fused`` default.
@@ -28,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels.fused import FusedHopping, compose_form
+from repro.kernels.fused import FusedHopping, ParityEntry, compose_form
 
 __all__ = [
     "KERNEL_ENV_VAR",
@@ -42,8 +46,10 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 DEFAULT_KERNEL = "fused"
 
 
-class ReferenceHopping:
-    """The shift-and-einsum specification kernel behind the registry protocol."""
+class ReferenceHopping(ParityEntry):
+    """The shift-and-einsum specification kernel behind the registry protocol;
+    its parity hop, :class:`~repro.kernels.fused.ParityEntry`'s lattice route,
+    is the oracle of the fused kernel's half-lattice hop."""
 
     name = "reference"
 

@@ -9,7 +9,7 @@ from repro.fields import GaugeField
 from repro.lattice import shift
 from repro.loops import average_plaquette as _avg_plaq_array
 
-__all__ = ["average_plaquette", "polyakov_loop", "wilson_loop", "gauge_observables"]
+__all__ = ["average_plaquette", "polyakov_loop", "wilson_loop", "gauge_observables", "gauge_record"]
 
 
 def average_plaquette(gauge: GaugeField | np.ndarray) -> float:
@@ -67,3 +67,12 @@ def gauge_observables(gauge: GaugeField) -> dict[str, float]:
         "polyakov_abs": abs(poly),
         "unitarity_violation": gauge.unitarity_violation(),
     }
+
+
+def gauge_record(gauge: GaugeField, name: str) -> dict[str, float]:
+    """The record of the gauge measurement ``name`` that campaign ledgers, the
+    measurement cache and the fleet store: ``"plaquette"`` alone, or
+    ``"observables"``, the :func:`gauge_observables` bundle."""
+    if name == "plaquette":
+        return {"plaquette": float(average_plaquette(gauge))}
+    return {k: float(v) for k, v in gauge_observables(gauge).items()}

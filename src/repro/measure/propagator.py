@@ -52,10 +52,11 @@ def propagator_norm_check(
     dirac: WilsonDirac,
     prop: np.ndarray,
     source_coord: tuple[int, int, int, int],
-    tol: float = 1e-6,
 ) -> float:
-    """Max relative residual of ``M S = delta`` over the 12 columns — the
-    standard sanity stamp written next to stored propagators."""
+    """The largest ``|delta - M S|`` over the 12 spin-colour columns of ``prop``
+    — the standard sanity stamp written next to stored propagators.  A point
+    source has unit norm, which is all that makes this absolute residual
+    the relative one."""
     lat = dirac.lattice
     worst = 0.0
     for s0 in range(4):

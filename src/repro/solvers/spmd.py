@@ -122,7 +122,7 @@ class _RankNormal(LinearOperator):
         return _gamma5(out)
 
 
-def rank_cg(ex, keys: tuple, width: int, phases, diag: float, overlap: bool, solve: tuple):
+def rank_cg(ex, keys: tuple, width: int, phases, diag: float, solve: tuple):
     """One rank's side of :func:`cg_spmd`: the ``solve`` command of
     :class:`~repro.comm.executor.RankExecutor` ``ex``
     (:meth:`~repro.comm.pool.RankPoolComm.run_cg` is the master's side).
@@ -148,7 +148,7 @@ def rank_cg(ex, keys: tuple, width: int, phases, diag: float, overlap: bool, sol
     def dslash(src_key: str, dst: np.ndarray) -> None:
         nonlocal hops
         ex.peers.barrier()
-        ex.dslash(src_key, dst, u_key, width, phases, diag, overlap)
+        ex.dslash(src_key, dst, u_key, width, phases, diag)
         ex.peers.barrier()
         hops += 1
 

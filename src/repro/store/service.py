@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.measure.observables import gauge_record
 from repro.serve import SolveQueue
 from repro.store.cache import MeasurementCache, MeasurementRequest
 from repro.store.ensemble import EnsembleStore
@@ -66,24 +67,6 @@ def queued_point_propagator(
 
 
 # -- observables ---------------------------------------------------------------
-
-
-def _obs_plaquette(service, gauge, params) -> dict:
-    from repro.loops import average_plaquette
-
-    return {"plaquette": float(average_plaquette(gauge.u))}
-
-
-def _obs_gauge(service, gauge, params) -> dict:
-    from repro.measure.observables import gauge_observables
-
-    out: dict[str, float] = {}
-    for k, v in gauge_observables(gauge).items():
-        if isinstance(v, complex):
-            out[f"{k}_re"], out[f"{k}_im"] = float(v.real), float(v.imag)
-        else:
-            out[k] = float(v)
-    return out
 
 
 def _correlators(service, gauge, params):
@@ -130,8 +113,8 @@ def _obs_spectrum(service, gauge, params) -> dict:
 
 #: Named observables servable against a stored configuration.
 OBSERVABLES = {
-    "plaquette": _obs_plaquette,
-    "observables": _obs_gauge,
+    "plaquette": lambda service, gauge, params: gauge_record(gauge, "plaquette"),
+    "observables": lambda service, gauge, params: gauge_record(gauge, "observables"),
     "correlators": _obs_correlators,
     "spectrum": _obs_spectrum,
 }

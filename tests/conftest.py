@@ -37,6 +37,29 @@ def cold_gauge(small_lattice) -> GaugeField:
     return GaugeField.cold(small_lattice)
 
 
+@pytest.fixture
+def schur_formula():
+    """``schur(u, x, mass, phases, dagger=False)``: the even-odd Schur operator
+    ``d x_e - H_eo H_oe x_e / (4 d)`` of a full-lattice field (``gamma5 M_hat
+    gamma5`` with ``dagger``), from :func:`~repro.dirac.hopping.hopping_term`
+    and checkerboard masks alone — an oracle that shares no code with
+    :mod:`repro.dirac.eo` or a kernel's parity entry.  Equal to them in value;
+    compare with ``np.array_equal``, which takes -0.0 for +0.0."""
+    from repro.dirac.hopping import hopping_term
+    from repro.gammas import apply_gamma5
+    from repro.lattice import checkerboard_masks, mask_field
+
+    def schur(u, x, mass, phases, dagger=False):
+        even, odd = checkerboard_masks(Lattice4D(u.shape[1:5]))
+        d = mass + 4.0
+        x_e = mask_field(apply_gamma5(x) if dagger else x, even)
+        h_oe = mask_field(hopping_term(u, x_e, phases), odd)
+        y = d * x_e - mask_field(hopping_term(u, h_oe, phases), even) / (4.0 * d)
+        return apply_gamma5(y) if dagger else y
+
+    return schur
+
+
 # -- durable-state drills -------------------------------------------------------
 
 

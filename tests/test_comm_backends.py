@@ -175,23 +175,6 @@ class TestOperatorParity:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("dims", GRIDS)
-class TestOverlapExactness:
-    def test_overlap_matches_nonoverlap(self, backend, dims, gauge, psi):
-        grid = RankGrid(dims)
-        with make_comm(grid, backend, **COMM_KW) as comm:
-            on = DecomposedWilsonDirac(gauge, 0.1, comm, overlap=True).apply(psi)
-            off = DecomposedWilsonDirac(gauge, 0.1, comm, overlap=False).apply(psi)
-        assert np.array_equal(on, off)
-
-    def test_overlap_default_follows_backend(self, backend, dims, gauge):
-        grid = RankGrid(dims)
-        with make_comm(grid, backend, **COMM_KW) as comm:
-            op = DecomposedWilsonDirac(gauge, 0.1, comm)
-            assert op.overlap == (backend != "virtual")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dims", [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1)])
 @pytest.mark.parametrize("phases", PHASES)
 class TestSolverParity:

@@ -1,6 +1,6 @@
 """Shm-specific drills: ``/dev/shm`` segment lifecycle and fault injection.
 
-The backend bit-parity matrix (exchange/allreduce/operator/cg/overlap ×
+The backend bit-parity matrix (exchange/allreduce/operator/cg ×
 rank grids × boundary phases × dtypes) lives in
 ``tests/test_comm_backends.py``, parametrised over every registered
 backend — this module keeps only what is inherently about the shared

@@ -220,10 +220,11 @@ class TestEvenOdd:
         with pytest.raises(ValueError, match=r"even extents.*\(3, 4, 4, 4\)"):
             EvenOddWilson(GaugeField.cold(Lattice4D((3, 4, 4, 4))), mass=0.3)
 
-    # The half-lattice path of ``fused`` against the masked path of
-    # ``reference``: X = 2 (a half lattice one site wide), extents mixing 2,
-    # 4, 6 and 16, every +-1 boundary including X, and phases the half
-    # lattice does not take.  Inputs carry junk on the odd sites throughout.
+    # Both kernels' parity entries against the closed formula, and against
+    # each other byte for byte: X = 2 (a half lattice one site wide), extents
+    # mixing 2, 4, 6 and 16, every +-1 boundary including X, and phases the
+    # half lattice does not take (the lattice route).  Inputs carry junk on
+    # the odd sites throughout.
     EO_DIMS = [(4, 2, 6, 2), (2, 6, 4, 4), (16, 2, 2, 4), (6, 4, 2, 16)]
     EO_PHASES = {
         "antiperiodic-t": (-1.0, 1.0, 1.0, 1.0),
@@ -249,19 +250,22 @@ class TestEvenOdd:
     @pytest.mark.parametrize("phases", EO_PHASES.values(), ids=EO_PHASES.keys())
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
     @pytest.mark.parametrize("dims", EO_DIMS, ids=lambda d: "x".join(map(str, d)))
-    def test_schur_forms_match_masked_reference(self, dims, dtype, phases):
+    def test_schur_forms_match_masked_reference(self, dims, dtype, phases, schur_formula):
         fused, reference = self._eo_pair(dims, dtype, phases)
         schur, oracle = fused.schur_operator(), reference.schur_operator()
         x, y = self._fields(dims, dtype, 2)
+        u = fused.gauge.u
         want, want_dagger = oracle.apply(x), oracle.apply_dagger(y)
+        assert np.array_equal(want, schur_formula(u, x, 0.3, phases))
+        assert np.array_equal(want_dagger, schur_formula(u, y, 0.3, phases, dagger=True))
         assert not want[fused.odd].any()
-        assert np.array_equal(schur.apply(x), want)
-        assert np.array_equal(schur.apply_dagger(y), want_dagger)
+        assert schur.apply(x).tobytes() == want.tobytes()
+        assert schur.apply_dagger(y).tobytes() == want_dagger.tobytes()
         out = np.empty_like(x)
         # Twice: the second pass runs on a warm workspace.
         for _ in range(2):
-            assert np.array_equal(schur.apply_into(x, out), want)
-            assert np.array_equal(schur.apply_dagger_into(y, out), want_dagger)
+            assert schur.apply_into(x, out).tobytes() == want.tobytes()
+            assert schur.apply_dagger_into(y, out).tobytes() == want_dagger.tobytes()
         strided = np.full(dims + (2, 4, 3), np.nan, dtype=dtype)[..., 1, :, :]
         assert not strided.flags.c_contiguous
         assert np.array_equal(schur.apply_into(x, strided), want)
@@ -292,8 +296,9 @@ class TestEvenOdd:
     def test_schur_normal_op_is_the_normal_operator(self, kernel, dtype, phases):
         """``normal_op()`` keeps M_hat^dag M_hat on half-lattice planes (gathered
         once, stored once); every form is ``NormalOperator(schur)`` byte for
-        byte — half lattice, masked fallback and twisted phases alike — with
-        the same label, apply count and ``applies``/``flops`` counters."""
+        byte — half-lattice hops and the lattice route of twisted phases
+        alike — with the same label, apply count and ``applies``/``flops``
+        counters."""
         from repro.telemetry import full_reset, get_registry, telemetry_mode
 
         dims = (4, 4, 2, 4)
@@ -328,25 +333,31 @@ class TestEvenOdd:
             full_reset()
         assert counted[0] == counted[1] == (4, 4, 4 * wrapper.flops_per_apply)
 
-    def test_masked_path_is_chosen_from_the_phases(self):
-        """A boundary phase other than +-1 multiplies full spinors, which the
-        half lattice does not hold: those operators never reach the parity
-        entry, the others always do."""
+    @pytest.mark.parametrize("phases", ["antiperiodic-all", "twisted"])
+    def test_every_kernel_reaches_the_parity_entry(self, phases):
+        """Every form of every kernel runs on the parity entry, under +-1 and
+        twisted phases alike; the two kernels' parity hops agree byte for
+        byte (twisted phases: both take the lattice route around their own
+        full hop)."""
         dims = (4, 4, 2, 4)
         x = self._fields(dims, np.complex128, 1)[0]
+        pair = self._eo_pair(dims, np.complex128, self.EO_PHASES[phases])
+        calls = []
+        for eo in pair:
+            hop = eo._kernel.hop_parity_planes
 
-        def forbid(*args, **kwargs):
-            raise AssertionError("half-lattice hop reached")
+            def counted(*args, hop=hop, name=eo.kernel_name):
+                calls.append(name)
+                return hop(*args)
 
-        twisted, _ = self._eo_pair(dims, np.complex128, self.EO_PHASES["twisted"])
-        twisted._kernel.hop_parity_planes = forbid
-        twisted.schur_operator().apply(x)
-        twisted.reconstruct(twisted.prepare_rhs(x), x)
-        signs, _ = self._eo_pair(dims, np.complex128, self.EO_PHASES["antiperiodic-all"])
-        signs._kernel.hop_parity_planes = forbid
-        for call in (signs.schur_operator().apply, signs.prepare_rhs):
-            with pytest.raises(AssertionError, match="half-lattice hop reached"):
-                call(x)
+            eo._kernel.hop_parity_planes = counted
+        forms = [
+            (eo.schur_operator().apply(x), eo.prepare_rhs(x), eo.reconstruct(x, x)) for eo in pair
+        ]
+        # Two half hops for the Schur apply, one each to prepare and reconstruct.
+        assert calls == ["fused"] * 4 + ["reference"] * 4
+        for got, want in zip(*forms, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_solve_is_unchanged_bit_for_bit(self):
         """Same Schur bits, same CG iterates: iteration count, residual
@@ -444,20 +455,18 @@ class TestDecomposed:
         assert np.allclose(dec.apply(psi), fused, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "overlap, shape, grid_dims, backend",
+        "shape, grid_dims, backend",
         [
-            pytest.param(overlap, (4, 4, 6, 4), (2, 1, 3, 1), "virtual", id=str(overlap))
-            for overlap in (False, True)
+            pytest.param((4, 4, 6, 4), (2, 1, 3, 1), "virtual", id="virtual"),
         ] + [
             # Rank boxes of several T tiles (3 x 16^3; 3 x 8 x 16^2, ragged 2 + 1).
-            pytest.param(overlap, (6, 16, 16, 16), grid, backend,
-                         id=f"tiles-{'x'.join(map(str, grid))}-{backend}-{overlap}")
+            pytest.param((6, 16, 16, 16), grid, backend,
+                         id=f"tiles-{'x'.join(map(str, grid))}-{backend}")
             for grid in ((2, 1, 1, 1), (2, 2, 1, 1))
             for backend in ("virtual", "shm")
-            for overlap in (False, True)
         ],
     )
-    def test_into_forms_write_caller_buffers_bit_for_bit(self, overlap, shape, grid_dims, backend):
+    def test_into_forms_write_caller_buffers_bit_for_bit(self, shape, grid_dims, backend):
         """``apply_into`` / ``apply_dagger_into`` scatter from and gather into
         the caller's arrays (strided ones included), gamma5 riding on the
         copies, and equal the single-domain operator byte for byte."""
@@ -470,7 +479,7 @@ class TestDecomposed:
         assert not psi.flags.c_contiguous
         single = WilsonDirac(gauge, mass=0.15)
         with make_comm(grid_dims, backend) as comm:
-            dec = DecomposedWilsonDirac(gauge, 0.15, comm, overlap=overlap)
+            dec = DecomposedWilsonDirac(gauge, 0.15, comm)
             out = np.full_like(wide, np.nan)
             assert dec.apply_into(psi, out[:, 1]) is not None
             assert out[:, 1].tobytes() == single.apply(psi).tobytes()

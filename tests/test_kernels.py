@@ -460,27 +460,52 @@ def test_parity_hop_is_the_hop_on_half_the_sites(dims, expect, dtype, nrhs):
 
 
 def test_parity_hop_rejects_what_it_does_not_cover():
+    """Both kernels refuse planes of another precision or lattice, and an odd
+    extent; a phase the half lattice does not take runs the fused kernel's
+    lattice route, the reference kernel's parity hop byte for byte."""
     rng = np.random.default_rng(45)
     dims = (4, 4, 4, 4)
     u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
     X = _rand_field(rng, (1,) + dims + (4, 3), np.complex128)
-    kernel = FusedHopping()
-    planes = kernel.parity_planes(X, 0, "in")
-    assert FusedHopping.covers_parity_hop((-1.0, 1, -1, 1.0 + 0j))
-    assert not FusedHopping.covers_parity_hop(TWISTED_PHASES)
-    with pytest.raises(ValueError, match="wraps by a sign"):
-        kernel.hop_parity_planes(u, planes, TWISTED_PHASES, 1, "out")
-    with pytest.raises(TypeError, match="one precision"):
-        kernel.hop_parity_planes(u.astype(np.complex64), planes, DEFAULT_FERMION_PHASES, 1, "out")
-    with pytest.raises(TypeError, match="one precision"):
-        kernel.store_parity_planes(np.empty_like(X, dtype=np.complex64), (planes, None))
-    with pytest.raises(ValueError, match="do not match"):
-        kernel.hop_parity_planes(u[:, :2], planes, DEFAULT_FERMION_PHASES, 1, "out")
-    with pytest.raises(ValueError, match="even extents"):
-        kernel.parity_planes(X[:, :3], 0, "in")
+    hops = []
+    for kernel in (FusedHopping(), make_kernel("reference")):
+        planes = kernel.parity_planes(X, 0, "in")
+        with ufunc_rows():
+            hops.append(kernel.hop_parity_planes(u, planes, TWISTED_PHASES, 1, "out").tobytes())
+        with pytest.raises(TypeError, match="one precision"):
+            kernel.hop_parity_planes(u.astype(np.complex64), planes, DEFAULT_FERMION_PHASES, 1, "out")
+        with pytest.raises(TypeError, match="one precision"):
+            kernel.store_parity_planes(np.empty_like(X, dtype=np.complex64), (planes, None))
+        with pytest.raises(ValueError, match="do not match"):
+            kernel.hop_parity_planes(u[:, :2], planes, DEFAULT_FERMION_PHASES, 1, "out")
+        with pytest.raises(ValueError, match="even extents"):
+            kernel.parity_planes(X[:, :3], 0, "in")
+    assert hops[0] == hops[1]
 
 
-def test_fused_parity_link_cache_invalidation():
+def test_every_kernel_exposes_one_protocol():
+    """Every registered kernel carries the same entry points, signatures
+    included: the hop and its Wilson forms, the parity entry even-odd
+    preconditioning runs on, and ``invalidate``."""
+    import inspect
+
+    methods = (
+        "__call__", "apply_batch_into", "parity_planes", "hop_parity_planes",
+        "store_parity_planes", "invalidate",
+    )
+
+    def signature(kernel, method):
+        params = inspect.signature(getattr(kernel, method)).parameters.values()
+        return [(p.name, p.kind, p.default) for p in params]
+
+    kernels = [make_kernel(name) for name in available_kernels()]
+    assert len(kernels) > 1
+    for method in methods:
+        assert all(callable(getattr(k, method, None)) for k in kernels), method
+        assert all(signature(k, method) == signature(kernels[0], method) for k in kernels), method
+
+
+def test_fused_parity_link_cache_invalidation(schur_formula):
     """``invalidate`` drops the per-parity link planes with the full ones:
     a link flipped in place reaches the Schur operator (the heal contract)."""
     lat = Lattice4D((4, 4, 2, 4))
@@ -493,9 +518,9 @@ def test_fused_parity_link_cache_invalidation():
     gauge.u[1, 2, 1, 0, 3] *= -1.0
     assert np.array_equal(schur.apply(x), before)  # stale by contract
     eo._kernel.invalidate()
-    want = EvenOddWilson(gauge, 0.1, kernel="reference")
-    assert np.array_equal(schur.apply(x), want.schur_operator().apply(x))
+    assert np.array_equal(schur.apply(x), schur_formula(gauge.u, x, 0.1, eo.phases))
     assert not np.array_equal(schur.apply(x), before)
+    want = EvenOddWilson(gauge, 0.1, kernel="reference")
     assert np.array_equal(eo.full_operator_apply(x), want.full_operator_apply(x))
 
 
@@ -576,15 +601,15 @@ def _rank_tile_case():
 )
 def test_decomposed_rank_tiles_bitwise_equal_the_reference(grid, backend):
     """Each rank box runs in T tiles (ragged on 2x2x1x1), wraps the axes it
-    spans by sign and reads ghosts along the split ones; with and without
-    the overlapped schedule the apply is the reference's bytes."""
+    spans by sign and reads ghosts along the split ones; on tcp, split into
+    the deep interior and the boundary slabs while the faces travel, the
+    apply is the reference's bytes too."""
     gauge, psi, want = _rank_tile_case()
     with make_comm(grid, backend) as comm:
         local = comm.decompose(gauge.lattice).local_shape
         assert plan(local, 1, 8)[2] < local[0]
-        for overlap in (False, True):
-            op = DecomposedWilsonDirac(gauge, 0.3, comm, overlap=overlap)
-            assert op.apply(psi).tobytes() == want.tobytes()
+        op = DecomposedWilsonDirac(gauge, 0.3, comm)
+        assert op.apply(psi).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["virtual", "shm"])
@@ -677,7 +702,7 @@ def test_halo_stencil_bitwise_equals_halo_reference(local):
     assert ref.tobytes() == out.tobytes()
 
     # Box by box: each box writes its own sites only, and together they
-    # give the full-box result (the overlapped schedule's exactness).
+    # give the full-box result (the split schedule's exactness).
     deep, boundary = split_boxes(local, 1)
     boxes = boundary if deep is None else [deep] + boundary
     parts = np.full_like(out, np.nan)
