@@ -182,8 +182,9 @@ def e1_tile_sweep(
 
     Each (volume, precision) cell runs its tile sizes interleaved, round by
     round, through :meth:`FusedHopping.hop_tiles` on one set of link
-    planes, each tile size with its own arena; the median of ``rounds``
-    after one warm-up apply.  ``rule`` marks the tile :func:`plan` picks.
+    planes and the thread's one arena; the median of ``rounds`` after one
+    warm-up apply.  ``scratch`` is the arena one apply of that tile size
+    fills from empty.  ``rule`` marks the tile :func:`plan` picks.
     """
     table = Table(
         "E1 tiles — fused hop per T-slab tile (this host)",
@@ -201,10 +202,10 @@ def e1_tile_sweep(
             links = link_planes(u)
             _, group, picked = plan(shape, 1, X.real.itemsize)
             tiles = sorted({t for t in slabs if t < shape[0]} | {picked, shape[0]})
-            kernels = {t: FusedHopping() for t in tiles}
+            kernel = FusedHopping()
 
             def apply(tile: int) -> None:
-                hops = kernels[tile].hop_tiles(
+                hops = kernel.hop_tiles(
                     X, 0, full_box(shape), links, (None,) * 4, DEFAULT_FERMION_PHASES, group, tile
                 )
                 with ufunc_rows():
@@ -218,6 +219,11 @@ def e1_tile_sweep(
                     apply(t)
                     if r:
                         samples[t].append(time.perf_counter() - t0)
+            scratch = {}
+            for t in tiles:
+                kernel.workspace.clear()
+                apply(t)
+                scratch[t] = kernel.workspace.nbytes
             whole = float(np.median(samples[shape[0]]))
             for t in tiles:
                 seconds = float(np.median(samples[t]))
@@ -225,7 +231,7 @@ def e1_tile_sweep(
                     "volume": shape, "sites": lat.volume, "precision": prec, "tile_slabs": t,
                     "tile_sites": t * slab, "rule": t == picked, "seconds": seconds,
                     "us_per_site": seconds / lat.volume * 1e6, "vs_one_tile": seconds / whole,
-                    "scratch_bytes": kernels[t].workspace.nbytes,
+                    "scratch_bytes": scratch[t],
                 }
                 rows.append(row)
                 table.add_row([

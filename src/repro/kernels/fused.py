@@ -99,7 +99,7 @@ from repro.kernels.spin import (
     project_planes_into,
     reconstruct_planes_accumulate,
 )
-from repro.kernels.workspace import Workspace, aligned_empty
+from repro.kernels.workspace import Workspace, aligned_empty, thread_workspace
 
 __all__ = ["FusedHopping", "ParityEntry", "compose_form"]
 
@@ -393,17 +393,17 @@ def _slab_sources(X: np.ndarray, width: int, links: np.ndarray, behind, phases, 
 
 
 class ParityEntry:
-    """The parity entry every registered kernel carries, and its workspace.
+    """The parity entry every registered kernel carries.
 
     Even-odd preconditioning runs on the :func:`load_planes` planes of one
     parity's sites: :meth:`parity_planes` gathers them, :meth:`store_parity_planes`
     writes them back.  :meth:`hop_parity_planes` here is the *lattice
     route* around the subclass's ``apply_batch_into`` — the definition of
     a parity hop, which :class:`FusedHopping` replaces under +-1 phases.
+    The planes come from the subclass's ``workspace``.
     """
 
-    def __init__(self) -> None:
-        self.workspace = Workspace()
+    workspace: Workspace
 
     def invalidate(self) -> None:
         """Drop cached link tables after an in-place gauge update (none here)."""
@@ -508,17 +508,24 @@ def _wraps_by_sign(phases) -> bool:
 
 
 class FusedHopping(ParityEntry):
-    """Stateful fused hopping kernel (workspace + cached link planes).
+    """Stateful fused hopping kernel (cached link planes, per-thread scratch).
 
-    Instances are cheap; each operator owns one so concurrent operators
-    never share scratch buffers.
+    Instances are cheap; each operator owns one for its link planes.  The
+    scratch is the calling thread's arena (:func:`thread_workspace`),
+    shared by every fused kernel on that thread: a buffer this kernel
+    returns stays valid until the next call on the thread that asks for
+    the same slot.
     """
 
     name = "fused"
 
     def __init__(self) -> None:
-        super().__init__()
         self.invalidate()
+
+    @property
+    def workspace(self) -> Workspace:
+        """The calling thread's scratch arena."""
+        return thread_workspace()
 
     def invalidate(self) -> None:
         """Drop the cached link tables (after an in-place gauge update)."""
@@ -733,11 +740,11 @@ class FusedHopping(ParityEntry):
         ws, rdtype = self.workspace, X.real.dtype
         rest = (X.shape[0], 3) + tuple(b1 - b0 for b0, b1 in box[1:])
         slab = (2, 2) + rest[:2] + (1,) + rest[2:]
-        # The slots of the wrapped slabs (:meth:`_wrapped`), which a carried
+        # The slots of the wrapped T slabs (:meth:`_wrapped`), which a carried
         # slab replaces: the first tile's backward and the last tile's
         # forward slab come from outside the box and are formed there.
-        ahead = ws.get((1,) + slab, rdtype, "hop.wrap.h")[0]
-        carry = ws.get((1,) + slab, rdtype, "hop.wrap.uh")[0]
+        ahead = ws.get((1,) + slab, rdtype, "hop.wrap0.h")[0]
+        carry = ws.get((1,) + slab, rdtype, "hop.wrap0.uh")[0]
 
         def planes(t0: int, t1: int, k: int) -> np.ndarray:
             return ws.get((2, 4) + rest[:2] + (t1 - t0,) + rest[2:], rdtype, f"hop.psi{k % 2}")
@@ -953,7 +960,11 @@ class FusedHopping(ParityEntry):
         )
 
     def _wrapped(self, source, mu: int, s: int) -> tuple:
-        """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source."""
+        """``(phase, wrapped)`` of :func:`shift_into` from a ``wrap(mu, s)`` source.
+
+        A slab formed here has slots of its axis: :meth:`hop_tiles` keeps a
+        carried T slab in axis 0's across the other axes' slabs.
+        """
         if isinstance(source, float):
             return source, None
         if isinstance(source, np.ndarray):
@@ -962,12 +973,12 @@ class FusedHopping(ParityEntry):
         ws = self.workspace
         rdtype = spinors.real.dtype
         sites = (spinors.shape[0], 3) + spinors.shape[1:5]
-        h = ws.get((1, 2, 2) + sites, rdtype, "hop.wrap.h")
+        h = ws.get((1, 2, 2) + sites, rdtype, f"hop.wrap{mu}.h")
         # Projected where the spinors lie: the same adds on the same values.
         project_planes_into(h[0], _plane_view(spinors), mu, s)
         if u is None:
             return sign, h
-        uh = ws.get(h.shape, rdtype, "hop.wrap.uh")
+        uh = ws.get(h.shape, rdtype, f"hop.wrap{mu}.uh")
         self._color_mul(uh, u, h, True)
         return sign, uh
 

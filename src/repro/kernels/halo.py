@@ -189,16 +189,16 @@ def _halo_link_planes(u_halo: np.ndarray, width: int) -> tuple:
 class HaloStencil:
     """Stateful fused Wilson stencil over halo-extended rank blocks.
 
-    One instance per executor (master loop or worker process): the
-    workspace hands out one set of scratch buffers per tile shape, so
-    solver hot loops allocate on the first application only.
+    One instance per executor (master loop or worker process).  Its core
+    is a :class:`~repro.kernels.fused.FusedHopping`, whose scratch is the
+    calling thread's arena: a tile narrower than the first reuses its
+    buffers, so solver hot loops allocate on the first application only.
     """
 
     name = "fused-halo"
 
     def __init__(self) -> None:
         self._core = FusedHopping()
-        self.workspace = self._core.workspace
         self._halo: tuple | None = None
 
     def invalidate(self, u_halo: np.ndarray | None = None) -> None:

@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.kernels.fused import FusedHopping, ParityEntry, compose_form
+from repro.kernels.workspace import Workspace
 
 __all__ = [
     "KERNEL_ENV_VAR",
@@ -49,9 +50,17 @@ DEFAULT_KERNEL = "fused"
 class ReferenceHopping(ParityEntry):
     """The shift-and-einsum specification kernel behind the registry protocol;
     its parity hop, :class:`~repro.kernels.fused.ParityEntry`'s lattice route,
-    is the oracle of the fused kernel's half-lattice hop."""
+    is the oracle of the fused kernel's half-lattice hop.
+
+    Its parity planes come from an arena of its own, not the thread's the
+    fused kernels share: an oracle must not hand back the very buffer the
+    kernel it checks wrote.
+    """
 
     name = "reference"
+
+    def __init__(self) -> None:
+        self.workspace = Workspace()
 
     def __call__(self, u, psi, phases, site_axis_start=0, out=None, *, diag=None, dagger=False):
         """The hopping term, or with ``diag`` a Wilson form composed around it
@@ -125,7 +134,9 @@ def resolve_kernel_name(name: str | None = None) -> str:
 def make_kernel(name: str | None = None):
     """Instantiate a (stateful) hopping kernel by name.
 
-    Each call returns a fresh instance so operators never share
-    workspaces or link caches.
+    Each call returns a fresh instance, so operators never share link
+    caches.  Scratch is shared: every ``fused`` kernel on a thread draws
+    on that thread's arena (:func:`~repro.kernels.workspace.thread_workspace`);
+    a ``reference`` kernel keeps a private one.
     """
     return _FACTORIES[resolve_kernel_name(name)]()

@@ -5,6 +5,7 @@ shift-and-einsum reference bit-for-bit ("two Dslash paths, one truth"), and the
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.kernels import fused
 from repro.kernels.fused import link_planes, load_planes, plan, store_planes, ufunc_rows
 from repro.kernels.halo import rank_link_reals, rank_links
 from repro.kernels.shifts import parity_site_tables
+from repro.kernels.workspace import thread_workspace
 from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
 from repro.lattice import Lattice4D, shift_with_phase
 from repro.util import paired_ratio
@@ -59,10 +61,52 @@ def _rand_field(rng, shape, dtype):
 
 class TestWorkspace:
     def test_same_key_reuses_buffer(self):
+        """On an arena of its own and on the thread's, cleared."""
+        thread_workspace().clear()
+        for ws in (Workspace(), thread_workspace()):
+            a = ws.get((4, 3), np.complex128)
+            b = ws.get((4, 3), np.complex128)
+            assert a is b
+
+    def test_narrower_request_is_an_aligned_view_of_the_widest(self):
+        """A width-3 or width-1 block of a slot is the start of its width-4
+        buffer, on the same cache line; the arena holds that buffer only."""
         ws = Workspace()
-        a = ws.get((4, 3), np.complex128)
-        b = ws.get((4, 3), np.complex128)
-        assert a is b
+        wide = ws.get((2, 4, 4, 3, 8), np.float64, "planes")
+        for width in (3, 1):
+            narrow = ws.get((2, 4, width, 3, 8), np.float64, "planes")
+            assert narrow.shape == (2, 4, width, 3, 8) and narrow.flags.c_contiguous
+            assert narrow.ctypes.data == wide.ctypes.data and narrow.ctypes.data % 64 == 0
+        assert len(ws) == 3 and ws.nbytes == wide.nbytes
+
+    def test_growth_repoints_the_cached_views(self):
+        """A wider request grows the slot's buffer; every shape asked of it
+        before is then a view of the new one, still one dict lookup away."""
+        ws = Workspace()
+        narrow = ws.get((1, 3, 8), np.float64, "planes")
+        wide = ws.get((4, 3, 8), np.float64, "planes")
+        assert ws.nbytes == wide.nbytes
+        again = ws.get((1, 3, 8), np.float64, "planes")
+        assert again is not narrow and again.ctypes.data == wide.ctypes.data
+        assert ws.get((1, 3, 8), np.float64, "planes") is again
+        again[...] = 5.0
+        assert np.all(wide[:1] == 5.0)
+
+    def test_two_slots_never_overlap(self):
+        """Each (slot, dtype) has a buffer of its own, through every growth."""
+        ws = Workspace()
+        keys = [
+            (shape, dtype, slot)
+            for shape in [(8,), (3, 5), (64,), (1,), (2, 40)]
+            for dtype in (np.float64, np.complex64)
+            for slot in ("a", "b", 0)
+        ]
+        for key in keys:
+            ws.get(*key)
+        views = [(key, ws.get(*key)) for key in keys]
+        for (k1, v1), (k2, v2) in itertools.combinations(views, 2):
+            if (k1[1], k1[2]) != (k2[1], k2[2]):
+                assert not np.shares_memory(v1, v2), (k1, k2)
 
     def test_distinct_slots_and_shapes(self):
         ws = Workspace()
@@ -240,7 +284,7 @@ def test_shift_into_rows_shift_or_copy(dist, phase):
 
 def _passes(kernel: FusedHopping) -> set[str]:
     """Which of the kernel's two passes over the eight terms have run."""
-    slots = {key[2] for key in kernel.workspace._arena}
+    slots = {slot for slot, _ in kernel.workspace._buffers}
     return {name for name, slot in (("stacked", "hop.stack.g"), ("per-direction", "hop.fwd"))
             if slot in slots}
 
@@ -297,6 +341,7 @@ def test_fused_bitwise_equals_reference(extents, site_axis_start, nrhs, expect, 
     dims4 = extents[site_axis_start : site_axis_start + 4]
     u = _rand_field(rng, (4,) + dims4 + (3, 3), dtype)
     kernel = FusedHopping()
+    kernel.workspace.clear()  # the thread's arena: only this test's slots
     reference = make_kernel("reference")
 
     def textbook(x: np.ndarray, dagger: bool = False, normal: bool = False) -> np.ndarray:
@@ -350,7 +395,7 @@ def test_fused_bitwise_equals_reference(extents, site_axis_start, nrhs, expect, 
     width = extents[0] if site_axis_start else nrhs or 1
     one_tile = plan(dims4, width, np.dtype(dtype).itemsize // 2)[2] == dims4[0]
     composed = not one_tile or phases == TWISTED_PHASES
-    assert any(key[2].startswith("form.") for key in kernel.workspace._arena) == composed
+    assert any(slot.startswith("form.") for slot, _ in kernel.workspace._buffers) == composed
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
@@ -443,6 +488,7 @@ def test_parity_hop_is_the_hop_on_half_the_sites(dims, expect, dtype, nrhs):
     odd = (np.indices(dims).sum(axis=0) % 2).astype(bool)
     phases = (-1.0, 1.0, 1.0, -1.0)
     kernel = FusedHopping()
+    kernel.workspace.clear()  # the thread's arena: only this test's slots
     shape = (nrhs,) + dims + (4, 3)
     for X in (_rand_field(rng, shape, dtype), np.zeros(shape, dtype)):
         want = np.stack([hopping_term(u, x, phases) for x in X])
@@ -534,6 +580,7 @@ def test_fused_scratch_bytes_per_site_at_16_4():
     u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
     psi = _rand_field(rng, dims + (4, 3), np.complex128)
     kernel = FusedHopping()
+    kernel.workspace.clear()  # the thread's arena: this hop's buffers only
     kernel(u, psi, DEFAULT_FERMION_PHASES)
     assert kernel.workspace.nbytes / psi[..., 0, 0].size <= 720
     assert kernel._links.nbytes == u.nbytes
