@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +29,25 @@ def _json_safe(value):
     return str(value)
 
 
+def _git_commit() -> str | None:
+    """``git rev-parse HEAD`` of the tree the benchmarks run from, or
+    ``None`` outside a checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return done.stdout.strip()
+
+
 def _run_config() -> dict:
-    """The backend/kernel/comm configuration this benchmark run used."""
+    """The backend/kernel/comm configuration this benchmark run used, and
+    the commit and host that produced it."""
     from repro.comm import resolve_comm_name
     from repro.kernels import resolve_kernel_name
 
@@ -37,6 +56,12 @@ def _run_config() -> dict:
         "comm": resolve_comm_name(),
         "numpy": np.__version__,
         "python": platform.python_version(),
+        "commit": _git_commit(),
+        "host": {
+            "node": platform.node(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
     }
 
 
@@ -51,8 +76,8 @@ def show(capsys, results_dir):
     """Print a rendered table to the live terminal and archive it.
 
     Every call also writes ``BENCH_<name>.json`` next to the text table:
-    title, columns, raw rows, and the resolved kernel/comm configuration,
-    plus whatever the benchmark passes as ``extra`` (timings, rates,
+    title, columns, raw rows, and the resolved kernel/comm configuration
+    with the commit and host, plus whatever the benchmark passes as ``extra`` (timings, rates,
     iteration counts) — the machine-readable record of the run.
     """
 

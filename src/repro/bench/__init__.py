@@ -12,7 +12,6 @@ from repro.bench.e2_e3_scaling import e2_weak_scaling, e3_strong_scaling
 from repro.bench.e2_e3_measured import (
     e2_weak_scaling_measured,
     e3_strong_scaling_measured,
-    host_shm_spec,
 )
 from repro.bench.e4_solvers import e4_solver_comparison
 from repro.bench.e5_precision import e5_precision_history
@@ -52,7 +51,6 @@ __all__ = [
     "e2_weak_scaling_measured",
     "e3_strong_scaling",
     "e3_strong_scaling_measured",
-    "host_shm_spec",
     "e4_solver_comparison",
     "e5_precision_history",
     "e6_comm_fraction",

@@ -10,8 +10,6 @@ Four comparisons, each isolating one production trick:
 
 from __future__ import annotations
 
-import time
-
 from repro.dirac import WilsonDirac
 from repro.dirac.hopping import hopping_term, hopping_term_naive
 from repro.fields import GaugeField, random_fermion
@@ -20,18 +18,9 @@ from repro.lattice import Lattice4D
 from repro.machine.model import DslashModel
 from repro.machine.spec import BLUEGENE_Q
 from repro.solvers import cg, solve_wilson_eo
-from repro.util import Table
+from repro.util import Table, timed_rounds
 
 __all__ = ["e10_ablations"]
-
-
-def _best_of(fn, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def e10_ablations(seed: int = 88) -> tuple[Table, dict]:
@@ -45,10 +34,9 @@ def e10_ablations(seed: int = 88) -> tuple[Table, dict]:
     lat = Lattice4D((8, 8, 4, 4))
     gauge = GaugeField.hot(lat, rng=seed)
     psi = random_fermion(lat, rng=seed + 1)
-    hopping_term(gauge.u, psi)
-    hopping_term_naive(gauge.u, psi)
-    t_fast = _best_of(lambda: hopping_term(gauge.u, psi))
-    t_naive = _best_of(lambda: hopping_term_naive(gauge.u, psi))
+    [fast] = timed_rounds([lambda: hopping_term(gauge.u, psi)], 3)
+    [naive] = timed_rounds([lambda: hopping_term_naive(gauge.u, psi)], 3)
+    t_fast, t_naive = min(fast), min(naive)
     data["spin_projection"] = {"naive_s": t_naive, "projected_s": t_fast}
     table.add_row(["spin projection (kernel t)", t_naive, t_fast, t_naive / t_fast])
 

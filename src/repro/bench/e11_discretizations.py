@@ -10,8 +10,6 @@ degrees-of-freedom cost ratio that drives every "which fermions" decision.
 
 from __future__ import annotations
 
-import time
-
 from repro.dirac import (
     CloverDirac,
     DomainWallDirac,
@@ -22,19 +20,9 @@ from repro.dirac import (
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
 from repro.solvers import cg
-from repro.util import Table
+from repro.util import Table, timed_rounds
 
 __all__ = ["e11_discretizations"]
-
-
-def _time_apply(op, field, repeats=3):
-    op.apply(field)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        op.apply(field)
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def e11_discretizations(
@@ -65,7 +53,7 @@ def e11_discretizations(
 
     rows = []
     for name, op, field in cases:
-        t_apply = _time_apply(op, field)
+        t_apply = min(timed_rounds([lambda: op.apply(field)], 3)[0])
         res = cg(op.normal_op(), op.apply_dagger(field), tol=tol, max_iter=50000,
                  record_history=False)
         rows.append(

@@ -11,8 +11,6 @@ the row the block-deflation path was deleted on.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dirac import MatrixOperator, WilsonDirac
@@ -20,7 +18,7 @@ from repro.fields import GaugeField
 from repro.hmc import heatbath_sweep, overrelaxation_sweep
 from repro.lattice import Lattice4D
 from repro.solvers import EigenPairs, cg, deflated_cg, lanczos
-from repro.util import Table
+from repro.util import Table, Timer
 
 __all__ = ["e12_deflation"]
 
@@ -67,15 +65,16 @@ def _wilson_row(k: int, tol: float) -> dict:
     b = dirac.apply_dagger(source)
 
     plain = cg(nop, b, tol=tol, max_iter=10000)
-    applies0, t0 = nop.n_applies, time.perf_counter()
-    pairs = lanczos(nop, k, b.shape, krylov_dim=WILSON_KRYLOV, rng=seed)
-    setup, setup_wall = nop.n_applies - applies0, time.perf_counter() - t0
+    applies0 = nop.n_applies
+    with Timer() as setup_wall:
+        pairs = lanczos(nop, k, b.shape, krylov_dim=WILSON_KRYLOV, rng=seed)
+    setup = nop.n_applies - applies0
     res = deflated_cg(nop, b, pairs, tol=tol, max_iter=10000)
     extent = "x".join(str(n) for n in shape)
     row = _row(f"Wilson {extent} m={mass:g}", k, plain, res, setup)
     row.update(
         plain_wall_time_s=plain.wall_time,
-        setup_wall_time_s=setup_wall,
+        setup_wall_time_s=setup_wall.elapsed,
         eigenvalues=(float(pairs.values[0]), float(pairs.values[-1])),
         max_eigen_residual=float(pairs.residuals.max()),
         true_residual=res.residual,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import shutil
 import tempfile
-import time
 from pathlib import Path
 
 from repro.campaign import (
@@ -26,7 +25,7 @@ from repro.campaign import (
     RetryPolicy,
     run_resilient,
 )
-from repro.util import Table
+from repro.util import Table, Timer
 
 __all__ = ["e16_campaign_resilience"]
 
@@ -67,9 +66,9 @@ def e16_campaign_resilience(
     try:
         # Reference: checkpoint only at the end — minimal durability cost,
         # and the parity target for every crashed run's ledger.
-        t0 = time.perf_counter()
-        HMCCampaign(workdir / "ref", config(n_trajectories)).run()
-        baseline_s = time.perf_counter() - t0
+        with Timer() as t:
+            HMCCampaign(workdir / "ref", config(n_trajectories)).run()
+        baseline_s = t.elapsed
         ref_ledger = _ledger_lines(workdir / "ref")
 
         table = Table(
@@ -86,23 +85,23 @@ def e16_campaign_resilience(
         )
         rows = []
         for interval in intervals:
-            t0 = time.perf_counter()
-            HMCCampaign(workdir / f"full-{interval}", config(interval)).run()
-            full_s = time.perf_counter() - t0
+            with Timer() as t:
+                HMCCampaign(workdir / f"full-{interval}", config(interval)).run()
+            full_s = t.elapsed
             overhead = 100.0 * (full_s - baseline_s) / baseline_s
 
             # Crash before `crash_step`, then let the supervisor resume.
             # The lost work is the tail of the interval containing the crash.
             campaign = HMCCampaign(workdir / f"crash-{interval}", config(interval))
             fault = FaultPlan().crash_at(crash_step)
-            t0 = time.perf_counter()
-            summary = run_resilient(
-                campaign,
-                retry=RetryPolicy(max_retries=1, backoff_base=0.0),
-                fault=fault,
-                sleep=lambda s: None,
-            )
-            recover_s = time.perf_counter() - t0
+            with Timer() as t:
+                summary = run_resilient(
+                    campaign,
+                    retry=RetryPolicy(max_retries=1, backoff_base=0.0),
+                    fault=fault,
+                    sleep=lambda s: None,
+                )
+            recover_s = t.elapsed
             redo = crash_step - (crash_step // interval) * interval
             parity = _ledger_lines(workdir / f"crash-{interval}") == ref_ledger
 

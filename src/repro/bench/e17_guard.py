@@ -21,8 +21,6 @@ measurement noise.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dirac import WilsonDirac
@@ -30,17 +28,9 @@ from repro.fields import GaugeField, random_fermion
 from repro.guard import GUARD_LEVELS, GuardPolicy, GuardedOperator
 from repro.lattice import Lattice4D
 from repro.solvers import cg
-from repro.util import Table
+from repro.util import Table, timed_rounds
 
 __all__ = ["e17_guard_overhead"]
-
-
-def _time_apply_batch(op, psi: np.ndarray, out: np.ndarray, n_applies: int) -> float:
-    """Wall time of one batch of ``n_applies`` calls."""
-    t0 = time.perf_counter()
-    for _ in range(n_applies):
-        op(psi, out=out)
-    return time.perf_counter() - t0
 
 
 def e17_guard_overhead(
@@ -58,9 +48,10 @@ def e17_guard_overhead(
 
     # -- Dslash path: fused kernel, bare vs ABFT-wrapped ----------------------
     # All configurations are timed *interleaved* (bare, off, detect, heal
-    # within each repeat) and reduced best-of-repeats, so slow phases of a
-    # noisy shared host hit every configuration alike instead of biasing
-    # whichever one happened to run during them.
+    # within each round, :func:`~repro.util.timing.timed_rounds`) and
+    # reduced best-of-repeats, so slow phases of a noisy shared host hit
+    # every configuration alike instead of biasing whichever one happened
+    # to run during them.  One timed call is a batch of ``n_applies``.
     lat = Lattice4D(shape)
     gauge = GaugeField.hot(lat, rng=seed)
     psi = random_fermion(lat, rng=seed + 1)
@@ -69,13 +60,16 @@ def e17_guard_overhead(
     for level in GUARD_LEVELS:
         policy = GuardPolicy(level=level, probe_interval=probe_interval)
         ops[level] = GuardedOperator(WilsonDirac(gauge, mass, kernel="fused"), policy)
-    for op in ops.values():
-        op(psi, out=out)  # warm-up: workspace, caches, first probe bucket
-    best = {name: float("inf") for name in ops}
-    for _ in range(max(1, repeats)):
-        for name, op in ops.items():
-            t = _time_apply_batch(op, psi, out, n_applies)
-            best[name] = min(best[name], t)
+
+    def batch(op):
+        def run() -> None:
+            for _ in range(n_applies):
+                op(psi, out=out)
+
+        return run
+
+    samples = timed_rounds([batch(op) for op in ops.values()], max(1, repeats))
+    best = {name: min(s) for name, s in zip(ops, samples)}
     bare_s = best["bare"]
     for level in GUARD_LEVELS:
         t = best[level]
@@ -98,15 +92,16 @@ def e17_guard_overhead(
     sdirac = WilsonDirac(sgauge, mass)
     nop = sdirac.normal_op()
     rhs = sdirac.apply_dagger(random_fermion(slat, rng=seed + 3))
-    cg(nop, rhs, tol=tol, max_iter=50000, guard="off")  # warm-up
-    solver_best = {level: float("inf") for level in GUARD_LEVELS}
     solver_iters = {}
-    for _ in range(max(1, repeats)):
-        for level in GUARD_LEVELS:  # interleaved, same rationale as above
-            t0 = time.perf_counter()
-            res = cg(nop, rhs, tol=tol, max_iter=50000, guard=level)
-            solver_best[level] = min(solver_best[level], time.perf_counter() - t0)
-            solver_iters[level] = res.iterations
+
+    def solve(level: str):
+        def run() -> None:
+            solver_iters[level] = cg(nop, rhs, tol=tol, max_iter=50000, guard=level).iterations
+
+        return run
+
+    samples = timed_rounds([solve(level) for level in GUARD_LEVELS], max(1, repeats))  # interleaved
+    solver_best = {level: min(s) for level, s in zip(GUARD_LEVELS, samples)}
     base_solver_s = solver_best["off"]
     for level in GUARD_LEVELS:
         rows.append(

@@ -1,30 +1,23 @@
 """E18 — telemetry overhead: what does observability cost on the hot paths?
 
 Three measurements, each at all three ``REPRO_TELEMETRY`` modes, designed
-to resolve sub-percent overheads on a noisy shared host.
+to resolve sub-percent overheads on a noisy shared host.  The end-to-end
+paths are ABBA quads reduced by their paired medians
+(:func:`repro.util.timing.paired`); the dispatch residue is a min.
 
-The end-to-end paths use **ABBA quads** — baseline, instrumented,
-instrumented, baseline, timed back to back, so slow clock drift hits both
-halves of the pair equally and position-in-pair bias cancels by symmetry —
-reduced as the **median of paired differences** normalised by the median
-baseline.  Paired differences cancel the common-mode drift that a ratio of
-independent bests cannot (a min-reduction picks each configuration's
-luckiest moment), and the median discards the quads a background spike hit.
-
-* **Dslash (fused kernel)** — quad = ``apply_into``, ``__call__``,
-  ``__call__``, ``apply_into``.  The baseline bypasses even the dispatch,
-  so the row prices the entire telemetry residue end to end.
-* **Solver (CG on the normal equations)** — quad = off-mode solve,
-  instrumented, instrumented, off-mode.  The baseline is ``off`` (the
-  solver always routes through the instrumented dispatch), so the rows
-  price the registry and span work alone.
+* **Dslash (fused kernel)** — ``apply_into`` against ``__call__``.  The
+  baseline bypasses even the dispatch, so the row prices the entire
+  telemetry residue end to end.
+* **Solver (CG on the normal equations)** — an off-mode solve against an
+  instrumented one.  The baseline is ``off`` (the solver always routes
+  through the instrumented dispatch), so the rows price the registry and
+  span work alone.
 * **Dispatch residue (null kernel)** — the same ``__call__`` vs
-  ``apply_into`` comparison on an operator whose kernel does nothing, so
-  the per-call telemetry cost dominates and is measured to nanosecond
-  precision (min over interleaved batches: the residue is deterministic
-  CPU work).  ``overhead_pct`` expresses that residue relative to the
-  median fused Dslash application — the same ratio the end-to-end row
-  estimates, but with no kernel noise in it.
+  ``apply_into`` comparison on an operator whose kernel does nothing, as
+  the difference of the two best batches: the residue is deterministic CPU
+  work, measured to nanosecond precision.  ``overhead_pct`` expresses it
+  relative to the median fused Dslash application — the ratio the
+  end-to-end row estimates, with no kernel noise in it.
 
 Acceptance bars (asserted by the CI benchmark leg): ``off`` under 0.5 %
 and ``counters`` under 3 % of a fused Dslash application via the dispatch
@@ -37,7 +30,7 @@ reported for reference, not gated.
 
 from __future__ import annotations
 
-import time
+from statistics import median
 
 import numpy as np
 
@@ -47,16 +40,9 @@ from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
 from repro.solvers import cg
 from repro.telemetry import TELEMETRY_MODES, full_reset, telemetry_mode
-from repro.util import Table
+from repro.util import Table, paired, timed_rounds
 
 __all__ = ["e18_telemetry_overhead"]
-
-
-def _median(xs: list[float]) -> float:
-    xs = sorted(xs)
-    n = len(xs)
-    mid = n // 2
-    return xs[mid] if n % 2 else 0.5 * (xs[mid - 1] + xs[mid])
 
 
 class _NullOp(LinearOperator):
@@ -79,27 +65,24 @@ def _dispatch_residues(
     calls_per_batch: int = 5000, batches: int = 7
 ) -> dict[str, float]:
     """Per-call telemetry dispatch cost by mode, in seconds."""
-    pc = time.perf_counter
     op = _NullOp()
     x = np.zeros(4, dtype=np.complex128)
     out = np.empty_like(x)
+
+    def raw() -> None:
+        for _ in range(calls_per_batch):
+            op.apply_into(x, out)
+
+    def call() -> None:
+        for _ in range(calls_per_batch):
+            op(x, out=out)
+
     residues: dict[str, float] = {}
     for mode in TELEMETRY_MODES:
-        best_raw = best_call = float("inf")
         with telemetry_mode(mode):
-            op(x, out=out)  # warm the dispatch path
-            for _ in range(batches):
-                t0 = pc()
-                for _ in range(calls_per_batch):
-                    op.apply_into(x, out)
-                t1 = pc()
-                for _ in range(calls_per_batch):
-                    op(x, out=out)
-                t2 = pc()
-                best_raw = min(best_raw, t1 - t0)
-                best_call = min(best_call, t2 - t1)
+            raw_s, call_s = timed_rounds((raw, call), batches)
         full_reset()
-        residues[mode] = max(0.0, (best_call - best_raw) / calls_per_batch)
+        residues[mode] = max(0.0, (min(call_s) - min(raw_s)) / calls_per_batch)
     return residues
 
 
@@ -118,7 +101,6 @@ def e18_telemetry_overhead(
     per mode (two per quad); ``repeats`` is the number of CG quads per
     instrumented mode.
     """
-    pc = time.perf_counter
     rows: list[dict] = []
 
     # -- Dslash path: raw apply_into vs instrumented dispatch per mode --------
@@ -127,45 +109,31 @@ def e18_telemetry_overhead(
     psi = random_fermion(lat, rng=seed + 1)
     out = np.empty_like(psi)
     op = WilsonDirac(gauge, mass, kernel="fused")
-    op(psi, out=out)  # warm-up: workspace, caches
     n_quads = max(8, n_applies // 2)
     apply_s_by_mode: dict[str, float] = {}
     for mode in TELEMETRY_MODES:
-        diffs: list[float] = []
-        bases: list[float] = []
         with telemetry_mode(mode):
-            for _ in range(n_quads):
-                t0 = pc()
-                op.apply_into(psi, out)
-                t1 = pc()
-                op(psi, out=out)
-                t2 = pc()
-                op(psi, out=out)
-                t3 = pc()
-                op.apply_into(psi, out)
-                t4 = pc()
-                # call-minus-raw once with call second, once with call first
-                d_fwd = (t2 - t1) - (t1 - t0)
-                d_rev = (t3 - t2) - (t4 - t3)
-                diffs.append(0.5 * (d_fwd + d_rev))
-                bases.append(0.5 * ((t1 - t0) + (t4 - t3)))
+            samples = timed_rounds(
+                (lambda: op.apply_into(psi, out), lambda: op(psi, out=out)), 2 * n_quads
+            )
         full_reset()  # keep counters/trace from accumulating into the next mode
-        base_s = _median(bases)
+        bases, diffs = paired(samples)
+        base_s, diff_s = median(bases), median(diffs)
         apply_s_by_mode[mode] = base_s
         rows.append(
             {
                 "path": "dslash-fused",
                 "mode": mode,
-                "seconds": base_s + _median(diffs),  # per-apply, drift-corrected
+                "seconds": base_s + diff_s,  # per-apply, drift-corrected
                 "baseline_s": base_s,
-                "overhead_pct": 100.0 * _median(diffs) / base_s,
+                "overhead_pct": 100.0 * diff_s / base_s,
                 "n_applies": 2 * n_quads,
                 "iterations": None,
             }
         )
 
     # -- Dispatch residue: the same ratio with the kernel factored out --------
-    apply_s = _median(list(apply_s_by_mode.values()))
+    apply_s = median(list(apply_s_by_mode.values()))
     for mode, residue in _dispatch_residues().items():
         rows.append(
             {
@@ -185,40 +153,30 @@ def e18_telemetry_overhead(
     sdirac = WilsonDirac(sgauge, mass)
     nop = sdirac.normal_op()
     rhs = sdirac.apply_dagger(random_fermion(slat, rng=seed + 3))
-    cg(nop, rhs, tol=tol, max_iter=50000, guard="off")  # warm-up
-
     solver_iters: dict[str, int] = {}
 
-    def timed_solve(mode: str) -> float:
-        with telemetry_mode(mode):
-            t0 = pc()
-            res = cg(nop, rhs, tol=tol, max_iter=50000, guard="off")
-            t = pc() - t0
-        full_reset()
-        solver_iters[mode] = res.iterations
-        return t
+    def solve(mode: str):
+        def run() -> None:
+            with telemetry_mode(mode):
+                res = cg(nop, rhs, tol=tol, max_iter=50000, guard="off")
+            full_reset()
+            solver_iters[mode] = res.iterations
+
+        return run
 
     base_samples: list[float] = []
     solver_rows: list[dict] = []
     for mode in ("counters", "trace"):
-        diffs = []
-        bases = []
-        for _ in range(max(1, repeats)):
-            b1 = timed_solve("off")
-            m1 = timed_solve(mode)
-            m2 = timed_solve(mode)
-            b2 = timed_solve("off")
-            diffs.append(0.5 * (m1 + m2) - 0.5 * (b1 + b2))
-            bases.append(0.5 * (b1 + b2))
+        bases, diffs = paired(timed_rounds((solve("off"), solve(mode)), 2 * max(1, repeats)))
         base_samples.extend(bases)
-        base_s = _median(bases)
+        base_s, diff_s = median(bases), median(diffs)
         solver_rows.append(
             {
                 "path": "cg-normal",
                 "mode": mode,
-                "seconds": base_s + _median(diffs),
+                "seconds": base_s + diff_s,
                 "baseline_s": base_s,
-                "overhead_pct": 100.0 * _median(diffs) / base_s,
+                "overhead_pct": 100.0 * diff_s / base_s,
                 "n_applies": None,
                 "iterations": solver_iters[mode],
             }
@@ -227,8 +185,8 @@ def e18_telemetry_overhead(
         {
             "path": "cg-normal",
             "mode": "off",
-            "seconds": _median(base_samples),
-            "baseline_s": _median(base_samples),
+            "seconds": median(base_samples),
+            "baseline_s": median(base_samples),
             "overhead_pct": 0.0,  # off IS the solver baseline
             "n_applies": None,
             "iterations": solver_iters["off"],

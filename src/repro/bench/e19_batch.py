@@ -12,8 +12,6 @@ A normal-apply column prices ``M^dag M`` as one kernel pass
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dirac.operator import NormalOperator
@@ -21,7 +19,7 @@ from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
 from repro.solvers import block_cg, cg
-from repro.util import Table
+from repro.util import Table, Timer, timed_rounds
 
 __all__ = ["e19_batch"]
 
@@ -58,13 +56,7 @@ def e19_batch(
     )
 
     def _best(fn, reps: int) -> float:
-        fn()  # warm caches (link tables, workspace buffers)
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
+        return min(timed_rounds([fn], reps)[0])  # after a warm-up: link tables, workspace
 
     rows = []
     for nrhs in nrhs_values:
@@ -102,18 +94,16 @@ def e19_batch(
 
         if solve:
             nop = dirac.normal_op()
-            t0 = time.perf_counter()
-            block = block_cg(nop, X, tol=tol, max_iter=max_iter)
-            t_block = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            seq = [cg(nop, X[i], tol=tol, max_iter=max_iter) for i in range(nrhs)]
-            t_seq = time.perf_counter() - t0
+            with Timer() as t_block:
+                block = block_cg(nop, X, tol=tol, max_iter=max_iter)
+            with Timer() as t_seq:
+                seq = [cg(nop, X[i], tol=tol, max_iter=max_iter) for i in range(nrhs)]
             row.update(
                 {
-                    "solve_block_s": t_block,
-                    "solve_seq_s": t_seq,
-                    "solves_per_s": nrhs / t_block,
-                    "solve_speedup": t_seq / t_block,
+                    "solve_block_s": t_block.elapsed,
+                    "solve_seq_s": t_seq.elapsed,
+                    "solves_per_s": nrhs / t_block.elapsed,
+                    "solve_speedup": t_seq.elapsed / t_block.elapsed,
                     "iterations": [r.iterations for r in block],
                     "solve_parity": all(
                         a.iterations == b.iterations and a.x.tobytes() == b.x.tobytes()

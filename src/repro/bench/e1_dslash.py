@@ -31,8 +31,6 @@ behind :func:`repro.kernels.fused.plan`'s tile rule, whose pick is marked.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.dirac.eo import EvenOddWilson
@@ -42,7 +40,7 @@ from repro.kernels import FusedHopping, full_box, make_kernel
 from repro.kernels.fused import link_planes, plan, store_planes, ufunc_rows
 from repro.lattice import Lattice4D
 from repro.machine.roofline import dslash_arithmetic_intensity
-from repro.util import Table
+from repro.util import Table, Timer, timed_rounds
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
 
 __all__ = ["e1_dslash_performance", "e1_tile_sweep", "DEFAULT_KERNELS"]
@@ -66,15 +64,10 @@ def _time_apply(apply, psi: np.ndarray, repeats: int) -> tuple[float, float]:
     it fills workspaces and link caches.
     """
     out = np.empty_like(psi)
-    t0 = time.perf_counter()
-    apply(out)
-    first = time.perf_counter() - t0
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
+    with Timer() as first:
         apply(out)
-        best = min(best, time.perf_counter() - t0)
-    return best, first
+    [samples] = timed_rounds([lambda: apply(out)], max(1, repeats))
+    return min(samples), first.elapsed
 
 
 def _cells(name: str, gauge: GaugeField, psi: np.ndarray) -> list:
@@ -181,10 +174,11 @@ def e1_tile_sweep(
     """The fused hop per T tile size; returns (table, raw rows).
 
     Each (volume, precision) cell runs its tile sizes interleaved, round by
-    round, through :meth:`FusedHopping.hop_tiles` on one set of link
-    planes and the thread's one arena; the median of ``rounds`` after one
-    warm-up apply.  ``scratch`` is the arena one apply of that tile size
-    fills from empty.  ``rule`` marks the tile :func:`plan` picks.
+    round (:func:`~repro.util.timing.timed_rounds`), through
+    :meth:`FusedHopping.hop_tiles` on one set of link planes and the
+    thread's one arena; the median of ``rounds`` after one warm-up apply.
+    ``scratch`` is the arena one apply of that tile size fills from empty.
+    ``rule`` marks the tile :func:`plan` picks.
     """
     table = Table(
         "E1 tiles — fused hop per T-slab tile (this host)",
@@ -212,13 +206,8 @@ def e1_tile_sweep(
                     for box, _, acc in hops:
                         store_planes(out[(slice(None),) + tuple(slice(*b) for b in box)], acc)
 
-            samples = {t: [] for t in tiles}
-            for r in range(rounds + 1):
-                for t in tiles:
-                    t0 = time.perf_counter()
-                    apply(t)
-                    if r:
-                        samples[t].append(time.perf_counter() - t0)
+            runs = [lambda t=t: apply(t) for t in tiles]
+            samples = dict(zip(tiles, timed_rounds(runs, rounds)))
             scratch = {}
             for t in tiles:
                 kernel.workspace.clear()

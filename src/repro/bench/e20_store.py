@@ -13,12 +13,10 @@ value of reuse; the ``store/hits|misses`` counters and the operator
 
 from __future__ import annotations
 
-import time
-
 from repro.store import EnsembleStore, MeasurementService
 from repro.telemetry import telemetry_mode
 from repro.telemetry.registry import get_registry
-from repro.util import Table
+from repro.util import Table, Timer
 
 __all__ = ["e20_store"]
 
@@ -60,13 +58,13 @@ def e20_store(
         reg = get_registry()
         for observable, params in observables:
             c0 = dict(reg.counters())
-            t0 = time.perf_counter()
-            cold_values = service.serve_ensemble(observable, params)
-            t_cold = time.perf_counter() - t0
+            with Timer() as t:
+                cold_values = service.serve_ensemble(observable, params)
+            t_cold = t.elapsed
             c1 = dict(reg.counters())
-            t0 = time.perf_counter()
-            warm_values = service.serve_ensemble(observable, params)
-            t_warm = time.perf_counter() - t0
+            with Timer() as t:
+                warm_values = service.serve_ensemble(observable, params)
+            t_warm = t.elapsed
             c2 = dict(reg.counters())
 
             def delta(a, b, prefix):

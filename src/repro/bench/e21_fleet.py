@@ -15,12 +15,11 @@ Two questions a farm operator asks of the fleet layer:
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 from repro.campaign import RetryPolicy
 from repro.fleet import Fleet, FleetFaultPlan, grid_design
-from repro.util import Table
+from repro.util import Table, Timer
 
 __all__ = ["e21_fleet"]
 
@@ -74,9 +73,9 @@ def e21_fleet(
             max_workers=workers,
             retry=retry,
         )
-        t0 = time.perf_counter()
-        summary = fleet.run()
-        wall = time.perf_counter() - t0
+        with Timer() as t:
+            summary = fleet.run()
+        wall = t.elapsed
         if summary.completed != len(design) or summary.quarantined:
             raise RuntimeError(f"scaling sweep degraded: {summary}")
         ledgers = _ledger_bytes(fleet)
@@ -110,9 +109,9 @@ def e21_fleet(
         max_workers=workers,
         retry=retry,
     )
-    t0 = time.perf_counter()
-    summary = faulted.run(fault=fault)
-    wall = time.perf_counter() - t0
+    with Timer() as t:
+        summary = faulted.run(fault=fault)
+    wall = t.elapsed
     if summary.completed != len(design) or summary.reaps != 1:
         raise RuntimeError(f"recovery sweep degraded: {summary}")
     rows.append(

@@ -27,7 +27,6 @@ columns can be held against the host that produced it.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,13 @@ from repro.dirac.decomposed import DecomposedWilsonDirac
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField, random_fermion
 from repro.lattice import Lattice4D
-from repro.machine.calibrate import host_comm_spec, measured_memcpy_bandwidth
+from repro.machine.calibrate import host_comm_spec
 from repro.machine.scaling import balanced_rank_grid, strong_scaling, weak_scaling
 from repro.machine.spec import MachineSpec
-from repro.util import Table
+from repro.util import Table, timed_rounds
 
 __all__ = [
     "MeasuredPoint",
-    "host_shm_spec",
     "e2_weak_scaling_measured",
     "e3_strong_scaling_measured",
 ]
@@ -104,33 +102,12 @@ class MeasuredPoint:
         ]
 
 
-#: Kept for callers that predate :func:`repro.machine.calibrate.host_comm_spec`.
-_measured_memcpy_bandwidth = measured_memcpy_bandwidth
-
-
-def host_shm_spec(
-    lattice: Lattice4D | None = None, repeats: int = 3
-) -> MachineSpec:
-    """A spec for *this* host running one shm rank process per "node".
-
-    Now a thin alias of
-    :func:`repro.machine.calibrate.host_comm_spec` with ``comm_name="shm"``
-    — the calibration layer owns per-backend link measurement (memcpy for
-    shm, a real loopback socket for tcp).
-    """
-    return host_comm_spec("shm", lattice=lattice, repeats=repeats)
-
-
 def _time_apply(op, psi: np.ndarray, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of one operator application."""
+    """Best-of-``repeats`` wall time of one operator application (after a
+    warm-up: workspace buffers, worker attach, caches)."""
     out = np.empty_like(psi)
-    op.apply_into(psi, out)  # warm-up: workspace buffers, worker attach, caches
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        op.apply_into(psi, out)
-        best = min(best, time.perf_counter() - t0)
-    return best
+    [samples] = timed_rounds([lambda: op.apply_into(psi, out)], repeats)
+    return min(samples)
 
 
 def _weak_grid(nranks: int) -> tuple[int, int, int, int]:

@@ -6,7 +6,8 @@ are exact rather than probabilistic:
 * **Process faults** (:class:`FaultPlan`): fired by the runner at trajectory
   boundaries — raise :class:`InjectedCrash` (clean in-process crash),
   SIGKILL the whole driver (real crash, exercises crash consistency of the
-  ledger/checkpoint fsync discipline), SIGKILL one ShmComm rank (node
+  ledger/checkpoint fsync discipline), hang the driver (a wedged process
+  only a liveness timeout can detect), SIGKILL one ShmComm rank (node
   failure), or corrupt a checkpoint on disk.
 * **Comm faults** (:class:`FaultInjector`): consumed by the hooks inside
   :meth:`repro.comm.pool.RankPoolComm._command` (every process backend's
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import signal
+import time
 import zipfile
 from pathlib import Path
 
@@ -135,6 +137,16 @@ class FaultPlan:
         self._faults.append({"kind": "sigkill", "step": int(step), "fired": False})
         return self
 
+    def hang_at(self, step: int, seconds: float) -> "FaultPlan":
+        """Sleep ``seconds`` just before trajectory ``step`` runs.
+
+        Time simply stops: no progress callback, no journal append, nothing
+        for a supervisor to see but a stale heartbeat."""
+        self._faults.append(
+            {"kind": "hang", "step": int(step), "seconds": float(seconds), "fired": False}
+        )
+        return self
+
     def kill_rank_at(self, step: int, rank: int) -> "FaultPlan":
         """Kill comm rank ``rank`` just before trajectory ``step``.
 
@@ -184,6 +196,8 @@ class FaultPlan:
                 raise InjectedCrash(f"injected crash before trajectory {step}")
             if kind == "sigkill":
                 os.kill(os.getpid(), signal.SIGKILL)
+            elif kind == "hang":
+                time.sleep(f["seconds"])
             elif kind == "kill_rank":
                 if comm is None or not hasattr(comm, "kill_rank"):
                     raise InjectedCrash(

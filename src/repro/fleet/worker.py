@@ -18,11 +18,11 @@ Exit codes: 0 — campaign reached ``n_trajectories``; 1 — campaign raised
 (the orchestrator journals the tail of the log as fault evidence).
 
 Fault-injection flags (armed per spawn by
-:meth:`~repro.fleet.plan.FleetFaultPlan.worker_args`): ``--sigkill-at N``
-and ``--crash-at N`` reuse the campaign-level
-:class:`~repro.campaign.faults.FaultPlan`; ``--hang-at N`` sleeps
-``--hang-seconds`` at the boundary *without* heartbeating — the failure
-mode only a liveness timeout can detect.
+:meth:`~repro.fleet.plan.FleetFaultPlan.worker_args`) fill one campaign-level
+:class:`~repro.campaign.faults.FaultPlan`: ``--sigkill-at N``,
+``--crash-at N``, and ``--hang-at N``, which sleeps ``--hang-seconds`` at
+the boundary *without* heartbeating — the failure mode only a liveness
+timeout can detect.
 """
 
 from __future__ import annotations
@@ -63,35 +63,6 @@ def read_heartbeat(directory: str | Path) -> dict | None:
         return None
 
 
-class _WorkerFaults:
-    """Boundary-fired faults for one spawn: campaign plan + hang.
-
-    Duck-types the ``fault.fire(step, ...)`` interface
-    :meth:`HMCCampaign.run` calls at every trajectory boundary.  The hang
-    fires at most once and simply stops time: no heartbeat, no journal
-    append, nothing for the supervisor to see but a stale mtime.
-    """
-
-    def __init__(
-        self, plan: FaultPlan | None, hang_at: int | None, hang_seconds: float
-    ) -> None:
-        self.plan = plan
-        self.hang_at = hang_at
-        self.hang_seconds = hang_seconds
-        self._hang_fired = False
-
-    def fire(self, step: int, comm=None, store=None, gauge=None) -> None:
-        if (
-            self.hang_at is not None
-            and not self._hang_fired
-            and step == self.hang_at
-        ):
-            self._hang_fired = True
-            time.sleep(self.hang_seconds)
-        if self.plan is not None:
-            self.plan.fire(step, comm=comm, store=store, gauge=gauge)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--dir", type=Path, required=True, help="point campaign directory")
@@ -116,14 +87,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     campaign = HMCCampaign(args.dir, config)
 
-    plan = None
-    if args.sigkill_at is not None or args.crash_at is not None:
-        plan = FaultPlan()
-        if args.sigkill_at is not None:
-            plan.sigkill_at(args.sigkill_at)
-        if args.crash_at is not None:
-            plan.crash_at(args.crash_at)
-    faults = _WorkerFaults(plan, args.hang_at, args.hang_seconds)
+    plan = FaultPlan()
+    if args.hang_at is not None:  # registered first: it fires first at its step
+        plan.hang_at(args.hang_at, args.hang_seconds)
+    if args.sigkill_at is not None:
+        plan.sigkill_at(args.sigkill_at)
+    if args.crash_at is not None:
+        plan.crash_at(args.crash_at)
 
     # First heartbeat before any trajectory: a freshly resumed worker on a
     # slow import path must not look dead to the supervisor.
@@ -133,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
     def progress(step, result):
         write_heartbeat(args.dir, step)
 
-    summary = campaign.run(fault=faults, progress=progress, guard=args.guard)
+    summary = campaign.run(fault=plan, progress=progress, guard=args.guard)
     write_heartbeat(args.dir, summary.n_trajectories - 1)
     print(
         f"worker done: {summary.n_trajectories} trajectories, "

@@ -17,7 +17,6 @@ curves against.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import replace
 
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
@@ -26,6 +25,7 @@ from repro.kernels import make_kernel
 from repro.lattice import Lattice4D
 from repro.machine.spec import MachineSpec
 from repro.util.flops import WILSON_DSLASH_FLOPS_PER_SITE
+from repro.util.timing import timed_rounds
 
 __all__ = [
     "measured_dslash_rate",
@@ -57,13 +57,10 @@ def measured_dslash_rate(
     psi = random_fermion(lattice, rng=rng + 1, dtype=dtype)
     out = np.empty_like(psi)
     kernel = make_kernel("fused")
-    kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)  # warm-up (link planes, arena)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)
-        best = min(best, time.perf_counter() - t0)
-    sites_per_s = lattice.volume / best
+    [samples] = timed_rounds(
+        [lambda: kernel(gauge.u, psi, DEFAULT_FERMION_PHASES, out=out)], repeats
+    )  # after one warm-up apply: link planes, arena
+    sites_per_s = lattice.volume / min(samples)
     return sites_per_s, sites_per_s * WILSON_DSLASH_FLOPS_PER_SITE
 
 
@@ -103,13 +100,8 @@ def measured_memcpy_bandwidth(nbytes: int = 1 << 25, repeats: int = 3) -> float:
 
     src = np.empty(nbytes, dtype=np.uint8)
     dst = np.empty_like(src)
-    np.copyto(dst, src)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.copyto(dst, src)
-        best = min(best, time.perf_counter() - t0)
-    return nbytes / best
+    [samples] = timed_rounds([lambda: np.copyto(dst, src)], repeats)
+    return nbytes / min(samples)
 
 
 def measured_tcp_link(
@@ -150,26 +142,22 @@ def measured_tcp_link(
     sock = socket.create_connection(listener.getsockname()[:2], timeout=30.0)
     sock.settimeout(30.0)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    try:
-        payload = b"\0" * nbytes
-        send_frame(sock, payload)  # warm-up (buffers, congestion window)
-        recv_frame(sock)
-        best_bw = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
+
+    def round_trip(payload: bytes):
+        def run() -> None:
             send_frame(sock, payload)
             recv_frame(sock)
-            best_bw = min(best_bw, time.perf_counter() - t0)
-        best_rtt = float("inf")
-        for _ in range(max(8, repeats)):
-            t0 = time.perf_counter()
-            send_frame(sock, b"")
-            recv_frame(sock)
-            best_rtt = min(best_rtt, time.perf_counter() - t0)
+
+        return run
+
+    try:
+        # Each after one untimed round trip (buffers, congestion window).
+        [bw] = timed_rounds([round_trip(b"\0" * nbytes)], repeats)
+        [rtt] = timed_rounds([round_trip(b"")], max(8, repeats))
     finally:
         sock.close()
         listener.close()
-    return nbytes / best_bw, best_rtt / 2.0
+    return nbytes / min(bw), min(rtt) / 2.0
 
 
 def host_comm_spec(

@@ -6,7 +6,7 @@ Every stochastic routine in the library takes an explicit
 """
 
 from repro.util.rng import ensure_rng, spawn_rngs, rng_state, restore_rng
-from repro.util.timing import Timer, paired_ratio
+from repro.util.timing import Timer, paired, paired_ratio, timed_rounds
 from repro.util.flops import FlopCounter, WILSON_DSLASH_FLOPS_PER_SITE
 from repro.util.report import Table, format_si, format_bytes
 
@@ -16,7 +16,9 @@ __all__ = [
     "rng_state",
     "restore_rng",
     "Timer",
+    "paired",
     "paired_ratio",
+    "timed_rounds",
     "FlopCounter",
     "WILSON_DSLASH_FLOPS_PER_SITE",
     "Table",

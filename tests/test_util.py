@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from statistics import median
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from repro.util import (
     rng_state,
     spawn_rngs,
 )
+from repro.util import timing
 from repro.util.flops import cg_linalg_flops_per_iter, dslash_flops
+from repro.util.timing import paired, paired_ratio, timed_rounds
 
 
 class TestRng:
@@ -76,6 +81,51 @@ class TestTimers:
         with Timer() as t:
             sum(range(1000))
         assert t.elapsed >= 0.0
+
+    @staticmethod
+    def _scripted_clock(monkeypatch, readings):
+        """Make ``repro.util.timing`` read ``readings`` off its clock, in order."""
+        it = iter(readings)
+        monkeypatch.setattr(timing, "time", SimpleNamespace(perf_counter=lambda: next(it)))
+
+    def test_timed_rounds_warms_up_once_then_alternates(self):
+        calls = []
+        a, b, c = (lambda name=name: calls.append(name) for name in "abc")
+        samples = timed_rounds((a, b), 2)
+        assert calls == ["a", "b", "a", "b", "b", "a"]
+        assert [len(s) for s in samples] == [2, 2]
+        calls.clear()
+        timed_rounds([a, b, c], 3)
+        assert calls == list("abc" "abc" "cba" "abc")
+
+    def test_min_reduces_to_smallest_sample(self, monkeypatch):
+        self._scripted_clock(monkeypatch, [0.0, 0.5, 1.0, 1.25, 2.0, 2.75])
+        [samples] = timed_rounds([lambda: None], 3)
+        assert samples == [0.5, 0.25, 0.75]
+        assert min(samples) == 0.25
+
+    def test_paired_ratio_estimator_on_a_scripted_clock(self, monkeypatch):
+        """1 + median(diffs) / median(bases) over quads base, other, other,
+        base, after one untimed call of each; the clock is read only around
+        timed calls.  The literal is what the hand-written ABBA loop that
+        preceded :func:`timed_rounds` returned for this script."""
+        d = [1e-3 * (1.0 + 0.3 * (i % 4 in (1, 2)) + 0.01 * (i * 37 % 11)) for i in range(20)]
+        readings = [0.0]
+        for di in d:  # each call's start and end, 0.1 ms apart from the next
+            readings += [readings[-1] + di, readings[-1] + di + 1e-4]
+        calls = []
+        self._scripted_clock(monkeypatch, readings)
+        ratio = paired_ratio(lambda: calls.append("b"), lambda: calls.append("o"), quads=5)
+        assert calls == ["b", "o"] + ["b", "o", "o", "b"] * 5
+        d = [t1 - t0 for t0, t1 in zip(readings[::2], readings[1::2])][:20]
+        bases, diffs = [], []
+        for b1, o1, o2, b2 in zip(d[::4], d[1::4], d[2::4], d[3::4]):
+            bases.append(0.5 * (b1 + b2))
+            diffs.append(0.5 * (o1 + o2) - 0.5 * (b1 + b2))
+        assert ratio == 1.0 + median(diffs) / median(bases) == 1.2857142857142856
+        base_samples = [t for quad in zip(d[::4], d[3::4]) for t in quad]
+        other_samples = [t for quad in zip(d[1::4], d[2::4]) for t in quad]
+        assert paired([base_samples, other_samples]) == (bases, diffs)
 
 
 class TestFlops:
