@@ -17,9 +17,18 @@ price of running protected:
 ``heal`` costs the same as ``detect`` on clean data (healing only runs
 when a probe trips), so its row doubles as a sanity check on the
 measurement noise.
+
+Each level is timed against its baseline in paired rounds — base, level,
+level, base (:func:`~repro.util.timing.timed_rounds`) — and reduced by
+the medians of :func:`~repro.util.timing.paired`, the estimator of
+:func:`~repro.util.timing.paired_ratio` and E18: a slow phase of the host
+hits both halves of a quad alike, where a ratio of independent bests
+followed the phase.
 """
 
 from __future__ import annotations
+
+from statistics import median
 
 import numpy as np
 
@@ -28,7 +37,7 @@ from repro.fields import GaugeField, random_fermion
 from repro.guard import GUARD_LEVELS, GuardPolicy, GuardedOperator
 from repro.lattice import Lattice4D
 from repro.solvers import cg
-from repro.util import Table, timed_rounds
+from repro.util import Table, paired, timed_rounds
 
 __all__ = ["e17_guard_overhead"]
 
@@ -40,18 +49,22 @@ def e17_guard_overhead(
     tol: float = 1e-8,
     n_applies: int = 128,
     probe_interval: int = 64,
-    repeats: int = 3,
+    repeats: int = 5,
     seed: int = 17,
 ) -> tuple[Table, list[dict]]:
-    """Measure off/detect/heal overhead on the Dslash and CG paths."""
+    """Measure off/detect/heal overhead on the Dslash and CG paths, each
+    level in ``repeats`` paired quads against its baseline."""
     rows: list[dict] = []
 
+    def against(base, other) -> tuple[float, float]:
+        """``(base seconds, other seconds)``: the median base of the paired
+        quads, and that plus the median paired difference."""
+        bases, diffs = paired(timed_rounds((base, other), 2 * max(1, repeats)))
+        return median(bases), median(bases) + median(diffs)
+
     # -- Dslash path: fused kernel, bare vs ABFT-wrapped ----------------------
-    # All configurations are timed *interleaved* (bare, off, detect, heal
-    # within each round, :func:`~repro.util.timing.timed_rounds`) and
-    # reduced best-of-repeats, so slow phases of a noisy shared host hit
-    # every configuration alike instead of biasing whichever one happened
-    # to run during them.  One timed call is a batch of ``n_applies``.
+    # One timed call is a batch of ``n_applies``, a whole number of probe
+    # intervals, so every call pays the same probes.
     lat = Lattice4D(shape)
     gauge = GaugeField.hot(lat, rng=seed)
     psi = random_fermion(lat, rng=seed + 1)
@@ -68,11 +81,8 @@ def e17_guard_overhead(
 
         return run
 
-    samples = timed_rounds([batch(op) for op in ops.values()], max(1, repeats))
-    best = {name: min(s) for name, s in zip(ops, samples)}
-    bare_s = best["bare"]
     for level in GUARD_LEVELS:
-        t = best[level]
+        bare_s, t = against(batch(ops["bare"]), batch(ops[level]))
         rows.append(
             {
                 "path": "dslash-fused",
@@ -100,19 +110,15 @@ def e17_guard_overhead(
 
         return run
 
-    samples = timed_rounds([solve(level) for level in GUARD_LEVELS], max(1, repeats))  # interleaved
-    solver_best = {level: min(s) for level, s in zip(GUARD_LEVELS, samples)}
-    base_solver_s = solver_best["off"]
     for level in GUARD_LEVELS:
+        base_solver_s, t = against(solve("off"), solve(level))
         rows.append(
             {
                 "path": "cg-normal",
                 "level": level,
-                "seconds": solver_best[level],
+                "seconds": t,
                 "baseline_s": base_solver_s,
-                "overhead_pct": 100.0
-                * (solver_best[level] - base_solver_s)
-                / base_solver_s,
+                "overhead_pct": 100.0 * (t - base_solver_s) / base_solver_s,
                 "n_applies": None,
                 "probe_interval": None,
                 "iterations": solver_iters[level],

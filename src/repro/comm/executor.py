@@ -20,7 +20,9 @@ with the sequential backend — and boundary phases are applied by the
 filled arrays are bit-identical across every backend.  Only ghost shells
 are written and only interior slabs are read (and those carry interior
 extents on the orthogonal axes), so ranks that map each other's memory
-need no synchronisation inside a command.
+need no synchronisation inside a command.  A width is one int for every
+axis or one per axis; an axis of width 0 carries no ghosts, and nothing
+along it is sent or filled.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 import traceback
+import zlib
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from repro.comm.frame import face_tag
 from repro.comm.halo import face_index
 from repro.comm.rankgrid import RankGrid
 from repro.guard.errors import NumericalFault
+from repro.kernels.fused import halo_widths
 from repro.telemetry import registry as _tm_registry
 
 __all__ = ["PeerTransport", "RankExecutor", "serve"]
@@ -170,30 +174,28 @@ class RankExecutor:
         arr = self.blocks[key]
         rank, grid = self.rank, self.grid
         faces = []
-        for mu in range(4):
+        for mu, w in enumerate(halo_widths(width)):
             nb_hi = grid.neighbor(rank, mu, +1)
-            if nb_hi != rank:
+            if nb_hi != rank and w:
                 nb_lo = grid.neighbor(rank, mu, -1)
                 for nb, role in ((nb_hi, "src_hi"), (nb_lo, "src_lo")):
                     slab = face_index(arr.ndim, site_axis_start, width, mu, role)
                     faces.append((nb, face_tag(mu, role == "src_hi"), arr[slab]))
         return self.peers.send_faces(faces)
 
-    def _fill_ghosts(
-        self, key: str, width: int, site_axis_start: int, phases, pending, wraps: bool = True
-    ) -> None:
-        """Fill the ghosts of block ``key``; along an undecomposed axis only with ``wraps``."""
+    def _fill_ghosts(self, key: str, width, site_axis_start: int, phases, pending) -> None:
+        """Fill the ghosts of block ``key`` along every axis that has them."""
         arr = self.blocks[key]
         rank, grid, peers = self.rank, self.grid, self.peers
         try:
-            for mu in range(4):
+            for mu, w in enumerate(halo_widths(width)):
+                if w == 0:
+                    continue
                 for sign, ghost_role, src_role in (
                     (+1, "ghost_hi", "src_lo"),
                     (-1, "ghost_lo", "src_hi"),
                 ):
                     nb = grid.neighbor(rank, mu, sign)
-                    if nb == rank and not wraps:
-                        continue
                     ghost = arr[face_index(arr.ndim, site_axis_start, width, mu, ghost_role)]
                     src = face_index(arr.ndim, site_axis_start, width, mu, src_role)
                     if nb == rank:
@@ -216,7 +218,7 @@ class RankExecutor:
         psi_key: str,
         out: np.ndarray,
         u_key: str,
-        width: int,
+        width: tuple[int, int, int, int],
         phases: tuple[complex, complex, complex, complex],
         diag: float,
     ) -> None:
@@ -224,8 +226,9 @@ class RankExecutor:
         ``psi_key`` into the local-shaped array ``out``.
 
         The stencil multiplies by the link planes of block ``u_key``
-        (:func:`~repro.kernels.halo.rank_links`) in place.  Only the split
-        axes' ghosts are filled: along an axis the rank spans, the stencil
+        (:func:`~repro.kernels.halo.rank_links`) in place.  The block has
+        ghosts of ``width`` along the split axes only, and those are what
+        the exchange fills: along an axis the rank spans, the stencil
         wraps by the boundary phase, as the lattice kernel does.  The
         schedule follows what is in flight: while this rank's faces are
         on their way (a message transport) the deep interior, which reads
@@ -253,7 +256,7 @@ class RankExecutor:
             if deep is not None:
                 stencil(deep)
         finally:
-            self._fill_ghosts(psi_key, width, 0, phases, pending, wraps=False)
+            self._fill_ghosts(psi_key, width, 0, phases, pending)
         for box in boxes:
             stencil(box)
 
@@ -277,8 +280,9 @@ class RankExecutor:
         ``exchange``, ``dslash`` and ``solve`` take an optional payload: a
         master that cannot see rank memory ships the input block's bytes
         with the command and gets the output blocks' bytes back in the ack;
-        a master that maps it sends none and gets none.  ``load`` (sent
-        only by such a master) replaces a block's bytes with the payload.
+        a master that maps it sends none and gets none.  ``load`` replaces
+        a block's bytes with the payload; ``checksum`` acks the CRC32 of a
+        block's bytes, the ones this rank computes with.
         ``solve`` runs ``cg_spmd`` here (:func:`repro.solvers.spmd.rank_cg`),
         its sums acked one by one through :meth:`allreduce`; after a solve
         fails the master sends every rank ``abort``, which ends it where
@@ -292,6 +296,8 @@ class RankExecutor:
             self.declare(cmd[1])
         elif op == "load":
             self._load(cmd[1], payload)
+        elif op == "checksum":
+            return zlib.crc32(self.blocks[cmd[1]]), None
         elif op == "exchange":
             _, key, width, s0, phases = cmd
             if payload is not None:

@@ -4,7 +4,10 @@ This is the communication pattern of the paper's Dslash: each rank extends
 its local block by a ghost shell of width ``w`` in every lattice direction,
 fills the shells from the face data of its six-to-eight Cartesian neighbours
 (a *self*-wrap along undecomposed axes), and then applies the stencil to the
-interior with no further neighbour logic.
+interior with no further neighbour logic.  A width may also be given per
+axis (:func:`~repro.kernels.fused.halo_widths`): a block whose stencil wraps
+the axes its rank spans carries ghosts only along the split ones, and an
+axis of width 0 has no shell to fill.
 
 Only face slabs are exchanged, with *interior* extents on the orthogonal
 axes — a nearest-neighbour stencil never reads the ghost corners, so they
@@ -27,6 +30,7 @@ import numpy as np
 
 from repro.comm.rankgrid import RankGrid
 from repro.comm.trace import CommTrace
+from repro.kernels.fused import halo_widths, interior_slices
 
 __all__ = [
     "HaloField",
@@ -44,33 +48,33 @@ __all__ = [
 class HaloField:
     """A rank-local array extended by ghost shells on the 4 site axes.
 
-    ``data`` has extents ``local + 2*width`` on each site axis; site axes
-    start at ``site_axis_start`` (0 for fermions, 1 for gauge fields).
+    ``data`` has extents ``local + 2*width`` on each site axis; ``width``
+    is one int for every axis or one per axis (:func:`halo_widths`).  Site
+    axes start at ``site_axis_start`` (0 for fermions, 1 for gauge fields).
     """
 
     data: np.ndarray
-    width: int
+    width: int | tuple[int, int, int, int]
     site_axis_start: int = 0
 
     @property
     def interior_shape(self) -> tuple[int, ...]:
         s0 = self.site_axis_start
-        return tuple(n - 2 * self.width for n in self.data.shape[s0 : s0 + 4])
+        widths = halo_widths(self.width)
+        return tuple(n - 2 * w for n, w in zip(self.data.shape[s0 : s0 + 4], widths))
 
     def interior(self) -> np.ndarray:
         """View of the owned (non-ghost) region."""
         s0 = self.site_axis_start
-        idx = [slice(None)] * self.data.ndim
-        for mu in range(4):
-            idx[s0 + mu] = slice(self.width, -self.width)
-        return self.data[tuple(idx)]
+        return self.data[(slice(None),) * s0 + interior_slices(self.width)]
 
 
-def add_halo(local: np.ndarray, width: int = 1, site_axis_start: int = 0) -> HaloField:
+def add_halo(local: np.ndarray, width=1, site_axis_start: int = 0) -> HaloField:
     """Embed a local block into a ghost-extended array (ghosts zeroed)."""
-    if width < 1:
+    widths = halo_widths(width)
+    if min(widths) < 0 or max(widths) < 1:
         raise ValueError("halo width must be >= 1")
-    pad = [(0, 0)] * site_axis_start + [(width, width)] * 4
+    pad = [(0, 0)] * site_axis_start + [(w, w) for w in widths]
     pad += [(0, 0)] * (local.ndim - site_axis_start - 4)
     data = np.pad(local, pad, mode="constant")
     return HaloField(data, width, site_axis_start)
@@ -82,16 +86,17 @@ def strip_halo(halo: HaloField) -> np.ndarray:
 
 
 def face_bytes_of_shape(
-    ext_shape: tuple[int, ...], site_axis_start: int, width: int, mu: int, itemsize: int
+    ext_shape: tuple[int, ...], site_axis_start: int, width, mu: int, itemsize: int
 ) -> int:
     """Payload of one face message along ``mu`` for a halo-extended shape."""
+    widths = halo_widths(width)
     face_sites = 1
     for nu in range(4):
         if nu != mu:
-            face_sites *= ext_shape[site_axis_start + nu] - 2 * width
+            face_sites *= ext_shape[site_axis_start + nu] - 2 * widths[nu]
     trailing = int(math.prod(ext_shape[site_axis_start + 4 :])) or 1
     lead = int(math.prod(ext_shape[:site_axis_start])) or 1
-    return face_sites * width * trailing * lead * itemsize
+    return face_sites * widths[mu] * trailing * lead * itemsize
 
 
 def face_bytes(halo: HaloField, mu: int) -> int:
@@ -112,19 +117,19 @@ _FACE_SLABS = {
 
 
 def face_index(
-    ndim: int, site_axis_start: int, width: int, mu: int, role: str
+    ndim: int, site_axis_start: int, width, mu: int, role: str
 ) -> tuple[slice, ...]:
     """Index tuple selecting one face slab of a halo-extended array.
 
     ``role`` is one of ``ghost_lo``/``ghost_hi`` (the shells an exchange
     writes) or ``src_lo``/``src_hi`` (the interior boundary slabs it
     reads).  Orthogonal site axes take interior extents, so corners are
-    excluded on both sides of the copy.
+    excluded on both sides of the copy.  ``mu`` must carry ghosts (a
+    nonzero width along it).
     """
-    idx: list[slice] = [slice(None)] * ndim
-    for nu in range(4):
-        idx[site_axis_start + nu] = slice(width, -width)
-    idx[site_axis_start + mu] = _FACE_SLABS[role](width)
+    idx = [slice(None)] * ndim
+    idx[site_axis_start : site_axis_start + 4] = interior_slices(width)
+    idx[site_axis_start + mu] = _FACE_SLABS[role](halo_widths(width)[mu])
     return tuple(idx)
 
 
@@ -165,11 +170,14 @@ def halo_exchange(
 
     Exchanges between distinct ranks are recorded in ``trace``; wraps along
     undecomposed axes are local copies (not messages), as on a real machine.
+    An axis without ghosts (width 0) is skipped.
     """
     if len(halos) != grid.nranks:
         raise ValueError(f"expected {grid.nranks} halo fields, got {len(halos)}")
     w = halos[0].width
-    for mu in range(4):
+    for mu, w_mu in enumerate(halo_widths(w)):
+        if w_mu == 0:
+            continue
         for r in grid.all_ranks():
             dst = halos[r]
             ndim, s0 = dst.data.ndim, dst.site_axis_start

@@ -17,9 +17,10 @@ gathering, process supervision, and idempotent leak-free teardown behind
 the shared atexit sweep (:mod:`repro.comm.lifecycle`).  A transport
 subclass keeps only spawn/rendezvous, :meth:`~RankPoolComm._send` /
 :meth:`~RankPoolComm._recv`, what backs a block on the master
-(:meth:`~RankPoolComm._new_block`), whether commands must carry block
-bytes (:attr:`~RankPoolComm.ships_payloads`), and the release of its own
-OS resources (:meth:`~RankPoolComm._release`).
+(:meth:`~RankPoolComm._new_block`) and how the master writes a block it
+does not keep (:meth:`~RankPoolComm._write_blocks`), whether commands
+must carry block bytes (:attr:`~RankPoolComm.ships_payloads`), and the
+release of its own OS resources (:meth:`~RankPoolComm._release`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import os
 import signal
 import time
 import uuid
-import zlib
 import multiprocessing as mp
 
 import numpy as np
@@ -51,6 +51,17 @@ from repro.telemetry.state import STATE
 __all__ = ["RankPoolComm"]
 
 
+class _Payloads:
+    """Per-rank command payloads made as each is sent (``payloads[rank]``),
+    so the master holds one rank's bytes at a time."""
+
+    def __init__(self, make) -> None:
+        self._make = make
+
+    def __getitem__(self, rank: int):
+        return self._make(rank)
+
+
 def _rank_process(target, *args) -> None:
     """Entry point of a locally spawned rank process."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the master handles ^C
@@ -70,11 +81,14 @@ class RankPoolComm:
     Drop-in for :class:`~repro.comm.VirtualComm` behind the comm protocol,
     plus the rank-block API the decomposed operator uses to run halo
     exchange and the Dslash stencil rank-parallel: :meth:`alloc_blocks`,
-    :meth:`push_blocks`, :meth:`exchange_shared`, :meth:`run_dslash`.
-    The arrays :meth:`alloc_blocks` returns are the master's side of each
-    rank's block: the rank's own memory where the transport maps it, else
-    a copy that commands synchronise (shipped in with the command, read
-    back from the ack).
+    :meth:`alloc_rank_blocks`, :meth:`write_blocks`,
+    :meth:`exchange_shared`, :meth:`run_dslash`.  The arrays
+    :meth:`alloc_blocks` returns are the master's side of each rank's
+    block: the rank's own memory where the transport maps it, else a copy
+    that commands synchronise (shipped in with the command, read back from
+    the ack).  A block the master only writes once, such as a rank's link
+    block, is a rank block it fills through :meth:`write_blocks` and then
+    holds no byte of.
 
     Use as a context manager, or call :meth:`close` — teardown stops the
     ranks and releases every OS resource even after a rank failure.
@@ -135,6 +149,17 @@ class RankPoolComm:
         """The zero-filled master-side array of ``rank``'s block ``key``;
         ``None``, and no master memory, for a block only the ranks use."""
         return np.zeros(shape, dtype=dt) if mapped else None
+
+    def _write_blocks(self, key: str, shape: tuple[int, ...], dt: np.dtype, fill) -> None:
+        """:meth:`write_blocks`: by default a buffer per rank that one ``load``
+        command ships to its rank as it is sent."""
+
+        def payload(rank: int) -> memoryview:
+            block = np.empty(shape, dt)
+            fill(rank, block)
+            return memoryview(block).cast("B")
+
+        self._command(("load", key), _Payloads(payload))
 
     def _sever(self, rank: int) -> None:
         """Cut the link to a rank this master did not spawn (default: cannot)."""
@@ -303,31 +328,31 @@ class RankPoolComm:
         return self._blocks[key][2]
 
     def block_checksums(self, key: str) -> list[int]:
-        """Per-rank CRC32 of a block set's current bytes.
+        """Per-rank CRC32 of a block set's bytes, computed by each rank on
+        its own block: the bytes its stencil reads, not a copy of them.
 
         The ABFT guard layer (:mod:`repro.guard.abft`) compares these
         against encode-time values to localise silent corruption of the
-        link-plane blocks to a rank.  Master-side read only — between commands
-        the master's arrays are the rank blocks (mapped) or exact copies
-        of them (synchronised at every command that touches the key).
+        link-plane blocks to a rank.
+        """
+        return [meta for _, meta, _ in self._acks(("checksum", key), None, ("ok",))]
+
+    def write_blocks(self, key: str, fill) -> None:
+        """Write every rank's block ``key``: ``fill(rank, array)`` writes the
+        whole of an array that becomes that rank's bytes.
+
+        One rank at a time, through an array the master drops afterwards
+        (:meth:`_write_blocks`), so it holds one rank's bytes at a time and
+        none after.
         """
         self._check_open()
-        return [zlib.crc32(np.ascontiguousarray(view)) for view in self._blocks[key][2]]
-
-    def push_blocks(self, key: str) -> None:
-        """Make the ranks' blocks ``key`` what the master wrote into its arrays.
-
-        A mapped block already is; otherwise one ``load`` command carries
-        each rank its bytes.
-        """
-        self._check_open()
-        if self.ships_payloads:
-            self._command(("load", key), [m.tobytes() for m in self._blocks[key][2]])
+        shape, dt, _ = self._blocks[key]
+        self._write_blocks(key, shape, np.dtype(dt), fill)
 
     def exchange_shared(
         self,
         key: str,
-        width: int = 1,
+        width: int | tuple[int, ...] = 1,
         site_axis_start: int = 0,
         phases: tuple[complex, complex, complex, complex] | None = None,
     ) -> None:
@@ -343,7 +368,7 @@ class RankPoolComm:
         u_key: str,
         phases: tuple[complex, complex, complex, complex],
         diag: float,
-        width: int = 1,
+        width: int | tuple[int, ...] = 1,
     ) -> None:
         """One rank-parallel Wilson apply: exchange + stencil per rank.
 
@@ -367,7 +392,7 @@ class RankPoolComm:
         keys: tuple[str, str, str, str],
         phases: tuple[complex, complex, complex, complex],
         diag: float,
-        width: int,
+        width: int | tuple[int, ...],
         solve: tuple,
         flops_per_rank: int,
     ):
@@ -450,7 +475,7 @@ class RankPoolComm:
         if self._closed:
             raise RuntimeError(f"{type(self).__name__} is closed")
 
-    def _record_exchange(self, key: str, width: int = 1) -> None:
+    def _record_exchange(self, key: str, width=1) -> None:
         shape, dtype, _ = self._blocks[key]
         s0 = len(shape) - 6  # site axes end 6 before the (spin|dir, color) tail
         # Fermion blocks are (t,z,y,x,4,3) -> s0=0; gauge (4,t,z,y,x,3,3) -> s0=1.

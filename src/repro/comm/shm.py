@@ -11,7 +11,10 @@ the bytes:
   that master and ranks map, so commands carry no payload — the master
   reads and writes rank memory directly.  A block only the ranks use is
   created by the master and left unmapped there; a new segment reads
-  zeros, so no block is filled on creation.
+  zeros, so no block is filled on creation.  The master writes such a
+  block (a rank's link block) through a mapping it closes again
+  (:meth:`~repro.comm.pool.RankPoolComm.write_blocks`), so its pages
+  leave the master.
 * A halo face is a zero-copy view into the neighbour's segment
   (:class:`_SegmentPeers`): the exchange is *pull*-style, each rank writes
   only its own ghost shells and reads only neighbour interiors.  Between
@@ -192,6 +195,16 @@ class ShmComm(RankPoolComm):
         # POSIX shared memory reads zeros when created: filling it would only
         # fault every page of every rank's block into the master.
         return np.ndarray(shape, dtype=dt, buffer=seg.buf)
+
+    def _write_blocks(self, key: str, shape: tuple[int, ...], dt: np.dtype, fill) -> None:
+        """Through a transient mapping of each rank's segment: mapped,
+        filled, unmapped, one rank at a time."""
+        for r in self.grid.all_ranks():
+            seg = _attach_segment(f"{self._prefix}-{key}-{r}")
+            try:
+                fill(r, np.ndarray(shape, dtype=dt, buffer=seg.buf))
+            finally:
+                seg.close()
 
     def _release(self) -> None:
         self._reap_workers()

@@ -22,9 +22,10 @@ the bytes:
 * Blocks live in *worker* memory and the master holds copies of those
   it uses, so commands carry payloads: ``run_dslash`` ships the source
   fermion with the command and gets the result block back in the ack,
-  ``push_blocks`` ships the master's copies, ``exchange_shared``
-  round-trips the named block set, and ``run_cg`` ships ``b`` in and
-  ``x`` and ``M x`` out, with each rank's partial sums in between.
+  ``write_blocks`` ships a block the master keeps no copy of (a rank's
+  links) one rank's bytes at a time, ``exchange_shared`` round-trips the
+  named block set, and ``run_cg`` ships ``b`` in and ``x`` and ``M x``
+  out, with each rank's partial sums in between.
 * Every message is a length-prefixed CRC-stamped frame
   (:mod:`repro.comm.frame`): a rank killed mid-send produces a typed
   :class:`~repro.comm.errors.TornFrameError`, never silently truncated

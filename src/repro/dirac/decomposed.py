@@ -20,7 +20,12 @@ Two executors behind one operator:
   stencil its own block in parallel.  Where faces are in flight (``tcp``)
   a rank stencils its deep interior while they travel and the boundary
   slabs after; elsewhere it stencils its block in one box after the
-  exchange.
+  exchange.  The master keeps no link block: it writes each rank's once
+  (:meth:`~repro.comm.pool.RankPoolComm.write_blocks`) and drops it.
+
+A fermion halo block carries ghost shells only along the axes the rank
+grid splits (width 1 there, 0 elsewhere): a rank wraps the axes it spans
+by the boundary phase and never reads a ghost along them.
 
 Both executors run the same face copies and the same box-wise stencil —
 the single-domain ``fused`` tile loop on each box, its slabs read from
@@ -40,6 +45,7 @@ from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import GaugeField
 from repro.gammas import apply_gamma5, spin_project, spin_reconstruct
 from repro.kernels import HaloStencil, full_box
+from repro.kernels.fused import interior_slices
 from repro.kernels.halo import rank_link_reals, rank_links, write_rank_links
 from repro.kernels.workspace import aligned_empty
 from repro.telemetry.instruments import record_applies
@@ -125,19 +131,21 @@ class DecomposedWilsonDirac(LinearOperator):
         self.telemetry_label = "dslash_wilson_spmd"
         self.telemetry_sites = gauge.lattice.volume
 
-        w = self._WIDTH
         local = self.decomp.local_shape
         self._split = comm.grid.decomposed_axes()
-        self._interior_idx = tuple(slice(w, -w) for _ in range(4))
+        #: Ghost widths of the fermion halo blocks: the stencil's reach along
+        #: the split axes, none along the axes a rank spans and wraps.
+        self._widths = tuple(self._WIDTH if mu in self._split else 0 for mu in range(4))
+        self._interior_idx = interior_slices(self._widths)
         self._block_idx = [self.decomp.block_slices(r) for r in comm.grid.all_ranks()]
         self._full = full_box(local)
         self._stencil = HaloStencil()
 
-        fermion_halo_shape = tuple(n + 2 * w for n in local) + (4, 3)
+        fermion_halo_shape = tuple(n + 2 * w for n, w in zip(local, self._widths)) + (4, 3)
         link_reals = rank_link_reals(local, self._split)
         if self._shared:
             self._u_key = comm.new_key("u")
-            self._link_blocks = comm.alloc_blocks(self._u_key, (link_reals,), np.float64)
+            comm.alloc_rank_blocks(self._u_key, (link_reals,), np.float64)
             self._psi_key = comm.new_key("psi")
             psi_views = comm.alloc_blocks(self._psi_key, fermion_halo_shape, np.complex128)
             self._out_key = comm.new_key("out")
@@ -146,7 +154,7 @@ class DecomposedWilsonDirac(LinearOperator):
             self._link_blocks = [aligned_empty((link_reals,), np.float64) for _ in self._block_idx]
             psi_views = [np.zeros(fermion_halo_shape, np.complex128) for _ in self._block_idx]
             self._out_blocks = [np.empty(local + (4, 3), np.complex128) for _ in self._block_idx]
-        self._psi_halos = [HaloField(v, w, 0) for v in psi_views]
+        self._psi_halos = [HaloField(v, self._widths, 0) for v in psi_views]
         self._hop_key: str | None = None
         self.invalidate_kernel_cache()
 
@@ -157,14 +165,18 @@ class DecomposedWilsonDirac(LinearOperator):
         (:func:`~repro.kernels.halo.rank_links`): those of its sites and,
         per split axis, of the slab behind its low face.  Links are
         constant during a solve, so they are written once; call again
-        after an *in-place* link update (the guard's heal).  Where the
-        master maps rank memory it writes the blocks in place; elsewhere
-        the ranks take its copies.
+        after an *in-place* link update (the guard's heal).  On a process
+        backend the master writes each rank's block and keeps none of it
+        (:meth:`~repro.comm.pool.RankPoolComm.write_blocks`).
         """
-        for block, idx in zip(self._link_blocks, self._block_idx):
-            write_rank_links(block, self.gauge.u, idx, self._split)
+        u, split = self.gauge.u, self._split
         if self._shared:
-            self.comm.push_blocks(self._u_key)
+            self.comm.write_blocks(
+                self._u_key, lambda r, block: write_rank_links(block, u, self._block_idx[r], split)
+            )
+            return
+        for block, idx in zip(self._link_blocks, self._block_idx):
+            write_rank_links(block, u, idx, split)
 
     @property
     def lattice(self):
@@ -193,7 +205,7 @@ class DecomposedWilsonDirac(LinearOperator):
             np.copyto(halo.data[self._interior_idx], b[idx])
         keys = (self._psi_key, self._out_key, self._hop_key, self._u_key)
         result, b_norm2 = comm.run_cg(
-            keys, self.phases, self.diag, self._WIDTH,
+            keys, self.phases, self.diag, self._widths,
             (tol, max_iter, policy), self.flops_per_apply // comm.nranks,
         )
         normal = NormalOperator(self)
@@ -253,7 +265,7 @@ class DecomposedWilsonDirac(LinearOperator):
                 self._u_key,
                 self.phases,
                 self.diag,
-                width=self._WIDTH,
+                width=self._widths,
             )
             self.comm.record_compute("wilson_dslash", flops_rank)
         else:
@@ -272,7 +284,7 @@ class DecomposedWilsonDirac(LinearOperator):
             self._out_blocks[rank],
             *rank_links(self._link_blocks[rank], self.decomp.local_shape, self._split),
             self._psi_halos[rank].data,
-            self._WIDTH,
+            self._widths,
             box,
             self.diag,
             self.phases,

@@ -20,9 +20,10 @@ bit-for-bit transparent at every level (probing uses separate buffers and
 ``op.apply``, which does not disturb the wrapped operator's counters).
 For a :class:`~repro.dirac.decomposed.DecomposedWilsonDirac` on a process
 backend the gauge links also live in rank-resident blocks of the link
-planes each rank's stencil reads in place; the wrapper checksums those
-through :meth:`repro.comm.pool.RankPoolComm.block_checksums` and rewrites
-them from the healed links.
+planes each rank's stencil reads in place, of which the master keeps no
+copy; each rank checksums its own block
+(:meth:`repro.comm.pool.RankPoolComm.block_checksums`, a rank command),
+and a heal rewrites the blocks from the healed links.
 """
 
 from __future__ import annotations
@@ -157,17 +158,16 @@ class GuardedOperator(LinearOperator):
             else None
         )
         comm = getattr(op, "comm", None)
-        # Block-level guarding works on any backend exposing per-rank block
-        # storage with checksums: shm (master maps rank memory) or tcp
-        # (master copies synchronised at command boundaries).
-        self._shm = (
+        # Block-level guarding works on any backend whose ranks hold blocks
+        # and checksum them on request: shm and tcp alike.
+        self._rank_blocks = (
             comm is not None
             and getattr(comm, "supports_rank_blocks", False)
             and hasattr(op, "_u_key")
         )
         self._shared_crcs = (
             list(comm.block_checksums(op._u_key))
-            if self._shm and self.policy.enabled
+            if self._rank_blocks and self.policy.enabled
             else None
         )
 
@@ -266,7 +266,7 @@ class GuardedOperator(LinearOperator):
         invalidate = getattr(self.op, "invalidate_kernel_cache", None)
         if invalidate is not None:
             invalidate()
-        if self._shm:
+        if self._rank_blocks:
             # The operator's invalidate rewrote the rank link-plane blocks
             # from the healed links.
             self._shared_crcs = list(self.op.comm.block_checksums(self.op._u_key))

@@ -31,6 +31,8 @@ links to ``solver_tol``: an energy needs accuracy, not reversibility.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro import su3
@@ -106,11 +108,18 @@ class TwoFlavorWilsonAction(GaugeAction):
     was asked before.  A trajectory asks for the same system more than
     once (the initial energy and the first kick share links, the final
     energy and the last kick too), so the last solution of each grade is
-    kept with a copy of its links and serves a call of its own grade on
-    links that compare equal — by content, so an in-place edit of
-    ``gauge.u`` is seen; the kept force grade also seeds the continuation.
-    An action-grade solution never serves a kick: the forward and the
-    momentum-flipped trajectory would then differ at their end points.
+    kept with a SHA-256 digest of its links' bytes (as
+    :class:`repro.loops.PlaquetteMemo` keys the plaquette) and serves a
+    call of its own grade on links of that digest — by content, so an
+    in-place edit of ``gauge.u`` is seen, and no copy of the links is kept;
+    the kept force grade also seeds the continuation.  An action-grade
+    solution never serves a kick: the forward and the momentum-flipped
+    trajectory would then differ at their end points.  One
+    :class:`EvenOddWilson` serves the calls on one link array of one
+    content — the heatbath and the initial energy's two grades share its
+    parity link planes and stacks — until a force has used it: the drift
+    that follows replaces the links, and its planes and stacks (9 blocks
+    at 4^4) are not held through the drift, where a trajectory peaks.
     """
 
     def __init__(
@@ -129,8 +138,10 @@ class TwoFlavorWilsonAction(GaugeAction):
         self.force_tol = float(force_tol)
         self.max_iter = int(max_iter)
         self.phi: np.ndarray | None = None
-        #: grade ("action" | "force") -> (links, phi, X) of its last solve.
-        self._solved: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: grade ("action" | "force") -> (links key, phi, X) of its last solve.
+        self._solved: dict[str, tuple[tuple, np.ndarray, np.ndarray]] = {}
+        #: (links key, EvenOddWilson) of the last link state asked for.
+        self._eo: tuple[tuple, EvenOddWilson] | None = None
 
     # -- pseudofermion heatbath -------------------------------------------------
 
@@ -138,7 +149,7 @@ class TwoFlavorWilsonAction(GaugeAction):
         """Draw ``phi = M_hat^dag eta`` with Gaussian eta (called by HMC); eta
         is drawn on the full lattice and ``M_hat^dag`` reads its even sites."""
         rng = ensure_rng(rng)
-        m_hat = EvenOddWilson(gauge, self.mass, self.phases).schur_operator()
+        m_hat = self._operator(gauge)[1].schur_operator()
         self.phi = m_hat.apply_dagger(random_fermion(gauge.lattice, rng=rng))
         self._solved.clear()
 
@@ -147,14 +158,23 @@ class TwoFlavorWilsonAction(GaugeAction):
         self.phi = phi.copy()
         self._solved.clear()
 
+    def _operator(self, gauge: GaugeField) -> tuple[tuple, EvenOddWilson]:
+        """The key of the links' bytes and the :class:`EvenOddWilson` of this
+        link state: the kept one while it holds this very array with these bytes."""
+        u = np.ascontiguousarray(gauge.u)
+        key = (u.shape, u.dtype.str, hashlib.sha256(u).digest())
+        if self._eo is None or self._eo[0] != key or self._eo[1].gauge.u is not gauge.u:
+            self._eo = key, EvenOddWilson(gauge, self.mass, self.phases)
+        return self._eo
+
     def _solve_x(self, gauge: GaugeField, grade: str) -> tuple[np.ndarray, EvenOddWilson]:
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
-        eo = EvenOddWilson(gauge, self.mass, self.phases)
+        key, eo = self._operator(gauge)
         if self.force_tol <= self.solver_tol:
             grade = "force"  # one grade: the energies read the kicks' solutions
         links, phi, x = self._solved.get(grade, (None, None, None))
-        if phi is self.phi and np.array_equal(links, gauge.u):
+        if phi is self.phi and links == key:
             return x, eo
         refine = grade == "action"
         x0 = self._solve_x(gauge, "force")[0] if refine else None
@@ -164,7 +184,7 @@ class TwoFlavorWilsonAction(GaugeAction):
                      max_iter=self.max_iter, record_history=False)
         if not res.converged:
             raise RuntimeError(f"pseudofermion solve failed: {res.summary()}")
-        self._solved[grade] = (gauge.u.copy(), self.phi, res.x)
+        self._solved[grade] = (key, self.phi, res.x)
         return res.x, eo
 
     # -- action + force ----------------------------------------------------------
@@ -179,5 +199,9 @@ class TwoFlavorWilsonAction(GaugeAction):
             y = eo.schur_operator().apply(x)
             x_full = eo.reconstruct(x)
             y_full = apply_gamma5(eo.reconstruct(apply_gamma5(y)))
+            # A kick is followed by a drift, which replaces the links: the
+            # operator's planes and stacks would be held through it, at the
+            # trajectory's peak, for nothing.
+            self._eo = None
             # dpi/dt contribution is wilson_bilinear_force; force = -that.
             return -wilson_bilinear_force(gauge, x_full, y_full, self.phases)

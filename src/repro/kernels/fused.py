@@ -151,10 +151,28 @@ def _face(box: Box, mu: int, i: int) -> Box:
     return box[:mu] + ((i, i + 1),) + box[mu + 1 :]
 
 
-def _box_index(width: int, box: Box) -> tuple:
+def halo_widths(width) -> tuple[int, int, int, int]:
+    """The ghost width of a halo-extended block on each site axis: an ``int``
+    is every axis', a sequence one per axis (0 where the block has no ghosts)."""
+    if isinstance(width, (int, np.integer)):
+        return (int(width),) * 4
+    return tuple(int(w) for w in width)
+
+
+def interior_slices(width) -> tuple[slice, ...]:
+    """Site slices of the interior of a block whose ghost widths are ``width``."""
+    return tuple(slice(w, -w if w else None) for w in halo_widths(width))
+
+
+def _box_index(width, box: Box) -> tuple:
     """Site slices of a block over ``box``: interior coordinate ``x`` lives at
-    array index ``x + width``."""
-    return tuple(slice(width + lo, width + hi) for lo, hi in box)
+    array index ``x + width`` (per axis, :func:`halo_widths`)."""
+    return tuple(slice(w + lo, w + hi) for w, (lo, hi) in zip(halo_widths(width), box))
+
+
+def _interior_shape(shape: tuple, width) -> tuple:
+    """The interior extents of the site axes ``shape`` with ghosts ``width``."""
+    return tuple(n - 2 * w for n, w in zip(shape, halo_widths(width)))
 
 
 def load_planes(planes: np.ndarray, block: np.ndarray) -> None:
@@ -345,20 +363,20 @@ def _box_links(links: np.ndarray, local: tuple, box: Box) -> np.ndarray:
     return sites.reshape(links.shape[:4] + (-1,))
 
 
-def _slab_sources(X: np.ndarray, width: int, links: np.ndarray, behind, phases, box: Box):
+def _slab_sources(X: np.ndarray, width, links: np.ndarray, behind, phases, box: Box):
     """``wrap(mu, s)`` of :meth:`FusedHopping.hop_planes` for ``box`` of a block.
 
     ``X`` is an (rhs, T, Z, Y, X, 4, 3) block whose interior starts at
-    ``width`` on every site axis, ``links`` the :func:`link_planes` of that
-    interior.  The slab a shift gathers from outside the box is an
-    interior one next to it, with phase 1; past the interior's face along
+    ``width`` on each site axis (:func:`halo_widths`), ``links`` the
+    :func:`link_planes` of that interior.  The slab a shift gathers from
+    outside the box is an interior one next to it, with phase 1; past the interior's face along
     ``mu`` it is the ghost slab when ``behind[mu]`` holds the planes of
     ``U_mu`` on the ghost slab behind the low face (where the backward
     term's sources sit), and the interior's own far face times
     ``phases[mu]`` when it is ``None`` — a sign where the box spans the
     axis, the wrapped slab otherwise.
     """
-    local = tuple(n - 2 * width for n in X.shape[1:5])
+    local = _interior_shape(X.shape[1:5], width)
     every = (slice(None),)
 
     def slab_links(mu: int, i: int) -> np.ndarray:
@@ -714,11 +732,14 @@ class FusedHopping(ParityEntry):
 
         The one loop every fused stencil runs, on a lattice or on a rank's
         box.  ``X`` is an (rhs, T, Z, Y, X, 4, 3) block whose interior
-        starts at ``width`` on every site axis; ``links``, ``behind`` and
-        ``phases`` say where each tile's out-of-tile slabs come from
-        (:func:`_slab_sources`).  ``stack`` is the box's :func:`link_stack`
-        when ``group`` is 8, which :func:`plan` picks only for a hop of one
-        tile.  Yields ``(tile_box, psi, acc)``, the planes being workspace
+        starts at ``width`` on each site axis (:func:`halo_widths`: ghosts
+        only along the axes ``behind`` names, or none); ``links``,
+        ``behind`` and ``phases`` say where each tile's out-of-tile slabs
+        come from (:func:`_slab_sources`).  ``stack`` is the box's
+        :func:`link_stack` when ``group`` is 8, which :func:`plan` picks
+        only for a hop of one tile; without it, or cut into several tiles,
+        a hop runs the per-direction pass, four terms a call for ``group``
+        8.  Yields ``(tile_box, psi, acc)``, the planes being workspace
         buffers the caller's to overwrite before the next tile.
 
         A tile's T neighbours inside the box are carried, not re-read: the
@@ -728,9 +749,11 @@ class FusedHopping(ParityEntry):
         the previous tile formed.  Each slab is loaded once, and the carried
         slabs are the values :func:`_slab_sources` would have formed.
         """
-        local = tuple(n - 2 * width for n in X.shape[1:5])
+        local = _interior_shape(X.shape[1:5], width)
         every = (slice(None),)
         lo, hi = box[0]
+        if stack is None or hi - lo > tile:
+            group = min(group, 4)  # the stacked pass: one tile and its link stack
         if hi - lo <= tile:
             table = _box_links(links, local, box) if stack is None else stack
             wrap = _slab_sources(X, width, links, behind, phases, box)

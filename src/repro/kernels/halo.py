@@ -52,8 +52,10 @@ from repro.kernels.fused import (
     _box_index,
     _box_links,
     _face,
+    _interior_shape,
     _slab_sources,
     full_box,
+    halo_widths,
     link_planes,
     link_stack,
     plan,
@@ -74,32 +76,34 @@ __all__ = [
 
 
 def split_boxes(
-    local_shape: tuple[int, int, int, int], width: int = 1, split: tuple[int, ...] = (0, 1, 2, 3)
+    local_shape: tuple[int, int, int, int], width=1, split: tuple[int, ...] = (0, 1, 2, 3)
 ) -> tuple[Box | None, list[Box]]:
     """Partition the interior into (deep interior, boundary slabs).
 
     Only the ``split`` axes — those a rank reads ghosts along — are
     peeled; every box spans the others whole.  The deep interior keeps a
-    margin of ``width`` from each split face, so its stencil reads never
-    touch a ghost.  The boundary is the standard onion peel: for each
-    split axis ``mu``, a low and a high slab with axes ``< mu``
-    restricted to the deep range and axes ``> mu`` full — disjoint slabs
-    whose union with the deep interior is the full box.
+    margin of ``width`` (per axis, :func:`~repro.kernels.fused.halo_widths`)
+    from each split face, so its stencil reads never touch a ghost.  The
+    boundary is the standard onion peel: for each split axis ``mu``, a
+    low and a high slab with axes ``< mu`` restricted to the deep range
+    and axes ``> mu`` full — disjoint slabs whose union with the deep
+    interior is the full box.
 
     When some split extent is ``<= 2 * width`` there is no deep interior:
     returns ``(None, [full_box])`` — everything waits for the exchange.
     """
-    w = width
+    widths = halo_widths(width)
     deep = list(full_box(local_shape))
     for mu in split:
-        n = local_shape[mu]
+        n, w = local_shape[mu], widths[mu]
         if n - w <= w:
             return None, [full_box(local_shape)]
         deep[mu] = (w, n - w)
     boundary: list[Box] = []
     for mu in split:
+        n, w = local_shape[mu], widths[mu]
         base = [deep[nu] if nu < mu else (0, local_shape[nu]) for nu in range(4)]
-        for bounds in ((0, w), (local_shape[mu] - w, local_shape[mu])):
+        for bounds in ((0, w), (n - w, n)):
             box = list(base)
             box[mu] = bounds
             boundary.append(tuple(box))
@@ -238,7 +242,7 @@ class HaloStencil:
         links: np.ndarray,
         behind: tuple,
         psi_halo: np.ndarray,
-        width: int,
+        width: int | tuple[int, int, int, int],
         box: Box,
         diag: float,
         phases,
@@ -247,10 +251,12 @@ class HaloStencil:
 
         ``links`` and ``behind`` are a rank's link planes (:func:`rank_links`),
         read in place: ghosts along the axes ``behind`` names, a wrap by
-        ``phases`` along the others.  ``out_block`` is the ghost-free local
-        block.  The combination runs on the planes, tile by tile, where
-        ``diag`` and ``0.5`` multiply real and imaginary parts as reals,
-        the rule of every Wilson form (:func:`repro.kernels.fused.compose_form`).
+        ``phases`` along the others.  ``psi_halo`` carries ghosts of
+        ``width`` (one int for every axis or one per axis; 0 along an axis
+        it wraps is enough).  ``out_block`` is the ghost-free local block.
+        The combination runs on the planes, tile by tile, where ``diag``
+        and ``0.5`` multiply real and imaginary parts as reals, the rule
+        of every Wilson form (:func:`repro.kernels.fused.compose_form`).
         """
         if not (links.dtype == psi_halo.real.dtype and psi_halo.dtype == out_block.dtype):
             raise TypeError("links, input and output blocks must share one precision")
@@ -263,8 +269,7 @@ class HaloStencil:
             wrap = _slab_sources(X, width, links, behind, phases, box)
             signs = [wrap(k // 2, 2 * (k % 2) - 1) for k in range(8)]
             signs = tuple(sign if isinstance(sign, float) else 1.0 for sign in signs)
-            local = tuple(n - 2 * width for n in psi_halo.shape[:4])
-            planes = _box_links(links, local, box)
+            planes = _box_links(links, _interior_shape(psi_halo.shape[:4], width), box)
             stack = link_stack(planes, planes, signs, term_site_tables(dims))
         with ufunc_rows():
             tiles = self._core.hop_tiles(X, width, box, links, behind, phases, group, tile, stack)

@@ -35,7 +35,7 @@ from repro.dirac.decomposed import DecomposedWilsonDirac, _copy_gamma5
 from repro.dirac.operator import LinearOperator, NormalOperator
 from repro.fields import norm
 from repro.guard.policy import GuardPolicy, resolve_policy
-from repro.kernels.fused import _gamma5
+from repro.kernels.fused import _gamma5, interior_slices
 from repro.solvers.base import SolveResult
 from repro.solvers.cg import _cg_core, _record
 from repro.telemetry.spans import span
@@ -140,7 +140,7 @@ def rank_cg(ex, keys: tuple, width: int, phases, diag: float, solve: tuple):
     """
     psi_key, out_key, hop_key, u_key = keys
     tol, max_iter, policy = solve
-    inner = (slice(width, -width),) * 4
+    inner = interior_slices(width)
     p, h = ex.blocks[psi_key][inner], ex.blocks[hop_key][inner]
     out = ex.blocks[out_key]
     hops = 0

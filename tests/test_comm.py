@@ -207,6 +207,34 @@ class TestHalo:
         assert trace.message_count() == 16
         assert trace.total_halo_bytes() == 16 * face_bytes(halos[0], 0)
 
+    @pytest.mark.parametrize("grid_dims", [(2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1)])
+    def test_per_axis_widths_exchange_the_split_faces_only(self, grid_dims):
+        """Ghosts only along the split axes: those shells hold what an every-axis
+        block's hold, the face bytes and messages are the same, and a width of
+        one int or four equal ints is one layout."""
+        lat = Lattice4D((4, 4, 6, 4))
+        grid = RankGrid(grid_dims)
+        dec = Decomposition(lat, grid)
+        widths = tuple(int(n > 1) for n in grid_dims)
+        psi = RNG.normal(size=lat.shape + (4, 3)) + 1j * RNG.normal(size=lat.shape + (4, 3))
+        every, split = CommTrace(), CommTrace()
+        full = [add_halo(b) for b in dec.scatter(psi)]
+        halo_exchange(full, grid, trace=every, phases=(-1.0, 1.0, 1.0, 1.0))
+        part = [add_halo(b, width=widths) for b in dec.scatter(psi)]
+        halo_exchange(part, grid, trace=split, phases=(-1.0, 1.0, 1.0, 1.0))
+        assert split.events == every.events
+        for f, h in zip(full, part):
+            assert h.data.shape == tuple(
+                n + 2 * w for n, w in zip(dec.local_shape, widths)) + (4, 3)
+            assert h.interior_shape == dec.local_shape
+            assert np.array_equal(h.interior(), f.interior())
+            # The split axes' shells, with every other axis at interior extents.
+            inner = tuple(slice(1, -1) if w == 0 else slice(None) for w in widths)
+            assert np.array_equal(h.data, f.data[inner])
+            assert all(face_bytes(h, mu) == face_bytes(f, mu) for mu in range(4) if widths[mu])
+        four = add_halo(psi, width=(1, 1, 1, 1))
+        assert np.array_equal(four.data, add_halo(psi, width=1).data)
+
     def test_exchange_rejects_wrong_count(self):
         grid = RankGrid((2, 1, 1, 1))
         with pytest.raises(ValueError):

@@ -205,6 +205,30 @@ class TestSolverParity:
                 assert comm.trace.events == vcomm.trace.events
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 1), (2, 2, 1, 1)])
+def test_halo_blocks_carry_ghosts_on_split_axes_only(backend, dims, gauge, psi):
+    """A fermion halo block (the master's scatter view and, on the ranks, the
+    ``p`` and ``h`` blocks) has a ghost shell of width 1 along each split
+    axis and none along the others; the apply on it is the single-domain
+    reference kernel's bytes, and ``cg_spmd`` the virtual backend's."""
+    grid = RankGrid(dims)
+    single = WilsonDirac(gauge, 0.3, kernel="reference")
+    b = random_fermion(LATTICE, rng=17)
+    want = cg_spmd(DecomposedWilsonDirac(gauge, 0.3, VirtualComm(grid)), b, tol=1e-6)
+    with make_comm(grid, backend, **COMM_KW) as comm:
+        op = DecomposedWilsonDirac(gauge, 0.3, comm)
+        local = op.decomp.local_shape
+        shape = tuple(n + 2 * (d > 1) for n, d in zip(local, dims)) + (4, 3)
+        assert [h.data.shape for h in op._psi_halos] == [shape] * grid.nranks
+        assert op.apply(psi).tobytes() == single.apply(psi).tobytes()
+        assert np.array_equal(op.apply_dagger(psi), single.apply_dagger(psi))
+        got = cg_spmd(op, b, tol=1e-6)
+        if backend != "virtual":
+            assert comm._blocks[op._psi_key][0] == comm._blocks[op._hop_key][0] == shape
+    assert got.history == want.history and got.x.tobytes() == want.x.tobytes()
+
+
 @pytest.mark.parametrize("backend", BLOCK_BACKENDS)
 def test_rank_solve_hops_the_search_direction_where_it_lives(backend, gauge, monkeypatch):
     """Every iteration's apply on the ranks reads ``p`` in the interior of
@@ -298,7 +322,7 @@ class TestOneMasterClass:
     #: What a transport may define: byte moving, spawn/rendezvous, teardown.
     HOOKS = {
         "name", "ships_payloads", "__init__", "_rendezvous",
-        "_send", "_recv", "_new_block", "_sever", "_release",
+        "_send", "_recv", "_new_block", "_write_blocks", "_sever", "_release",
     }
 
     def test_transports_define_only_hooks(self):

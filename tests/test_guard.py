@@ -663,13 +663,14 @@ class TestABFT:
         assert np.array_equal(out, fresh(psi))
 
 
-    @pytest.mark.parametrize("backend", ["virtual", "shm"])
+    @pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
     def test_heal_reaches_the_rank_link_planes(self, backend):
         # A rank's stencil multiplies by the link planes of its block, in
-        # place, and the guard checksums that block.  A plane element
-        # flipped in rank 1's block before the first apply changes the
-        # output; after the probe heals (planes rewritten from the master's
-        # links) the stream agrees bit for bit with the single-domain operator.
+        # place, and the rank checksums that block for the guard.  A plane
+        # element flipped in rank 1's block before the first apply changes
+        # the output; after the probe heals (planes rewritten from the
+        # master's links) the stream agrees bit for bit with the
+        # single-domain operator.
         from repro.comm import make_comm
         from repro.dirac.decomposed import DecomposedWilsonDirac
 
@@ -678,15 +679,15 @@ class TestABFT:
         with make_comm((2, 1, 1, 1), backend) as comm:
             op = DecomposedWilsonDirac(gauge, 0.2, comm)
             guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
-            if backend == "shm":
-                op._link_blocks[1][1234] *= -1.0  # rank memory, mapped
-            else:
+            if backend == "virtual":
                 flip_bit(gauge.u, 9)  # the master's links; blocks are written from them
+            else:
+                _flip_rank_link(op, 1, 1234)
             outs = [guarded(psi) for _ in range(8)]
             assert [e["action"] for e in guarded.guard_events] == ["heal"]
         want = WilsonDirac(gauge, 0.2, kernel="fused").apply(psi)
         assert np.array_equal(outs[-1], want)
-        if backend == "shm":
+        if backend != "virtual":
             assert not np.array_equal(outs[0], want)  # the flip did reach the stencil
 
     def test_heal_reaches_a_rank_link_plane_flipped_after_the_first_apply(self):
@@ -699,15 +700,55 @@ class TestABFT:
         gauge = GaugeField.hot(Lattice4D(SMALL), rng=4)
         psi = random_fermion(gauge.lattice, rng=5)
         want = WilsonDirac(gauge, 0.2, kernel="fused").apply(psi)
-        with make_comm((2, 1, 1, 1), "shm") as comm:
+        for backend in ("shm", "tcp"):
+            with make_comm((2, 1, 1, 1), backend) as comm:
+                op = DecomposedWilsonDirac(gauge, 0.2, comm)
+                guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
+                assert np.array_equal(guarded(psi), want)
+                _flip_rank_link(op, 1, 1234)
+                outs = [guarded(psi) for _ in range(7)]
+                assert [e["action"] for e in guarded.guard_events] == ["heal"]
+            assert not np.array_equal(outs[0], want), backend
+            assert np.array_equal(outs[-1], want), backend
+
+    @pytest.mark.parametrize("backend", ["shm", "tcp"])
+    def test_detect_catches_a_bit_flipped_in_a_rank_link_block(self, backend):
+        # One exponent bit of one plane word in rank 1's block, which the
+        # master holds no copy of: rank 1's own checksum of its block differs,
+        # and the next probe raises, naming the rank.
+        from repro.comm import make_comm
+        from repro.dirac.decomposed import DecomposedWilsonDirac
+
+        gauge = GaugeField.hot(Lattice4D(SMALL), rng=4)
+        psi = random_fermion(gauge.lattice, rng=5)
+        with make_comm((2, 1, 1, 1), backend) as comm:
             op = DecomposedWilsonDirac(gauge, 0.2, comm)
-            guarded = GuardedOperator(op, GuardPolicy(level="heal", probe_interval=4))
-            assert np.array_equal(guarded(psi), want)
-            op._link_blocks[1][1234] *= -1.0
-            outs = [guarded(psi) for _ in range(7)]
-            assert [e["action"] for e in guarded.guard_events] == ["heal"]
-        assert not np.array_equal(outs[0], want)
-        assert np.array_equal(outs[-1], want)
+            guarded = GuardedOperator(op, GuardPolicy(level="detect", probe_interval=4))
+            before = comm.block_checksums(op._u_key)
+            _flip_rank_link(op, 1, 777, bit=True)
+            after = comm.block_checksums(op._u_key)
+            assert after[0] == before[0] and after[1] != before[1]
+            with pytest.raises(SDCDetected, match=r"rank\(s\) \[1\]"):
+                for _ in range(4):
+                    guarded(psi)
+            assert [e["kind"] for e in guarded.guard_events] == ["checksum-shm"]
+
+
+def _flip_rank_link(op, rank: int, index: int, bit: bool = False) -> None:
+    """Corrupt one plane word of ``rank``'s link block in rank memory: its
+    sign, or (``bit``) one exponent bit.  Every block is rewritten from the
+    links through the one path the master writes them by."""
+    from repro.kernels.halo import write_rank_links
+
+    def fill(r, block):
+        write_rank_links(block, op.gauge.u, op._block_idx[r], op._split)
+        if r == rank:
+            if bit:
+                flip_bit(block, index)
+            else:
+                block[index] *= -1.0
+
+    op.comm.write_blocks(op._u_key, fill)
 
 
 # -- campaign fault matrix ----------------------------------------------------

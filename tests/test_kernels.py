@@ -6,6 +6,7 @@ shift-and-einsum reference bit-for-bit ("two Dslash paths, one truth"), and the
 from __future__ import annotations
 
 import itertools
+import zlib
 from functools import lru_cache
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.kernels import (
 from repro.kernels.color import color_mul_planes_into
 from repro.kernels import fused
 from repro.kernels.fused import link_planes, load_planes, plan, store_planes, ufunc_rows
-from repro.kernels.halo import rank_link_reals, rank_links
+from repro.kernels.halo import rank_link_reals, rank_links, write_rank_links
 from repro.kernels.shifts import parity_site_tables
 from repro.kernels.workspace import thread_workspace
 from repro.kernels.spin import project_planes_into, reconstruct_planes_accumulate
@@ -628,6 +629,35 @@ def test_tiled_hop_bitwise_equals_untiled(dims, dtype, phases, monkeypatch):
         assert tiled[0].tobytes() == hopping_term(u, sources[0], phases).tobytes()
 
 
+@pytest.mark.parametrize("tile", [1, 2, 4])
+def test_stacked_group_hop_in_tiles_takes_the_per_direction_pass(tile):
+    """A 4^4 hop, whose plan is the stacked pass (group 8), cut into T tiles
+    or given no link stack, runs four direction terms a call and gives the
+    reference's bytes."""
+    dims = (4, 4, 4, 4)
+    assert plan(dims, 1, 8)[1:] == (8, 4)
+    rng = np.random.default_rng(13)
+    u = _rand_field(rng, (4,) + dims + (3, 3), np.complex128)
+    X = _rand_field(rng, dims + (4, 3), np.complex128)[None]
+    out = np.empty_like(X)
+    hops = FusedHopping().hop_tiles(
+        X, 0, full_box(dims), link_planes(u), (None,) * 4, DEFAULT_FERMION_PHASES, 8, tile
+    )
+    with ufunc_rows():
+        for box, _, acc in hops:
+            store_planes(out[(slice(None),) + tuple(slice(*b) for b in box)], acc)
+    assert out[0].tobytes() == hopping_term(u, X[0], DEFAULT_FERMION_PHASES).tobytes()
+
+
+def test_e1_tile_sweep_smoke():
+    from repro.bench.e1_dslash import e1_tile_sweep
+
+    _, rows = e1_tile_sweep(volumes=[(4, 4, 4, 4)], rounds=1)
+    assert [(r["precision"], r["tile_slabs"]) for r in rows] == [
+        (prec, t) for prec in ("fp64", "fp32") for t in (1, 2, 4)]
+    assert all(r["us_per_site"] > 0 for r in rows)
+
+
 _RANK_TILE_LATTICE = (6, 16, 16, 16)
 
 
@@ -659,10 +689,12 @@ def test_decomposed_rank_tiles_bitwise_equal_the_reference(grid, backend):
         assert op.apply(psi).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["virtual", "shm"])
+@pytest.mark.parametrize("backend", ["virtual", "shm", "tcp"])
 def test_rank_link_block_holds_the_planes_its_stencil_reads(backend):
     """``4 * 2 * 9`` reals a site plus one behind-slab per split axis, written
-    from the links without any gauge exchange."""
+    from the links without any gauge exchange.  On a process backend the
+    rank holds those bytes (its own checksum of its block says so) and the
+    master none."""
     lat = Lattice4D((4, 4, 6, 2))
     gauge = GaugeField.hot(lat, rng=43)
     with make_comm((2, 2, 1, 1), backend) as comm:
@@ -671,17 +703,24 @@ def test_rank_link_block_holds_the_planes_its_stencil_reads(backend):
         local, volume = (2, 2, 6, 2), 48
         reals = 72 * volume + 18 * volume // 2 + 18 * volume // 2
         assert rank_link_reals(local, (0, 1)) == reals
-        for r, block in enumerate(op._link_blocks):
-            assert block.shape == (reals,) and block.dtype == np.float64
-            links, behind = rank_links(block, local, (0, 1))
+        blocks = []
+        for r in range(4):
             idx = op.decomp.block_slices(r)
+            block = np.empty(reals)
+            write_rank_links(block, gauge.u, idx, (0, 1))
+            links, behind = rank_links(block, local, (0, 1))
             assert np.array_equal(links, link_planes(gauge.u[(slice(None),) + idx]))
             assert behind[2] is None and behind[3] is None
             t0 = (idx[0].start - 1) % 4
             slab = (slice(0, 1), slice(t0, t0 + 1)) + idx[1:]
             assert np.array_equal(behind[0], link_planes(gauge.u[slab]))
-        if backend == "shm":
-            assert [b.shape for b in comm.blocks(op._u_key)] == [(reals,)] * 4
+            blocks.append(block)
+        if backend == "virtual":
+            for block, want in zip(op._link_blocks, blocks):
+                assert block.dtype == np.float64 and block.tobytes() == want.tobytes()
+        else:
+            assert comm.block_checksums(op._u_key) == [zlib.crc32(b) for b in blocks]
+            assert comm.blocks(op._u_key) == [None] * 4
 
 
 def test_split_boxes_peels_only_split_axes():
