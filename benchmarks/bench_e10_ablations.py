@@ -16,3 +16,10 @@ def test_e10_ablations(benchmark, show):
     assert data["overlap"]["t_overlap"] < data["overlap"]["t_no_overlap"]
     # Omelyan wins at equal force budget.
     assert data["integrator"]["omelyan_dh"] < data["integrator"]["leapfrog_dh"]
+    # Cayley-Hamilton on link planes: the same trajectories to rounding,
+    # reversible, no further off the group than eigh, and faster.
+    seed_md, planes = (data["exp_map_product_form"][k] for k in ("eigh / @", "CH / planes"))
+    assert abs(planes["mean_abs_dh"] - seed_md["mean_abs_dh"]) < 1e-8
+    assert max(planes["reversibility"], seed_md["reversibility"]) < 1e-11
+    assert planes["unitarity"] <= seed_md["unitarity"]
+    assert planes["traj_s"] < seed_md["traj_s"]

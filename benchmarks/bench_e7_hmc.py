@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.bench import e7_dh_scaling, e7_dynamical, e7_hmc_validation
 
@@ -49,3 +50,6 @@ def test_e7_dynamical(benchmark, show):
     assert abs(row["exp_mdh"] - 1.0) < 3.0 * row["exp_mdh_err"]
     assert row["mean_abs_dh"] < 0.2 and row["acceptance"] > 0.8
     assert row["unitarity"] < 1e-10
+    # The seconds a trajectory spends outside its solves, split into its parts.
+    parts = row["bilinear_s"] + row["gauge_force_s"] + row["rest_s"]
+    assert 0.0 < row["non_solve_s"] == pytest.approx(parts)

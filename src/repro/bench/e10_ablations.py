@@ -1,19 +1,34 @@
 """E10 — Table 5: ablations of the design choices DESIGN.md calls out.
 
-Four comparisons, each isolating one production trick:
+Five comparisons, each isolating one production trick:
 
 1. spin projection on/off   — measured kernel time (2x fewer gauge mat-vecs);
 2. even-odd on/off          — Dslash-equivalent applications to tolerance;
 3. comm/compute overlap     — modelled exposed comm fraction at small blocks;
-4. Omelyan vs leapfrog      — |dH| at equal force-evaluation budget.
+4. Omelyan vs leapfrog      — |dH| at equal force-evaluation budget;
+5. exp map x product form   — the seed's ``eigh`` exponential and ``@``
+   staples (which campaigns keep) against the Cayley-Hamilton map and the
+   shared-staple force on link planes: <|dH|>, reversibility, unitarity
+   and seconds per quenched 4^4 trajectory.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.campaign._seed_md import SeedHMC, SeedWilsonGaugeAction
 from repro.dirac import WilsonDirac
 from repro.dirac.hopping import hopping_term, hopping_term_naive
 from repro.fields import GaugeField, random_fermion
-from repro.hmc import WilsonGaugeAction, kinetic_energy, leapfrog, omelyan, sample_momenta
+from repro.hmc import (
+    HMC,
+    WilsonGaugeAction,
+    heatbath_sweep,
+    kinetic_energy,
+    leapfrog,
+    omelyan,
+    sample_momenta,
+)
 from repro.lattice import Lattice4D
 from repro.machine.model import DslashModel
 from repro.machine.spec import BLUEGENE_Q
@@ -84,4 +99,43 @@ def e10_ablations(seed: int = 88) -> tuple[Table, dict]:
     data["integrator"] = {"leapfrog_dh": dh_lf, "omelyan_dh": dh_om}
     table.add_row(["omelyan vs leapfrog (|dH|, equal cost)", dh_lf, dh_om, dh_lf / dh_om])
 
+    # 5. Exp map x product form, on the campaign's quenched trajectory.
+    md = _md_forms(seed + 6)
+    data["exp_map_product_form"] = md
+    base, planes = md["eigh / @"], md["CH / planes"]
+    for label, key in [("<|dH|>", "mean_abs_dh"), ("reversibility |dU|", "reversibility"),
+                       ("unitarity after stream", "unitarity"), ("s / trajectory", "traj_s")]:
+        ratio = base[key] / planes[key] if planes[key] else float("nan")
+        table.add_row([f"exp map x product form: {label}", base[key], planes[key], ratio])
+
     return table, data
+
+
+def _md_forms(seed: int, n_traj: int = 6, rounds: int = 5) -> dict:
+    """``eigh`` + ``@`` against Cayley-Hamilton + planes: the same 4^4
+    quenched stream (beta 5.6, leapfrog 10 x 0.1, as ``hmc_stream``'s
+    campaign) from one heatbath-thermalised start and one momentum stream."""
+    rng = np.random.default_rng(seed)
+    start = GaugeField.hot(Lattice4D((4, 4, 4, 4)), rng=rng)
+    for _ in range(5):
+        heatbath_sweep(start, 5.6, rng)
+    forms = {"eigh / @": (SeedHMC, SeedWilsonGaugeAction), "CH / planes": (HMC, WilsonGaugeAction)}
+    out, runs = {}, []
+    for name, (hmc_type, action_type) in forms.items():
+        hmc = hmc_type(action_type(5.6), step_size=0.1, n_steps=10, rng=seed + 1)
+        gauge = start.copy()
+        results = [hmc.trajectory(gauge) for _ in range(n_traj)]
+        there = start.copy()
+        pi = sample_momenta(there, rng=seed + 2)
+        hmc._integrators["leapfrog"](there, pi, hmc._action, 0.1, 10)
+        pi *= -1.0
+        hmc._integrators["leapfrog"](there, pi, hmc._action, 0.1, 10)
+        out[name] = {
+            "mean_abs_dh": float(np.mean([abs(r.delta_h) for r in results])),
+            "reversibility": float(np.abs(there.u - start.u).max()),
+            "unitarity": gauge.unitarity_violation(),
+        }
+        runs.append(lambda hmc=hmc: hmc.trajectory(start.copy()))
+    for name, samples in zip(forms, timed_rounds(runs, rounds)):
+        out[name]["traj_s"] = min(samples)
+    return out

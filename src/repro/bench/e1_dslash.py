@@ -37,7 +37,8 @@ from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, random_fermion
 from repro.kernels import FusedHopping, full_box, make_kernel
-from repro.kernels.fused import link_planes, plan, store_planes, ufunc_rows
+from repro.kernels.fused import link_planes, link_stack, plan, store_planes, ufunc_rows
+from repro.kernels.shifts import term_site_tables
 from repro.lattice import Lattice4D
 from repro.machine.roofline import dslash_arithmetic_intensity
 from repro.util import Table, Timer, timed_rounds
@@ -177,13 +178,16 @@ def e1_tile_sweep(
     round (:func:`~repro.util.timing.timed_rounds`), through
     :meth:`FusedHopping.hop_tiles` on one set of link planes and the
     thread's one arena; the median of ``rounds`` after one warm-up apply.
-    ``scratch`` is the arena one apply of that tile size fills from empty.
-    ``rule`` marks the tile :func:`plan` picks.
+    ``scratch`` is the arena one apply of that tile size fills from empty,
+    and ``pass`` the pass over the eight terms it ran (its workspace
+    slots say which).  ``rule`` marks the tile :func:`plan` picks; a
+    one-tile hop gets the box's :func:`link_stack`, as a lattice hop
+    does, so where ``plan`` picks the stacked pass that row runs it.
     """
     table = Table(
         "E1 tiles — fused hop per T-slab tile (this host)",
         ["local volume", "sites", "prec", "tile [slabs]", "tile sites", "rule",
-         "us/site", "vs one tile", "scratch [MB]"],
+         "pass", "us/site", "vs one tile", "scratch [MB]"],
     )
     rows = []
     for shape in volumes or TILE_VOLUMES:
@@ -195,12 +199,15 @@ def e1_tile_sweep(
             out = np.empty_like(X)
             links = link_planes(u)
             _, group, picked = plan(shape, 1, X.real.itemsize)
+            signs = tuple(float(phase) for phase in DEFAULT_FERMION_PHASES for _ in (0, 1))
+            stack = link_stack(links, links, signs, term_site_tables(shape)) if group == 8 else None
             tiles = sorted({t for t in slabs if t < shape[0]} | {picked, shape[0]})
             kernel = FusedHopping()
 
             def apply(tile: int) -> None:
                 hops = kernel.hop_tiles(
-                    X, 0, full_box(shape), links, (None,) * 4, DEFAULT_FERMION_PHASES, group, tile
+                    X, 0, full_box(shape), links, (None,) * 4, DEFAULT_FERMION_PHASES, group, tile,
+                    stack,
                 )
                 with ufunc_rows():
                     for box, _, acc in hops:
@@ -208,11 +215,13 @@ def e1_tile_sweep(
 
             runs = [lambda t=t: apply(t) for t in tiles]
             samples = dict(zip(tiles, timed_rounds(runs, rounds)))
-            scratch = {}
+            scratch, passes = {}, {}
             for t in tiles:
                 kernel.workspace.clear()
                 apply(t)
                 scratch[t] = kernel.workspace.nbytes
+                stacked = "hop.stack.g" in kernel.workspace.slots()
+                passes[t] = "stacked" if stacked else "per-direction"
             whole = float(np.median(samples[shape[0]]))
             for t in tiles:
                 seconds = float(np.median(samples[t]))
@@ -220,12 +229,12 @@ def e1_tile_sweep(
                     "volume": shape, "sites": lat.volume, "precision": prec, "tile_slabs": t,
                     "tile_sites": t * slab, "rule": t == picked, "seconds": seconds,
                     "us_per_site": seconds / lat.volume * 1e6, "vs_one_tile": seconds / whole,
-                    "scratch_bytes": scratch[t],
+                    "scratch_bytes": scratch[t], "pass": passes[t],
                 }
                 rows.append(row)
                 table.add_row([
                     "x".join(map(str, shape)), lat.volume, prec, t, t * slab,
-                    "<-" if t == picked else "", row["us_per_site"], row["vs_one_tile"],
+                    "<-" if t == picked else "", passes[t], row["us_per_site"], row["vs_one_tile"],
                     row["scratch_bytes"] / 1e6,
                 ])
     return table, rows

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.campaign._seed_md import SeedHMC, SeedWilsonGaugeAction
 from repro.campaign.checkpoint import CheckpointStore
 from repro.campaign.faults import FaultPlan, InjectedCrash
 from repro.campaign.ledger import Ledger
@@ -43,7 +44,7 @@ from repro.guard import (
     inspect_gauge,
     resolve_policy,
 )
-from repro.hmc import HMC, WilsonGaugeAction
+from repro.hmc import HMC
 from repro.io import atomic_write_bytes, load_gauge
 from repro.lattice import Lattice4D
 from repro.measure.observables import gauge_record
@@ -180,8 +181,8 @@ class HMCCampaign:
 
     def _make_hmc(self, rng: np.random.Generator) -> HMC:
         cfg = self.config
-        return HMC(
-            WilsonGaugeAction(cfg.beta),
+        return SeedHMC(
+            SeedWilsonGaugeAction(cfg.beta),
             step_size=cfg.step_size,
             n_steps=cfg.n_steps,
             integrator=cfg.integrator,

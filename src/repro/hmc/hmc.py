@@ -67,14 +67,17 @@ class HMC:
     integrator: str = "leapfrog"
     rng: np.random.Generator | int | None = None
 
+    #: name -> scheme; :mod:`repro.campaign` swaps in the seed's drift.
+    _integrators = INTEGRATORS
+
     n_accepted: int = field(default=0, init=False)
     n_trajectories: int = field(default=0, init=False)
     dh_history: list[float] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
-        if self.integrator not in INTEGRATORS:
+        if self.integrator not in self._integrators:
             raise ValueError(
-                f"unknown integrator {self.integrator!r}; choose from {sorted(INTEGRATORS)}"
+                f"unknown integrator {self.integrator!r}; choose from {sorted(self._integrators)}"
             )
         if isinstance(self.action, (list, tuple)):
             self._terms = list(self.action)
@@ -132,7 +135,7 @@ class HMC:
 
             proposal = gauge.copy()
             with span("integrate", cat="hmc"):
-                INTEGRATORS[self.integrator](
+                self._integrators[self.integrator](
                     proposal, pi, self._action, self.step_size, self.n_steps
                 )
             s_new = self._action.action(proposal)

@@ -32,25 +32,56 @@ links to ``solver_tol``: an energy needs accuracy, not reversibility.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
-from repro import su3
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.fields import GaugeField, inner, random_fermion
-from repro.gammas import apply_gamma5, spin_projector_matrix
+from repro.gammas import apply_gamma5
 from repro.hmc.action import GaugeAction
-from repro.lattice import shift_with_phase
+from repro.kernels.shifts import term_site_tables
+from repro.kernels.spin import PROJECT_STACK
 from repro.solvers.cg import cg
+from repro.su3 import planes
 from repro.telemetry.spans import span
 from repro.util.rng import ensure_rng
 
 __all__ = ["TwoFlavorWilsonAction", "wilson_bilinear_force"]
 
-#: What ``optimize=True`` plans for the bilinear's two-operand contractions on
-#: each of its 16 calls per force; fixed here, so the same contraction order.
-_PAIR = ["einsum_path", (0, 1)]
+
+@lru_cache(maxsize=None)
+def _bilinear_gathers(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gathers ``(a, b)``, (4, 2, 3, 4, V) and (2, 3, 4, V), over the
+    half spinors ``h[x|y, re|im, p, t, colour, site]`` of direction
+    ``mu``'s two terms (``k = 2 mu + t``).
+
+    Row ``n = (t, p)`` of ``a[mu]`` reads ``h_x`` (``t = 0``) or ``h_y``
+    (``t = 1``) at ``x + mu``; the same row of ``b`` reads the other
+    field at ``x``.
+    """
+    source, _ = term_site_tables(dims)
+    volume = source.shape[1]
+    c, i, t, p = np.ix_(range(2), range(3), range(2), range(2))
+
+    def rows(field):
+        return (((((field * 2 + c) * 2 + p) * 2 + t) * 3 + i) * volume)[..., None]
+
+    a = (rows(t) + source[0::2, None, None, None, None]).reshape(4, 2, 3, 4, volume)
+    b = (rows(1 - t) + np.arange(volume)).reshape(2, 3, 4, volume)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
+def _spinor_rows(x: np.ndarray) -> np.ndarray:
+    """(re|im, spin, colour, site) planes of a (*sites, 4, 3) field, as (8, 3, V)."""
+    sites = x.reshape(-1, 12).T
+    rows = np.empty((2, 12, sites.shape[1]))
+    rows[0] = sites.real
+    rows[1] = sites.imag
+    return rows.reshape(8, 3, -1)
 
 
 def wilson_bilinear_force(
@@ -64,27 +95,46 @@ def wilson_bilinear_force(
     This is the universal building block of Wilson fermion forces: for any
     action term whose link variation enters through
     ``delta S = -(Y^dag deltaM X + h.c.)`` the momentum derivative is
-    ``(1/2) Ta(C1 - C2)`` with the colour outer products below.  The
-    two-flavour action uses it once with ``X = (M^dag M)^{-1} phi``,
-    ``Y = M X``; RHMC sums it over rational-approximation poles.
+    ``(1/2) Ta(C1 - C2)`` with the colour outer products
+    ``C1 = U_mu(x) O1``, ``O1 = tr_spin[(1 - gamma_mu) x(x+mu) y(x)^dag]``,
+    and ``C2 = O2 U_mu(x)^dag``, ``O2 = tr_spin[(1 + gamma_mu) x(x)
+    y(x+mu)^dag]``.  The two-flavour action uses it once with
+    ``X = (M^dag M)^{-1} phi``, ``Y = M X``; RHMC sums it over
+    rational-approximation poles.
+
+    Each ``(1 -+ gamma_mu)`` is rank 2: with ``h`` the half spinor of
+    :mod:`repro.kernels.spin` (the kernel's ``project`` stage),
+    ``y^dag (1 + s gamma_mu) x = h_y^dag h_x``, so every spin trace runs
+    over two components.  ``Ta(C2) = -Ta(U_mu O2^dag)``, so a direction
+    is one colour sum of four half-spinor outer products,
+    ``S_mu = O1 + O2^dag``, and one product ``U_mu S_mu`` on link planes.
     """
     u = gauge.u
-    out = np.empty_like(u)
-    for mu in range(4):
-        p_minus = spin_projector_matrix(mu, -1)  # (1 - gamma_mu)
-        p_plus = spin_projector_matrix(mu, +1)
-        x_fwd = shift_with_phase(x, mu, +1, phases[mu])
-        w1 = np.einsum("st,...tc->...sc", p_minus, y, optimize=_PAIR)
-        outer1 = np.einsum("...tc,...ta->...ca", x_fwd, np.conj(w1), optimize=_PAIR)
-        c1 = su3.mul(u[mu], outer1)
-
-        w2 = np.einsum("st,...tc->...sc", p_plus, y, optimize=_PAIR)
-        w2_fwd = shift_with_phase(w2, mu, +1, phases[mu])
-        outer2 = np.einsum("...tc,...ta->...ca", x, np.conj(w2_fwd), optimize=_PAIR)
-        c2 = su3.mul_dag(outer2, u[mu])
-
-        out[mu] = 0.5 * su3.project_algebra(c1 - c2)
-    return out
+    dims = u.shape[1:5]
+    volume = u[0].size // 9
+    gather_a, gather_b = _bilinear_gathers(dims)
+    _, crossed = term_site_tables(dims)
+    rows = (_spinor_rows(x), _spinor_rows(y))
+    force = np.empty(u.shape, u.dtype)
+    h = np.empty((2, 2, 2, 2, 3, volume))
+    for mu, phase in enumerate(phases):
+        # h[c, p, t] = upper[c, p] + sign * lower: the projections of terms 2 mu + t.
+        source, sign = (table[:, :, 2 * mu : 2 * mu + 2] for table in PROJECT_STACK)
+        for field, psi in zip(h, rows):
+            np.multiply(psi[source], sign, out=field)
+            field += psi.reshape(2, 4, 1, 3, volume)[:, 0:2]
+        flat = h.reshape(-1)
+        a = flat[gather_a[mu]]
+        if phase != 1.0:
+            # The forward reads that wrapped take the boundary phase.
+            wrapped = a[..., crossed[2 * mu]]
+            re, im = wrapped
+            a[..., crossed[2 * mu]] = (phase.real * re - phase.imag * im,
+                                       phase.imag * re + phase.real * im)
+        s = planes.mul_dag(a, flat[gather_b])
+        f = planes.mul(planes.to_planes(u[mu : mu + 1]), s)
+        planes.from_planes(planes.project_algebra(f, 0.5, out=f), dims, out=force[mu : mu + 1])
+    return force
 
 
 class TwoFlavorWilsonAction(GaugeAction):
@@ -200,8 +250,10 @@ class TwoFlavorWilsonAction(GaugeAction):
             x_full = eo.reconstruct(x)
             y_full = apply_gamma5(eo.reconstruct(apply_gamma5(y)))
             # A kick is followed by a drift, which replaces the links: the
-            # operator's planes and stacks would be held through it, at the
-            # trajectory's peak, for nothing.
-            self._eo = None
+            # operator's planes and stacks (9 blocks at 4^4) would be held
+            # through the bilinear, at the trajectory's peak, and the drift,
+            # for nothing.
+            self._eo = eo = None
             # dpi/dt contribution is wilson_bilinear_force; force = -that.
-            return -wilson_bilinear_force(gauge, x_full, y_full, self.phases)
+            force = wilson_bilinear_force(gauge, x_full, y_full, self.phases)
+            return np.negative(force, out=force)

@@ -100,6 +100,7 @@ from repro.kernels.spin import (
     reconstruct_planes_accumulate,
 )
 from repro.kernels.workspace import Workspace, aligned_empty, thread_workspace
+from repro.su3.planes import to_planes
 
 __all__ = ["FusedHopping", "ParityEntry", "compose_form"]
 
@@ -238,14 +239,11 @@ def _wilson_planes(acc: np.ndarray, psi: np.ndarray, diag: float) -> np.ndarray:
 
 
 def link_planes(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``links[g, re|im, a, b, site]``, contiguous, of a (G, *sites, 3, 3) link array or view."""
-    volume = u[0].size // 9
-    links = aligned_empty((len(u), 2, 3, 3, volume), u.real.dtype) if out is None else out
-    for g in range(len(u)):
-        sites = u[g].reshape(volume, 3, 3).transpose(1, 2, 0)
-        links[g, 0] = sites.real
-        links[g, 1] = sites.imag
-    return links
+    """``links[g, re|im, a, b, site]``, contiguous, of a (G, *sites, 3, 3) link
+    array or view: :func:`repro.su3.planes.to_planes` on a cache line."""
+    if out is None:
+        out = aligned_empty((len(u), 2, 3, 3, u[0].size // 9), u.real.dtype)
+    return to_planes(u, out)
 
 
 def parity_link_planes(u: np.ndarray) -> np.ndarray:

@@ -115,6 +115,10 @@ class Workspace:
         """Total bytes held by the arena."""
         return sum(b.nbytes for b in self._buffers.values())
 
+    def slots(self) -> set:
+        """The slots that hold a buffer."""
+        return {slot for slot, _ in self._buffers}
+
     def __len__(self) -> int:
         """The number of distinct keys served."""
         return len(self._views)

@@ -3,7 +3,9 @@
 All routines operate on numpy arrays whose trailing two axes are the 3x3
 colour indices; any leading axes (lattice sites, directions) are broadcast.
 Gauge links live in the group SU(3); momenta and forces live in the algebra
-su(3) (traceless anti-Hermitian matrices).
+su(3) (traceless anti-Hermitian matrices).  :mod:`repro.su3.planes` holds
+the same algebra on site-minor link planes, which the molecular dynamics
+runs on.
 """
 
 from repro.su3.matrix import (

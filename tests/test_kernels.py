@@ -285,7 +285,7 @@ def test_shift_into_rows_shift_or_copy(dist, phase):
 
 def _passes(kernel: FusedHopping) -> set[str]:
     """Which of the kernel's two passes over the eight terms have run."""
-    slots = {slot for slot, _ in kernel.workspace._buffers}
+    slots = kernel.workspace.slots()
     return {name for name, slot in (("stacked", "hop.stack.g"), ("per-direction", "hop.fwd"))
             if slot in slots}
 
@@ -656,6 +656,10 @@ def test_e1_tile_sweep_smoke():
     assert [(r["precision"], r["tile_slabs"]) for r in rows] == [
         (prec, t) for prec in ("fp64", "fp32") for t in (1, 2, 4)]
     assert all(r["us_per_site"] > 0 for r in rows)
+    # 4^4 plans the stacked pass: the one-tile rule row runs it, as a lattice
+    # hop does; a hop cut into tiles takes the per-direction pass.
+    assert [(r["rule"], r["pass"]) for r in rows] == [
+        (t == 4, "stacked" if t == 4 else "per-direction") for _ in (0, 1) for t in (1, 2, 4)]
 
 
 _RANK_TILE_LATTICE = (6, 16, 16, 16)
