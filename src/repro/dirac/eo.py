@@ -53,7 +53,8 @@ EVEN, ODD = 0, 1
 
 
 class EvenOddWilson:
-    """Even-odd decomposition of a Wilson operator.
+    """Even-odd decomposition of a Wilson operator.  Its source preparation,
+    reconstruction and full apply take a field or an (nrhs, ...) block.
 
     Nominal flop accounting uses the half-volume counts of a packed
     implementation, which is what the paper's numbers assume.
@@ -97,13 +98,15 @@ class EvenOddWilson:
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """``b_hat = b_e - M_eo M_oo^{-1} b_o = b_e + H_eo b_o / (2 d)``."""
         out = np.empty_like(b)
+        B, out_block = _block(b), _block(out)
         kernel = self._kernel
-        with ufunc_rows():
-            b_o = kernel.parity_planes(b[None], ODD, "eo.source")
-            b_hat = kernel.hop_parity_planes(self.gauge.u, b_o, self.phases, EVEN, "eo.hop")
-            b_hat *= _reciprocal(b_hat, 2.0 * self.diag)
-            b_hat += kernel.parity_planes(b[None], EVEN, "eo.other")
-        kernel.store_parity_planes(out[None], (b_hat, None))
+        for rows in self._sub_blocks(B):
+            with ufunc_rows():
+                b_o = kernel.parity_planes(B[rows], ODD, "eo.source")
+                b_hat = kernel.hop_parity_planes(self.gauge.u, b_o, self.phases, EVEN, "eo.hop")
+                b_hat *= _reciprocal(b_hat, 2.0 * self.diag)
+                b_hat += kernel.parity_planes(B[rows], EVEN, "eo.other")
+            kernel.store_parity_planes(out_block[rows], (b_hat, None))
         return out
 
     def reconstruct(self, x_e: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -111,20 +114,35 @@ class EvenOddWilson:
         ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x
         (``b=None``: no source, ``x_o = H_oe x_e / 2d``)."""
         out = np.empty_like(x_e)
+        X, out_block = _block(x_e), _block(out)
+        B = None if b is None else _block(b)
         kernel = self._kernel
-        with ufunc_rows():
-            x_even = kernel.parity_planes(x_e[None], EVEN, "eo.source")
-            x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
-            x_odd *= 0.5
-            if b is not None:
-                x_odd += kernel.parity_planes(b[None], ODD, "eo.other")
-            x_odd *= _reciprocal(x_odd, self.diag)
-        kernel.store_parity_planes(out[None], (x_even, x_odd))
+        for rows in self._sub_blocks(X):
+            with ufunc_rows():
+                x_even = kernel.parity_planes(X[rows], EVEN, "eo.source")
+                x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
+                x_odd *= 0.5
+                if B is not None:
+                    x_odd += kernel.parity_planes(B[rows], ODD, "eo.other")
+                x_odd *= _reciprocal(x_odd, self.diag)
+            kernel.store_parity_planes(out_block[rows], (x_even, x_odd))
         return out
 
     def full_operator_apply(self, psi: np.ndarray) -> np.ndarray:
-        """The unpreconditioned M (for residual verification in tests)."""
-        return self._kernel(self.gauge.u, psi, self.phases, diag=self.diag)
+        """The unpreconditioned M (for residual verification)."""
+        out = self._kernel.apply_batch_into(self.gauge.u, _block(psi), self.phases, diag=self.diag)
+        return out.reshape(psi.shape)
+
+    def _sub_blocks(self, X: np.ndarray):
+        """Row slices of an (nrhs, ...) block, as many columns a pass as a
+        half-lattice hop takes (:func:`~repro.kernels.fused.plan`)."""
+        step, _, _ = plan(half_extents(self.lattice.shape), len(X), X.real.itemsize)
+        return (slice(r, r + step) for r in range(0, len(X), step))
+
+
+def _block(x: np.ndarray) -> np.ndarray:
+    """A (T, Z, Y, X, 4, 3) field as a width-1 block, an (nrhs, ...) block as itself."""
+    return x.reshape((-1,) + x.shape[-6:])
 
 
 def _reciprocal(planes: np.ndarray, c: float):
@@ -161,13 +179,10 @@ class SchurOperator(LinearOperator):
         """``out[i] = M_hat X[i]`` (``M_hat^dag = gamma5 M_hat gamma5`` when
         ``dagger``: gamma5 is site-diagonal, hence parity-preserving;
         ``M_hat^dag M_hat`` when ``normal``)."""
-        eo = self.eo
-        kernel = eo._kernel
-        nrhs = X.shape[0]
-        step, _, _ = plan(half_extents(eo.lattice.shape), nrhs, X.real.itemsize)
+        kernel = self.eo._kernel
         with ufunc_rows():
-            for r in range(0, nrhs, step):
-                x = kernel.parity_planes(X[r : r + step], EVEN, "eo.source")
+            for rows in self.eo._sub_blocks(X):
+                x = kernel.parity_planes(X[rows], EVEN, "eo.source")
                 if dagger:
                     gamma5_planes(x)
                 y = self._schur_planes(x, "eo.other")
@@ -177,7 +192,7 @@ class SchurOperator(LinearOperator):
                     y = self._schur_planes(y, "eo.source")
                 if dagger or normal:
                     gamma5_planes(y)
-                kernel.store_parity_planes(out[r : r + step], (y, None))
+                kernel.store_parity_planes(out[rows], (y, None))
         return out
 
     def _schur_planes(self, x: np.ndarray, slot: str) -> np.ndarray:

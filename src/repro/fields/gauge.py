@@ -60,9 +60,9 @@ class GaugeField:
         dtype=np.complex128,
     ) -> "GaugeField":
         """Links a distance ~``eps`` from the identity — a smooth but
-        non-trivial background for operator and solver tests."""
-        u = su3.random_su3_near_identity((4,) + lattice.shape, eps=eps, rng=rng).astype(dtype)
-        return cls(lattice, u)
+        non-trivial background for operator and solver tests, C-contiguous."""
+        u = su3.random_su3_near_identity((4,) + lattice.shape, eps=eps, rng=rng)
+        return cls(lattice, np.ascontiguousarray(u, dtype=dtype))
 
     # -- basics ---------------------------------------------------------------
 

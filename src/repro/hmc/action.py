@@ -45,9 +45,11 @@ __all__ = ["GaugeAction", "WilsonGaugeAction", "kinetic_energy", "sample_momenta
 def sample_momenta(
     gauge: GaugeField, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
-    """Gaussian su(3) momenta, one per link."""
+    """Gaussian su(3) momenta, one per link, colour axes outermost in memory:
+    :func:`kinetic_energy` sums in memory order, which the ledgers' bits fix."""
     rng = ensure_rng(rng)
-    return su3.random_algebra((4,) + gauge.lattice.shape, rng=rng, scale=1.0)
+    pi = su3.random_algebra((4,) + gauge.lattice.shape, rng=rng, scale=1.0)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(pi, (-2, -1), (0, 1))), (0, 1), (-2, -1))
 
 
 def kinetic_energy(pi: np.ndarray) -> float:

@@ -38,10 +38,10 @@ class _CompositeAction(GaugeAction):
         return sum(t.action(gauge) for t in self.terms)
 
     def force(self, gauge: GaugeField) -> np.ndarray:
-        f = self.terms[0].force(gauge)
-        for t in self.terms[1:]:
-            f = f + t.force(gauge)
-        return f
+        # Evaluated last to first (a fermion force drops its operator before
+        # the gauge force runs), summed first to last.
+        forces = [t.force(gauge) for t in reversed(self.terms)][::-1]
+        return sum(forces[1:], forces[0])
 
 
 @dataclass

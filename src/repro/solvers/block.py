@@ -15,12 +15,8 @@ not a shared-search-space block-Krylov method that changes the iterates.
 While every column asks for its own search direction the apply runs in
 place on one ``P``/``AP`` block pair; requests are packed into a smaller
 batch only when a column has finished or asks for another vector (the
-``x0`` seed, a guard's true-residual replay).
-
-``solve_wilson_batch`` is the propagator front end: the verify-and-refine
-driver of :mod:`repro.solvers.wilson_solve` on the *batched* normal
-system (one ``apply_dagger_batch`` prepares every right-hand side, one
-``apply_batch_into`` verifies every column) with ``block_cg`` as its step.
+``x0`` seed, a guard's true-residual replay).  ``solve_wilson_batch`` is
+the propagator front end on it.
 """
 
 from __future__ import annotations
@@ -29,11 +25,12 @@ import time
 
 import numpy as np
 
+from repro.dirac.eo import EvenOddWilson
 from repro.dirac.operator import LinearOperator
 from repro.guard.policy import resolve_policy
 from repro.solvers.base import SolveResult
 from repro.solvers.cg import _record, _recurrence
-from repro.solvers.wilson_solve import _System, _verify_and_refine
+from repro.solvers.wilson_solve import _even_odd_system, _normal_system, _verify_and_refine
 from repro.telemetry.spans import span
 
 __all__ = ["block_cg", "solve_wilson_batch"]
@@ -132,25 +129,19 @@ def solve_wilson_batch(
 ) -> list[SolveResult]:
     """Solve ``M X[i] = B[i]`` for a block of sources (propagator columns).
 
-    Normal equations driven by :func:`block_cg`: one batched ``M^dag``
-    prepares every right-hand side, the block solve shares link traffic
-    across columns, and each column's true residual against ``M`` itself
-    is verified by one batched ``M`` — the verify-and-refine policy of
-    :mod:`repro.solvers.wilson_solve` on the batched normal system.
+    The verify-and-refine policy of :mod:`repro.solvers.wilson_solve` with
+    :func:`block_cg` as its step, on the normal equations of a ``WilsonDirac``
+    or the even-odd Schur system of an ``EvenOddWilson``: the block solve
+    shares link traffic across columns, and each column is bit for bit
+    ``solve_wilson`` (``solve_wilson_eo``) on it alone.
     """
     B = np.asarray(B)
-    system = _System(
-        op=dirac.normal_op(),
-        prepare=dirac.apply_dagger_batch,
-        reconstruct=lambda X, B: X,
-        apply=lambda X: dirac.apply_batch_into(X, np.empty_like(X)),
+    system = (
+        _even_odd_system(dirac) if isinstance(dirac, EvenOddWilson) else _normal_system(dirac)
     )
 
     def step(rhs, X, inner_tol):
         out = np.empty_like(rhs) if X is None else X  # round 2 continues X in place
         return out, block_cg(system.op, rhs, x0=X, tol=inner_tol, max_iter=max_iter, out=out)
 
-    results = _verify_and_refine(system, step, B, tol)
-    for res in results:
-        res.label = f"wilson_{res.label}"
-    return results
+    return _verify_and_refine(system, step, B, tol)

@@ -5,18 +5,14 @@ Hermitian positive-definite system to ``tol``, verify against ``M``
 itself, tighten by x0.01 for up to three rounds.  It runs on
 ``(nrhs, ...)`` blocks (nrhs = 1 is the single solve) and has two seams:
 
-* a :class:`_System` — how ``M X = B`` maps onto the inner system: plain
-  normal equations (:func:`_normal_system`, and the batched one in
-  :mod:`repro.solvers.block`) or the even-odd Schur system
-  (:func:`_even_odd_system`).  A new preconditioner is a new system.
+* a :class:`_System` — how ``M X = B`` maps onto the inner system: the
+  plain normal equations (:func:`_normal_system`) or the even-odd Schur
+  system (:func:`_even_odd_system`).  Both run on blocks through their
+  operators' batch forms.  A new preconditioner is a new system.
 * a *step* ``(rhs, X, tol) -> (X, [SolveResult per column])`` on
-  ``system.op``: ``cg``, ``mixed_precision_cg`` or ``block_cg``.  ``X`` is
-  ``None`` in the first round and the previous round's inner solutions
-  after it; the step returns the new ones, which ``block_cg`` writes over
-  ``X`` in place.  A new inner precision or width is a new step.
-
-The front ends pick one of each and return full-lattice solutions with
-verified residuals — the entry point the measurement code uses.
+  ``system.op``: ``cg`` or ``mixed_precision_cg`` on width-1 blocks, or
+  ``block_cg`` on any width, which continues ``X`` (``None`` in the first
+  round) in place.  A new inner precision or width is a new step.
 """
 
 from __future__ import annotations
@@ -42,31 +38,32 @@ class _System(NamedTuple):
 
     op: LinearOperator  # the Hermitian positive-definite inner operator
     prepare: Callable  # B -> right-hand sides of the inner system
-    reconstruct: Callable  # (inner solutions, B) -> full-lattice X
+    reconstruct: Callable | None  # (inner solutions, B) -> full X; None: they are X
     apply: Callable  # X -> M X, what the result is verified against
-
-
-def _single(f: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """Lift a one-field map to width-1 blocks (views, no copy)."""
-    return lambda *blocks: f(*(block[0] for block in blocks))[None]
+    label: str  # prefix of the results' labels
 
 
 def _normal_system(dirac: WilsonDirac) -> _System:
-    """Normal equations ``M^dag M x = M^dag b``, one field at a time."""
+    """Normal equations ``M^dag M X = M^dag B``: one counted batched ``M^dag``
+    prepares every right-hand side, one batched ``M`` verifies every column."""
     return _System(
-        dirac.normal_op(), _single(dirac.apply_dagger), lambda X, B: X, _single(dirac.apply)
+        dirac.normal_op(),
+        dirac.apply_dagger_batch,
+        None,
+        lambda X: dirac.apply_batch_into(X, np.empty_like(X)),
+        "wilson",
     )
 
 
 def _even_odd_system(eo: EvenOddWilson) -> _System:
     """Schur system on the even sites, odd sites by back-substitution."""
     schur = eo.schur_operator()
-    return _System(
-        schur.normal_op(),
-        _single(lambda b: schur.apply_dagger(eo.prepare_rhs(b))),
-        _single(eo.reconstruct),
-        _single(eo.full_operator_apply),
-    )
+
+    def prepare(B):
+        b_hat = eo.prepare_rhs(B)
+        return schur.apply_dagger_batch_into(b_hat, np.empty_like(b_hat))
+
+    return _System(schur.normal_op(), prepare, eo.reconstruct, eo.full_operator_apply, "wilson_eo")
 
 
 def _verify_and_refine(
@@ -79,50 +76,66 @@ def _verify_and_refine(
 ) -> list[SolveResult]:
     """Solve ``M X[i] = B[i]`` to a *verified* relative residual ``tol``.
 
-    Each round runs ``step`` at the current inner tolerance, continuing
-    from the previous round's inner solutions, and recomputes every
-    column's residual against ``M`` itself.  Rounds merge per column:
-    counts, flops and wall time add, histories join without repeating the
-    joint point, ``residual`` is the true one and ``converged`` means it
-    reached ``10 * tol``.
+    Each round runs ``step`` at the current inner tolerance on the columns
+    still short of ``tol`` — kept as the leading rows of every block, so
+    each column is refined as its own solve would be — and recomputes
+    their residuals against ``M`` itself.  Rounds merge per column: counts,
+    flops and wall time add, histories join without repeating the joint
+    point, ``residual`` is the true one and ``converged`` means it reached
+    ``10 * tol``.
     """
     rhs = system.prepare(B)
     b_norm = [norm(b) for b in B]
-    results: list[SolveResult] = []
-    X = None
-    tol_n = tol
+    order = np.arange(len(B))  # the column in each row of rhs, X and full
+    true_res = np.empty(len(B))
+    results: list[SolveResult] = [None] * len(B)
+    X, n, tol_n = None, len(B), tol  # rows [:n] are short of tol
     for _ in range(3):
-        X, steps = step(rhs, X, tol_n)
-        if not results:
-            results = steps
+        X_n, steps = step(rhs[:n], None if X is None else X[:n], tol_n)
+        X = X_n if n == len(B) else X  # a narrower step continued X[:n] in place
+        for col, part in zip(order, steps):
+            res = results[col]
+            if res is None:
+                results[col] = part
+                continue
+            for count in ("iterations", "operator_applies", "flops", "wall_time",
+                          "inner_iterations"):
+                setattr(res, count, getattr(res, count) + getattr(part, count))
+            res.history.extend(part.history[1:])
+            res.guard_events.extend(part.guard_events)
+        if system.reconstruct is None:
+            full = X
+        elif n == len(B):
+            full = system.reconstruct(X, B)
         else:
-            for res, part in zip(results, steps):
-                res.iterations += part.iterations
-                res.operator_applies += part.operator_applies
-                res.flops += part.flops
-                res.wall_time += part.wall_time
-                res.inner_iterations += part.inner_iterations
-                res.history.extend(part.history[1:])
-                res.guard_events.extend(part.guard_events)
-        full = system.reconstruct(X, B)
-        true_res = np.array(
-            [norm(b - mx) / bn if bn else 0.0 for b, mx, bn in zip(B, system.apply(full), b_norm)]
-        )
-        if np.all(true_res <= tol):
+            full[:n] = system.reconstruct(X[:n], B[order[:n]])
+        true_res[:n] = [
+            norm(B[col] - mx) / b_norm[col] if b_norm[col] else 0.0
+            for col, mx in zip(order, system.apply(full[:n]))
+        ]
+        short = true_res[:n] > tol
+        if not short.any():
             break
         tol_n *= 0.01
-    for res, x, r in zip(results, full, true_res):
+        if not short.all():
+            perm = np.argsort(~short, kind="stable")
+            for block in (rhs, X, order, true_res) + (() if full is X else (full,)):
+                block[:n] = block[:n][perm]
+            n = int(short.sum())
+    for x, col, r in zip(full, order, true_res):
+        res = results[col]
         res.x = x
         res.residual = float(r)
         res.converged = bool(r <= 10 * tol)
+        res.label = f"{system.label}_{res.label}"
     return results
 
 
-def _cg_step(op: LinearOperator, max_iter: int):
-    """The fp64 single-column step: CG on ``op``, continued from ``X``."""
+def _width_1(solve: Callable[[np.ndarray, np.ndarray | None, float], SolveResult]):
+    """The step of ``solve(b, x0, tol)`` on width-1 blocks."""
 
     def step(rhs, X, inner_tol):
-        res = cg(op, rhs[0], x0=None if X is None else X[0], tol=inner_tol, max_iter=max_iter)
+        res = solve(rhs[0], None if X is None else X[0], inner_tol)
         return res.x[None], [res]
 
     return step
@@ -145,15 +158,12 @@ def solve_wilson(
     system = _normal_system(dirac)
     if mixed:
         nop32 = dirac.astype(np.complex64).normal_op()
-
-        def step(rhs, X, inner_tol):
-            res = mixed_precision_cg(system.op, nop32, rhs[0], tol=inner_tol, max_inner=max_iter)
-            return res.x[None], [res]
+        step = _width_1(
+            lambda b, x0, t: mixed_precision_cg(system.op, nop32, b, tol=t, max_inner=max_iter)
+        )
     else:
-        step = _cg_step(system.op, max_iter)
-    (res,) = _verify_and_refine(system, step, b[None], tol)
-    res.label = f"wilson_{res.label}"
-    return res
+        step = _width_1(lambda b, x0, t: cg(system.op, b, x0=x0, tol=t, max_iter=max_iter))
+    return _verify_and_refine(system, step, b[None], tol)[0]
 
 
 def solve_wilson_eo(
@@ -165,6 +175,5 @@ def solve_wilson_eo(
     """Even-odd preconditioned solve: Schur system on even sites via CG on
     its normal equations, then odd-site reconstruction."""
     system = _even_odd_system(eo)
-    (res,) = _verify_and_refine(system, _cg_step(system.op, max_iter), b[None], tol)
-    res.label = "wilson_eo_cg"
-    return res
+    step = _width_1(lambda b, x0, t: cg(system.op, b, x0=x0, tol=t, max_iter=max_iter))
+    return _verify_and_refine(system, step, b[None], tol)[0]

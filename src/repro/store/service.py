@@ -24,7 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.dirac.wilson import WilsonDirac
+from repro.measure.correlator import pion_correlator, rho_correlator
+from repro.measure.fitting import fit_cosh
 from repro.measure.observables import gauge_record
+from repro.measure.propagator import point_sources, propagator_from_solves
 from repro.serve import SolveQueue
 from repro.store.cache import MeasurementCache, MeasurementRequest
 from repro.store.ensemble import EnsembleStore
@@ -43,72 +47,43 @@ def queued_point_propagator(
 
     All 12 spin-colour sources are submitted before the flush, so they
     coalesce into ``ceil(12 / max_nrhs)`` multi-RHS solves.  Submission
-    order is fixed (s0 outer, c0 inner), hence batch composition — and
-    therefore every solution bit — is deterministic run to run.
+    order is fixed (:func:`~repro.measure.propagator.point_sources`' s0
+    outer, c0 inner), hence batch composition — and therefore every
+    solution bit — is deterministic run to run.
     """
-    from repro.fields import point_source
-
-    lat = dirac.lattice
-    futures = {}
-    for s0 in range(4):
-        for c0 in range(3):
-            b = point_source(lat, source_coord, s0, c0)
-            futures[s0, c0] = queue.submit(dirac, b, tol=tol, max_iter=max_iter)
+    futures = [
+        queue.submit(dirac, b, tol=tol, max_iter=max_iter)
+        for b in point_sources(dirac.lattice, source_coord)
+    ]
     queue.flush()
-    out = np.empty(lat.shape + (4, 3, 4, 3), dtype=np.complex128)
-    for (s0, c0), future in futures.items():
-        res = future.result(timeout=600)
-        if not res.converged:
-            raise RuntimeError(
-                f"propagator solve (s0={s0}, c0={c0}) failed: {res.summary()}"
-            )
-        out[..., s0, c0] = res.x
-    return out
+    return propagator_from_solves(dirac.lattice, [f.result(timeout=600) for f in futures])
 
 
 # -- observables ---------------------------------------------------------------
 
 
-def _correlators(service, gauge, params):
-    from repro.dirac.wilson import WilsonDirac
-    from repro.measure.correlator import pion_correlator, rho_correlator
-
-    dirac = WilsonDirac(gauge, float(params.get("quark_mass", 0.1)))
+def _obs_correlators(service, gauge, params) -> dict:
+    """Pion/rho correlators (no fits) — robust on any temporal extent."""
     prop = queued_point_propagator(
-        dirac,
+        WilsonDirac(gauge, float(params.get("quark_mass", 0.1))),
         service.queue,
         source_coord=tuple(params.get("source_coord", (0, 0, 0, 0))),
         tol=float(params.get("tol", 1e-8)),
         max_iter=int(params.get("max_iter", 5000)),
     )
-    return pion_correlator(prop), rho_correlator(prop)
-
-
-def _obs_correlators(service, gauge, params) -> dict:
-    """Pion/rho correlators (no fits) — robust on any temporal extent."""
-    c_pi, c_rho = _correlators(service, gauge, params)
     return {
-        "pion_corr": [float(v) for v in np.real(c_pi)],
-        "rho_corr": [float(v) for v in np.real(c_rho)],
+        "pion_corr": [float(v) for v in np.real(pion_correlator(prop))],
+        "rho_corr": [float(v) for v in np.real(rho_correlator(prop))],
     }
 
 
 def _obs_spectrum(service, gauge, params) -> dict:
     """Pion/rho masses from cosh fits over queue-batched propagator solves."""
-    from repro.measure.fitting import fit_cosh
-
-    c_pi, c_rho = _correlators(service, gauge, params)
+    values = _obs_correlators(service, gauge, params)
     nt = gauge.lattice.nt
-    window = params.get("fit_window")
-    tmin, tmax = window if window else (max(1, nt // 8), nt // 2 - 1)
-    pion = fit_cosh(c_pi, tmin, tmax)
-    rho = fit_cosh(c_rho, tmin, tmax)
-    return {
-        "pion_mass": float(pion.mass),
-        "rho_mass": float(rho.mass),
-        "pion_corr": [float(v) for v in np.real(c_pi)],
-        "rho_corr": [float(v) for v in np.real(c_rho)],
-    }
+    tmin, tmax = params.get("fit_window") or (max(1, nt // 8), nt // 2 - 1)
+    pion, rho = (fit_cosh(values[name], tmin, tmax) for name in ("pion_corr", "rho_corr"))
+    return {"pion_mass": float(pion.mass), "rho_mass": float(rho.mass), **values}
 
 
 #: Named observables servable against a stored configuration.

@@ -35,9 +35,14 @@ def gellmann_matrices() -> np.ndarray:
 
 
 def coeffs_to_algebra(coeffs: np.ndarray) -> np.ndarray:
-    """Map real coefficients (..., 8) to ``i sum_a c_a T_a`` (..., 3, 3)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    return 0.5j * np.einsum("...a,aij->...ij", coeffs, _LAMBDA, optimize=True)
+    """Map real coefficients (..., 8) to ``i sum_a c_a T_a`` (..., 3, 3), C-contiguous:
+    a matmul per 512 rows, too small for OpenBLAS to wake its threads (ms)."""
+    flat = np.asarray(coeffs, dtype=np.float64).reshape(-1, 8)
+    out = np.empty((len(flat), 9), np.complex128)
+    for r in range(0, len(flat), 512):
+        np.matmul(flat[r : r + 512], _LAMBDA.reshape(8, 9), out=out[r : r + 512])
+    out *= 0.5j
+    return out.reshape(np.shape(coeffs)[:-1] + (3, 3))
 
 
 def algebra_to_coeffs(a: np.ndarray) -> np.ndarray:

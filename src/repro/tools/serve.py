@@ -20,11 +20,10 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from repro.dirac.wilson import WilsonDirac
-from repro.fields import GaugeField, point_source
+from repro.fields import GaugeField
 from repro.lattice import Lattice4D
+from repro.measure.propagator import point_sources
 from repro.serve import SolveQueue
 from repro.telemetry import telemetry_mode
 from repro.telemetry.registry import get_registry
@@ -64,11 +63,7 @@ def main(argv: list[str] | None = None) -> int:
     dirac = WilsonDirac(gauge, args.mass)
     queue = SolveQueue(max_nrhs=args.max_nrhs)
 
-    sources = [
-        point_source(lat, (0, 0, 0, 0), spin=s, color=c)
-        for s in range(4)
-        for c in range(3)
-    ]
+    sources = point_sources(lat, (0, 0, 0, 0))
     # Counters stay on for the run so the exit summary is always available;
     # an already-active mode (e.g. REPRO_TELEMETRY=trace) is left alone.
     with telemetry_mode(STATE.mode if STATE.counting else "counters"):

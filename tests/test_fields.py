@@ -50,6 +50,15 @@ class TestGaugeField:
         dist = np.mean(su3.frobenius_norm(g.u - su3.identity(g.u.shape[:-2])))
         assert 0.0 < dist < 0.5
 
+    def test_warm_links_are_c_contiguous_exponentials(self, small_lattice):
+        """Warm links are laid out C-contiguous (reshapes are views, so
+        ``link_planes`` copies nothing first) with the exponential's values."""
+        g = GaugeField.warm(small_lattice, eps=0.3, rng=6)
+        want = su3.random_su3_near_identity((4,) + small_lattice.shape, eps=0.3, rng=6)
+        assert g.u.flags.c_contiguous
+        assert g.u.tobytes() == want.tobytes()
+        assert GaugeField.warm(small_lattice, rng=6, dtype=np.complex64).u.flags.c_contiguous
+
     def test_copy_is_deep(self, tiny_lattice):
         g = GaugeField.hot(tiny_lattice, rng=3)
         h = g.copy()

@@ -47,6 +47,16 @@ class TestMomenta:
         assert pi.shape == (4,) + tiny_lattice.shape + (3, 3)
         assert np.allclose(su3.project_algebra(pi), pi, atol=1e-13)
 
+    def test_momenta_are_stored_colour_major(self, small_lattice):
+        """The momenta hold ``random_algebra``'s values with the colour axes
+        outermost in memory, the order ``kinetic_energy`` sums them in, which
+        the pinned ledgers' energy differences were journaled with."""
+        g = GaugeField.cold(small_lattice)
+        pi = sample_momenta(g, rng=3)
+        want = su3.random_algebra((4,) + small_lattice.shape, rng=3, scale=1.0)
+        assert pi.tobytes() == want.tobytes()
+        assert np.moveaxis(pi, (-2, -1), (0, 1)).flags.c_contiguous
+
     def test_kinetic_energy_expectation(self):
         """<K> = 4 per link (8 Gaussian coefficients, K = sum c^2 / 2)."""
         lat = Lattice4D((4, 4, 4, 4))

@@ -281,20 +281,23 @@ def test_schur_solve_holds_its_block_budget(monkeypatch, level, blocks):
     assert peak <= blocks * b.nbytes, f"{peak / b.nbytes:.2f} blocks"
 
 
-@pytest.mark.parametrize("level", LEVELS)
-def test_dynamical_trajectory_holds_its_block_budget(monkeypatch, level):
-    """A 4^4 two-flavour trajectory peaks inside its first kick's gauge
-    force, 32.4 blocks: 18.1 held (the proposal, the momenta, the
-    EvenOddWilson of the initial energy with its parity link planes and
-    stacks, kept for the kick's fermion force, phi and the memoised
-    solutions) and 14.3 of the plane force (link planes, the output force
-    whose bytes hold the plaquette sum, the backward-staple sum and one
-    plane's products): under 32.5.  It peaked at 36.5 inside the fermion
-    bilinear while that force still held its EvenOddWilson; the seed's
-    eigh drift took 25.6 blocks, the plane drift 9.5.  The solve memo keys
-    its solutions by a digest of the links, where a copy of the links per
-    grade put the peak at 42.5; the shared arena is not in it either,
-    where a fresh one per operator put it at 61."""
+@pytest.mark.parametrize(
+    "level,blocks", [("off", 26.6), ("detect", 26.6), ("heal", 27.6)], ids=LEVELS
+)
+def test_dynamical_trajectory_holds_its_block_budget(monkeypatch, level, blocks):
+    """A 4^4 two-flavour trajectory peaks at 26.4 blocks (27.4 under
+    ``heal``, CG's rollback iterate) in two places alike: inside a kick's
+    force-grade CG (9.2 held: the proposal, the momenta, phi and the
+    memoised solutions; 17.3 of the solve: the operator's parity link planes
+    and stacks, 9, and CG's vectors) and inside the first kick's gauge
+    force (12.2 held, the fermion force among them; 14.3 of the plane
+    force).  It was 32.4 while the first kick's gauge force ran before its
+    fermion force and so held the EvenOddWilson of the initial energy, 36.5
+    inside the fermion bilinear while that force still held its operator;
+    the seed's eigh drift took 25.6 blocks, the plane drift 9.5.  The solve
+    memo keys its solutions by a digest of the links, where a copy of the
+    links per grade put the peak at 42.5; the shared arena is not in it
+    either, where a fresh one per operator put it at 61."""
     monkeypatch.setenv("REPRO_GUARD", level)
     lat = Lattice4D((4, 4, 4, 4))
     gauge = GaugeField.warm(lat, eps=0.25, rng=42)
@@ -305,7 +308,7 @@ def test_dynamical_trajectory_holds_its_block_budget(monkeypatch, level):
     hmc.trajectory(gauge)
     block = lat.volume * 12 * np.dtype(np.complex128).itemsize
     peak = _traced_peak(lambda: hmc.trajectory(gauge))
-    assert peak <= 32.5 * block, f"{peak / block:.2f} blocks"
+    assert peak <= blocks * block, f"{peak / block:.2f} blocks"
 
 
 # -- a rank of an SPMD solve --------------------------------------------------------

@@ -364,6 +364,8 @@ _FRONT_ENDS = {
            lambda m, eo, B, tol: [solve_wilson_eo(eo, B[0], tol=tol)]),
     "batch": ("repro.solvers.block.block_cg", "wilson_block_cg",
               lambda m, eo, B, tol: solve_wilson_batch(m, B, tol=tol)),
+    "eo_batch": ("repro.solvers.block.block_cg", "wilson_eo_block_cg",
+                 lambda m, eo, B, tol: solve_wilson_batch(eo, B, tol=tol)),
 }
 
 

@@ -139,6 +139,19 @@ class TestGellmann:
         a = su3.coeffs_to_algebra(c)
         assert np.allclose(su3.algebra_to_coeffs(a), c, atol=1e-13)
 
+    @pytest.mark.parametrize("shape", [(8,), (5, 8), (4, 4, 4, 4, 4, 8), (4, 8, 4, 4, 4, 8)])
+    def test_coeffs_to_algebra_is_the_einsum_form_c_contiguous(self, shape):
+        """The chunked ``matmul`` gives the bytes of the einsum it replaced
+        (the HMC momenta, so every pinned ledger, depend on them), in a
+        C-contiguous array, which the einsum's was not."""
+        lam = su3.gellmann_matrices()
+        for seed in range(3):
+            c = np.random.default_rng(seed).normal(size=shape)
+            got = su3.coeffs_to_algebra(c)
+            want = 0.5j * np.einsum("...a,aij->...ij", c, lam, optimize=True)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_coeffs_to_algebra_lands_in_algebra(self):
         a = su3.coeffs_to_algebra(RNG.normal(size=(4, 8)))
         assert np.allclose(su3.project_algebra(a), a)
