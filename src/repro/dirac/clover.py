@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import su3
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
 from repro.dirac.operator import NormalOperator
 from repro.dirac.wilson import WilsonDirac
 from repro.fields import GaugeField
 from repro.gammas import sigma_munu
-from repro.loops import clover_leaf_sum
+from repro.loops import LinkPlanes
+from repro.su3 import planes
 from repro.util.flops import CLOVER_FLOPS_PER_SITE
 
 __all__ = ["CloverDirac", "clover_field_strength"]
@@ -28,16 +28,13 @@ __all__ = ["CloverDirac", "clover_field_strength"]
 def clover_field_strength(u: np.ndarray, mu: int, nu: int) -> np.ndarray:
     """Clover-discretised field strength ``F_{mu nu}(x)``.
 
-    ``F = (Q - Q^dag) / (8 i)`` projected traceless, where ``Q`` is the sum
-    of the four plaquette leaves.  Hermitian and traceless by construction;
+    ``F = (Q - Q^dag) / (8 i)`` projected traceless, ``Q`` the sum of the
+    four plaquette leaves (:meth:`repro.loops.LinkPlanes.clover`): ``F`` is
+    ``Ta(Q) / (4 i)`` on planes.  Hermitian and traceless by construction;
     vanishes on a free field.
     """
-    q = clover_leaf_sum(u, mu, nu)
-    f = (q - su3.dag(q)) / 8.0j
-    tr = su3.trace(f) / su3.NC
-    for i in range(su3.NC):
-        f[..., i, i] -= tr
-    return f
+    ta = planes.project_algebra(LinkPlanes(u).clover(mu, nu), 0.25)
+    return planes.from_planes(np.stack([ta[1], -ta[0]])[None], u.shape[1:5])[0]
 
 
 class CloverDirac(WilsonDirac):

@@ -15,7 +15,6 @@ from repro.hmc.rational import RationalApprox, fit_rational_power
 from repro.hmc.rhmc import OneFlavorWilsonAction, estimate_spectral_bounds
 from repro.hmc.improved import (
     ImprovedGaugeAction,
-    rectangle_staple_sum,
     LUSCHER_WEISZ_C1,
     IWASAKI_C1,
     DBW2_C1,
@@ -29,7 +28,6 @@ __all__ = [
     "OneFlavorWilsonAction",
     "estimate_spectral_bounds",
     "ImprovedGaugeAction",
-    "rectangle_staple_sum",
     "LUSCHER_WEISZ_C1",
     "IWASAKI_C1",
     "DBW2_C1",

@@ -11,31 +11,18 @@ Conventions (fixed by the force-vs-numerical-gradient tests):
   ``force = (beta/6) Ta[U_mu(x) A_mu(x)]`` with ``A`` the staple sum and
   ``Ta`` the traceless anti-Hermitian projector.
 
-The force runs on link planes (:mod:`repro.su3.planes`).  The six
-staples of one ``(mu, nu)`` plane come from one set of shared products
-of the four links around its plaquettes: with ``R = U_mu(x) U_nu(x+mu)``
-and ``T = U_nu(x) U_mu(x+nu)``,
-
-* both forward staples close into the plaquette ``P = R T^dag``:
-  ``U_mu A_mu^fwd = P`` and ``U_nu A_nu^fwd = P^dag``, and
-  ``Ta(P^dag) = -Ta(P)``;
-* the backward staples are ``R^dag U_nu`` and ``T^dag U_mu`` gathered
-  from ``x - nu`` and ``x - mu``,
-
-five products per plane where the seed's ``staple_sum`` formed eight
-per plane and direction.
+The force is ``Ta`` of the staples ``W`` of the loop engine
+(:class:`repro.loops.LinkPlanes`), five products a plane where the
+seed's ``staple_sum`` formed eight per plane and direction.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from repro import su3
 from repro.fields import GaugeField
-from repro.kernels.shifts import term_site_tables
-from repro.loops import PlaquetteMemo
+from repro.loops import PLANES, LinkPlanes, PlaquetteMemo
 from repro.su3 import planes
 from repro.util.rng import ensure_rng
 
@@ -91,53 +78,29 @@ class WilsonGaugeAction(GaugeAction):
         return plaquette_force(gauge.u, self.beta / 6.0)
 
 
-#: The six ``(mu, nu)`` planes, ``mu < nu``.
-_PLANES = tuple((mu, nu) for mu in range(4) for nu in range(mu + 1, 4))
-
-
-@lru_cache(maxsize=None)
-def _site_gathers(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``(ahead, behind)``, (4, V) each: the sites ``x + mu`` and ``x - mu``
-    of :func:`~repro.kernels.shifts.term_site_tables`."""
-    source, _ = term_site_tables(dims)
-    ahead, behind = np.ascontiguousarray(source[0::2]), np.ascontiguousarray(source[1::2])
-    ahead.flags.writeable = False
-    behind.flags.writeable = False
-    return ahead, behind
-
-
 def plaquette_force(u: np.ndarray, scale: float) -> np.ndarray:
-    """``scale Ta[U_mu(x) A_mu(x)]`` of a (4, T, Z, Y, X, 3, 3) link array.
+    """``scale Ta(W)``, ``W_mu = U_mu(x) A_mu(x)`` the staples of
+    :meth:`repro.loops.LinkPlanes.staples`, of a (4, T, Z, Y, X, 3, 3) link array.
 
-    ``A`` is the staple sum of :func:`repro.loops.staple_sum`, formed one
-    ``(mu, nu)`` plane at a time from the shared products of the module
-    docstring; the temporaries are a few link directions, the
-    accumulators two gauge fields of planes.
+    ``W`` is summed here from the engine's plaquettes, in the bytes of the
+    output force until a direction is written (the temporaries are a few
+    link directions, the accumulators two gauge fields of planes).  A
+    plane's second direction takes ``-P`` for ``P^dag``, which ``Ta`` does
+    not tell apart (``Ta(P^dag) = -Ta(P)``), so no ``P^dag`` is formed.
     """
-    dims = u.shape[1:5]
-    ahead, behind = _site_gathers(dims)
-    links = planes.to_planes(u)
+    lp = LinkPlanes(u)
     force = np.empty(u.shape, u.dtype)
-    # m[mu] = U_mu A_mu^fwd up to what Ta removes, kept in the bytes of
-    # force[mu] until that direction is written; back[mu] = A_mu^bwd.
-    m = force.view(links.dtype).reshape(links.shape)
-    m[...] = 0.0
-    back = np.zeros_like(links)
-    # np.take keeps the gathered planes site-minor (an index on the last
-    # axis would make the site axis outermost, and einsum slow).
-    for mu, nu in _PLANES:
-        r = planes.mul(links[mu], np.take(links[nu], ahead[mu], axis=-1))  # U_mu(x) U_nu(x+mu)
-        t = planes.mul(links[nu], np.take(links[mu], ahead[nu], axis=-1))  # U_nu(x) U_mu(x+nu)
-        plaq = planes.mul_dag(r, t)
-        m[mu] += plaq
-        m[nu] -= plaq
-        del plaq
-        # The backward staples, formed at x - nu (mu's) and x - mu (nu's).
-        back[mu] += np.take(planes.dag_mul(r, links[nu]), behind[nu], axis=-1)
-        del r
-        back[nu] += np.take(planes.dag_mul(t, links[mu]), behind[mu], axis=-1)
+    w = force.view(lp.links.dtype).reshape(lp.links.shape)
+    w[...] = 0.0
+    back = np.zeros_like(lp.links)
+    for mu, nu in PLANES:
+        plaq = lp.plaquette(mu, nu, back[mu], back[nu])
+        w[mu] += plaq
+        w[nu] -= plaq
+        del plaq  # not held through the next plane's products
     for mu in range(4):
-        w = planes.mul(links[mu : mu + 1], back[mu : mu + 1])
-        w += m[mu : mu + 1]
-        planes.from_planes(planes.project_algebra(w, scale, out=w), dims, out=force[mu : mu + 1])
+        wmu = planes.mul(lp.links[mu : mu + 1], back[mu : mu + 1])
+        wmu += w[mu : mu + 1]
+        planes.project_algebra(wmu, scale, out=wmu)
+        planes.from_planes(wmu, lp.dims, out=force[mu : mu + 1])
     return force

@@ -4,10 +4,11 @@
                  + c1 sum_{mu!=nu} (1 - Re tr R_{mu nu} / 3) ]``
 
 with ``c0 = 1 - 8 c1`` (normalisation preserving the continuum limit) and
-``R_{mu nu}`` the 2x1 rectangle with long side mu.  The force needs the
-*rectangle staples*: the six 5-link paths that close each rectangle
-containing a given link.  Their index gymnastics is validated — like every
-force in this package — against the numerical gradient of the action.
+``R_{mu nu}`` the 2x1 rectangle with long side mu.  Its force is ``Ta``
+of the plaquette and rectangle staples of the loop engine
+(:class:`repro.loops.LinkPlanes`), on link planes; the rectangle
+staples are validated, like every force in this package, against the
+numerical gradient of the action.
 
 Presets: Luscher-Weisz (tree-level Symanzik) c1 = -1/12; Iwasaki
 c1 = -0.331; DBW2 c1 = -1.4088.
@@ -17,88 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import su3
 from repro.fields import GaugeField
 from repro.hmc.action import GaugeAction
-from repro.lattice import shift
-from repro.loops import average_plaquette, rectangle_field, staple_sum
+from repro.loops import LinkPlanes, average_plaquette
+from repro.su3 import planes
 
 __all__ = [
     "ImprovedGaugeAction",
     "LUSCHER_WEISZ_C1",
     "IWASAKI_C1",
     "DBW2_C1",
-    "rectangle_staple_sum",
 ]
 
 LUSCHER_WEISZ_C1 = -1.0 / 12.0
 IWASAKI_C1 = -0.331
 DBW2_C1 = -1.4088
-
-
-def rectangle_staple_sum(u: np.ndarray, mu: int) -> np.ndarray:
-    """Sum of the six rectangle staples ``A`` per transverse direction,
-    such that ``sum_x Re tr[U_mu(x) A_mu(x)]`` counts every rectangle
-    containing a mu-link once per containment."""
-    out = np.zeros_like(u[mu])
-    umu = u[mu]
-    for nu in range(4):
-        if nu == mu:
-            continue
-        v = u[nu]
-        u_d = su3.dag(umu)
-        v_d = su3.dag(v)
-
-        # (a) long side mu, link at bottom-left:
-        # U(x+mu) V(x+2mu) U^+(x+mu+nu) U^+(x+nu) V^+(x)
-        a = su3.mul(
-            su3.mul(shift(umu, mu, 1), shift(v, mu, 2)),
-            su3.mul(su3.mul(shift(shift(u_d, mu, 1), nu, 1), shift(u_d, nu, 1)), v_d),
-        )
-        # (b) long side mu, link at bottom-right:
-        # V(x+mu) U^+(x+nu) U^+(x-mu+nu) V^+(x-mu) U(x-mu)
-        b = su3.mul(
-            su3.mul(shift(v, mu, 1), shift(u_d, nu, 1)),
-            su3.mul(
-                su3.mul(shift(shift(u_d, mu, -1), nu, 1), shift(v_d, mu, -1)),
-                shift(umu, mu, -1),
-            ),
-        )
-        # (c) long side mu, link at top-right (daggered in the rectangle):
-        # U(x+mu) V^+(x+2mu-nu) U^+(x+mu-nu) U^+(x-nu) V(x-nu)
-        c = su3.mul(
-            su3.mul(shift(umu, mu, 1), shift(shift(v_d, mu, 2), nu, -1)),
-            su3.mul(
-                su3.mul(shift(shift(u_d, mu, 1), nu, -1), shift(u_d, nu, -1)),
-                shift(v, nu, -1),
-            ),
-        )
-        # (d) long side mu, link at top-left:
-        # V^+(x+mu-nu) U^+(x-nu) U^+(x-mu-nu) V(x-mu-nu) U(x-mu)
-        d = su3.mul(
-            su3.mul(shift(shift(v_d, mu, 1), nu, -1), shift(u_d, nu, -1)),
-            su3.mul(
-                su3.mul(shift(shift(u_d, mu, -1), nu, -1), shift(shift(v, mu, -1), nu, -1)),
-                shift(umu, mu, -1),
-            ),
-        )
-        # (e) long side nu, link at far end (y = x - 2 nu):
-        # V^+(x+mu-nu) V^+(x+mu-2nu) U^+(x-2nu) V(x-2nu) V(x-nu)
-        e = su3.mul(
-            su3.mul(shift(shift(v_d, mu, 1), nu, -1), shift(shift(v_d, mu, 1), nu, -2)),
-            su3.mul(
-                su3.mul(shift(u_d, nu, -2), shift(v, nu, -2)),
-                shift(v, nu, -1),
-            ),
-        )
-        # (f) long side nu, link at near end (daggered in the rectangle):
-        # V(x+mu) V(x+mu+nu) U^+(x+2nu) V^+(x+nu) V^+(x)
-        f = su3.mul(
-            su3.mul(shift(v, mu, 1), shift(shift(v, mu, 1), nu, 1)),
-            su3.mul(su3.mul(shift(u_d, nu, 2), shift(v_d, nu, 1)), v_d),
-        )
-        out += a + b + c + d + e + f
-    return out
 
 
 class ImprovedGaugeAction(GaugeAction):
@@ -115,22 +49,15 @@ class ImprovedGaugeAction(GaugeAction):
         u = gauge.u
         vol = gauge.lattice.volume
         s_plaq = self.c0 * 6 * vol * (1.0 - average_plaquette(u))
-        rect_sum = 0.0
-        n_rects = 0
-        for mu in range(4):
-            for nu in range(4):
-                if nu == mu:
-                    continue
-                rect_sum += float(np.mean(su3.re_trace(rectangle_field(u, mu, nu))))
-                n_rects += 1
-        s_rect = self.c1 * n_rects * vol * (1.0 - rect_sum / (su3.NC * n_rects))
+        lp = LinkPlanes(u)
+        pairs = [(mu, nu) for mu in range(4) for nu in range(4) if nu != mu]
+        rect_sum = sum(float(np.mean(np.trace(lp.rectangle(mu, nu)[0]))) for mu, nu in pairs)
+        s_rect = self.c1 * len(pairs) * vol * (1.0 - rect_sum / (3 * len(pairs)))
         return self.beta * (s_plaq + s_rect)
 
     def force(self, gauge: GaugeField) -> np.ndarray:
-        u = gauge.u
-        f = np.empty_like(u)
-        for mu in range(4):
-            w = self.c0 * su3.mul(u[mu], staple_sum(u, mu))
-            w += self.c1 * su3.mul(u[mu], rectangle_staple_sum(u, mu))
-            f[mu] = (self.beta / 6.0) * su3.project_algebra(w)
-        return f
+        lp = LinkPlanes(gauge.u)
+        w = lp.staples()
+        w *= self.c0
+        w += self.c1 * lp.rectangle_staples()
+        return planes.from_planes(planes.project_algebra(w, self.beta / 6.0, out=w), lp.dims)

@@ -4,14 +4,16 @@
 
 where the summed paths are the six 3-link detours from ``x`` to ``x+mu``.
 With the repository staple convention (``U A`` closes the plaquettes) the
-detour sum is ``A^dag``.
+detour sum is ``A^dag = W^dag U``, ``W`` the staples of the loop engine
+(:meth:`repro.loops.LinkPlanes.staples`).
 """
 
 from __future__ import annotations
 
 from repro import su3
 from repro.fields import GaugeField
-from repro.loops import staple_sum
+from repro.loops import LinkPlanes
+from repro.su3 import planes
 
 __all__ = ["ape_smear"]
 
@@ -29,11 +31,7 @@ def ape_smear(gauge: GaugeField, alpha: float = 0.5, n_iter: int = 1) -> GaugeFi
         raise ValueError(f"n_iter must be >= 0, got {n_iter}")
     out = gauge.copy()
     for _ in range(n_iter):
-        u = out.u
-        new = u.copy()
-        for mu in range(4):
-            detours = su3.dag(staple_sum(u, mu))
-            mixed = (1.0 - alpha) * u[mu] + (alpha / 6.0) * detours
-            new[mu] = su3.project_su3(mixed)
-        out.u = new
+        lp = LinkPlanes(out.u)
+        detours = planes.from_planes(planes.dag_mul(lp.staples(), lp.links), lp.dims)
+        out.u = su3.project_su3((1.0 - alpha) * out.u + (alpha / 6.0) * detours)
     return out

@@ -1,45 +1,33 @@
 """The Wilson (gradient) flow.
 
 Integrates the flow equation ``dV/dt = Z(V) V`` with
-``Z_mu(x) = -Ta[ V_mu(x) A_mu(x) ]`` (the Wilson-action gradient) using
-Luscher's third-order Runge-Kutta scheme.  The flow drives the field
-towards (locally) minimal action, smoothing UV fluctuations at length
-scale ``sqrt(8t)``; the renormalised coupling observable ``t^2 <E(t)>``
-defines the reference scale ``t0`` via ``t0^2 <E(t0)> = 0.3``.
+``Z_mu(x) = -Ta[ V_mu(x) A_mu(x) ]`` (the Wilson-action gradient, the
+plaquette force with scale -1) using Luscher's third-order Runge-Kutta
+scheme, each stage a Cayley-Hamilton exponential times the links on
+link planes.  The flow drives the field towards (locally) minimal
+action, smoothing UV fluctuations at length scale ``sqrt(8t)``; the
+renormalised coupling observable ``t^2 <E(t)>`` defines the reference
+scale ``t0`` via ``t0^2 <E(t0)> = 0.3``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro import su3
 from repro.fields import GaugeField
-from repro.loops import plaquette_field, staple_sum
+from repro.hmc.action import plaquette_force
+from repro.hmc.integrator import _drift
+from repro.loops import average_plaquette
 
 __all__ = ["wilson_flow", "flow_energy_density", "find_t0", "FlowPoint"]
-
-
-def _flow_gradient(u: np.ndarray) -> np.ndarray:
-    """``Z[mu, x] = -Ta(U A)`` — the direction of steepest action descent."""
-    z = np.empty_like(u)
-    for mu in range(4):
-        z[mu] = -su3.project_algebra(su3.mul(u[mu], staple_sum(u, mu)))
-    return z
 
 
 def flow_energy_density(gauge: GaugeField) -> float:
     """Plaquette discretisation of ``E = (1/4) G_munu^a G_munu^a``:
 
-    ``E = (2/V) sum_x sum_{mu<nu} Re tr[1 - P_munu(x)]``.
+    ``E = (2/V) sum_x sum_{mu<nu} Re tr[1 - P_munu(x)] = 36 (1 - <plaq>)``.
     """
-    u = gauge.u
-    total = 0.0
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            total += float(np.sum(su3.NC - su3.re_trace(plaquette_field(u, mu, nu))))
-    return 2.0 * total / gauge.lattice.volume
+    return 36.0 * (1.0 - average_plaquette(gauge.u))
 
 
 @dataclass(frozen=True)
@@ -50,6 +38,13 @@ class FlowPoint:
     energy: float
     t2e: float
     plaquette: float
+
+
+def _sample(t: float, gauge: GaugeField) -> FlowPoint:
+    """The flow point at time ``t``: ``E`` from one plaquette pass."""
+    plaq = average_plaquette(gauge.u)
+    energy = 36.0 * (1.0 - plaq)
+    return FlowPoint(t, energy, t * t * energy, plaq)
 
 
 def wilson_flow(
@@ -69,27 +64,21 @@ def wilson_flow(
     """
     if eps <= 0 or t_max < 0:
         raise ValueError(f"need eps > 0 and t_max >= 0, got ({eps}, {t_max})")
-    from repro.loops import average_plaquette
-
+    if measure_every < 1:
+        raise ValueError(f"measure_every must be >= 1, got {measure_every}")
     out = gauge.copy()
     n_steps = int(round(t_max / eps))
-    history = [
-        FlowPoint(0.0, flow_energy_density(out), 0.0, average_plaquette(out.u))
-    ]
+    history = [_sample(0.0, out)]
     t = 0.0
     for step in range(n_steps):
-        z0 = eps * _flow_gradient(out.u)
-        out.u = su3.mul(su3.expm_su3(0.25 * z0), out.u)
-        z1 = eps * _flow_gradient(out.u)
-        out.u = su3.mul(su3.expm_su3((8.0 / 9.0) * z1 - (17.0 / 36.0) * z0), out.u)
-        z2 = eps * _flow_gradient(out.u)
-        out.u = su3.mul(
-            su3.expm_su3((3.0 / 4.0) * z2 - (8.0 / 9.0) * z1 + (17.0 / 36.0) * z0), out.u
-        )
+        z0 = plaquette_force(out.u, -eps)
+        _drift(out, z0, 0.25)
+        x = (8.0 / 9.0) * plaquette_force(out.u, -eps) - (17.0 / 36.0) * z0
+        _drift(out, x, 1.0)
+        _drift(out, (3.0 / 4.0) * plaquette_force(out.u, -eps) - x, 1.0)
         t += eps
         if (step + 1) % measure_every == 0 or step == n_steps - 1:
-            e = flow_energy_density(out)
-            history.append(FlowPoint(t, e, t * t * e, average_plaquette(out.u)))
+            history.append(_sample(t, out))
     return out, history
 
 

@@ -6,13 +6,16 @@ HMC forces (unlike projection-based APE).
 with ``C_mu = rho * (sum of detour paths) = rho * A^dag`` in the repository
 staple convention, and ``Ta`` the traceless anti-Hermitian projector — the
 exact Morningstar-Peardon ``exp(i Q)`` with ``Q`` Hermitian traceless.
+With ``W = U A`` the staples, ``Ta(C U^dag) = rho Ta(W^dag) = -rho Ta(W)``:
+a step is the plaquette force with scale ``-rho`` exponentiated onto the
+links, on link planes.
 """
 
 from __future__ import annotations
 
-from repro import su3
 from repro.fields import GaugeField
-from repro.loops import staple_sum
+from repro.hmc.action import plaquette_force
+from repro.hmc.integrator import _drift
 
 __all__ = ["stout_smear"]
 
@@ -28,11 +31,5 @@ def stout_smear(gauge: GaugeField, rho: float = 0.1, n_iter: int = 1) -> GaugeFi
         raise ValueError(f"n_iter must be >= 0, got {n_iter}")
     out = gauge.copy()
     for _ in range(n_iter):
-        u = out.u
-        new = u.copy()
-        for mu in range(4):
-            c = rho * su3.dag(staple_sum(u, mu))
-            omega = su3.mul_dag(c, u[mu])
-            new[mu] = su3.mul(su3.expm_su3(su3.project_algebra(omega)), u[mu])
-        out.u = new
+        _drift(out, plaquette_force(out.u, -rho), 1.0)
     return out

@@ -1,10 +1,11 @@
 """Group-level SU(3) operations: sampling, projection, exponential map.
 
-The exponential map is needed by the HMC integrator (``U -> exp(i eps P) U``)
-and must be exactly unitary to machine precision, otherwise reversibility
-tests fail.  For batches of 3x3 anti-Hermitian generators we use the
-eigendecomposition of the Hermitian matrix ``H = -i A`` (``expm(A) =
-V diag(exp(i lambda)) V^dagger``), which numpy batches efficiently.
+:func:`expm_su3` is the exponential by the eigendecomposition of the
+Hermitian ``H = -i A``, unitary to machine precision.  The molecular
+dynamics, smearing and the flow use the Cayley-Hamilton map on link
+planes (:func:`repro.su3.planes.expm`); this one serves the campaigns'
+seed MD (:mod:`repro.campaign._seed_md`, pinned ledger bytes),
+:meth:`repro.fields.GaugeField.warm` and the tests' reference.
 """
 
 from __future__ import annotations
@@ -109,13 +110,11 @@ def expm_su3(a: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, phase, np.conj(v), optimize=True)
 
 
-def project_su3(a: np.ndarray, iterations: int = 2) -> np.ndarray:
+def project_su3(a: np.ndarray) -> np.ndarray:
     """Project a near-SU(3) matrix back onto the group.
 
     Polar projection (nearest unitary in Frobenius norm) via SVD, then the
-    U(1) phase is removed so the determinant is exactly one.  ``iterations``
-    is accepted for API familiarity with MILC-style iterative projectors but
-    the SVD projector converges in one shot.
+    U(1) phase is removed so the determinant is exactly one.
     """
     u, _, vh = np.linalg.svd(a)
     q = u @ vh

@@ -48,6 +48,7 @@ __all__ = [
     "mul",
     "mul_dag",
     "dag_mul",
+    "dag",
     "project_algebra",
     "expm",
 ]
@@ -119,6 +120,14 @@ def mul_dag(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 def dag_mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a^dagger b`` on planes."""
     return _product("...ckiv,...dkjv->...cdijv", a, b, True, False, out)
+
+
+def dag(a: np.ndarray) -> np.ndarray:
+    """``a^dagger`` on planes."""
+    out = np.empty_like(a)
+    out[..., 0, :, :, :] = a[..., 0, :, :, :].swapaxes(-3, -2)
+    np.negative(a[..., 1, :, :, :].swapaxes(-3, -2), out=out[..., 1, :, :, :])
+    return out
 
 
 def project_algebra(a: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:

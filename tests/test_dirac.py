@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import su3
 from repro.comm import RankGrid, VirtualComm
 from repro.dirac import (
     CloverDirac,
@@ -25,6 +28,24 @@ from repro.gammas import GAMMAS, apply_gamma5
 from repro.lattice import Lattice4D, checkerboard_masks, mask_field
 
 RNG = np.random.default_rng(808)
+
+
+def _matmul_field_strength(u: np.ndarray, mu: int, nu: int) -> np.ndarray:
+    """``F_{mu nu}`` from the four clover leaves with ``@`` and ``np.roll``:
+    the reference for the engine's leaves."""
+    def at(a, *steps):  # a(x + sum of n axis) for (axis, n) steps
+        for axis, n in steps:
+            a = np.roll(a, -n, axis=axis)
+        return a
+
+    umu, unu, h = u[mu], u[nu], su3.dag
+    q = (umu @ at(unu, (mu, 1)) @ h(at(umu, (nu, 1))) @ h(unu)
+         + unu @ h(at(umu, (nu, 1), (mu, -1))) @ h(at(unu, (mu, -1))) @ at(umu, (mu, -1))
+         + h(at(umu, (mu, -1))) @ h(at(unu, (mu, -1), (nu, -1))) @ at(umu, (mu, -1), (nu, -1))
+         @ at(unu, (nu, -1))
+         + h(at(unu, (nu, -1))) @ at(umu, (nu, -1)) @ at(unu, (mu, 1), (nu, -1)) @ h(umu))
+    f = (q - h(q)) / 8j
+    return f - np.trace(f, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3
 
 
 class TestHoppingKernels:
@@ -148,6 +169,16 @@ class TestCloverDirac:
         for mu in range(4):
             for nu in range(mu + 1, 4):
                 assert np.allclose(clover_field_strength(gauge.u, mu, nu), 0.0, atol=1e-12)
+
+    @given(st.sampled_from([(4, 4, 4, 4), (2, 3, 4, 3), (3, 2, 2, 4)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_field_strength_equals_the_matmul_leaves(self, shape, seed):
+        u = GaugeField.hot(Lattice4D(shape), rng=seed).u
+        for mu in range(4):
+            for nu in range(4):
+                if nu != mu:
+                    ref = _matmul_field_strength(u, mu, nu)
+                    assert np.abs(clover_field_strength(u, mu, nu) - ref).max() <= 1e-14
 
     def test_field_strength_hermitian_traceless(self, hot_gauge):
         f = clover_field_strength(hot_gauge.u, 0, 2)

@@ -9,12 +9,14 @@ from repro import su3
 from repro.fields import GaugeField
 from repro.lattice import Lattice4D, shift
 from repro.loops import (
+    LinkPlanes,
     average_plaquette,
     clover_leaf_sum,
     plaquette_field,
     rectangle_field,
     staple_sum,
 )
+from repro.su3 import planes
 
 
 class TestPlaquette:
@@ -55,10 +57,13 @@ class TestPlaquette:
 class TestStaple:
     def test_action_derivative_consistency(self, hot_gauge):
         """sum_x Re tr[U_mu(x) A_mu(x)] equals the sum of the traces of all
-        plaquettes containing U_mu — the identity the HMC force uses."""
+        plaquettes containing U_mu — the identity the HMC force uses; the
+        loop engine's ``W = U A`` is that product."""
         u = hot_gauge.u
+        w = planes.from_planes(LinkPlanes(u).staples(), u.shape[1:5])
         for mu in range(2):
             stap = staple_sum(u, mu)
+            assert np.abs(w[mu] - su3.mul(u[mu], stap)).max() <= 1e-13
             lhs = float(np.sum(su3.re_trace(su3.mul(u[mu], stap))))
             rhs = 0.0
             for nu in range(4):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import su3
 from repro.fields import GaugeField
+from repro.hmc.action import plaquette_force
 from repro.lattice import Lattice4D, shift
 from repro.loops import average_plaquette
 from repro.smear import (
@@ -19,12 +22,19 @@ from repro.smear import (
 )
 
 
-def _gauge_transform(gauge: GaugeField, rng_seed: int) -> GaugeField:
+#: Lattices with extent-2 and extent-3 axes, where ``x + 2 mu`` wraps back
+#: onto ``x`` or ``x - mu``, beside the 4^4 of the fixture.
+shapes = st.sampled_from([(4, 4, 4, 4), (2, 3, 4, 3), (3, 2, 2, 4), (2, 4, 3, 2)])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _gauge_transform(gauge: GaugeField, rng_seed: int) -> tuple[GaugeField, np.ndarray]:
+    """The transformed field ``g(x) U_mu(x) g(x+mu)^dag`` and ``g``."""
     g = su3.random_su3(gauge.lattice.shape, rng=rng_seed)
     out = gauge.copy()
     for mu in range(4):
         out.u[mu] = su3.mul(su3.mul(g, gauge.u[mu]), su3.dag(shift(g, mu, 1)))
-    return out
+    return out, g
 
 
 @pytest.fixture
@@ -53,7 +63,7 @@ class TestApe:
 
     def test_gauge_covariance(self, rough_gauge):
         """Smearing commutes with gauge transformations (plaquette check)."""
-        transformed = _gauge_transform(rough_gauge, 11)
+        transformed, _ = _gauge_transform(rough_gauge, 11)
         p1 = average_plaquette(ape_smear(rough_gauge, 0.5, 2).u)
         p2 = average_plaquette(ape_smear(transformed, 0.5, 2).u)
         assert p1 == pytest.approx(p2, abs=1e-10)
@@ -81,11 +91,17 @@ class TestStout:
     def test_rho_zero_identity(self, rough_gauge):
         assert np.allclose(stout_smear(rough_gauge, 0.0, 2).u, rough_gauge.u, atol=1e-13)
 
-    def test_gauge_covariance(self, rough_gauge):
-        transformed = _gauge_transform(rough_gauge, 12)
-        p1 = average_plaquette(stout_smear(rough_gauge, 0.1, 2).u)
-        p2 = average_plaquette(stout_smear(transformed, 0.1, 2).u)
-        assert p1 == pytest.approx(p2, abs=1e-10)
+    @given(shapes, seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_gauge_covariance(self, shape, seed):
+        """Stout links transform as links: ``U'(g U g^dag) = g U' g^dag``."""
+        gauge = GaugeField.warm(Lattice4D(shape), eps=0.6, rng=seed)
+        transformed, _ = _gauge_transform(gauge, seed + 1)
+        smeared = stout_smear(gauge, 0.1, 2)
+        expected, _ = _gauge_transform(smeared, seed + 1)
+        got = stout_smear(transformed, 0.1, 2)
+        assert np.abs(got.u - expected.u).max() < 1e-12
+        assert average_plaquette(got.u) == pytest.approx(average_plaquette(smeared.u), abs=1e-10)
 
     def test_validates(self, rough_gauge):
         with pytest.raises(ValueError):
@@ -126,15 +142,26 @@ class TestWilsonFlow:
         order = np.log2(d1 / d2)
         assert 2.0 < order < 4.5, order
 
-    def test_gauge_covariance_of_energy(self, rough_gauge):
-        transformed = _gauge_transform(rough_gauge, 13)
-        _, h1 = wilson_flow(rough_gauge, t_max=0.1, eps=0.05)
+    @given(shapes, seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_gauge_covariance_of_energy(self, shape, seed):
+        """The flow gradient is covariant, ``Z(g U g^dag) = g Z g^dag`` site by
+        site, and so the flowed energy is invariant."""
+        gauge = GaugeField.warm(Lattice4D(shape), eps=0.6, rng=seed)
+        transformed, g = _gauge_transform(gauge, seed + 1)
+        z = plaquette_force(gauge.u, -1.0)
+        expected = su3.mul(su3.mul(g, z), su3.dag(g))
+        assert np.abs(plaquette_force(transformed.u, -1.0) - expected).max() < 1e-12
+        _, h1 = wilson_flow(gauge, t_max=0.1, eps=0.05)
         _, h2 = wilson_flow(transformed, t_max=0.1, eps=0.05)
         assert h1[-1].energy == pytest.approx(h2[-1].energy, rel=1e-8)
 
     def test_validates(self, rough_gauge):
         with pytest.raises(ValueError):
             wilson_flow(rough_gauge, t_max=0.1, eps=0.0)
+        for every in (0, -2):
+            with pytest.raises(ValueError):
+                wilson_flow(rough_gauge, t_max=0.1, eps=0.05, measure_every=every)
 
     def test_find_t0(self):
         hist = [

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import su3
 from repro.dirac import TwistedMassDirac, WilsonDirac
@@ -17,14 +19,31 @@ from repro.hmc import (
     WilsonGaugeAction,
     kinetic_energy,
     leapfrog,
-    rectangle_staple_sum,
     sample_momenta,
 )
 from repro.lattice import Lattice4D
-from repro.loops import rectangle_field
+from repro.loops import LinkPlanes, rectangle_field
 from repro.solvers import cg
+from repro.su3 import planes
 
 RNG = np.random.default_rng(33)
+
+#: Lattices with extent-2 and extent-3 axes, where ``x + 2 mu`` wraps back
+#: onto ``x`` or ``x - mu``.
+shapes = st.sampled_from([(3, 3, 3, 3), (2, 3, 4, 3), (3, 2, 2, 4), (2, 4, 3, 2)])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _matmul_rectangle(u: np.ndarray, mu: int, nu: int) -> np.ndarray:
+    """``R_{mu nu}`` with ``@`` and ``np.roll``: the reference for the
+    engine's rectangles."""
+    def at(a, axis, n):  # a(x + n axis)
+        return np.roll(a, -n, axis=axis)
+
+    umu, unu = u[mu], u[nu]
+    top = umu @ at(umu, mu, 1) @ at(unu, mu, 2)
+    back = unu @ at(umu, nu, 1) @ at(at(umu, nu, 1), mu, 1)
+    return top @ su3.dag(back)
 
 
 class TestTwistedMass:
@@ -76,28 +95,31 @@ class TestTwistedMass:
 
 
 class TestRectangleStaples:
-    def test_counting_identity(self):
-        """sum_x Re tr[U_mu A_rect] = sum_nu [4 sum Re tr R_{mu nu}
-        + 2 sum Re tr R_{nu mu}] — validates all six staple shapes."""
-        lat = Lattice4D((4, 4, 4, 4))
-        gauge = GaugeField.hot(lat, rng=9)
-        u = gauge.u
-        for mu in (0, 2):
-            stap = rectangle_staple_sum(u, mu)
-            lhs = float(np.sum(su3.re_trace(su3.mul(u[mu], stap))))
+    @given(shapes, seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_counting_identity(self, shape, seed):
+        """The engine's rectangle staples ``W = U A_rect``:
+        ``sum_x Re tr W_mu = sum_nu [4 sum Re tr R_{mu nu} + 2 sum Re tr R_{nu mu}]``
+        with ``@`` rectangles — validates all six staple shapes."""
+        u = GaugeField.hot(Lattice4D(shape), rng=seed).u
+        w = LinkPlanes(u).rectangle_staples()
+        for mu in range(4):
+            lhs = float(np.sum(np.trace(w[mu, 0])))
             rhs = 0.0
             for nu in range(4):
                 if nu == mu:
                     continue
-                rhs += 4.0 * float(np.sum(su3.re_trace(rectangle_field(u, mu, nu))))
-                rhs += 2.0 * float(np.sum(su3.re_trace(rectangle_field(u, nu, mu))))
-            assert lhs == pytest.approx(rhs, rel=1e-10), mu
+                rect = _matmul_rectangle(u, mu, nu)
+                assert np.abs(rectangle_field(u, mu, nu) - rect).max() <= 1e-14
+                rhs += 4.0 * float(np.sum(su3.re_trace(rect)))
+                rhs += 2.0 * float(np.sum(su3.re_trace(_matmul_rectangle(u, nu, mu))))
+            assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10), mu
 
     def test_cold_rectangle_staple(self, tiny_lattice):
-        g = GaugeField.cold(tiny_lattice)
-        stap = rectangle_staple_sum(g.u, 0)
+        u = GaugeField.cold(tiny_lattice).u
+        w = planes.from_planes(LinkPlanes(u).rectangle_staples(), tiny_lattice.shape)
         # 3 transverse directions x 6 shapes = 18 identity paths.
-        assert np.allclose(stap, 18.0 * su3.identity(stap.shape[:-2]))
+        assert np.allclose(w, 18.0 * su3.identity(w.shape[:-2]))
 
 
 class TestImprovedAction:
@@ -122,14 +144,18 @@ class TestImprovedAction:
         with pytest.raises(ValueError):
             ImprovedGaugeAction(0.0)
 
-    def test_force_matches_numerical_gradient(self):
+    @given(shapes, seeds)
+    @settings(max_examples=8, deadline=None)
+    def test_force_matches_numerical_gradient(self, shape, seed):
         """The decisive check of every rectangle staple orientation."""
-        lat = Lattice4D((3, 3, 3, 3))
-        gauge = GaugeField.hot(lat, rng=10)
+        gauge = GaugeField.hot(Lattice4D(shape), rng=seed)
         act = ImprovedGaugeAction(2.2, IWASAKI_C1)
         f = act.force(gauge)
         lam = su3.gellmann_matrices()
-        for mu, site, a in [(0, (0, 0, 0, 0), 1), (1, (1, 2, 0, 1), 4), (3, (2, 0, 1, 2), 7)]:
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            mu, a = int(rng.integers(4)), int(rng.integers(8))
+            site = tuple(int(rng.integers(n)) for n in shape)
             x = 0.5j * lam[a]
             eps = 1e-5
             up, dn = gauge.copy(), gauge.copy()
