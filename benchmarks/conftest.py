@@ -29,13 +29,15 @@ def _json_safe(value):
     return str(value)
 
 
-def _git_commit() -> str | None:
-    """``git rev-parse HEAD`` of the tree the benchmarks run from, or
-    ``None`` outside a checkout."""
+def _git_commit(cwd: Path = Path(__file__).parent) -> str | None:
+    """HEAD's full hash for the checkout at ``cwd`` (default: the tree the
+    benchmarks run from), suffixed ``-dirty`` when tracked files differ from
+    it — an archive regenerated before its change is committed says so —
+    or ``None`` outside a checkout."""
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
+            ["git", "describe", "--always", "--dirty", "--abbrev=40", "--exclude=*"],
+            cwd=cwd,
             capture_output=True,
             text=True,
             check=True,

@@ -3,11 +3,11 @@
 
 ``det(M^dag M)^{1/2}`` has no simple pseudofermion representation — RHMC
 replaces the inverse square root by an optimised rational approximation
-whose poles a single multishift CG solves at once.  This script builds the
-approximations, shows their accuracy, and runs a short exact-accept
-trajectory stream.
+whose poles a single multishift CG on the even-odd Schur system solves at
+once.  This script builds the approximations, shows their accuracy, and
+runs a short exact-accept trajectory stream.
 
-Run:  python examples/rhmc_single_flavor.py     (about a minute)
+Run:  python examples/rhmc_single_flavor.py     (a few seconds)
 """
 
 import numpy as np

@@ -19,6 +19,8 @@ H_oe gamma5 Y / 2d)`` — the odd sites that solve ``(M X_f)_o = 0`` and
 the full determinant, ``(1/2) Ta[C1 - C2]`` of the colour outer products
 below, *verified against the numerical gradient of S_pf* in the tests.
 Fields stay full-lattice arrays, zero on the odd sites; extents are even.
+RHMC's one flavour (:mod:`repro.hmc.rhmc`) shares the link-keyed operator
+and this bilinear through :class:`_SchurAction`.
 
 The one solve ``(M_hat^dag M_hat) X = phi`` comes in two grades.  The *force
 grade* is CG from a zero guess to ``force_tol``: a deterministic function
@@ -137,7 +139,50 @@ def wilson_bilinear_force(
     return force
 
 
-class TwoFlavorWilsonAction(GaugeAction):
+class _SchurAction(GaugeAction):
+    """What the Wilson pseudofermion actions share on the Schur system: the
+    link-keyed :class:`EvenOddWilson` and the back-substituted bilinear's
+    force.  Subclasses set ``mass`` and ``phases`` and define
+    ``_force_solutions(gauge) -> (X, eo, weights)``: the Schur solutions
+    behind a kick, their operator and per-row weights (``None``: 1)."""
+
+    #: (links key, EvenOddWilson) of the last link state asked for.
+    _eo: tuple[tuple, EvenOddWilson] | None = None
+
+    def _operator(self, gauge: GaugeField) -> tuple[tuple, EvenOddWilson]:
+        """The key of the links' bytes and the :class:`EvenOddWilson` of this
+        link state: the kept one while it holds this very array with these bytes."""
+        u = np.ascontiguousarray(gauge.u)
+        key = (u.shape, u.dtype.str, hashlib.sha256(u).digest())
+        if self._eo is None or self._eo[0] != key or self._eo[1].gauge.u is not gauge.u:
+            self._eo = key, EvenOddWilson(gauge, self.mass, self.phases)
+        return self._eo
+
+    def force(self, gauge: GaugeField) -> np.ndarray:
+        """The force of ``-sum_i w_i (Y_i^dag dM_hat X_i + h.c.)`` for the Schur
+        solutions ``X`` (an (n, ...) block) of :meth:`_force_solutions` with
+        ``Y_i = M_hat X_i``: the bilinear of the back-substituted fields
+        ``X_f = (X, H_oe X / 2d)`` and ``Y_f = (Y, gamma5 H_oe gamma5 Y / 2d)``."""
+        X, eo, weights = self._force_solutions(gauge)
+        with span("pf_bilinear", cat="hmc"):
+            Y = eo.schur_operator().apply_batch_into(X, np.empty_like(X))
+            X_f = eo.reconstruct(X)
+            Y_f = apply_gamma5(eo.reconstruct(apply_gamma5(Y)))
+            if weights is not None:
+                X_f *= weights.reshape((-1,) + (1,) * (X.ndim - 1))
+            # A kick is followed by a drift, which replaces the links: the
+            # operator's planes and stacks (9 blocks at 4^4) would be held
+            # through the bilinear, at the trajectory's peak, and the drift,
+            # for nothing.
+            self._eo = eo = None
+            # dpi/dt contribution is wilson_bilinear_force; force = -that.
+            force = wilson_bilinear_force(gauge, X_f[0], Y_f[0], self.phases)
+            for x, y in zip(X_f[1:], Y_f[1:]):
+                force += wilson_bilinear_force(gauge, x, y, self.phases)
+            return np.negative(force, out=force)
+
+
+class TwoFlavorWilsonAction(_SchurAction):
     """``S_pf = phi_e^dag (M_hat^dag M_hat)^{-1} phi_e`` for the Wilson operator's
     even-odd Schur complement (odd extents raise ``ValueError``).
 
@@ -190,8 +235,6 @@ class TwoFlavorWilsonAction(GaugeAction):
         self.phi: np.ndarray | None = None
         #: grade ("action" | "force") -> (links key, phi, X) of its last solve.
         self._solved: dict[str, tuple[tuple, np.ndarray, np.ndarray]] = {}
-        #: (links key, EvenOddWilson) of the last link state asked for.
-        self._eo: tuple[tuple, EvenOddWilson] | None = None
 
     # -- pseudofermion heatbath -------------------------------------------------
 
@@ -207,15 +250,6 @@ class TwoFlavorWilsonAction(GaugeAction):
         """Pin the pseudofermion field, zero on the odd sites (gradient checks)."""
         self.phi = phi.copy()
         self._solved.clear()
-
-    def _operator(self, gauge: GaugeField) -> tuple[tuple, EvenOddWilson]:
-        """The key of the links' bytes and the :class:`EvenOddWilson` of this
-        link state: the kept one while it holds this very array with these bytes."""
-        u = np.ascontiguousarray(gauge.u)
-        key = (u.shape, u.dtype.str, hashlib.sha256(u).digest())
-        if self._eo is None or self._eo[0] != key or self._eo[1].gauge.u is not gauge.u:
-            self._eo = key, EvenOddWilson(gauge, self.mass, self.phases)
-        return self._eo
 
     def _solve_x(self, gauge: GaugeField, grade: str) -> tuple[np.ndarray, EvenOddWilson]:
         if self.phi is None:
@@ -243,17 +277,6 @@ class TwoFlavorWilsonAction(GaugeAction):
         x, _ = self._solve_x(gauge, "action")
         return float(inner(self.phi, x).real)
 
-    def force(self, gauge: GaugeField) -> np.ndarray:
+    def _force_solutions(self, gauge: GaugeField):
         x, eo = self._solve_x(gauge, "force")
-        with span("pf_bilinear", cat="hmc"):
-            y = eo.schur_operator().apply(x)
-            x_full = eo.reconstruct(x)
-            y_full = apply_gamma5(eo.reconstruct(apply_gamma5(y)))
-            # A kick is followed by a drift, which replaces the links: the
-            # operator's planes and stacks (9 blocks at 4^4) would be held
-            # through the bilinear, at the trajectory's peak, and the drift,
-            # for nothing.
-            self._eo = eo = None
-            # dpi/dt contribution is wilson_bilinear_force; force = -that.
-            force = wilson_bilinear_force(gauge, x_full, y_full, self.phases)
-            return np.negative(force, out=force)
+        return x[None], eo, None

@@ -7,9 +7,9 @@ inverse square root by a partial-fraction rational approximation
 ``x^p  ~  a0 + sum_i r_i / (x + b_i)``     on ``[lo, hi]``
 
 whose shifted systems a single multishift CG solves simultaneously.  The
-coefficients here come from a damped Gauss-Newton fit of the *relative*
-error on a log grid — not the textbook Remez minimax, but it reaches
-~1e-5 relative accuracy with ~12 poles over four decades, which is ample
+coefficients here come from a least-squares fit of the *relative* error
+on a log grid — not the textbook Remez minimax, but it reaches
+~1e-7 relative accuracy with 12 poles over five decades, which is ample
 for an exact-accept HMC (the Metropolis step corrects residual error in
 the action; only the heatbath draw carries a tiny bias, as in production
 RHMC with finite Remez accuracy).
@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.solvers.multishift import multishift_cg
 
 __all__ = ["RationalApprox", "fit_rational_power"]
 
@@ -51,8 +53,6 @@ class RationalApprox:
         ``[lo, hi]``.  Returns (result, results_list) where results_list
         carries the solver accounting.
         """
-        from repro.solvers.multishift import multishift_cg
-
         results = multishift_cg(op, b, list(self.shifts), tol=tol, max_iter=max_iter)
         out = self.a0 * b
         for r, res in zip(self.residues, results):
@@ -70,8 +70,11 @@ def fit_rational_power(
     """Fit ``x**power`` (power in (-1, 1), nonzero) on ``[lo, hi]``.
 
     Shifts are seeded log-spaced across the interval (the known structure
-    of the optimal Zolotarev solution) and optimised together with the
-    residues by damped least squares on the relative error over a log grid.
+    of the optimal Zolotarev solution) and optimised by variable
+    projection: ``a0`` and the residues are the linear least-squares fit
+    of the relative error on a log grid at every trial set of shifts, and
+    Levenberg-Marquardt moves the log-shifts alone — which, unlike a joint
+    fit, converges in tens to hundreds of evaluations.
     """
     if not -1.0 < power < 1.0 or power == 0.0:
         raise ValueError(f"power must be in (-1, 1) and nonzero, got {power}")
@@ -84,41 +87,20 @@ def fit_rational_power(
     xs = np.geomspace(lo, hi, n_grid)
     target = xs**power
 
-    # Parameterise shifts/residues through logs/signed-logs to keep shifts
-    # positive during optimisation (poles must stay off the spectrum).
-    b0 = np.geomspace(lo * 0.5, hi * 2.0, n_poles)
+    def linear_fit(log_shifts):
+        """``(a0, residues)`` minimising the relative error at these shifts, and that error."""
+        basis = np.empty((n_grid, n_poles + 1))
+        basis[:, 0] = 1.0
+        basis[:, 1:] = 1.0 / (xs[:, None] + np.exp(log_shifts))
+        basis /= target[:, None]
+        coef = np.linalg.lstsq(basis, np.ones(n_grid), rcond=None)[0]
+        return coef, basis @ coef - 1.0
 
-    def unpack(theta):
-        a0 = theta[0]
-        res = theta[1 : 1 + n_poles]
-        shifts = np.exp(theta[1 + n_poles :])
-        return a0, res, shifts
-
-    def model(theta):
-        a0, res, shifts = unpack(theta)
-        return a0 + np.sum(res[:, None] / (xs[None, :] + shifts[:, None]), axis=0)
-
-    def residual(theta):
-        return (model(theta) - target) / target
-
-    def jacobian(theta):
-        _, res, shifts = unpack(theta)
-        denom = xs[None, :] + shifts[:, None]
-        pole = 1.0 / (denom * target)  # d/d r_i
-        # d/d log b_i = -r_i b_i / ((x + b_i)^2 target)
-        dlog = -(res * shifts)[:, None] * pole / denom
-        return np.concatenate([1.0 / target[None, :], pole, dlog], axis=0).T
-
-    # Initial residues from a linear solve at fixed shifts.
-    basis = np.concatenate(
-        [np.ones((1, n_grid)), 1.0 / (xs[None, :] + b0[:, None])], axis=0
-    )
-    coef, *_ = np.linalg.lstsq((basis / target).T, np.ones(n_grid), rcond=None)
-    theta0 = np.concatenate([[coef[0]], coef[1:], np.log(b0)])
-
-    sol = least_squares(residual, theta0, jac=jacobian, method="lm", max_nfev=20000)
-    a0, res, shifts = unpack(sol.x)
-    err = float(np.max(np.abs(residual(sol.x))))
+    # Log-shifts keep the poles off the (positive) spectrum.
+    seed = np.log(np.geomspace(lo * 0.5, hi * 2.0, n_poles))
+    log_shifts = least_squares(lambda t: linear_fit(t)[1], seed, method="lm").x
+    coef, err = linear_fit(log_shifts)
+    a0, res, shifts = coef[0], coef[1:], np.exp(log_shifts)
     order = np.argsort(shifts)
     return RationalApprox(
         power=power,
@@ -127,5 +109,5 @@ def fit_rational_power(
         a0=float(a0),
         residues=res[order],
         shifts=shifts[order],
-        max_rel_error=err,
+        max_rel_error=float(np.max(np.abs(err))),
     )

@@ -1,29 +1,26 @@
 """Rational HMC: a single Wilson flavour via ``det(M^dag M)^{1/2}``.
 
-The pseudofermion action is ``S = phi^dag (M^dag M)^{-1/2} phi`` with the
-inverse square root replaced by a partial-fraction rational approximation;
-one multishift CG per force evaluation solves every pole at once.  The
-heatbath draw uses a second approximation, of ``x^{+1/4}``:
-``phi = (M^dag M)^{1/4} eta`` gives ``S = |eta|^2`` up to the fit error.
-
-Force: with ``X_i = (A + b_i)^{-1} phi`` and ``Y_i = M X_i``::
-
-    dS = - sum_i r_i [ Y_i^dag dM X_i + h.c. ]
-    dpi/dt = sum_i r_i * wilson_bilinear_force(X_i, Y_i)
-
-validated against the numerical gradient of S in the tests, exactly like
-the gauge and two-flavour forces.
+On the even-odd Schur system, as the two-flavour action
+(:mod:`repro.hmc.pseudofermion`): ``S = phi_e^dag (A)^{-1/2} phi_e`` with
+``A = M_hat^dag M_hat`` and the inverse square root replaced by a
+partial-fraction rational approximation; one multishift CG per force
+evaluation solves every pole at once.  The heatbath draw uses a second
+approximation, of ``x^{+1/4}``: ``phi = A^{1/4} eta_e`` gives
+``S = |eta_e|^2`` up to the fit error.  With ``X_i = (A + b_i)^{-1} phi``
+the force of ``dS = - sum_i r_i [ (M_hat X_i)^dag dM_hat X_i + h.c. ]``
+is the two-flavour action's back-substituted Schur bilinear summed over
+the poles with weights ``r_i``, validated against the numerical gradient
+of S in the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.dirac.wilson import WilsonDirac
-from repro.fields import GaugeField, inner, norm2, random_fermion
-from repro.hmc.action import GaugeAction
-from repro.hmc.pseudofermion import wilson_bilinear_force
+from repro.fields import GaugeField, inner, norm, random_fermion
+from repro.hmc.pseudofermion import _SchurAction
 from repro.hmc.rational import RationalApprox, fit_rational_power
 from repro.solvers.lanczos import lanczos
 from repro.solvers.multishift import multishift_cg
@@ -32,36 +29,39 @@ from repro.util.rng import ensure_rng
 __all__ = ["OneFlavorWilsonAction", "estimate_spectral_bounds"]
 
 
-def estimate_spectral_bounds(
-    op, field_shape: tuple[int, ...], rng=None, safety: float = 2.0
-) -> tuple[float, float]:
-    """Conservative (lo, hi) bracketing of a Hermitian PD spectrum.
-
-    Power iteration for the top, a short Lanczos for the bottom, both
-    widened by ``safety``.
-    """
-    rng = ensure_rng(rng)
-    v = (rng.normal(size=field_shape) + 1j * rng.normal(size=field_shape)).astype(complex)
-    v /= np.sqrt(norm2(v))
+def estimate_spectral_bounds(op, start: np.ndarray, safety: float = 2.0) -> tuple[float, float]:
+    """Conservative (lo, hi) bracketing of a Hermitian PD spectrum: power
+    iteration for the top, a short Lanczos for the bottom, both in the
+    Krylov space of ``start`` (an even-site start keeps the Schur normal
+    operator's odd-site null space out) and widened by ``safety``."""
+    v = start / norm(start)
     lam_max = 1.0
     for _ in range(20):
         w = op(v)
-        lam_max = float(np.sqrt(norm2(w)))
+        lam_max = norm(w)
         v = w / lam_max
-    pairs = lanczos(op, 1, field_shape, krylov_dim=30, rng=rng)
+    pairs = lanczos(op, 1, start.shape, krylov_dim=30, start=start)
     lam_min = float(pairs.values[0])
     return lam_min / safety, lam_max * safety
 
 
-class OneFlavorWilsonAction(GaugeAction):
-    """``S = phi^dag (M^dag M)^{-1/2} phi`` — one Wilson flavour by RHMC.
+def _even_gaussian(eo, rng) -> np.ndarray:
+    """A Gaussian fermion field on the even sites, zero on the odd ones."""
+    eta = random_fermion(eo.lattice, rng=rng)
+    eta[eo.odd] = 0
+    return eta
+
+
+class OneFlavorWilsonAction(_SchurAction):
+    """``S = phi_e^dag (M_hat^dag M_hat)^{-1/2} phi_e`` — one Wilson flavour by
+    RHMC on the even-odd Schur system (odd extents raise ``ValueError``).
 
     Parameters
     ----------
     mass:
         Sea-quark mass.
     spectral_bounds:
-        (lo, hi) bracketing the spectrum of ``M^dag M`` along the whole
+        (lo, hi) bracketing the spectrum of ``M_hat^dag M_hat`` along the whole
         trajectory.  ``None`` estimates them at the first refresh (and the
         approximation interval is widened by the estimator's safety
         factor, as production RHMC does).
@@ -102,51 +102,41 @@ class OneFlavorWilsonAction(GaugeAction):
             raise RuntimeError("approximations not built yet; call refresh()")
         return max(self._inv_sqrt.max_rel_error, self._quarter.max_rel_error)
 
-    def _operator(self, gauge: GaugeField):
-        return WilsonDirac(gauge, self.mass, self.phases)
-
     # -- heatbath -----------------------------------------------------------
 
     def refresh(self, gauge: GaugeField, rng=None) -> None:
         rng = ensure_rng(rng)
-        m = self._operator(gauge)
-        nop = m.normal_op()
+        eo = self._operator(gauge)[1]
+        nop = eo.schur_operator().normal_op()
         if self._inv_sqrt is None:
-            shape = gauge.lattice.shape + (4, 3)
-            self._bounds = estimate_spectral_bounds(nop, shape, rng=rng)
+            self._bounds = estimate_spectral_bounds(nop, _even_gaussian(eo, rng))
             self._build_approximations()
-        eta = random_fermion(gauge.lattice, rng=rng)
-        phi, _ = self._quarter.apply_operator(
-            nop, eta, tol=self.solver_tol, max_iter=self.max_iter
+        self.phi, _ = self._quarter.apply_operator(
+            nop, _even_gaussian(eo, rng), tol=self.solver_tol, max_iter=self.max_iter
         )
-        self.phi = phi
 
     def set_phi(self, phi: np.ndarray) -> None:
+        """Pin the pseudofermion field, zero on the odd sites (gradient checks)."""
         self.phi = phi.copy()
 
     # -- action + force -------------------------------------------------------
 
-    def action(self, gauge: GaugeField) -> float:
+    def _eo_of(self, gauge: GaugeField) -> EvenOddWilson:
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
-        nop = self._operator(gauge).normal_op()
+        return self._operator(gauge)[1]
+
+    def action(self, gauge: GaugeField) -> float:
         sphi, _ = self._inv_sqrt.apply_operator(
-            nop, self.phi, tol=self.solver_tol, max_iter=self.max_iter
+            self._eo_of(gauge).schur_operator().normal_op(), self.phi,
+            tol=self.solver_tol, max_iter=self.max_iter,
         )
         return float(inner(self.phi, sphi).real)
 
-    def force(self, gauge: GaugeField) -> np.ndarray:
-        if self.phi is None:
-            raise RuntimeError("pseudofermion field not initialised; call refresh()")
-        m = self._operator(gauge)
-        nop = m.normal_op()
+    def _force_solutions(self, gauge: GaugeField):
+        eo = self._eo_of(gauge)
         results = multishift_cg(
-            nop, self.phi, list(self._inv_sqrt.shifts),
+            eo.schur_operator().normal_op(), self.phi, list(self._inv_sqrt.shifts),
             tol=self.solver_tol, max_iter=self.max_iter,
         )
-        f = np.zeros((4,) + gauge.lattice.shape + (3, 3), dtype=gauge.u.dtype)
-        for r_i, res in zip(self._inv_sqrt.residues, results):
-            x_i = res.x
-            y_i = m.apply(x_i)
-            f -= r_i * wilson_bilinear_force(gauge, x_i, y_i, self.phases)
-        return f
+        return np.stack([res.x for res in results]), eo, self._inv_sqrt.residues

@@ -5,7 +5,9 @@ The workhorse of lattice QCD: applied to the normal equations
 recurrence, :func:`_recurrence`, is a generator that yields each vector
 it needs ``A`` applied to: :func:`cg` (and ``cg_spmd``) serve it one
 :meth:`LinearOperator.apply_into` at a time, :func:`repro.solvers.block.
-block_cg` serves one per column with a batched apply.  The hot loop is
+block_cg` serves one per column with a batched apply, and
+:func:`repro.solvers.multishift.multishift_cg` serves its seed shift with
+the other shifts following as an observer.  The hot loop is
 allocation-free: the operator output and the axpy scratch are allocated
 once up front and every vector update is an in-place ufunc.
 
@@ -93,25 +95,32 @@ def _cg_core(
     label: str = "cg",
     ap: np.ndarray | None = None,
     p: np.ndarray | None = None,
+    shift: float = 0.0,
+    observer=None,
 ) -> SolveResult:
     """Serve :func:`_recurrence` one ``op(v, out=ap)`` at a time.  ``vdot``
     is the inner product of every reduction (``cg_spmd`` passes its
     rank-ordered allreduce); ``label`` tags the result, faults and events;
     ``ap`` is where ``A v`` lands and ``p`` the search-direction storage,
     the vector ``op`` is handed every iteration (both default: allocated).
-    The iterate starts as a copy of ``x0``, which is never written."""
+    A nonzero ``shift`` solves ``(op + shift) x = b``.  The iterate
+    starts as a copy of ``x0``, which is never written."""
     t0 = time.perf_counter()
     applies0 = op.n_applies
     ap = np.empty_like(b) if ap is None else ap
+    sv = np.empty_like(b) if shift else None
     rec = _recurrence(
         b, x0, tol, max_iter, record_history, resolve_policy(guard), vdot, label,
         x=np.empty_like(b), r=np.empty_like(b),
-        p=np.empty_like(b) if p is None else p, tmp=np.empty_like(b),
+        p=np.empty_like(b) if p is None else p, tmp=np.empty_like(b), observer=observer,
     )
     try:
         v = next(rec)
         while True:
             op(v, out=ap)
+            if shift:
+                np.multiply(v, shift, out=sv)
+                ap += sv
             v = rec.send(ap)
     except StopIteration as done:
         result = done.value
@@ -136,6 +145,7 @@ def _recurrence(
     r: np.ndarray,
     p: np.ndarray,
     tmp: np.ndarray,
+    observer=None,
 ):
     """The one guarded CG recurrence.  Yields each vector it needs ``A``
     applied to, is sent ``A v`` back (read before its next yield) and
@@ -148,7 +158,9 @@ def _recurrence(
     ``x0`` itself when the driver continues a solution in place), the
     residual ``r``, the search direction ``p`` and the scratch ``tmp``.
     ``tmp`` is read only between two yields, so recurrences that are
-    advanced one at a time may share it."""
+    advanced one at a time may share it.  An ``observer`` (multishift's
+    companions) is told ``step(alpha, beta, r)`` after every step and
+    ``restart(r)`` after every reliable update."""
 
     def norm2(a: np.ndarray) -> float:
         return float(vdot(a, a).real)
@@ -210,6 +222,8 @@ def _recurrence(
         np.copyto(r, tmp)
         np.copyto(p, r)
         r2 = rt2
+        if observer is not None:
+            observer.restart(r)
         if stagnation is not None:
             stagnation.reset()
         return rt2
@@ -248,6 +262,8 @@ def _recurrence(
         beta = r2_new / r2
         p *= beta
         p += r
+        if observer is not None:
+            observer.step(alpha, beta, r)
         r2 = r2_new
         last_finite = math.sqrt(r2 / b_norm2)
         it += 1

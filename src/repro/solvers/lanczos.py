@@ -45,11 +45,13 @@ def lanczos(
     krylov_dim: int | None = None,
     rng: np.random.Generator | int | None = None,
     dtype=np.complex128,
+    start: np.ndarray | None = None,
 ) -> EigenPairs:
     """Lowest ``n_eigen`` eigenpairs of Hermitian positive(-semi)definite ``op``.
 
     ``krylov_dim`` defaults to ``max(3 n_eigen + 8, 20)``; accuracy improves
     with larger subspaces.  Full reorthogonalisation keeps the basis clean.
+    The Krylov space grows from ``start`` (default: Gaussian, from ``rng``).
     """
     if n_eigen < 1:
         raise ValueError(f"n_eigen must be >= 1, got {n_eigen}")
@@ -60,9 +62,10 @@ def lanczos(
     if n_eigen > m:
         raise ValueError(f"n_eigen={n_eigen} exceeds Krylov dimension {m}")
 
-    rng = ensure_rng(rng)
-    v = (rng.normal(size=field_shape) + 1j * rng.normal(size=field_shape)).astype(dtype)
-    v /= norm(v)
+    if start is None:
+        rng = ensure_rng(rng)
+        start = (rng.normal(size=field_shape) + 1j * rng.normal(size=field_shape)).astype(dtype)
+    v = start / norm(start)
 
     basis: list[np.ndarray] = [v]
     alphas: list[float] = []

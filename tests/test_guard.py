@@ -403,6 +403,51 @@ class TestBatchedGuard:
         assert res[1].x.tobytes() == clean[1].x.tobytes()
 
 
+class TestMultishiftGuard:
+    """Multishift's seed runs cg's guarded recurrence: a NaN mid-solve fails
+    fast with context (off, detect) or heals (heal), and the verification
+    holds every shift to ``tol`` against its own ``A + sigma``."""
+
+    SHIFTS = [0.05, 0.4, 3.0]
+
+    def _check_every_shift(self, nop, rhs, results, tol):
+        for sigma, res in zip(self.SHIFTS, results):
+            true = float(norm(rhs - nop(res.x) - sigma * res.x) / norm(rhs))
+            assert res.converged and res.residual <= tol, sigma
+            assert true == pytest.approx(res.residual, rel=1e-6), sigma
+
+    @pytest.mark.parametrize("level", ["off", "detect"])
+    def test_nan_mid_solve_fails_fast_with_context(self, monkeypatch, level):
+        monkeypatch.setenv(GUARD_ENV_VAR, level)
+        nop, rhs, _ = small_system()
+        with pytest.raises(NumericalFault) as err:
+            multishift_cg(PoisonAt(nop, at_apply=10), rhs, self.SHIFTS, tol=1e-8)
+        assert err.value.solver == "multishift_cg"
+        assert err.value.iteration is not None and 0 < err.value.iteration < 20
+        assert np.isfinite(err.value.last_residual)
+
+    def test_nan_mid_solve_heals(self, monkeypatch):
+        monkeypatch.setenv(GUARD_ENV_VAR, "heal")
+        nop, rhs, _ = small_system()
+        results = multishift_cg(PoisonAt(nop, at_apply=10), rhs, self.SHIFTS, tol=1e-8)
+        assert [e["kind"] for e in results[0].guard_events] == ["nonfinite"]
+        # The reliable update restarts the companions on their shifts: none
+        # needed a finishing solve.
+        assert len({res.iterations for res in results}) == 1
+        self._check_every_shift(nop, rhs, results, 1e-8)
+
+    def test_bit_flip_detect_raises_and_heal_repairs(self, monkeypatch):
+        nop, rhs, _ = small_system()
+        monkeypatch.setenv(GUARD_ENV_VAR, "detect")
+        with pytest.raises(SDCDetected):
+            multishift_cg(FaultedOperator(nop, at_apply=15, bit=52), rhs, self.SHIFTS, tol=1e-8)
+        monkeypatch.setenv(GUARD_ENV_VAR, "heal")
+        results = multishift_cg(FaultedOperator(nop, at_apply=15, bit=52), rhs, self.SHIFTS,
+                                tol=1e-8)
+        assert "residual_drift" in [e["kind"] for e in results[0].guard_events]
+        self._check_every_shift(nop, rhs, results, 1e-8)
+
+
 class TestStagnationDetector:
     def test_fires_after_window_without_improvement(self):
         det = StagnationDetector(window=3)

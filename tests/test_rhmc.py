@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import su3
-from repro.dirac import MatrixOperator, WilsonDirac
+from repro.dirac import EvenOddWilson, MatrixOperator, WilsonDirac
 from repro.fields import GaugeField, norm, norm2, random_fermion
 from repro.hmc import (
     HMC,
@@ -86,9 +86,42 @@ class TestSpectralBounds:
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         eigs = np.geomspace(0.2, 4.0, n)
         op = MatrixOperator((q * eigs) @ q.conj().T)
-        lo, hi = estimate_spectral_bounds(op, (n,), rng=8)
+        start = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lo, hi = estimate_spectral_bounds(op, start)
         assert lo <= 0.2 and hi >= 4.0
         assert lo > 0
+
+
+class TestSchurSystem:
+    """RHMC runs on the even-odd Schur normal operator, whose odd sites are a
+    null space: everything starts on the even sites and stays there."""
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (4, 4, 4, 4)])
+    def test_bounds_positive_from_even_start(self, shape):
+        gauge = GaugeField.warm(Lattice4D(shape), eps=0.2, rng=14)
+        eo = EvenOddWilson(gauge, 0.5)
+        nop = eo.schur_operator().normal_op()
+        start = random_fermion(gauge.lattice, rng=15)
+        start[eo.odd] = 0
+        lo, hi = estimate_spectral_bounds(nop, start)
+        assert 0 < lo < hi
+        if shape == (2, 2, 2, 2):  # the dense spectrum on the even sites
+            even = np.flatnonzero(np.broadcast_to(eo.even[..., None, None], start.shape))
+            cols = []
+            for k in even:
+                e = np.zeros(start.size, complex)
+                e[k] = 1.0
+                cols.append(nop(e.reshape(start.shape)).reshape(-1)[even])
+            eigs = np.linalg.eigvalsh(np.array(cols).T)
+            assert eigs[0] / 10 < lo <= eigs[0] and hi >= eigs[-1]
+
+    def test_pseudofermion_on_even_sites(self):
+        gauge = GaugeField.warm(Lattice4D((2, 2, 2, 2)), eps=0.2, rng=16)
+        pf = OneFlavorWilsonAction(mass=0.5, n_poles=10)
+        pf.refresh(gauge, rng=17)
+        odd = EvenOddWilson(gauge, 0.5).odd
+        assert not pf.phi[odd].any() and pf.phi[~odd].any()
+        assert pf.rational_error < 1e-4
 
 
 class TestOneFlavorAction:
@@ -110,7 +143,7 @@ class TestOneFlavorAction:
         # Instead verify S ~ |eta|^2 statistically: S must be positive and
         # of the size of the field dof count.
         s = pf.action(gauge)
-        dof = gauge.lattice.volume * 12
+        dof = gauge.lattice.volume // 2 * 12  # eta lives on the even sites
         assert s > 0
         assert s == pytest.approx(dof, rel=0.5)  # chi^2_{2 dof}/2 mean = dof
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dirac import MatrixOperator, WilsonDirac
+from repro.dirac import LinearOperator, MatrixOperator, WilsonDirac
 from repro.fields import GaugeField, norm, random_fermion, zero_fermion
 from repro.lattice import Lattice4D
 from repro.solvers import (
@@ -25,6 +25,7 @@ from repro.solvers import (
     solve_wilson_batch,
     solve_wilson_eo,
 )
+from repro.telemetry import full_reset, get_registry, telemetry_mode
 
 RNG = np.random.default_rng(1234)
 
@@ -238,6 +239,58 @@ class TestMultishift:
         shifted = _Shifted(op.matrix + 0.7 * np.eye(25))
         single = cg(shifted, b, tol=1e-11, max_iter=500)
         assert norm(ms[1].x - single.x) / norm(single.x) < 1e-6
+
+    class _PlusSigma(LinearOperator):
+        """``op + sigma``, applied as ``op x + sigma x``."""
+
+        def __init__(self, op, sigma):
+            super().__init__()
+            self.op, self.sigma = op, sigma
+
+        def apply(self, x):
+            return self.apply_into(x, np.empty_like(x))
+
+        def apply_into(self, x, out):
+            self.op.apply_into(x, out)
+            out += self.sigma * x
+            return out
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.35])
+    def test_one_shift_is_cg_bit_for_bit(self, sigma):
+        """One shift runs cg's recurrence on ``op + sigma`` and nothing else:
+        same solution bytes, iterations and residual history."""
+        op = _hpd_operator(30, cond=40.0, seed=28)
+        b = RNG.normal(size=30) + 1j * RNG.normal(size=30)
+        (ms,) = multishift_cg(op, b, [sigma], tol=1e-10, max_iter=500)
+        ref = cg(op if sigma == 0.0 else self._PlusSigma(op, sigma), b, tol=1e-10, max_iter=500)
+        assert ms.x.tobytes() == ref.x.tobytes()
+        assert ms.iterations == ref.iterations
+        assert np.array(ms.history).tobytes() == np.array(ref.history).tobytes()
+
+    def test_residuals_are_true_and_within_tol(self):
+        op = _hpd_operator(40, cond=200.0, seed=29)
+        b = RNG.normal(size=40) + 1j * RNG.normal(size=40)
+        shifts = [0.02, 5.0, 0.3, 60.0]
+        results = multishift_cg(op, b, shifts, tol=1e-9, max_iter=1000)
+        # The companions reach tol by themselves: no shift needed a finishing solve.
+        assert len({res.iterations for res in results}) == 1
+        for sigma, res in zip(shifts, results):
+            true = norm(b - op.apply(res.x) - sigma * res.x) / norm(b)
+            assert res.residual == pytest.approx(true, rel=1e-6, abs=1e-15), sigma
+            assert res.converged and res.residual <= 1e-9, sigma
+
+    def test_publishes_record_solve(self):
+        op = _hpd_operator(20, seed=30)
+        b = RNG.normal(size=20) + 0j
+        full_reset()
+        try:
+            with telemetry_mode("counters"):
+                results = multishift_cg(op, b, [0.0, 0.5, 2.0], tol=1e-10)
+            reg = get_registry()
+            assert reg.get("solver/multishift_cg/solves") == 1
+            assert reg.get("solver/multishift_cg/iterations") == results[0].iterations > 0
+        finally:
+            full_reset()
 
 
 class TestMixedPrecision:

@@ -180,3 +180,40 @@ class TestReport:
 
     def test_table_empty_renders(self):
         assert "hdr" in Table("hdr", ["a"]).render()
+
+
+class TestBenchmarkArchiveCommit:
+    """The ``commit`` a ``BENCH_*.json`` archive records says whether the
+    tree it ran from differed from that commit."""
+
+    @staticmethod
+    def _git_commit():
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).parents[1] / "benchmarks" / "conftest.py"
+        spec = importlib.util.spec_from_file_location("_bench_conftest", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module._git_commit
+
+    def test_clean_and_dirty_tree(self, tmp_path):
+        import subprocess
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git_commit = self._git_commit()
+        assert git_commit(tmp_path) is None  # not a checkout
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("a\n")
+        git("add", "f.txt")
+        git("commit", "-qm", "one")
+        git("tag", "v1")  # a tag does not replace the hash
+        head = git("rev-parse", "HEAD")
+        assert git_commit(tmp_path) == head
+        (tmp_path / "f.txt").write_text("b\n")
+        assert git_commit(tmp_path) == f"{head}-dirty"
