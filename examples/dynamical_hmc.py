@@ -6,8 +6,9 @@ miniature: Wilson gauge action + two degenerate sea quarks via a
 pseudofermion field on the even sites (even-odd preconditioning), Omelyan
 integration, Metropolis accept/reject.  Every force evaluation hides a CG
 solve — exactly why these campaigns needed a petaflop machine — stopped at
-1e-7, and only the two energies of the Metropolis test continue to 1e-10;
-the telemetry counters say how many iterations a trajectory spent in them.
+1e-7; the final energy of the Metropolis test continues the last one to
+1e-10, and the initial energy is the heatbath's |eta|^2, with no solve.
+The telemetry counters say how many iterations a trajectory spent in them.
 
 Run:  python examples/dynamical_hmc.py       (about ten seconds)
 """

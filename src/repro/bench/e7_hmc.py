@@ -112,10 +112,11 @@ def e7_dynamical(
     """Gauge + two-flavour Omelyan stream: cost and exactness per trajectory.
 
     Two rows, each a stream from the same seed: the action's default (kicks
-    solved to ``force_tol`` 1e-7, energies continued to ``solver_tol``
-    1e-10), then ``force_tol = solver_tol``, the single-grade path it
-    replaced.  The defaults are the end-to-end ``hmc_stream`` workload's
-    dynamical parameters.  Seconds come from the ``repro.telemetry`` spans of the run
+    solved to ``force_tol`` 1e-7, the final energy continued to
+    ``solver_tol`` 1e-10, the initial one the heatbath's ``|eta_e|^2``),
+    then ``force_tol = solver_tol``, the single-grade path it replaced.
+    The defaults are the end-to-end ``hmc_stream`` workload's dynamical
+    parameters.  Seconds come from the ``repro.telemetry`` spans of the run
     itself (``hmc_trajectory``, and ``pf_solve`` / ``pf_refine`` /
     ``pf_bilinear`` inside the pseudofermion action) in ``counters`` mode;
     the gauge term has no span of its own, so its force is wrapped here;

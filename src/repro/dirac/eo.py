@@ -16,20 +16,32 @@ fewer Dslash applications than the unpreconditioned solve.  This is the
 standard trick of every production lattice solver and ablation E10
 quantifies it.
 
-Fields stay full-lattice arrays at this API (zeros on the odd sites of
-an even-site field).  Inside, every form runs on the kernel's parity
-entry (:class:`~repro.kernels.fused.ParityEntry`): the even sites are
-gathered into planes once, ``H_oe``, ``H_eo``, the scale and the
-diagonal term run on half-lattice planes, and the result is stored once.
-The normal operator ``M_hat^dag M_hat`` that CG solves
-(:meth:`SchurOperator.normal_op`) stays on those planes from ``M_hat`` to
-``M_hat^dag``: one gather, four half hops, one store, where wrapping the
-Schur operator in :class:`~repro.dirac.operator.NormalOperator` stores to
-a full-lattice temporary and gathers it again in between.  The ``fused``
-kernel hops between half lattices under +-1 phases — a Schur apply costs
-one Dslash; the ``reference`` kernel, and ``fused`` under any other
-phase, hop through the full lattice with the other parity zeroed.  Both
-kernels run the same plane arithmetic here, so they agree bit for bit.
+The Schur system lives on the even sites alone, and its vectors are the
+kernel's even-site planes: a *column* is a real array laid out as
+:meth:`~repro.kernels.fused.ParityEntry.parity_planes` lays out one right-hand
+side, ``(re|im, spin, 1, colour, T, Z, Y, X/2)``
+(:attr:`EvenOddWilson.planes_shape`), and a block of columns stacks them
+on a leading axis.  :meth:`EvenOddWilson.prepare_rhs` takes a full-lattice
+source to the planes of ``b_hat``, :meth:`SchurOperator.apply_planes_into`
+applies ``M_hat`` or ``M_hat^dag`` to columns, the normal operator
+``M_hat^dag M_hat`` that CG solves (:meth:`SchurOperator.normal_op`) maps
+columns to columns, and :meth:`EvenOddWilson.reconstruct` takes the
+solution's columns back to full-lattice fields.  A single column *is* the
+kernel's layout, so a Schur CG iteration is two Schur applies and gamma5
+on the iterate's own planes: no gather, no full-lattice store, no zeros;
+its inner products run on half-size real vectors, where ``Re<a, b>`` is
+the real dot product — exact for the Hermitian normal operator.  Columns
+of a block pass through one transposing copy each way.
+
+The full-lattice forms of :class:`SchurOperator` (``apply``,
+``apply_into``, ``apply_dagger`` and their batched kind) take and return
+full-lattice arrays, read the even sites of their input only and write
+zeros on the odd sites of their output; they gather the even sites into
+planes once and store the result once.  The ``fused`` kernel hops between
+half lattices under +-1 phases — a Schur apply costs one Dslash; the
+``reference`` kernel, and ``fused`` under any other phase, hop through the
+full lattice with the other parity zeroed.  Both kernels run the same
+plane arithmetic here, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +66,8 @@ EVEN, ODD = 0, 1
 
 class EvenOddWilson:
     """Even-odd decomposition of a Wilson operator.  Its source preparation,
-    reconstruction and full apply take a field or an (nrhs, ...) block.
+    reconstruction and plane gather take a field or an (nrhs, ...) block,
+    and return a column or a block of columns (and back).
 
     Nominal flop accounting uses the half-volume counts of a packed
     implementation, which is what the paper's numbers assume.
@@ -90,15 +103,27 @@ class EvenOddWilson:
     def diag(self) -> float:
         return self.mass + 4.0
 
+    @property
+    def planes_shape(self) -> tuple[int, ...]:
+        """Shape of one column: the even-site planes of one field."""
+        return (2, 4, 1, 3) + half_extents(self.lattice.shape)
+
     # -- Schur pieces ----------------------------------------------------------
 
     def schur_operator(self) -> "SchurOperator":
         return SchurOperator(self)
 
+    def even_planes(self, x: np.ndarray) -> np.ndarray:
+        """The columns of the even sites of a field or an (nrhs, ...) block."""
+        X, out = _block(x), self._columns(x.shape[:-6], x.real.dtype)
+        kernel = self._kernel
+        for rows in self._sub_blocks(X):
+            _store_columns(out[rows], kernel.parity_planes(X[rows], EVEN, "eo.source"))
+        return out.reshape(x.shape[:-6] + self.planes_shape)
+
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        """``b_hat = b_e - M_eo M_oo^{-1} b_o = b_e + H_eo b_o / (2 d)``."""
-        out = np.empty_like(b)
-        B, out_block = _block(b), _block(out)
+        """The columns of ``b_hat = b_e - M_eo M_oo^{-1} b_o = b_e + H_eo b_o / (2 d)``."""
+        B, out = _block(b), self._columns(b.shape[:-6], b.real.dtype)
         kernel = self._kernel
         for rows in self._sub_blocks(B):
             with ufunc_rows():
@@ -106,20 +131,22 @@ class EvenOddWilson:
                 b_hat = kernel.hop_parity_planes(self.gauge.u, b_o, self.phases, EVEN, "eo.hop")
                 b_hat *= _reciprocal(b_hat, 2.0 * self.diag)
                 b_hat += kernel.parity_planes(B[rows], EVEN, "eo.other")
-            kernel.store_parity_planes(out_block[rows], (b_hat, None))
-        return out
+            _store_columns(out[rows], b_hat)
+        return out.reshape(b.shape[:-6] + self.planes_shape)
 
     def reconstruct(self, x_e: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """Back-substitute the odd solution:
+        """Back-substitute the odd solution of the column(s) ``x_e``:
         ``x_o = (b_o + H_oe x_e / 2) / d``; returns the full-lattice x
         (``b=None``: no source, ``x_o = H_oe x_e / 2d``)."""
-        out = np.empty_like(x_e)
-        X, out_block = _block(x_e), _block(out)
+        X = x_e.reshape((-1,) + self.planes_shape)
+        lead = x_e.shape[: x_e.ndim - len(self.planes_shape)]
+        out = np.empty(lead + self.lattice.shape + (4, 3), np.result_type(x_e.dtype, np.complex64))
+        out_block = _block(out)
         B = None if b is None else _block(b)
         kernel = self._kernel
         for rows in self._sub_blocks(X):
             with ufunc_rows():
-                x_even = kernel.parity_planes(X[rows], EVEN, "eo.source")
+                x_even = self._kernel_planes(X[rows], "eo.source")
                 x_odd = kernel.hop_parity_planes(self.gauge.u, x_even, self.phases, ODD, "eo.hop")
                 x_odd *= 0.5
                 if B is not None:
@@ -133,6 +160,19 @@ class EvenOddWilson:
         out = self._kernel.apply_batch_into(self.gauge.u, _block(psi), self.phases, diag=self.diag)
         return out.reshape(psi.shape)
 
+    def _columns(self, lead: tuple, dtype) -> np.ndarray:
+        """An uninitialised (n, *planes_shape) block for ``lead`` leading axes."""
+        return np.empty((int(np.prod(lead, dtype=int)),) + self.planes_shape, dtype)
+
+    def _kernel_planes(self, P: np.ndarray, slot: str) -> np.ndarray:
+        """The kernel's (re|im, spin, rhs, colour, *half) planes of a block of
+        columns: a contiguous column itself, else workspace planes ``slot``."""
+        if len(P) == 1 and P.flags.c_contiguous:
+            return P[0]
+        planes = self._kernel.workspace.get(_kernel_shape(P), P.dtype, slot)
+        np.copyto(planes, _kernel_view(P))
+        return planes
+
     def _sub_blocks(self, X: np.ndarray):
         """Row slices of an (nrhs, ...) block, as many columns a pass as a
         half-lattice hop takes (:func:`~repro.kernels.fused.plan`)."""
@@ -143,6 +183,21 @@ class EvenOddWilson:
 def _block(x: np.ndarray) -> np.ndarray:
     """A (T, Z, Y, X, 4, 3) field as a width-1 block, an (nrhs, ...) block as itself."""
     return x.reshape((-1,) + x.shape[-6:])
+
+
+def _kernel_shape(P: np.ndarray) -> tuple[int, ...]:
+    """The kernel planes' shape of a block of columns: the rhs axis holds the columns."""
+    return P.shape[1:3] + (len(P),) + P.shape[4:]
+
+
+def _kernel_view(P: np.ndarray) -> np.ndarray:
+    """A block of columns as a strided view in the kernel planes' layout."""
+    return np.moveaxis(P[:, :, :, 0], 0, 2)
+
+
+def _store_columns(out: np.ndarray, planes: np.ndarray) -> None:
+    """Block of columns ``out`` = the kernel planes ``planes``."""
+    np.copyto(_kernel_view(out), planes)
 
 
 def _reciprocal(planes: np.ndarray, c: float):
@@ -157,9 +212,12 @@ class SchurOperator(LinearOperator):
     """``M_hat = d - H_eo H_oe / (4 d)`` acting on even-site fields.
 
     gamma5-Hermitian on the even subspace, so its normal operator feeds CG.
-    Every form takes and returns full-lattice arrays, reads the even sites
-    of its input only and writes zeros on the odd sites of its output; all
-    of them go through :meth:`_apply_block`, so they agree bit for bit.
+    :meth:`apply_planes_into` acts on columns of even-site planes, and so
+    does :meth:`normal_op`.  The full-lattice forms (``apply``,
+    ``apply_into``, ``apply_dagger``, ``apply_dagger_into`` and the batched
+    ones) read the even sites of their input only and write zeros on the
+    odd sites of their output.  Every form runs :meth:`_forms`, so they all
+    agree bit for bit.
     """
 
     def __init__(self, eo: EvenOddWilson) -> None:
@@ -169,43 +227,72 @@ class SchurOperator(LinearOperator):
         self.flops_per_apply = WILSON_DSLASH_FLOPS_PER_SITE * eo.lattice.volume
 
     def normal_op(self) -> "NormalOperator":
-        """``M_hat^dag M_hat``, run on half-lattice planes: gathered once, four
-        half hops, stored once — bit for bit ``NormalOperator(self)``."""
+        """``M_hat^dag M_hat`` on columns of even-site planes: bit for bit
+        ``NormalOperator(self)`` on the even sites."""
         return _SchurNormalOperator(self)
 
-    def _apply_block(
+    def apply_planes_into(
         self, X: np.ndarray, out: np.ndarray, dagger: bool = False, normal: bool = False
     ) -> np.ndarray:
-        """``out[i] = M_hat X[i]`` (``M_hat^dag = gamma5 M_hat gamma5`` when
-        ``dagger``: gamma5 is site-diagonal, hence parity-preserving;
-        ``M_hat^dag M_hat`` when ``normal``)."""
+        """``out[i] = M_hat X[i]`` for a block of columns (``M_hat^dag`` when
+        ``dagger``, ``M_hat^dag M_hat`` when ``normal``); ``X`` is only read."""
+        eo = self.eo
+        ws = eo._kernel.workspace
+        with ufunc_rows():
+            for rows in eo._sub_blocks(X):
+                x = eo._kernel_planes(X[rows], "eo.columns")
+                target = out[rows]
+                if len(target) == 1 and target.flags.c_contiguous:
+                    self._forms(x, dagger, normal, out=target[0])
+                else:
+                    y = self._forms(x, dagger, normal, out=ws.get(x.shape, x.dtype, "eo.result"))
+                    _store_columns(target, y)
+        return out
+
+    def _apply_block(self, X: np.ndarray, out: np.ndarray, dagger: bool = False) -> np.ndarray:
+        """The full-lattice forms: ``out[i] = M_hat X[i]`` (``M_hat^dag`` when
+        ``dagger``) for an (nrhs, ...) block, the even sites gathered once and
+        the result stored once."""
         kernel = self.eo._kernel
         with ufunc_rows():
             for rows in self.eo._sub_blocks(X):
                 x = kernel.parity_planes(X[rows], EVEN, "eo.source")
-                if dagger:
-                    gamma5_planes(x)
-                y = self._schur_planes(x, "eo.other")
-                if normal:
-                    # M_hat^dag y = gamma5 M_hat gamma5 y, into x's planes (free now).
-                    gamma5_planes(y)
-                    y = self._schur_planes(y, "eo.source")
-                if dagger or normal:
-                    gamma5_planes(y)
-                kernel.store_parity_planes(out[rows], (y, None))
+                kernel.store_parity_planes(out[rows], (self._forms(x, dagger), None))
         return out
 
-    def _schur_planes(self, x: np.ndarray, slot: str) -> np.ndarray:
-        """``M_hat x`` on even-site planes, into workspace planes ``slot``; ``x`` is
-        scaled in place on the way."""
+    def _forms(
+        self, x: np.ndarray, dagger: bool = False, normal: bool = False,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``M_hat x`` on kernel planes into ``out`` (default: workspace planes);
+        ``M_hat^dag = gamma5 M_hat gamma5`` when ``dagger`` (gamma5 is
+        site-diagonal, hence parity-preserving), ``M_hat^dag M_hat`` when
+        ``normal``.  ``x`` is only read."""
+        if dagger:
+            g5 = self.eo._kernel.workspace.get(x.shape, x.dtype, "eo.g5")
+            np.copyto(g5[:, 0:2], x[:, 0:2])
+            np.negative(x[:, 2:4], out=g5[:, 2:4])
+            x = g5
+        y = self._schur_planes(x, "eo.other", None if normal else out)
+        if normal:
+            # M_hat^dag y = gamma5 M_hat gamma5 y.
+            gamma5_planes(y)
+            y = self._schur_planes(y, "eo.source", out)
+        if dagger or normal:
+            gamma5_planes(y)
+        return y
+
+    def _schur_planes(self, x: np.ndarray, slot: str, out: np.ndarray | None) -> np.ndarray:
+        """``M_hat x`` on kernel planes into ``out`` (``None``: workspace planes
+        ``slot``); ``x`` is only read."""
         eo = self.eo
         kernel, u, phases = eo._kernel, eo.gauge.u, eo.phases
         h_oe = kernel.hop_parity_planes(u, x, phases, ODD, "eo.hop")
         y = kernel.hop_parity_planes(u, h_oe, phases, EVEN, slot)
         y *= _reciprocal(y, -(4.0 * eo.diag))
-        x *= x.dtype.type(eo.diag)
-        y += x
-        return y
+        # The diagonal term d x, formed in h_oe's planes (free now).
+        np.multiply(x, x.dtype.type(eo.diag), out=h_oe)
+        return np.add(y, h_oe, out=y if out is None else out)
 
     def apply(self, x_e: np.ndarray) -> np.ndarray:
         return self.apply_into(x_e, np.empty_like(x_e))
@@ -229,16 +316,16 @@ class SchurOperator(LinearOperator):
 
 
 class _SchurNormalOperator(NormalOperator):
-    """:class:`NormalOperator` of a :class:`SchurOperator` whose every form is one
-    :meth:`SchurOperator._apply_block` call; label, flops and counters are the
-    wrapper's own."""
+    """:class:`NormalOperator` of a :class:`SchurOperator` on columns of
+    even-site planes: every form is one :meth:`SchurOperator.apply_planes_into`
+    call; label, flops and counters are the wrapper's own."""
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_into(x, np.empty_like(x))
 
     def apply_into(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.inner._apply_block(x[None], out[None], normal=True)
+        self.inner.apply_planes_into(x[None], out[None], normal=True)
         return out
 
     def apply_batch_into(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.inner._apply_block(X, out, normal=True)
+        return self.inner.apply_planes_into(X, out, normal=True)

@@ -9,7 +9,8 @@ Gaussian integral over a pseudofermion field on the even sites alone::
     S_pf = phi_e^dag (M_hat^dag M_hat)^{-1} phi_e
 
 Heatbath at the start of a trajectory: draw ``eta ~ N(0,1)`` and set
-``phi = M_hat^dag eta_e`` (then ``S_pf = |eta_e|^2`` exactly).  With
+``phi = M_hat^dag eta_e``; then ``S_pf = |eta_e|^2`` exactly, which is the
+energy at the start of the trajectory, with no solve.  With
 ``X = (M_hat^dag M_hat)^{-1} phi`` and ``Y = M_hat X`` the link variation is
 ``-(Y^dag dM_hat X + h.c.)``, and because ``dM_hat = -(dH_eo H_oe + H_eo
 dH_oe) / 4d`` that is the full-lattice ``-(Y_f^dag dM X_f + h.c.)`` of the
@@ -18,9 +19,11 @@ H_oe gamma5 Y / 2d)`` — the odd sites that solve ``(M X_f)_o = 0`` and
 ``(M^dag Y_f)_o = 0``.  The force is therefore the same bilinear as for
 the full determinant, ``(1/2) Ta[C1 - C2]`` of the colour outer products
 below, *verified against the numerical gradient of S_pf* in the tests.
-Fields stay full-lattice arrays, zero on the odd sites; extents are even.
-RHMC's one flavour (:mod:`repro.hmc.rhmc`) shares the link-keyed operator
-and this bilinear through :class:`_SchurAction`.
+``phi``, ``X`` and ``Y`` are columns of even-site planes, the vectors of
+:meth:`~repro.dirac.eo.SchurOperator.normal_op`; only the back-substituted
+``X_f`` and ``Y_f`` the bilinear reads are full-lattice fields.  Extents
+are even.  RHMC's one flavour (:mod:`repro.hmc.rhmc`) shares the
+link-keyed operator and this bilinear through :class:`_SchurAction`.
 
 The one solve ``(M_hat^dag M_hat) X = phi`` comes in two grades.  The *force
 grade* is CG from a zero guess to ``force_tol``: a deterministic function
@@ -40,11 +43,11 @@ import numpy as np
 
 from repro.dirac.eo import EvenOddWilson
 from repro.dirac.hopping import DEFAULT_FERMION_PHASES
-from repro.fields import GaugeField, inner, random_fermion
+from repro.fields import GaugeField, random_fermion
 from repro.gammas import apply_gamma5
 from repro.hmc.action import GaugeAction
 from repro.kernels.shifts import term_site_tables
-from repro.kernels.spin import PROJECT_STACK
+from repro.kernels.spin import PROJECT_STACK, gamma5_planes
 from repro.solvers.cg import cg
 from repro.su3 import planes
 from repro.telemetry.spans import span
@@ -144,7 +147,8 @@ class _SchurAction(GaugeAction):
     link-keyed :class:`EvenOddWilson` and the back-substituted bilinear's
     force.  Subclasses set ``mass`` and ``phases`` and define
     ``_force_solutions(gauge) -> (X, eo, weights)``: the Schur solutions
-    behind a kick, their operator and per-row weights (``None``: 1)."""
+    behind a kick (a block of even-site columns), their operator and
+    per-row weights (``None``: 1)."""
 
     #: (links key, EvenOddWilson) of the last link state asked for.
     _eo: tuple[tuple, EvenOddWilson] | None = None
@@ -165,11 +169,12 @@ class _SchurAction(GaugeAction):
         ``X_f = (X, H_oe X / 2d)`` and ``Y_f = (Y, gamma5 H_oe gamma5 Y / 2d)``."""
         X, eo, weights = self._force_solutions(gauge)
         with span("pf_bilinear", cat="hmc"):
-            Y = eo.schur_operator().apply_batch_into(X, np.empty_like(X))
+            Y = eo.schur_operator().apply_planes_into(X, np.empty_like(X))
             X_f = eo.reconstruct(X)
-            Y_f = apply_gamma5(eo.reconstruct(apply_gamma5(Y)))
+            gamma5_planes(Y.reshape((-1,) + Y.shape[2:]))  # every column's (re|im, spin, ...)
+            Y_f = apply_gamma5(eo.reconstruct(Y))
             if weights is not None:
-                X_f *= weights.reshape((-1,) + (1,) * (X.ndim - 1))
+                X_f *= weights.reshape((-1,) + (1,) * (X_f.ndim - 1))
             # A kick is followed by a drift, which replaces the links: the
             # operator's planes and stacks (9 blocks at 4^4) would be held
             # through the bilinear, at the trajectory's peak, and the drift,
@@ -200,10 +205,11 @@ class TwoFlavorWilsonAction(_SchurAction):
 
     :meth:`force` is always the zero-guess solve on the links it is given,
     :meth:`action` always that solve continued to ``solver_tol``, whatever
-    was asked before.  A trajectory asks for the same system more than
-    once (the initial energy and the first kick share links, the final
-    energy and the last kick too), so the last solution of each grade is
-    kept with a SHA-256 digest of its links' bytes (as
+    was asked before — except on the links and ``phi`` of the last
+    :meth:`refresh`, where it is ``|eta_e|^2``, exact and kept under those
+    links' key: the initial energy of a trajectory runs no solve.  The
+    final energy and the last kick share links, so the last solution of
+    each grade is kept with a SHA-256 digest of its links' bytes (as
     :class:`repro.loops.PlaquetteMemo` keys the plaquette) and serves a
     call of its own grade on links of that digest — by content, so an
     in-place edit of ``gauge.u`` is seen, and no copy of the links is kept;
@@ -211,10 +217,9 @@ class TwoFlavorWilsonAction(_SchurAction):
     solution never serves a kick: the forward and the momentum-flipped
     trajectory would then differ at their end points.  One
     :class:`EvenOddWilson` serves the calls on one link array of one
-    content — the heatbath and the initial energy's two grades share its
-    parity link planes and stacks — until a force has used it: the drift
-    that follows replaces the links, and its planes and stacks (9 blocks
-    at 4^4) are not held through the drift, where a trajectory peaks.
+    content until a force has used it: the drift that follows replaces the
+    links, and its planes and stacks (9 blocks at 4^4) are not held
+    through the drift, where a trajectory peaks.
     """
 
     def __init__(
@@ -235,21 +240,26 @@ class TwoFlavorWilsonAction(_SchurAction):
         self.phi: np.ndarray | None = None
         #: grade ("action" | "force") -> (links key, phi, X) of its last solve.
         self._solved: dict[str, tuple[tuple, np.ndarray, np.ndarray]] = {}
+        #: (links key, phi, |eta_e|^2) of the last refresh.
+        self._refreshed: tuple[tuple, np.ndarray, float] | None = None
 
     # -- pseudofermion heatbath -------------------------------------------------
 
     def refresh(self, gauge: GaugeField, rng=None) -> None:
-        """Draw ``phi = M_hat^dag eta`` with Gaussian eta (called by HMC); eta
-        is drawn on the full lattice and ``M_hat^dag`` reads its even sites."""
+        """Draw ``phi = M_hat^dag eta_e`` with Gaussian eta (called by HMC); eta
+        is drawn on the full lattice and its even sites are taken."""
         rng = ensure_rng(rng)
-        m_hat = self._operator(gauge)[1].schur_operator()
-        self.phi = m_hat.apply_dagger(random_fermion(gauge.lattice, rng=rng))
+        key, eo = self._operator(gauge)
+        eta = eo.even_planes(random_fermion(gauge.lattice, rng=rng))[None]
+        self.phi = eo.schur_operator().apply_planes_into(eta, np.empty_like(eta), dagger=True)[0]
         self._solved.clear()
+        self._refreshed = key, self.phi, float(np.vdot(eta, eta))
 
     def set_phi(self, phi: np.ndarray) -> None:
-        """Pin the pseudofermion field, zero on the odd sites (gradient checks)."""
+        """Pin the pseudofermion field, an even-site column (gradient checks)."""
         self.phi = phi.copy()
         self._solved.clear()
+        self._refreshed = None
 
     def _solve_x(self, gauge: GaugeField, grade: str) -> tuple[np.ndarray, EvenOddWilson]:
         if self.phi is None:
@@ -274,8 +284,11 @@ class TwoFlavorWilsonAction(_SchurAction):
     # -- action + force ----------------------------------------------------------
 
     def action(self, gauge: GaugeField) -> float:
+        links, phi, eta2 = self._refreshed or (None, None, None)
+        if eta2 is not None and phi is self.phi and links == self._operator(gauge)[0]:
+            return eta2
         x, _ = self._solve_x(gauge, "action")
-        return float(inner(self.phi, x).real)
+        return float(np.vdot(self.phi, x))
 
     def _force_solutions(self, gauge: GaugeField):
         x, eo = self._solve_x(gauge, "force")

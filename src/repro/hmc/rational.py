@@ -54,10 +54,15 @@ class RationalApprox:
         carries the solver accounting.
         """
         results = multishift_cg(op, b, list(self.shifts), tol=tol, max_iter=max_iter)
+        return self.combine(b, results), results
+
+    def combine(self, b: np.ndarray, results) -> np.ndarray:
+        """``a0 b + sum_i r_i x_i`` from the shifted solutions ``x_i = (A + b_i)^{-1} b``
+        of ``results`` (one per shift, in order)."""
         out = self.a0 * b
         for r, res in zip(self.residues, results):
             out = out + r * res.x
-        return out, results
+        return out
 
 
 def fit_rational_power(

@@ -10,7 +10,10 @@ approximation, of ``x^{+1/4}``: ``phi = A^{1/4} eta_e`` gives
 the force of ``dS = - sum_i r_i [ (M_hat X_i)^dag dM_hat X_i + h.c. ]``
 is the two-flavour action's back-substituted Schur bilinear summed over
 the poles with weights ``r_i``, validated against the numerical gradient
-of S in the tests.
+of S in the tests.  ``phi`` and the ``X_i`` are columns of even-site
+planes, the vectors of the Schur normal operator.  The energy and the kick
+on one link state share the same multishift solve, kept as the
+two-flavour action keeps its solutions: by a digest of the links.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ __all__ = ["OneFlavorWilsonAction", "estimate_spectral_bounds"]
 def estimate_spectral_bounds(op, start: np.ndarray, safety: float = 2.0) -> tuple[float, float]:
     """Conservative (lo, hi) bracketing of a Hermitian PD spectrum: power
     iteration for the top, a short Lanczos for the bottom, both in the
-    Krylov space of ``start`` (an even-site start keeps the Schur normal
-    operator's odd-site null space out) and widened by ``safety``."""
+    Krylov space of ``start`` and widened by ``safety``."""
     v = start / norm(start)
     lam_max = 1.0
     for _ in range(20):
@@ -45,11 +47,9 @@ def estimate_spectral_bounds(op, start: np.ndarray, safety: float = 2.0) -> tupl
     return lam_min / safety, lam_max * safety
 
 
-def _even_gaussian(eo, rng) -> np.ndarray:
-    """A Gaussian fermion field on the even sites, zero on the odd ones."""
-    eta = random_fermion(eo.lattice, rng=rng)
-    eta[eo.odd] = 0
-    return eta
+def _even_gaussian(eo: EvenOddWilson, rng) -> np.ndarray:
+    """The even-site column of a Gaussian fermion field."""
+    return eo.even_planes(random_fermion(eo.lattice, rng=rng))
 
 
 class OneFlavorWilsonAction(_SchurAction):
@@ -84,6 +84,8 @@ class OneFlavorWilsonAction(_SchurAction):
         self.solver_tol = float(solver_tol)
         self.max_iter = int(max_iter)
         self.phi: np.ndarray | None = None
+        #: (links key, phi, multishift results) of the last solve.
+        self._solved: tuple[tuple, np.ndarray, list] | None = None
         self._bounds = spectral_bounds
         self._inv_sqrt: RationalApprox | None = None
         self._quarter: RationalApprox | None = None
@@ -114,29 +116,36 @@ class OneFlavorWilsonAction(_SchurAction):
         self.phi, _ = self._quarter.apply_operator(
             nop, _even_gaussian(eo, rng), tol=self.solver_tol, max_iter=self.max_iter
         )
+        self._solved = None
 
     def set_phi(self, phi: np.ndarray) -> None:
-        """Pin the pseudofermion field, zero on the odd sites (gradient checks)."""
+        """Pin the pseudofermion field, an even-site column (gradient checks)."""
         self.phi = phi.copy()
+        self._solved = None
 
     # -- action + force -------------------------------------------------------
 
-    def _eo_of(self, gauge: GaugeField) -> EvenOddWilson:
+    def _solve(self, gauge: GaugeField) -> tuple[list, EvenOddWilson]:
+        """The multishift solve of the -1/2 approximation's poles on these links:
+        the kept one while the links' digest and ``phi`` are those it ran on
+        (the initial energy and the first kick share links, the last kick
+        and the final energy too)."""
         if self.phi is None:
             raise RuntimeError("pseudofermion field not initialised; call refresh()")
-        return self._operator(gauge)[1]
+        key, eo = self._operator(gauge)
+        links, phi, results = self._solved or (None, None, None)
+        if phi is not self.phi or links != key:
+            results = multishift_cg(
+                eo.schur_operator().normal_op(), self.phi, list(self._inv_sqrt.shifts),
+                tol=self.solver_tol, max_iter=self.max_iter,
+            )
+            self._solved = key, self.phi, results
+        return results, eo
 
     def action(self, gauge: GaugeField) -> float:
-        sphi, _ = self._inv_sqrt.apply_operator(
-            self._eo_of(gauge).schur_operator().normal_op(), self.phi,
-            tol=self.solver_tol, max_iter=self.max_iter,
-        )
-        return float(inner(self.phi, sphi).real)
+        results, _ = self._solve(gauge)
+        return float(inner(self.phi, self._inv_sqrt.combine(self.phi, results)).real)
 
     def _force_solutions(self, gauge: GaugeField):
-        eo = self._eo_of(gauge)
-        results = multishift_cg(
-            eo.schur_operator().normal_op(), self.phi, list(self._inv_sqrt.shifts),
-            tol=self.solver_tol, max_iter=self.max_iter,
-        )
+        results, eo = self._solve(gauge)
         return np.stack([res.x for res in results]), eo, self._inv_sqrt.residues

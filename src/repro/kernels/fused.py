@@ -304,11 +304,18 @@ def plan(dims: tuple[int, ...], nrhs: int, itemsize: int) -> tuple[int, int, int
     eight terms then scales with a tile, not with the volume; every hop
     small enough for the stacked pass is one tile.
     """
+    return _plan(tuple(dims), nrhs, itemsize, _BLOCK_BYTES)
+
+
+@lru_cache(maxsize=None)
+def _plan(dims: tuple, nrhs: int, itemsize: int, block_bytes: int) -> tuple[int, int, int]:
+    """:func:`plan` against the working-set target ``block_bytes`` (every hop
+    asks, so it is cached)."""
     volume = math.prod(dims)
-    pairs = _BLOCK_BYTES // (24 * volume * itemsize)
+    pairs = block_bytes // (24 * volume * itemsize)
     step = _equal_parts(nrhs, pairs)
     group = next(g for g in (8, 4, 2, 1) if g == 1 or pairs >= g * step)
-    tile = _BLOCK_BYTES // (12 * itemsize * step * (volume // dims[0]))
+    tile = block_bytes // (12 * itemsize * step * (volume // dims[0]))
     return step, group, min(max(1, tile), dims[0])
 
 
@@ -1016,11 +1023,13 @@ class FusedHopping(ParityEntry):
             (8, 2) + h.shape[1:4] + (3,) + h.shape[4:], h.dtype, "hop.stack.prod"
         )
         np.multiply(stack[:, :, None, None, None], h[:, None, :, :, :, None], out=prod)
-        # t_b = (Ur hr - Ui hi, Ur hi + Ui hr) lands in prod[:, 0]; out = t_0 + t_1 + t_2,
-        # from -0.0, which leaves t_0 as it is.
+        # t_b = (Ur hr - Ui hi, Ur hi + Ui hr) lands in prod[:, 0]; out = (t_0 + t_1) + t_2,
+        # the order of color_mul_planes_into's sum, two contiguous adds.
         np.subtract(prod[:, 0, 0], prod[:, 1, 1], out=prod[:, 0, 0])
         np.add(prod[:, 0, 1], prod[:, 1, 0], out=prod[:, 0, 1])
-        np.add.reduce(prod[:, 0], axis=5, out=out, initial=-0.0)
+        t = prod[:, 0]
+        np.add(t[..., 0, :], t[..., 1, :], out=out)
+        out += t[..., 2, :]
 
     def _color_mul(self, out: np.ndarray, u: np.ndarray, h: np.ndarray, dagger: bool) -> None:
         """:func:`color_mul_planes_into` over equal site blocks whose scratch meets the target."""

@@ -35,8 +35,10 @@ from repro.lattice.shifts import shift_into
 __all__ = ["shift_into", "half_extents", "parity_site_tables", "term_site_tables"]
 
 
+@lru_cache(maxsize=None)
 def half_extents(dims: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """``(T, Z, Y, X/2)``: the lattice the sites of one parity form."""
+    """``(T, Z, Y, X/2)``: the lattice the sites of one parity form (every
+    parity hop checks its planes against it, so it is cached)."""
     if any(n % 2 for n in dims):
         raise ValueError(f"parity ordering needs even extents, got {tuple(dims)}")
     return tuple(dims[:3]) + (dims[3] // 2,)

@@ -42,7 +42,7 @@ from repro.solvers.base import SolveResult
 from repro.telemetry.instruments import record_solve
 from repro.telemetry.spans import counter_event, span
 from repro.telemetry.state import STATE
-from repro.util.flops import cg_linalg_flops_per_iter
+from repro.util.flops import cg_linalg_flops_per_iter, vector_reals
 
 __all__ = ["cg"]
 
@@ -70,15 +70,18 @@ def cg(
     return result
 
 
-def _record(result: SolveResult, b: np.ndarray) -> None:
-    """Per-solve counters of a CG-family solve on vectors shaped like ``b``."""
+def _record(result: SolveResult, b: np.ndarray, linalg_flops: int | None = None) -> None:
+    """Per-solve counters of a CG-family solve on vectors shaped like ``b``;
+    ``linalg_flops`` defaults to ``iterations`` CG iterations' worth."""
     if STATE.counting:
+        if linalg_flops is None:
+            linalg_flops = result.iterations * cg_linalg_flops_per_iter(vector_reals(b))
         record_solve(
             result.label,
             result.iterations,
             result.converged,
             result.residual,
-            linalg_flops=result.iterations * cg_linalg_flops_per_iter(2 * b.size),
+            linalg_flops=linalg_flops,
             restarts=len(result.guard_events),
         )
 

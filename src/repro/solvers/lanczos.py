@@ -77,10 +77,10 @@ def lanczos(
         w = w - alpha * basis[j]
         if j > 0:
             w = w - betas[j - 1] * basis[j - 1]
-        # Full reorthogonalisation (twice is enough).
+        # Full reorthogonalisation (twice is enough); np.vdot keeps a real basis real.
         for _ in range(2):
             for q in basis:
-                w = w - inner(q, w) * q
+                w = w - np.vdot(q, w) * q
         beta = norm(w)
         if beta < 1e-14 or j == m - 1:
             break

@@ -29,8 +29,16 @@ from repro.fields import norm2
 from repro.solvers.base import SolveResult
 from repro.solvers.cg import _cg_core, _record
 from repro.telemetry.spans import span
+from repro.util.flops import cg_linalg_flops_per_iter, vector_reals
 
 __all__ = ["multishift_cg"]
+
+#: Real flops per vector real of one companion step: ``x += a p`` (2),
+#: ``p *= b`` (1), ``p += z r`` (2).
+_STEP_FLOPS = 5
+#: Real flops per vector real of one verified residual, after the apply:
+#: ``R += sigma X`` (2), ``R -= b`` (1), ``|r|^2`` (2).
+_VERIFY_FLOPS = 5
 
 
 class _Companions:
@@ -46,6 +54,7 @@ class _Companions:
         self.zeta = self.zeta_prev = np.ones(len(rel))
         self.alpha_prev, self.beta_prev = 1.0, 0.0
         self._rows = (-1,) + (1,) * b.ndim  # a per-companion scalar against a block
+        self.steps = 0
 
     def step(self, alpha: float, beta: float, r: np.ndarray) -> None:
         """Follow one seed step to the new seed residual ``r``:
@@ -65,6 +74,7 @@ class _Companions:
         p += tmp
         self.zeta_prev, self.zeta = z, z_next
         self.alpha_prev, self.beta_prev = alpha, beta
+        self.steps += 1
 
     def restart(self, r: np.ndarray) -> None:
         """The seed restarted its search direction from ``r``: every companion
@@ -111,6 +121,7 @@ def multishift_cg(
         results = [replace(seed, x=x, history=list(seed.history),
                            guard_events=list(seed.guard_events)) for x in X]
         rows, b_norm2 = list(range(len(sig))), norm2(b)
+        cg_iters, verified = seed.iterations, 0
         for attempt in range(3):
             # |b - (A + sigma_i) x_i| / |b| of the rows, from one batched apply.
             R = op.apply_batch(X[rows])
@@ -118,6 +129,7 @@ def multishift_cg(
             R -= b
             for i, r in zip(rows, R):
                 results[i].residual = math.sqrt(norm2(r) / b_norm2) if b_norm2 else 0.0
+            verified += len(rows)
             rows = [i for i in rows if results[i].residual > tol]
             if not rows or not seed.converged or attempt == 2:
                 break
@@ -125,6 +137,7 @@ def multishift_cg(
                 part = _cg_core(op, b, X[i], tol, max_iter, True, None,
                                 label="multishift_cg", shift=sig[i])
                 X[i], res = part.x, results[i]
+                cg_iters += part.iterations
                 res.iterations += part.iterations
                 res.wall_time += part.wall_time
                 res.history += part.history[1:]
@@ -134,5 +147,9 @@ def multishift_cg(
         res.converged = res.residual <= tol
         res.operator_applies = applies
         res.flops = applies * op.flops_per_apply
-    _record(results[0], b)
+    # The seed's and the finishing solves' CG steps, the companions' and the verification.
+    reals = vector_reals(b)
+    companion_steps = (len(sig) - 1) * companions.steps
+    _record(results[0], b, cg_iters * cg_linalg_flops_per_iter(reals)
+            + (_STEP_FLOPS * companion_steps + _VERIFY_FLOPS * verified) * reals)
     return [results[pos] for pos in np.argsort(order)]

@@ -56,12 +56,13 @@ def _normal_system(dirac: WilsonDirac) -> _System:
 
 
 def _even_odd_system(eo: EvenOddWilson) -> _System:
-    """Schur system on the even sites, odd sites by back-substitution."""
+    """Schur system on the even sites, odd sites by back-substitution: its
+    right-hand sides and solutions are columns of even-site planes."""
     schur = eo.schur_operator()
 
     def prepare(B):
         b_hat = eo.prepare_rhs(B)
-        return schur.apply_dagger_batch_into(b_hat, np.empty_like(b_hat))
+        return schur.apply_planes_into(b_hat, np.empty_like(b_hat), dagger=True)
 
     return _System(schur.normal_op(), prepare, eo.reconstruct, eo.full_operator_apply, "wilson_eo")
 

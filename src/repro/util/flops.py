@@ -28,6 +28,7 @@ __all__ = [
     "PLAQUETTE_FLOPS_PER_SITE",
     "dslash_flops",
     "cg_linalg_flops_per_iter",
+    "vector_reals",
 ]
 
 #: Community-standard nominal Wilson Dslash flop count per lattice site.
@@ -53,6 +54,11 @@ def dslash_flops(volume: int, *, clover: bool = False) -> int:
     """Nominal flops for one Wilson (optionally clover) Dslash application."""
     per_site = WILSON_DSLASH_FLOPS_PER_SITE + (CLOVER_FLOPS_PER_SITE if clover else 0)
     return per_site * volume
+
+
+def vector_reals(x) -> int:
+    """Real numbers in the array ``x``: two per element of a complex array, one of a real one."""
+    return x.nbytes // x.real.itemsize
 
 
 def cg_linalg_flops_per_iter(vector_reals: int) -> int:

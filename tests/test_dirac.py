@@ -226,7 +226,8 @@ class TestEvenOdd:
         # even subspace (small lattice, fine).
         from repro.solvers import cg
 
-        res = cg(schur.normal_op(), schur.apply_dagger(b_hat), tol=1e-12, max_iter=4000)
+        rhs = schur.apply_planes_into(b_hat[None], np.empty_like(b_hat[None]), dagger=True)[0]
+        res = cg(schur.normal_op(), rhs, tol=1e-12, max_iter=4000)
         x = eo.reconstruct(res.x, b)
         assert norm(eo.full_operator_apply(x) - b) / norm(b) < 1e-8
 
@@ -315,8 +316,8 @@ class TestEvenOdd:
         b_hat = mask_field(b, even) + hop(mask_field(b, odd), even) / (2.0 * d)
         x = mask_field(x_e, even) + (mask_field(b, odd) + 0.5 * hop(x_e, odd)) / d
         for eo in (fused, reference):
-            assert np.array_equal(eo.prepare_rhs(b), b_hat)
-            assert np.array_equal(eo.reconstruct(x_e, b), x)
+            assert np.array_equal(eo.prepare_rhs(b), eo.even_planes(b_hat))
+            assert np.array_equal(eo.reconstruct(eo.even_planes(x_e), b), x)
             assert np.array_equal(
                 eo.full_operator_apply(psi), d * psi - 0.5 * hopping_term(u, psi, phases)
             )
@@ -325,20 +326,22 @@ class TestEvenOdd:
     @pytest.mark.parametrize("dtype", [np.complex128, np.complex64], ids=["fp64", "fp32"])
     @pytest.mark.parametrize("kernel", ["fused", "reference"])
     def test_schur_normal_op_is_the_normal_operator(self, kernel, dtype, phases):
-        """``normal_op()`` keeps M_hat^dag M_hat on half-lattice planes (gathered
-        once, stored once); every form is ``NormalOperator(schur)`` byte for
-        byte — half-lattice hops and the lattice route of twisted phases
-        alike — with the same label, apply count and ``applies``/``flops``
-        counters."""
+        """``normal_op()`` maps even-site columns to even-site columns: every
+        form is ``NormalOperator(schur)`` on the full lattice, gathered to
+        planes, byte for byte — half-lattice hops and the lattice route of
+        twisted phases alike — with the same label, apply count and
+        ``applies``/``flops`` counters."""
         from repro.telemetry import full_reset, get_registry, telemetry_mode
 
         dims = (4, 4, 2, 4)
         gauge = GaugeField.hot(Lattice4D(dims), rng=41).astype(dtype)
-        schur = EvenOddWilson(gauge, 0.3, self.EO_PHASES[phases], kernel=kernel).schur_operator()
+        eo = EvenOddWilson(gauge, 0.3, self.EO_PHASES[phases], kernel=kernel)
+        schur = eo.schur_operator()
         planes, wrapper = schur.normal_op(), NormalOperator(schur)
         X = self._fields(dims, dtype, 3)
+        P = eo.even_planes(X)
 
-        def forms(op):
+        def forms(op, X):
             out = np.full_like(X, np.nan)
             yield op.apply(X[0])
             yield op.apply_dagger(X[1])
@@ -346,18 +349,21 @@ class TestEvenOdd:
             yield op.apply_dagger_into(X[0], out[1])
             yield op.apply_batch_into(X, np.empty_like(X))
             yield op.apply_dagger_batch_into(X[1:], np.empty_like(X[1:]))
+            # Strided rows in, strided rows out.
+            yield op.apply_batch_into(X[::2], np.full((2, 2) + X.shape[1:], np.nan, X.dtype)[:, 1])
 
-        for got, want in zip(forms(planes), forms(wrapper), strict=True):
-            assert got.tobytes() == want.tobytes()
+        for got, want in zip(forms(planes, P), forms(wrapper, X), strict=True):
+            assert got.dtype == P.dtype
+            assert got.tobytes() == eo.even_planes(want).tobytes()
         assert planes.telemetry_label == wrapper.telemetry_label
         assert planes.flops_per_apply == wrapper.flops_per_apply
         counted = []
-        for op in (planes, wrapper):
+        for op, vectors in ((planes, P), (wrapper, X)):
             op.reset_counters()
             full_reset()
             with telemetry_mode("counters"):
-                op(X[0])
-                op.apply_batch(X)
+                op(vectors[0])
+                op.apply_batch(vectors)
                 counters = get_registry().counters()
             label = op.telemetry_label
             counted.append((op.n_applies, counters[f"applies/{label}"], counters[f"flops/{label}"]))
@@ -383,7 +389,8 @@ class TestEvenOdd:
 
             eo._kernel.hop_parity_planes = counted
         forms = [
-            (eo.schur_operator().apply(x), eo.prepare_rhs(x), eo.reconstruct(x, x)) for eo in pair
+            (eo.schur_operator().apply(x), eo.prepare_rhs(x), eo.reconstruct(eo.even_planes(x), x))
+            for eo in pair
         ]
         # Two half hops for the Schur apply, one each to prepare and reconstruct.
         assert calls == ["fused"] * 4 + ["reference"] * 4

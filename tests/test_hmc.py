@@ -29,6 +29,12 @@ from repro.loops import average_plaquette
 RNG = np.random.default_rng(9001)
 
 
+def _even_field(eo: EvenOddWilson, column: np.ndarray) -> np.ndarray:
+    """The field whose even sites are the even-site column ``column``, zero on the odd ones."""
+    out = np.empty((1,) + eo.lattice.shape + (4, 3), complex)
+    return eo._kernel.store_parity_planes(out, (column, None))[0]
+
+
 def _numerical_action_gradient(action, gauge, mu, site, a, eps=1e-5):
     """Central difference of S under U -> exp(theta i T_a) U at one link."""
     lam = su3.gellmann_matrices()[a]
@@ -267,8 +273,9 @@ class TestPseudofermion:
         return gauge, pf
 
     def test_refresh_action_equals_eta_norm(self):
-        """At refresh, S_pf = |eta_e|^2 (the even-site part of the draw);
-        verify through the solve."""
+        """At refresh, S_pf = |eta_e|^2 (the even-site part of the draw):
+        the refreshed action's value, and through the solve an action
+        pinned to the same phi."""
         lat = Lattice4D((2, 2, 2, 2))
         gauge = GaugeField.warm(lat, eps=0.2, rng=22)
         pf = TwoFlavorWilsonAction(mass=1.0, solver_tol=1e-13)
@@ -280,7 +287,31 @@ class TestPseudofermion:
         from repro.fields import norm2
 
         eta_e = mask_field(eta, checkerboard_masks(lat)[0])
-        assert pf.action(gauge) == pytest.approx(norm2(eta_e), rel=1e-8)
+        solved = TwoFlavorWilsonAction(mass=1.0, solver_tol=1e-13)
+        solved.set_phi(pf.phi)
+        assert pf.action(gauge) == pytest.approx(norm2(eta_e), rel=1e-14)
+        assert solved.action(gauge) == pytest.approx(norm2(eta_e), rel=1e-8)
+
+    @pytest.mark.parametrize("force_tol", [1e-7, 1e-10])
+    def test_initial_energy_needs_no_solve(self, monkeypatch, force_tol):
+        """On the links and phi of its refresh the action is |eta_e|^2 with no
+        solve, and equals the solve-based action to 1e-10 at 4^4; on other
+        links, or after ``set_phi``, it solves again."""
+        from repro.hmc import pseudofermion
+
+        calls, cg = [], pseudofermion.cg
+        monkeypatch.setattr(pseudofermion, "cg", lambda *a, **k: calls.append(1) or cg(*a, **k))
+        gauge = GaugeField.warm(Lattice4D((4, 4, 4, 4)), eps=0.25, rng=51)
+        pf = TwoFlavorWilsonAction(0.5, force_tol=force_tol)
+        pf.refresh(gauge, rng=52)
+        s0 = pf.action(gauge)
+        assert pf.action(gauge.copy()) == s0 and calls == []  # keyed by content
+        solved = TwoFlavorWilsonAction(0.5, force_tol=force_tol)
+        solved.set_phi(pf.phi)
+        assert abs(solved.action(gauge) - s0) <= 1e-10 * s0
+        assert len(calls) == (2 if force_tol > solved.solver_tol else 1)
+        pf.set_phi(pf.phi)
+        assert pf.action(gauge) == solved.action(gauge)
 
     def test_force_matches_numerical_gradient(self):
         """Validates the whole C1/C2 outer-product construction."""
@@ -330,10 +361,10 @@ class TestPseudofermion:
     def test_trajectory_solves_each_system_once(self, monkeypatch, step_size, accepted):
         """An Omelyan-8 trajectory evaluates 17 forces and 2 energies on 17
         distinct links: 17 zero-guess force-grade solves, accepted or not.
-        The initial energy continues the first kick's solution and the final
-        energy the last kick's — 2 more calls with a guess — unless the two
-        tolerances are equal, when the energies read the kicks' solutions.
-        No solution that started from a guess ever reaches a kick."""
+        The initial energy is the heatbath's |eta_e|^2, and the final energy
+        continues the last kick's solution — 1 more call with a guess —
+        unless the two tolerances are equal, when it reads the last kick's
+        solution.  No solution that started from a guess ever reaches a kick."""
         from repro.hmc import pseudofermion
 
         calls, cg = [], pseudofermion.cg
@@ -361,9 +392,9 @@ class TestPseudofermion:
                 assert hmc.trajectory(gauge).accepted is accepted
                 guesses = [x0 for x0, _ in calls]
                 if force_tol > term.solver_tol:
-                    # initial energy (solve + continuation), 16 kicks, final energy
-                    assert [g is None for g in guesses] == [True, False] + 16 * [True] + [False]
-                    assert guesses[1] is calls[0][1] and guesses[18] is calls[17][1]
+                    # 17 kicks, final energy
+                    assert [g is None for g in guesses] == 17 * [True] + [False]
+                    assert guesses[17] is calls[16][1]
                 else:
                     assert guesses == 17 * [None]
 
@@ -383,8 +414,8 @@ class TestPseudofermion:
         for term in (TwoFlavorWilsonAction(mass=1.0), Forgetful(mass=1.0)):
             gauge, hmc = self._dynamical(term, 0.05)
             results.append(([hmc.trajectory(gauge) for _ in range(2)], gauge.u))
-        # 17 kicks + 2 energies, each energy asking for its force-grade seed.
-        assert term.solves == 2 * 21
+        # 17 kicks + the final energy, which asks for its force-grade seed.
+        assert term.solves == 2 * 19
         (kept, u_kept), (forgot, u_forgot) = results
         assert kept == forgot
         assert np.array_equal(u_kept, u_forgot)
@@ -485,8 +516,8 @@ class TestEvenOddPseudofermion:
         even = checkerboard_masks(lat)[0]
         m = WilsonDirac(gauge, pf.mass, pf.phases)
         assert np.allclose(m.apply(x_full), mask_field(y_full, even), atol=1e-12)
-        assert np.allclose(m.apply_dagger(y_full), pf.phi, atol=1e-10)
-        assert not pf.phi[~even].any()
+        phi = _even_field(EvenOddWilson(gauge, pf.mass, pf.phases), pf.phi)
+        assert np.allclose(m.apply_dagger(y_full), phi, atol=1e-10)
 
     def test_gauge_plus_fermion_trajectory_is_reversible(self):
         gauge = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=36)
@@ -525,7 +556,7 @@ class TestEvenOddPseudofermion:
         g = GaugeField.hot(Lattice4D((2, 2, 4, 2)), rng=42)
         other = GaugeField.hot(g.lattice, rng=43)
         pf = TwoFlavorWilsonAction(0.5)
-        pf.refresh(g, rng=44)
+        pf.refresh(other, rng=44)  # on g, the energy is a solve's
 
         def fresh():
             term = TwoFlavorWilsonAction(0.5)
@@ -571,17 +602,25 @@ class TestEvenOddPseudofermion:
         assert np.array_equal(u_new, u_old)
 
     def test_schur_normal_on_planes_is_the_wrapper_trajectory(self, monkeypatch):
-        """The pseudofermion solves on ``normal_op()`` (half-lattice planes from
-        M_hat to M_hat^dag) against ``NormalOperator`` of the Schur operator
-        (stored and re-gathered in between): a two-trajectory stream at 4^4
-        gives the same dH, acceptance and link bytes."""
+        """The pseudofermion solves on ``normal_op()`` (even-site columns from
+        M_hat to M_hat^dag) against ``NormalOperator`` of the Schur operator's
+        full-lattice forms (each column stored to the lattice, the result
+        gathered back): a two-trajectory stream at 4^4 gives the same dH,
+        acceptance and link bytes."""
         from repro.dirac.eo import SchurOperator
         from repro.dirac.operator import NormalOperator
+
+        class Wrapper(NormalOperator):
+            def apply_into(self, x, out):
+                eo = self.inner.eo
+                full = NormalOperator(self.inner).apply(_even_field(eo, x))
+                np.copyto(out, eo.even_planes(full))
+                return out
 
         streams = []
         for wrapped in (False, True):
             if wrapped:
-                monkeypatch.setattr(SchurOperator, "normal_op", lambda self: NormalOperator(self))
+                monkeypatch.setattr(SchurOperator, "normal_op", lambda self: Wrapper(self))
             gauge = GaugeField.hot(Lattice4D((4, 4, 4, 4)), rng=49)
             hmc = HMC([WilsonGaugeAction(5.6), TwoFlavorWilsonAction(0.5)], step_size=0.0625,
                       n_steps=8, integrator="omelyan", rng=50)

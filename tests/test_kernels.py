@@ -57,6 +57,12 @@ def _rand_field(rng, shape, dtype):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(dtype)
 
 
+def _signed_zeros(rng, shape, dtype):
+    """An all-zero field whose zeros carry random signs, real and imaginary."""
+    return (np.copysign(0.0, rng.standard_normal(shape))
+            + 1j * np.copysign(0.0, rng.standard_normal(shape))).astype(dtype)
+
+
 # -- Workspace -----------------------------------------------------------------
 
 
@@ -330,8 +336,9 @@ def _passes(kernel: FusedHopping) -> set[str]:
 )
 def test_fused_bitwise_equals_reference(extents, site_axis_start, nrhs, expect, dtype, phases):
     """Bytes, not values: ``np.array_equal`` takes -0.0 for +0.0.  The
-    all-zero source makes every colour product a signed zero, and a point
-    source leaves zeros on every other site.
+    all-zero source makes every colour product a signed zero, so does a
+    source of randomly signed zeros, and a point source leaves zeros on
+    every other site.
 
     The Wilson forms (M, M^dag, and M^dag M on the batched entry) equal the
     reference kernel's on every input, and on the random one also the
@@ -373,7 +380,7 @@ def test_fused_bitwise_equals_reference(extents, site_axis_start, nrhs, expect, 
         psi = _rand_field(rng, extents + (4, 3), dtype)
         point = np.zeros_like(psi)
         point[(0,) * (len(extents) + 2)] = 1
-        for x in (psi, np.zeros_like(psi), point):
+        for x in (psi, np.zeros_like(psi), _signed_zeros(rng, psi.shape, dtype), point):
             ref = hopping_term(u, x, phases, site_axis_start)
             got = kernel(u, x, phases, site_axis_start)
             assert got.dtype == ref.dtype
@@ -483,7 +490,8 @@ def test_fused_link_cache_invalidation():
 def test_parity_hop_is_the_hop_on_half_the_sites(dims, expect, dtype, nrhs):
     """The parity-ordered entry: planes of one parity in, the reference's
     hopping term on the sites of the other out, byte for byte, whatever
-    sits on the sites it does not read — an all-zero source included."""
+    sits on the sites it does not read — an all-zero source and one of
+    randomly signed zeros included."""
     rng = np.random.default_rng(44)
     u = _rand_field(rng, (4,) + dims + (3, 3), dtype)
     odd = (np.indices(dims).sum(axis=0) % 2).astype(bool)
@@ -491,7 +499,7 @@ def test_parity_hop_is_the_hop_on_half_the_sites(dims, expect, dtype, nrhs):
     kernel = FusedHopping()
     kernel.workspace.clear()  # the thread's arena: only this test's slots
     shape = (nrhs,) + dims + (4, 3)
-    for X in (_rand_field(rng, shape, dtype), np.zeros(shape, dtype)):
+    for X in (_rand_field(rng, shape, dtype), np.zeros(shape, dtype), _signed_zeros(rng, shape, dtype)):
         want = np.stack([hopping_term(u, x, phases) for x in X])
         out = np.full_like(X, np.nan)
         with ufunc_rows():

@@ -93,34 +93,28 @@ class TestSpectralBounds:
 
 
 class TestSchurSystem:
-    """RHMC runs on the even-odd Schur normal operator, whose odd sites are a
-    null space: everything starts on the even sites and stays there."""
+    """RHMC runs on the even-odd Schur normal operator, whose vectors are
+    columns of even-site planes: the odd sites are not in its space."""
 
     @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (4, 4, 4, 4)])
     def test_bounds_positive_from_even_start(self, shape):
         gauge = GaugeField.warm(Lattice4D(shape), eps=0.2, rng=14)
         eo = EvenOddWilson(gauge, 0.5)
         nop = eo.schur_operator().normal_op()
-        start = random_fermion(gauge.lattice, rng=15)
-        start[eo.odd] = 0
+        start = eo.even_planes(random_fermion(gauge.lattice, rng=15))
         lo, hi = estimate_spectral_bounds(nop, start)
         assert 0 < lo < hi
         if shape == (2, 2, 2, 2):  # the dense spectrum on the even sites
-            even = np.flatnonzero(np.broadcast_to(eo.even[..., None, None], start.shape))
-            cols = []
-            for k in even:
-                e = np.zeros(start.size, complex)
-                e[k] = 1.0
-                cols.append(nop(e.reshape(start.shape)).reshape(-1)[even])
-            eigs = np.linalg.eigvalsh(np.array(cols).T)
+            # The real form of the Hermitian operator: each eigenvalue twice.
+            basis = np.eye(start.size).reshape((-1,) + start.shape)
+            eigs = np.linalg.eigvalsh(np.array([nop(e).ravel() for e in basis]).T)
             assert eigs[0] / 10 < lo <= eigs[0] and hi >= eigs[-1]
 
     def test_pseudofermion_on_even_sites(self):
         gauge = GaugeField.warm(Lattice4D((2, 2, 2, 2)), eps=0.2, rng=16)
         pf = OneFlavorWilsonAction(mass=0.5, n_poles=10)
         pf.refresh(gauge, rng=17)
-        odd = EvenOddWilson(gauge, 0.5).odd
-        assert not pf.phi[odd].any() and pf.phi[~odd].any()
+        assert pf.phi.shape == EvenOddWilson(gauge, 0.5).planes_shape and pf.phi.any()
         assert pf.rational_error < 1e-4
 
 
@@ -192,3 +186,40 @@ class TestOneFlavorAction:
         )
         r = hmc.trajectory(gauge)
         assert abs(r.delta_h) < 0.5
+
+
+class TestOneFlavorMemo:
+    def test_energies_share_the_kicks_solves(self, monkeypatch):
+        """A 4^4 four-step leapfrog trajectory: the initial energy and the
+        first kick share one multishift solve, the last kick and the final
+        energy another — 6 multishift calls (the heatbath's and five kicks')
+        where an action that solves on every call makes 8, with the same dH
+        and link bytes."""
+        from repro.hmc import rational, rhmc
+
+        calls = []
+        multishift = rhmc.multishift_cg
+
+        def spy(*args, **kwargs):
+            calls.append(args[2])
+            return multishift(*args, **kwargs)
+
+        monkeypatch.setattr(rhmc, "multishift_cg", spy)
+        monkeypatch.setattr(rational, "multishift_cg", spy)
+
+        class Forgetful(OneFlavorWilsonAction):
+            def _solve(self, gauge):
+                self._solved = None
+                return super()._solve(gauge)
+
+        runs = []
+        for term in (OneFlavorWilsonAction(0.5), Forgetful(0.5)):
+            gauge = GaugeField.warm(Lattice4D((4, 4, 4, 4)), eps=0.2, rng=18)
+            hmc = HMC([WilsonGaugeAction(5.5), term], step_size=0.02, n_steps=4, rng=19)
+            del calls[:]
+            result = hmc.trajectory(gauge)
+            runs.append((result.delta_h, result.accepted, gauge.u.tobytes(), len(calls)))
+        (dh, accepted, links, n_calls), (dh_old, accepted_old, links_old, n_old) = runs
+        assert (n_calls, n_old) == (6, 8)
+        assert dh == dh_old and accepted == accepted_old and 0.0 < abs(dh) < 1.0
+        assert links == links_old

@@ -26,6 +26,7 @@ from repro.solvers import (
     solve_wilson_eo,
 )
 from repro.telemetry import full_reset, get_registry, telemetry_mode
+from repro.util.flops import cg_linalg_flops_per_iter
 
 RNG = np.random.default_rng(1234)
 
@@ -289,6 +290,26 @@ class TestMultishift:
             reg = get_registry()
             assert reg.get("solver/multishift_cg/solves") == 1
             assert reg.get("solver/multishift_cg/iterations") == results[0].iterations > 0
+        finally:
+            full_reset()
+
+    def test_linalg_flops_count_companions_and_verification(self):
+        """``linalg_flops``: the seed's CG iterations, each companion's three
+        vector updates per step (``x += a p``, ``p *= b``, ``p += z r``: 5
+        flops a real) and each verified residual (``R += sigma X``,
+        ``R -= b``, ``|r|^2``: 5 flops a real)."""
+        op = _hpd_operator(20, seed=31)
+        b = RNG.normal(size=20) + 0j
+        full_reset()
+        try:
+            with telemetry_mode("counters"):
+                results = multishift_cg(op, b, [0.0, 0.5, 2.0, 4.0], tol=1e-10)
+            it, reals = results[0].iterations, 2 * b.size
+            assert all(res.iterations == it for res in results)  # no finishing solve
+            companions, verified = 3 * it, 4
+            assert get_registry().get("solver/multishift_cg/linalg_flops") == (
+                it * cg_linalg_flops_per_iter(reals) + 5 * (companions + verified) * reals
+            )
         finally:
             full_reset()
 

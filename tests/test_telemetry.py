@@ -301,6 +301,19 @@ class TestGoldenCounters:
         assert reg.gauge("solver/cg/last_residual") == res.residual
         assert reg.histogram("solver/cg/iterations_per_solve").count == 1
 
+    def test_cg_counts_the_reals_of_real_columns(self, lat44, gauge44):
+        """A Schur CG runs on even-site columns, real planes of 12 V/2 sites x 2
+        reals: ``linalg_flops`` counts those reals, not twice their number."""
+        eo = EvenOddWilson(gauge44, mass=0.2)
+        rhs = eo.even_planes(random_fermion(lat44, rng=12))
+        with telemetry_mode("counters"):
+            res = cg(eo.schur_operator().normal_op(), rhs, tol=1e-8, guard="off")
+        assert res.converged and rhs.dtype == np.float64
+        assert rhs.size == 12 * lat44.volume
+        assert get_registry().get("solver/cg/linalg_flops") == (
+            res.iterations * cg_linalg_flops_per_iter(rhs.size)
+        )
+
     def test_matrix_operator_label_fallback(self):
         op = MatrixOperator(np.eye(4, dtype=complex))
         with telemetry_mode("counters"):
@@ -575,7 +588,8 @@ class TestBitParity:
     def test_dynamical_trajectory_identical_across_modes(self):
         """The spans inside the pseudofermion action observe, nothing more:
         same dH, same links; one force-grade solve span and one bilinear span
-        per force, one continuation span per energy."""
+        per force, one continuation span for the final energy (the initial
+        one is the heatbath's |eta_e|^2)."""
         from repro.hmc import HMC, TwoFlavorWilsonAction, WilsonGaugeAction
 
         def run(mode: str):
@@ -598,13 +612,13 @@ class TestBitParity:
             assert result == base, mode
             assert np.array_equal(u, u_base), mode
             assert counters["calls/pf_solve"] == counters["calls/pf_bilinear"] == 17
-            assert counters["calls/pf_refine"] == 2
-            assert counters["calls/cg"] == 19
+            assert counters["calls/pf_refine"] == 1
+            assert counters["calls/cg"] == 18
             assert 0.0 < counters["time/cg"] <= (
                 counters["time/pf_solve"] + counters["time/pf_refine"]
             )
             assert [names.count(n) for n in ("pf_solve", "pf_refine", "pf_bilinear")] == (
-                [17, 2, 17] if mode == "trace" else [0, 0, 0]
+                [17, 1, 17] if mode == "trace" else [0, 0, 0]
             )
 
 
